@@ -12,7 +12,9 @@ Environment knobs:
   uses CI-friendly sizes; the full paper-scale run is noted per bench).
 * ``REPRO_BENCH_SEED``: base RNG seed (default 2015).
 * ``REPRO_BENCH_OUT``: directory for machine-readable ``BENCH_*.json``
-  artifacts (default: current working directory).
+  artifacts (default: the git-ignored ``.bench_out/``, so a test run
+  leaves ``git status`` clean; set it to ``.`` to refresh the tracked
+  artifacts at the repo root, as the CI ``bench`` job does).
 
 Benchmarks that track a performance trajectory write a ``BENCH_*.json``
 artifact via :func:`write_bench_artifact`; CI uploads every
@@ -58,10 +60,10 @@ def write_bench_artifact(name: str, payload: dict) -> pathlib.Path:
     """Write a machine-readable benchmark artifact.
 
     The file lands at ``$REPRO_BENCH_OUT/BENCH_<name>.json`` (default:
-    the working directory) with the scale and seed of the run stamped
+    ``.bench_out/``) with the scale and seed of the run stamped
     in, so trajectories across commits compare like with like.
     """
-    out_dir = pathlib.Path(os.environ.get("REPRO_BENCH_OUT", "."))
+    out_dir = pathlib.Path(os.environ.get("REPRO_BENCH_OUT", ".bench_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = dict(payload)
     payload.setdefault("scale", bench_scale())

@@ -3,11 +3,11 @@
 The paper's §3 steady-state cycle serves one rule per probe tick, so
 detection latency on an N-rule table is cycle-bound:
 ``~uniform(0, N/probe_rate) + probe_timeout``.  PR 10 pipelines the
-cycle — a per-switch window of W concurrent outstanding probes, each
-carrying a distinct §6 reserved header value so the catching plane
-attributes every PacketIn unambiguously — and each tick tops the window
-back up, so the sustained probe rate approaches ``W * probe_rate`` and
-detection latency scales toward 1/W.
+cycle — a per-switch window of W concurrent outstanding probes, all on
+the switch's one §6 reserved header value and attributed by the nonce
+in their payload — and each tick tops the window back up, so the
+sustained probe rate approaches ``W * probe_rate`` and detection
+latency scales toward 1/W.
 
 This benchmark measures that trajectory on one monitored star hub with
 a ~4k-rule table (scaled by ``REPRO_BENCH_SCALE``): for each
@@ -183,8 +183,6 @@ def test_pipeline_detection_latency_by_window(scale, seed):
             "vs_w1": round(median / base_median, 4),
             "probes_sent": monitor.probes_sent,
             "window_peak": monitor.window_peak,
-            "window_clamp": monitor.window_clamp,
-            "reserved_overflows": monitor.reserved_overflows,
             "false_alarms": 0,
         }
         rows.append(row)

@@ -22,17 +22,13 @@ The planner returns a :class:`CatchingPlan` that yields the concrete
 rules per switch and the reserved-field requirements for probes
 (used as the Collect match by the probe generator).
 
-**Probe pipelining (window slots).**  One reserved value per switch
-supports exactly one probe in flight; a window of W concurrent probes
-needs W values per switch so the catching fabric can tell them apart.
-The plan therefore carries ``slots``: slot ``s`` of a switch with color
-``c`` uses value ``base + s * stride + c`` where ``stride`` is the
-number of colors, so slot 0 reproduces the classic single-value layout
-and distinct (slot, color) pairs map to globally distinct values.
-Every switch installs its catch (and strategy-2 filter) rules for all
-*other* colors at *all* slots — slot 0 first, keeping the slots=1 rule
-set byte-identical to the pre-pipelining plan.  ``slots`` is clamped
-to the reserved field's capacity by :func:`plan_catching_rules`.
+**One value per colour, however many probes are in flight.**  The
+reserved value names the probed *switch* (its colour), not the probe:
+each probe's identity is the (switch id, nonce) metadata in its payload
+(§7), which is how the Monitor tells concurrent probes of one switch
+apart.  A deeper probe window therefore needs no extra reserved values
+and no extra catch rules — the rule count per switch depends only on
+the colouring (the Figure 9 metric).
 """
 
 from __future__ import annotations
@@ -85,8 +81,6 @@ class CatchingPlan:
         field2: the reserved field ``H2`` (strategy 2 only).
         base1 / base2: reserved values are ``base + color``; production
             traffic must avoid these values.
-        slots: reserved values per switch in ``field1`` (the probe
-            window budget); slot ``s`` uses ``base1 + s*stride + color``.
     """
 
     strategy: int
@@ -95,7 +89,6 @@ class CatchingPlan:
     field2: FieldName | None
     base1: int
     base2: int
-    slots: int = 1
 
     @property
     def num_reserved_values(self) -> int:
@@ -104,25 +97,9 @@ class CatchingPlan:
             return 0
         return len(set(self.color_of.values()))
 
-    @property
-    def color_stride(self) -> int:
-        """Value-space distance between consecutive slots."""
-        if not self.color_of:
-            return 0
-        return max(self.color_of.values()) + 1
-
-    def value1(self, switch, slot: int = 0) -> int:
-        """Reserved value of ``field1`` for this switch (given slot)."""
-        if not 0 <= slot < self.slots:
-            raise ValueError(f"slot {slot} outside 0..{self.slots - 1}")
-        return self.base1 + slot * self.color_stride + self.color_of[switch]
-
-    def probe_values(self, switch) -> tuple[int, ...]:
-        """All ``field1`` values this switch's probes may carry, slot
-        order — the per-switch in-flight reserved-value pool."""
-        return tuple(
-            self.value1(switch, slot) for slot in range(self.slots)
-        )
+    def value1(self, switch) -> int:
+        """Reserved value of ``field1`` for this switch."""
+        return self.base1 + self.color_of[switch]
 
     def value2(self, switch) -> int:
         """Reserved value of ``field2`` for this switch (strategy 2)."""
@@ -131,45 +108,28 @@ class CatchingPlan:
         return self.base2 + self.color_of[switch]
 
     def reserved_values1(self) -> set[int]:
-        """All reserved values of field1 across the network (all slots)."""
-        stride = self.color_stride
-        return {
-            self.base1 + slot * stride + c
-            for slot in range(self.slots)
-            for c in set(self.color_of.values())
-        }
+        """All reserved values of field1 across the network."""
+        return {self.base1 + c for c in set(self.color_of.values())}
 
     def catching_rules(self, switch) -> list[Rule]:
-        """The monitoring rules this switch must pre-install.
-
-        Slot 0 comes first so the ``slots=1`` rule list (and therefore
-        every pre-pipelining expected table) is byte-identical.
-        """
+        """The monitoring rules this switch must pre-install."""
         rules: list[Rule] = []
         own_color = self.color_of[switch]
-        stride = self.color_stride
         if self.strategy == 1:
-            for slot in range(self.slots):
-                for color in sorted(set(self.color_of.values())):
-                    if color == own_color:
-                        continue
-                    rules.append(
-                        Rule(
-                            priority=CATCH_PRIORITY,
-                            match=Match.build(
-                                **{
-                                    self.field1.value: self.base1
-                                    + slot * stride
-                                    + color
-                                }
-                            ),
-                            actions=ActionList((Forward(CONTROLLER_PORT),)),
-                        )
+            for color in sorted(set(self.color_of.values())):
+                if color == own_color:
+                    continue
+                rules.append(
+                    Rule(
+                        priority=CATCH_PRIORITY,
+                        match=Match.build(
+                            **{self.field1.value: self.base1 + color}
+                        ),
+                        actions=ActionList((Forward(CONTROLLER_PORT),)),
                     )
+                )
             return rules
         # Strategy 2: one catch rule on H2=own, filters on H1=other.
-        # H2 names the downstream switch (one identifier regardless of
-        # window depth); only the H1 filters replicate per slot.
         assert self.field2 is not None
         rules.append(
             Rule(
@@ -180,28 +140,19 @@ class CatchingPlan:
                 actions=ActionList((Forward(CONTROLLER_PORT),)),
             )
         )
-        for slot in range(self.slots):
-            for color in sorted(set(self.color_of.values())):
-                if color == own_color:
-                    continue
-                rules.append(
-                    Rule(
-                        priority=FILTER_PRIORITY,
-                        match=Match.build(
-                            **{
-                                self.field1.value: self.base1
-                                + slot * stride
-                                + color
-                            }
-                        ),
-                        actions=ActionList((Drop(),)),
-                    )
+        for color in sorted(set(self.color_of.values())):
+            if color == own_color:
+                continue
+            rules.append(
+                Rule(
+                    priority=FILTER_PRIORITY,
+                    match=Match.build(
+                        **{self.field1.value: self.base1 + color}
+                    ),
+                    actions=ActionList((Drop(),)),
                 )
+            )
         return rules
-
-    def value_pool(self, switch) -> "ReservedValuePool":
-        """The in-flight reserved-value pool for one switch's probes."""
-        return ReservedValuePool(self.field1, self.probe_values(switch))
 
     def probe_match(self, probed_switch, downstream_switch) -> Match:
         """Reserved-field values a probe must carry (the Collect match).
@@ -228,67 +179,6 @@ class CatchingPlan:
         )
 
 
-class ReservedValuePool:
-    """Per-switch pool of in-flight reserved header values.
-
-    A probe window of W concurrent probes needs W distinct values so
-    the catching fabric (and a human reading a packet capture) can
-    tell in-flight probes apart; the Monitor allocates one per launch
-    and releases it when the probe confirms, times out or is
-    invalidated.  Allocation is lowest-value-first, so slot 0 — the
-    canonical value every generated probe header already carries — is
-    preferred and the single-probe case never rewrites anything.
-
-    Exhaustion is not an error: :meth:`allocate` returns ``None`` and
-    counts an overflow, and the caller falls back to the canonical
-    value (the probe nonce still disambiguates; only the wire-level
-    distinctness degrades).
-    """
-
-    def __init__(self, field: FieldName, values: tuple[int, ...]) -> None:
-        if not values:
-            raise ValueError("a reserved-value pool needs >= 1 value")
-        self.field = field
-        self.values = tuple(values)
-        self._free = sorted(self.values, reverse=True)
-        self.overflows = 0
-
-    @property
-    def canonical(self) -> int:
-        """The slot-0 value probe generation pins into every header."""
-        return self.values[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    @property
-    def in_use(self) -> int:
-        return len(self.values) - len(self._free)
-
-    def allocate(self) -> int | None:
-        """Take the lowest free value; None (counted) when exhausted."""
-        if not self._free:
-            self.overflows += 1
-            return None
-        return self._free.pop()
-
-    def release(self, value: int) -> None:
-        """Return a value to the pool."""
-        if value not in self.values:
-            raise ValueError(f"{value:#x} is not from this pool")
-        if value in self._free:
-            raise ValueError(f"{value:#x} released twice")
-        self._free.append(value)
-        self._free.sort(reverse=True)
-
-    def __repr__(self) -> str:
-        return (
-            f"ReservedValuePool({self.field.value}, size={self.size}, "
-            f"in_use={self.in_use})"
-        )
-
-
 def plan_catching_rules(
     topology: nx.Graph,
     strategy: int = 1,
@@ -297,7 +187,6 @@ def plan_catching_rules(
     field2: FieldName = FieldName.NW_TOS,
     base1: int = 0xF00,
     base2: int = 0x20,
-    slots: int = 1,
 ) -> CatchingPlan:
     """Compute a catching plan for a topology.
 
@@ -308,14 +197,9 @@ def plan_catching_rules(
             identifier (the paper's non-optimized baseline).
         field1 / field2: reserved header fields.
         base1 / base2: first reserved value in each field.
-        slots: requested reserved values per switch (the probe-window
-            budget).  Clamped — never errored — to what ``field1`` can
-            hold above ``base1``: a too-narrow field degrades to a
-            smaller effective window, surfaced via ``plan.slots``.
 
     Raises:
-        CapacityError: if the identifiers do not fit the fields even at
-            a single slot per switch.
+        CapacityError: if the identifiers do not fit the fields.
     """
     if strategy not in (1, 2):
         raise ValueError(f"unknown strategy {strategy}")
@@ -338,20 +222,12 @@ def plan_catching_rules(
     ):
         raise AssertionError("coloring solver produced an improper coloring")
 
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1: {slots}")
     colors_used = len(set(coloring.values())) if coloring else 0
-    stride = (max(coloring.values()) + 1) if coloring else 0
     if base1 + colors_used - 1 > HEADER.field(field1).max_value:
         raise CapacityError(
             f"{colors_used} identifiers exceed {field1} capacity "
             f"starting at {base1:#x}"
         )
-    if stride > 0:
-        # One slot always fits (checked above); extra window slots are
-        # clamped to the field's remaining headroom, not errored.
-        capacity = HEADER.field(field1).max_value - base1 + 1
-        slots = max(1, min(slots, capacity // stride))
     if strategy == 2 and base2 + colors_used - 1 > HEADER.field(
         field2
     ).max_value:
@@ -367,5 +243,4 @@ def plan_catching_rules(
         field2=field2 if strategy == 2 else None,
         base1=base1,
         base2=base2,
-        slots=slots,
     )

@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from repro.core.catching import ReservedValuePool
 from repro.core.probegen import (
     ProbeGenContext,
     ProbeGenerator,
@@ -90,14 +89,13 @@ class MonitorConfig:
     quarantine_threshold: int = 0
     quarantine_window: float = 0.5
     quarantine_exit: float = 1.0
-    #: Steady-state probe pipelining: keep up to this many concurrent
-    #: probes in flight per switch, each carrying a distinct reserved
-    #: header value from the catching plan's slot pool.  Detection
+    #: Steady-state probe pipelining.  1 (the default) is the paper's
+    #: rate-paced cycle: one launch per tick, however many earlier
+    #: probes are still in flight.  W > 1 tops the steady probes in
+    #: flight back up to W every tick (a depth cap), so detection
     #: latency on an N-rule table drops from ~N/probe_rate toward
-    #: ~N/(probe_window * probe_rate).  1 (the default) reproduces the
-    #: paper's one-in-flight cycle byte-for-byte; the effective window
-    #: is clamped to the reserved-value pool size (see
-    #: ``Monitor.window_clamp``) when the catch field is too narrow.
+    #: ~N/(probe_window * probe_rate).  Concurrent probes of one switch
+    #: share its reserved value and are told apart by their nonce.
     probe_window: int = 1
     #: Hold ``churn_first``/``weighted`` promotions of a FlowMod's
     #: rules until the switch confirms (via a Monitor-issued barrier)
@@ -172,10 +170,6 @@ class OutstandingProbe:
     #: Trace span id tying this probe's lifecycle events together
     #: (0 when observability is disabled).
     span: int = 0
-    #: Reserved header value allocated from the window pool (None when
-    #: the window is 1 or the pool overflowed — the canonical header
-    #: value is used as-is then); released when the probe retires.
-    reserved_value: int | None = None
     #: Launched by the steady cycle's window (counts toward depth).
     steady: bool = False
 
@@ -206,7 +200,6 @@ class Monitor:
         probe_context=None,
         scheduler: ProbeScheduler | None = None,
         obs=None,
-        value_pool: ReservedValuePool | None = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -218,19 +211,10 @@ class Monitor:
         self.forward_up = forward_up
         self.inject_probe = inject_probe
 
-        #: Probe window: how many steady probes may be in flight at
-        #: once.  The requested depth is clamped to the reserved-value
-        #: pool (one distinct wire value per in-flight probe); without
-        #: a pool only the classic single-probe window is available.
-        self.value_pool = value_pool
-        requested = max(1, self.config.probe_window)
-        available = value_pool.size if value_pool is not None else 1
-        self.window = min(requested, available)
-        #: Window slots requested but not backed by a reserved value
-        #: (metrics-visible degradation of a too-narrow catch field).
-        self.window_clamp = requested - self.window
+        #: Probe window: the cap on steady probes in flight at once
+        #: (see ``MonitorConfig.probe_window``).
+        self.window = max(1, self.config.probe_window)
         self.window_peak = 0
-        self.reserved_overflows = 0
         self._steady_depth = 0
         #: rule key -> number of outstanding (not done) probes, the
         #: O(1) busy check behind the scheduler's window drain.
@@ -477,42 +461,24 @@ class Monitor:
         if not self._steady_running:
             return
         self.sim.schedule(1.0 / self.config.probe_rate, self._steady_tick)
-        if self.window <= 1:
-            # The paper's one-in-flight cycle: one selection per tick.
-            obs = self.obs
-            promoted_before = (
-                self.scheduler.stats.scheduler_promotions
-                if obs.enabled
-                else 0
-            )
-            rule = self.scheduler.next_rule(
-                self.expected, busy=self._in_flight
-            )
-            if rule is None:
-                return
-            promoted = (
-                obs.enabled
-                and self.scheduler.stats.scheduler_promotions
-                > promoted_before
-            )
-            self._serve_steady_rule(rule, promoted)
-            return
-        # Pipelined mode: each tick tops the window back up, so the
-        # sustained injection rate approaches window * probe_rate while
-        # probe_rate still paces (and batches) the injections.
-        capacity = self.window - self._steady_depth
-        if capacity <= 0:
+        # Launch budget.  A window of 1 is purely rate-paced: one
+        # launch per tick with no depth cap.  A deeper window tops the
+        # steady probes in flight back up to ``window`` each tick, so
+        # the sustained injection rate approaches window * probe_rate
+        # while probe_rate still paces (and batches) the injections.
+        budget = 1 if self.window == 1 else self.window - self._steady_depth
+        if budget <= 0:
             return
         promoted_keys: set[tuple] = set()
         rules = self.scheduler.next_rules(
             self.expected,
             busy=self._in_flight,
-            limit=capacity,
+            limit=budget,
             promoted_out=promoted_keys,
         )
         for rule in rules:
             self._serve_steady_rule(rule, rule.key() in promoted_keys)
-        if self.obs.enabled and rules:
+        if self.obs.enabled and rules and self.window > 1:
             self.obs.emit(
                 "window.depth",
                 node=self.node,
@@ -792,10 +758,8 @@ class Monitor:
                 after every re-injection (capped at
                 ``max_retry_interval``); >1 lets long-pending update
                 probes back off while the switch control queue drains.
-            steady: launched by the steady cycle's window (counts
-                toward the window depth; dynamic/suspicion probes ride
-                along on the same reserved-value pool without
-                occupying a steady slot).
+            steady: launched by the steady cycle (counts toward the
+                window depth; dynamic/suspicion probes do not).
         """
         assert result.ok and result.header is not None
         assert result.outcome_present is not None
@@ -829,17 +793,6 @@ class Monitor:
             span=span,
             steady=steady,
         )
-        if self.value_pool is not None and self.window > 1:
-            # Windowed mode: every in-flight probe carries a distinct
-            # reserved value.  Pool exhaustion (e.g. a burst of dynamic
-            # update probes on top of a full steady window) falls back
-            # to the canonical header value — the nonce still
-            # disambiguates; only wire-level distinctness degrades.
-            value = self.value_pool.allocate()
-            if value is None:
-                self.reserved_overflows += 1
-            else:
-                probe.reserved_value = value
         self.outstanding[nonce] = probe
         key = result.rule.key()
         self._inflight_keys[key] = self._inflight_keys.get(key, 0) + 1
@@ -884,14 +837,6 @@ class Monitor:
         from repro.packets.craft import craft_packet
 
         header = dict(probe.result.header)
-        if probe.reserved_value is not None:
-            assert self.value_pool is not None
-            # Windowed probes rewrite the reserved field from the
-            # canonical (slot-0) value the generator pinned to this
-            # probe's allocated slot; the catch rules cover every slot,
-            # and handle_caught_probe translates the value back before
-            # comparing observations.
-            header[self.value_pool.field] = probe.reserved_value
         packet = craft_packet(header, metadata.encode())
         in_port = header.get(FieldName.IN_PORT, 0)
         self.probes_sent += 1
@@ -949,9 +894,8 @@ class Monitor:
 
         The single bookkeeping point shared by confirmation, timeout,
         invalidation and misbehaving-alarm retirement: marks the probe
-        done, drops it from ``outstanding``, decrements the per-key
-        in-flight count and steady window depth, and releases the
-        probe's reserved value back to the window pool.
+        done, drops it from ``outstanding`` and decrements the per-key
+        in-flight count and steady window depth.
         """
         if probe.done:
             return
@@ -966,9 +910,6 @@ class Monitor:
         if probe.steady:
             probe.steady = False
             self._steady_depth -= 1
-        if probe.reserved_value is not None and self.value_pool is not None:
-            self.value_pool.release(probe.reserved_value)
-            probe.reserved_value = None
 
     def invalidate_probe(self, probe: OutstandingProbe) -> None:
         """Cancel an in-flight probe (its table context became stale)."""
@@ -1015,20 +956,6 @@ class Monitor:
         except ParseError:
             self.stale_probes += 1
             return
-        if probe.reserved_value is not None:
-            # The probe went out with its allocated slot value in the
-            # reserved field; translate it back to the canonical value
-            # the expected/absent observations were computed with.
-            # Sound because OF 1.0 matches are exact-or-wildcard on
-            # this field and production rules avoid reserved values,
-            # so a rewrite that would break the mapping matches both
-            # values identically.
-            assert self.value_pool is not None
-            field = self.value_pool.field
-            if values.get(field) == probe.reserved_value:
-                canonical = dict(probe.result.header or ()).get(field)
-                if canonical is not None:
-                    values[field] = canonical
         observation: Observation = (
             msg.in_port,
             tuple(

@@ -165,7 +165,6 @@ class MonocleSystem:
                 network.topology,
                 strategy=1,
                 algorithm=ColoringAlgorithm.EXACT,
-                slots=max(1, self.config.probe_window),
             )
         self.plan = plan
         self.shared_contexts = shared_contexts
@@ -243,17 +242,6 @@ class MonocleSystem:
                 policy=make_policy(self._policy_name(node))
             ),
             obs=self.obs,
-            # The window pool engages only when pipelining is on: the
-            # default probe_window=1 keeps the Monitor on the classic
-            # single-probe path (no pool, no header rewrites).  A plan
-            # with fewer slots than the requested window — a too-narrow
-            # catch field — yields a smaller pool, and the Monitor
-            # clamps its effective window to it (Monitor.window_clamp).
-            value_pool=(
-                self.plan.value_pool(node)
-                if self.config.probe_window > 1
-                else None
-            ),
         )
         if probe_context is None:
             for rule in catch_rules:

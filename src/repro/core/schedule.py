@@ -372,7 +372,8 @@ class ProbeScheduler:
       rules (as returned by the probe context's delta API) into the
       add/discard delta, and feeds churn recency to the policy.
 
-    Selection (:meth:`next_rule`) resolves keys against the expected
+    Selection (:meth:`next_rule`, drained per tick by
+    :meth:`next_rules`) resolves keys against the expected
     table *at probe time*, so a shared-context handle that is serving
     its private behind-the-log view schedules against exactly that
     view.
@@ -552,14 +553,13 @@ class ProbeScheduler:
         limit: int = 1,
         promoted_out: "set[RuleKey] | None" = None,
     ) -> "list[Rule]":
-        """Drain up to ``limit`` distinct serveable rules — one probe
-        window's worth.
+        """Drain up to ``limit`` distinct serveable rules — one tick's
+        launch budget.
 
-        The busy set becomes a window: each selection sees every rule
-        already served this drain as busy, so a window of W concurrent
-        probes never targets the same key twice.  ``limit=1`` performs
-        exactly one :meth:`next_rule` selection, so promotion and
-        stride accounting are byte-identical to the single-probe path.
+        A loop over :meth:`next_rule` in which each selection sees
+        every rule already served this drain as busy, so one drain
+        never targets the same key twice.  ``limit=1`` is exactly one
+        :meth:`next_rule` selection.
 
         Args:
             promoted_out: when given, receives the keys whose selection
@@ -574,10 +574,9 @@ class ProbeScheduler:
         def drain_busy(key: RuleKey) -> bool:
             return key in served_keys or busy(key)
 
-        resolve = lambda key: table.get(*key)  # noqa: E731
         while len(served) < limit:
             promotions_before = self.stats.scheduler_promotions
-            rule = self.policy.select(resolve, drain_busy)
+            rule = self.next_rule(table, drain_busy)
             if rule is None:
                 break
             if (

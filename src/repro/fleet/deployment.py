@@ -117,14 +117,8 @@ class FleetDeployment:
         )
         self.config = config if config is not None else MonitorConfig()
         if plan is None:
-            # The catching plan budgets one reserved value per window
-            # slot; a too-narrow field clamps plan.slots (and thus the
-            # effective per-monitor window) instead of failing.
             plan = plan_catching_rules(
-                topology,
-                strategy=strategy,
-                algorithm=algorithm,
-                slots=max(1, self.config.probe_window),
+                topology, strategy=strategy, algorithm=algorithm
             )
         self.plan = plan
         self.shared_contexts = (
@@ -245,21 +239,14 @@ class FleetDeployment:
             registry.gauge("monocle_cycle_keys", node=label).set(
                 len(monitor.scheduler)
             )
-            if monitor.window > 1 or monitor.window_clamp:
-                # Probe pipelining: live window occupancy plus the
-                # static clamp (requested slots the catch field could
-                # not back with reserved values).
+            if monitor.window > 1:
+                # Probe pipelining: live window occupancy.
                 registry.gauge("monocle_window_depth", node=label).set(
                     monitor._steady_depth
                 )
                 registry.gauge("monocle_probe_window", node=label).set(
                     monitor.window
                 )
-                registry.gauge("monocle_window_clamp", node=label).set(
-                    monitor.window_clamp
-                )
-                sync("monocle_reserved_overflows_total",
-                     monitor.reserved_overflows, node=label)
             solver = getattr(context, "solver", None)
             if solver is None and hasattr(context, "_context"):
                 # Shared handle: read the backing context's solver.
@@ -397,7 +384,6 @@ class FleetDeployment:
         return (
             f"FleetDeployment({self.topology.number_of_nodes()} switches, "
             f"strategy={self.plan.strategy}, "
-            f"{self.plan.num_reserved_values} reserved values"
-            f"{f' x {self.plan.slots} slots' if self.plan.slots > 1 else ''}, "
+            f"{self.plan.num_reserved_values} reserved values, "
             f"dynamic={self.dynamic})"
         )

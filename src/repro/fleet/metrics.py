@@ -62,15 +62,11 @@ class SwitchMetrics:
     alarms_suppressed: int = 0
     quarantines: int = 0
     quarantined: bool = False
-    #: Probe pipelining: the effective window this switch ran (1 = the
-    #: paper's one-in-flight cycle), requested-but-unbacked slots (the
-    #: catch field was too narrow), the deepest concurrent steady
-    #: occupancy reached, and launches that found the reserved-value
-    #: pool exhausted (fell back to the canonical value).
+    #: Probe pipelining: the window this switch ran (1 = the paper's
+    #: rate-paced cycle) and the deepest concurrent steady occupancy
+    #: reached.
     probe_window: int = 1
-    window_clamp: int = 0
     window_peak: int = 0
-    reserved_overflows: int = 0
 
     def probe_rate(self, duration: float) -> float:
         """Achieved probes/s over the scenario."""
@@ -235,18 +231,9 @@ class FleetMetrics:
         return max((m.probe_window for m in self.per_switch), default=1)
 
     @property
-    def window_clamps(self) -> int:
-        """Requested window slots the catch field could not back."""
-        return sum(m.window_clamp for m in self.per_switch)
-
-    @property
     def window_peak(self) -> int:
         """Deepest concurrent steady occupancy any switch reached."""
         return max((m.window_peak for m in self.per_switch), default=0)
-
-    @property
-    def reserved_overflows(self) -> int:
-        return sum(m.reserved_overflows for m in self.per_switch)
 
     @property
     def detection_latencies(self) -> list[float]:
@@ -350,9 +337,7 @@ class FleetMetrics:
                 "false_alarms": len(self.false_alarms),
                 "alarms_suppressed": self.alarms_suppressed,
                 "probe_window": self.probe_window,
-                "window_clamps": self.window_clamps,
                 "window_peak": self.window_peak,
-                "reserved_overflows": self.reserved_overflows,
                 "quarantines": self.quarantines,
                 "switches_quarantined": self.switches_quarantined,
                 "worker_restarts": self.worker_restarts,
@@ -407,9 +392,7 @@ def collect_fleet_metrics(
                 quarantines=monitor.quarantines,
                 quarantined=monitor.quarantined,
                 probe_window=monitor.window,
-                window_clamp=monitor.window_clamp,
                 window_peak=monitor.window_peak,
-                reserved_overflows=monitor.reserved_overflows,
             )
         )
 
@@ -615,9 +598,6 @@ def _crosscheck_registry(
         ),
         "monocle_probe_cache_hits_total": sum(
             m.probe_cache_hits for m in per_switch
-        ),
-        "monocle_reserved_overflows_total": sum(
-            m.reserved_overflows for m in per_switch
         ),
         "monocle_updates_confirmed_total": sum(
             d.updates_confirmed

@@ -143,12 +143,10 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
             f"by hysteresis, {metrics.quarantines} quarantines "
             f"({metrics.switches_quarantined} switches still quarantined)"
         )
-    if metrics.probe_window > 1 or metrics.window_clamps:
+    if metrics.probe_window > 1:
         lines.append(
-            f"pipelining: window {metrics.probe_window} "
-            f"(clamped by {metrics.window_clamps} slots fleet-wide), "
-            f"peak depth {metrics.window_peak}, "
-            f"{metrics.reserved_overflows} reserved-value overflows"
+            f"pipelining: window {metrics.probe_window}, "
+            f"peak depth {metrics.window_peak}"
         )
     if metrics.worker_restarts or metrics.shards_failed:
         lines.append(

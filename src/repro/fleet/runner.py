@@ -116,11 +116,11 @@ class ScenarioSpec:
     rules_per_switch: int = 20
     probe_rate: float = 500.0
     probe_timeout: float = 0.150
-    #: Steady-state probe pipelining: concurrent in-flight probes per
-    #: switch, each on a distinct reserved catch value.  ``1`` keeps
-    #: the paper's one-in-flight cycle byte-for-byte; ``W`` cuts
-    #: cycle-bound detection latency toward 1/W.  Clamped per
-    #: deployment when the catch field can't hold W values per color.
+    #: Steady-state probe pipelining: ``1`` keeps the paper's
+    #: rate-paced cycle (one launch per tick, no depth cap); ``W > 1``
+    #: tops the steady probes in flight up to W each tick, cutting
+    #: cycle-bound detection latency toward 1/W.  Probes in flight
+    #: share the switch's reserved value; the nonce tells them apart.
     probe_window: int = 1
     update_deadline: float = 1.0
     dynamic: bool = True
@@ -742,8 +742,6 @@ def main(argv: list[str] | None = None) -> int:
     if result.deployment is not None:
         plan = result.deployment.plan
         reserved = f"{plan.num_reserved_values} reserved values"
-        if plan.slots > 1:
-            reserved += f" x {plan.slots} window slots"
     else:
         reserved = f"{result.spec.workers} shard workers"
     print(

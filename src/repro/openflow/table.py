@@ -6,21 +6,15 @@ leaves overlapping equal-priority rules undefined; following the paper
 
 The table also exposes the queries probe generation needs: rules with
 higher/lower priority than a given rule, and rules overlapping a match
-(§5.4's pre-filter).  Two engines serve the overlap queries:
+(§5.4's pre-filter).  Overlap queries and lookups are served by a
+**tuple-space index** (:class:`~repro.openflow.tuplespace.
+TupleSpaceIndex`): rules bucketed by mask signature, whole buckets
+pruned by mask compatibility and value bounds, hash hits where the
+query covers a bucket's mask — O(candidates) on sparse tables,
+degrading to the packed scan of the overlapping buckets when
+everything overlaps.
 
-* the default **tuple-space index** (:class:`~repro.openflow.tuplespace.
-  TupleSpaceIndex`): rules bucketed by mask signature, whole buckets
-  pruned by mask compatibility and value bounds, hash hits where the
-  query covers a bucket's mask — O(candidates) on sparse tables,
-  degrading to the packed scan of the overlapping buckets when
-  everything overlaps;
-* a **linear packed scan** (``use_index=False``, the benchmark
-  baseline): one bigint expression per rule over an *incrementally
-  maintained* row cache — adds append, removals tombstone, and the
-  cache compacts when tombstones dominate; churn never triggers a
-  wholesale rebuild (``packed_builds`` stays at 1, regression-tested).
-
-Both engines are maintained through :meth:`FlowTable.install`/
+The index is maintained through :meth:`FlowTable.install`/
 :meth:`~FlowTable.remove` deltas, and the table additionally keeps a
 **rolling content fingerprint** (:meth:`FlowTable.fingerprint`, O(1) to
 read): the commutative sum of per-rule content hashes, equal by
@@ -126,11 +120,6 @@ class FlowTable:
     Rules are kept sorted by descending priority; within one priority the
     order is insertion order (irrelevant for lookup because equal-priority
     overlap is rejected).
-
-    Args:
-        use_index: serve :meth:`overlapping`/:meth:`lookup` from the
-            tuple-space index (default); ``False`` selects the linear
-            packed-scan baseline (itself incrementally maintained).
     """
 
     def __init__(
@@ -138,11 +127,9 @@ class FlowTable:
         rules: Iterable[Rule] = (),
         miss_policy: str = TableMissPolicy.DROP,
         check_overlap: bool = True,
-        use_index: bool = True,
     ) -> None:
         self.miss_policy = miss_policy
         self.check_overlap = check_overlap
-        self.use_index = use_index
         self._rules: list[Rule] = []
         #: Sort keys (-priority, seq) aligned with ``_rules`` so inserts
         #: and removals bisect instead of scanning.
@@ -157,17 +144,10 @@ class FlowTable:
         #: key — directly sortable without a key function.
         self._by_rank: dict[tuple[int, int], Rule] = {}
         self._next_seq = 0
-        #: Lazily built tuple-space index (``use_index=True``); counts
-        #: from-scratch builds so tests can assert churn never rebuilds.
+        #: Lazily built tuple-space index; counts from-scratch builds
+        #: so tests can assert churn never rebuilds.
         self._index: TupleSpaceIndex | None = None
         self.index_builds = 0
-        #: Lazily built linear rows [(value, mask, rule) | None] with
-        #: tombstones (``use_index=False``); same build counter contract.
-        self._packed_rows: list[tuple[int, int, Rule] | None] | None = None
-        self._packed_where: dict[RuleKey, int] = {}
-        self._packed_live = 0
-        self.packed_builds = 0
-        self.packed_compactions = 0
         #: Rolling content fingerprint (sum of rule_fingerprint mod
         #: 2^256).  ``None`` until the first :meth:`fingerprint` read:
         #: transient tables (altered-table probes, FlowMod undo copies)
@@ -218,11 +198,6 @@ class FlowTable:
         if self._index is not None:
             value, mask = rule.match.packed()
             self._index.add(rank, value, mask)
-        if self._packed_rows is not None:
-            value, mask = rule.match.packed()
-            self._packed_where[key] = len(self._packed_rows)
-            self._packed_rows.append((value, mask, rule))
-            self._packed_live += 1
 
     def _replace(self, old: Rule, new: Rule) -> None:
         key = new.key()
@@ -236,12 +211,7 @@ class FlowTable:
                 self._fp_acc - rule_fingerprint(old) + rule_fingerprint(new)
             ) % _FINGERPRINT_MOD
         # The tuple-space index stores only (key, packed match) — both
-        # unchanged on a same-key replace.  Linear rows hold the rule.
-        if self._packed_rows is not None:
-            row_index = self._packed_where[key]
-            row = self._packed_rows[row_index]
-            assert row is not None
-            self._packed_rows[row_index] = (row[0], row[1], new)
+        # unchanged on a same-key replace.
 
     def remove(self, rule: Rule) -> bool:
         """Remove the rule with this rule's (priority, match) key.
@@ -263,23 +233,7 @@ class FlowTable:
             )
         if self._index is not None:
             self._index.discard(rank)
-        if self._packed_rows is not None:
-            self._packed_discard(key)
         return True
-
-    def _packed_discard(self, key: RuleKey) -> None:
-        """Tombstone a linear row; compact when tombstones dominate."""
-        rows = self._packed_rows
-        assert rows is not None
-        rows[self._packed_where.pop(key)] = None
-        self._packed_live -= 1
-        if len(rows) > 64 and len(rows) > 2 * self._packed_live:
-            live = [row for row in rows if row is not None]
-            self._packed_rows = live
-            self._packed_where = {
-                row[2].key(): i for i, row in enumerate(live)
-            }
-            self.packed_compactions += 1
 
     def remove_matching(
         self, match: Match, strict_priority: int | None = None
@@ -309,9 +263,6 @@ class FlowTable:
         self._rank.clear()
         self._by_rank.clear()
         self._index = None
-        self._packed_rows = None
-        self._packed_where.clear()
-        self._packed_live = 0
         self._fp_acc = 0
 
     # ----- queries ------------------------------------------------------
@@ -361,32 +312,15 @@ class FlowTable:
             self.index_builds += 1
         return index
 
-    def _ensure_packed(self) -> list[tuple[int, int, Rule] | None]:
-        rows = self._packed_rows
-        if rows is None:
-            rows = [(*r.match.packed(), r) for r in self._rules]
-            self._packed_rows = rows
-            self._packed_where = {
-                row[2].key(): i for i, row in enumerate(rows) if row
-            }
-            self._packed_live = len(rows)
-            self.packed_builds += 1
-        return rows
-
     def lookup(self, header_values: Mapping[FieldName, int]) -> Rule | None:
         """Highest-priority rule matching the header, or None on miss."""
-        if self.use_index:
-            index = self._ensure_index()
-            packed = pack_header(header_values)
-            best: tuple[int, int] | None = None
-            for rank in index.lookup(packed):
-                if best is None or rank < best:
-                    best = rank
-            return None if best is None else self._by_rank[best]
-        for rule in self._rules:
-            if rule.match.matches(header_values):
-                return rule
-        return None
+        index = self._ensure_index()
+        packed = pack_header(header_values)
+        best: tuple[int, int] | None = None
+        for rank in index.lookup(packed):
+            if best is None or rank < best:
+                best = rank
+        return None if best is None else self._by_rank[best]
 
     def process(
         self,
@@ -428,25 +362,15 @@ class FlowTable:
         """Rules whose match overlaps ``match`` (the §5.4 pre-filter).
 
         Served by the tuple-space index (whole-bucket pruning + hash
-        hits, packed scan only inside surviving buckets) or, with
-        ``use_index=False``, by the incrementally-maintained packed row
-        cache.  Either way the result is in table order (priority
-        descending, insertion order within a priority).
+        hits, packed scan only inside surviving buckets); the result is
+        in table order (priority descending, insertion order within a
+        priority).
         """
         value, mask = match.packed()
-        if self.use_index:
-            ranks = self._ensure_index().query(value, mask)
-            ranks.sort()
-            by_rank = self._by_rank
-            return [by_rank[rank] for rank in ranks]
-        found = [
-            row[2]
-            for row in self._ensure_packed()
-            if row is not None and not ((row[0] ^ value) & row[1] & mask)
-        ]
-        rank = self._rank
-        found.sort(key=lambda rule: rank[rule.key()])
-        return found
+        ranks = self._ensure_index().query(value, mask)
+        ranks.sort()
+        by_rank = self._by_rank
+        return [by_rank[rank] for rank in ranks]
 
     def covered_rules(self, match: Match) -> list[Rule]:
         """Rules whose match is *covered by* ``match``, in table order.
@@ -471,11 +395,7 @@ class FlowTable:
         The overlap engine of the copy rebuilds lazily on first use;
         the rolling fingerprint carries over in O(1).
         """
-        table = FlowTable(
-            miss_policy=self.miss_policy,
-            check_overlap=False,
-            use_index=self.use_index,
-        )
+        table = FlowTable(miss_policy=self.miss_policy, check_overlap=False)
         table.check_overlap = self.check_overlap
         table._rules = list(self._rules)
         table._order = list(self._order)

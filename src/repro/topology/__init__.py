@@ -6,8 +6,6 @@
 * :mod:`repro.topology.corpus` — synthetic stand-ins for the Internet
   Topology Zoo (261 graphs) and Rocketfuel (10 graphs) datasets used by
   Figure 9, with matched size and degree characteristics.
-* :mod:`repro.topology.io` — a minimal edge-list reader/writer so users
-  can evaluate their own topologies.
 """
 
 from repro.topology.generators import fat_tree, linear, ring, star, triangle
@@ -15,7 +13,6 @@ from repro.topology.corpus import (
     rocketfuel_like_corpus,
     topology_zoo_like_corpus,
 )
-from repro.topology.io import read_edgelist, write_edgelist
 
 __all__ = [
     "fat_tree",
@@ -25,6 +22,4 @@ __all__ = [
     "triangle",
     "rocketfuel_like_corpus",
     "topology_zoo_like_corpus",
-    "read_edgelist",
-    "write_edgelist",
 ]

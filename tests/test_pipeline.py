@@ -1,19 +1,17 @@
-"""Tests for probe pipelining (PR 10): reserved-value slot pools,
-windowed steady-state monitoring, clamping, and promotion grace."""
+"""Tests for probe pipelining: windowed steady-state monitoring on one
+reserved value per switch (probe identity is the nonce), and promotion
+grace."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.catching import (
-    ReservedValuePool,
-    plan_catching_rules,
-)
+from repro.core.catching import CATCH_PRIORITY, FILTER_PRIORITY
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
+from repro.fleet import FleetDeployment
 from repro.openflow.actions import output
-from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, next_xid
 from repro.openflow.rule import Rule
@@ -23,147 +21,34 @@ from repro.switches.profiles import OVS, SwitchProfile
 from repro.topology.generators import star
 
 
-def triangle():
-    return nx.Graph([("a", "b"), ("b", "c"), ("a", "c")])
+# ----- catching rules do not grow with the window ------------------------
 
 
-# ----- reserved-value pools ---------------------------------------------
+class TestCatchRulesIndependentOfWindow:
+    """The reserved value names the switch's colour, not the probe, so
+    a deeper window installs nothing extra (the Figure 9 metric)."""
 
-
-class TestReservedValuePool:
-    def pool(self):
-        return ReservedValuePool(
-            FieldName.DL_VLAN, (0xF00, 0xF03, 0xF06)
+    @pytest.mark.parametrize("window", [1, 2, 4, 8])
+    @pytest.mark.parametrize("strategy", [1, 2])
+    def test_rule_count_per_switch(self, strategy, window):
+        topology = nx.petersen_graph()
+        deployment = FleetDeployment(
+            topology,
+            strategy=strategy,
+            config=MonitorConfig(probe_window=window),
+            dynamic=False,
         )
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            ReservedValuePool(FieldName.DL_VLAN, ())
-
-    def test_allocates_lowest_first(self):
-        pool = self.pool()
-        assert pool.canonical == 0xF00
-        assert pool.allocate() == 0xF00
-        assert pool.allocate() == 0xF03
-        assert pool.allocate() == 0xF06
-
-    def test_exhaustion_counts_not_raises(self):
-        pool = self.pool()
-        for _ in range(3):
-            assert pool.allocate() is not None
-        assert pool.allocate() is None
-        assert pool.allocate() is None
-        assert pool.overflows == 2
-        assert pool.in_use == 3
-
-    def test_release_recycles(self):
-        pool = self.pool()
-        pool.allocate(), pool.allocate()
-        pool.release(0xF00)
-        # Lowest-free preference again after recycling.
-        assert pool.allocate() == 0xF00
-        assert pool.in_use == 2
-
-    def test_release_foreign_value_rejected(self):
-        with pytest.raises(ValueError):
-            self.pool().release(0xABC)
-
-    def test_double_release_rejected(self):
-        pool = self.pool()
-        value = pool.allocate()
-        pool.release(value)
-        with pytest.raises(ValueError):
-            pool.release(value)
-
-
-# ----- slot-aware catching plans ----------------------------------------
-
-
-class TestPlanSlots:
-    def test_slot_values_globally_distinct(self):
-        graph = nx.erdos_renyi_graph(12, 0.3, seed=6)
-        plan = plan_catching_rules(graph, strategy=1, slots=4)
-        assert plan.slots == 4
-        all_values = [
-            v for node in graph.nodes for v in plan.probe_values(node)
-        ]
-        # Distinct (slot, color) pairs map to distinct wire values, so
-        # two in-flight probes can never be mis-attributed — even
-        # across switches.
-        colors = {plan.color_of[n] for n in graph.nodes}
-        assert len(set(all_values)) == 4 * len(colors)
-
-    def test_slot_zero_is_classic_value(self):
-        plan1 = plan_catching_rules(triangle(), strategy=1)
-        plan4 = plan_catching_rules(triangle(), strategy=1, slots=4)
-        for node in ("a", "b", "c"):
-            assert plan4.value1(node, slot=0) == plan1.value1(node)
-
-    def test_single_slot_catching_rules_unchanged(self):
-        plan1 = plan_catching_rules(triangle(), strategy=1)
-        assert plan1.slots == 1
-        explicit = plan_catching_rules(triangle(), strategy=1, slots=1)
-        for node in ("a", "b", "c"):
-            # Cookies are globally sequential; compare the wire shape.
-            assert [
-                (r.priority, r.match, r.actions)
-                for r in plan1.catching_rules(node)
-            ] == [
-                (r.priority, r.match, r.actions)
-                for r in explicit.catching_rules(node)
-            ]
-
-    def test_catch_rules_cover_every_slot(self):
-        plan = plan_catching_rules(triangle(), strategy=1, slots=3)
-        rules = plan.catching_rules("a")
-        caught = {
-            rule.match.constraint(FieldName.DL_VLAN).value
-            for rule in rules
-        }
-        expected = {
-            plan.value1(node, slot)
-            for node in ("b", "c")
-            for slot in range(3)
-        }
-        assert caught == expected
-
-    def test_own_color_never_caught_at_any_slot(self):
-        plan = plan_catching_rules(triangle(), strategy=1, slots=3)
-        for node in ("a", "b", "c"):
-            caught = {
-                rule.match.constraint(FieldName.DL_VLAN).value
-                for rule in plan.catching_rules(node)
-            }
-            assert not caught & set(plan.probe_values(node))
-
-    def test_strategy2_one_catch_rule_filters_per_slot(self):
-        plan = plan_catching_rules(triangle(), strategy=2, slots=3)
-        rules = plan.catching_rules("a")
-        from repro.core.catching import CATCH_PRIORITY, FILTER_PRIORITY
-
-        catches = [r for r in rules if r.priority == CATCH_PRIORITY]
-        filters = [r for r in rules if r.priority == FILTER_PRIORITY]
-        assert len(catches) == 1
-        assert len(filters) == 3 * 2  # 3 slots x 2 foreign colors
-
-    def test_narrow_field_clamps_slots(self):
-        # DL_VLAN tops out at 0xFFF; base 0xFFC leaves 4 values and the
-        # triangle's stride is 3 -> exactly 1 slot fits.
-        plan = plan_catching_rules(
-            triangle(), strategy=1, base1=0xFFC, slots=8
-        )
-        assert plan.slots == 1
-        for node in ("a", "b", "c"):
-            assert plan.value1(node) <= 0xFFF
-
-    def test_out_of_range_slot_rejected(self):
-        plan = plan_catching_rules(triangle(), strategy=1, slots=2)
-        with pytest.raises(ValueError):
-            plan.value1("a", slot=2)
-
-    def test_bad_slots_rejected(self):
-        with pytest.raises(ValueError):
-            plan_catching_rules(triangle(), slots=0)
+        colors = deployment.plan.num_reserved_values
+        for node in topology.nodes:
+            installed = deployment.network.switch(node).dataplane.rules()
+            catches = [r for r in installed if r.priority == CATCH_PRIORITY]
+            filters = [r for r in installed if r.priority == FILTER_PRIORITY]
+            if strategy == 1:
+                assert (len(catches), len(filters)) == (colors - 1, 0)
+            else:
+                assert (len(catches), len(filters)) == (1, colors - 1)
+            expected = deployment.monitor(node).expected.rules()
+            assert len(expected) == len(catches) + len(filters)
 
 
 # ----- windowed steady-state monitoring ---------------------------------
@@ -174,7 +59,6 @@ def windowed_setup(
     num_rules=20,
     probe_rate=500.0,
     seed=3,
-    plan=None,
     profile=None,
 ):
     sim = Simulator()
@@ -186,7 +70,6 @@ def windowed_setup(
     )
     system = MonocleSystem(
         net,
-        plan=plan,
         config=MonitorConfig(
             probe_rate=probe_rate, probe_window=window
         ),
@@ -206,13 +89,6 @@ def windowed_setup(
 
 
 class TestWindowedMonitor:
-    def test_single_window_has_no_pool(self):
-        _sim, _net, system, _rules = windowed_setup(window=1)
-        monitor = system.monitor("hub")
-        assert monitor.value_pool is None
-        assert monitor.window == 1
-        assert monitor.window_clamp == 0
-
     def test_window_fills_and_probes_confirm(self):
         sim, _net, system, _rules = windowed_setup(window=4)
         monitor = system.monitor("hub")
@@ -221,7 +97,6 @@ class TestWindowedMonitor:
         sim.run_for(0.5)
         assert monitor.window_peak == 4
         assert monitor.probes_confirmed > 0
-        assert monitor.reserved_overflows == 0
         assert not monitor.alarms
 
     def test_windowed_drop_detected_no_false_alarms(self):
@@ -236,70 +111,55 @@ class TestWindowedMonitor:
         assert keys == {victim.key()}
         assert monitor.alarms[0].kind == "missing"
 
-    def test_in_flight_values_distinct(self):
-        sim, _net, system, _rules = windowed_setup(window=8)
-        monitor = system.monitor("hub")
-        monitor.start_steady_state()
-        for _ in range(100):
-            sim.run_for(0.002)
-            live = [
-                p.reserved_value
-                for p in monitor.outstanding.values()
-                if not p.done and p.reserved_value is not None
-            ]
-            assert len(live) == len(set(live))
-            assert set(live) <= set(monitor.value_pool.values)
-
     @settings(max_examples=12, deadline=None)
     @given(
-        window=st.integers(min_value=2, max_value=8),
+        window=st.sampled_from([1, 2, 4, 8]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_property_no_reserved_value_sharing(self, window, seed):
-        """In-flight probes of one switch never share a reserved value,
-        at any window depth, under concurrent timeouts (dropped rule)."""
+    def test_property_shared_value_resolved_by_nonce(self, window, seed):
+        """Concurrent probes of one switch all carry its one reserved
+        value; the nonce alone resolves each — no stale deliveries, no
+        false alarms, depth within the window — under concurrent
+        timeouts (dropped rule)."""
         sim, net, system, rules = windowed_setup(
             window=window, num_rules=12, seed=seed
         )
         monitor = system.monitor("hub")
+        field = system.plan.field1
+        value = system.plan.value1("hub")
+        launched = []
+        launch = monitor.launch_probe
+
+        def recording_launch(*args, **kwargs):
+            probe = launch(*args, **kwargs)
+            launched.append(probe)
+            return probe
+
+        monitor.launch_probe = recording_launch
         monitor.start_steady_state()
-        net.switch("hub").fail_rule_in_dataplane(rules[seed % 12])
+        victim = rules[seed % 12]
+        net.switch("hub").fail_rule_in_dataplane(victim)
         for _ in range(60):
             sim.run_for(0.005)
-            live = [
-                p.reserved_value
-                for p in monitor.outstanding.values()
-                if not p.done and p.reserved_value is not None
-            ]
-            assert len(live) == len(set(live))
-        # Every slot came back: the pool drains to empty when the
-        # cycle stops.
+            live = [p for p in monitor.outstanding.values() if not p.done]
+            assert all(dict(p.result.header)[field] == value for p in live)
+            if window > 1:
+                assert monitor._steady_depth <= window
+        assert monitor.window_peak == window or window == 1
         monitor.stop_steady_state()
         sim.run_for(1.0)
-        assert monitor.value_pool.in_use == 0
-
-    def test_narrow_field_degrades_to_smaller_window(self):
-        """A catch field too narrow for the requested window clamps the
-        effective window — visibly, and without mis-attribution."""
-        # 4 values of headroom / stride 2 on the star -> 2 slots.
-        plan = plan_catching_rules(
-            star(4), strategy=1, base1=0xFFC, slots=8
+        # Every launched probe resolved exactly once, by its own nonce.
+        assert len({p.nonce for p in launched}) == len(launched)
+        assert all(p.done for p in launched)
+        assert (
+            monitor.probes_confirmed + monitor.probes_timed_out
+            == len(launched)
         )
-        assert plan.slots == 2
-        sim, net, system, rules = windowed_setup(
-            window=8, num_rules=40, plan=plan
-        )
-        monitor = system.monitor("hub")
-        assert monitor.window == 2
-        assert monitor.window_clamp == 6
-        monitor.start_steady_state()
-        sim.run_for(0.05)
-        victim = rules[11]
-        assert net.switch("hub").fail_rule_in_dataplane(victim)
-        sim.run_for(0.5)
-        keys = {a.rule.key() for a in monitor.alarms}
-        assert keys == {victim.key()}
-        assert monitor.window_peak <= 2
+        assert monitor.stale_probes == 0
+        assert {a.rule.key() for a in monitor.alarms} <= {victim.key()}
+        assert not monitor.outstanding
+        assert not monitor._inflight_keys
+        assert monitor._steady_depth == 0
 
 
 # ----- promotion grace (static deployments) -----------------------------

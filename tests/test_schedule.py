@@ -12,6 +12,7 @@ their starvation bound.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from repro.core.catching import CATCH_PRIORITY
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
 from repro.core.schedule import (
+    POLICIES,
     ProbeScheduler,
     RecentChurnFirstPolicy,
     RoundRobinPolicy,
@@ -182,6 +184,106 @@ class TestRoundRobinEquivalence:
         scheduler.add(catch)
         scheduler.add(prod)
         assert scheduler.keys() == [prod.key()]
+
+
+class TestNextRules:
+    """``next_rules`` — the per-tick drain the Monitor calls — is a loop
+    over the ``next_rule`` primitive with in-drain distinctness."""
+
+    def _setup(self, policy: str, num_rules: int = 10):
+        table = FlowTable(check_overlap=False)
+        scheduler = ProbeScheduler(policy=make_policy(policy))
+        rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
+        for rule in rules:
+            table.install(rule)
+            scheduler.add(rule)
+        return table, scheduler, rules
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_limit_caps_the_drain(self, policy):
+        table, scheduler, _rules = self._setup(policy)
+        assert scheduler.next_rules(table, limit=0) == []
+        assert len(scheduler.next_rules(table, limit=4)) == 4
+        assert len(scheduler.next_rules(table)) == 1  # default limit
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_one_drain_never_repeats_a_key(self, policy):
+        table, scheduler, rules = self._setup(policy, num_rules=3)
+        # A limit past the cycle length must not wrap around.
+        served = scheduler.next_rules(table, limit=8)
+        assert len(served) == 3
+        assert {r.key() for r in served} == {r.key() for r in rules}
+        # Distinctness is per drain: the next drain serves them again.
+        assert len(scheduler.next_rules(table, limit=8)) == 3
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_busy_keys_are_skipped(self, policy):
+        table, scheduler, rules = self._setup(policy, num_rules=4)
+        busy = {rules[0].key(), rules[2].key()}
+        served = scheduler.next_rules(
+            table, busy=busy.__contains__, limit=4
+        )
+        assert {r.key() for r in served} == {
+            rules[1].key(),
+            rules[3].key(),
+        }
+
+    def test_promoted_out_receives_only_promotions(self):
+        table, scheduler, rules = self._setup("churn_first")
+        hot = {rules[7].key(), rules[4].key()}
+        for key in hot:
+            scheduler.touch(key, "churn")
+        promoted: set = set()
+        served = scheduler.next_rules(
+            table, limit=5, promoted_out=promoted
+        )
+        assert promoted == hot
+        assert hot < {r.key() for r in served}
+        assert scheduler.stats.scheduler_promotions == 2
+
+        table, scheduler, _rules = self._setup("round_robin")
+        promoted = set()
+        scheduler.next_rules(table, limit=5, promoted_out=promoted)
+        assert promoted == set()
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_limit_one_is_next_rule_under_churn(self, policy, seed):
+        """``next_rules(limit=1)`` and ``next_rule`` make the same
+        selections and the same promotion accounting, step for step,
+        under randomized FlowMods, touches and busy sets."""
+        rng = random.Random(seed)
+        table = FlowTable(check_overlap=False)
+        single = ProbeScheduler(policy=make_policy(policy))
+        drained = ProbeScheduler(policy=make_policy(policy))
+        live: dict = {}
+        for _ in range(60):
+            mod = _random_flowmod(rng, live)
+            affected = apply_flowmod(table, mod)
+            single.observe_flowmod(mod, affected)
+            drained.observe_flowmod(mod, affected)
+            keys = single.keys()
+            if keys and rng.random() < 0.3:
+                kind = rng.choice(("churn", "update", "alarm"))
+                key = rng.choice(keys)
+                single.touch(key, kind)
+                drained.touch(key, kind)
+            for _ in range(rng.randrange(4)):
+                busy = set(rng.sample(keys, min(len(keys), 2)))
+                ours = single.next_rule(table, busy.__contains__)
+                promoted: set = set()
+                before = drained.stats.scheduler_promotions
+                theirs = drained.next_rules(
+                    table, busy.__contains__, 1, promoted
+                )
+                assert theirs == ([] if ours is None else [ours])
+                assert promoted == (
+                    {ours.key()}
+                    if drained.stats.scheduler_promotions > before
+                    else set()
+                )
+            assert single.stats == drained.stats
 
 
 class TestRecentChurnFirst:

@@ -22,7 +22,6 @@ from repro.topology.generators import (
     star,
     triangle,
 )
-from repro.topology.io import read_edgelist, write_edgelist
 
 
 class TestGenerators:
@@ -113,29 +112,6 @@ class TestCorpora:
     def test_corpus_names(self):
         assert topology_zoo_like_corpus()[0].graph["name"] == "zoo000"
         assert rocketfuel_like_corpus()[0].graph["name"] == "rocketfuel0"
-
-
-class TestTopologyIo:
-    def test_roundtrip(self, tmp_path):
-        graph = fat_tree(4)
-        path = tmp_path / "topo.edges"
-        write_edgelist(graph, path)
-        loaded = read_edgelist(path)
-        assert set(loaded.edges) == {
-            (str(u), str(v)) for u, v in graph.edges
-        } or loaded.number_of_edges() == graph.number_of_edges()
-
-    def test_comments_ignored(self, tmp_path):
-        path = tmp_path / "topo.edges"
-        path.write_text("# comment\n\na b\nb c\n")
-        graph = read_edgelist(path)
-        assert sorted(graph.nodes) == ["a", "b", "c"]
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "topo.edges"
-        path.write_text("a b c\n")
-        with pytest.raises(ValueError):
-            read_edgelist(path)
 
 
 class TestAclDatasets:

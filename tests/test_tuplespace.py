@@ -1,19 +1,18 @@
 """Tuple-space overlap index: equivalence, maintenance, fingerprints.
 
 The index is a pure performance structure — every behaviour here is
-defined by the linear reference:
+defined by a fieldwise scan over ``table.rules()``:
 
 * :meth:`FlowTable.overlapping` must return the *identical list* (set
-  and order) as the linear packed scan and as a brute-force
-  ``Match.overlaps`` sweep, under randomized churn with priority ties
-  and wildcard-heavy tables (hypothesis property);
+  and order) as a brute-force ``Match.overlaps`` sweep, under
+  randomized churn with priority ties and wildcard-heavy tables
+  (hypothesis property);
 * :meth:`FlowTable.lookup` must pick the same winner as first-match
-  iteration in table order;
+  ``Match.matches`` iteration in table order;
 * the rolling :meth:`FlowTable.fingerprint` must equal the from-scratch
   :func:`table_fingerprint` after every operation;
-* churn must never trigger a wholesale rebuild of either engine
-  (``index_builds`` / ``packed_builds`` stay at 1 — the O(N)-rebuild
-  regression test for the old ``_packed_rows = None`` invalidation).
+* churn must never trigger a wholesale rebuild of the index
+  (``index_builds`` stays at 1).
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def headers(draw):
 
 
 def _reference_overlapping(table: FlowTable, match: Match) -> list:
-    return [r.key() for r in table.rules() if r.match.overlaps(match)]
+    return [r for r in table.rules() if r.match.overlaps(match)]
 
 
 def _reference_lookup(table: FlowTable, header) -> Rule | None:
@@ -116,61 +115,47 @@ def _reference_lookup(table: FlowTable, header) -> Rule | None:
     probes=st.lists(headers(), min_size=1, max_size=4),
 )
 def test_index_linear_equivalence_under_churn(initial, ops, queries, probes):
-    indexed = FlowTable(check_overlap=False, use_index=True)
-    linear = FlowTable(check_overlap=False, use_index=False)
+    indexed = FlowTable(check_overlap=False)
 
     def check():
         assert indexed.fingerprint() == table_fingerprint(indexed.rules())
-        assert indexed.fingerprint() == linear.fingerprint()
         for match in queries + [r.match for r in indexed.rules()[:3]]:
-            expected = _reference_overlapping(linear, match)
-            assert [
-                r.key() for r in indexed.overlapping(match)
-            ] == expected
-            assert [
-                r.key() for r in linear.overlapping(match)
-            ] == expected
+            # Rule objects, not keys: a same-key replace must surface
+            # the new rule.
+            assert indexed.overlapping(match) == _reference_overlapping(
+                indexed, match
+            )
         for header in probes:
-            expected_rule = _reference_lookup(linear, header)
+            expected_rule = _reference_lookup(indexed, header)
             got = indexed.lookup(header)
-            if expected_rule is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got.key() == expected_rule.key()
+            assert got is expected_rule
 
     for rule in initial:
         indexed.install(rule)
-        linear.install(rule)
-    # Force both engines to exist before churn starts.
+    # Force the index to exist before churn starts.
     indexed.overlapping(Match.wildcard())
-    linear.overlapping(Match.wildcard())
     check()
 
     live = list(initial)
     for kind, rule in ops:
         if kind == "add" or not live:
             indexed.install(rule)
-            linear.install(rule)
             live.append(rule)
         elif kind == "remove":
             victim = live[len(live) // 2]
             indexed.remove(victim)
-            linear.remove(victim)
             live = [r for r in live if r.key() != victim.key()]
         else:  # modify: same key, new actions (same-key replace path)
             target = live[len(live) // 3]
             new_rule = target.with_actions(output(7))
             indexed.install(new_rule)
-            linear.install(new_rule)
             live = [
                 new_rule if r.key() == new_rule.key() else r for r in live
             ]
         check()
 
-    # Churn never rebuilt either engine from scratch.
+    # Churn never rebuilt the index from scratch.
     assert indexed.index_builds == 1
-    assert linear.packed_builds == 1
 
 
 # ----- the no-wholesale-rebuild regression -------------------------------
@@ -185,20 +170,19 @@ def _filler(i: int) -> Rule:
 
 
 class TestNoWholesaleRebuild:
-    """The seed behaviour set ``_packed_rows = None`` on every mutation,
-    making each churn step pay an O(N) rebuild on the next query.  Both
-    engines must instead be maintained incrementally."""
+    """Each churn step must be an O(delta) index update, never an O(N)
+    rebuild on the next query — whether or not installs run the
+    equal-priority overlap check (itself an index query)."""
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_churn_never_rebuilds(self, use_index):
+    @pytest.mark.parametrize("check_overlap", [True, False])
+    def test_churn_never_rebuilds(self, check_overlap):
         table = FlowTable(
             (_filler(i) for i in range(256)),
-            check_overlap=False,
-            use_index=use_index,
+            check_overlap=check_overlap,
         )
         probe = Match.build(nw_dst=(0x0A000000, 24))
         baseline = {r.key() for r in table.overlapping(probe)}
-        assert baseline  # engine built by the first query
+        assert baseline  # index built by the first query
         for step in range(120):
             victim = _filler(step % 256)
             table.remove(victim)
@@ -206,42 +190,7 @@ class TestNoWholesaleRebuild:
             table.install(victim)
             got = {r.key() for r in table.overlapping(probe)}
             assert got == baseline
-        if use_index:
-            assert table.index_builds == 1
-            assert table.packed_builds == 0
-        else:
-            assert table.packed_builds == 1
-            assert table.index_builds == 0
-
-    def test_linear_rows_compact_under_deletion_storms(self):
-        table = FlowTable(
-            (_filler(i) for i in range(256)),
-            check_overlap=False,
-            use_index=False,
-        )
-        table.overlapping(Match.wildcard())
-        for i in range(200):
-            table.remove(_filler(i))
-        assert len(table.overlapping(Match.wildcard())) == 56
-        assert table.packed_builds == 1
-        assert table.packed_compactions >= 1
-
-    def test_replace_updates_linear_rows_in_place(self):
-        table = FlowTable(
-            (_filler(i) for i in range(8)),
-            check_overlap=False,
-            use_index=False,
-        )
-        table.overlapping(Match.wildcard())
-        replacement = _filler(3).with_actions(output(9))
-        table.install(replacement)
-        hit = [
-            r
-            for r in table.overlapping(_filler(3).match)
-            if r.key() == replacement.key()
-        ]
-        assert hit == [replacement]
-        assert table.packed_builds == 1
+        assert table.index_builds == 1
 
 
 # ----- rolling fingerprint ------------------------------------------------
