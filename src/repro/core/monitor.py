@@ -995,7 +995,15 @@ class Monitor:
             # probes, seeing the old state just means the switch hasn't
             # updated yet; keep waiting.
         else:
-            # Neither state explains this observation: corruption.
+            # Neither state explains this observation: corruption.  One
+            # alarm per probe: retire it, so caught retries of the same
+            # nonce are stale and its timeout cannot add a ``missing``
+            # alarm.  Tolerant update probes keep polling; their
+            # handler gives the update up once.
+            if not probe.tolerate_anti:
+                self._retire(probe)
+                if probe.timeout_event is not None:
+                    probe.timeout_event.cancel()
             if probe.on_alarm is not None:
                 probe.on_alarm(probe, "misbehaving")
 

@@ -207,6 +207,29 @@ class TestSteadyState:
         assert alarms[0].rule.cookie == target.cookie
         assert alarms[0].kind == "misbehaving"
 
+    def test_one_alarm_per_probe(self):
+        """A corrupted rule's probe is caught once per retry; the first
+        inexplicable observation must retire the probe, so its nonce
+        shows up in exactly one alarm (no per-retry duplicates, no
+        trailing ``missing`` from the same probe's timeout)."""
+        sim, net, system, rules = star_setup(num_rules=8)
+        monitor = system.monitor("hub")
+        monitor.start_steady_state()
+        sim.run_for(0.2)
+        target = rules[0]
+        wrong_port = next(
+            port
+            for port in sorted(net.port_toward["hub"].values())
+            if port not in target.forwarding_set()
+        )
+        net.switch("hub").corrupt_rule_in_dataplane(target, output(wrong_port))
+        sim.run_for(1.0)
+        assert len(monitor.alarms) >= 2  # re-detected every cycle
+        nonces = [alarm.detail for alarm in monitor.alarms]
+        assert len(nonces) == len(set(nonces))
+        assert {alarm.kind for alarm in monitor.alarms} == {"misbehaving"}
+        assert {a.rule.key() for a in monitor.alarms} == {target.key()}
+
     def test_cycle_skips_catch_rules(self):
         sim, net, system, _ = star_setup(num_rules=4)
         monitor = system.monitor("hub")
