@@ -57,6 +57,11 @@ CATCH_PRIORITY = 0xFFFF
 FILTER_PRIORITY = 0xFFFE
 
 
+def is_infrastructure(rule: Rule) -> bool:
+    """Catch/filter rules are not probed (they are the probing plane)."""
+    return rule.priority in (CATCH_PRIORITY, FILTER_PRIORITY)
+
+
 class ColoringAlgorithm(str, enum.Enum):
     """Which coloring solver the planner uses."""
 

@@ -161,9 +161,7 @@ class ConstraintCompiler:
     def diff_outcome(self, probed: Rule, other: Rule | None) -> bool | Lit:
         """``DiffOutcome(P, probed, other)``: bool if decidable now, else Lit.
 
-        ``other=None`` denotes the table-miss pseudo-rule (a drop under
-        the default miss policy); callers modelling a controller-bound
-        miss should pass an explicit rule.
+        ``other=None`` denotes the table-miss pseudo-rule (a drop).
         """
         if other is None:
             # Table miss drops: distinguishable iff probed isn't a drop.
@@ -276,7 +274,6 @@ class ConstraintCompiler:
         self,
         probed: Rule,
         lower_rules: Sequence[Rule],
-        miss_rule: Rule | None = None,
     ) -> None:
         """Assert the Distinguish constraint.
 
@@ -284,8 +281,9 @@ class ConstraintCompiler:
             probed: the rule being probed.
             lower_rules: overlapping rules with priority strictly below
                 ``probed``, in any order (sorted internally).
-            miss_rule: optional explicit table-miss pseudo-rule; None
-                means miss-drops.
+
+        A probe that falls through every lower rule misses the table,
+        which drops it.
         """
         ordered = sorted(lower_rules, key=lambda r: -r.priority)
         guards_and_values: list[tuple[list[Lit], bool | Lit]] = []
@@ -296,7 +294,7 @@ class ConstraintCompiler:
                     self.diff_outcome(probed, rule),
                 )
             )
-        else_value = self.diff_outcome(probed, miss_rule)
+        else_value = self.diff_outcome(probed, None)
 
         if self.encoding is DistinguishEncoding.ASSERTED_CHAIN:
             self._assert_chain_direct(guards_and_values, else_value)
@@ -457,7 +455,6 @@ class IncrementalProbeEncoder:
         lower_rules: Sequence[Rule],
         higher_rules: Sequence[Rule],
         group: int,
-        miss_rule: Rule | None = None,
     ) -> None:
         """Emit a rule's complete probe constraints into a clause group.
 
@@ -483,5 +480,5 @@ class IncrementalProbeEncoder:
             (self.guard(rule.match), self.diff_outcome(probed, rule))
             for rule in ordered
         ]
-        else_value = self.diff_outcome(probed, miss_rule)
+        else_value = self.diff_outcome(probed, None)
         assert_ite_chain(sink, branches, else_value)

@@ -18,14 +18,13 @@ intercepts FlowMods on their way to the switch:
   a tag-and-forward stand-in that is positively confirmable, then swaps
   the real drop in after the acknowledgment.
 
-Confirmations are surfaced both as an :class:`UpdateAck` control message
-sent to the controller and through an ``on_confirmed`` callback.
+Confirmations are surfaced as an :class:`UpdateAck` control message
+sent to the controller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
 from repro.core.monitor import (
@@ -77,10 +76,8 @@ class DynamicMonitor:
     def __init__(
         self,
         monitor: Monitor,
-        on_confirmed: Callable[[FlowMod], None] | None = None,
-        send_ack: bool = True,
-        use_drop_postponing: bool = False,
-        drop_postpone_port: int | None = None,
+        use_drop_postponing: bool,
+        drop_postpone_port: int | None,
     ) -> None:
         self.monitor = monitor
         # Updates are confirmed with transient tolerance here, so the
@@ -93,8 +90,6 @@ class DynamicMonitor:
                 "monocle_update_confirmation_seconds",
                 node=repr(monitor.node),
             )
-        self.on_confirmed = on_confirmed
-        self.send_ack = send_ack
         self.use_drop_postponing = use_drop_postponing
         self.drop_postpone_port = drop_postpone_port
         self.pending: list[PendingUpdate] = []
@@ -297,13 +292,8 @@ class DynamicMonitor:
         """
         if old_rule.priority == 0:
             return None  # cannot demote below priority 0
-        expected = self.monitor.expected
-        if self.monitor.generator.overlap_filter:
-            pool = expected.overlapping(old_rule.match)
-        else:
-            pool = expected.rules()
         altered = FlowTable(check_overlap=False)
-        for rule in pool:
+        for rule in self.monitor.expected.overlapping(old_rule.match):
             if rule.priority > old_rule.priority:
                 altered.install(rule)
         altered.install(new_rule)
@@ -462,15 +452,13 @@ class DynamicMonitor:
         # carry none: a removed rule cannot be re-probed).
         for key in update.hint_keys:
             self.monitor.scheduler.note_update(key)
-        if self.send_ack and self.monitor.forward_up is not None:
-            self.monitor.forward_up(
-                UpdateAck(
-                    flowmod_xid=update.mod.xid,
-                    switch_number=self.monitor.switch_number,
-                )
-            )
-        if self.on_confirmed is not None:
-            self.on_confirmed(update.mod)
+        self.monitor.to_controller(
+            self.monitor.node,
+            UpdateAck(
+                flowmod_xid=update.mod.xid,
+                switch_number=self.monitor.switch_number,
+            ),
+        )
         self._drain_queue()
 
     def _drain_queue(self) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
 from repro.core.probegen import (
     ProbeGenContext,
@@ -30,23 +30,24 @@ from repro.core.probegen import (
     UnmonitorableReason,
 )
 from repro.core.schedule import ProbeScheduler
-from repro.obs import NULL_OBSERVER
-from repro.openflow.actions import CONTROLLER_PORT
+from repro.obs import NullObserver, Observer
 from repro.openflow.fields import FieldName
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
     FlowMod,
     Message,
-    PacketIn,
     next_xid,
 )
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import FlowTable
-from repro.packets.craft import wire_visible_items
-from repro.packets.parse import ParseError, parse_packet
+from repro.packets.craft import craft_packet, wire_visible_items
 from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Event, Simulator
+
+if TYPE_CHECKING:
+    from repro.core.multiplexer import Multiplexer
+    from repro.core.shared import SharedProbeGenContext
 
 _nonce_counter = itertools.count(1)
 
@@ -154,6 +155,10 @@ class OutstandingProbe:
 
     nonce: int
     result: ProbeResult
+    #: The wire bytes, crafted once at launch, and the port they enter
+    #: the probed switch on; every retry re-sends exactly these.
+    packet: bytes
+    in_port: int
     present_obs: frozenset[Observation]
     absent_obs: frozenset[Observation]
     first_injected: float
@@ -177,13 +182,24 @@ class OutstandingProbe:
 class Monitor:
     """Monocle's per-switch Monitor proxy.
 
-    Wiring (done by :class:`~repro.core.multiplexer.MonocleSystem` or by
-    tests directly):
+    Wired by :class:`~repro.core.multiplexer.MonocleSystem`, its one
+    constructor:
 
-    * ``forward_down``: deliver a message to the switch.
-    * ``forward_up``: deliver a message to the controller.
-    * ``inject_probe(packet, in_port)``: arrange for the probe to enter
-      the monitored switch on ``in_port`` (via an upstream PacketOut).
+    * ``forward_down(msg)``: deliver a message to the switch.
+    * ``to_controller(node, msg)``: deliver a message to the controller.
+    * ``multiplexer``: its ``inject(node, packet, in_port)`` makes a
+      probe enter the monitored switch on ``in_port`` (via an upstream
+      PacketOut), and it hands caught probes back through
+      :meth:`handle_caught_probe`.
+    * ``probe_context``: the incremental probe-generation engine
+      (persistent SAT context, per-rule probe cache), already seeded
+      with the switch's catching rules.  A fleet deployment passes a
+      :class:`~repro.core.shared.SharedProbeGenContext` handle,
+      deduping identical tables across switches; observability
+      validation stays per-switch either way.
+    * ``scheduler``: owns the probe cycle.  The one full
+      expected-table walk happens here at construction; every later
+      FlowMod feeds it an O(delta) add/remove instead.
     """
 
     def __init__(
@@ -192,24 +208,24 @@ class Monitor:
         node: Hashable,
         switch_number: int,
         generator: ProbeGenerator,
-        config: MonitorConfig | None = None,
-        observable_ports: frozenset[int] | None = None,
-        forward_down: Callable[[Message], None] | None = None,
-        forward_up: Callable[[Message], None] | None = None,
-        inject_probe: Callable[[bytes, int], None] | None = None,
-        probe_context=None,
-        scheduler: ProbeScheduler | None = None,
-        obs=None,
+        config: MonitorConfig,
+        observable_ports: frozenset[int],
+        forward_down: Callable[[Message], None],
+        to_controller: Callable[[Hashable, Message], None],
+        multiplexer: "Multiplexer",
+        probe_context: "ProbeGenContext | SharedProbeGenContext",
+        scheduler: ProbeScheduler,
+        obs: "Observer | NullObserver",
     ) -> None:
         self.sim = sim
         self.node = node
         self.switch_number = switch_number
         self.generator = generator
-        self.config = config if config is not None else MonitorConfig()
+        self.config = config
         self.observable_ports = observable_ports
         self.forward_down = forward_down
-        self.forward_up = forward_up
-        self.inject_probe = inject_probe
+        self.to_controller = to_controller
+        self.multiplexer = multiplexer
 
         #: Probe window: the cap on steady probes in flight at once
         #: (see ``MonitorConfig.probe_window``).
@@ -227,29 +243,10 @@ class Monitor:
         #: tolerance there, so promotion grace must not double-guard.
         self.dynamic_guarded = False
 
-        #: The incremental probe-generation engine: persistent SAT
-        #: context, per-rule probe cache with intersection-precise
-        #: invalidation and revalidation.  A fleet deployment may
-        #: inject a :class:`~repro.core.shared.SharedProbeGenContext`
-        #: handle instead, deduping identical tables across switches;
-        #: observability validation stays per-switch either way.
-        if probe_context is None:
-            probe_context = ProbeGenContext(generator)
         probe_context.validate_result = self._check_observability
         self.probe_context = probe_context
         self.alarms: list[MonitorAlarm] = []
         self.outstanding: dict[int, OutstandingProbe] = {}
-        #: The probe cycle, owned by an incremental scheduler: the one
-        #: full expected-table walk happens here at construction; every
-        #: later FlowMod feeds it an O(delta) add/remove instead (the
-        #: PR 4 treatment, applied to cycle maintenance).  Policies
-        #: other than round-robin promote recently churned rules.
-        if scheduler is None:
-            scheduler = ProbeScheduler()
-        if scheduler.is_infrastructure is None:
-            # Default filter: catch/filter rules are the probing plane.
-            # A caller-provided filter is honored as-is.
-            scheduler.is_infrastructure = self._is_infrastructure
         self.scheduler = scheduler
         scheduler.rebuild(self.expected)
         self._steady_running = False
@@ -272,8 +269,8 @@ class Monitor:
         #: Observability: every hot-path publication site guards on
         #: ``obs.enabled``, so the default NULL_OBSERVER costs one
         #: attribute read per site (gated by BENCH_obs.json).
-        self.obs = obs if obs is not None else NULL_OBSERVER
-        if self.obs.enabled:
+        self.obs = obs
+        if obs.enabled:
             label = repr(node)
             self._h_wait = self.obs.metrics.histogram(
                 "monocle_scheduler_wait_seconds", node=label
@@ -321,7 +318,6 @@ class Monitor:
             self.config.promotion_grace
             and not self.dynamic_guarded
             and not mod.command.is_delete
-            and self.forward_down is not None
         )
         self.scheduler.observe_flowmod(mod, affected, touch=not defer)
         if self.obs.enabled:
@@ -345,15 +341,13 @@ class Monitor:
         grace_keys: list[tuple] = []
         if isinstance(msg, FlowMod):
             grace_keys = self.observe_flowmod(msg)
-        if self.forward_down is not None:
-            self.forward_down(msg)
+        self.forward_down(msg)
         if grace_keys:
             # The barrier rides *behind* the FlowMod on the control
             # channel, so its reply bounds the mod's application time.
             self._send_grace_barrier(grace_keys)
 
     def _send_grace_barrier(self, keys: list[tuple]) -> None:
-        assert self.forward_down is not None
         xid = next_xid()
         self._grace_pending[xid] = keys
         self.promotions_held += 1
@@ -384,30 +378,18 @@ class Monitor:
         return True
 
     def from_switch(self, msg: Message) -> None:
-        """Switch -> controller passthrough; consumes our own probes."""
-        if isinstance(msg, PacketIn):
-            metadata = self._probe_metadata(msg)
-            if metadata is not None:
-                if metadata.switch_id == self.switch_number:
-                    self.handle_caught_probe(msg, metadata)
-                # Probes (ours or other monitors') never reach the
-                # controller; the multiplexer routes cross-switch ones.
-                return
+        """Switch -> controller passthrough of non-probe traffic.
+
+        Caught probes never get here: ``MonocleSystem._from_switch``
+        classifies every PacketIn and routes probes through the
+        multiplexer to :meth:`handle_caught_probe`.
+        """
         if isinstance(msg, BarrierReply) and self._grace_pending:
             # Replies to *our* grace barriers stop here; the
             # controller's own barriers (different xids) pass through.
             if self._grace_barrier_done(msg.xid):
                 return
-        if self.forward_up is not None:
-            self.forward_up(msg)
-
-    @staticmethod
-    def _probe_metadata(msg: PacketIn) -> ProbeMetadata | None:
-        try:
-            _values, payload = parse_packet(msg.payload, msg.in_port)
-        except ParseError:
-            return None
-        return ProbeMetadata.decode(payload)
+        self.to_controller(self.node, msg)
 
     # ----- probe generation ---------------------------------------------------
 
@@ -450,12 +432,6 @@ class Monitor:
     def stop_steady_state(self) -> None:
         """Pause the cycle (outstanding probes still resolve)."""
         self._steady_running = False
-
-    def _is_infrastructure(self, rule: Rule) -> bool:
-        """Catch/filter rules are not probed (they are the probing plane)."""
-        from repro.core.catching import CATCH_PRIORITY, FILTER_PRIORITY
-
-        return rule.priority in (CATCH_PRIORITY, FILTER_PRIORITY)
 
     def _steady_tick(self) -> None:
         if not self._steady_running:
@@ -737,8 +713,6 @@ class Monitor:
         confirm_on: str = "present",
         on_confirm: Callable[[OutstandingProbe], None] | None = None,
         on_alarm: Callable[[OutstandingProbe, str], None] | None = None,
-        present_obs: frozenset[Observation] | None = None,
-        absent_obs: frozenset[Observation] | None = None,
         retry_interval: float | None = None,
         retries: int | None = None,
         timeout: float | None = None,
@@ -749,6 +723,8 @@ class Monitor:
         steady: bool = False,
     ) -> OutstandingProbe:
         """Inject a probe and track it to confirmation or timeout.
+
+        The probe is crafted here, once; retries re-send the same bytes.
 
         Args:
             retries: re-injection budget; ``-1`` means re-inject until
@@ -769,19 +745,24 @@ class Monitor:
             # update confirmations) still get their own lifecycle span.
             span = self.obs.next_span()
         nonce = next(_nonce_counter)
-        if present_obs is None:
-            present_obs = outcome_observations(
-                result.outcome_present, self.observable_ports
-            )
-        if absent_obs is None:
-            absent_obs = outcome_observations(
-                result.outcome_absent, self.observable_ports
-            )
+        metadata = ProbeMetadata(
+            switch_id=self.switch_number,
+            rule_cookie=result.rule.cookie,
+            nonce=nonce,
+            expected_drop=result.outcome_present.is_drop(),
+        )
+        header = dict(result.header)
         probe = OutstandingProbe(
             nonce=nonce,
             result=result,
-            present_obs=present_obs,
-            absent_obs=absent_obs,
+            packet=craft_packet(header, metadata.encode()),
+            in_port=header.get(FieldName.IN_PORT, 0),
+            present_obs=outcome_observations(
+                result.outcome_present, self.observable_ports
+            ),
+            absent_obs=outcome_observations(
+                result.outcome_absent, self.observable_ports
+            ),
             first_injected=self.sim.now,
             retries_left=(
                 retries if retries is not None else self.config.max_retries
@@ -824,21 +805,6 @@ class Monitor:
         return probe
 
     def _inject(self, probe: OutstandingProbe) -> None:
-        if self.inject_probe is None:
-            return
-        assert probe.result.header is not None
-        assert probe.result.outcome_present is not None
-        metadata = ProbeMetadata(
-            switch_id=self.switch_number,
-            rule_cookie=probe.result.rule.cookie,
-            nonce=probe.nonce,
-            expected_drop=probe.result.outcome_present.is_drop(),
-        )
-        from repro.packets.craft import craft_packet
-
-        header = dict(probe.result.header)
-        packet = craft_packet(header, metadata.encode())
-        in_port = header.get(FieldName.IN_PORT, 0)
         self.probes_sent += 1
         if self.obs.enabled:
             self.obs.emit(
@@ -846,9 +812,9 @@ class Monitor:
                 node=self.node,
                 span=probe.span or None,
                 nonce=probe.nonce,
-                in_port=in_port,
+                in_port=probe.in_port,
             )
-        self.inject_probe(packet, in_port)
+        self.multiplexer.inject(self.node, probe.packet, probe.in_port)
 
     def _schedule_retry(
         self,
@@ -939,25 +905,24 @@ class Monitor:
             probe.on_alarm(probe, "missing")
 
     def handle_caught_probe(
-        self, msg: PacketIn, metadata: ProbeMetadata
+        self,
+        egress_port: int,
+        values: Mapping[FieldName, int],
+        metadata: ProbeMetadata,
     ) -> None:
         """A probe of ours came back (routed here by the multiplexer).
 
-        ``msg.in_port`` must already be translated to *this* switch's
-        egress port by the multiplexer (it knows which downstream switch
-        caught the probe).
+        ``egress_port`` is the port the probe left *this* switch on
+        (the multiplexer knows which downstream switch caught it) and
+        ``values`` the caught packet's header, parsed once by
+        ``MonocleSystem._from_switch``.
         """
         probe = self.outstanding.get(metadata.nonce)
         if probe is None or probe.done:
             self.stale_probes += 1
             return
-        try:
-            values, _payload = parse_packet(msg.payload, msg.in_port)
-        except ParseError:
-            self.stale_probes += 1
-            return
         observation: Observation = (
-            msg.in_port,
+            egress_port,
             tuple(
                 (name, value)
                 for name, value in wire_visible_items(values)
@@ -1006,8 +971,3 @@ class Monitor:
                     probe.timeout_event.cancel()
             if probe.on_alarm is not None:
                 probe.on_alarm(probe, "misbehaving")
-
-
-def restrict_controller_port(ports: frozenset[int]) -> frozenset[int]:
-    """Helper: observable ports always include the controller port."""
-    return ports | {CONTROLLER_PORT}

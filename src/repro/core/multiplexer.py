@@ -9,9 +9,10 @@ to/from the switch".  :class:`Multiplexer` does exactly that routing:
   X on a specific port, so the Multiplexer sends a PacketOut to the
   *upstream* neighbor with the right output port;
 * probe collection: a probe caught by downstream switch Z arrives on
-  Z's control channel; the Multiplexer decodes the probe metadata and
-  hands it to the owning Monitor, translating Z's ingress port into the
-  probed switch's egress port.
+  Z's control channel, where :meth:`MonocleSystem._from_switch` parses
+  it once; the Multiplexer hands the parsed header to the owning
+  Monitor, translating Z's ingress port into the probed switch's
+  egress port.
 
 :class:`MonocleSystem` wires everything for a
 :class:`~repro.network.network.Network`: computes the catching plan
@@ -26,15 +27,17 @@ from typing import Callable, Hashable, Iterable, Mapping
 from repro.core.catching import (
     CatchingPlan,
     ColoringAlgorithm,
+    is_infrastructure,
     plan_catching_rules,
 )
 from repro.core.dynamic import DynamicMonitor
 from repro.core.monitor import Monitor, MonitorConfig
-from repro.core.probegen import ProbeGenerator
+from repro.core.probegen import ProbeGenContext, ProbeGenerator
 from repro.core.schedule import ProbeScheduler, make_policy
-from repro.core.shared import SharedContextRegistry
+from repro.core.shared import SharedContextRegistry, SharedProbeGenContext
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.actions import CONTROLLER_PORT
+from repro.openflow.fields import FieldName
 from repro.openflow.messages import Message, PacketIn, PacketOut
 from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
@@ -76,9 +79,12 @@ class Multiplexer:
         )
 
     def route_packet_in(
-        self, caught_at: Hashable, msg: PacketIn, metadata: ProbeMetadata
+        self,
+        caught_at: Hashable,
+        values: Mapping[FieldName, int],
+        metadata: ProbeMetadata,
     ) -> bool:
-        """Deliver a caught probe to its owning Monitor.
+        """Deliver a caught probe's parsed header to its owning Monitor.
 
         Returns True when the probe was routed; False when no Monitor
         owns it (stale or foreign traffic).
@@ -93,13 +99,7 @@ class Multiplexer:
             self.probes_unroutable += 1
             return False
         self.probes_routed += 1
-        translated = PacketIn(
-            xid=msg.xid,
-            payload=msg.payload,
-            in_port=egress_port,
-            reason=msg.reason,
-        )
-        monitor.handle_caught_probe(translated, metadata)
+        monitor.handle_caught_probe(egress_port, values, metadata)
         return True
 
     def _egress_port(
@@ -197,11 +197,9 @@ class MonocleSystem:
         channel = network.channel(node)
         switch_facing = network.switch_facing_ports(node)
 
-        # Pre-install the catching rules on the switch and record them
-        # in the expected table (they are part of the Hit constraint).
-        # This happens on every switch — monitored or not — because a
-        # monitored switch's probes are caught at its (possibly
-        # unmonitored) neighbors' tables.
+        # Pre-install the catching rules on every switch — monitored or
+        # not — because a monitored switch's probes are caught at its
+        # (possibly unmonitored) neighbors' tables.
         catch_rules = self.plan.catching_rules(node)
         for rule in catch_rules:
             switch.install_directly(rule)
@@ -214,38 +212,36 @@ class MonocleSystem:
             catch_match=self.plan.probe_match(node, downstream),
             valid_in_ports=tuple(switch_facing) if switch_facing else None,
         )
-        observable = frozenset(switch_facing) | {CONTROLLER_PORT}
-        probe_context = None
+        # The catch rules are part of the expected table (the Hit
+        # constraint); seeding the context with them also lets replicas
+        # compare equal at acquire time (same-color switches install
+        # identical catch sets).
+        probe_context: ProbeGenContext | SharedProbeGenContext
         if self.shared_contexts is not None:
-            # Seed the context with the catch rules so replicas compare
-            # equal at acquire time (same-color switches install
-            # identical catch sets); the Monitor then skips preinstall.
             probe_context = self.shared_contexts.acquire(
                 generator, rules=catch_rules
             )
+        else:
+            probe_context = ProbeGenContext(generator)
+            for rule in catch_rules:
+                probe_context.add_rule(rule)
         monitor = Monitor(
             sim=self.sim,
             node=node,
             switch_number=network.switch_number(node),
             generator=generator,
             config=self.config,
-            observable_ports=observable,
+            observable_ports=frozenset(switch_facing) | {CONTROLLER_PORT},
             forward_down=channel.send_down,
-            forward_up=lambda msg, n=node: self._to_controller(n, msg),
-            inject_probe=(
-                lambda packet, in_port, n=node: self.multiplexer.inject(
-                    n, packet, in_port
-                )
-            ),
+            to_controller=self._to_controller,
+            multiplexer=self.multiplexer,
             probe_context=probe_context,
             scheduler=ProbeScheduler(
-                policy=make_policy(self._policy_name(node))
+                policy=make_policy(self._policy_name(node)),
+                is_infrastructure=is_infrastructure,
             ),
             obs=self.obs,
         )
-        if probe_context is None:
-            for rule in catch_rules:
-                monitor.preinstall(rule)
         self.monitors[node] = monitor
         self.multiplexer.register(node, monitor)
         if dynamic:
@@ -288,22 +284,30 @@ class MonocleSystem:
     # ----- internal routing ----------------------------------------------
 
     def _from_switch(self, node: Hashable, msg: Message) -> None:
+        """Every upstream message of every switch lands here: the one
+        place a PacketIn is parsed and classified as probe or not."""
         if isinstance(msg, PacketIn):
-            metadata = self._probe_metadata(msg)
-            if metadata is not None:
-                self.multiplexer.route_packet_in(node, msg, metadata)
+            probe = self._probe_metadata(msg)
+            if probe is not None:
+                self.multiplexer.route_packet_in(node, *probe)
                 return
         monitor = self.monitors.get(node)
         if monitor is not None:
             monitor.from_switch(msg)
 
     @staticmethod
-    def _probe_metadata(msg: PacketIn) -> ProbeMetadata | None:
+    def _probe_metadata(
+        msg: PacketIn,
+    ) -> tuple[dict[FieldName, int], ProbeMetadata] | None:
+        """``(header values, metadata)`` when the PacketIn is a probe."""
         try:
-            _values, payload = parse_packet(msg.payload, msg.in_port)
+            values, payload = parse_packet(msg.payload, msg.in_port)
         except ParseError:
             return None
-        return ProbeMetadata.decode(payload)
+        metadata = ProbeMetadata.decode(payload)
+        if metadata is None:
+            return None
+        return values, metadata
 
     def _to_controller(self, node: Hashable, msg: Message) -> None:
         if self.controller_handler is not None:

@@ -119,16 +119,15 @@ class ProbeGenerator:
             injector).
         encoding: Distinguish-chain encoding (ablation knob).
         max_conflicts: CDCL conflict budget per probe.
-        overlap_filter: the §5.4 optimization; disable only for the
-            ablation benchmark.
+
+    Only rules overlapping the probed rule enter the constraints (the
+    §5.4 lemma), so candidates come from the table's overlap index.
     """
 
     catch_match: Match
     valid_in_ports: tuple[int, ...] | None = None
     encoding: DistinguishEncoding = DistinguishEncoding.ASSERTED_CHAIN
     max_conflicts: int | None = 100_000
-    overlap_filter: bool = True
-    miss_rule: Rule | None = None
     _reserved_fields: frozenset[FieldName] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -148,11 +147,9 @@ class ProbeGenerator:
         return result
 
     def _generate(self, table: FlowTable, rule: Rule) -> ProbeResult:
-        if self.overlap_filter:
-            candidates = table.overlapping(rule.match)
-        else:
-            candidates = table.rules()
-        candidates = [r for r in candidates if r.key() != rule.key()]
+        candidates = [
+            r for r in table.overlapping(rule.match) if r.key() != rule.key()
+        ]
         # The §3.2 no-rewriting-reserved-fields assumption only needs to
         # hold on rules this probe can interact with; use
         # :meth:`validate_table` for a whole-table audit.
@@ -168,7 +165,7 @@ class ProbeGenerator:
         # Collect
         compiler.assert_matches(self.catch_match)
         # Distinguish
-        compiler.assert_distinguish(rule, lower, miss_rule=self.miss_rule)
+        compiler.assert_distinguish(rule, lower)
         # Wire-level domain restriction for in_port, which unlike the
         # other limited-domain fields cannot be fixed after solving
         # (rules commonly match on it exactly).
@@ -385,10 +382,10 @@ class ProbeGenContext:
     the solver across calls; see
     :class:`~repro.core.constraints.IncrementalProbeEncoder`.
 
-    The configuration (catch match, in_port domain, conflict budget,
-    overlap filter) is borrowed from a :class:`ProbeGenerator` so the
-    two paths are interchangeable; ``validate_result`` is an optional
-    post-generation hook (the Monitor's observability demotion).
+    The configuration (catch match, in_port domain, conflict budget)
+    is borrowed from a :class:`ProbeGenerator` so the two paths are
+    interchangeable; ``validate_result`` is an optional post-generation
+    hook (the Monitor's observability demotion).
     """
 
     def __init__(
@@ -690,11 +687,11 @@ class ProbeGenContext:
         return result
 
     def _candidates(self, rule: Rule) -> list[Rule]:
-        if self.generator.overlap_filter:
-            candidates = self.table.overlapping(rule.match)
-        else:
-            candidates = self.table.rules()
-        return [r for r in candidates if r.key() != rule.key()]
+        return [
+            r
+            for r in self.table.overlapping(rule.match)
+            if r.key() != rule.key()
+        ]
 
     def _revalidate(
         self, rule: Rule, cached: ProbeResult
@@ -744,23 +741,18 @@ class ProbeGenContext:
         The group's clauses are fully determined by the probed rule's
         match (Hit bits), the higher-overlap matches in emission order
         (negated guards), the priority-ordered lower-overlap matches
-        and the probed-vs-lower action pairs (the Distinguish chain),
-        and the miss rule.  Two solves with equal signatures can share
-        one persistent clause group; a churn event that leaves the
-        signature intact — the common case of a neighbour being removed
-        and re-added, or of churn outside the rule's overlap set —
-        costs no re-emission at all.  Higher rules' *actions* are
-        deliberately absent: they never enter the constraints.
+        and the probed-vs-lower action pairs (the Distinguish chain).
+        Two solves with equal signatures can share one persistent
+        clause group; a churn event that leaves the signature intact —
+        the common case of a neighbour being removed and re-added, or
+        of churn outside the rule's overlap set — costs no re-emission
+        at all.  Higher rules' *actions* are deliberately absent: they
+        never enter the constraints.
         """
-        miss = self.generator.miss_rule
-        miss_key = (
-            None if miss is None else (miss.priority, miss.match, miss.actions)
-        )
         ordered = sorted(lower, key=lambda r: -r.priority)
         return (
             rule.match,
             rule.actions,
-            miss_key,
             tuple(r.match for r in higher),
             tuple((r.priority, r.match, r.actions) for r in ordered),
         )
@@ -799,9 +791,7 @@ class ProbeGenContext:
             self._retire_chain(key)
         group = self.solver.new_group()
         try:
-            self.encoder.assert_probe_group(
-                rule, lower, higher, group, miss_rule=self.generator.miss_rule
-            )
+            self.encoder.assert_probe_group(rule, lower, higher, group)
         except BaseException:
             self.solver.retire_group(group)
             raise

@@ -112,17 +112,13 @@ def generator_key(generator: ProbeGenerator) -> tuple:
 
     Two switches can share a context only when every knob that shapes
     the emitted constraints agrees: the catching match, the in_port
-    domain, the encoding, the conflict budget, the overlap filter and
-    the miss rule.
+    domain, the encoding and the conflict budget.
     """
-    miss = generator.miss_rule
     return (
         generator.catch_match,
         generator.valid_in_ports,
         generator.encoding,
         generator.max_conflicts,
-        generator.overlap_filter,
-        None if miss is None else _rule_sig(miss),
     )
 
 

@@ -311,9 +311,7 @@ def run_sharded_scenario(spec: "ScenarioSpec") -> "ScenarioResult":
     from repro.fleet.runner import run_scenario
     from dataclasses import replace
 
-    plan = plan_shards(
-        spec.build_topology(), spec.workers, spec.shard_policy
-    )
+    plan = plan_shards(spec.build_topology(), spec.workers)
     if plan.workers <= 1:
         # Fewer switches than workers: nothing to shard (worker chaos
         # hooks target shards, so they have nothing to bite either).
@@ -489,7 +487,6 @@ def _merge_results(
         duration=spec.duration,
     )
     metrics.workers = plan.workers
-    metrics.shard_policy = plan.policy
     metrics.cut_links = len(plan.cut_edges)
     metrics.barriers = barriers
     metrics.gossip_digests_published = directory.digests_published

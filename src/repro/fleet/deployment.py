@@ -26,7 +26,6 @@ from repro.core.catching import (
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContextStats
 from repro.core.multiplexer import MonocleSystem
-from repro.core.schedule import SchedulerStats
 from repro.core.shared import SharedContextRegistry, SharedContextStats
 from repro.network.network import Network
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
@@ -325,9 +324,9 @@ class FleetDeployment:
         self._started = True
         self.system.start_steady_state()
 
-    def run(self, duration: float, max_events: int | None = None) -> None:
+    def run(self, duration: float) -> None:
         """Advance the shared sim kernel by ``duration`` seconds."""
-        self.sim.run_for(duration, max_events=max_events)
+        self.sim.run_for(duration)
 
     def total_alarms(self):
         """All alarms across the fleet, time-ordered."""
@@ -347,25 +346,6 @@ class FleetDeployment:
             # Field-driven so counters added to the dataclass can never
             # be silently dropped from the aggregate.
             for stat_field in dataclasses.fields(ProbeGenContextStats):
-                setattr(
-                    total,
-                    stat_field.name,
-                    getattr(total, stat_field.name)
-                    + getattr(stats, stat_field.name),
-                )
-        return total
-
-    def scheduler_stats(self) -> SchedulerStats:
-        """Fleet-wide aggregate of the probe-scheduler counters.
-
-        ``cycle_rebuilds`` must equal the switch count however much the
-        fleet churns: each Monitor pays exactly one construction-time
-        cycle build, then O(delta) maintenance.
-        """
-        total = SchedulerStats()
-        for node in self.monitored_nodes:
-            stats = self.monitor(node).scheduler.stats
-            for stat_field in dataclasses.fields(SchedulerStats):
                 setattr(
                     total,
                     stat_field.name,

@@ -116,11 +116,10 @@ class FleetMetrics:
     contexts_deduped: int = 0
     contexts_forked: int = 0
     contexts_remerged: int = 0
-    #: Sharded-runtime shape: worker count, planner policy, links cut
-    #: by the shard boundary, and conservative-time barrier windows the
-    #: coordinator ran (0 for in-process runs and pure partitions).
+    #: Sharded-runtime shape: worker count, links cut by the shard
+    #: boundary, and conservative-time barrier windows the coordinator
+    #: ran (0 for in-process runs and pure partitions).
     workers: int = 1
-    shard_policy: str | None = None
     cut_links: int = 0
     barriers: int = 0
     #: Cross-shard fingerprint gossip: digests advertised at barriers,
@@ -326,7 +325,6 @@ class FleetMetrics:
                 "contexts_forked": self.contexts_forked,
                 "contexts_remerged": self.contexts_remerged,
                 "workers": self.workers,
-                "shard_policy": self.shard_policy,
                 "cut_links": self.cut_links,
                 "barriers": self.barriers,
                 "gossip_digests_published": self.gossip_digests_published,
@@ -438,16 +436,15 @@ def collect_fleet_metrics(
     if deployment.obs.enabled:
         # Final snapshot at collection time (runs the collect hooks, so
         # the registry is sync'd with the stats aggregated above), then
-        # cross-check the two accounting paths against each other.
+        # check that every scraped family made it into the registry.
         deployment.obs.snapshot_now()
         obs_snapshots = list(deployment.obs.metrics.snapshots)
-        if deployment.obs.enabled:
-            h = deployment.obs.metrics.histogram(
-                "monocle_detection_latency_seconds"
-            )
-            for record in detections:
-                if (latency := record.latency) is not None:
-                    h.observe(latency)
+        h = deployment.obs.metrics.histogram(
+            "monocle_detection_latency_seconds"
+        )
+        for record in detections:
+            if (latency := record.latency) is not None:
+                h.observe(latency)
         _crosscheck_registry(deployment, per_switch)
 
     shared = deployment.shared_context_stats()
@@ -571,12 +568,12 @@ def _crosscheck_registry(
 ) -> None:
     """Assert the live registry agrees with the post-mortem counters.
 
-    Two independent accounting paths exist once observability is on:
-    the metrics registry (synced by the deployment's collect hook) and
-    this module's direct scrape of monitor/context stats.  They must
-    agree exactly — a divergence means a publication site was missed
-    or double-counted, which is precisely the failure mode a
-    self-observing monitor must catch in itself.
+    The two are not independent accounting paths:
+    ``FleetDeployment._sync_obs_metrics`` copies the registry counters
+    *from* the very monitor/context attributes this module scrapes.
+    The check can therefore only fail when a family scraped here is
+    missing from (or mislabelled in) the sync hook — it guards the
+    hook's coverage, not the counters' correctness.
     """
     registry = deployment.obs.metrics
     expected = {

@@ -55,7 +55,6 @@ from repro.switches.profiles import (
     PICA8,
     SwitchProfile,
 )
-from repro.fleet.sharding import DEFAULT_SHARD_POLICY, SHARD_POLICIES
 from repro.topology.corpus import topology_zoo_like_corpus
 from repro.topology.generators import (
     fat_tree,
@@ -128,9 +127,6 @@ class ScenarioSpec:
     algorithm: str = "exact"
     workloads: tuple[Workload, ...] = ()
     failures: tuple[FailureSpec, ...] = ()
-    max_events: int | None = None
-    #: Dedupe probe-gen contexts across identical-table switches.
-    share_contexts: bool = True
     #: Probe-cycle scheduling policy, fleet-wide (per-switch overrides
     #: go through :class:`~repro.fleet.deployment.FleetDeployment`
     #: directly): ``round_robin`` (§3 baseline), ``churn_first``
@@ -148,17 +144,11 @@ class ScenarioSpec:
     #: Sim seconds between metric snapshots (the report's timeline
     #: granularity); None picks duration/10 when observing.
     obs_snapshot_interval: float | None = None
-    #: Trace ring-buffer bound (events retained).
-    trace_capacity: int = 65536
     #: Sharded runtime (:mod:`repro.fleet.coordinator`): split the
     #: fleet across this many worker processes, each with its own sim
     #: kernel.  ``1`` keeps the in-process path; ``"auto"`` sizes the
     #: fleet to this host's usable CPUs (scheduling affinity mask).
     workers: int | str = 1
-    #: Shard planner policy (:data:`repro.fleet.sharding.
-    #: SHARD_POLICIES`): ``locality`` keeps neighborhoods together to
-    #: minimize cross-shard links; ``round_robin`` ignores links.
-    shard_policy: str = DEFAULT_SHARD_POLICY
     #: Conservative-time barrier window (sim seconds) for scenarios
     #: whose shard cut crosses topology links; ``None`` derives one
     #: probe timeout.  Irrelevant for pure partitions (barrier-free).
@@ -238,10 +228,6 @@ class ScenarioSpec:
                 f"obs_snapshot_interval must be >= 0: "
                 f"{self.obs_snapshot_interval}"
             )
-        if self.trace_capacity < 1:
-            raise ScenarioError(
-                f"trace_capacity must be >= 1: {self.trace_capacity}"
-            )
         if self.size < 1:
             raise ScenarioError(f"size must be >= 1: {self.size}")
         if isinstance(self.workers, str):
@@ -288,11 +274,6 @@ class ScenarioSpec:
                     raise ScenarioError(
                         f"chaos hook shard/window must be >= 0: {hook}"
                     )
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ScenarioError(
-                f"unknown shard policy {self.shard_policy!r}; "
-                f"choose from {sorted(SHARD_POLICIES)}"
-            )
         if self.barrier_quantum is not None and self.barrier_quantum <= 0:
             raise ScenarioError(
                 f"barrier_quantum must be positive: {self.barrier_quantum}"
@@ -303,12 +284,6 @@ class ScenarioSpec:
                 "Prometheus registry lives per worker process and its "
                 "expositions cannot be merged (use --json-out, whose "
                 "snapshots the coordinator does merge)"
-            )
-        if self.resolved_workers() > 1 and self.max_events is not None:
-            raise ScenarioError(
-                "max_events is incompatible with workers > 1: the "
-                "event budget is per shard kernel, so a fleet-wide cap "
-                "cannot be enforced"
             )
         graph = self.build_topology()
         nodes = set(graph.nodes)
@@ -383,10 +358,7 @@ class ScenarioSpec:
         interval = self.obs_snapshot_interval
         if interval is None:
             interval = self.duration / 10.0
-        return Observer(
-            trace_capacity=self.trace_capacity,
-            snapshot_interval=interval or None,
-        )
+        return Observer(snapshot_interval=interval or None)
 
 
 @dataclass
@@ -482,7 +454,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             seed=spec.seed,
             strategy=spec.strategy,
             algorithm=ALGORITHMS[spec.algorithm],
-            share_contexts=spec.share_contexts,
             probe_policy=spec.probe_policy,
             obs=observer,
         )
@@ -497,7 +468,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     injections = schedule_failures(deployment, spec.failures)
     deployment.start_monitoring()
     run_started = _time.perf_counter()
-    deployment.run(spec.duration, max_events=spec.max_events)
+    deployment.run(spec.duration)
     run_seconds = _time.perf_counter() - run_started
 
     metrics = collect_fleet_metrics(
@@ -634,9 +605,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="shard the fleet across this many worker "
                              "processes (1 = in-process, auto = usable "
                              "CPU count)")
-    parser.add_argument("--shard-policy", default=DEFAULT_SHARD_POLICY,
-                        choices=sorted(SHARD_POLICIES),
-                        help="topology partitioning policy for --workers")
     parser.add_argument("--barrier-quantum", type=float, default=None,
                         metavar="SECONDS",
                         help="cross-shard barrier window (default: one "
@@ -708,7 +676,6 @@ def main(argv: list[str] | None = None) -> int:
         algorithm=args.algorithm,
         probe_policy=args.probe_policy,
         workers=args.workers,
-        shard_policy=args.shard_policy,
         barrier_quantum=args.barrier_quantum,
         alarm_confirmations=args.alarm_confirmations,
         quarantine_threshold=args.quarantine_threshold,

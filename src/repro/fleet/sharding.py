@@ -5,13 +5,11 @@ into *shards*, one worker process per shard.  This module holds the
 pieces that are pure bookkeeping — no processes, no pipes — so they can
 be unit-tested deterministically:
 
-* :func:`plan_shards` cuts the topology under a pluggable policy
-  (``round_robin`` spreads switches evenly with no regard for links;
-  ``locality`` keeps connected neighborhoods together to minimize
-  cross-shard links).  The resulting :class:`ShardPlan` knows every
-  *cut edge* — a link whose endpoints live in different shards — which
-  is what decides whether a run needs conservative-time barriers at
-  all.
+* :func:`plan_shards` cuts the topology, keeping connected
+  neighborhoods together to minimize cross-shard links.  The
+  resulting :class:`ShardPlan` knows every *cut edge* — a link whose
+  endpoints live in different shards — which is what decides whether
+  a run needs conservative-time barriers at all.
 * :class:`GossipDirectory` is the coordinator-side fingerprint
   directory for cross-shard context dedup: shards advertise
   ``(generator key, table fingerprint)`` digests at each barrier, and
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Mapping
 
 import networkx as nx
 
@@ -41,17 +39,9 @@ Digest = tuple[Any, str]
 #: ``(priority, match, result)`` cache entries.
 GossipPayload = tuple[tuple[Any, ...], list[Any]]
 
-ShardPolicy = Callable[[nx.Graph, int], list[list[Hashable]]]
-
 
 def _sorted_nodes(topology: nx.Graph) -> list[Hashable]:
     return sorted(topology.nodes, key=repr)
-
-
-def _round_robin(topology: nx.Graph, workers: int) -> list[list[Hashable]]:
-    """Deal sorted switches round-robin: balanced, link-oblivious."""
-    nodes = _sorted_nodes(topology)
-    return [nodes[i::workers] for i in range(workers)]
 
 
 def _bfs_order(topology: nx.Graph) -> list[Hashable]:
@@ -96,19 +86,10 @@ def _locality(topology: nx.Graph, workers: int) -> list[list[Hashable]]:
     return shards
 
 
-SHARD_POLICIES: dict[str, ShardPolicy] = {
-    "round_robin": _round_robin,
-    "locality": _locality,
-}
-
-DEFAULT_SHARD_POLICY = "locality"
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """An immutable assignment of every switch to one shard."""
 
-    policy: str
     shards: tuple[tuple[Hashable, ...], ...]
     cut_edges: tuple[tuple[Hashable, Hashable], ...]
 
@@ -134,9 +115,7 @@ class ShardPlan:
         return self._owners[node]
 
 
-def plan_shards(
-    topology: nx.Graph, workers: int, policy: str = DEFAULT_SHARD_POLICY
-) -> ShardPlan:
+def plan_shards(topology: nx.Graph, workers: int) -> ShardPlan:
     """Partition ``topology`` into at most ``workers`` shards.
 
     ``workers`` is clamped to the node count (an empty shard would be a
@@ -145,13 +124,8 @@ def plan_shards(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
-    if policy not in SHARD_POLICIES:
-        known = ", ".join(sorted(SHARD_POLICIES))
-        raise ValueError(f"unknown shard policy {policy!r} (have: {known})")
     workers = min(workers, topology.number_of_nodes())
-    shards = tuple(
-        tuple(nodes) for nodes in SHARD_POLICIES[policy](topology, workers)
-    )
+    shards = tuple(tuple(nodes) for nodes in _locality(topology, workers))
     owners = {
         node: shard for shard, nodes in enumerate(shards) for node in nodes
     }
@@ -164,7 +138,6 @@ def plan_shards(
         key=repr,
     )
     return ShardPlan(
-        policy=policy,
         shards=shards,
         cut_edges=tuple(cut),  # type: ignore[arg-type]
     )
@@ -265,19 +238,3 @@ class GossipDirectory:
             out[digest] = self.payloads[digest]
             self.delivered.add((digest, shard))
         return out
-
-
-def iter_cut_specs(
-    specs: Iterable[object], plan: ShardPlan
-) -> list[tuple[int, object, set[int]]]:
-    """``(index, spec, shards)`` for specs whose nodes span shards.
-
-    Convenience for tests and the coordinator's bookkeeping; workers
-    classify their own specs the same way.
-    """
-    out: list[tuple[int, object, set[int]]] = []
-    for index, spec in enumerate(specs):
-        owners = {plan.owner(node) for node in spec_nodes(spec)}
-        if len(owners) > 1:
-            out.append((index, spec, owners))
-    return out

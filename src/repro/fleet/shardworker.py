@@ -147,7 +147,6 @@ class ShardWorker:
             seed=spec.seed,
             strategy=spec.strategy,
             algorithm=ALGORITHMS[spec.algorithm],
-            share_contexts=spec.share_contexts,
             probe_policy=spec.probe_policy,
             obs=spec.build_observer(),
             monitored_nodes=self.owned,

@@ -31,8 +31,9 @@ class Network:
         profiles: per-node profile, a single profile for all, or a
             callable ``node -> profile``.
         seed: base seed for all per-switch randomness.
-        link_latency: one-way data-plane link latency.
-        control_latency: one-way control-channel latency.
+
+    Links and control channels run at their modules' default one-way
+    latencies.
     """
 
     def __init__(
@@ -43,8 +44,6 @@ class Network:
         | Mapping[Hashable, SwitchProfile]
         | Callable[[Hashable], SwitchProfile] = OVS,
         seed: int = 0,
-        link_latency: float = 0.0002,
-        control_latency: float = 0.001,
     ) -> None:
         self.sim = sim
         self.topology = topology
@@ -93,11 +92,7 @@ class Network:
             conditioner = ChannelConditioner(
                 self.rng.fork(0xC0FD00 + self._switch_numbers[node])
             )
-            channel = ControlChannel(
-                sim,
-                latency=control_latency,
-                conditioner=conditioner,
-            )
+            channel = ControlChannel(sim, conditioner=conditioner)
             channel.down_handler = self.switches[node].receive_message
             self.switches[node].send_to_controller = channel.send_up
             self.channels[node] = channel
@@ -105,7 +100,7 @@ class Network:
         for u, v in sorted(
             topology.edges, key=lambda e: (repr(e[0]), repr(e[1]))
         ):
-            self._wire_link(u, v, link_latency)
+            self._wire_link(u, v)
 
     # ----- wiring ----------------------------------------------------------
 
@@ -114,10 +109,10 @@ class Network:
         self._next_port[node] = port + 1
         return port
 
-    def _wire_link(self, u: Hashable, v: Hashable, latency: float) -> None:
+    def _wire_link(self, u: Hashable, v: Hashable) -> None:
         port_u = self._alloc_port(u)
         port_v = self._alloc_port(v)
-        link = Link(self.sim, latency=latency)
+        link = Link(self.sim)
         switch_u = self.switches[u]
         switch_v = self.switches[v]
         link.connect(

@@ -30,7 +30,6 @@ class Observer:
     """Live tracing + metrics, stamped with simulation time.
 
     Args:
-        trace_capacity: ring-buffer bound of the trace recorder.
         snapshot_interval: sim seconds between metric snapshots; None
             (or 0) disables periodic snapshots (explicit
             :meth:`snapshot_now` calls still work).
@@ -40,14 +39,13 @@ class Observer:
 
     def __init__(
         self,
-        trace_capacity: int = 65536,
         snapshot_interval: float | None = None,
     ) -> None:
         if snapshot_interval is not None and snapshot_interval < 0:
             raise ValueError(
                 f"snapshot_interval must be >= 0: {snapshot_interval}"
             )
-        self.trace = TraceRecorder(capacity=trace_capacity)
+        self.trace = TraceRecorder()
         self.metrics = MetricsRegistry()
         self.snapshot_interval = snapshot_interval or None
         self._clock: Callable[[], float] = lambda: 0.0

@@ -196,10 +196,6 @@ class Match:
             fields[name] = FieldMatch.exact(field, value)
         return Match(fields)
 
-    def constrained_field_names(self) -> list[FieldName]:
-        """Names of fields with a non-wildcard constraint, layout order."""
-        return [f.name for f in HEADER if f.name in self._fields]
-
     def bit_constraints(self) -> Iterable[tuple[int, bool]]:
         """Yield ``(abs_bit_index, required_value)`` for every fixed bit.
 

@@ -18,8 +18,6 @@ pure-Python equivalent:
 * :mod:`repro.sat.incremental` — the persistent solver context:
   assumption-based solving, clause groups with retraction, learned
   lemma retention across calls, and database compaction.
-* :mod:`repro.sat.brute` — exhaustive reference solver used by the test
-  suite to validate the CDCL implementation on small instances.
 """
 
 from repro.sat.cnf import CNF, Lit
@@ -34,7 +32,6 @@ from repro.sat.encode import (
 )
 from repro.sat.solver import SatResult, SatSolver, solve
 from repro.sat.incremental import IncrementalSolver, IncrementalStats
-from repro.sat.brute import brute_force_solve
 
 __all__ = [
     "CNF",
@@ -51,5 +48,4 @@ __all__ = [
     "solve",
     "IncrementalSolver",
     "IncrementalStats",
-    "brute_force_solve",
 ]

@@ -12,7 +12,7 @@ Implements the standard conflict-driven clause learning loop:
 
 The solver is deliberately self-contained (lists of ints, no numpy) so
 its behaviour is easy to audit and to cross-check against the
-brute-force reference in :mod:`repro.sat.brute`.
+brute-force reference the tests carry.
 
 Beyond the one-shot `solve(cnf)` entry point, the solver supports
 *incremental* use — the substrate of the per-switch probe-generation
@@ -56,6 +56,10 @@ class SatResult:
     learned_clauses: int = 0
 
 
+#: Conflicts per unit of the Luby restart sequence.
+_RESTART_BASE = 64
+
+
 def _luby(i: int) -> int:
     """The i-th element (1-based) of the Luby restart sequence."""
     k = 1
@@ -81,14 +85,8 @@ class SatSolver:
     def __init__(
         self,
         cnf: CNF,
-        enable_learning: bool = True,
-        enable_vsids: bool = True,
-        restart_base: int = 64,
         check_models: bool = True,
     ) -> None:
-        self.enable_learning = enable_learning
-        self.enable_vsids = enable_vsids
-        self.restart_base = restart_base
         #: Run the O(database) defensive model check on every SAT
         #: answer.  Incremental callers whose results are verified
         #: independently (probe generation re-simulates Table 1 on the
@@ -194,9 +192,6 @@ class SatSolver:
         if self.trail_lim:
             raise RuntimeError("cannot clone mid-solve")
         dup = SatSolver.__new__(SatSolver)
-        dup.enable_learning = self.enable_learning
-        dup.enable_vsids = self.enable_vsids
-        dup.restart_base = self.restart_base
         dup.check_models = self.check_models
         dup.num_vars = self.num_vars
         dup.clauses = [list(clause) for clause in self.clauses]
@@ -384,8 +379,6 @@ class SatSolver:
         return learned, backjump
 
     def _bump(self, var: int) -> None:
-        if not self.enable_vsids:
-            return
         act = self.activity[var] + self.act_inc
         self.activity[var] = act
         if act > 1e100:
@@ -404,10 +397,6 @@ class SatSolver:
         ]
         heapq.heapify(self._heap)
 
-    def _decay(self) -> None:
-        if self.enable_vsids:
-            self.act_inc /= self.act_decay
-
     def _backjump(self, level: int) -> None:
         while self._decision_level() > level:
             limit = self.trail_lim.pop()
@@ -423,13 +412,9 @@ class SatSolver:
 
     def _pick_branch(self) -> int:
         # The assigned counter makes "model found" O(1); without it the
-        # loop ended every solve with an O(vars) confirmation scan (and
-        # the no-VSIDS ablation paid it on every single decision).
+        # loop ended every solve with an O(vars) confirmation scan.
         if self._num_assigned == self.num_vars:
             return 0
-        # With VSIDS off all activities stay 0.0, so the lazy max-heap
-        # degenerates to serving the lowest unassigned variable index —
-        # the same order the old linear scan produced.
         while True:
             if not self._heap:
                 # Defensive: the lazy heap lost an unassigned variable
@@ -487,7 +472,7 @@ class SatSolver:
                 self._assign(lit, None)
 
         restarts = 0
-        conflicts_until_restart = self.restart_base * _luby(1)
+        conflicts_until_restart = _RESTART_BASE * _luby(1)
 
         while True:
             conflict = self._propagate(queue_start)
@@ -506,47 +491,34 @@ class SatSolver:
                     self.stats.satisfiable = None
                     self._backjump(0)
                     return self.stats
-                if self.enable_learning:
-                    learned, backjump = self._analyze(conflict)
-                    self._backjump(backjump)
-                    if len(learned) == 1:
-                        value = self._lit_value(learned[0])
-                        if value == self._FALSE:
-                            # Unit lemma contradicts a level-0 fact.
-                            self._contradiction = True
-                            self.stats.satisfiable = False
-                            self._backjump(0)
-                            return self.stats
-                        if value == self._UNASSIGNED:
-                            self._assign(learned[0], None)
-                    else:
-                        self.clauses.append(learned)
-                        idx = len(self.clauses) - 1
-                        self.learned_idx.append(idx)
-                        self._watch(learned[0], idx)
-                        self._watch(learned[1], idx)
-                        self._assign(learned[0], learned)
-                        self.stats.learned_clauses += 1
-                    self._decay()
-                else:
-                    # Chronological backtracking: flip the last decision.
-                    if self._decision_level() <= len(assumption_list):
-                        # The would-be flip target is an assumption: the
-                        # formula is UNSAT under these assumptions.
+                learned, backjump = self._analyze(conflict)
+                self._backjump(backjump)
+                if len(learned) == 1:
+                    value = self._lit_value(learned[0])
+                    if value == self._FALSE:
+                        # Unit lemma contradicts a level-0 fact.
+                        self._contradiction = True
                         self.stats.satisfiable = False
                         self._backjump(0)
                         return self.stats
-                    limit = self.trail_lim[-1]
-                    decision = self.trail[limit]
-                    self._backjump(self._decision_level() - 1)
-                    self._assign(-decision, [-decision])
+                    if value == self._UNASSIGNED:
+                        self._assign(learned[0], None)
+                else:
+                    self.clauses.append(learned)
+                    idx = len(self.clauses) - 1
+                    self.learned_idx.append(idx)
+                    self._watch(learned[0], idx)
+                    self._watch(learned[1], idx)
+                    self._assign(learned[0], learned)
+                    self.stats.learned_clauses += 1
+                self.act_inc /= self.act_decay
                 # Resume propagation AT the literal just asserted — it has
                 # not been propagated yet.
                 queue_start = len(self.trail) - 1
                 conflicts_until_restart -= 1
-                if self.enable_learning and conflicts_until_restart <= 0:
+                if conflicts_until_restart <= 0:
                     restarts += 1
-                    conflicts_until_restart = self.restart_base * _luby(
+                    conflicts_until_restart = _RESTART_BASE * _luby(
                         restarts + 1
                     )
                     self._backjump(0)

@@ -59,11 +59,6 @@ class Simulator:
         """Number of events dispatched so far (skips cancelled events)."""
         return self._dispatched
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still in the queue."""
-        return len(self._queue)
-
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event (None when idle).
 

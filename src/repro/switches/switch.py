@@ -150,7 +150,6 @@ class SimulatedSwitch:
         self._pending_installs = 0
         self._last_install_time = 0.0
         self._install_seq = 0
-        self._blackholed_installs = 0
         self._blackholed_xids: set[int] = set()
 
         # PacketIn token bucket.
@@ -164,10 +163,6 @@ class SimulatedSwitch:
         if not 1 <= port <= self.num_ports:
             raise ValueError(f"port {port} out of range 1..{self.num_ports}")
         self._ports[port] = handler
-
-    def attached_ports(self) -> list[int]:
-        """Ports with a link attached (candidates for probe in_port)."""
-        return sorted(self._ports)
 
     # ----- control plane ------------------------------------------------
 
@@ -227,10 +222,6 @@ class SimulatedSwitch:
         self._pending_installs -= 1
         if mod.xid in self._blackholed_xids:
             self._blackholed_xids.discard(mod.xid)
-            self.stats.installs_blackholed += 1
-            return
-        if self._blackholed_installs > 0:
-            self._blackholed_installs -= 1
             self.stats.installs_blackholed += 1
             return
         apply_flowmod(self.dataplane, mod)
@@ -354,22 +345,11 @@ class SimulatedSwitch:
             raise KeyError(f"rule not in dataplane: {rule!r}")
         self.dataplane.install(existing.with_actions(actions))
 
-    def blackhole_next_installs(self, count: int = 1) -> None:
-        """The next ``count`` accepted FlowMods never reach the data
-        plane: the control plane acknowledges and tracks them, but the
-        data plane silently ignores the update (paper §2).
-
-        Count-based and therefore racy when other FlowMods are in
-        flight; use :meth:`blackhole_flowmod` to target a specific
-        update under concurrent control traffic."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0: {count}")
-        self._blackholed_installs += count
-
     def blackhole_flowmod(self, xid: int) -> None:
-        """Silently drop the data-plane application of the FlowMod with
-        this ``xid`` (whenever it arrives), leaving concurrent updates
-        untouched."""
+        """The FlowMod with this ``xid`` (whenever it arrives) never
+        reaches the data plane: the control plane acknowledges and
+        tracks it, but the data plane silently ignores the update
+        (paper §2).  Concurrent updates are untouched."""
         self._blackholed_xids.add(xid)
 
     def fail_port(self, port: int) -> None:

@@ -1,8 +1,8 @@
-"""Exhaustive reference SAT solver.
+"""Exhaustive reference SAT solver the CDCL tests compare against.
 
-Used only by the test suite: enumerates all assignments over the formula's
-variables and reports the first model found.  Exponential by nature, so it
-is guarded against formulas with more than 24 variables.
+Enumerates all assignments over the formula's variables and reports the
+first model found.  Exponential by nature, so it is guarded against
+formulas with more than 24 variables.
 """
 
 from __future__ import annotations
@@ -38,24 +38,3 @@ def brute_force_solve(cnf: CNF) -> dict[int, bool] | None:
         if ok:
             return assignment
     return None
-
-
-def count_models(cnf: CNF) -> int:
-    """Number of satisfying assignments (for encoding tests)."""
-    n = cnf.num_vars
-    if n > MAX_BRUTE_VARS:
-        raise ValueError(
-            f"model counting limited to {MAX_BRUTE_VARS} vars, got {n}"
-        )
-    clause_list = list(cnf.clauses())
-    count = 0
-    for bits in range(1 << n):
-        assignment = {
-            var: bool(bits >> (var - 1) & 1) for var in range(1, n + 1)
-        }
-        if all(
-            any((lit > 0) == assignment[abs(lit)] for lit in clause)
-            for clause in clause_list
-        ):
-            count += 1
-    return count

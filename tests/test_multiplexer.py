@@ -1,6 +1,11 @@
 """Tests for the Multiplexer and MonocleSystem wiring (§6/§7)."""
 
+import sys
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem, Multiplexer
 from repro.network import Network
 from repro.openflow.actions import CONTROLLER_PORT, output
@@ -13,6 +18,7 @@ from repro.openflow.messages import (
 )
 from repro.openflow.rule import Rule
 from repro.packets.craft import craft_packet
+from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Simulator
 from repro.topology.generators import star, triangle
@@ -216,3 +222,213 @@ class TestEgressObservability:
                 result.outcome_absent, system.monitors["hub"].observable_ports
             )
             assert present != absent or bool(present) != bool(absent)
+
+
+# ----- the single return path ----------------------------------------------
+
+
+def probing_star(num_rules=8, seed=3):
+    """A star-4 whose hub is mid-cycle: probes in flight, none alarmed."""
+    sim = Simulator()
+    net = Network(sim, star(4), seed=seed)
+    upstream = []
+    system = MonocleSystem(
+        net,
+        config=MonitorConfig(probe_rate=500.0),
+        dynamic=False,
+        controller_handler=lambda node, msg: upstream.append((node, msg)),
+    )
+    rules = []
+    for i in range(num_rules):
+        rule = Rule(
+            priority=100,
+            match=Match.build(nw_dst=0x0A000000 + i),
+            actions=output(net.port_toward["hub"][f"leaf{i % 4}"]),
+        )
+        system.preinstall_production_rule("hub", rule)
+        rules.append(rule)
+    system.start_steady_state()
+    sim.run_for(0.0205)
+    return sim, net, system, rules, upstream
+
+
+def _valid_probe(system, rule, switch_id, nonce):
+    result = system.monitor("hub").probe_for_rule(rule)
+    meta = ProbeMetadata(
+        switch_id=switch_id, rule_cookie=rule.cookie, nonce=nonce
+    )
+    return craft_packet(dict(result.header), meta.encode())
+
+
+#: (kind, a, b, c): how to derive one fuzzed payload from a valid probe.
+_FUZZ_INPUT = st.tuples(
+    st.sampled_from(["random", "truncate", "flip", "unknown"]),
+    st.binary(max_size=160),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    st.integers(0, 2**31 - 1),
+)
+
+
+class TestReturnPathRobustness:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        inputs=st.lists(
+            st.tuples(
+                _FUZZ_INPUT,
+                st.sampled_from(["hub", "leaf0", "leaf1", "leaf2", "leaf3"]),
+                st.integers(-3, 70000),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_property_fuzzed_packet_ins_are_counted_never_raised(
+        self, inputs
+    ):
+        """Garbage, truncated and bit-flipped probes, probes of unknown
+        switches/nonces and out-of-range in_ports through
+        ``_from_switch`` on every node: no exception, no alarm, and
+        each lands in exactly one of routed->stale, unroutable, or the
+        controller handler."""
+        sim, net, system, rules, upstream = probing_star()
+        hub_number = net.switch_number("hub")
+        assert system.monitor("hub").outstanding  # genuinely mid-cycle
+        valid = _valid_probe(system, rules[0], hub_number, 2**31)
+        live = {
+            nonce
+            for monitor in system.monitors.values()
+            for nonce in monitor.outstanding
+        }
+        mux = system.multiplexer
+
+        def stale():
+            return sum(m.stale_probes for m in system.monitors.values())
+
+        for (kind, blob, positions, number), node, in_port in inputs:
+            if kind == "random":
+                raw = blob
+            elif kind == "truncate":
+                raw = valid[: positions[0] % len(valid)]
+            elif kind == "flip":
+                mutable = bytearray(valid)
+                for position in positions:
+                    mutable[position % len(valid)] ^= 1 + number % 255
+                raw = bytes(mutable)
+            else:
+                raw = _valid_probe(
+                    system,
+                    rules[positions[0] % len(rules)],
+                    switch_id=number % 9,  # 1..5 exist on a star-4
+                    nonce=2**31 + number,
+                )
+            try:
+                _values, payload = parse_packet(raw, 0)
+            except ParseError:
+                pass
+            else:
+                # A flip may land on a live nonce; that probe would be
+                # *judged* (rightly), which is another property.
+                decoded = ProbeMetadata.decode(payload)
+                assume(decoded is None or decoded.nonce not in live)
+            before = (
+                mux.probes_routed,
+                mux.probes_unroutable,
+                len(upstream),
+                stale(),
+            )
+            system._from_switch(node, PacketIn(payload=raw, in_port=in_port))
+            routed = mux.probes_routed - before[0]
+            unroutable = mux.probes_unroutable - before[1]
+            forwarded = len(upstream) - before[2]
+            assert sorted((routed, unroutable, forwarded)) == [0, 0, 1]
+            assert stale() - before[3] == routed
+        assert system.total_alarms() == []
+
+
+class TestOnePassPerProbe:
+    def test_one_parse_per_packet_in_probe_or_not(self, monkeypatch):
+        sim, net, system, rules, upstream = probing_star()
+        parses = []
+
+        def counting_parse(raw, in_port=0):
+            parses.append(in_port)
+            return parse_packet(raw, in_port)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.core.") and hasattr(
+                module, "parse_packet"
+            ):
+                monkeypatch.setattr(module, "parse_packet", counting_parse)
+        packet_ins = []
+        routed_before = system.multiplexer.probes_routed
+        from_switch = system._from_switch
+
+        def counting_from_switch(node, msg):
+            if isinstance(msg, PacketIn):
+                packet_ins.append(node)
+            from_switch(node, msg)
+
+        system._from_switch = counting_from_switch
+        # One non-probe PacketIn rides along with the caught probes.
+        to_controller = Rule(
+            priority=200,
+            match=Match.build(nw_dst=0x0A0000FF),
+            actions=output(CONTROLLER_PORT),
+        )
+        system.preinstall_production_rule("leaf0", to_controller)
+        from repro.openflow.fields import FieldName
+
+        raw = craft_packet(
+            {
+                FieldName.DL_TYPE: 0x0800,
+                FieldName.NW_PROTO: 17,
+                FieldName.NW_DST: 0x0A0000FF,
+            },
+            b"production",
+        )
+        net.switch("leaf0").inject(
+            raw, in_port=net.port_toward["leaf0"]["hub"]
+        )
+        sim.run_for(0.1)
+        assert any(isinstance(m, PacketIn) for _n, m in upstream)
+        routed = system.multiplexer.probes_routed - routed_before
+        assert routed > 10
+        assert len(packet_ins) == routed + 1
+        assert len(parses) == len(packet_ins)
+
+    def test_one_craft_per_launched_probe_however_many_retries(
+        self, monkeypatch
+    ):
+        sim, net, system, rules, _ = probing_star()
+        monitor = system.monitor("hub")
+        import repro.core.monitor as monitor_module
+        import repro.packets.craft as craft_module
+
+        crafts = []
+
+        def counting_craft(values, payload=b""):
+            crafts.append(1)
+            return craft_packet(values, payload)
+
+        # The module binding, and the source for any call-time import.
+        monkeypatch.setattr(craft_module, "craft_packet", counting_craft)
+        monkeypatch.setattr(
+            monitor_module, "craft_packet", counting_craft, raising=False
+        )
+        launched = []
+        launch = monitor.launch_probe
+
+        def recording_launch(*args, **kwargs):
+            probe = launch(*args, **kwargs)
+            launched.append(probe)
+            return probe
+
+        monitor.launch_probe = recording_launch
+        sent_before = monitor.probes_sent
+        # A silently dropped rule: its probes burn every retry.
+        assert net.switch("hub").fail_rule_in_dataplane(rules[3])
+        sim.run_for(0.4)
+        assert monitor.probes_timed_out >= 1
+        sent = monitor.probes_sent - sent_before
+        assert sent > len(launched) > 0  # retries fired
+        assert len(crafts) == len(launched)

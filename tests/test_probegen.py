@@ -246,21 +246,10 @@ class TestOverlapFilter:
         default = Rule(priority=0, match=Match.wildcard(), actions=output(1))
         return table_of(probed, default, *rules), probed
 
-    def test_filter_reduces_instance_size(self):
-        table, probed = self.build_big_table()
-        with_filter = generator().generate(table, probed)
-        without_filter = generator(
-            overlap_filter=False
-        ).generate(table, probed)
-        assert with_filter.ok and without_filter.ok
-        assert with_filter.overlapping_rules < without_filter.overlapping_rules
-        assert with_filter.cnf_clauses < without_filter.cnf_clauses
-
     def test_filter_preserves_probe_validity(self):
         table, probed = self.build_big_table()
-        for flag in (True, False):
-            result = generator(overlap_filter=flag).generate(table, probed)
-            assert verify_probe(table, probed, result.header, CATCH)[0]
+        result = generator().generate(table, probed)
+        assert verify_probe(table, probed, result.header, CATCH)[0]
 
 
 class TestExpectedOutcomes:

@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from repro.sat.brute import brute_force_solve
 from repro.sat.cnf import CNF
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import SatSolver
+from sat_reference import brute_force_solve
 
 
 def random_cnf(rng, num_vars, num_clauses, width=3):
@@ -281,14 +281,6 @@ class TestCoreSolverIncrementalSurface:
         assert solver.solve().satisfiable is False
         assert solver.solve().satisfiable is False
 
-    def test_no_learning_mode_with_assumptions(self):
-        cnf = CNF(3)
-        cnf.add_clause([1, 2])
-        cnf.add_clause([-2, 3])
-        solver = SatSolver(cnf, enable_learning=False)
-        assert solver.solve(assumptions=[-1, -3]).satisfiable is False
-        assert solver.solve(assumptions=[-1]).satisfiable is True
-
 
 def random_3sat(rng, num_vars, num_clauses):
     """Exact-3 clauses near the phase transition: conflict-rich."""
@@ -470,16 +462,6 @@ class TestClone:
 
 
 class TestBranchBookkeeping:
-    def test_no_vsids_mode_still_solves(self):
-        # The no-VSIDS path now serves decisions from the zero-activity
-        # heap; cross-check against brute force.
-        rng = random.Random(77)
-        for trial in range(25):
-            cnf = random_cnf(rng, rng.randint(3, 8), rng.randint(3, 16))
-            got = SatSolver(cnf, enable_vsids=False).solve().satisfiable
-            expected = brute_force_solve(cnf) is not None
-            assert got == expected, trial
-
     def test_assigned_counter_stays_consistent(self):
         solver = SatSolver(CNF(4))
         solver.add_clause([1, 2])

@@ -1,10 +1,10 @@
 """Tests for the CDCL SAT solver against hand-built and random formulas."""
 
 
-from repro.sat.brute import brute_force_solve
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, _luby, solve
 from repro.sim.random import DeterministicRandom
+from sat_reference import brute_force_solve
 
 
 def make_cnf(num_vars, clauses):
@@ -103,22 +103,6 @@ class TestAgainstBruteForce:
             assert result.satisfiable == expected, cnf.to_dimacs()
             if result.satisfiable:
                 assert cnf.evaluate(result.assignment)
-
-    def test_no_learning_mode_agrees(self):
-        rng = DeterministicRandom(7)
-        for _ in range(40):
-            cnf = self.random_cnf(rng, rng.randint(3, 8), rng.randint(3, 20))
-            expected = brute_force_solve(cnf) is not None
-            result = SatSolver(cnf, enable_learning=False).solve()
-            assert result.satisfiable == expected
-
-    def test_no_vsids_mode_agrees(self):
-        rng = DeterministicRandom(13)
-        for _ in range(40):
-            cnf = self.random_cnf(rng, rng.randint(3, 8), rng.randint(3, 20))
-            expected = brute_force_solve(cnf) is not None
-            result = SatSolver(cnf, enable_vsids=False).solve()
-            assert result.satisfiable == expected
 
 
 class TestBudget:

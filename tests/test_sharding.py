@@ -2,7 +2,7 @@
 
 Three layers:
 
-* unit — shard planning (round_robin/locality, cut edges, clamping)
+* unit — shard planning (locality, cut edges, clamping)
   and the coordinator-side fingerprint-gossip directory;
 * mechanism — probe-cache export/import round-trips with the
   order-sensitive rule-signature guard;
@@ -33,7 +33,7 @@ from repro.topology.generators import islands, linear
 class TestShardPlan:
     def test_locality_on_islands_cuts_nothing(self):
         graph = islands(16, island=4)
-        plan = plan_shards(graph, 4, "locality")
+        plan = plan_shards(graph, 4)
         assert plan.workers == 4
         assert plan.is_pure
         assert [len(shard) for shard in plan.shards] == [4, 4, 4, 4]
@@ -42,34 +42,25 @@ class TestShardPlan:
             assert nx.is_connected(graph.subgraph(shard))
 
     def test_locality_on_linear_cuts_one_link_per_boundary(self):
-        plan = plan_shards(linear(8), 2, "locality")
+        plan = plan_shards(linear(8), 2)
         assert len(plan.cut_edges) == 1
         assert not plan.is_pure
 
-    def test_round_robin_covers_all_nodes_balanced(self):
-        graph = linear(10)
-        plan = plan_shards(graph, 3, "round_robin")
-        seen = [node for shard in plan.shards for node in shard]
-        assert sorted(seen, key=repr) == sorted(graph.nodes, key=repr)
-        sizes = sorted(len(shard) for shard in plan.shards)
-        assert sizes == [3, 3, 4]
-
     def test_owner_is_consistent_with_shards(self):
-        plan = plan_shards(linear(6), 2, "locality")
+        plan = plan_shards(linear(6), 2)
         for index, shard in enumerate(plan.shards):
             for node in shard:
                 assert plan.owner(node) == index
 
     def test_workers_clamped_to_node_count(self):
-        plan = plan_shards(linear(3), 8, "round_robin")
+        plan = plan_shards(linear(3), 8)
         assert plan.workers == 3
 
     def test_plans_are_deterministic(self):
-        for policy in ("round_robin", "locality"):
-            first = plan_shards(islands(16, island=4), 3, policy)
-            second = plan_shards(islands(16, island=4), 3, policy)
-            assert first.shards == second.shards
-            assert first.cut_edges == second.cut_edges
+        first = plan_shards(islands(16, island=4), 3)
+        second = plan_shards(islands(16, island=4), 3)
+        assert first.shards == second.shards
+        assert first.cut_edges == second.cut_edges
 
 
 class TestGossipDirectory:
@@ -287,7 +278,6 @@ class TestShardedScenarios:
         result = run_scenario(_pure_spec(workers=2))
         report = format_fleet_report(result.metrics)
         assert "sharding: 2 workers" in report
-        assert "locality policy" in report
 
     def test_sharded_json_export_roundtrips(self):
         import json
@@ -300,5 +290,3 @@ class TestShardedScenarios:
     def test_workers_reject_metrics_out_and_max_events(self):
         with pytest.raises(ScenarioError):
             _pure_spec(workers=2, metrics_out="/tmp/m.prom").validate()
-        with pytest.raises(ScenarioError):
-            _pure_spec(workers=2, max_events=1000).validate()
