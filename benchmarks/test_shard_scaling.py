@@ -3,7 +3,7 @@
 The sharded runtime's reason to exist: a 64-switch fleet under rule
 churn, run in-process (``workers=1``) and sharded across 2 and 4
 worker processes.  The topology is eight 8-switch islands — a pure
-partition under the ``locality`` policy, so the sharded arms run
+partition for the shard planner, so the sharded arms run
 barrier-free and every arm must produce the *same* confirmed
 operations and a byte-identical alarm timeline (there are no failures,
 so the timelines are trivially empty — probes and confirmations are
@@ -28,6 +28,7 @@ rate and duration instead.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import replace
 
@@ -66,6 +67,12 @@ def test_shard_scaling(scale: float, seed: int) -> None:
     baseline_timeline = None
     baseline_confirmed = None
     for workers in WORKER_ARMS:
+        # Late in a long pytest session the heap left by earlier tests
+        # is large and a full collection is due: forked workers each
+        # pay it over the whole inherited heap, copy-on-write (an arm
+        # then takes ~20 s instead of ~1 s).  Collect here so every
+        # arm, and every worker it forks, starts with none pending.
+        gc.collect()
         result = run_scenario(replace(spec, workers=workers))
         confirmed = result.metrics.updates_confirmed
         seconds = result.timings["run_seconds"]
