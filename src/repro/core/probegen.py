@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.constraints import (
     ConstraintCompiler,
@@ -571,56 +571,6 @@ class ProbeGenContext:
             if key not in self._cache_index:
                 # key == (priority, match): index the rule's packed match.
                 self._cache_index.add(key, *key[1].packed())
-            adopted += 1
-        return adopted
-
-    def cache_size(self) -> int:
-        """Fresh (non-stale) cached probe entries.
-
-        What :meth:`export_cache` would ship; the shard gossip layer
-        advertises this count so only the richest replica of a table
-        pays the export.
-        """
-        return sum(1 for key in self._cache if key not in self._stale)
-
-    def export_cache(
-        self,
-    ) -> list[tuple[int, "Match", ProbeResult]]:
-        """The fresh (non-stale) cached probes as portable entries.
-
-        Each entry is ``(priority, match, result)`` — plain picklable
-        dataclasses, so a sharded fleet can ship solved probes between
-        worker processes (fingerprint gossip).  Stale entries are
-        withheld: they would need revalidation against *this* table,
-        which the importer cannot perform faithfully.
-        """
-        return [
-            (key[0], key[1], result)
-            for key, result in self._cache.items()
-            if key not in self._stale
-        ]
-
-    def import_cache(
-        self, entries: "Iterable[tuple[int, Match, ProbeResult]]"
-    ) -> int:
-        """Adopt exported probe entries from a table-identical context.
-
-        Sound only when the exporter's table was rule-sequence
-        identical to this one at export *and* still is at import (the
-        caller — the shard gossip layer — verifies both with rule
-        signatures).  Entries whose key is no longer in this table are
-        skipped: the local table churned past them and the result may
-        describe a rule that no longer exists.  Returns the number of
-        entries adopted.
-        """
-        adopted = 0
-        for priority, match, result in entries:
-            key = (priority, match)
-            if key in self._cache or self.table.get(priority, match) is None:
-                continue
-            self._cache[key] = result
-            if key not in self._cache_index:
-                self._cache_index.add(key, *match.packed())
             adopted += 1
         return adopted
 

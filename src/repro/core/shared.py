@@ -458,16 +458,6 @@ class SharedProbeGenContext:
         assert self._entry is not None
         return self._entry.context
 
-    def base_context(self) -> ProbeGenContext:
-        """The backing :class:`ProbeGenContext` currently serving us.
-
-        For cross-process gossip: the shard layer fingerprints and
-        exports/imports probe caches against the *underlying* context
-        (the one whose table the cache entries actually describe),
-        which for a behind handle differs from :attr:`table`.
-        """
-        return self._context()
-
     def attach_obs(self, obs: object, node: object) -> None:
         """Publish this handle's lifecycle + solve timings.
 

@@ -1,21 +1,21 @@
-"""Conservative-time coordinator for sharded fleet scenarios.
+"""Conservative-time coordinator: the pipe transport of a fleet run.
 
-:func:`run_sharded_scenario` is the ``workers > 1`` twin of
-:func:`~repro.fleet.runner.run_scenario`: it plans the shard cut,
-spawns one worker process per shard (each with its own sim kernel —
-see :mod:`repro.fleet.shardworker`), drives the barrier protocol over
-``multiprocessing`` pipes, and merges the per-shard results into one
-fleet-wide :class:`~repro.fleet.metrics.FleetMetrics` plus a single
-sim-time-ordered trace.
+:func:`~repro.fleet.runner.run_scenario` runs a one-shard plan's
+:class:`~repro.fleet.shardworker.ShardWorker` by direct call; a larger
+plan comes here.  :func:`drive_shards` spawns one worker process per
+shard (each with its own sim kernel), drives the barrier protocol over
+``multiprocessing`` pipes, and brings every shard's
+:class:`~repro.fleet.shardworker.ShardResult` home for the runner to
+merge.
 
 The barrier rule: windows exist only because of *cross-shard*
 interaction.  A pure partition (no topology link crosses the cut) runs
 each shard start-to-finish in one window with zero barriers — that is
 the configuration whose alarm timeline is byte-identical to a
 single-process run.  With cut links, the coordinator steps all shards
-through quantum-sized windows; anything announced inside window k
-(failure envelopes, gossip payloads) is delivered at the start of
-window k+1, so cross-shard effects land at most one quantum late.
+through quantum-sized windows; a failure envelope announced inside
+window k is delivered at the start of window k+1, so cross-shard
+effects land at most one quantum late.
 Windows no shard has events in are fast-forwarded using each kernel's
 :meth:`~repro.sim.kernel.Simulator.next_event_time` peek.
 
@@ -36,24 +36,24 @@ marked failed and the scenario continues without it, yielding a
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time as _time
 from typing import TYPE_CHECKING, Any
 
-from repro.fleet.failures import Injection
-from repro.fleet.metrics import DetectionRecord, merge_fleet_metrics
-from repro.fleet.sharding import (
-    GossipDirectory,
-    ShardPlan,
-    plan_shards,
-    spec_nodes,
+from repro.fleet.metrics import DetectionRecord
+from repro.fleet.sharding import ShardPlan, spec_nodes
+from repro.fleet.shardworker import (
+    ScenarioError,
+    ShardResult,
+    _announcer,
+    worker_main,
 )
-from repro.fleet.shardworker import ShardResult, _announcer, worker_main
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from multiprocessing.connection import Connection
 
-    from repro.fleet.runner import ScenarioResult, ScenarioSpec
+    from repro.fleet.runner import ScenarioSpec
 
 
 def _mp_context() -> multiprocessing.context.BaseContext:
@@ -93,7 +93,6 @@ class _WorkerHandle:
         incarnation: int = 0,
     ) -> None:
         self.shard = shard
-        self.incarnation = incarnation
         self.conn: "Connection"
         self.conn, child = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
@@ -102,7 +101,16 @@ class _WorkerHandle:
             daemon=True,
             name=f"repro-shard-{shard}.{incarnation}",
         )
-        self.process.start()
+        # Fork from a frozen heap: the worker inherits this process's
+        # whole heap copy-on-write, and a full collection due at the
+        # fork would have it traverse — and so copy — all of it.
+        # Frozen objects are out of the child's collector's reach (and
+        # its generation counts start at zero); the parent thaws.
+        gc.freeze()
+        try:
+            self.process.start()
+        finally:
+            gc.unfreeze()
         child.close()
         self.next_event: float | None = None
 
@@ -254,6 +262,8 @@ class _ShardDriver:
             message = worker.conn.recv()
         except (EOFError, OSError) as exc:
             raise _WorkerDied(str(exc)) from exc
+        if message[0] == "invalid":
+            raise ScenarioError(message[1])
         if message[0] == "error":
             raise ShardRunError(
                 f"shard {worker.shard} worker failed:\n{message[1]}"
@@ -306,23 +316,21 @@ class _ShardDriver:
             return True
 
 
-def run_sharded_scenario(spec: "ScenarioSpec") -> "ScenarioResult":
-    """Run one scenario across ``spec.workers`` shard processes."""
-    from repro.fleet.runner import run_scenario
-    from dataclasses import replace
+def drive_shards(
+    spec: "ScenarioSpec", plan: ShardPlan
+) -> tuple[list[ShardResult], float, dict[str, Any]]:
+    """Run ``plan``'s shards in worker processes, start to finish.
 
-    plan = plan_shards(spec.build_topology(), spec.workers)
-    if plan.workers <= 1:
-        # Fewer switches than workers: nothing to shard (worker chaos
-        # hooks target shards, so they have nothing to bite either).
-        return run_scenario(replace(spec, workers=1, chaos=()))
-
+    Returns the surviving shards' results in shard order, the
+    wall-clock seconds from "every worker built" to "every result
+    home", and the :class:`~repro.fleet.metrics.FleetMetrics` fields
+    only a coordinator can fill (barriers, restarts, lost shards).
+    """
     driver = _ShardDriver(_mp_context(), spec, plan)
     try:
         driver.await_ready()
         build_done = _time.perf_counter()
-        directory = GossipDirectory()
-        barriers = _drive_windows(spec, plan, driver, directory)
+        barriers = _drive_windows(spec, plan, driver)
         replies = driver.broadcast(
             {w.shard: ("finish",) for w in driver.live()}, "result"
         )
@@ -332,10 +340,14 @@ def run_sharded_scenario(spec: "ScenarioSpec") -> "ScenarioResult":
         run_seconds = _time.perf_counter() - build_done
     finally:
         driver.close()
-
-    return _merge_results(
-        spec, plan, results, directory, barriers, run_seconds, driver
-    )
+    results.sort(key=lambda res: res.shard)
+    health = {
+        "barriers": barriers,
+        "worker_restarts": driver.total_restarts,
+        "shards_failed": sum(driver.failed),
+        "shard_status": driver.shard_status(),
+    }
+    return results, run_seconds, health
 
 
 def _route_envelopes(
@@ -356,23 +368,19 @@ def _route_envelopes(
 
 
 def _run_and_ingest(
-    driver: _ShardDriver,
-    directory: GossipDirectory,
-    commands: dict[int, tuple],
+    driver: _ShardDriver, commands: dict[int, tuple]
 ) -> list[tuple[float, int]]:
     """One barrier round: fan out run commands, ingest the replies.
 
-    Gossip and envelope bookkeeping happens here so a shard that fails
-    its restart budget mid-round simply contributes nothing (its reply
-    is ``None``); the round still completes for the survivors.
+    A shard that fails its restart budget mid-round simply contributes
+    nothing (its reply is ``None``); the round still completes for the
+    survivors.
     """
     emitted: list[tuple[float, int]] = []
     for shard, payload in driver.broadcast(commands, "window").items():
         if payload is None:
             continue
         emitted.extend(payload["emitted"])
-        directory.publish(shard, payload["digests"])
-        directory.receive_exports(shard, payload["exports"])
         worker = driver.workers[shard]
         if worker is not None:
             worker.next_event = payload["next_event"]
@@ -380,22 +388,16 @@ def _run_and_ingest(
 
 
 def _drive_windows(
-    spec: "ScenarioSpec",
-    plan: ShardPlan,
-    driver: _ShardDriver,
-    directory: GossipDirectory,
+    spec: "ScenarioSpec", plan: ShardPlan, driver: _ShardDriver
 ) -> int:
     """Step every shard to ``spec.duration``; returns the barrier count.
 
     Pure partitions take the single-window fast path: no cross-shard
-    links means no envelopes and no gossip peers worth the pipe
-    traffic, so each worker runs its whole scenario uninterrupted.
+    links means no envelopes, so each worker runs its whole scenario
+    uninterrupted.
     """
     duration = spec.duration
     if plan.is_pure:
-        # Replies are still awaited (the broadcast owns crash
-        # recovery) but their gossip goes unpublished: pure partitions
-        # have no cut, so cross-shard cache shipping is all cost.
         driver.broadcast(
             {w.shard: ("run", duration, {}) for w in driver.live()},
             "window",
@@ -421,21 +423,14 @@ def _drive_windows(
             # one quantum past the earliest pending event instead of
             # lock-stepping through empty quanta.
             target = min(duration, min(next_times) + quantum)
-        requests = directory.export_requests()
         commands: dict[int, tuple] = {}
         for worker in workers:
             deliveries: dict[str, Any] = {}
             if worker.shard in pending:
                 deliveries["envelopes"] = pending[worker.shard]
-            exports_wanted = requests.get(worker.shard)
-            if exports_wanted:
-                deliveries["export_requests"] = exports_wanted
-            imports = directory.imports_for(worker.shard)
-            if imports:
-                deliveries["imports"] = imports
             commands[worker.shard] = ("run", target, deliveries)
         pending = {}
-        emitted = _run_and_ingest(driver, directory, commands)
+        emitted = _run_and_ingest(driver, commands)
         for shard, envelopes in _route_envelopes(
             spec, plan, emitted
         ).items():
@@ -450,7 +445,6 @@ def _drive_windows(
         # still describe the injection).
         _run_and_ingest(
             driver,
-            directory,
             {
                 w.shard: (
                     "run",
@@ -464,69 +458,7 @@ def _drive_windows(
     return barriers
 
 
-def _merge_results(
-    spec: "ScenarioSpec",
-    plan: ShardPlan,
-    results: list[ShardResult],
-    directory: GossipDirectory,
-    barriers: int,
-    run_seconds: float,
-    driver: _ShardDriver,
-) -> "ScenarioResult":
-    from repro.fleet.runner import ScenarioResult
-
-    results.sort(key=lambda res: res.shard)
-    detections, injections = _merge_detections(results)
-    latencies: list[float] = []
-    for res in results:
-        latencies.extend(res.confirmation_latencies)
-    metrics = merge_fleet_metrics(
-        [res.metrics for res in results],
-        detections=detections,
-        confirmation_latencies=latencies,
-        duration=spec.duration,
-    )
-    metrics.workers = plan.workers
-    metrics.cut_links = len(plan.cut_edges)
-    metrics.barriers = barriers
-    metrics.gossip_digests_published = directory.digests_published
-    metrics.gossip_entries_shipped = directory.entries_shipped
-    metrics.gossip_entries_imported = sum(
-        res.gossip_entries_imported for res in results
-    )
-    metrics.worker_restarts = driver.total_restarts
-    metrics.shards_failed = sum(driver.failed)
-    metrics.shard_status = driver.shard_status()
-
-    observer = spec.build_observer()
-    if observer is not None:
-        rows = sorted(
-            (row for res in results for row in res.trace_rows),
-            # Sort on the timestamp alone: later tuple fields hold
-            # dicts, which do not compare.  The sort is stable, so
-            # same-timestamp rows keep shard order.
-            key=lambda row: row[0],
-        )
-        observer.trace.extend_raw(rows)
-        observer.trace.emitted = sum(res.trace_emitted for res in results)
-
-    result = ScenarioResult(
-        spec=spec,
-        deployment=None,
-        injections=injections,
-        metrics=metrics,
-        observer=observer,
-        timings={"run_seconds": run_seconds},
-        restarts=driver.total_restarts,
-        degraded=any(driver.failed),
-    )
-    result.export()
-    return result
-
-
-def _merge_detections(
-    results: list[ShardResult],
-) -> tuple[list[DetectionRecord], list[Injection]]:
+def merge_detections(results: list[ShardResult]) -> list[DetectionRecord]:
     """Fuse per-shard detection records by global failure-spec index.
 
     Single-owner specs appear in exactly one shard.  A cut-crossing
@@ -542,7 +474,6 @@ def _merge_detections(
         ):
             by_index.setdefault(index, []).append(record)
     detections: list[DetectionRecord] = []
-    injections: list[Injection] = []
     for index in sorted(by_index):
         parts = by_index[index]
         merged = parts[0]
@@ -562,5 +493,4 @@ def _merge_detections(
                 merged.detected_on = other.detected_on
                 merged.alarm_kind = other.alarm_kind
         detections.append(merged)
-        injections.append(injection)
-    return detections, injections
+    return detections

@@ -18,11 +18,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 import networkx as nx
 
 from repro.controller import ConfirmMode, SdnController
-from repro.core.catching import (
-    CatchingPlan,
-    ColoringAlgorithm,
-    plan_catching_rules,
-)
+from repro.core.catching import ColoringAlgorithm, plan_catching_rules
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContextStats
 from repro.core.multiplexer import MonocleSystem
@@ -36,6 +32,12 @@ from repro.sim.random import DeterministicRandom
 from repro.switches.profiles import OVS, SwitchProfile
 from repro.switches.switch import SimulatedSwitch
 
+#: How often (sim seconds) a deployment with forked contexts checks for
+#: churn quiescence and re-merges those whose tables became identical
+#: again (rolling re-fingerprinting; see
+#: :meth:`~repro.core.shared.SharedContextRegistry.rededupe`).
+REDEDUPE_INTERVAL = 0.5
+
 
 class FleetDeployment:
     """One topology, fully instrumented and ready to run.
@@ -44,8 +46,6 @@ class FleetDeployment:
         topology: switch-level graph (from :mod:`repro.topology`).
         profiles: per-node profile, one profile for all, or a callable
             ``node -> profile`` (same contract as :class:`Network`).
-        plan: catching plan; computed from ``strategy``/``algorithm``
-            when omitted.
         config: monitoring configuration shared by all Monitors.
         dynamic: interpose a DynamicMonitor per switch so FlowMods are
             confirmed and acknowledged (§4).
@@ -55,11 +55,6 @@ class FleetDeployment:
             switches with identical tables and compatible generator
             configs (one shared solver per replica group, copy-on-churn
             forking).  On by default; disable for A/B benchmarking.
-        rededupe_interval: how often (sim seconds) to check for churn
-            quiescence and re-merge forked contexts whose tables became
-            identical again (rolling re-fingerprinting; see
-            :meth:`~repro.core.shared.SharedContextRegistry.rededupe`).
-            ``None``/0 disables the sweep.
         probe_policy: probe-scheduling policy per switch — one
             :data:`~repro.core.schedule.POLICIES` name for the whole
             fleet, a node -> name mapping, or a callable
@@ -82,15 +77,12 @@ class FleetDeployment:
         profiles: SwitchProfile
         | Mapping[Hashable, SwitchProfile]
         | Callable[[Hashable], SwitchProfile] = OVS,
-        plan: CatchingPlan | None = None,
         config: MonitorConfig | None = None,
         dynamic: bool = True,
         seed: int = 0,
         strategy: int = 1,
         algorithm: ColoringAlgorithm = ColoringAlgorithm.EXACT,
-        use_drop_postponing: bool = False,
         share_contexts: bool = True,
-        rededupe_interval: float | None = 0.5,
         probe_policy: str
         | Mapping[Hashable, str]
         | Callable[[Hashable], str] = "round_robin",
@@ -115,31 +107,26 @@ class FleetDeployment:
             self.sim, topology, profiles=profiles, seed=seed
         )
         self.config = config if config is not None else MonitorConfig()
-        if plan is None:
-            plan = plan_catching_rules(
-                topology, strategy=strategy, algorithm=algorithm
-            )
-        self.plan = plan
+        self.plan = plan_catching_rules(
+            topology, strategy=strategy, algorithm=algorithm
+        )
         self.shared_contexts = (
             SharedContextRegistry() if share_contexts else None
         )
-        self.rededupe_interval = rededupe_interval
         #: churn_ops sample from the previous tick; a tick that sees
         #: no new operations treats the fleet as churn-quiescent.
         self._churn_ops_seen = -1
         self._rededupe_armed = False
-        if self.shared_contexts is not None and rededupe_interval:
+        if self.shared_contexts is not None:
             # Armed lazily: the timer only runs while forked contexts
             # exist, so an idle deployment's event queue can drain.
             self.shared_contexts.on_fork = self._arm_rededupe
-        self.probe_policy = probe_policy
         self.system = MonocleSystem(
             self.network,
-            plan=plan,
+            plan=self.plan,
             config=self.config,
             dynamic=dynamic,
             controller_handler=self._handle_upstream,
-            use_drop_postponing=use_drop_postponing,
             shared_contexts=self.shared_contexts,
             probe_policy=probe_policy,
             obs=self.obs,
@@ -155,30 +142,26 @@ class FleetDeployment:
         self.production_rules: dict[Hashable, list[Rule]] = {
             node: [] for node in self.nodes
         }
-        #: Non-probe upstream messages the controller did not consume.
-        self.upstream_messages: list[tuple[Hashable, Message]] = []
-        self._started = False
 
     # ----- wiring ----------------------------------------------------------
 
     def _handle_upstream(self, node: Hashable, msg: Message) -> None:
         self.controller.handle_message(node, msg)
-        self.upstream_messages.append((node, msg))
 
     def _arm_rededupe(self) -> None:
         """Schedule the next re-dedupe tick (idempotent)."""
-        if self._rededupe_armed or not self.rededupe_interval:
+        if self._rededupe_armed:
             return
         registry = self.shared_contexts
         assert registry is not None
         self._rededupe_armed = True
         self._churn_ops_seen = registry.churn_ops
-        self.sim.schedule(self.rededupe_interval, self._rededupe_tick)
+        self.sim.schedule(REDEDUPE_INTERVAL, self._rededupe_tick)
 
     def _rededupe_tick(self) -> None:
         """Re-merge forked contexts once the churn wave has settled.
 
-        Runs every ``rededupe_interval`` while forked contexts exist
+        Runs every :data:`REDEDUPE_INTERVAL` while forked contexts exist
         (armed by the registry's fork hook, disarmed when nothing is
         left to re-merge); only a tick observing zero new table
         operations since the previous one (churn quiescence) pays for
@@ -321,7 +304,6 @@ class FleetDeployment:
 
     def start_monitoring(self) -> None:
         """Start the §3 steady-state cycle on every Monitor."""
-        self._started = True
         self.system.start_steady_state()
 
     def run(self, duration: float) -> None:

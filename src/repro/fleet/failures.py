@@ -6,8 +6,9 @@ the data plane, a rule forwarding to the wrong port, two rules whose
 effective priorities are swapped, a link or port dying, and a switch
 that accepts a FlowMod but never applies it.
 
-:func:`schedule_failures` arms the specs on a deployment's kernel and
-returns one :class:`Injection` record per spec; the metrics layer later
+:func:`arm_failure` arms one spec on a deployment's kernel
+(:func:`schedule_failures` arms a list of them) and returns its
+:class:`Injection` record; the metrics layer later
 matches monitor alarms against these records to compute detection
 latencies and false-alarm counts.
 """
@@ -490,9 +491,9 @@ def inject_now(
 ) -> None:
     """Apply ``spec`` to the deployment at the current sim time.
 
-    The fire-time body shared by :func:`schedule_failures` and the
-    sharded-fleet worker (which applies cut-crossing specs announced by
-    a peer shard on envelope delivery).  ``time`` overrides the
+    The fire-time body shared by :func:`arm_failure` and the shard
+    worker's envelope delivery (which applies cut-crossing specs
+    announced by a peer shard).  ``time`` overrides the
     recorded injection time — an envelope receiver stamps the
     *announcer's* fire time so detection latencies stay honest even
     though delivery lands a barrier window later.  A
@@ -522,6 +523,34 @@ def inject_now(
         )
 
 
+def arm_failure(
+    deployment: FleetDeployment,
+    spec: FailureSpec,
+    index: int,
+    fired: list[tuple[float, int]] | None = None,
+) -> Injection:
+    """Arm one spec on the deployment's sim clock; returns its record.
+
+    ``index`` is the spec's position in the scenario's failure list: it
+    selects the spec-indexed random stream (:func:`failure_rng`), so
+    victims do not depend on which deployment — the whole fleet or one
+    shard of it — arms the spec.  ``fired``, when given, receives
+    ``(fire time, index)`` once the spec has been injected (a shard
+    worker's outbox of cut-crossing failures to announce).
+    """
+    record = Injection(kind=spec.kind, time=spec.at, chaos=spec.chaos)
+
+    def fire() -> None:
+        inject_now(
+            deployment, spec, record, rng=failure_rng(deployment, index)
+        )
+        if fired is not None:
+            fired.append((record.time, index))
+
+    deployment.sim.at(spec.at, fire)
+    return record
+
+
 def schedule_failures(
     deployment: FleetDeployment,
     specs: "tuple[FailureSpec, ...] | list[FailureSpec]",
@@ -535,17 +564,7 @@ def schedule_failures(
     instead of crashing the simulation; such an injection can never be
     detected, so the scenario reports it as a failure.
     """
-    injections: list[Injection] = []
-    for index, spec in enumerate(specs):
-        record = Injection(kind=spec.kind, time=spec.at, chaos=spec.chaos)
-        injections.append(record)
-        deployment.sim.at(
-            spec.at,
-            lambda spec=spec, record=record, index=index: inject_now(
-                deployment,
-                spec,
-                record,
-                rng=failure_rng(deployment, index),
-            ),
-        )
-    return injections
+    return [
+        arm_failure(deployment, spec, index)
+        for index, spec in enumerate(specs)
+    ]

@@ -118,14 +118,14 @@ class FleetMetrics:
     contexts_remerged: int = 0
     #: Sharded-runtime shape: worker count, links cut by the shard
     #: boundary, and conservative-time barrier windows the coordinator
-    #: ran (0 for in-process runs and pure partitions).
+    #: ran (0 for one-shard runs and pure partitions).
     workers: int = 1
     cut_links: int = 0
     barriers: int = 0
-    #: Cross-shard fingerprint gossip: digests advertised at barriers,
-    #: cache entries shipped by exporters, entries actually adopted.
-    gossip_digests_published: int = 0
-    gossip_entries_shipped: int = 0
+    #: Always 0, and in neither ``to_json()`` nor the report: nothing
+    #: sets it, but ``bench/workloads.py`` (``fleet_facts``) reads the
+    #: attribute and ``bench/`` only changes in a ``benchmark`` PR, which
+    #: should drop both (see ROADMAP).
     gossip_entries_imported: int = 0
     #: Self-healing shard runtime: worker re-spawns the coordinator
     #: performed, shards abandoned after the restart budget ran out,
@@ -327,9 +327,6 @@ class FleetMetrics:
                 "workers": self.workers,
                 "cut_links": self.cut_links,
                 "barriers": self.barriers,
-                "gossip_digests_published": self.gossip_digests_published,
-                "gossip_entries_shipped": self.gossip_entries_shipped,
-                "gossip_entries_imported": self.gossip_entries_imported,
                 "alarms_total": self.alarms_total,
                 "true_alarms": self.true_alarms,
                 "false_alarms": len(self.false_alarms),

@@ -118,10 +118,7 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
     if metrics.workers > 1:
         lines.append(
             f"sharding: {metrics.workers} workers, "
-            f"{metrics.cut_links} cut links, {metrics.barriers} barriers, "
-            f"gossip {metrics.gossip_digests_published} digests / "
-            f"{metrics.gossip_entries_shipped} shipped / "
-            f"{metrics.gossip_entries_imported} imported"
+            f"{metrics.cut_links} cut links, {metrics.barriers} barriers"
         )
     if metrics.updates_confirmed or metrics.updates_given_up:
         lines.append(

@@ -1,10 +1,11 @@
 """Declarative fleet scenarios: spec in, metrics out.
 
 :class:`ScenarioSpec` names a topology, a switch profile, a workload
-mix, and a failure schedule; :func:`run_scenario` builds the
-deployment, runs it on the discrete-event kernel, and returns a
-:class:`ScenarioResult` with aggregated metrics — so examples and
-benchmarks stop hand-rolling orchestration.
+mix, and a failure schedule; :func:`run_scenario` plans the shards,
+runs one :class:`~repro.fleet.shardworker.ShardWorker` per shard (in
+this process for a one-shard plan, in worker processes otherwise), and
+returns a :class:`ScenarioResult` with aggregated metrics — so examples
+and benchmarks stop hand-rolling orchestration.
 
 The module doubles as the ``repro-fleet`` console entry point::
 
@@ -21,13 +22,14 @@ import json
 import os
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Any, Callable
 
 import networkx as nx
 
-from repro.core.catching import CapacityError, ColoringAlgorithm
+from repro.core.catching import ColoringAlgorithm
 from repro.core.monitor import MonitorConfig
 from repro.core.schedule import POLICIES as SCHEDULE_POLICIES
+from repro.fleet.coordinator import drive_shards, merge_detections
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
     FailureSpec,
@@ -35,15 +37,20 @@ from repro.fleet.failures import (
     LinkFailure,
     RuleCorruption,
     RuleDrop,
-    schedule_failures,
 )
-from repro.fleet.metrics import FleetMetrics, collect_fleet_metrics
+from repro.fleet.metrics import FleetMetrics, merge_fleet_metrics
 from repro.fleet.report import format_fleet_report
+from repro.fleet.sharding import plan_shards
+from repro.fleet.shardworker import (
+    ScenarioError,
+    ShardWorker,
+    WorkerCrash,
+    WorkerHang,
+)
 from repro.obs import NullObserver, Observer
 from repro.fleet.workloads import (
     BackgroundTraffic,
     RuleChurn,
-    SteadyRules,
     Workload,
 )
 from repro.switches.profiles import (
@@ -64,13 +71,6 @@ from repro.topology.generators import (
     star,
     triangle,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.fleet.shardworker import WorkerCrash, WorkerHang
-
-
-class ScenarioError(ValueError):
-    """The scenario spec is inconsistent or unbuildable."""
 
 
 def _zoo_topology(size: int) -> nx.Graph:
@@ -146,8 +146,8 @@ class ScenarioSpec:
     obs_snapshot_interval: float | None = None
     #: Sharded runtime (:mod:`repro.fleet.coordinator`): split the
     #: fleet across this many worker processes, each with its own sim
-    #: kernel.  ``1`` keeps the in-process path; ``"auto"`` sizes the
-    #: fleet to this host's usable CPUs (scheduling affinity mask).
+    #: kernel.  ``1`` runs the one shard in this process; ``"auto"``
+    #: sizes the fleet to this host's usable CPUs (affinity mask).
     workers: int | str = 1
     #: Conservative-time barrier window (sim seconds) for scenarios
     #: whose shard cut crosses topology links; ``None`` derives one
@@ -366,13 +366,13 @@ class ScenarioResult:
     """Everything a scenario run produced."""
 
     spec: ScenarioSpec
-    #: The live deployment for in-process runs; ``None`` after a
+    #: The live deployment of a one-shard run; ``None`` after a
     #: sharded run (the deployments lived in the worker processes).
     deployment: FleetDeployment | None
     injections: list[Injection]
     metrics: FleetMetrics
-    #: The deployment's observer — an :class:`~repro.obs.Observer`
-    #: when the spec asked for observability, else the NullObserver.
+    #: The live deployment's observer; after a sharded run, a recorder
+    #: holding the merged trace (``None`` unless the spec observes).
     observer: "Observer | NullObserver | None" = None
     #: Human-readable lines describing the artifacts :meth:`export`
     #: wrote (run_scenario exports once, right after collection).
@@ -420,70 +420,85 @@ class ScenarioResult:
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Plan, deploy, inject, detect, report — one call.
 
-    The full pipeline: validate the spec, compute the catching plan and
-    instantiate a monitored switch per topology node, install the
-    workload mix, arm the failure schedule, run the shared kernel for
-    ``spec.duration`` simulated seconds, and aggregate fleet metrics.
-
-    ``spec.workers > 1`` hands the scenario to the sharded runtime
-    (:func:`~repro.fleet.coordinator.run_sharded_scenario`): same spec,
-    same metrics bundle, per-shard worker processes instead of one
-    kernel.
+    One pipeline at every worker count: validate the spec, cut the
+    topology into shards, run one :class:`~repro.fleet.shardworker.
+    ShardWorker` per shard — each computes the catching plan, builds its
+    monitored switches, installs the workload mix, arms the failure
+    schedule and runs its kernel for ``spec.duration`` simulated
+    seconds — and merge the shard results into fleet metrics.  Only the
+    transport differs: a one-shard plan runs its worker by direct call
+    and keeps the live ``deployment`` / ``observer`` on the result; a
+    larger plan runs worker processes driven over pipes
+    (:func:`~repro.fleet.coordinator.drive_shards`).
     """
     spec.validate()
-    workers = spec.resolved_workers()
-    if workers > 1:
-        # Imported lazily: the coordinator imports this module for the
-        # spec/result types, so a top-level import would be circular.
-        from repro.fleet.coordinator import run_sharded_scenario
+    plan = plan_shards(spec.build_topology(), spec.resolved_workers())
+    if spec.workers != plan.workers:
+        # "auto", or more workers than switches: the result names the
+        # shard count that actually ran.
+        spec = replace(spec, workers=plan.workers)
+    deployment: FleetDeployment | None = None
+    # FleetMetrics fields only a coordinator fills (the defaults
+    # describe a run without one).
+    health: dict[str, Any] = {}
+    if plan.workers == 1:
+        worker = ShardWorker(spec, plan, 0)
+        run_started = _time.perf_counter()
+        worker.run_window(spec.duration, {})
+        run_seconds = _time.perf_counter() - run_started
+        results = [worker.result()]
+        deployment = worker.deployment
+    else:
+        results, run_seconds, health = drive_shards(spec, plan)
 
-        if spec.workers != workers:
-            spec = replace(spec, workers=workers)
-        return run_sharded_scenario(spec)
-    if spec.workers != 1:
-        # "auto" resolved to a single CPU: plain in-process run (worker
-        # chaos hooks have no workers to bite).
-        spec = replace(spec, workers=1, chaos=())
-    observer = spec.build_observer()
-    try:
-        deployment = FleetDeployment(
-            spec.build_topology(),
-            profiles=PROFILES[spec.profile],
-            config=spec.monitor_config(),
-            dynamic=spec.dynamic,
-            seed=spec.seed,
-            strategy=spec.strategy,
-            algorithm=ALGORITHMS[spec.algorithm],
-            probe_policy=spec.probe_policy,
-            obs=observer,
+    detections = merge_detections(results)
+    observer: Observer | NullObserver | None
+    if deployment is not None:
+        # The one shard's bundle is already fleet-wide; a merge would
+        # only re-sort its false alarms and flatten its snapshot
+        # histograms.
+        metrics = results[0].metrics
+        observer = deployment.obs
+    else:
+        metrics = merge_fleet_metrics(
+            [res.metrics for res in results],
+            detections=detections,
+            confirmation_latencies=[
+                latency
+                for res in results
+                for latency in res.confirmation_latencies
+            ],
+            duration=spec.duration,
         )
-    except CapacityError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    workloads: list[Workload] = [SteadyRules(spec.rules_per_switch)]
-    workloads.extend(spec.workloads)
-    for workload in workloads:
-        workload.setup(deployment)
-
-    injections = schedule_failures(deployment, spec.failures)
-    deployment.start_monitoring()
-    run_started = _time.perf_counter()
-    deployment.run(spec.duration)
-    run_seconds = _time.perf_counter() - run_started
-
-    metrics = collect_fleet_metrics(
-        deployment,
-        injections=injections,
-        workloads=workloads,
-        duration=spec.duration,
+        observer = spec.build_observer()
+        if observer is not None:
+            rows = sorted(
+                (row for res in results for row in res.trace_rows),
+                # Sort on the timestamp alone: later tuple fields hold
+                # dicts, which do not compare.  The sort is stable, so
+                # same-timestamp rows keep shard order.
+                key=lambda row: row[0],
+            )
+            observer.trace.extend_raw(rows)
+            observer.trace.emitted = sum(
+                res.trace_emitted for res in results
+            )
+    metrics = replace(
+        metrics,
+        workers=plan.workers,
+        cut_links=len(plan.cut_edges),
+        **health,
     )
+
     result = ScenarioResult(
         spec=spec,
         deployment=deployment,
-        injections=injections,
+        injections=[record.injection for record in detections],
         metrics=metrics,
-        observer=deployment.obs,
+        observer=observer,
         timings={"run_seconds": run_seconds},
+        restarts=metrics.worker_restarts,
+        degraded=metrics.shards_failed > 0,
     )
     result.export()
     return result
@@ -542,10 +557,8 @@ def _workers_arg(text: str) -> int | str:
         ) from None
 
 
-def _chaos_arg(text: str) -> "WorkerCrash | WorkerHang":
+def _chaos_arg(text: str) -> WorkerCrash | WorkerHang:
     """``--chaos kill:SHARD[@WINDOW]`` / ``hang:SHARD[@WINDOW]``."""
-    from repro.fleet.shardworker import WorkerCrash, WorkerHang
-
     kind, _, rest = text.partition(":")
     shard_text, _, window_text = rest.partition("@")
     try:
@@ -603,8 +616,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=_workers_arg, default=1,
                         metavar="N|auto",
                         help="shard the fleet across this many worker "
-                             "processes (1 = in-process, auto = usable "
-                             "CPU count)")
+                             "processes (1 = in this process, auto = "
+                             "usable CPU count)")
     parser.add_argument("--barrier-quantum", type=float, default=None,
                         metavar="SECONDS",
                         help="cross-shard barrier window (default: one "

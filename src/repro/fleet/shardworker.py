@@ -1,22 +1,25 @@
-"""The per-shard worker process of the sharded fleet runtime.
+"""One shard of a fleet scenario: the engine every run goes through.
 
-Each worker owns one shard of the topology and its own discrete-event
-kernel, switches, Monitors, and (shard-local)
-:class:`~repro.core.shared.SharedContextRegistry`.  The worker builds
-the **full** topology — identical port numbers, switch numbers,
-catching plan, and per-switch RNG streams on every worker, whatever the
-worker count — but only its owned switches get Monitors, production
-rules, and workload activity.  Unowned switches exist as passive
-mirrors holding just their catching rules, which is exactly what an
-owned switch's probes need from an unowned downstream neighbor: probe
-transit never crosses the process boundary.
+A :class:`ShardWorker` owns one shard of the topology and its own
+discrete-event kernel, switches, Monitors, and (shard-local)
+:class:`~repro.core.shared.SharedContextRegistry`; it is the one place
+that builds a deployment from a :class:`~repro.fleet.runner.
+ScenarioSpec`, arms its failures and collects its metrics.  A one-shard
+plan runs its worker in the calling process; a larger plan runs each
+worker in its own process (:func:`worker_main`), driven over pipes by
+:mod:`repro.fleet.coordinator`.
 
-What *does* cross (via :mod:`repro.fleet.coordinator`'s pipes):
+The worker builds the **full** topology — identical port numbers,
+switch numbers, catching plan, and per-switch RNG streams on every
+worker, whatever the worker count — but only its owned switches get
+Monitors, production rules, and workload activity.  Unowned switches
+exist as passive mirrors holding just their catching rules, which is
+exactly what an owned switch's probes need from an unowned downstream
+neighbor: probe transit never crosses the process boundary.
 
-* envelopes announcing cut-crossing failure injections, applied by the
-  peer shard at the next barrier with the announcer's fire time;
-* fingerprint-gossip advertisements, export payloads, and imports
-  (cross-shard probe-cache shipping between identical-table switches).
+What *does* cross: envelopes announcing cut-crossing failure
+injections, applied by the peer shard at the next barrier with the
+announcer's fire time.
 """
 
 from __future__ import annotations
@@ -27,23 +30,32 @@ import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable
 
-from repro.core.probegen import ProbeGenContext
-from repro.core.shared import _rule_sig, generator_key
+from repro.core.catching import CapacityError
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
     FailureSpec,
     Injection,
+    arm_failure,
     failure_rng,
     inject_now,
 )
 from repro.fleet.metrics import FleetMetrics, collect_fleet_metrics
-from repro.fleet.sharding import Digest, GossipPayload, ShardPlan, spec_nodes
+from repro.fleet.sharding import ShardPlan, spec_nodes
 from repro.fleet.workloads import RuleChurn, SteadyRules, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from multiprocessing.connection import Connection
 
     from repro.fleet.runner import ScenarioSpec
+
+
+class ScenarioError(ValueError):
+    """The scenario spec is inconsistent or unbuildable.
+
+    Lives here, not in the runner that re-exports it, so a worker and
+    ``python -m repro.fleet.runner`` (which runs the runner module a
+    second time, as ``__main__``) raise and catch one class.
+    """
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,6 @@ class ShardResult:
     #: the ring's lifetime emit count, for the merged recorder.
     trace_rows: list[tuple] = field(default_factory=list)
     trace_emitted: int = 0
-    gossip_entries_imported: int = 0
 
 
 def _announcer(plan: ShardPlan, nodes: list[Hashable]) -> int:
@@ -138,19 +149,21 @@ class ShardWorker:
         self.spec = spec
         self.plan = plan
         self.shard = shard
-        self.owned = set(plan.shards[shard])
-        self.deployment = FleetDeployment(
-            spec.build_topology(),
-            profiles=PROFILES[spec.profile],
-            config=spec.monitor_config(),
-            dynamic=spec.dynamic,
-            seed=spec.seed,
-            strategy=spec.strategy,
-            algorithm=ALGORITHMS[spec.algorithm],
-            probe_policy=spec.probe_policy,
-            obs=spec.build_observer(),
-            monitored_nodes=self.owned,
-        )
+        try:
+            self.deployment = FleetDeployment(
+                spec.build_topology(),
+                profiles=PROFILES[spec.profile],
+                config=spec.monitor_config(),
+                dynamic=spec.dynamic,
+                seed=spec.seed,
+                strategy=spec.strategy,
+                algorithm=ALGORITHMS[spec.algorithm],
+                probe_policy=spec.probe_policy,
+                obs=spec.build_observer(),
+                monitored_nodes=plan.shards[shard],
+            )
+        except CapacityError as exc:
+            raise ScenarioError(str(exc)) from exc
         self.workloads: list[Workload] = [
             SteadyRules(spec.rules_per_switch)
         ]
@@ -163,11 +176,8 @@ class ShardWorker:
         self.pending_remote: dict[int, FailureSpec] = {}
         #: Envelopes fired this window: ``(fire time, spec index)``.
         self.outbox: list[tuple[float, int]] = []
-        self.gossip_imported = 0
         self._arm_failures()
         self.deployment.start_monitoring()
-
-    # ----- failure classification --------------------------------------
 
     def _arm_failures(self) -> None:
         for index, fspec in enumerate(self.spec.failures):
@@ -175,109 +185,20 @@ class ShardWorker:
             owners = {self.plan.owner(node) for node in nodes}
             if self.shard not in owners:
                 continue
-            record = Injection(
-                kind=fspec.kind, time=fspec.at, chaos=fspec.chaos
-            )
-            self.injections[index] = record
             if len(owners) == 1 or _announcer(self.plan, nodes) == self.shard:
-                announce = len(owners) > 1
-                self.deployment.sim.at(
-                    fspec.at,
-                    lambda fspec=fspec, record=record, index=index,
-                    announce=announce: self._fire(
-                        fspec, record, index, announce
-                    ),
+                self.injections[index] = arm_failure(
+                    self.deployment,
+                    fspec,
+                    index,
+                    fired=self.outbox if len(owners) > 1 else None,
                 )
             else:
                 # A peer shard announces; we apply our half when the
                 # envelope lands at the next barrier.
+                self.injections[index] = Injection(
+                    kind=fspec.kind, time=fspec.at, chaos=fspec.chaos
+                )
                 self.pending_remote[index] = fspec
-
-    def _fire(
-        self,
-        fspec: FailureSpec,
-        record: Injection,
-        index: int,
-        announce: bool,
-    ) -> None:
-        inject_now(
-            self.deployment,
-            fspec,
-            record,
-            rng=failure_rng(self.deployment, index),
-        )
-        if announce:
-            self.outbox.append((record.time, index))
-
-    # ----- gossip -------------------------------------------------------
-
-    def _contexts_by_digest(self) -> dict[Digest, ProbeGenContext]:
-        """Digest -> underlying context, one entry per distinct context.
-
-        Monitors on a shared entry resolve to the same base context;
-        the first (sorted node order) wins on a within-shard digest
-        collision, matching the registry's own dedup preference.
-        """
-        by_digest: dict[Digest, ProbeGenContext] = {}
-        seen: set[int] = set()
-        for node in self.deployment.monitored_nodes:
-            monitor = self.deployment.monitor(node)
-            context = monitor.probe_context
-            base = (
-                context.base_context()
-                if hasattr(context, "base_context")
-                else context
-            )
-            if id(base) in seen:
-                continue
-            seen.add(id(base))
-            digest: Digest = (
-                generator_key(monitor.generator),
-                base.table.fingerprint(),
-            )
-            by_digest.setdefault(digest, base)
-        return by_digest
-
-    def gossip_advertisement(self) -> dict[Digest, int]:
-        """``{digest: fresh-cache size}`` for this barrier window."""
-        return {
-            digest: base.cache_size()
-            for digest, base in self._contexts_by_digest().items()
-        }
-
-    def fulfill_exports(
-        self, requests: list[Digest]
-    ) -> dict[Digest, GossipPayload]:
-        """Ship the probe caches the coordinator asked this shard for.
-
-        A request is only honored while the digest still matches (the
-        table may have churned since the advertisement); the payload
-        carries the exact rule-signature sequence so the importer can
-        verify order-sensitive identity, not just the commutative
-        fingerprint.
-        """
-        by_digest = self._contexts_by_digest()
-        exports: dict[Digest, GossipPayload] = {}
-        for digest in requests:
-            base = by_digest.get(digest)
-            if base is None:
-                continue
-            signatures = tuple(_rule_sig(rule) for rule in base.table)
-            exports[digest] = (signatures, base.export_cache())
-        return exports
-
-    def apply_imports(
-        self, imports: dict[Digest, GossipPayload]
-    ) -> None:
-        """Adopt shipped probe caches into matching local contexts."""
-        by_digest = self._contexts_by_digest()
-        for digest, (signatures, entries) in imports.items():
-            base = by_digest.get(digest)
-            if base is None:
-                continue
-            if tuple(_rule_sig(rule) for rule in base.table) != signatures:
-                continue
-            self.gossip_imported += base.import_cache(entries)
 
     # ----- barrier windows ----------------------------------------------
 
@@ -288,9 +209,9 @@ class ShardWorker:
 
         Deliveries land at the window *start* (one barrier quantum
         after announcement at worst — the latency bound the sharding
-        tests pin); the reply carries this window's envelopes, gossip
-        advertisement, fulfilled exports, and the next pending event
-        time so the coordinator can fast-forward idle stretches.
+        tests pin); the reply carries this window's envelopes and the
+        next pending event time so the coordinator can fast-forward
+        idle stretches.
         """
         for time, index in sorted(deliveries.get("envelopes", [])):
             fspec = self.pending_remote.pop(index, None)
@@ -303,16 +224,11 @@ class ShardWorker:
                 time=time,
                 rng=failure_rng(self.deployment, index),
             )
-        self.apply_imports(deliveries.get("imports", {}))
-        exports = self.fulfill_exports(
-            deliveries.get("export_requests", [])
-        )
         self.deployment.sim.run(until)
-        emitted, self.outbox = self.outbox, []
+        emitted = list(self.outbox)
+        self.outbox.clear()
         return {
             "emitted": emitted,
-            "digests": self.gossip_advertisement(),
-            "exports": exports,
             "next_event": self.deployment.sim.next_event_time(),
         }
 
@@ -344,7 +260,6 @@ class ShardWorker:
             confirmation_latencies=latencies,
             trace_rows=trace_rows,
             trace_emitted=trace_emitted,
-            gossip_entries_imported=self.gossip_imported,
         )
 
 
@@ -362,18 +277,16 @@ def worker_main(
     * -> ``("ready",)`` once the shard deployment is built;
     * <- ``("run", until, deliveries)`` / -> ``("window", payload)``;
     * <- ``("finish",)`` / -> ``("result", ShardResult)``;
-    * -> ``("error", traceback)`` on any exception, then exit.
+    * -> ``("invalid", message)`` when the spec cannot be built (a
+      :class:`ScenarioError` the coordinator re-raises as such), or
+      ``("error", traceback)`` on any other exception, then exit.
 
     ``incarnation`` counts respawns: the coordinator passes 0 for the
     original process and N for the Nth replacement, so chaos hooks can
     target (or spare) replays deterministically.
     """
     try:
-        chaos = [
-            hook
-            for hook in getattr(spec, "chaos", ())
-            if hook.shard == shard
-        ]
+        chaos = [hook for hook in spec.chaos if hook.shard == shard]
         worker = ShardWorker(spec, plan, shard)
         conn.send(("ready",))
         windows = 0
@@ -389,9 +302,13 @@ def worker_main(
                 return
             else:  # pragma: no cover - protocol misuse is a bug
                 raise RuntimeError(f"unknown command {command[0]!r}")
-    except BaseException:
+    except BaseException as exc:
+        if isinstance(exc, ScenarioError):
+            failure = ("invalid", str(exc))
+        else:
+            failure = ("error", traceback.format_exc())
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send(failure)
         except (BrokenPipeError, OSError):  # pragma: no cover
             pass
     finally:

@@ -22,11 +22,9 @@ class Link:
         self,
         sim: Simulator,
         latency: float = DEFAULT_LATENCY,
-        loss_rate: float = 0.0,
     ) -> None:
         self.sim = sim
         self.latency = latency
-        self.loss_rate = loss_rate
         self.failed = False
         self._a_handler: Callable[[bytes], None] | None = None
         self._b_handler: Callable[[bytes], None] | None = None

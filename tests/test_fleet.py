@@ -322,9 +322,7 @@ class TestFleetRededupe:
         from repro.openflow.rule import Rule
         from repro.topology.generators import ring
 
-        deployment = FleetDeployment(
-            ring(4), dynamic=False, seed=7, rededupe_interval=0.2
-        )
+        deployment = FleetDeployment(ring(4), dynamic=False, seed=7)
         registry = deployment.shared_contexts
         assert registry is not None
         for node in deployment.nodes:

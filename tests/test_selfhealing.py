@@ -171,8 +171,8 @@ class TestAutoWorkers:
                 workers="auto",
             )
         )
-        # Resolved to one worker: the in-process path, which keeps the
-        # deployment around for inspection.
+        # Resolved to one worker: the shard runs in this process, which
+        # keeps the deployment around for inspection.
         assert result.deployment is not None
 
     def test_explicit_int_workers_unchanged(self):

@@ -1,15 +1,13 @@
 """Tests for the sharded multi-process fleet runtime.
 
-Three layers:
+Two layers:
 
-* unit — shard planning (locality, cut edges, clamping)
-  and the coordinator-side fingerprint-gossip directory;
-* mechanism — probe-cache export/import round-trips with the
-  order-sensitive rule-signature guard;
+* unit — shard planning (locality, cut edges, clamping);
 * end-to-end — the determinism pin (a partitionable scenario produces
-  a byte-identical alarm timeline at ``workers=4`` and ``workers=1``)
-  and the cut-latency bound (a cross-shard failure is detected within
-  one barrier quantum of the in-process run).
+  a byte-identical alarm timeline at ``workers=4`` and ``workers=1``),
+  the cut-latency bound (a cross-shard failure is detected within
+  one barrier quantum of the in-process run), and the one-shard case
+  running in the calling process.
 """
 
 from dataclasses import replace
@@ -17,16 +15,15 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
-from repro.core.probegen import ProbeGenContext, ProbeGenerator
 from repro.fleet.failures import LinkFailure, RuleDrop
-from repro.fleet.runner import ScenarioError, ScenarioSpec, run_scenario
-from repro.fleet.sharding import (
-    GossipDirectory,
-    plan_shards,
+from repro.fleet.runner import (
+    ScenarioError,
+    ScenarioSpec,
+    main,
+    run_scenario,
 )
-from repro.openflow.actions import output
-from repro.openflow.match import Match
-from repro.openflow.rule import Rule
+from repro.fleet.shardworker import WorkerCrash
+from repro.fleet.sharding import plan_shards
 from repro.topology.generators import islands, linear
 
 
@@ -61,101 +58,6 @@ class TestShardPlan:
         second = plan_shards(islands(16, island=4), 3)
         assert first.shards == second.shards
         assert first.cut_edges == second.cut_edges
-
-
-class TestGossipDirectory:
-    DIGEST_A = (("gen", 1), "aa" * 8)
-    DIGEST_B = (("gen", 1), "bb" * 8)
-    PAYLOAD = ((("sig",),), [("entry",)])
-
-    def test_single_holder_is_never_asked_to_export(self):
-        directory = GossipDirectory()
-        directory.publish(0, {self.DIGEST_A: 5})
-        directory.publish(1, {self.DIGEST_B: 5})
-        assert directory.export_requests() == {}
-
-    def test_two_holders_trigger_one_export_request(self):
-        directory = GossipDirectory()
-        directory.publish(0, {self.DIGEST_A: 5})
-        directory.publish(1, {self.DIGEST_A: 2})
-        requests = directory.export_requests()
-        # The richest holder (shard 0) is asked, exactly once.
-        assert requests == {0: [self.DIGEST_A]}
-        # Not re-requested while the first request is outstanding.
-        assert directory.export_requests() == {}
-
-    def test_tie_breaks_toward_the_lowest_shard(self):
-        directory = GossipDirectory()
-        directory.publish(2, {self.DIGEST_A: 3})
-        directory.publish(1, {self.DIGEST_A: 3})
-        assert directory.export_requests() == {1: [self.DIGEST_A]}
-
-    def test_payload_routes_to_other_holders_only(self):
-        directory = GossipDirectory()
-        for shard in (0, 1, 2):
-            directory.publish(shard, {self.DIGEST_A: shard + 1})
-        directory.export_requests()  # asks shard 2 (richest)
-        directory.receive_exports(2, {self.DIGEST_A: self.PAYLOAD})
-        assert directory.imports_for(2) == {}
-        assert directory.imports_for(0) == {self.DIGEST_A: self.PAYLOAD}
-        assert directory.imports_for(1) == {self.DIGEST_A: self.PAYLOAD}
-        # Delivery is once per shard, not once per window.
-        assert directory.imports_for(0) == {}
-        assert directory.entries_shipped == 1
-
-    def test_late_holder_of_delivered_digest_still_gets_payload(self):
-        directory = GossipDirectory()
-        directory.publish(0, {self.DIGEST_A: 4})
-        directory.publish(1, {self.DIGEST_A: 1})
-        directory.export_requests()
-        directory.receive_exports(0, {self.DIGEST_A: self.PAYLOAD})
-        assert directory.imports_for(1) == {self.DIGEST_A: self.PAYLOAD}
-        directory.publish(3, {self.DIGEST_A: 0})
-        assert directory.imports_for(3) == {self.DIGEST_A: self.PAYLOAD}
-
-
-CATCH = Match.build(dl_vlan=0xF03)
-
-
-def _context(rules):
-    context = ProbeGenContext(ProbeGenerator(catch_match=CATCH))
-    for rule in rules:
-        context.add_rule(rule)
-    return context
-
-
-def _rule(priority, dst):
-    return Rule(
-        priority=priority,
-        match=Match.build(nw_dst=dst),
-        actions=output(1),
-    )
-
-
-class TestCacheShipping:
-    def test_export_import_roundtrip_serves_cache_hits(self):
-        rules = [_rule(10, 0x0A000001), _rule(20, 0x0A000002)]
-        exporter = _context(rules)
-        for rule in exporter.table:
-            assert exporter.probe_for(rule).ok
-        entries = exporter.export_cache()
-        assert len(entries) == len(rules)
-
-        importer = _context(rules)
-        assert importer.import_cache(entries) == len(rules)
-        solves = importer.stats.probes_generated
-        for rule in importer.table:
-            assert importer.probe_for(rule).ok
-        # Every probe was served from the shipped cache.
-        assert importer.stats.probes_generated == solves
-        assert importer.stats.cache_hits >= len(rules)
-
-    def test_import_skips_rules_the_table_does_not_hold(self):
-        exporter = _context([_rule(10, 0x0A000001), _rule(20, 0x0A000002)])
-        for rule in exporter.table:
-            exporter.probe_for(rule)
-        importer = _context([_rule(10, 0x0A000001)])
-        assert importer.import_cache(exporter.export_cache()) == 1
 
 
 def _pure_spec(**overrides):
@@ -248,29 +150,30 @@ class TestShardedScenarios:
         # Envelopes land one barrier late at worst.
         assert abs(shard_det.latency - base_det.latency) <= quantum
 
-    def test_gossip_digests_flow_between_shards(self):
-        result = run_scenario(_pure_spec(workers=2, barrier_quantum=0.25))
-        # Pure partitions skip gossip entirely (no barriers) — force a
-        # cut scenario to see the advertisement traffic.
-        assert result.metrics.gossip_digests_published == 0
-        cut = run_scenario(
-            ScenarioSpec(
-                topology="linear",
-                size=6,
-                duration=0.8,
-                seed=3,
-                rules_per_switch=4,
-                probe_rate=100.0,
-                workers=2,
-                barrier_quantum=0.2,
-            )
-        )
-        assert cut.metrics.gossip_digests_published > 0
-
-    def test_workers1_takes_the_in_process_path(self):
+    def test_workers1_runs_in_process_with_live_handles(self):
         result = run_scenario(_pure_spec(workers=1))
         assert result.deployment is not None
+        assert result.observer is result.deployment.obs
         assert result.metrics.workers == 1
+
+    def test_plan_clamped_to_one_shard_runs_in_process(self):
+        """More workers than switches: the one-shard plan runs in the
+        calling process, where worker chaos hooks have no process to
+        bite."""
+        result = run_scenario(
+            ScenarioSpec(
+                topology="linear",
+                size=1,
+                duration=0.5,
+                rules_per_switch=4,
+                workers=4,
+                chaos=(WorkerCrash(shard=0),),
+            )
+        )
+        assert result.deployment is not None
+        assert result.metrics.workers == 1
+        assert len(result.metrics.per_switch) == 1
+        assert result.restarts == 0 and not result.degraded
 
     def test_sharded_report_renders(self):
         from repro.fleet.report import format_fleet_report
@@ -286,7 +189,33 @@ class TestShardedScenarios:
         payload = json.loads(json.dumps(result.metrics.to_json()))
         assert payload["aggregates"]["workers"] == 2
         assert payload["aggregates"]["barriers"] == 0
+        assert "gossip_digests_published" not in payload["aggregates"]
+        assert "gossip_entries_shipped" not in payload["aggregates"]
 
     def test_workers_reject_metrics_out_and_max_events(self):
         with pytest.raises(ScenarioError):
             _pure_spec(workers=2, metrics_out="/tmp/m.prom").validate()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unbuildable_spec_is_a_scenario_error(self, workers, capsys):
+        """300 switches with no coloring outgrow the reserved dl_vlan
+        range: a usage error (exit 2) whether the deployment is built in
+        this process or in a worker, not a worker traceback."""
+        spec = ScenarioSpec(
+            topology="ring",
+            size=300,
+            algorithm="none",
+            rules_per_switch=4,
+            duration=0.1,
+            workers=workers,
+        )
+        with pytest.raises(ScenarioError, match="exceed dl_vlan capacity"):
+            run_scenario(spec)
+        argv = (
+            "--topology ring --size 300 --algorithm none --rules 4 "
+            f"--duration 0.1 --drops 0 --workers {workers}"
+        ).split()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "exceed dl_vlan capacity" in capsys.readouterr().err

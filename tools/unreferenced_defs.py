@@ -1,11 +1,16 @@
-"""List every ``def`` in ``src/repro`` whose name occurs nowhere else.
+"""List the defs in ``src/repro`` that nothing, or only tests, use.
 
     python3 tools/unreferenced_defs.py
 
-"Nowhere else" is textual: one occurrence of the name as a whole word —
-its own definition — across ``src/``, ``tests/``, ``benchmarks/``,
-``examples/`` and ``bench/``.  Dunder methods are skipped.  Advisory:
-always exits 0 (a hit may be a public API nothing in the repo calls).
+Two lists, both textual (occurrences of the name as a whole word):
+
+* defs whose name occurs once — its own definition — across ``src/``,
+  ``tests/``, ``benchmarks/``, ``examples/`` and ``bench/``;
+* defs whose name occurs once outside ``tests/`` but is referenced from
+  ``tests/``: code only its own tests keep alive.
+
+Dunder methods are skipped.  Advisory: always exits 0 (a hit may be a
+public API nothing in the repo calls).
 """
 
 import re
@@ -15,13 +20,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "benchmarks", "examples", "bench")
 
+#: Occurrences per name: everywhere searched, and in ``tests/`` alone.
 words: Counter[str] = Counter()
+in_tests: Counter[str] = Counter()
 for top in SEARCHED:
     for path in sorted((ROOT / top).rglob("*.py")):
-        words.update(re.findall(r"\w+", path.read_text()))
+        found_words = re.findall(r"\w+", path.read_text())
+        words.update(found_words)
+        if top == "tests":
+            in_tests.update(found_words)
 
+unreferenced: list[str] = []
+tests_only: list[str] = []
 for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
         found = re.match(r"\s*def (\w+)\(", line)
-        if found and words[found[1]] == 1 and not found[1].startswith("__"):
-            print(f"{path.relative_to(ROOT)}:{number}: {found[1]}")
+        if not found or found[1].startswith("__"):
+            continue
+        name = found[1]
+        where = f"{path.relative_to(ROOT)}:{number}: {name}"
+        if words[name] == 1:
+            unreferenced.append(where)
+        elif words[name] - in_tests[name] == 1:
+            tests_only.append(where)
+
+for where in unreferenced:
+    print(where)
+print(f"-- referenced only from tests/ ({len(tests_only)}):")
+for where in tests_only:
+    print(where)
