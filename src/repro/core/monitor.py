@@ -230,8 +230,9 @@ class Monitor:
         #: Probe window: the cap on steady probes in flight at once
         #: (see ``MonitorConfig.probe_window``).
         self.window = max(1, self.config.probe_window)
+        #: Steady probes in flight right now, and the most there were.
+        self.window_depth = 0
         self.window_peak = 0
-        self._steady_depth = 0
         #: rule key -> number of outstanding (not done) probes, the
         #: O(1) busy check behind the scheduler's window drain.
         self._inflight_keys: dict[tuple, int] = {}
@@ -442,7 +443,7 @@ class Monitor:
         # steady probes in flight back up to ``window`` each tick, so
         # the sustained injection rate approaches window * probe_rate
         # while probe_rate still paces (and batches) the injections.
-        budget = 1 if self.window == 1 else self.window - self._steady_depth
+        budget = 1 if self.window == 1 else self.window - self.window_depth
         if budget <= 0:
             return
         promoted_keys: set[tuple] = set()
@@ -458,7 +459,7 @@ class Monitor:
             self.obs.emit(
                 "window.depth",
                 node=self.node,
-                depth=self._steady_depth,
+                depth=self.window_depth,
                 launched=len(rules),
                 window=self.window,
             )
@@ -778,9 +779,9 @@ class Monitor:
         key = result.rule.key()
         self._inflight_keys[key] = self._inflight_keys.get(key, 0) + 1
         if steady:
-            self._steady_depth += 1
-            if self._steady_depth > self.window_peak:
-                self.window_peak = self._steady_depth
+            self.window_depth += 1
+            if self.window_depth > self.window_peak:
+                self.window_peak = self.window_depth
         self._inject(probe)
         retry_gap = (
             retry_interval
@@ -875,7 +876,7 @@ class Monitor:
             self._inflight_keys[key] = count - 1
         if probe.steady:
             probe.steady = False
-            self._steady_depth -= 1
+            self.window_depth -= 1
 
     def invalidate_probe(self, probe: OutstandingProbe) -> None:
         """Cancel an in-flight probe (its table context became stale)."""

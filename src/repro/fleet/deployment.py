@@ -13,6 +13,7 @@ they never touch the wiring themselves.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Hashable, Iterable, Mapping
 
 import networkx as nx
@@ -23,6 +24,7 @@ from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContextStats
 from repro.core.multiplexer import MonocleSystem
 from repro.core.shared import SharedContextRegistry, SharedContextStats
+from repro.fleet.metrics import publish_metrics
 from repro.network.network import Network
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.messages import Message
@@ -133,7 +135,9 @@ class FleetDeployment:
             monitored_nodes=self._monitored_set,
         )
         if self.obs.enabled:
-            self.obs.metrics.add_collect_hook(self._sync_obs_metrics)
+            self.obs.metrics.add_collect_hook(
+                functools.partial(publish_metrics, self)
+            )
         self.controller = SdnController(
             self.sim, send=self.system.send_to_switch
         )
@@ -178,82 +182,6 @@ class FleetDeployment:
             registry.rededupe()
         if registry.forked:
             self._arm_rededupe()
-
-    def _sync_obs_metrics(self) -> None:
-        """Registry collect hook: mirror live stats into obs instruments.
-
-        Runs before every metrics snapshot / exposition, so the hot
-        monitoring paths never pay per-event counter updates — the
-        counters are synced from the stats the layers already keep,
-        and the gauges read live structure sizes.
-        """
-        registry = self.obs.metrics
-
-        def sync(name: str, value: float, **labels: str) -> None:
-            counter = registry.counter(name, **labels)
-            counter.inc(value - counter.value)
-
-        for node in self.monitored_nodes:
-            label = repr(node)
-            monitor = self.monitor(node)
-            sync("monocle_probes_sent_total", monitor.probes_sent,
-                 node=label)
-            sync("monocle_probes_confirmed_total",
-                 monitor.probes_confirmed, node=label)
-            sync("monocle_probes_timed_out_total",
-                 monitor.probes_timed_out, node=label)
-            sync("monocle_alarms_total", len(monitor.alarms), node=label)
-            sync("monocle_alarms_suppressed_total",
-                 monitor.alarms_suppressed, node=label)
-            sync("monocle_quarantines_total", monitor.quarantines,
-                 node=label)
-            context = monitor.probe_context
-            genstats = context.stats
-            sync("monocle_probegen_solves_total",
-                 genstats.probes_generated, node=label)
-            sync("monocle_probe_cache_hits_total", genstats.cache_hits,
-                 node=label)
-            sync("monocle_probe_revalidations_total",
-                 genstats.revalidations, node=label)
-            registry.gauge("monocle_outstanding_probes", node=label).set(
-                len(monitor.outstanding)
-            )
-            registry.gauge("monocle_cycle_keys", node=label).set(
-                len(monitor.scheduler)
-            )
-            if monitor.window > 1:
-                # Probe pipelining: live window occupancy.
-                registry.gauge("monocle_window_depth", node=label).set(
-                    monitor._steady_depth
-                )
-                registry.gauge("monocle_probe_window", node=label).set(
-                    monitor.window
-                )
-            solver = getattr(context, "solver", None)
-            if solver is None and hasattr(context, "_context"):
-                # Shared handle: read the backing context's solver.
-                solver = context._context().solver
-            if solver is not None:
-                health = solver.health()
-                registry.gauge("monocle_solver_clauses", node=label).set(
-                    health["num_clauses"]
-                )
-                registry.gauge("monocle_solver_lemmas", node=label).set(
-                    health["lemma_count"]
-                )
-            dyn = self.system.dynamics.get(node)
-            if dyn is not None:
-                sync("monocle_updates_confirmed_total",
-                     dyn.updates_confirmed, node=label)
-                sync("monocle_updates_given_up_total",
-                     dyn.updates_given_up, node=label)
-        if self.shared_contexts is not None:
-            stats = self.shared_contexts.stats
-            registry.gauge("monocle_contexts_forked").set(
-                len(self.shared_contexts.forked)
-            )
-            sync("monocle_contexts_forked_total", stats.contexts_forked)
-            sync("monocle_contexts_remerged_total", stats.contexts_remerged)
 
     # ----- accessors -------------------------------------------------------
 

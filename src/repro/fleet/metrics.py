@@ -1,27 +1,73 @@
-"""Fleet-wide metric aggregation.
+"""Fleet-wide metrics: one scrape, every other number a declared view.
 
-Collects, from a finished :class:`~repro.fleet.deployment.FleetDeployment`:
+The layers keep plain ``int`` attributes (``Monitor.probes_sent``,
+``SchedulerStats.cycle_rebuilds``, ``SwitchStats.packetins_sent``, ...)
+and nothing on the probe path publishes anywhere.  At collect time
+:func:`scrape_switch` / :func:`scrape_shard` read them into one
+:class:`SwitchMetrics` row per switch and one :class:`ShardMetrics` row
+per deployment, and each field's declaration (:func:`_stat`) names its
+views once:
 
-* per-switch monitoring counters (probes/s, confirmations, timeouts,
-  alarms, PacketOut/PacketIn overhead),
-* one detection record per injected failure (first attributable alarm,
-  detection latency),
-* false alarms — alarms no injection explains, per healthy switch,
-* update-confirmation latency distribution from churn records
-  (reusing :mod:`repro.analysis.stats`).
+* the fleet-wide fold (``FleetMetrics.probes_sent``,
+  ``to_json()["aggregates"]``, the merged sharded bundle),
+* the Prometheus family the observer's collect hook
+  (:func:`publish_metrics`) exposes it under.
+
+So a new counter is one field plus its line in the scrape.  Beside the
+counters a bundle carries one detection record per injected failure
+(first attributable alarm, detection latency), the false alarms no
+injection explains, and the churn workloads' raw update-confirmation
+latencies (summarized by :mod:`repro.analysis.stats`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from repro.analysis.stats import Summary, summarize
-from repro.core.monitor import MonitorAlarm
-from repro.fleet.deployment import FleetDeployment
-from repro.fleet.failures import Injection
-from repro.fleet.workloads import RuleChurn, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.monitor import MonitorAlarm
+    from repro.fleet.deployment import FleetDeployment
+    from repro.fleet.failures import Injection
+    from repro.fleet.workloads import Workload
+
+
+def _stat(
+    default: Any = 0,
+    *,
+    agg: str | None = None,
+    name: str | None = None,
+    family: str | None = None,
+    json_row: bool = True,
+) -> Any:
+    """Declare one scraped field and, once, every view of it.
+
+    Args:
+        default: the field default; also what a ``max`` fold returns
+            over no rows.
+        agg: how :class:`FleetMetrics` folds the column fleet-wide —
+            ``"sum"`` (booleans count their true rows) or ``"max"``;
+            ``None`` keeps the field per-row only.
+        name: the fleet-level attribute and ``aggregates`` key, where it
+            differs from the field name.
+        family: the Prometheus family :func:`publish_metrics` exposes
+            the field under — a counter when it ends in ``_total``, a
+            gauge otherwise; ``None`` keeps it out of the registry.
+        json_row: ``False`` keeps the field out of the ``--json-out``
+            per-switch rows, whose key set downstream tooling reads.
+    """
+    return field(
+        default=default,
+        metadata={
+            "agg": agg,
+            "name": name,
+            "family": family,
+            "json_row": json_row,
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -30,19 +76,29 @@ class SwitchMetrics:
 
     node: Hashable
     rules_installed: int
-    probes_sent: int
-    probes_confirmed: int
-    probes_timed_out: int
-    alarms: int
-    packetouts_processed: int
-    packetins_sent: int
-    flowmods_processed: int
+    probes_sent: int = _stat(agg="sum", family="monocle_probes_sent_total")
+    probes_confirmed: int = _stat(
+        agg="sum", family="monocle_probes_confirmed_total"
+    )
+    probes_timed_out: int = _stat(family="monocle_probes_timed_out_total")
+    alarms: int = _stat(
+        agg="sum", name="alarms_total", family="monocle_alarms_total"
+    )
+    packetouts_processed: int = _stat(agg="sum", name="packetout_total")
+    packetins_sent: int = _stat(agg="sum", name="packetin_total")
+    flowmods_processed: int = 0
     #: Incremental probe-generation engine counters: SAT solves actually
     #: run vs probes served from cache / cheap revalidation.
-    probes_generated: int = 0
-    probe_cache_hits: int = 0
-    probe_revalidations: int = 0
-    probegen_seconds: float = 0.0
+    probes_generated: int = _stat(
+        agg="sum", family="monocle_probegen_solves_total"
+    )
+    probe_cache_hits: int = _stat(
+        agg="sum", family="monocle_probe_cache_hits_total"
+    )
+    probe_revalidations: int = _stat(
+        agg="sum", family="monocle_probe_revalidations_total"
+    )
+    probegen_seconds: float = _stat(0.0, agg="sum")
     #: Cross-switch context sharing: is this switch currently deduped
     #: into a shared solver context, and did it fork off one
     #: (copy-on-churn) during the scenario?
@@ -53,26 +109,80 @@ class SwitchMetrics:
     #: scenario churned — the delta-maintenance invariant) and how many
     #: probes a priority-aware policy served ahead of the base cycle.
     probe_policy: str = "round_robin"
-    cycle_rebuilds: int = 0
-    scheduler_promotions: int = 0
+    cycle_rebuilds: int = _stat(agg="sum")
+    scheduler_promotions: int = _stat(agg="sum")
     #: Alarm hysteresis: ``missing`` alarms swallowed by the suspicion
     #: state machine (below the strike threshold, or quarantined), how
     #: many times the switch entered quarantine, and whether it was
     #: still quarantined when the scenario ended.
-    alarms_suppressed: int = 0
-    quarantines: int = 0
-    quarantined: bool = False
+    alarms_suppressed: int = _stat(
+        agg="sum", family="monocle_alarms_suppressed_total"
+    )
+    quarantines: int = _stat(agg="sum", family="monocle_quarantines_total")
+    quarantined: bool = _stat(False, agg="sum", name="switches_quarantined")
     #: Probe pipelining: the window this switch ran (1 = the paper's
     #: rate-paced cycle) and the deepest concurrent steady occupancy
     #: reached.
-    probe_window: int = 1
-    window_peak: int = 0
+    probe_window: int = _stat(1, agg="max", family="monocle_probe_window")
+    window_peak: int = _stat(agg="max")
+    #: Dynamic monitoring (§4): FlowMods this switch's DynamicMonitor
+    #: confirmed in the data plane / gave up on at the update deadline
+    #: (both 0 on a static deployment).
+    updates_confirmed: int = _stat(
+        agg="sum", family="monocle_updates_confirmed_total", json_row=False
+    )
+    updates_given_up: int = _stat(
+        agg="sum", family="monocle_updates_given_up_total", json_row=False
+    )
 
     def probe_rate(self, duration: float) -> float:
         """Achieved probes/s over the scenario."""
         if duration <= 0:
             return 0.0
         return self.probes_sent / duration
+
+
+@dataclass(frozen=True)
+class ShardMetrics:
+    """Counters one deployment keeps once, not per switch.
+
+    One row per shard: the multiplexer's routing totals and the
+    shard-local shared-context registry's counters (all zero when the
+    deployment runs per-switch independent contexts).
+    """
+
+    probes_routed: int = _stat(agg="sum")
+    probes_unroutable: int = _stat(agg="sum")
+    tables_fingerprinted: int = _stat(agg="sum")
+    contexts_created: int = _stat(agg="sum")
+    contexts_deduped: int = _stat(agg="sum")
+    contexts_forked: int = _stat(
+        agg="sum", family="monocle_contexts_forked_total"
+    )
+    contexts_remerged: int = _stat(
+        agg="sum", family="monocle_contexts_remerged_total"
+    )
+
+
+#: Fleet-level attribute / ``aggregates`` key -> (the FleetMetrics row
+#: list it folds, the declaring field).
+_VIEWS: dict[str, tuple[str, dataclasses.Field[Any]]] = {
+    (f.metadata["name"] or f.name): (rows, f)
+    for rows, row_type in (
+        ("per_switch", SwitchMetrics),
+        ("per_shard", ShardMetrics),
+    )
+    for f in dataclasses.fields(row_type)
+    if f.metadata.get("agg")
+}
+
+#: Scraped field name -> the Prometheus family it is published under.
+FAMILY: dict[str, str] = {
+    f.name: f.metadata["family"]
+    for row_type in (SwitchMetrics, ShardMetrics)
+    for f in dataclasses.fields(row_type)
+    if f.metadata.get("family")
+}
 
 
 @dataclass
@@ -97,25 +207,24 @@ class DetectionRecord:
 
 @dataclass
 class FleetMetrics:
-    """Everything a fleet report needs, in one bundle."""
+    """Everything a fleet report needs, in one bundle.
+
+    Every :class:`SwitchMetrics` / :class:`ShardMetrics` field declared
+    with an ``agg`` also reads as a fleet-level attribute under its
+    declared name (``metrics.probes_sent``, ``metrics.packetout_total``,
+    ``metrics.contexts_deduped``, ...), folded over the rows on access.
+    """
 
     duration: float
     per_switch: list[SwitchMetrics]
+    #: One row per deployment the bundle covers (one per shard).
+    per_shard: list[ShardMetrics]
     detections: list[DetectionRecord]
-    #: (node, alarm) pairs that no injection explains.
+    #: (node, alarm) pairs that no injection explains, in
+    #: ``(time, repr(node))`` order.
     false_alarms: list[tuple[Hashable, MonitorAlarm]]
-    confirmation_latency: Summary | None
-    updates_confirmed: int
-    updates_given_up: int
-    probes_routed: int
-    probes_unroutable: int
-    #: Cross-switch shared-context registry counters (zero when the
-    #: deployment runs with per-switch independent contexts).
-    tables_fingerprinted: int = 0
-    contexts_created: int = 0
-    contexts_deduped: int = 0
-    contexts_forked: int = 0
-    contexts_remerged: int = 0
+    #: Raw update-confirmation latencies of the churn workloads.
+    confirmation_latencies: list[float] = field(default_factory=list)
     #: Sharded-runtime shape: worker count, links cut by the shard
     #: boundary, and conservative-time barrier windows the coordinator
     #: ran (0 for one-shard runs and pure partitions).
@@ -146,47 +255,23 @@ class FleetMetrics:
 
     # ----- aggregates -----------------------------------------------------
 
-    @property
-    def probes_sent(self) -> int:
-        return sum(m.probes_sent for m in self.per_switch)
+    def __getattr__(self, name: str) -> Any:
+        """The declared fleet-wide fold of a row field (see ``_VIEWS``)."""
+        view = _VIEWS.get(name)
+        if view is None:
+            raise AttributeError(name)
+        rows, f = view
+        values = [getattr(row, f.name) for row in getattr(self, rows)]
+        if f.metadata["agg"] == "max":
+            return max(values, default=f.default)
+        return sum(values)
 
     @property
-    def probes_confirmed(self) -> int:
-        return sum(m.probes_confirmed for m in self.per_switch)
-
-    @property
-    def packetout_total(self) -> int:
-        return sum(m.packetouts_processed for m in self.per_switch)
-
-    @property
-    def packetin_total(self) -> int:
-        return sum(m.packetins_sent for m in self.per_switch)
-
-    @property
-    def probes_generated(self) -> int:
-        """Incremental SAT solves across the fleet."""
-        return sum(m.probes_generated for m in self.per_switch)
-
-    @property
-    def probe_cache_hits(self) -> int:
-        return sum(m.probe_cache_hits for m in self.per_switch)
-
-    @property
-    def probe_revalidations(self) -> int:
-        return sum(m.probe_revalidations for m in self.per_switch)
-
-    @property
-    def probegen_seconds(self) -> float:
-        return sum(m.probegen_seconds for m in self.per_switch)
-
-    @property
-    def cycle_rebuilds(self) -> int:
-        """Full probe-cycle builds across the fleet (== switch count)."""
-        return sum(m.cycle_rebuilds for m in self.per_switch)
-
-    @property
-    def scheduler_promotions(self) -> int:
-        return sum(m.scheduler_promotions for m in self.per_switch)
+    def confirmation_latency(self) -> Summary | None:
+        """Update-confirmation latency distribution (None: no churn)."""
+        if not self.confirmation_latencies:
+            return None
+        return summarize(self.confirmation_latencies)
 
     @property
     def all_detected(self) -> bool:
@@ -201,38 +286,9 @@ class FleetMetrics:
         )
 
     @property
-    def alarms_total(self) -> int:
-        """Alarms raised across the fleet (true + false)."""
-        return sum(m.alarms for m in self.per_switch)
-
-    @property
     def true_alarms(self) -> int:
         """Raised alarms some injection explains."""
         return self.alarms_total - len(self.false_alarms)
-
-    @property
-    def alarms_suppressed(self) -> int:
-        """``missing`` alarms swallowed by hysteresis across the fleet."""
-        return sum(m.alarms_suppressed for m in self.per_switch)
-
-    @property
-    def quarantines(self) -> int:
-        return sum(m.quarantines for m in self.per_switch)
-
-    @property
-    def switches_quarantined(self) -> int:
-        """Switches still quarantined when the scenario ended."""
-        return sum(1 for m in self.per_switch if m.quarantined)
-
-    @property
-    def probe_window(self) -> int:
-        """Deepest effective probe window across the fleet."""
-        return max((m.probe_window for m in self.per_switch), default=1)
-
-    @property
-    def window_peak(self) -> int:
-        """Deepest concurrent steady occupancy any switch reached."""
-        return max((m.window_peak for m in self.per_switch), default=0)
 
     @property
     def detection_latencies(self) -> list[float]:
@@ -255,7 +311,11 @@ class FleetMetrics:
         """
         per_switch = []
         for m in self.per_switch:
-            row = dataclasses.asdict(m)
+            row = {
+                f.name: getattr(m, f.name)
+                for f in dataclasses.fields(m)
+                if f.metadata.get("json_row", True)
+            }
             row["node"] = repr(m.node)
             row["probe_rate"] = m.probe_rate(self.duration)
             per_switch.append(row)
@@ -283,6 +343,20 @@ class FleetMetrics:
                     "latency": d.latency,
                 }
             )
+        confirmation = self.confirmation_latency
+        aggregates = {name: getattr(self, name) for name in _VIEWS}
+        aggregates.update(
+            workers=self.workers,
+            cut_links=self.cut_links,
+            barriers=self.barriers,
+            true_alarms=self.true_alarms,
+            false_alarms=len(self.false_alarms),
+            worker_restarts=self.worker_restarts,
+            shards_failed=self.shards_failed,
+            shard_status=list(self.shard_status),
+            all_detected=self.all_detected,
+            detection_latencies=self.detection_latencies,
+        )
         return {
             "duration": self.duration,
             "per_switch": per_switch,
@@ -299,97 +373,144 @@ class FleetMetrics:
             ],
             "confirmation_latency": (
                 None
-                if self.confirmation_latency is None
-                else dataclasses.asdict(self.confirmation_latency)
+                if confirmation is None
+                else dataclasses.asdict(confirmation)
             ),
             "alarm_timeline": [list(row) for row in self.alarm_timeline],
             "obs_snapshots": self.obs_snapshots,
-            "aggregates": {
-                "probes_sent": self.probes_sent,
-                "probes_confirmed": self.probes_confirmed,
-                "packetout_total": self.packetout_total,
-                "packetin_total": self.packetin_total,
-                "probes_generated": self.probes_generated,
-                "probe_cache_hits": self.probe_cache_hits,
-                "probe_revalidations": self.probe_revalidations,
-                "probegen_seconds": self.probegen_seconds,
-                "cycle_rebuilds": self.cycle_rebuilds,
-                "scheduler_promotions": self.scheduler_promotions,
-                "probes_routed": self.probes_routed,
-                "probes_unroutable": self.probes_unroutable,
-                "updates_confirmed": self.updates_confirmed,
-                "updates_given_up": self.updates_given_up,
-                "tables_fingerprinted": self.tables_fingerprinted,
-                "contexts_created": self.contexts_created,
-                "contexts_deduped": self.contexts_deduped,
-                "contexts_forked": self.contexts_forked,
-                "contexts_remerged": self.contexts_remerged,
-                "workers": self.workers,
-                "cut_links": self.cut_links,
-                "barriers": self.barriers,
-                "alarms_total": self.alarms_total,
-                "true_alarms": self.true_alarms,
-                "false_alarms": len(self.false_alarms),
-                "alarms_suppressed": self.alarms_suppressed,
-                "probe_window": self.probe_window,
-                "window_peak": self.window_peak,
-                "quarantines": self.quarantines,
-                "switches_quarantined": self.switches_quarantined,
-                "worker_restarts": self.worker_restarts,
-                "shards_failed": self.shards_failed,
-                "shard_status": list(self.shard_status),
-                "all_detected": self.all_detected,
-                "detection_latencies": self.detection_latencies,
-            },
+            "aggregates": aggregates,
         }
+
+
+# ----- the one scrape -------------------------------------------------------
+
+
+def scrape_switch(deployment: FleetDeployment, node: Hashable) -> SwitchMetrics:
+    """Read one switch's layer counters into its :class:`SwitchMetrics`."""
+    monitor = deployment.monitor(node)
+    switch = deployment.switch(node).stats
+    context = monitor.probe_context
+    generation = context.stats
+    scheduling = monitor.scheduler.stats
+    dynamic = deployment.system.dynamics.get(node)
+    return SwitchMetrics(
+        node=node,
+        rules_installed=len(deployment.production_rules[node]),
+        probes_sent=monitor.probes_sent,
+        probes_confirmed=monitor.probes_confirmed,
+        probes_timed_out=monitor.probes_timed_out,
+        alarms=len(monitor.alarms),
+        packetouts_processed=switch.packetouts_processed,
+        packetins_sent=switch.packetins_sent,
+        flowmods_processed=switch.flowmods_processed,
+        probes_generated=generation.probes_generated,
+        probe_cache_hits=generation.cache_hits,
+        probe_revalidations=generation.revalidations,
+        probegen_seconds=generation.generation_seconds,
+        context_shared=getattr(context, "is_shared", False),
+        context_forked=getattr(context, "forked", False),
+        probe_policy=monitor.scheduler.policy.name,
+        cycle_rebuilds=scheduling.cycle_rebuilds,
+        scheduler_promotions=scheduling.scheduler_promotions,
+        alarms_suppressed=monitor.alarms_suppressed,
+        quarantines=monitor.quarantines,
+        quarantined=monitor.quarantined,
+        probe_window=monitor.window,
+        window_peak=monitor.window_peak,
+        updates_confirmed=dynamic.updates_confirmed if dynamic else 0,
+        updates_given_up=dynamic.updates_given_up if dynamic else 0,
+    )
+
+
+def scrape_shard(deployment: FleetDeployment) -> ShardMetrics:
+    """Read the deployment-wide counters into its :class:`ShardMetrics`."""
+    multiplexer = deployment.system.multiplexer
+    shared = deployment.shared_context_stats()
+    return ShardMetrics(
+        probes_routed=multiplexer.probes_routed,
+        probes_unroutable=multiplexer.probes_unroutable,
+        tables_fingerprinted=shared.tables_fingerprinted,
+        contexts_created=shared.contexts_created,
+        contexts_deduped=shared.contexts_deduped,
+        contexts_forked=shared.contexts_forked,
+        contexts_remerged=shared.contexts_remerged,
+    )
+
+
+def publish_metrics(deployment: FleetDeployment) -> None:
+    """Registry collect hook: expose the scrape as ``monocle_*`` series.
+
+    Runs before every metrics snapshot / exposition, so the hot
+    monitoring paths never pay per-event counter updates: every
+    family-tagged row field is published from the same scrape
+    :func:`collect_fleet_metrics` aggregates, and the gauges below read
+    live structure sizes no post-mortem row keeps.
+    """
+    registry = deployment.obs.metrics
+
+    def publish(row: SwitchMetrics | ShardMetrics, **labels: str) -> None:
+        for f in dataclasses.fields(row):
+            family = f.metadata.get("family")
+            if family is None:
+                continue
+            value = getattr(row, f.name)
+            if family.endswith("_total"):
+                counter = registry.counter(family, **labels)
+                counter.inc(value - counter.value)
+            else:
+                registry.gauge(family, **labels).set(value)
+
+    for node in deployment.monitored_nodes:
+        label = repr(node)
+        publish(scrape_switch(deployment, node), node=label)
+        monitor = deployment.monitor(node)
+        registry.gauge("monocle_outstanding_probes", node=label).set(
+            len(monitor.outstanding)
+        )
+        registry.gauge("monocle_cycle_keys", node=label).set(
+            len(monitor.scheduler)
+        )
+        registry.gauge("monocle_window_depth", node=label).set(
+            monitor.window_depth
+        )
+        context = monitor.probe_context
+        solver = getattr(context, "solver", None)
+        if solver is None and hasattr(context, "_context"):
+            # Shared handle: read the backing context's solver.
+            solver = context._context().solver
+        if solver is not None:
+            health = solver.health()
+            registry.gauge("monocle_solver_clauses", node=label).set(
+                health["num_clauses"]
+            )
+            registry.gauge("monocle_solver_lemmas", node=label).set(
+                health["lemma_count"]
+            )
+    publish(scrape_shard(deployment))
+    if deployment.shared_contexts is not None:
+        registry.gauge("monocle_contexts_forked").set(
+            len(deployment.shared_contexts.forked)
+        )
+
+
+# ----- collection and merge -------------------------------------------------
+
+
+def _false_alarm_order(pair: tuple[Hashable, MonitorAlarm]) -> tuple:
+    node, alarm = pair
+    return (alarm.time, repr(node))
 
 
 def collect_fleet_metrics(
     deployment: FleetDeployment,
     injections: list[Injection] | None = None,
-    workloads: list[Workload] | tuple[Workload, ...] = (),
+    workloads: Iterable[Workload] = (),
     duration: float | None = None,
 ) -> FleetMetrics:
     """Aggregate a finished deployment into a :class:`FleetMetrics`."""
     injections = injections or []
     if duration is None:
         duration = deployment.sim.now
-
-    per_switch: list[SwitchMetrics] = []
-    for node in deployment.monitored_nodes:
-        monitor = deployment.monitor(node)
-        stats = deployment.switch(node).stats
-        context = monitor.probe_context
-        genstats = context.stats
-        per_switch.append(
-            SwitchMetrics(
-                node=node,
-                rules_installed=len(deployment.production_rules[node]),
-                probes_sent=monitor.probes_sent,
-                probes_confirmed=monitor.probes_confirmed,
-                probes_timed_out=monitor.probes_timed_out,
-                alarms=len(monitor.alarms),
-                packetouts_processed=stats.packetouts_processed,
-                packetins_sent=stats.packetins_sent,
-                flowmods_processed=stats.flowmods_processed,
-                probes_generated=genstats.probes_generated,
-                probe_cache_hits=genstats.cache_hits,
-                probe_revalidations=genstats.revalidations,
-                probegen_seconds=genstats.generation_seconds,
-                context_shared=getattr(context, "is_shared", False),
-                context_forked=getattr(context, "forked", False),
-                probe_policy=monitor.scheduler.policy.name,
-                cycle_rebuilds=monitor.scheduler.stats.cycle_rebuilds,
-                scheduler_promotions=(
-                    monitor.scheduler.stats.scheduler_promotions
-                ),
-                alarms_suppressed=monitor.alarms_suppressed,
-                quarantines=monitor.quarantines,
-                quarantined=monitor.quarantined,
-                probe_window=monitor.window,
-                window_peak=monitor.window_peak,
-            )
-        )
 
     detections = [DetectionRecord(injection=inj) for inj in injections]
     false_alarms: list[tuple[Hashable, MonitorAlarm]] = []
@@ -415,51 +536,36 @@ def collect_fleet_metrics(
             if not explained:
                 false_alarms.append((node, alarm))
     timeline.sort()
+    false_alarms.sort(key=_false_alarm_order)
 
-    latencies: list[float] = []
-    for workload in workloads:
-        if isinstance(workload, RuleChurn):
-            latencies.extend(workload.confirmation_latencies())
-    confirmation = summarize(latencies) if latencies else None
-
-    updates_confirmed = sum(
-        d.updates_confirmed for d in deployment.system.dynamics.values()
-    )
-    updates_given_up = sum(
-        d.updates_given_up for d in deployment.system.dynamics.values()
-    )
-
+    obs = deployment.obs
     obs_snapshots: list[dict[str, Any]] = []
-    if deployment.obs.enabled:
-        # Final snapshot at collection time (runs the collect hooks, so
-        # the registry is sync'd with the stats aggregated above), then
-        # check that every scraped family made it into the registry.
-        deployment.obs.snapshot_now()
-        obs_snapshots = list(deployment.obs.metrics.snapshots)
-        h = deployment.obs.metrics.histogram(
-            "monocle_detection_latency_seconds"
-        )
+    if obs.enabled:
+        # The histogram is a view of *this* collect's detections, so a
+        # repeated collect refills rather than double-observes; filled
+        # before the final snapshot, which therefore carries it.
+        histogram = obs.metrics.histogram("monocle_detection_latency_seconds")
+        histogram.reset()
         for record in detections:
             if (latency := record.latency) is not None:
-                h.observe(latency)
-        _crosscheck_registry(deployment, per_switch)
+                histogram.observe(latency)
+        obs.snapshot_now()
+        obs_snapshots = list(obs.metrics.snapshots)
 
-    shared = deployment.shared_context_stats()
     return FleetMetrics(
         duration=duration,
-        per_switch=per_switch,
+        per_switch=[
+            scrape_switch(deployment, node)
+            for node in deployment.monitored_nodes
+        ],
+        per_shard=[scrape_shard(deployment)],
         detections=detections,
         false_alarms=false_alarms,
-        confirmation_latency=confirmation,
-        updates_confirmed=updates_confirmed,
-        updates_given_up=updates_given_up,
-        probes_routed=deployment.system.multiplexer.probes_routed,
-        probes_unroutable=deployment.system.multiplexer.probes_unroutable,
-        tables_fingerprinted=shared.tables_fingerprinted,
-        contexts_created=shared.contexts_created,
-        contexts_deduped=shared.contexts_deduped,
-        contexts_forked=shared.contexts_forked,
-        contexts_remerged=shared.contexts_remerged,
+        confirmation_latencies=[
+            latency
+            for workload in workloads
+            for latency in workload.confirmation_latencies()
+        ],
         alarm_timeline=timeline,
         obs_snapshots=obs_snapshots,
     )
@@ -469,49 +575,40 @@ def merge_fleet_metrics(
     parts: list[FleetMetrics],
     *,
     detections: list[DetectionRecord],
-    confirmation_latencies: list[float],
     duration: float,
 ) -> FleetMetrics:
     """Fuse per-shard :class:`FleetMetrics` into one fleet-wide bundle.
 
-    Each worker collected over a disjoint shard, so per-switch rows,
-    false alarms, and counters combine by concatenation/summation;
-    the alarm timeline re-sorts into global sim-time order, matching a
-    single-process run byte for byte on partitionable scenarios.
-    ``detections`` arrive pre-merged (the coordinator matches shard
-    records by global failure-spec index — a cut-crossing link failure
-    yields one record per adjacent shard) and confirmation latencies
-    arrive raw because :class:`~repro.analysis.stats.Summary` objects
-    cannot be combined after the fact.
+    Each worker collected over a disjoint shard, so rows, false alarms
+    and raw latencies concatenate (every aggregate folds the rows on
+    read) and the alarm timeline re-sorts into global sim-time order,
+    matching a single-process run byte for byte on partitionable
+    scenarios; a one-shard bundle merges to itself.  ``detections``
+    arrive pre-merged (the coordinator matches shard records by global
+    failure-spec index — a cut-crossing link failure yields one record
+    per adjacent shard).  The run-shape fields keep their defaults; the
+    caller fills them from its shard plan.
     """
-    timeline = sorted(row for part in parts for row in part.alarm_timeline)
-    false_alarms = sorted(
-        ((node, alarm) for part in parts for node, alarm in part.false_alarms),
-        key=lambda pair: (pair[1].time, repr(pair[0])),
-    )
-    per_switch = sorted(
-        (row for part in parts for row in part.per_switch),
-        key=lambda row: repr(row.node),
-    )
-    confirmation = (
-        summarize(confirmation_latencies) if confirmation_latencies else None
-    )
     return FleetMetrics(
         duration=duration,
-        per_switch=per_switch,
+        per_switch=sorted(
+            (row for part in parts for row in part.per_switch),
+            key=lambda row: repr(row.node),
+        ),
+        per_shard=[row for part in parts for row in part.per_shard],
         detections=detections,
-        false_alarms=false_alarms,
-        confirmation_latency=confirmation,
-        updates_confirmed=sum(p.updates_confirmed for p in parts),
-        updates_given_up=sum(p.updates_given_up for p in parts),
-        probes_routed=sum(p.probes_routed for p in parts),
-        probes_unroutable=sum(p.probes_unroutable for p in parts),
-        tables_fingerprinted=sum(p.tables_fingerprinted for p in parts),
-        contexts_created=sum(p.contexts_created for p in parts),
-        contexts_deduped=sum(p.contexts_deduped for p in parts),
-        contexts_forked=sum(p.contexts_forked for p in parts),
-        contexts_remerged=sum(p.contexts_remerged for p in parts),
-        alarm_timeline=timeline,
+        false_alarms=sorted(
+            (pair for part in parts for pair in part.false_alarms),
+            key=_false_alarm_order,
+        ),
+        confirmation_latencies=[
+            latency
+            for part in parts
+            for latency in part.confirmation_latencies
+        ],
+        alarm_timeline=sorted(
+            row for part in parts for row in part.alarm_timeline
+        ),
         obs_snapshots=merge_obs_snapshots([p.obs_snapshots for p in parts]),
     )
 
@@ -558,50 +655,3 @@ def merge_obs_snapshots(
             }
         )
     return merged
-
-
-def _crosscheck_registry(
-    deployment: FleetDeployment, per_switch: list[SwitchMetrics]
-) -> None:
-    """Assert the live registry agrees with the post-mortem counters.
-
-    The two are not independent accounting paths:
-    ``FleetDeployment._sync_obs_metrics`` copies the registry counters
-    *from* the very monitor/context attributes this module scrapes.
-    The check can therefore only fail when a family scraped here is
-    missing from (or mislabelled in) the sync hook — it guards the
-    hook's coverage, not the counters' correctness.
-    """
-    registry = deployment.obs.metrics
-    expected = {
-        "monocle_probes_sent_total": sum(
-            m.probes_sent for m in per_switch
-        ),
-        "monocle_probes_confirmed_total": sum(
-            m.probes_confirmed for m in per_switch
-        ),
-        "monocle_probes_timed_out_total": sum(
-            m.probes_timed_out for m in per_switch
-        ),
-        "monocle_alarms_total": sum(m.alarms for m in per_switch),
-        "monocle_alarms_suppressed_total": sum(
-            m.alarms_suppressed for m in per_switch
-        ),
-        "monocle_probegen_solves_total": sum(
-            m.probes_generated for m in per_switch
-        ),
-        "monocle_probe_cache_hits_total": sum(
-            m.probe_cache_hits for m in per_switch
-        ),
-        "monocle_updates_confirmed_total": sum(
-            d.updates_confirmed
-            for d in deployment.system.dynamics.values()
-        ),
-    }
-    for family, total in expected.items():
-        live = registry.family_total(family)
-        if live != total:
-            raise AssertionError(
-                f"observability registry diverged from fleet metrics: "
-                f"{family} is {live} live vs {total} scraped"
-            )

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis import format_table
-from repro.fleet.metrics import FleetMetrics
+from repro.fleet.metrics import FAMILY, FleetMetrics
 from repro.obs.metrics import window_rates
 
 
@@ -173,12 +173,10 @@ def _format_timeline(snapshots: list[dict[str, Any]]) -> list[str]:
     """
     if len(snapshots) < 2:
         return []
-    probes = dict(window_rates(snapshots, "monocle_probes_sent_total"))
-    alarms = dict(window_rates(snapshots, "monocle_alarms_total"))
-    solves = dict(window_rates(snapshots, "monocle_probegen_solves_total"))
-    hits = dict(
-        window_rates(snapshots, "monocle_probe_cache_hits_total")
-    )
+    probes = dict(window_rates(snapshots, FAMILY["probes_sent"]))
+    alarms = dict(window_rates(snapshots, FAMILY["alarms"]))
+    solves = dict(window_rates(snapshots, FAMILY["probes_generated"]))
+    hits = dict(window_rates(snapshots, FAMILY["probe_cache_hits"]))
     rows = []
     for ts in sorted(probes):
         solve_rate = solves.get(ts, 0.0)

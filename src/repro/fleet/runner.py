@@ -425,11 +425,13 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     ShardWorker` per shard — each computes the catching plan, builds its
     monitored switches, installs the workload mix, arms the failure
     schedule and runs its kernel for ``spec.duration`` simulated
-    seconds — and merge the shard results into fleet metrics.  Only the
-    transport differs: a one-shard plan runs its worker by direct call
-    and keeps the live ``deployment`` / ``observer`` on the result; a
-    larger plan runs worker processes driven over pipes
-    (:func:`~repro.fleet.coordinator.drive_shards`).
+    seconds — and merge the shard results into fleet metrics (a
+    one-shard bundle merges to itself).  Only the transport differs: a
+    one-shard plan runs its worker by direct call and keeps the live
+    ``deployment`` / ``observer`` on the result; a larger plan runs
+    worker processes driven over pipes
+    (:func:`~repro.fleet.coordinator.drive_shards`) and gets a recorder
+    holding the merged trace.
     """
     spec.validate()
     plan = plan_shards(spec.build_topology(), spec.resolved_workers())
@@ -452,24 +454,20 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         results, run_seconds, health = drive_shards(spec, plan)
 
     detections = merge_detections(results)
-    observer: Observer | NullObserver | None
-    if deployment is not None:
-        # The one shard's bundle is already fleet-wide; a merge would
-        # only re-sort its false alarms and flatten its snapshot
-        # histograms.
-        metrics = results[0].metrics
-        observer = deployment.obs
-    else:
-        metrics = merge_fleet_metrics(
+    metrics = replace(
+        merge_fleet_metrics(
             [res.metrics for res in results],
             detections=detections,
-            confirmation_latencies=[
-                latency
-                for res in results
-                for latency in res.confirmation_latencies
-            ],
             duration=spec.duration,
-        )
+        ),
+        workers=plan.workers,
+        cut_links=len(plan.cut_edges),
+        **health,
+    )
+    observer: Observer | NullObserver | None
+    if deployment is not None:
+        observer = deployment.obs
+    else:
         observer = spec.build_observer()
         if observer is not None:
             rows = sorted(
@@ -483,12 +481,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             observer.trace.emitted = sum(
                 res.trace_emitted for res in results
             )
-    metrics = replace(
-        metrics,
-        workers=plan.workers,
-        cut_links=len(plan.cut_edges),
-        **health,
-    )
 
     result = ScenarioResult(
         spec=spec,

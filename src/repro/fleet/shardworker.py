@@ -41,7 +41,7 @@ from repro.fleet.failures import (
 )
 from repro.fleet.metrics import FleetMetrics, collect_fleet_metrics
 from repro.fleet.sharding import ShardPlan, spec_nodes
-from repro.fleet.workloads import RuleChurn, SteadyRules, Workload
+from repro.fleet.workloads import SteadyRules, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from multiprocessing.connection import Connection
@@ -122,9 +122,6 @@ class ShardResult:
     #: (a cut-crossing spec yields one record per adjacent shard; the
     #: coordinator merges them by this index).
     injection_indices: list[int] = field(default_factory=list)
-    #: Raw churn confirmation latencies — the coordinator re-summarizes
-    #: the fleet-wide distribution (Summary objects cannot be merged).
-    confirmation_latencies: list[float] = field(default_factory=list)
     #: Raw trace-ring rows (``TraceRecorder.raw_events`` format) and
     #: the ring's lifetime emit count, for the merged recorder.
     trace_rows: list[tuple] = field(default_factory=list)
@@ -243,10 +240,6 @@ class ShardWorker:
             workloads=self.workloads,
             duration=self.spec.duration,
         )
-        latencies: list[float] = []
-        for workload in self.workloads:
-            if isinstance(workload, RuleChurn):
-                latencies.extend(workload.confirmation_latencies())
         trace_rows: list[tuple] = []
         trace_emitted = 0
         obs = self.deployment.obs
@@ -257,7 +250,6 @@ class ShardWorker:
             shard=self.shard,
             metrics=metrics,
             injection_indices=indices,
-            confirmation_latencies=latencies,
             trace_rows=trace_rows,
             trace_emitted=trace_emitted,
         )

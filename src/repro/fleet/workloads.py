@@ -42,6 +42,10 @@ class Workload:
         """Install rules / schedule events on the deployment's kernel."""
         raise NotImplementedError
 
+    def confirmation_latencies(self) -> list[float]:
+        """Update-confirmation latencies this workload measured."""
+        return []
+
 
 @dataclass
 class SteadyRules(Workload):

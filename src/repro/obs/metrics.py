@@ -132,6 +132,11 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.bounds = tuple(sorted(buckets))
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every observation (for a histogram that is re-derived
+        from its source at collect time rather than accumulated)."""
         self.bucket_counts = [0] * len(self.bounds)
         self.sum = 0.0
         self.count = 0
@@ -236,14 +241,6 @@ class MetricsRegistry:
     def _sorted(self) -> list[tuple[tuple[str, LabelItems], Any]]:
         return sorted(self._instruments.items(), key=lambda kv: kv[0])
 
-    def family_total(self, name: str) -> float:
-        """Sum of a counter/gauge family across all label sets."""
-        return sum(
-            instrument.value
-            for (iname, _), instrument in self._instruments.items()
-            if iname == name and hasattr(instrument, "value")
-        )
-
     # ----- snapshots ----------------------------------------------------------
 
     def snapshot(self, ts: float) -> dict[str, Any]:
@@ -252,7 +249,8 @@ class MetricsRegistry:
         The returned dict (also appended to :attr:`snapshots`) is JSON-
         ready: counters and gauges map :func:`series_key` to value,
         histograms to ``{"count", "sum"}``.  Deltas between consecutive
-        snapshots are the sim-time-windowed readings.
+        snapshots are the sim-time-windowed readings; a snapshot at the
+        previous one's ``ts`` supersedes it, so timestamps are unique.
         """
         self._collect()
         counters: dict[str, float] = {}
@@ -275,7 +273,10 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-        self.snapshots.append(snap)
+        if self.snapshots and self.snapshots[-1]["ts"] == ts:
+            self.snapshots[-1] = snap
+        else:
+            self.snapshots.append(snap)
         return snap
 
     # ----- exposition -----------------------------------------------------------

@@ -159,9 +159,6 @@ class _NullRegistry:
     def add_collect_hook(self, hook: Callable[[], None]) -> None:
         pass
 
-    def family_total(self, name: str) -> float:
-        return 0.0
-
     def snapshot(self, ts: float) -> dict[str, Any]:
         return {"ts": ts, "counters": {}, "gauges": {}, "histograms": {}}
 

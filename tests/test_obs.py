@@ -127,12 +127,24 @@ class TestMetricsRegistry:
         assert hist.quantile(0.5) == 0.1
         assert hist.quantile(1.0) == 1.0
 
-    def test_family_total_sums_label_sets(self):
+    def test_histogram_reset_forgets_observations(self):
+        hist = MetricsRegistry().histogram("h", buckets=(0.01, 0.1))
+        hist.observe(0.05)
+        hist.reset()
+        assert (hist.count, hist.sum) == (0, 0.0)
+        assert hist.cumulative() == [(0.01, 0), (0.1, 0)]
+
+    def test_snapshot_at_same_ts_supersedes(self):
         registry = MetricsRegistry()
-        registry.counter("alarms", node="a").inc(2)
-        registry.counter("alarms", node="b").inc(3)
-        registry.counter("other").inc(100)
-        assert registry.family_total("alarms") == 5
+        counter = registry.counter("probes_total")
+        registry.snapshot(1.0)
+        counter.inc()
+        registry.snapshot(1.0)
+        registry.snapshot(2.0)
+        assert [
+            (snap["ts"], snap["counters"]["probes_total"])
+            for snap in registry.snapshots
+        ] == [(1.0, 1.0), (2.0, 1.0)]
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()
@@ -214,7 +226,6 @@ class TestObserver:
         assert len(null.trace) == 0
         null.metrics.counter("x").inc()
         null.metrics.histogram("h").observe(1.0)
-        assert null.metrics.family_total("x") == 0.0
         assert null.metrics.prometheus_text() == ""
         null.install(object())
         assert null.snapshot_now()["counters"] == {}

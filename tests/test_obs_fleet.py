@@ -9,20 +9,29 @@ not perturb the simulation, the NullObserver default must stay inert,
 and ``repro-fleet --json-out`` must round-trip the report's numbers.
 """
 
+import dataclasses
 import json
 import re
 
 import pytest
 
 from repro.fleet import (
+    ChannelDegradation,
     FlowModBlackhole,
     RuleChurn,
     RuleDrop,
     ScenarioSpec,
+    collect_fleet_metrics,
     run_scenario,
 )
-from repro.fleet.metrics import _crosscheck_registry
+from repro.fleet.metrics import (
+    ShardMetrics,
+    SwitchMetrics,
+    merge_fleet_metrics,
+    merge_obs_snapshots,
+)
 from repro.fleet.runner import main
+from repro.obs.metrics import family_name
 from repro.obs import (
     NULL_OBSERVER,
     detection_latencies,
@@ -130,20 +139,218 @@ class TestTraceMetricsConsistency:
         assert "# TYPE monocle_probes_sent_total counter" in text
         assert len(observed_run.exported) == 3
 
-    def test_crosscheck_catches_divergence(self, observed_run):
-        """The registry/metrics cross-check is a live tripwire."""
-        deployment = observed_run.deployment
-        registry = deployment.obs.metrics
-        counter = registry.counter(
-            "monocle_probes_sent_total",
-            node=repr(deployment.nodes[0]),
+    def test_final_snapshot_carries_detection_latency(self, observed_run):
+        """The histogram is filled before the final snapshot, and a
+        repeated collect refills it instead of observing twice."""
+        last = observed_run.metrics.obs_snapshots[-1]
+        assert last["histograms"]["monocle_detection_latency_seconds"] == {
+            "count": 2.0,
+            "sum": sum(observed_run.metrics.detection_latencies),
+        }
+        again = collect_fleet_metrics(
+            observed_run.deployment, injections=observed_run.injections
         )
-        counter.inc()  # simulate a double-counted publication site
-        with pytest.raises(AssertionError, match="diverged"):
-            _crosscheck_registry(
-                deployment, observed_run.metrics.per_switch
+        assert again.obs_snapshots[-1]["histograms"] == last["histograms"]
+        # Same sim time: the re-taken snapshot superseded the first.
+        assert len(again.obs_snapshots) == len(
+            observed_run.metrics.obs_snapshots
+        )
+
+
+def _row_fields():
+    """Every scraped field: (rows attribute, dataclass field)."""
+    for rows, row_type in (
+        ("per_switch", SwitchMetrics),
+        ("per_shard", ShardMetrics),
+    ):
+        for f in dataclasses.fields(row_type):
+            yield rows, f
+
+
+def _column_total(metrics, rows, f):
+    return sum(getattr(row, f.name) for row in getattr(metrics, rows))
+
+
+def _exposition_totals(text):
+    """Family -> summed value over the exposition's series lines."""
+    totals = {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        key, value = line.rsplit(" ", 1)
+        family = family_name(key)
+        totals[family] = totals.get(family, 0.0) + float(value)
+    return totals
+
+
+#: ``to_json()["aggregates"]`` keys and ``--metrics-out`` families, as
+#: literals: ``bench/`` diffs the former key by key and dashboards read
+#: the latter, so a derived view must not rename or drop one silently.
+AGGREGATE_KEYS = {
+    "alarms_suppressed", "alarms_total", "all_detected", "barriers",
+    "contexts_created", "contexts_deduped", "contexts_forked",
+    "contexts_remerged", "cut_links", "cycle_rebuilds",
+    "detection_latencies", "false_alarms", "packetin_total",
+    "packetout_total", "probe_cache_hits", "probe_revalidations",
+    "probe_window", "probegen_seconds", "probes_confirmed",
+    "probes_generated", "probes_routed", "probes_sent",
+    "probes_unroutable", "quarantines", "scheduler_promotions",
+    "shard_status", "shards_failed", "switches_quarantined",
+    "tables_fingerprinted", "true_alarms", "updates_confirmed",
+    "updates_given_up", "window_peak", "worker_restarts", "workers",
+}
+PER_SWITCH_KEYS = {
+    "alarms", "alarms_suppressed", "context_forked", "context_shared",
+    "cycle_rebuilds", "flowmods_processed", "node", "packetins_sent",
+    "packetouts_processed", "probe_cache_hits", "probe_policy",
+    "probe_rate", "probe_revalidations", "probe_window",
+    "probegen_seconds", "probes_confirmed", "probes_generated",
+    "probes_sent", "probes_timed_out", "quarantined", "quarantines",
+    "rules_installed", "scheduler_promotions", "window_peak",
+}
+EXPOSITION_FAMILIES = {
+    "monocle_alarms_suppressed_total", "monocle_alarms_total",
+    "monocle_contexts_forked", "monocle_contexts_forked_total",
+    "monocle_contexts_remerged_total", "monocle_cycle_keys",
+    "monocle_detection_latency_seconds", "monocle_outstanding_probes",
+    "monocle_probe_cache_hits_total", "monocle_probe_revalidations_total",
+    "monocle_probe_window", "monocle_probe_wire_seconds",
+    "monocle_probegen_solve_seconds", "monocle_probegen_solves_total",
+    "monocle_probes_confirmed_total", "monocle_probes_sent_total",
+    "monocle_probes_timed_out_total", "monocle_quarantines_total",
+    "monocle_scheduler_wait_seconds", "monocle_solver_clauses",
+    "monocle_solver_lemmas", "monocle_update_confirmation_seconds",
+    "monocle_updates_confirmed_total", "monocle_updates_given_up_total",
+    "monocle_window_depth",
+}
+
+
+def _lossy_islands_spec(**overrides):
+    """Two islands, one lossy control channel in each, no hysteresis:
+    loss-caused false alarms on both sides of the workers=2 cut."""
+    base = dict(
+        topology="islands",
+        size=16,
+        duration=1.5,
+        seed=11,
+        rules_per_switch=6,
+        probe_rate=200.0,
+        workloads=(RuleChurn(rate=15.0),),
+        failures=(
+            ChannelDegradation(at=0.1, node="isl00_sw1", loss=0.2),
+            ChannelDegradation(at=0.1, node="isl01_sw2", loss=0.2),
+            RuleDrop(at=0.4, node="isl01_sw0", rule_index=1),
+        ),
+        observe=True,
+        obs_snapshot_interval=0.25,
+    )
+    base.update(overrides)
+    return ScenarioSpec(**base)
+
+
+class TestOneSetOfBooks:
+    """Every view of a scraped field derives from its one declaration."""
+
+    def test_key_sets_are_pinned(self, observed_run):
+        payload = observed_run.metrics.to_json()
+        assert set(payload["aggregates"]) == AGGREGATE_KEYS
+        for row in payload["per_switch"]:
+            assert set(row) == PER_SWITCH_KEYS
+        with open(observed_run.spec.metrics_out, encoding="utf-8") as handle:
+            assert set(_exposition_totals(handle.read())) == {
+                family + suffix
+                for family in EXPOSITION_FAMILIES
+                for suffix in (
+                    ("_bucket", "_sum", "_count")
+                    if family.endswith("_seconds")
+                    else ("",)
+                )
+            }
+
+    def test_every_field_reaches_every_view(self, observed_run):
+        """A new counter needs its field (and scrape line), nothing
+        else: each one is in the aggregates under its declared name and
+        in the exposition under its declared family."""
+        metrics = observed_run.metrics
+        aggregates = metrics.to_json()["aggregates"]
+        with open(observed_run.spec.metrics_out, encoding="utf-8") as handle:
+            exposed = _exposition_totals(handle.read())
+        counter_families = set()
+        for rows, f in _row_fields():
+            if not f.metadata:
+                continue  # identity / label columns, not counters
+            total = _column_total(metrics, rows, f)
+            if f.metadata["agg"] == "sum":
+                name = f.metadata["name"] or f.name
+                assert aggregates[name] == getattr(metrics, name) == total
+            elif f.metadata["agg"] == "max":
+                assert aggregates[f.name] == max(
+                    getattr(row, f.name) for row in getattr(metrics, rows)
+                )
+            family = f.metadata["family"]
+            if family is not None:
+                assert exposed[family] == total, family
+                if family.endswith("_total"):
+                    counter_families.add(family)
+        assert len(counter_families) == 13
+        assert metrics.probes_sent > 0 and metrics.updates_confirmed > 0
+
+    def test_merged_bundle_folds_every_field(self, observed_run):
+        """Sharded merge concatenates rows, so no field can be dropped:
+        two copies of a bundle double every sum and keep every max."""
+        one = observed_run.metrics
+        two = merge_fleet_metrics(
+            [one, one], detections=one.detections, duration=one.duration
+        )
+        for rows, f in _row_fields():
+            agg = f.metadata.get("agg")
+            if agg is None:
+                continue
+            name = f.metadata["name"] or f.name
+            expected = getattr(one, name) * (2 if agg == "sum" else 1)
+            assert getattr(two, name) == pytest.approx(expected), name
+
+    def test_one_shard_bundle_is_a_merge_fixed_point(self):
+        result = run_scenario(_lossy_islands_spec())
+        metrics = result.metrics
+        assert len({repr(node) for node, _ in metrics.false_alarms}) > 1
+        assert metrics.obs_snapshots
+        assert merge_obs_snapshots([metrics.obs_snapshots]) == (
+            metrics.obs_snapshots
+        )
+        assert (
+            merge_fleet_metrics(
+                [metrics],
+                detections=metrics.detections,
+                duration=metrics.duration,
             )
-        counter.value -= 1  # restore for other tests on the fixture
+            == metrics
+        )
+
+    def test_workers2_agrees_with_workers1(self):
+        """False alarms come out in one order at every worker count,
+        and the merged final snapshot carries the merged aggregates."""
+        one = run_scenario(_lossy_islands_spec()).metrics
+        two = run_scenario(_lossy_islands_spec(workers=2)).metrics
+        assert one.false_alarms and (
+            one.to_json()["false_alarms"] == two.to_json()["false_alarms"]
+        )
+        final = two.obs_snapshots[-1]
+        assert final["ts"] == two.duration
+        for rows, f in _row_fields():
+            family = f.metadata.get("family")
+            if family is None:
+                continue
+            series = {**final["counters"], **final["gauges"]}
+            snapshot_total = sum(
+                value
+                for key, value in series.items()
+                if family_name(key) == family
+            )
+            assert snapshot_total == _column_total(two, rows, f), family
+            if rows == "per_switch":
+                # Per-switch counters are shard-independent.
+                assert _column_total(one, rows, f) == snapshot_total
 
 
 class TestObservabilityIsNonIntrusive:

@@ -144,7 +144,7 @@ class TestWindowedMonitor:
             live = [p for p in monitor.outstanding.values() if not p.done]
             assert all(dict(p.result.header)[field] == value for p in live)
             if window > 1:
-                assert monitor._steady_depth <= window
+                assert monitor.window_depth <= window
         if window > 1:
             assert monitor.window_peak == window
         monitor.stop_steady_state()
@@ -160,7 +160,7 @@ class TestWindowedMonitor:
         assert {a.rule.key() for a in monitor.alarms} <= {victim.key()}
         assert not monitor.outstanding
         assert not monitor._inflight_keys
-        assert monitor._steady_depth == 0
+        assert monitor.window_depth == 0
 
 
 # ----- promotion grace (static deployments) -----------------------------
