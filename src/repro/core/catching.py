@@ -112,10 +112,6 @@ class CatchingPlan:
             raise ValueError("value2 only exists for strategy 2")
         return self.base2 + self.color_of[switch]
 
-    def reserved_values1(self) -> set[int]:
-        """All reserved values of field1 across the network."""
-        return {self.base1 + c for c in set(self.color_of.values())}
-
     def catching_rules(self, switch) -> list[Rule]:
         """The monitoring rules this switch must pre-install."""
         rules: list[Rule] = []

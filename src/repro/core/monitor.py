@@ -430,13 +430,7 @@ class Monitor:
         self._steady_running = True
         self.sim.schedule(1.0 / self.config.probe_rate, self._steady_tick)
 
-    def stop_steady_state(self) -> None:
-        """Pause the cycle (outstanding probes still resolve)."""
-        self._steady_running = False
-
     def _steady_tick(self) -> None:
-        if not self._steady_running:
-            return
         self.sim.schedule(1.0 / self.config.probe_rate, self._steady_tick)
         # Launch budget.  A window of 1 is purely rate-paced: one
         # launch per tick with no depth cap.  A deeper window tops the

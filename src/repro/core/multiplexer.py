@@ -30,6 +30,7 @@ from repro.core.catching import (
     is_infrastructure,
     plan_catching_rules,
 )
+from repro.core.droppostpone import tag_drop_rule
 from repro.core.dynamic import DynamicMonitor
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContext, ProbeGenerator
@@ -201,6 +202,12 @@ class MonocleSystem:
         # not — because a monitored switch's probes are caught at its
         # (possibly unmonitored) neighbors' tables.
         catch_rules = self.plan.catching_rules(node)
+        if use_drop_postponing:
+            # §4.3, Figure 3: every switch is some neighbor's tag-drop
+            # point.  The rule ranks with the filter rules — below the
+            # catch rule, so tagged probes still reach Monocle, and
+            # never probed itself.
+            catch_rules.append(tag_drop_rule())
         for rule in catch_rules:
             switch.install_directly(rule)
         channel.up_handler = lambda msg, n=node: self._from_switch(n, msg)

@@ -360,11 +360,3 @@ class BackgroundTraffic(Workload):
             generator.start(jitter=jitter)
             self.generators.append(generator)
             self.sinks.append(dst)
-
-    def packets_delivered(self) -> int:
-        """Packets that reached their sink host."""
-        return sum(len(sink.received) for sink in self.sinks)
-
-    def packets_sent(self) -> int:
-        """Packets emitted by all sources."""
-        return sum(g.seq for g in self.generators)

@@ -86,10 +86,6 @@ class Field:
         """Largest representable value for this field."""
         return (1 << self.width) - 1
 
-    def bit_positions(self) -> range:
-        """Absolute abstract-header bit indices covered by this field."""
-        return range(self.offset, self.offset + self.width)
-
     def contains(self, value: int) -> bool:
         """Whether ``value`` fits in the field's bit width."""
         return 0 <= value <= self.max_value
@@ -146,12 +142,6 @@ class HeaderLayout:
             raise ValueError(f"header value too wide: {header:#x}")
         return values
 
-    def bit_of(self, name: FieldName, bit_in_field: int) -> int:
-        """Absolute header bit index of ``bit_in_field`` (0 = field MSB)."""
-        field = self._by_name[name]
-        if not 0 <= bit_in_field < field.width:
-            raise ValueError(f"bit {bit_in_field} out of range for {name}")
-        return field.offset + bit_in_field
 
 
 def _build_layout() -> HeaderLayout:

@@ -143,10 +143,6 @@ class Match:
                 return False
         return True
 
-    def matches_packed(self, header: int) -> bool:
-        """Does a packed abstract header integer match?"""
-        return self.matches(HEADER.unpack(header))
-
     def packed(self) -> tuple[int, int]:
         """``(value, mask)`` over the whole abstract header as bigints.
 
@@ -183,18 +179,6 @@ class Match:
             if not fm.covers(other_fm):
                 return False
         return True
-
-    def rewritten_by(self, rewrites: Mapping[FieldName, int]) -> "Match":
-        """The match with rewritten fields pinned to their new values.
-
-        Used when reasoning about what a packet looks like after a rule's
-        SetField actions run.
-        """
-        fields = dict(self._fields)
-        for name, value in rewrites.items():
-            field = HEADER.field(name)
-            fields[name] = FieldMatch.exact(field, value)
-        return Match(fields)
 
     def bit_constraints(self) -> Iterable[tuple[int, bool]]:
         """Yield ``(abs_bit_index, required_value)`` for every fixed bit.

@@ -347,17 +347,6 @@ class FlowTable:
             return RuleOutcome(emissions=chosen, ecmp=False)
         return outcome
 
-    def higher_priority(self, rule: Rule) -> list[Rule]:
-        """Rules with strictly higher priority, highest first."""
-        # Strictly-higher priorities rank before (-priority, any seq).
-        index = bisect_left(self._order, (-rule.priority, -1))
-        return self._rules[:index]
-
-    def lower_priority(self, rule: Rule) -> list[Rule]:
-        """Rules with strictly lower priority, highest first."""
-        index = bisect_left(self._order, (-rule.priority + 1, -1))
-        return self._rules[index:]
-
     def overlapping(self, match: Match) -> list[Rule]:
         """Rules whose match overlaps ``match`` (the §5.4 pre-filter).
 

@@ -16,8 +16,3 @@ def internet_checksum(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
-
-
-def verify_checksum(data: bytes) -> bool:
-    """True when ``data`` (checksum field included) sums to zero."""
-    return internet_checksum(data) == 0

@@ -37,12 +37,6 @@ def mac_to_bytes(mac: int) -> bytes:
     return mac.to_bytes(6, "big")
 
 
-def mac_to_str(mac: int) -> str:
-    """48-bit int -> ``aa:bb:cc:dd:ee:ff``."""
-    raw = mac_to_bytes(mac)
-    return ":".join(f"{b:02x}" for b in raw)
-
-
 def encode_ethernet(header: EthernetHeader, payload: bytes) -> bytes:
     """Serialize an Ethernet frame (VLAN tag inserted when tagged)."""
     out = mac_to_bytes(header.dst) + mac_to_bytes(header.src)

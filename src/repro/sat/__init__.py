@@ -7,8 +7,7 @@ pure-Python equivalent:
 
 * :mod:`repro.sat.cnf` — a CNF container with variable allocation and
   flat one-dimensional clause storage (the paper found vector-of-vectors
-  allocation to be the conversion bottleneck; we keep the flat layout),
-  plus DIMACS read/write.
+  allocation to be the conversion bottleneck; we keep the flat layout).
 * :mod:`repro.sat.encode` — formula-level building blocks: conjunction,
   disjunction with Tseitin auxiliary variables, negation of clause lists,
   and the quadratic Velev if-then-else chain encoding from Appendix B.

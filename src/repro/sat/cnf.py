@@ -1,4 +1,4 @@
-"""CNF formula container and DIMACS serialization.
+"""CNF formula container.
 
 Literals use the DIMACS convention: variable ``v`` (a positive integer)
 appears as ``v`` for the positive literal and ``-v`` for its negation.
@@ -11,7 +11,7 @@ The container hides the flat layout behind iteration helpers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 #: A DIMACS literal: +v or -v for variable v >= 1.
 Lit = int
@@ -103,61 +103,6 @@ class CNF:
         dup._flat = list(self._flat)
         dup._num_clauses = self._num_clauses
         return dup
-
-    # ----- DIMACS ---------------------------------------------------------
-
-    def to_dimacs(self) -> str:
-        """Serialize to DIMACS CNF text."""
-        lines = [f"p cnf {self._num_vars} {self._num_clauses}"]
-        for clause in self.clauses():
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
-
-    def write_dimacs(self, stream: TextIO) -> None:
-        """Write DIMACS text to a stream."""
-        stream.write(self.to_dimacs())
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse DIMACS CNF text (comments and header tolerated)."""
-        cnf = cls()
-        declared_vars = 0
-        pending: list[int] = []
-        for raw_line in text.splitlines():
-            line = raw_line.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"bad DIMACS header: {line!r}")
-                declared_vars = int(parts[2])
-                continue
-            for token in line.split():
-                lit = int(token)
-                if lit == 0:
-                    cnf.add_clause(pending)
-                    pending = []
-                else:
-                    pending.append(lit)
-        if pending:
-            # Tolerate a final clause missing its 0 terminator.
-            cnf.add_clause(pending)
-        cnf.ensure_var(declared_vars)
-        return cnf
-
-    def evaluate(self, assignment: dict[int, bool]) -> bool:
-        """Evaluate under a *total* assignment (var -> bool)."""
-        for clause in self.clauses():
-            satisfied = False
-            for lit in clause:
-                value = assignment[abs(lit)]
-                if (lit > 0) == value:
-                    satisfied = True
-                    break
-            if not satisfied:
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"CNF(vars={self._num_vars}, clauses={self._num_clauses})"

@@ -183,16 +183,6 @@ def assert_ite_chain(
         cnf.add_clause(clause)
 
 
-def xor_lit(cnf: ClauseSink, a: Lit, b: Lit) -> Lit:
-    """Fresh literal ``s`` with ``s <-> (a XOR b)``."""
-    s = cnf.new_var()
-    cnf.add_clause((-s, a, b))
-    cnf.add_clause((-s, -a, -b))
-    cnf.add_clause((s, -a, b))
-    cnf.add_clause((s, a, -b))
-    return s
-
-
 def constant(cnf: ClauseSink, value: bool) -> Lit:
     """Fresh literal pinned to ``value``."""
     s = cnf.new_var()

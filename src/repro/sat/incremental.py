@@ -131,11 +131,6 @@ class IncrementalSolver:
             len(clauses) for clauses in self._groups.values()
         )
 
-    @property
-    def num_dead_clauses(self) -> int:
-        """Clauses still in the core solver but disabled by retirement."""
-        return self._dead_clauses
-
     def new_var(self, group: int | None = None) -> int:
         """Allocate an unconstrained variable.
 

@@ -252,11 +252,6 @@ class SimulatedSwitch:
         if self.send_to_controller is not None:
             self.send_to_controller(msg)
 
-    @property
-    def dataplane_synced(self) -> bool:
-        """True when no accepted FlowMod is still pending installation."""
-        return self._pending_installs == 0
-
     # ----- data plane ------------------------------------------------------
 
     def inject(self, raw: bytes, in_port: int) -> None:
@@ -355,10 +350,6 @@ class SimulatedSwitch:
     def fail_port(self, port: int) -> None:
         """All packets emitted on ``port`` vanish (link failure)."""
         self._dead_ports.add(port)
-
-    def restore_port(self, port: int) -> None:
-        """Undo :meth:`fail_port`."""
-        self._dead_ports.discard(port)
 
     def install_directly(self, rule: Rule) -> None:
         """Install a rule in both planes instantly (test/pre-setup)."""

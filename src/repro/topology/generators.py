@@ -93,8 +93,3 @@ def fat_tree(k: int = 4) -> nx.Graph:
             for edge in edges:
                 graph.add_edge(agg, edge)
     return graph
-
-
-def edge_switches(graph: nx.Graph) -> list[str]:
-    """The ToR/edge switches of a :func:`fat_tree` graph."""
-    return sorted(n for n in graph.nodes if str(n).startswith("edge"))

@@ -1,11 +1,15 @@
-"""Exhaustive reference SAT solver the CDCL tests compare against.
+"""Reference SAT helpers the solver tests compare against.
 
-Enumerates all assignments over the formula's variables and reports the
-first model found.  Exponential by nature, so it is guarded against
-formulas with more than 24 variables.
+:func:`brute_force_solve` enumerates all assignments over the formula's
+variables and reports the first model found (exponential by nature, so
+it is guarded against formulas with more than 24 variables);
+:func:`evaluate` checks a model against a formula; the DIMACS functions
+dump and reload formulas for failure messages and fixtures.
 """
 
 from __future__ import annotations
+
+from typing import TextIO
 
 from repro.sat.cnf import CNF
 
@@ -38,3 +42,53 @@ def brute_force_solve(cnf: CNF) -> dict[int, bool] | None:
         if ok:
             return assignment
     return None
+
+
+def evaluate(cnf: CNF, assignment: dict[int, bool]) -> bool:
+    """Evaluate under a *total* assignment (var -> bool)."""
+    return all(
+        any((lit > 0) == assignment[abs(lit)] for lit in clause)
+        for clause in cnf.clauses()
+    )
+
+
+def to_dimacs(cnf: CNF) -> str:
+    """Serialize to DIMACS CNF text."""
+    lines = [f"p cnf {cnf.num_vars} {cnf.num_clauses}"]
+    for clause in cnf.clauses():
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def write_dimacs(cnf: CNF, stream: TextIO) -> None:
+    """Write DIMACS text to a stream."""
+    stream.write(to_dimacs(cnf))
+
+
+def from_dimacs(text: str) -> CNF:
+    """Parse DIMACS CNF text (comments and header tolerated)."""
+    cnf = CNF()
+    declared_vars = 0
+    pending: list[int] = []
+    for raw_line in text.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ValueError(f"bad DIMACS header: {line!r}")
+            declared_vars = int(parts[2])
+            continue
+        for token in line.split():
+            lit = int(token)
+            if lit == 0:
+                cnf.add_clause(pending)
+                pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        # Tolerate a final clause missing its 0 terminator.
+        cnf.add_clause(pending)
+    cnf.ensure_var(declared_vars)
+    return cnf

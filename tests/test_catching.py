@@ -169,4 +169,6 @@ class TestAlgorithms:
 
     def test_reserved_values_set(self):
         plan = plan_catching_rules(triangle(), strategy=1, base1=0xF00)
-        assert plan.reserved_values1() == {0xF00, 0xF01, 0xF02}
+        assert {plan.value1(node) for node in triangle().nodes} == {
+            0xF00, 0xF01, 0xF02,
+        }

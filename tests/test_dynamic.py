@@ -3,6 +3,7 @@ transient tolerance, overlap queueing, deletions, modifications and
 drop-postponing (§4)."""
 
 
+from repro.core.droppostpone import DROP_TAG_TOS, TAG_DROP_PRIORITY
 from repro.core.dynamic import UpdateAck
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
@@ -201,11 +202,14 @@ class TestDropPostponing:
             if isinstance(msg, UpdateAck)
             else None,
         )
-        # Pre-install the neighbor tag-drop rules (deployment step).
-        from repro.core.droppostpone import tag_drop_rule
-
+        # Deployment pre-installed the neighbor-side tag-drop rule on
+        # every switch, in both planes and the Monitor's expected table.
+        tagged = Match.build(nw_tos=DROP_TAG_TOS)
         for node in ("s1", "s2", "s3"):
-            system.preinstall_production_rule(node, tag_drop_rule())
+            assert net.switch(node).dataplane.get(TAG_DROP_PRIORITY, tagged)
+            assert system.monitor(node).expected.get(
+                TAG_DROP_PRIORITY, tagged
+            )
 
         mod = FlowMod(
             command=FlowModCommand.ADD,

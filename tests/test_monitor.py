@@ -240,16 +240,6 @@ class TestSteadyState:
         for key in monitor.scheduler.keys():
             assert key[0] != CATCH_PRIORITY
 
-    def test_stop_steady_state(self):
-        sim, net, system, _ = star_setup(num_rules=6)
-        monitor = system.monitor("hub")
-        monitor.start_steady_state()
-        sim.run_for(0.2)
-        monitor.stop_steady_state()
-        sent = monitor.probes_sent
-        sim.run_for(0.5)
-        assert monitor.probes_sent == sent
-
     def test_probe_rate_respected(self):
         sim, net, system, _ = star_setup(num_rules=12, probe_rate=100.0)
         system.monitor("hub").start_steady_state()

@@ -8,6 +8,7 @@ from repro.openflow.fields import (
     ETHERTYPE_IPV4,
     FieldName,
 )
+from repro.openflow.match import Match
 
 
 class TestLayout:
@@ -35,13 +36,11 @@ class TestLayout:
         assert names[-1] == FieldName.TP_DST
 
     def test_bit_of(self):
+        """A field's fixed bits sit at ``offset .. offset + width - 1``
+        of the abstract header (0 = field MSB)."""
         nw_src = HEADER.field(FieldName.NW_SRC)
-        assert HEADER.bit_of(FieldName.NW_SRC, 0) == nw_src.offset
-        assert (
-            HEADER.bit_of(FieldName.NW_SRC, 31) == nw_src.offset + 31
-        )
-        with pytest.raises(ValueError):
-            HEADER.bit_of(FieldName.NW_SRC, 32)
+        bits = [i for i, _ in Match.build(nw_src=1).bit_constraints()]
+        assert bits == list(range(nw_src.offset, nw_src.offset + 32))
 
 
 class TestPacking:
@@ -92,6 +91,8 @@ class TestFieldSemantics:
 
     def test_bit_positions(self):
         pcp = HEADER.field(FieldName.DL_VLAN_PCP)
-        positions = list(pcp.bit_positions())
+        positions = [
+            i for i, _ in Match.build(dl_vlan_pcp=5).bit_constraints()
+        ]
         assert len(positions) == 3
         assert positions[0] == pcp.offset

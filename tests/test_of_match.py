@@ -128,7 +128,7 @@ class TestMatch:
         header = HEADER.pack(
             {FieldName.NW_SRC: 0x0A000001, FieldName.TP_DST: 80}
         )
-        assert match.matches_packed(header)
+        assert match.matches(HEADER.unpack(header))
 
     def test_bit_constraints_count(self):
         match = Match.build(dl_vlan=3)
@@ -141,14 +141,6 @@ class TestMatch:
         match = Match.build(nw_dst=(0x0A000000, 8))
         bits = list(match.bit_constraints())
         assert len(bits) == 8
-
-    def test_rewritten_by_pins_fields(self):
-        match = Match.build(nw_src=1)
-        rewritten = match.rewritten_by({FieldName.NW_TOS: 0x2A})
-        assert rewritten.matches({FieldName.NW_SRC: 1, FieldName.NW_TOS: 0x2A})
-        assert not rewritten.matches(
-            {FieldName.NW_SRC: 1, FieldName.NW_TOS: 0}
-        )
 
     def test_packed_overlap_agrees_with_fieldwise(self):
         pairs = [

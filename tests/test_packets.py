@@ -14,7 +14,7 @@ from repro.openflow.fields import (
 )
 from repro.openflow.match import Match
 from repro.packets import arp, ethernet, ipv4, transport
-from repro.packets.checksum import internet_checksum, verify_checksum
+from repro.packets.checksum import internet_checksum
 from repro.packets.craft import (
     CraftError,
     craft_packet,
@@ -37,7 +37,7 @@ class TestChecksum:
         data = bytes([0x00, 0x01, 0xF2, 0x03])
         checksum = internet_checksum(data)
         full = data + checksum.to_bytes(2, "big")
-        assert verify_checksum(full)
+        assert internet_checksum(full) == 0
 
 
 class TestEthernet:
@@ -64,8 +64,11 @@ class TestEthernet:
         with pytest.raises(ValueError):
             ethernet.decode_ethernet(b"short")
 
-    def test_mac_to_str(self):
-        assert ethernet.mac_to_str(0xAABBCCDDEEFF) == "aa:bb:cc:dd:ee:ff"
+    def test_mac_to_bytes(self):
+        raw = ethernet.mac_to_bytes(0xAABBCCDDEEFF)
+        assert raw.hex(":") == "aa:bb:cc:dd:ee:ff"
+        with pytest.raises(ValueError):
+            ethernet.mac_to_bytes(1 << 48)
 
 
 class TestIpv4:

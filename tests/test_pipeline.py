@@ -147,7 +147,8 @@ class TestWindowedMonitor:
                 assert monitor.window_depth <= window
         if window > 1:
             assert monitor.window_peak == window
-        monitor.stop_steady_state()
+        # Nothing more to launch: let the window drain.
+        monitor.scheduler.next_rules = lambda *args, **kwargs: []
         sim.run_for(1.0)
         # Every launched probe resolved exactly once, by its own nonce.
         assert len({p.nonce for p in launched}) == len(launched)

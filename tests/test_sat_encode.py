@@ -11,7 +11,6 @@ from repro.sat.encode import (
     ite_chain,
     negate_clause,
     negate_conjunction,
-    xor_lit,
 )
 from repro.sat.solver import solve
 
@@ -80,20 +79,6 @@ class TestNegations:
 
     def test_negate_conjunction(self):
         assert negate_conjunction([1, -2]) == [-1, 2]
-
-
-class TestXor:
-    def test_xor_truth_table(self):
-        cnf = CNF()
-        a, b = cnf.new_vars(2)
-        s = xor_lit(cnf, a, b)
-        for va, vb in itertools.product([False, True], repeat=2):
-            trial = cnf.copy()
-            trial.add_unit(a if va else -a)
-            trial.add_unit(b if vb else -b)
-            result = solve(trial)
-            assert result.satisfiable
-            assert result.assignment[s] == (va != vb)
 
 
 class TestConstant:

@@ -186,7 +186,7 @@ class TestRecyclingAndCompaction:
             solver.retire_group(dead)
         before = solver.solve([live]).satisfiable
         solver.compact()
-        assert solver.num_dead_clauses == 0
+        assert solver.health()["dead_clauses"] == 0
         assert solver.solve([live]).satisfiable == before
         reference = base.copy()
         reference.add_clause([1, 2])

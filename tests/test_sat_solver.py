@@ -4,7 +4,7 @@
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, _luby, solve
 from repro.sim.random import DeterministicRandom
-from sat_reference import brute_force_solve
+from sat_reference import brute_force_solve, evaluate, to_dimacs
 
 
 def make_cnf(num_vars, clauses):
@@ -43,7 +43,7 @@ class TestBasics:
         cnf = make_cnf(4, [[1, 2], [-1, 3], [-2, -3], [3, 4], [-4, 1]])
         result = solve(cnf)
         assert result.satisfiable
-        assert cnf.evaluate(result.assignment)
+        assert evaluate(cnf, result.assignment)
 
     def test_pigeonhole_3_into_2_unsat(self):
         # Vars p_{i,j}: pigeon i in hole j; i in 0..2, j in 0..1.
@@ -100,9 +100,9 @@ class TestAgainstBruteForce:
             cnf = self.random_cnf(rng, num_vars, num_clauses)
             expected = brute_force_solve(cnf) is not None
             result = solve(cnf)
-            assert result.satisfiable == expected, cnf.to_dimacs()
+            assert result.satisfiable == expected, to_dimacs(cnf)
             if result.satisfiable:
-                assert cnf.evaluate(result.assignment)
+                assert evaluate(cnf, result.assignment)
 
 
 class TestBudget:

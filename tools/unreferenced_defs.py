@@ -9,11 +9,13 @@ Two lists, both textual (occurrences of the name as a whole word):
 * defs whose name occurs once outside ``tests/`` but is referenced from
   ``tests/``: code only its own tests keep alive.
 
-Dunder methods are skipped.  Advisory: always exits 0 (a hit may be a
-public API nothing in the repo calls).
+Dunder methods are skipped.  Exits 1 when either list is non-empty: a
+def must have a caller in ``src/``, ``benchmarks/``, ``examples/`` or
+``bench/``, or move to a ``tests/`` helper, or go.
 """
 
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -49,3 +51,4 @@ for where in unreferenced:
 print(f"-- referenced only from tests/ ({len(tests_only)}):")
 for where in tests_only:
     print(where)
+sys.exit(1 if unreferenced or tests_only else 0)
