@@ -151,8 +151,7 @@ class ProbeGenerator:
             r for r in table.overlapping(rule.match) if r.key() != rule.key()
         ]
         # The §3.2 no-rewriting-reserved-fields assumption only needs to
-        # hold on rules this probe can interact with; use
-        # :meth:`validate_table` for a whole-table audit.
+        # hold on rules this probe can interact with.
         self._check_reserved_fields([rule] + candidates)
         higher = [r for r in candidates if r.priority > rule.priority]
         lower = [r for r in candidates if r.priority < rule.priority]
@@ -210,10 +209,6 @@ class ProbeGenerator:
                     f"rule {rule!r} rewrites probe-reserved field(s) "
                     f"{sorted(f.value for f in bad)}"
                 )
-
-    def validate_table(self, table: FlowTable) -> None:
-        """Audit a whole table against the reserved-field assumption."""
-        self._check_reserved_fields(table)
 
 
 def _decode_probe(

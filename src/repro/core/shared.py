@@ -64,6 +64,7 @@ from repro.openflow.messages import FlowMod
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable, table_fingerprint
+from repro.sat.incremental import IncrementalSolver
 
 __all__ = [
     "SharedContextRegistry",
@@ -451,6 +452,11 @@ class SharedProbeGenContext:
     def fingerprint(self) -> str:
         """Fingerprint of the current table (O(1): rolling, diagnostics)."""
         return self.table.fingerprint()
+
+    @property
+    def solver(self) -> IncrementalSolver:
+        """The solver of the context this handle is attached to."""
+        return self._context().solver
 
     def _context(self) -> ProbeGenContext:
         if self._own is not None:

@@ -243,26 +243,22 @@ class FleetDeployment:
         return self.system.total_alarms()
 
     def probegen_stats(self) -> ProbeGenContextStats:
-        """Fleet-wide aggregate of the incremental probe-gen counters.
+        """Fleet-wide sum of every Monitor's probe-generation counters.
 
-        Sums every Monitor's :class:`~repro.core.probegen.
-        ProbeGenContextStats`; the ratio of ``cache_hits`` +
-        ``revalidations`` to ``probes_generated`` is the work the delta
-        API saved over from-scratch generation.
+        The ratio of ``cache_hits`` + ``revalidations`` to
+        ``probes_generated`` is the work the delta API saved over
+        from-scratch generation.
         """
-        total = ProbeGenContextStats()
-        for node in self.monitored_nodes:
-            stats = self.monitor(node).probe_context.stats
-            # Field-driven so counters added to the dataclass can never
-            # be silently dropped from the aggregate.
-            for stat_field in dataclasses.fields(ProbeGenContextStats):
-                setattr(
-                    total,
-                    stat_field.name,
-                    getattr(total, stat_field.name)
-                    + getattr(stats, stat_field.name),
-                )
-        return total
+        parts = [
+            self.monitor(node).probe_context.stats
+            for node in self.monitored_nodes
+        ]
+        return ProbeGenContextStats(
+            **{
+                f.name: sum(getattr(part, f.name) for part in parts)
+                for f in dataclasses.fields(ProbeGenContextStats)
+            }
+        )
 
     def shared_context_stats(self) -> SharedContextStats:
         """Registry counters (all zero when sharing is disabled)."""

@@ -134,6 +134,18 @@ class SwitchMetrics:
     updates_given_up: int = _stat(
         agg="sum", family="monocle_updates_given_up_total", json_row=False
     )
+    #: Levels at collect time (the registry's gauges): probes in
+    #: flight, probe-cycle length, steady window occupancy, and the
+    #: probe-generation solver's live clauses and learned lemmas.
+    outstanding_probes: int = _stat(
+        family="monocle_outstanding_probes", json_row=False
+    )
+    cycle_keys: int = _stat(family="monocle_cycle_keys", json_row=False)
+    window_depth: int = _stat(family="monocle_window_depth", json_row=False)
+    solver_clauses: int = _stat(
+        family="monocle_solver_clauses", json_row=False
+    )
+    solver_lemmas: int = _stat(family="monocle_solver_lemmas", json_row=False)
 
     def probe_rate(self, duration: float) -> float:
         """Achieved probes/s over the scenario."""
@@ -162,6 +174,8 @@ class ShardMetrics:
     contexts_remerged: int = _stat(
         agg="sum", family="monocle_contexts_remerged_total"
     )
+    #: Contexts forked off right now (a level, not a count of forks).
+    contexts_apart: int = _stat(family="monocle_contexts_forked")
 
 
 #: Fleet-level attribute / ``aggregates`` key -> (the FleetMetrics row
@@ -385,7 +399,9 @@ class FleetMetrics:
 # ----- the one scrape -------------------------------------------------------
 
 
-def scrape_switch(deployment: FleetDeployment, node: Hashable) -> SwitchMetrics:
+def scrape_switch(
+    deployment: FleetDeployment, node: Hashable
+) -> SwitchMetrics:
     """Read one switch's layer counters into its :class:`SwitchMetrics`."""
     monitor = deployment.monitor(node)
     switch = deployment.switch(node).stats
@@ -393,6 +409,7 @@ def scrape_switch(deployment: FleetDeployment, node: Hashable) -> SwitchMetrics:
     generation = context.stats
     scheduling = monitor.scheduler.stats
     dynamic = deployment.system.dynamics.get(node)
+    solver = context.solver.health()
     return SwitchMetrics(
         node=node,
         rules_installed=len(deployment.production_rules[node]),
@@ -419,6 +436,11 @@ def scrape_switch(deployment: FleetDeployment, node: Hashable) -> SwitchMetrics:
         window_peak=monitor.window_peak,
         updates_confirmed=dynamic.updates_confirmed if dynamic else 0,
         updates_given_up=dynamic.updates_given_up if dynamic else 0,
+        outstanding_probes=len(monitor.outstanding),
+        cycle_keys=len(monitor.scheduler),
+        window_depth=monitor.window_depth,
+        solver_clauses=solver["num_clauses"],
+        solver_lemmas=solver["lemma_count"],
     )
 
 
@@ -426,6 +448,7 @@ def scrape_shard(deployment: FleetDeployment) -> ShardMetrics:
     """Read the deployment-wide counters into its :class:`ShardMetrics`."""
     multiplexer = deployment.system.multiplexer
     shared = deployment.shared_context_stats()
+    registry = deployment.shared_contexts
     return ShardMetrics(
         probes_routed=multiplexer.probes_routed,
         probes_unroutable=multiplexer.probes_unroutable,
@@ -434,6 +457,7 @@ def scrape_shard(deployment: FleetDeployment) -> ShardMetrics:
         contexts_deduped=shared.contexts_deduped,
         contexts_forked=shared.contexts_forked,
         contexts_remerged=shared.contexts_remerged,
+        contexts_apart=len(registry.forked) if registry else 0,
     )
 
 
@@ -443,12 +467,16 @@ def publish_metrics(deployment: FleetDeployment) -> None:
     Runs before every metrics snapshot / exposition, so the hot
     monitoring paths never pay per-event counter updates: every
     family-tagged row field is published from the same scrape
-    :func:`collect_fleet_metrics` aggregates, and the gauges below read
-    live structure sizes no post-mortem row keeps.
+    :func:`collect_fleet_metrics` aggregates — a counter when the
+    family ends in ``_total``, a gauge otherwise.
     """
     registry = deployment.obs.metrics
-
-    def publish(row: SwitchMetrics | ShardMetrics, **labels: str) -> None:
+    rows: list[tuple[SwitchMetrics | ShardMetrics, dict[str, str]]] = [
+        (scrape_switch(deployment, node), {"node": repr(node)})
+        for node in deployment.monitored_nodes
+    ]
+    rows.append((scrape_shard(deployment), {}))
+    for row, labels in rows:
         for f in dataclasses.fields(row):
             family = f.metadata.get("family")
             if family is None:
@@ -459,38 +487,6 @@ def publish_metrics(deployment: FleetDeployment) -> None:
                 counter.inc(value - counter.value)
             else:
                 registry.gauge(family, **labels).set(value)
-
-    for node in deployment.monitored_nodes:
-        label = repr(node)
-        publish(scrape_switch(deployment, node), node=label)
-        monitor = deployment.monitor(node)
-        registry.gauge("monocle_outstanding_probes", node=label).set(
-            len(monitor.outstanding)
-        )
-        registry.gauge("monocle_cycle_keys", node=label).set(
-            len(monitor.scheduler)
-        )
-        registry.gauge("monocle_window_depth", node=label).set(
-            monitor.window_depth
-        )
-        context = monitor.probe_context
-        solver = getattr(context, "solver", None)
-        if solver is None and hasattr(context, "_context"):
-            # Shared handle: read the backing context's solver.
-            solver = context._context().solver
-        if solver is not None:
-            health = solver.health()
-            registry.gauge("monocle_solver_clauses", node=label).set(
-                health["num_clauses"]
-            )
-            registry.gauge("monocle_solver_lemmas", node=label).set(
-                health["lemma_count"]
-            )
-    publish(scrape_shard(deployment))
-    if deployment.shared_contexts is not None:
-        registry.gauge("monocle_contexts_forked").set(
-            len(deployment.shared_contexts.forked)
-        )
 
 
 # ----- collection and merge -------------------------------------------------
@@ -625,33 +621,24 @@ def merge_obs_snapshots(
     fleet-level series, which sum correctly too) and histograms sum
     their ``count``/``sum`` fields.
     """
-    populated = [p for p in parts if p]
-    if not populated:
+    by_ts = [{snap["ts"]: snap for snap in part} for part in parts if part]
+    if not by_ts:
         return []
-    common = set(snap["ts"] for snap in populated[0])
-    for part in populated[1:]:
-        common &= {snap["ts"] for snap in part}
     merged: list[dict[str, Any]] = []
-    for ts in sorted(common):
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict[str, float]] = {}
-        for part in populated:
-            snap = next(s for s in part if s["ts"] == ts)
-            for key, value in snap["counters"].items():
-                counters[key] = counters.get(key, 0.0) + value
-            for key, value in snap["gauges"].items():
-                gauges[key] = gauges.get(key, 0.0) + value
-            for key, hist in snap["histograms"].items():
-                into = histograms.setdefault(key, {"count": 0.0, "sum": 0.0})
+    for ts in sorted(set.intersection(*map(set, by_ts))):
+        out: dict[str, Any] = {
+            "ts": ts, "counters": {}, "gauges": {}, "histograms": {}
+        }
+        for part in by_ts:
+            for kind in ("counters", "gauges"):
+                into = out[kind]
+                for key, value in part[ts][kind].items():
+                    into[key] = into.get(key, 0.0) + value
+            for key, hist in part[ts]["histograms"].items():
+                into = out["histograms"].setdefault(
+                    key, {"count": 0.0, "sum": 0.0}
+                )
                 into["count"] += hist["count"]
                 into["sum"] += hist["sum"]
-        merged.append(
-            {
-                "ts": ts,
-                "counters": counters,
-                "gauges": gauges,
-                "histograms": histograms,
-            }
-        )
+        merged.append(out)
     return merged

@@ -240,18 +240,14 @@ class ShardWorker:
             workloads=self.workloads,
             duration=self.spec.duration,
         )
-        trace_rows: list[tuple] = []
-        trace_emitted = 0
-        obs = self.deployment.obs
-        if obs.enabled:
-            trace_rows = obs.trace.raw_events()
-            trace_emitted = obs.trace.emitted
+        # The disabled observer's recorder is simply empty.
+        trace = self.deployment.obs.trace
         return ShardResult(
             shard=self.shard,
             metrics=metrics,
             injection_indices=indices,
-            trace_rows=trace_rows,
-            trace_emitted=trace_emitted,
+            trace_rows=trace.raw_events(),
+            trace_emitted=trace.emitted,
         )
 
 

@@ -91,11 +91,6 @@ def at_most_one(cnf: ClauseSink, literals: Sequence[Lit]) -> None:
             cnf.add_clause((-literals[i], -literals[j]))
 
 
-def implies(cnf: ClauseSink, antecedent: Lit, consequent: Lit) -> None:
-    """Add ``antecedent -> consequent``."""
-    cnf.add_clause((-antecedent, consequent))
-
-
 def ite_chain(
     cnf: ClauseSink,
     branches: Sequence[tuple[Lit, Lit]],
