@@ -143,7 +143,6 @@ class HeaderLayout:
         return values
 
 
-
 def _build_layout() -> HeaderLayout:
     """Construct the canonical OpenFlow 1.0 abstract header layout."""
     spec: list[tuple[FieldName, int, dict]] = [

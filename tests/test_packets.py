@@ -64,7 +64,7 @@ class TestEthernet:
         with pytest.raises(ValueError):
             ethernet.decode_ethernet(b"short")
 
-    def test_mac_to_bytes(self):
+    def test_mac_to_str(self):
         raw = ethernet.mac_to_bytes(0xAABBCCDDEEFF)
         assert raw.hex(":") == "aa:bb:cc:dd:ee:ff"
         with pytest.raises(ValueError):
