@@ -14,8 +14,10 @@ configuration ("**", much higher baseline) degrades the fastest.  The
 
 from repro.analysis import format_table
 from repro.openflow.actions import output
+from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, PacketOut
+from repro.packets.craft import craft_packet
 from repro.sim.kernel import Simulator
 from repro.switches.profiles import (
     DELL_8132F,
@@ -30,6 +32,10 @@ from .conftest import print_header
 RATIOS = [0, 1, 2, 3, 4, 5, 10, 20, 40]
 PROFILES = [HP_5406ZL, DELL_8132F, DELL_S4810, DELL_S4810_SAME_PRIO]
 MEASURE_TIME = 4.0
+#: A switch parses what it is told to send, so the probe is a packet.
+PROBE = craft_packet(
+    {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17}, b"probe"
+)
 
 
 def flowmod_rate(profile, packetouts_per_two_mods: int) -> float:
@@ -73,7 +79,7 @@ def flowmod_rate(profile, packetouts_per_two_mods: int) -> float:
             )
         )
         for _ in range(packetouts_per_two_mods):
-            switch.receive_message(PacketOut(payload=b"probe", out_port=1))
+            switch.receive_message(PacketOut(payload=PROBE, out_port=1))
     sim.run()
     return switch.stats.flowmods_processed / max(last_completion[0], 1e-9)
 
@@ -85,7 +91,7 @@ def measure_max_packetout_rate(profile) -> float:
     delivered = []
     switch.attach_port(1, lambda raw: delivered.append(sim.now))
     for _ in range(2000):
-        switch.receive_message(PacketOut(payload=b"x", out_port=1))
+        switch.receive_message(PacketOut(payload=PROBE, out_port=1))
     sim.run()
     return len(delivered) / delivered[-1]
 

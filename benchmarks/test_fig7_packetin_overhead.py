@@ -74,7 +74,7 @@ def flowmod_rate_under_packetins(profile, packetin_rate: float) -> float:
         interval = 1.0 / packetin_rate
 
         def traffic():
-            switch.inject(TRAFFIC_PACKET, in_port=1)
+            switch.inject_raw(TRAFFIC_PACKET, in_port=1)
             if sim.now < MEASURE_TIME:
                 sim.schedule(interval, traffic)
 

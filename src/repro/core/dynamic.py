@@ -27,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
-from repro.core.monitor import (
-    Monitor,
-    OutstandingProbe,
-    outcome_observations,
-)
+from repro.core.monitor import Monitor, OutstandingProbe
 from repro.core.probegen import ProbeResult
 from repro.openflow.messages import FlowMod, FlowModCommand, Message, next_xid
 from repro.openflow.rule import Rule
@@ -359,17 +355,8 @@ class DynamicMonitor:
         the reliable variant.
         """
         config = self.monitor.config
-        assert result.outcome_present is not None
-        assert result.outcome_absent is not None
-        target_obs = (
-            outcome_observations(
-                result.outcome_present, self.monitor.observable_ports
-            )
-            if confirm_on == "present"
-            else outcome_observations(
-                result.outcome_absent, self.monitor.observable_ports
-            )
-        )
+        present_obs, absent_obs = self.monitor.observations(result)
+        target_obs = present_obs if confirm_on == "present" else absent_obs
 
         def confirmed(_probe: OutstandingProbe) -> None:
             self._confirm_piece(update, monitorable=True)

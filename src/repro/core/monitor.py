@@ -140,12 +140,7 @@ def outcome_observations(
     for port, header_items in outcome.emissions:
         if observable_ports is not None and port not in observable_ports:
             continue
-        cleaned = tuple(
-            (name, value)
-            for name, value in wire_visible_items(dict(header_items))
-            if name is not FieldName.IN_PORT
-        )
-        observations.append((port, cleaned))
+        observations.append((port, wire_visible_items(dict(header_items))))
     return frozenset(observations)
 
 
@@ -403,17 +398,26 @@ class Monitor:
         """
         return self.probe_context.probe_for(rule)
 
+    def observations(
+        self, result: ProbeResult
+    ) -> tuple[frozenset[Observation], frozenset[Observation]]:
+        """What the observable ports show of the probe when the rule
+        is (present, absent): computed once per result — when it is
+        validated, or at first launch for one that never was (dynamic
+        mode's altered-table probes) — and kept on it."""
+        if result.observations is None:
+            present, absent = result.outcome_present, result.outcome_absent
+            assert present is not None and absent is not None
+            result.observations = (
+                outcome_observations(present, self.observable_ports),
+                outcome_observations(absent, self.observable_ports),
+            )
+        return result.observations
+
     def _check_observability(self, result: ProbeResult) -> ProbeResult:
         """Demote probes whose outcomes can't be told apart from what
         Monocle can actually observe (egress rules, §3.5)."""
-        assert result.outcome_present is not None
-        assert result.outcome_absent is not None
-        present = outcome_observations(
-            result.outcome_present, self.observable_ports
-        )
-        absent = outcome_observations(
-            result.outcome_absent, self.observable_ports
-        )
+        present, absent = self.observations(result)
         present_returns = bool(present)
         absent_returns = bool(absent)
         if present == absent and present_returns == absent_returns:
@@ -734,7 +738,6 @@ class Monitor:
         """
         assert result.ok and result.header is not None
         assert result.outcome_present is not None
-        assert result.outcome_absent is not None
         if self.obs.enabled and span == 0:
             # Probes launched outside the steady cycle (dynamic-mode
             # update confirmations) still get their own lifecycle span.
@@ -746,18 +749,14 @@ class Monitor:
             nonce=nonce,
             expected_drop=result.outcome_present.is_drop(),
         )
-        header = dict(result.header)
+        present_obs, absent_obs = self.observations(result)
         probe = OutstandingProbe(
             nonce=nonce,
             result=result,
-            packet=craft_packet(header, metadata.encode()),
-            in_port=header.get(FieldName.IN_PORT, 0),
-            present_obs=outcome_observations(
-                result.outcome_present, self.observable_ports
-            ),
-            absent_obs=outcome_observations(
-                result.outcome_absent, self.observable_ports
-            ),
+            packet=craft_packet(result.header, metadata.encode()),
+            in_port=result.header.get(FieldName.IN_PORT, 0),
+            present_obs=present_obs,
+            absent_obs=absent_obs,
             first_injected=self.sim.now,
             retries_left=(
                 retries if retries is not None else self.config.max_retries
@@ -916,14 +915,7 @@ class Monitor:
         if probe is None or probe.done:
             self.stale_probes += 1
             return
-        observation: Observation = (
-            egress_port,
-            tuple(
-                (name, value)
-                for name, value in wire_visible_items(values)
-                if name is not FieldName.IN_PORT
-            ),
-        )
+        observation: Observation = (egress_port, wire_visible_items(values))
         target = (
             probe.present_obs
             if probe.confirm_on == "present"

@@ -81,6 +81,10 @@ class ProbeResult:
         generation_time: wall-clock seconds spent generating.
         cnf_vars / cnf_clauses: size of the SAT instance.
         overlapping_rules: how many rules survived the §5.4 filter.
+        observations: ``Monitor.observations`` memo of the one Monitor
+            this result is served to.  ``init=False``, so a ``replace``
+            copy (revalidated outcomes, another switch's view of a
+            shared result) starts without it.
     """
 
     rule: Rule
@@ -95,6 +99,9 @@ class ProbeResult:
     cnf_clauses: int = 0
     overlapping_rules: int = 0
     solver_conflicts: int = 0
+    observations: tuple[frozenset, frozenset] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def expects_return(self) -> bool:
         """Will the probe come back to Monocle when the rule is healthy?

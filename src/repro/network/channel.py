@@ -24,9 +24,10 @@ class ControlChannel:
 
     An optional :class:`~repro.network.conditioning.ChannelConditioner`
     perturbs delivery (loss/delay/jitter/duplication/reorder) with
-    seed-deterministic draws.  While the conditioner is idle the send
-    path is byte-identical to an unconditioned channel — no draws, no
-    extra scheduling.
+    seed-deterministic draws.  A message pays for it only in a
+    direction that has an overlay in force: otherwise the send path
+    reads one attribute and is byte-identical to an unconditioned
+    channel — no conditioner call, no draws, no extra scheduling.
 
     Attributes:
         down_handler: receives messages travelling controller -> switch.
@@ -68,7 +69,7 @@ class ControlChannel:
         direction: str,
     ) -> None:
         conditioner = self.conditioner
-        if conditioner is None or not conditioner.is_active(direction):
+        if conditioner is None or direction not in conditioner.active:
             self.sim.schedule(self.latency, lambda: handler(msg))
             return
         for extra in conditioner.plan(direction):

@@ -15,14 +15,14 @@ composition of overlays treats losses/duplicates/reorders as
 independent events (probabilities combine as ``1 - prod(1 - p_i)``),
 delays and jitters add, and reorder windows take the max.
 
-When no overlay is active the conditioner draws **nothing** from its
-streams — an unconditioned run is byte-identical to one built without
-a conditioner at all.
+When no overlay is active the conditioner is never called and draws
+**nothing** from its streams — an unconditioned run is byte-identical
+to one built without a conditioner at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.sim.random import DeterministicRandom
 
@@ -76,9 +76,7 @@ class ChannelConditions:
     @property
     def active(self) -> bool:
         """True when any knob perturbs delivery."""
-        return any(
-            getattr(self, f.name) != 0.0 for f in fields(self)
-        )
+        return self != PERFECT
 
     @staticmethod
     def combine(
@@ -141,9 +139,14 @@ class ChannelConditioner:
         self._overlays: dict[str, list[tuple[int, ChannelConditions]]] = {
             direction: [] for direction in DIRECTIONS
         }
-        self._effective: dict[str, ChannelConditions] = {
+        #: The combined conditions in force per direction.
+        self.effective: dict[str, ChannelConditions] = {
             direction: PERFECT for direction in DIRECTIONS
         }
+        #: Directions with a perturbing overlay (see :meth:`_recompute`).
+        #: The channel calls :meth:`plan` only for a direction in here,
+        #: so an idle conditioner costs a message nothing.
+        self.active: frozenset[str] = frozenset()
         self._next_token = 0
         self.stats: dict[str, ConditionerStats] = {
             direction: ConditionerStats() for direction in DIRECTIONS
@@ -174,13 +177,9 @@ class ChannelConditioner:
                 self._overlays[dirn] = kept
                 self._recompute(dirn)
 
-    def effective(self, direction: str) -> ChannelConditions:
-        """The combined conditions currently active on a direction."""
-        return self._effective[direction]
-
     def is_active(self, direction: str) -> bool:
         """True when the direction has any perturbing overlay."""
-        return self._effective[direction].active
+        return direction in self.active
 
     def _directions(self, direction: str) -> tuple[str, ...]:
         if direction == "both":
@@ -194,8 +193,11 @@ class ChannelConditioner:
 
     def _recompute(self, direction: str) -> None:
         overlays = [entry[1] for entry in self._overlays[direction]]
-        self._effective[direction] = (
+        self.effective[direction] = (
             ChannelConditions.combine(overlays) if overlays else PERFECT
+        )
+        self.active = frozenset(
+            dirn for dirn in DIRECTIONS if self.effective[dirn].active
         )
 
     # ----- the hot path ----------------------------------------------------
@@ -204,12 +206,12 @@ class ChannelConditioner:
         """Draw this message's fate: one extra delay per delivered copy.
 
         An empty list means the message is dropped.  ``[0.0]`` is a
-        clean single delivery.  Callers must only invoke this when
-        :meth:`is_active` is true — an idle conditioner draws nothing,
-        which keeps unconditioned runs byte-identical to runs without
-        a conditioner.
+        clean single delivery.  Callers must only invoke this for a
+        direction in :attr:`active` — an idle conditioner draws
+        nothing, which keeps unconditioned runs byte-identical to runs
+        without a conditioner.
         """
-        conditions = self._effective[direction]
+        conditions = self.effective[direction]
         rng = self._rngs[direction]
         stats = self.stats[direction]
         stats.conditioned += 1
@@ -250,8 +252,7 @@ class ChannelConditioner:
     def __repr__(self) -> str:
         parts = []
         for direction in DIRECTIONS:
-            eff = self._effective[direction]
-            if eff.active:
-                parts.append(f"{direction}={eff}")
+            if self.is_active(direction):
+                parts.append(f"{direction}={self.effective[direction]}")
         inner = ", ".join(parts) if parts else "idle"
         return f"ChannelConditioner({inner})"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.kernel import Simulator
 
@@ -13,9 +13,10 @@ DEFAULT_LATENCY = 0.0002
 class Link:
     """A bidirectional link with per-direction delivery and failure.
 
-    The link does not know about switches; endpoints are plugged in as
-    callables taking raw packet bytes.  :class:`~repro.network.network.
-    Network` does the plumbing.
+    The link does not know about switches and never looks inside what
+    it carries: endpoints are callables taking one packet in the form
+    :class:`~repro.network.network.Network` wired the two ends for — a
+    parsed frame between two switches, raw bytes on a host edge.
     """
 
     def __init__(
@@ -26,36 +27,36 @@ class Link:
         self.sim = sim
         self.latency = latency
         self.failed = False
-        self._a_handler: Callable[[bytes], None] | None = None
-        self._b_handler: Callable[[bytes], None] | None = None
+        self._a_handler: Callable[[Any], None] | None = None
+        self._b_handler: Callable[[Any], None] | None = None
         self.delivered = 0
         self.dropped = 0
 
     def connect(
         self,
-        a_handler: Callable[[bytes], None],
-        b_handler: Callable[[bytes], None],
+        a_handler: Callable[[Any], None],
+        b_handler: Callable[[Any], None],
     ) -> None:
         """Set the receive handler of each end."""
         self._a_handler = a_handler
         self._b_handler = b_handler
 
-    def send_from_a(self, raw: bytes) -> None:
+    def send_from_a(self, packet: Any) -> None:
         """Transmit from endpoint A toward endpoint B."""
-        self._transmit(raw, self._b_handler)
+        self._transmit(packet, self._b_handler)
 
-    def send_from_b(self, raw: bytes) -> None:
+    def send_from_b(self, packet: Any) -> None:
         """Transmit from endpoint B toward endpoint A."""
-        self._transmit(raw, self._a_handler)
+        self._transmit(packet, self._a_handler)
 
     def _transmit(
-        self, raw: bytes, handler: Callable[[bytes], None] | None
+        self, packet: Any, handler: Callable[[Any], None] | None
     ) -> None:
         if self.failed or handler is None:
             self.dropped += 1
             return
         self.delivered += 1
-        self.sim.schedule(self.latency, lambda: handler(raw))
+        self.sim.schedule(self.latency, lambda: handler(packet))
 
     def fail(self) -> None:
         """Cut the link: all packets in both directions are lost."""

@@ -15,6 +15,7 @@ from repro.network.channel import ControlChannel
 from repro.network.conditioning import ChannelConditioner
 from repro.network.host import Host
 from repro.network.link import Link
+from repro.packets.craft import craft_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
 from repro.switches.profiles import OVS, SwitchProfile
@@ -87,8 +88,8 @@ class Network:
             self._next_port[node] = 1
             # Every channel owns a conditioner with a stream forked by
             # switch number: chaos draws are independent per switch and
-            # per direction, and (because an idle conditioner draws
-            # nothing) cost nothing until a degradation overlay lands.
+            # per direction, and a degradation can land on any channel
+            # at any time.  Until one does the channel never calls it.
             conditioner = ChannelConditioner(
                 self.rng.fork(0xC0FD00 + self._switch_numbers[node])
             )
@@ -115,9 +116,10 @@ class Network:
         link = Link(self.sim)
         switch_u = self.switches[u]
         switch_v = self.switches[v]
+        # Switch to switch the link carries the parsed frame.
         link.connect(
-            a_handler=lambda raw, s=switch_u, p=port_u: s.inject(raw, p),
-            b_handler=lambda raw, s=switch_v, p=port_v: s.inject(raw, p),
+            a_handler=lambda frame, s=switch_u, p=port_u: s.inject(frame, p),
+            b_handler=lambda frame, s=switch_v, p=port_v: s.inject(frame, p),
         )
         switch_u.attach_port(port_u, link.send_from_a)
         switch_v.attach_port(port_v, link.send_from_b)
@@ -140,12 +142,15 @@ class Network:
         # Endpoint A receives what the switch-side sends and vice versa:
         # the host transmits from the B side (delivering to the switch),
         # the switch emits from the A side (delivering to the host).
+        # A host NIC reads bytes: parsed on the way in, crafted out.
         link.connect(
-            a_handler=lambda raw, s=sw, p=port: s.inject(raw, p),
+            a_handler=lambda raw, s=sw, p=port: s.inject_raw(raw, p),
             b_handler=host.receive,
         )
         host.transmit = link.send_from_b
-        sw.attach_port(port, link.send_from_a)
+        sw.attach_port(
+            port, lambda frame: link.send_from_a(craft_packet(*frame))
+        )
         self.hosts[name] = host
         self.port_toward[switch][name] = port
         self.neighbor_on_port[switch][port] = name

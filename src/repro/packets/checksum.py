@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 
 def internet_checksum(data: bytes) -> int:
     """One's-complement sum of 16-bit words, complemented.
@@ -10,9 +12,7 @@ def internet_checksum(data: bytes) -> int:
     """
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF

@@ -23,7 +23,7 @@ Ethernet (+VLAN) and then IPv4/TCP/UDP/ICMP or ARP.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.openflow.fields import (
     ETHERTYPE_ARP,
@@ -32,6 +32,8 @@ from repro.openflow.fields import (
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    VALID_ETHERTYPES,
+    VALID_IP_PROTOS,
     VLAN_NONE,
     Field,
     FieldName,
@@ -67,26 +69,27 @@ def _field_constraints(
 
 
 def _fix_limited_domain(
-    field: Field,
+    name: FieldName,
     value: int,
-    constraints: list[FieldMatch],
+    domain: Sequence[int],
+    matches: list[Match],
 ) -> int:
-    """Return a wire-valid value for the field, preserving all matches.
+    """Return a value from ``domain`` for the field, preserving all matches.
 
     Implements the spare-value substitution of §5.2.  If the current
-    value is already valid it is kept; otherwise each valid value is
-    tried in order and the first one that provably preserves every
-    constraint is chosen.
+    value is already in the domain it is kept; otherwise each domain
+    value is tried in order and the first one that provably preserves
+    every constraint is chosen.
     """
-    assert field.valid_values is not None
-    if value in field.valid_values:
+    if value in domain:
         return value
-    for candidate in field.valid_values:
+    constraints = _field_constraints(matches, name)
+    for candidate in domain:
         if _substitution_safe(candidate, value, constraints):
             return candidate
     raise CraftError(
-        f"no valid substitute for {field.name}={value:#x}; "
-        f"domain {field.valid_values} is fully pinned by rules"
+        f"no valid substitute for {name}={value:#x}; "
+        f"domain {domain} is fully pinned by rules"
     )
 
 
@@ -105,9 +108,50 @@ def _is_excluded(values: Mapping[FieldName, int], field: Field) -> bool:
     return values.get(field.parent, 0) not in field.parent_values
 
 
+def _on_the_wire(dl_type: int, nw_proto: int) -> tuple[FieldName, ...]:
+    gates = {FieldName.DL_TYPE: dl_type, FieldName.NW_PROTO: nw_proto}
+    return tuple(
+        sorted(
+            field.name
+            for field in HEADER
+            if field.name is not FieldName.IN_PORT  # metadata, not content
+            and not _is_excluded(gates, field)
+        )
+    )
+
+
+#: The fields a header puts on the wire, name-sorted, per header class:
+#: exclusion looks at ``dl_type`` and ``nw_proto`` only, and at each only
+#: through which valid value, if any (else -1), it holds.
+_VISIBLE = {
+    (dl_type, nw_proto): _on_the_wire(dl_type, nw_proto)
+    for dl_type in (*VALID_ETHERTYPES, -1)
+    for nw_proto in (*VALID_IP_PROTOS, -1)
+}
+
 #: OpenFlow 1.0 maps ICMP type/code onto tp_src/tp_dst; only the low
 #: byte of each exists on the wire.
 _ICMP_TP_MASK = 0xFF
+
+
+def _wire_values(values: Mapping[FieldName, int]) -> dict[FieldName, int]:
+    """The fields on the wire, name-sorted, with the values it keeps:
+    an ICMP packet has one byte for each of ``tp_src``/``tp_dst``
+    (type/code), an untagged frame no TCI, hence no priority bits."""
+    get = values.get
+    dl_type = get(FieldName.DL_TYPE, 0)
+    nw_proto = get(FieldName.NW_PROTO, 0)
+    visible = _VISIBLE[
+        dl_type if dl_type in VALID_ETHERTYPES else -1,
+        nw_proto if nw_proto in VALID_IP_PROTOS else -1,
+    ]
+    wire = {name: get(name, 0) for name in visible}
+    if wire[FieldName.DL_VLAN] == VLAN_NONE:
+        wire[FieldName.DL_VLAN_PCP] = 0
+    if dl_type == ETHERTYPE_IPV4 and nw_proto == IPPROTO_ICMP:
+        wire[FieldName.TP_SRC] &= _ICMP_TP_MASK
+        wire[FieldName.TP_DST] &= _ICMP_TP_MASK
+    return wire
 
 
 def wire_visible_items(
@@ -116,23 +160,37 @@ def wire_visible_items(
     """The header items a craft -> parse roundtrip preserves, sorted.
 
     Conditionally-excluded fields (``nw_proto`` on an ARP packet,
-    ``tp_src`` without a transport protocol, ...) never appear on the
-    wire, so an observer — Monocle catching its own probe — cannot see
-    them; comparing observations must ignore them.  For ICMP packets
-    the transport fields are masked to the byte the wire can carry
-    (type/code).  Missing fields are treated as 0, mirroring
+    ``tp_src`` without a transport protocol, ...) and ``in_port`` never
+    appear on the wire, so an observer — Monocle catching its own probe
+    — cannot see them; comparing observations must ignore them.  ICMP
+    transport fields and an untagged frame's priority are narrowed to
+    what the wire carries.  Missing fields are treated as 0, mirroring
     :func:`normalize_abstract_header`.
     """
-    icmp = values.get(FieldName.NW_PROTO, 0) == IPPROTO_ICMP
-    items = []
-    for field in HEADER:
-        if _is_excluded(values, field):
-            continue
-        value = values.get(field.name, 0)
-        if icmp and field.name in (FieldName.TP_SRC, FieldName.TP_DST):
-            value &= _ICMP_TP_MASK
-        items.append((field.name, value))
-    return tuple(sorted(items))
+    return tuple(_wire_values(values).items())
+
+
+def wire_header(
+    values: Mapping[FieldName, int], in_port: int = 0
+) -> dict[FieldName, int]:
+    """The header ``parse_packet(craft_packet(values, p), in_port)``
+    returns, without going through bytes: the form a packet takes
+    between two simulated switches.  ``values`` must hold every field
+    of its class (a parsed header, or one with rewrites applied), each
+    within its width.
+
+    Raises:
+        CraftError: when :func:`craft_packet` would (no wire form).
+    """
+    dl_type = values.get(FieldName.DL_TYPE, 0)
+    nw_proto = values.get(FieldName.NW_PROTO, 0)
+    if dl_type not in VALID_ETHERTYPES or (
+        dl_type == ETHERTYPE_IPV4 and nw_proto not in VALID_IP_PROTOS
+    ):
+        raise CraftError(f"cannot craft {dl_type=:#06x}, {nw_proto=}")
+    header = _wire_values(values)
+    header[FieldName.IN_PORT] = in_port
+    return header
 
 
 def normalize_abstract_header(
@@ -163,9 +221,8 @@ def normalize_abstract_header(
             continue
         if _is_excluded(normalized, field):
             continue  # handled by step 2
-        constraints = _field_constraints(matches, field.name)
         normalized[field.name] = _fix_limited_domain(
-            field, normalized[field.name], constraints
+            field.name, normalized[field.name], field.valid_values, matches
         )
 
     # Step 2: zero conditionally-excluded fields (elimination lemma).
@@ -173,28 +230,24 @@ def normalize_abstract_header(
         if field.parent is not None and _is_excluded(normalized, field):
             normalized[field.name] = 0
 
-    # Step 3: ICMP narrows tp_src/tp_dst to one wire byte (type/code).
-    # A SAT solution using the upper bits would not survive the craft ->
-    # parse roundtrip, so substitute a representable value that
-    # provably preserves every rule's match result — the same spare-
-    # value argument as step 1, over the domain 0..255.
+    # Step 3: values the wire narrows.  ICMP keeps one byte of
+    # tp_src/tp_dst (type/code) and an untagged frame carries no
+    # priority bits.  A SAT solution using the lost bits would not
+    # survive the craft -> parse roundtrip, so substitute a
+    # representable value that provably preserves every rule's match
+    # result — the same spare-value argument as step 1.
+    narrowed: list[tuple[FieldName, range]] = []
+    if normalized[FieldName.DL_VLAN] == VLAN_NONE:
+        narrowed.append((FieldName.DL_VLAN_PCP, range(1)))
     if normalized[FieldName.NW_PROTO] == IPPROTO_ICMP and not _is_excluded(
         normalized, HEADER.field(FieldName.TP_SRC)
     ):
-        for name in (FieldName.TP_SRC, FieldName.TP_DST):
-            value = normalized[name]
-            if value <= _ICMP_TP_MASK:
-                continue
-            constraints = _field_constraints(matches, name)
-            for candidate in range(_ICMP_TP_MASK + 1):
-                if _substitution_safe(candidate, value, constraints):
-                    normalized[name] = candidate
-                    break
-            else:
-                raise CraftError(
-                    f"no ICMP-representable substitute for "
-                    f"{name.value}={value:#x}"
-                )
+        domain = range(_ICMP_TP_MASK + 1)
+        narrowed += [(FieldName.TP_SRC, domain), (FieldName.TP_DST, domain)]
+    for name, domain in narrowed:
+        normalized[name] = _fix_limited_domain(
+            name, normalized[name], domain, matches
+        )
 
     return normalized
 

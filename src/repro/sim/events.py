@@ -9,25 +9,24 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: the handle ``schedule`` returns.
 
     Attributes:
         time: absolute simulation time at which the callback fires.
-        seq: tie-breaker assigned by the queue; schedule order wins ties.
         action: zero-argument callable run when the event is dispatched.
         cancelled: a cancelled event stays in the heap but is skipped.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "action", "cancelled")
+
+    def __init__(self, time: float, action: Callable[[], None]) -> None:
+        self.time = time
+        self.action = action
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -35,36 +34,33 @@ class Event:
 
 
 class EventQueue:
-    """Binary-heap priority queue of :class:`Event` objects."""
+    """Binary heap of ``(time, seq, event)`` entries.
+
+    ``seq`` is unique, so comparing two entries never reaches the
+    :class:`Event` and every heap sift is a C-level tuple comparison.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at absolute ``time`` and return the event."""
-        event = Event(time=time, seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, event)
+        event = Event(time, action)
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         return event
 
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event, or None."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+    def pop(self, until: float | None = None) -> Event | None:
+        """Remove and return the earliest non-cancelled event; None when
+        there is none or it fires after ``until`` (it stays queued)."""
+        time = self.peek_time()
+        if time is None or (until is not None and time > until):
+            return None
+        return heapq.heappop(self._heap)[2]
 
     def peek_time(self) -> float | None:
         """Time of the earliest pending event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None

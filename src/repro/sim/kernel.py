@@ -98,24 +98,17 @@ class Simulator:
             raise RuntimeError("Simulator.run() is not reentrant")
         self._running = True
         try:
-            dispatched_this_run = 0
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+            pop = self._queue.pop
+            advance = self.clock.advance
+            budget = float("inf") if max_events is None else max_events
+            while budget > 0:
+                event = pop(until)
+                if event is None:
                     break
-                if until is not None and next_time > until:
-                    break
-                if (
-                    max_events is not None
-                    and dispatched_this_run >= max_events
-                ):
-                    break
-                event = self._queue.pop()
-                assert event is not None  # peek said there was one
-                self.clock.advance(event.time)
+                advance(event.time)
                 event.action()
                 self._dispatched += 1
-                dispatched_this_run += 1
+                budget -= 1
                 if self._dispatch_hook is not None:
                     self._dispatch_hook(event.time)
             if until is not None and until > self.now:

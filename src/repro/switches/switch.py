@@ -31,7 +31,7 @@ from repro.openflow.messages import (
 )
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
-from repro.packets.craft import craft_packet
+from repro.packets.craft import CraftError, craft_packet, wire_header
 from repro.packets.parse import ParseError, parse_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
@@ -40,6 +40,12 @@ from repro.switches.profiles import OVS, SwitchProfile
 
 #: Data-plane forwarding latency through the switch fabric (seconds).
 FABRIC_LATENCY = 0.0001
+
+#: A packet inside the simulated data plane: the header the wire would
+#: carry (:func:`~repro.packets.craft.wire_header`) and the payload.
+#: Bytes exist only where something real reads them: PacketOut in,
+#: PacketIn out, host NICs.  A frame belongs to its last receiver.
+Frame = tuple[dict[FieldName, int], bytes]
 
 
 def apply_flowmod(table: FlowTable, mod: FlowMod) -> list[Rule]:
@@ -140,7 +146,7 @@ class SimulatedSwitch:
 
         self.stats = SwitchStats()
         self.send_to_controller: Callable[[Message], None] | None = None
-        self._ports: dict[int, Callable[[bytes], None]] = {}
+        self._ports: dict[int, Callable[[Frame], None]] = {}
         self._dead_ports: set[int] = set()
 
         # Control-plane serial processor state.
@@ -158,8 +164,10 @@ class SimulatedSwitch:
 
     # ----- wiring ----------------------------------------------------------
 
-    def attach_port(self, port: int, handler: Callable[[bytes], None]) -> None:
-        """Connect ``port`` to a link; handler receives raw egress bytes."""
+    def attach_port(self, port: int, handler: Callable[[Frame], None]) -> None:
+        """Connect ``port`` to a link; handler receives egress frames
+        (a peer switch's :meth:`inject` takes them as they are, a host
+        edge crafts them into bytes: the wiring decides, nothing else)."""
         if not 1 <= port <= self.num_ports:
             raise ValueError(f"port {port} out of range 1..{self.num_ports}")
         self._ports[port] = handler
@@ -228,7 +236,9 @@ class SimulatedSwitch:
 
     def _complete_packetout(self, msg: PacketOut) -> None:
         self.stats.packetouts_processed += 1
-        self._emit(msg.payload, msg.out_port)
+        frame = self._parse(msg.payload, in_port=0)
+        if frame is not None:
+            self._emit(frame, msg.out_port)
 
     def _complete_barrier(self, msg: BarrierRequest) -> None:
         self.stats.barriers_processed += 1
@@ -254,39 +264,53 @@ class SimulatedSwitch:
 
     # ----- data plane ------------------------------------------------------
 
-    def inject(self, raw: bytes, in_port: int) -> None:
-        """A packet arrives on ``in_port`` (from a link or a host)."""
+    def _parse(self, raw: bytes, in_port: int) -> Frame | None:
+        """Bytes enter the data plane (PacketOut payload, host NIC)."""
         try:
-            values, payload = parse_packet(raw, in_port=in_port)
+            return parse_packet(raw, in_port=in_port)
         except ParseError:
             self.stats.parse_errors += 1
-            return
+            return None
+
+    def inject_raw(self, raw: bytes, in_port: int) -> None:
+        """Packet bytes arrive on ``in_port`` (an edge port's host)."""
+        frame = self._parse(raw, in_port)
+        if frame is not None:
+            self.inject(frame, in_port)
+
+    def inject(self, frame: Frame, in_port: int) -> None:
+        """A packet arrives on ``in_port`` (from a peer switch's link)."""
+        values, payload = frame
+        values[FieldName.IN_PORT] = in_port
         outcome = self.dataplane.process(
-            values,
-            ecmp_chooser=lambda rule: self.rng.choose(
-                sorted(rule.forwarding_set())
-            ),
+            values, ecmp_chooser=self._choose_ecmp_port
         )
         if outcome.is_drop():
             self.stats.packets_dropped += 1
             return
         for port, header_items in outcome.emissions:
-            out_values = dict(header_items)
-            out_values[FieldName.IN_PORT] = 0  # not meaningful on egress
-            out_raw = craft_packet(out_values, payload)
+            try:
+                # in_port is not meaningful on egress: carried as 0.
+                out = (wire_header(dict(header_items)), payload)
+            except CraftError:  # a rewrite left it no wire form
+                self.stats.packets_dropped += 1
+                continue
             if port == CONTROLLER_PORT:
                 self.sim.schedule(
                     FABRIC_LATENCY,
-                    lambda r=out_raw, p=in_port: self._emit_packetin(r, p),
+                    lambda f=out, p=in_port: self._emit_packetin(f, p),
                 )
             else:
                 self.sim.schedule(
-                    FABRIC_LATENCY, lambda p=port, r=out_raw: self._emit(r, p)
+                    FABRIC_LATENCY, lambda p=port, f=out: self._emit(f, p)
                 )
 
-    def _emit(self, raw: bytes, port: int) -> None:
+    def _choose_ecmp_port(self, rule: Rule) -> int:
+        return self.rng.choose(sorted(rule.forwarding_set()))
+
+    def _emit(self, frame: Frame, port: int) -> None:
         if port == CONTROLLER_PORT:
-            self._emit_packetin(raw, in_port=0)
+            self._emit_packetin(frame, in_port=0)
             return
         if port in self._dead_ports:
             self.stats.packets_dropped += 1
@@ -296,9 +320,9 @@ class SimulatedSwitch:
             self.stats.packets_dropped += 1
             return
         self.stats.packets_forwarded += 1
-        handler(raw)
+        handler(frame)
 
-    def _emit_packetin(self, raw: bytes, in_port: int) -> None:
+    def _emit_packetin(self, frame: Frame, in_port: int) -> None:
         """Send a PacketIn, subject to the profile's rate cap."""
         self._refill_pi_tokens()
         if self._pi_tokens < 1.0:
@@ -311,7 +335,7 @@ class SimulatedSwitch:
             self._stolen_cpu += (
                 self.profile.packetin_interference / self.profile.packetin_rate
             )
-        self._reply(PacketIn(payload=raw, in_port=in_port))
+        self._reply(PacketIn(payload=craft_packet(*frame), in_port=in_port))
 
     def _refill_pi_tokens(self) -> None:
         elapsed = self.sim.now - self._pi_last_refill
@@ -321,9 +345,9 @@ class SimulatedSwitch:
             self._pi_tokens + elapsed * self.profile.packetin_rate,
         )
 
-    def deliver_to_controller_port(self, raw: bytes, in_port: int) -> None:
+    def deliver_to_controller_port(self, frame: Frame, in_port: int) -> None:
         """Data-plane packet destined to the controller (catch rules)."""
-        self._emit_packetin(raw, in_port=in_port)
+        self._emit_packetin(frame, in_port=in_port)
 
     # ----- fault injection -----------------------------------------------
 

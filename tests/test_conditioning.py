@@ -96,10 +96,10 @@ class TestChannelConditioner:
         conditioner = ChannelConditioner(DeterministicRandom(11))
         first = conditioner.apply(ChannelConditions(loss=0.5), "down")
         conditioner.apply(ChannelConditions(loss=0.5), "down")
-        assert conditioner.effective("down").loss == pytest.approx(0.75)
+        assert conditioner.effective["down"].loss == pytest.approx(0.75)
         assert not conditioner.is_active("up")
         conditioner.remove(first)
-        assert conditioner.effective("down").loss == pytest.approx(0.5)
+        assert conditioner.effective["down"].loss == pytest.approx(0.5)
 
     def test_unknown_direction_rejected(self):
         conditioner = ChannelConditioner(DeterministicRandom(11))
@@ -245,8 +245,8 @@ class TestChaosFailureSpecs:
         record = Injection(kind=spec.kind, time=0.0)
         inject_now(deployment, spec, record)
         conditioner = deployment.network.conditioner("sw1")
-        assert conditioner.effective("down").loss == 1.0
-        assert conditioner.effective("up").loss == 1.0
+        assert conditioner.effective["down"].loss == 1.0
+        assert conditioner.effective["up"].loss == 1.0
         deployment.run(0.2)
         assert not conditioner.is_active("down")
         assert not conditioner.is_active("up")

@@ -2,8 +2,12 @@
 cycling, probe confirmation and alarms — over a real simulated star."""
 
 
-from repro.core.monitor import MonitorConfig, outcome_observations
+from repro.core.monitor import Monitor, MonitorConfig, outcome_observations
 from repro.core.multiplexer import MonocleSystem
+from repro.core.probegen import ProbeGenerator
+from repro.core.schedule import ProbeScheduler
+from repro.core.shared import SharedContextRegistry
+from repro.obs import NULL_OBSERVER
 from repro.openflow.actions import drop, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
@@ -77,6 +81,127 @@ class TestOutcomeObservations:
         assert FieldName.NW_TOS not in dict(items)
         assert FieldName.TP_DST not in dict(items)
         assert dict(items)[FieldName.NW_DST] == 0x0A000001
+
+
+def _observations(monitor, result):
+    """The sets computed from scratch, bypassing the memo."""
+    return (
+        outcome_observations(result.outcome_present, monitor.observable_ports),
+        outcome_observations(result.outcome_absent, monitor.observable_ports),
+    )
+
+
+class TestObservationMemo:
+    """The present/absent observation sets ride on the ProbeResult they
+    were computed from, and only on it."""
+
+    def test_validation_fills_the_memo_and_launch_reads_it(self):
+        sim, net, system, rules = star_setup(num_rules=2)
+        monitor = system.monitor("hub")
+        result = monitor.probe_for_rule(rules[0])
+        assert result.observations == _observations(monitor, result)
+        memo = result.observations
+        probe = monitor.launch_probe(result)
+        assert result.observations is memo
+        assert probe.present_obs is memo[0] and probe.absent_obs is memo[1]
+
+    def test_changed_outcome_means_a_new_result_with_fresh_sets(self):
+        sim, net, system, rules = star_setup(num_rules=2)
+        monitor = system.monitor("hub")
+        first = monitor.probe_for_rule(rules[0])
+        rewire = FlowMod(
+            command=FlowModCommand.MODIFY_STRICT,
+            match=rules[0].match,
+            priority=rules[0].priority,
+            actions=output(net.port_toward["hub"]["leaf3"], nw_tos=5),
+        )
+        monitor.observe_flowmod(rewire)
+        changed = monitor.expected.get(*rules[0].key())
+        second = monitor.probe_for_rule(changed)
+        assert second is not first
+        assert second.observations == _observations(monitor, second)
+        assert second.observations[0] != first.observations[0]
+
+    def test_revalidated_probe_drops_the_stale_sets(self):
+        """Same probe packet, new rule-absent outcome: the refreshed
+        result is a ``replace`` copy and must not inherit the memo."""
+        sim, net, system, rules = star_setup(num_rules=1)
+        monitor = system.monitor("hub")
+        first = monitor.probe_for_rule(rules[0])
+        assert first.observations[1] == frozenset()  # absent: dropped
+        fallback = FlowMod(
+            command=FlowModCommand.ADD,
+            match=Match.wildcard(),
+            priority=10,
+            actions=output(net.port_toward["hub"]["leaf2"]),
+        )
+        monitor.observe_flowmod(fallback)
+        second = monitor.probe_for_rule(rules[0])
+        assert monitor.probe_context.stats.revalidations == 1
+        assert second is not first and second.header == first.header
+        assert second.observations == _observations(monitor, second)
+        assert second.observations[1] != frozenset()
+
+    def test_shared_handles_never_see_each_others_sets(self):
+        generator = ProbeGenerator(catch_match=Match.build(dl_vlan=0xF03))
+        registry = SharedContextRegistry()
+        rule = Rule(
+            priority=100, match=Match.build(nw_dst=7), actions=output(1)
+        )
+        below = Rule(priority=10, match=Match.wildcard(), actions=output(2))
+        monitors = []
+        for ports in ({1, 2}, {1}):
+            handle = registry.acquire(generator)
+            monitors.append(
+                Monitor(
+                    sim=Simulator(),
+                    node=len(monitors),
+                    switch_number=1 + len(monitors),
+                    generator=generator,
+                    config=MonitorConfig(),
+                    observable_ports=frozenset(ports),
+                    forward_down=lambda msg: None,
+                    to_controller=lambda node, msg: None,
+                    multiplexer=None,
+                    probe_context=handle,
+                    scheduler=ProbeScheduler(),
+                    obs=NULL_OBSERVER,
+                )
+            )
+        for monitor in monitors:
+            monitor.probe_context.add_rule(rule)
+            monitor.probe_context.add_rule(below)
+        assert registry.stats.contexts_deduped == 1
+        wide, narrow = (m.probe_for_rule(rule) for m in monitors)
+        assert wide is not narrow and wide.header == narrow.header
+        assert wide.observations == _observations(monitors[0], wide)
+        assert narrow.observations == _observations(monitors[1], narrow)
+        # Port 2 (the rule-absent outcome) is dark to the second switch.
+        assert wide.observations[1] and not narrow.observations[1]
+        # Served again, each handle still gets its own.
+        assert monitors[0].probe_for_rule(rule) is wide
+        assert monitors[1].probe_for_rule(rule) is narrow
+
+    def test_unvalidated_modification_probe_gets_its_sets_at_launch(self):
+        """Dynamic mode probes a MODIFY with a result generated on an
+        altered table, which no ``validate_result`` hook ever sees."""
+        sim, net, system, rules = star_setup(num_rules=3, dynamic=True)
+        monitor = system.monitor("hub")
+        modify = FlowMod(
+            command=FlowModCommand.MODIFY_STRICT,
+            match=rules[0].match,
+            priority=rules[0].priority,
+            actions=output(net.port_toward["hub"]["leaf3"]),
+        )
+        system.dynamic("hub").from_controller(modify)
+        (probe,) = monitor.outstanding.values()
+        assert probe.result.observations == _observations(
+            monitor, probe.result
+        )
+        assert probe.present_obs == probe.result.observations[0]
+        assert probe.present_obs != probe.absent_obs
+        sim.run_for(0.5)
+        assert system.dynamic("hub").updates_confirmed == 1
 
 
 class TestExpectedTableTracking:

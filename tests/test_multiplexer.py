@@ -112,7 +112,7 @@ class TestPacketInRouting:
             },
             b"production",
         )
-        net.switch("s1").inject(raw, in_port=net.port_toward["s1"]["s2"])
+        net.switch("s1").inject_raw(raw, in_port=net.port_toward["s1"]["s2"])
         sim.run_for(0.1)
         packet_ins = [
             (node, msg)
@@ -386,7 +386,7 @@ class TestOnePassPerProbe:
             },
             b"production",
         )
-        net.switch("leaf0").inject(
+        net.switch("leaf0").inject_raw(
             raw, in_port=net.port_toward["leaf0"]["hub"]
         )
         sim.run_for(0.1)

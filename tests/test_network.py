@@ -105,7 +105,7 @@ class TestNetwork:
         raw = craft_packet(
             {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6}, b"x"
         )
-        s1.inject(raw, in_port=net.port_toward["s1"]["s3"])
+        s1.inject_raw(raw, in_port=net.port_toward["s1"]["s3"])
         sim.run_for(0.1)
         # s2 received and (having no rules) dropped it.
         assert s2.stats.packets_dropped == 1
@@ -124,7 +124,7 @@ class TestNetwork:
             )
         )
         raw = craft_packet({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6})
-        s1.inject(raw, in_port=net.port_toward["s1"]["s3"])
+        s1.inject_raw(raw, in_port=net.port_toward["s1"]["s3"])
         sim.run_for(0.1)
         assert s2.stats.packets_dropped == 0  # nothing arrived
 

@@ -2,6 +2,8 @@
 checksums, and the §5.2 normalization lemmas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.openflow.fields import (
     ETHERTYPE_ARP,
@@ -19,12 +21,42 @@ from repro.packets.craft import (
     CraftError,
     craft_packet,
     normalize_abstract_header,
+    wire_visible_items,
 )
 from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
 
 
+def rfc1071_reference(data: bytes) -> int:
+    """RFC 1071 section 4.1, byte by byte: the oracle (and, until the
+    word-wise sum replaced it, the implementation)."""
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
 class TestChecksum:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=81),
+            # Long runs of 0xFF: the sum carries out of 16 bits, and out
+            # of the fold itself, at odd and even lengths alike.
+            st.builds(
+                lambda n, tail: b"\xff" * n + tail,
+                st.integers(0, 1500),
+                st.binary(max_size=3),
+            ),
+        )
+    )
+    def test_matches_the_rfc1071_reference(self, data):
+        assert internet_checksum(data) == rfc1071_reference(data)
+
     def test_rfc1071_example(self):
         # Canonical example from RFC 1071 §3.
         data = bytes([0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7])
@@ -311,6 +343,58 @@ class TestProbeMetadata:
         assert ProbeMetadata.decode(payload) == meta
 
 
+class TestUntaggedPriorityNarrowing:
+    """An untagged frame has no TCI, so no priority bits: a probe whose
+    header kept ``dl_vlan_pcp=3`` beside ``dl_vlan=VLAN_NONE`` could
+    never be observed as generated."""
+
+    def _untagged(self, pcp):
+        return {
+            FieldName.DL_TYPE: ETHERTYPE_IPV4,
+            FieldName.NW_PROTO: IPPROTO_UDP,
+            FieldName.DL_VLAN: VLAN_NONE,
+            FieldName.DL_VLAN_PCP: pcp,
+        }
+
+    def test_wire_drops_the_priority(self):
+        values, _ = parse_packet(craft_packet(self._untagged(3)))
+        assert values[FieldName.DL_VLAN_PCP] == 0
+
+    def test_projection_agrees_with_the_wire(self):
+        items = dict(wire_visible_items(self._untagged(3)))
+        assert items[FieldName.DL_VLAN_PCP] == 0
+        parsed, _ = parse_packet(craft_packet(self._untagged(3)))
+        assert wire_visible_items(self._untagged(3)) == wire_visible_items(
+            parsed
+        )
+
+    def test_tagged_frame_keeps_its_priority(self):
+        header = {**self._untagged(3), FieldName.DL_VLAN: 5}
+        assert dict(wire_visible_items(header))[FieldName.DL_VLAN_PCP] == 3
+        normalized = normalize_abstract_header(header, [])
+        assert normalized[FieldName.DL_VLAN_PCP] == 3
+
+    def test_normalization_substitutes_zero_when_no_match_cares(self):
+        elsewhere = Match.build(nw_dst=0x0A000001)
+        normalized = normalize_abstract_header(
+            self._untagged(3), [elsewhere]
+        )
+        assert normalized[FieldName.DL_VLAN_PCP] == 0
+        values, _ = parse_packet(craft_packet(normalized))
+        assert wire_visible_items(values) == wire_visible_items(normalized)
+
+    def test_substitution_preserves_matches(self):
+        other = Match.build(dl_vlan_pcp=5)
+        normalized = normalize_abstract_header(self._untagged(3), [other])
+        assert normalized[FieldName.DL_VLAN_PCP] == 0
+        assert not other.matches(normalized)
+
+    def test_pinned_priority_is_uncraftable(self):
+        pinned = Match.build(dl_vlan_pcp=3)
+        with pytest.raises(CraftError):
+            normalize_abstract_header(self._untagged(3), [pinned])
+
+
 class TestIcmpTransportNarrowing:
     """OF 1.0 maps ICMP type/code onto tp_src/tp_dst: one wire byte."""
 
@@ -337,8 +421,6 @@ class TestIcmpTransportNarrowing:
         )
         packet = craft_packet(normalized)
         values, _payload = parse_packet(packet, in_port=0)
-        from repro.packets.craft import wire_visible_items
-
         assert wire_visible_items(values) == wire_visible_items(normalized)
 
     def test_substitution_preserves_matches(self):
@@ -358,8 +440,6 @@ class TestIcmpTransportNarrowing:
             )
 
     def test_wire_visible_items_mask_icmp_tp(self):
-        from repro.packets.craft import wire_visible_items
-
         items = dict(wire_visible_items(self._icmp_header(tp_dst=0x1F90)))
         assert items[FieldName.TP_DST] == 0x90
 

@@ -66,15 +66,21 @@ class TestEventQueue:
         first.cancel()
         assert queue.peek_time() == 2.0
 
-    def test_len_counts_live_events(self):
+    def test_pop_until_leaves_later_events_queued(self):
         queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
+        queue.push(1.0, lambda: None)
+        late = queue.push(3.0, lambda: None)
+        assert queue.pop(until=2.0).time == 1.0
+        assert queue.pop(until=2.0) is None
+        assert queue.peek_time() == 3.0
+        assert queue.pop(until=3.0) is late
 
-    def test_empty_queue_is_falsy(self):
-        assert not EventQueue()
+    def test_cancelled_head_does_not_hide_a_due_event(self):
+        queue = EventQueue()
+        queue.push(1.0, lambda: None).cancel()
+        due = queue.push(2.0, lambda: None)
+        assert queue.pop(until=2.0) is due
+        assert queue.pop() is None
 
 
 class TestSimulator:
@@ -126,6 +132,40 @@ class TestSimulator:
         sim.at(4.0, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [4.0]
+
+    def test_same_time_events_dispatch_in_schedule_order(self):
+        sim = Simulator()
+        order = []
+        for tag in range(50):
+            # Unorderable, never-equal callbacks: a tie in time must be
+            # settled by the sequence number alone.
+            sim.at(1.0, lambda t=tag: order.append(t))
+        sim.schedule(0.5, lambda: sim.at(1.0, lambda: order.append("late")))
+        sim.run()
+        assert order == list(range(50)) + ["late"]
+
+    def test_cancelled_event_is_skipped_and_not_counted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        sim.schedule(2.0, lambda: fired.append("b")).cancel()
+        sim.schedule(3.0, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a", "c"]
+        assert sim.events_dispatched == 2
+
+    def test_next_event_time_skips_cancelled_heads(self):
+        sim = Simulator()
+        assert sim.next_event_time() is None
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule(2.0, lambda: None)
+        sim.schedule(4.0, lambda: None)
+        first.cancel()
+        second.cancel()
+        assert sim.next_event_time() == 4.0
+        sim.run(until=3.0)
+        assert sim.events_dispatched == 0
+        assert (sim.now, sim.next_event_time()) == (3.0, 4.0)
 
     def test_max_events_limit(self):
         sim = Simulator()

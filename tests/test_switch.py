@@ -19,6 +19,7 @@ from repro.openflow.messages import (
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
 from repro.packets.craft import craft_packet
+from repro.packets.parse import parse_packet
 from repro.sim.kernel import Simulator
 from repro.switches.behavior import (
     FaithfulBehavior,
@@ -165,9 +166,22 @@ class TestControlPlane:
         sim, switch, _ = make_switch()
         emitted = []
         switch.attach_port(3, emitted.append)
+        raw = craft_packet(
+            {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17}, b"raw-bytes"
+        )
+        switch.receive_message(PacketOut(payload=raw, out_port=3))
+        sim.run_for(0.1)
+        # The switch parses a PacketOut's bytes once, on the way in.
+        assert emitted == [parse_packet(raw)]
+
+    def test_unparseable_packetout_is_counted_not_emitted(self):
+        sim, switch, _ = make_switch()
+        emitted = []
+        switch.attach_port(3, emitted.append)
         switch.receive_message(PacketOut(payload=b"raw-bytes", out_port=3))
         sim.run_for(0.1)
-        assert emitted == [b"raw-bytes"]
+        assert emitted == []
+        assert switch.stats.parse_errors == 1
 
 
 class TestBarrierBehaviors:
@@ -235,20 +249,18 @@ class TestDataPlane:
         switch.install_directly(
             Rule(priority=5, match=Match.build(nw_dst=7), actions=output(2))
         )
-        switch.inject(self.craft(7), in_port=1)
+        switch.inject_raw(self.craft(7), in_port=1)
         sim.run_for(0.1)
         assert len(emitted) == 1
         assert switch.stats.packets_forwarded == 1
 
     def test_miss_drops(self):
         sim, switch, _ = make_switch()
-        switch.inject(self.craft(7), in_port=1)
+        switch.inject_raw(self.craft(7), in_port=1)
         sim.run_for(0.1)
         assert switch.stats.packets_dropped == 1
 
     def test_rewrite_applied_on_wire(self):
-        from repro.packets.parse import parse_packet
-
         sim, switch, _ = make_switch()
         emitted = []
         switch.attach_port(2, emitted.append)
@@ -259,11 +271,13 @@ class TestDataPlane:
                 actions=output(2, nw_tos=0x19),
             )
         )
-        switch.inject(self.craft(7), in_port=1)
+        switch.inject_raw(self.craft(7), in_port=1)
         sim.run_for(0.1)
-        values, payload = parse_packet(emitted[0])
+        ((values, payload),) = emitted
         assert values[FieldName.NW_TOS] == 0x19
         assert payload == b"payload"
+        # The frame on the port is what the bytes would parse back to.
+        assert parse_packet(craft_packet(values, payload)) == emitted[0]
 
     def test_controller_bound_rule_sends_packetin(self):
         from repro.openflow.actions import CONTROLLER_PORT
@@ -276,7 +290,7 @@ class TestDataPlane:
                 actions=output(CONTROLLER_PORT),
             )
         )
-        switch.inject(self.craft(7), in_port=4)
+        switch.inject_raw(self.craft(7), in_port=4)
         sim.run_for(0.1)
         packet_ins = [m for m in received if isinstance(m, PacketIn)]
         assert len(packet_ins) == 1
@@ -306,14 +320,14 @@ class TestDataPlane:
             )
         )
         for _ in range(50):
-            switch.inject(self.craft(7), in_port=1)
+            switch.inject_raw(self.craft(7), in_port=1)
         sim.run_for(0.5)
         assert switch.stats.packetins_sent <= 11
         assert switch.stats.packetins_dropped >= 39
 
     def test_parse_errors_counted(self):
         sim, switch, _ = make_switch()
-        switch.inject(b"\x01\x02", in_port=1)
+        switch.inject_raw(b"\x01\x02", in_port=1)
         assert switch.stats.parse_errors == 1
 
 
@@ -352,7 +366,7 @@ class TestFaults:
             Rule(priority=5, match=Match.wildcard(), actions=output(2))
         )
         switch.fail_port(2)
-        switch.inject(
+        switch.inject_raw(
             craft_packet({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6}),
             in_port=1,
         )
