@@ -17,7 +17,6 @@ run under a couple of minutes; REPRO_BENCH_SCALE=27 probes every rule.
 """
 
 import random
-import statistics
 
 from repro.analysis import format_table
 from repro.core.probegen import ProbeGenerator, verify_probe
@@ -103,7 +102,7 @@ def test_table2_probe_generation(benchmark):
                 f"({100 * paper['found'] / paper['total']:.1f}%)",
             ]
         )
-        summary[name] = (avg, found_rate, statistics.median(times))
+        summary[name] = (avg, found_rate)
 
     print_header("Table 2 — probe generation time (measured vs paper)")
     print(
@@ -133,10 +132,7 @@ def test_table2_probe_generation(benchmark):
 
     # CI gates (shape): millisecond scale, Stanford faster than Campus,
     # probes found for the large majority of rules (paper: 89%/97%).
-    # The ordering is gated on medians: each mean carries one 15-60 ms
-    # probe, so the means sit 0.2-0.3 ms apart and one busy moment on a
-    # shared machine flips them.
-    assert summary["Stanford"][2] < summary["Campus"][2]
+    assert summary["Stanford"][0] < summary["Campus"][0]
     assert summary["Campus"][0] < 100.0  # milliseconds, not seconds
     assert summary["Stanford"][1] > 0.75
     assert summary["Campus"][1] > 0.85

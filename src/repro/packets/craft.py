@@ -134,10 +134,13 @@ _VISIBLE = {
 _ICMP_TP_MASK = 0xFF
 
 
-def _wire_values(values: Mapping[FieldName, int]) -> dict[FieldName, int]:
+def _wire_values(
+    values: Mapping[FieldName, int], no_vlan: int
+) -> dict[FieldName, int]:
     """The fields on the wire, name-sorted, with the values it keeps:
     an ICMP packet has one byte for each of ``tp_src``/``tp_dst``
-    (type/code), an untagged frame no TCI, hence no priority bits."""
+    (type/code), an untagged frame no TCI, hence no priority bits.
+    A missing field reads 0, a missing ``dl_vlan`` reads ``no_vlan``."""
     get = values.get
     dl_type = get(FieldName.DL_TYPE, 0)
     nw_proto = get(FieldName.NW_PROTO, 0)
@@ -146,6 +149,7 @@ def _wire_values(values: Mapping[FieldName, int]) -> dict[FieldName, int]:
         nw_proto if nw_proto in VALID_IP_PROTOS else -1,
     ]
     wire = {name: get(name, 0) for name in visible}
+    wire[FieldName.DL_VLAN] = get(FieldName.DL_VLAN, no_vlan)
     if wire[FieldName.DL_VLAN] == VLAN_NONE:
         wire[FieldName.DL_VLAN_PCP] = 0
     if dl_type == ETHERTYPE_IPV4 and nw_proto == IPPROTO_ICMP:
@@ -167,7 +171,7 @@ def wire_visible_items(
     what the wire carries.  Missing fields are treated as 0, mirroring
     :func:`normalize_abstract_header`.
     """
-    return tuple(_wire_values(values).items())
+    return tuple(_wire_values(values, no_vlan=0).items())
 
 
 def wire_header(
@@ -175,9 +179,9 @@ def wire_header(
 ) -> dict[FieldName, int]:
     """The header ``parse_packet(craft_packet(values, p), in_port)``
     returns, without going through bytes: the form a packet takes
-    between two simulated switches.  ``values`` must hold every field
-    of its class (a parsed header, or one with rewrites applied), each
-    within its width.
+    between two simulated switches.  Each value must be within its
+    field's width; a missing field reads as :func:`craft_packet` reads
+    it (0, and untagged for ``dl_vlan``).
 
     Raises:
         CraftError: when :func:`craft_packet` would (no wire form).
@@ -188,7 +192,7 @@ def wire_header(
         dl_type == ETHERTYPE_IPV4 and nw_proto not in VALID_IP_PROTOS
     ):
         raise CraftError(f"cannot craft {dl_type=:#06x}, {nw_proto=}")
-    header = _wire_values(values)
+    header = _wire_values(values, no_vlan=VLAN_NONE)
     header[FieldName.IN_PORT] = in_port
     return header
 

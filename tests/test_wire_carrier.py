@@ -89,6 +89,23 @@ class TestCarriedHeaderIsTheRoundTrip:
         )
 
     @settings(max_examples=200, deadline=None)
+    @given(
+        values=craftable_headers,
+        missing=st.sets(st.sampled_from(sorted(HEADER.names()))),
+    )
+    def test_a_missing_field_reads_as_craft_packet_reads_it(
+        self, values, missing
+    ):
+        partial = {k: v for k, v in values.items() if k not in missing}
+        try:
+            raw = craft_packet(partial)
+        except CraftError:  # no dl_type, or IPv4 and no nw_proto
+            with pytest.raises(CraftError):
+                wire_header(partial)
+        else:
+            assert parse_packet(raw, 3)[0] == wire_header(partial, 3)
+
+    @settings(max_examples=200, deadline=None)
     @given(values=craftable_headers)
     def test_observation_projection_agrees_with_the_round_trip(self, values):
         parsed, _ = parse_packet(craft_packet(values), in_port=77)
