@@ -139,13 +139,11 @@ class ChannelConditioner:
         self._overlays: dict[str, list[tuple[int, ChannelConditions]]] = {
             direction: [] for direction in DIRECTIONS
         }
-        #: The combined conditions in force per direction.
         self.effective: dict[str, ChannelConditions] = {
             direction: PERFECT for direction in DIRECTIONS
         }
-        #: Directions with a perturbing overlay (see :meth:`_recompute`).
-        #: The channel calls :meth:`plan` only for a direction in here,
-        #: so an idle conditioner costs a message nothing.
+        #: Directions with a perturbing overlay in force: the channel
+        #: calls :meth:`plan` for these only, an idle one costs nothing.
         self.active: frozenset[str] = frozenset()
         self._next_token = 0
         self.stats: dict[str, ConditionerStats] = {

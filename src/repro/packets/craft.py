@@ -139,8 +139,7 @@ def _wire_values(
 ) -> dict[FieldName, int]:
     """The fields on the wire, name-sorted, with the values it keeps:
     an ICMP packet has one byte for each of ``tp_src``/``tp_dst``
-    (type/code), an untagged frame no TCI, hence no priority bits.
-    A missing field reads 0, a missing ``dl_vlan`` reads ``no_vlan``."""
+    (type/code), an untagged frame no TCI, hence no priority bits."""
     get = values.get
     dl_type = get(FieldName.DL_TYPE, 0)
     nw_proto = get(FieldName.NW_PROTO, 0)

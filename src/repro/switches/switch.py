@@ -166,8 +166,7 @@ class SimulatedSwitch:
 
     def attach_port(self, port: int, handler: Callable[[Frame], None]) -> None:
         """Connect ``port`` to a link; handler receives egress frames
-        (a peer switch's :meth:`inject` takes them as they are, a host
-        edge crafts them into bytes: the wiring decides, nothing else)."""
+        (a peer's :meth:`inject` as they are, a host edge crafts bytes)."""
         if not 1 <= port <= self.num_ports:
             raise ValueError(f"port {port} out of range 1..{self.num_ports}")
         self._ports[port] = handler
