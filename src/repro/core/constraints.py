@@ -34,6 +34,7 @@ from repro.openflow.match import Match
 from repro.openflow.rule import Rule
 from repro.sat.cnf import CNF, Lit
 from repro.sat.encode import (
+    ClauseSink,
     assert_ite_chain,
     clause_and,
     clause_or,
@@ -96,14 +97,15 @@ class ConstraintCompiler:
     Args:
         encoding: Distinguish-chain encoding variant.
         sink: formula destination; defaults to a fresh :class:`CNF`.
-            Passing a :class:`SolverSink` retargets every emitted clause
-            at a persistent incremental solver instead.
+            Passing a :class:`~repro.sat.solver.SatSolver` loads the
+            solver directly; a :class:`SolverSink` retargets every
+            emitted clause at a persistent incremental solver instead.
     """
 
     def __init__(
         self,
         encoding: DistinguishEncoding = DistinguishEncoding.ASSERTED_CHAIN,
-        sink: "CNF | SolverSink | None" = None,
+        sink: ClauseSink | None = None,
     ) -> None:
         self.encoding = encoding
         self.cnf = sink if sink is not None else CNF(HEADER.total_bits)

@@ -163,7 +163,9 @@ class ProbeGenerator:
         higher = [r for r in candidates if r.priority > rule.priority]
         lower = [r for r in candidates if r.priority < rule.priority]
 
-        compiler = ConstraintCompiler(encoding=self.encoding)
+        # The compiler writes straight into the solver about to run.
+        solver = SatSolver(CNF(HEADER.total_bits))
+        compiler = ConstraintCompiler(encoding=self.encoding, sink=solver)
         # Hit
         compiler.assert_matches(rule.match)
         for other in higher:
@@ -178,15 +180,13 @@ class ProbeGenerator:
         if self.valid_in_ports is not None:
             compiler.assert_value_in(FieldName.IN_PORT, self.valid_in_ports)
 
-        assert isinstance(compiler.cnf, CNF)  # no sink: plain formula
-        solver = SatSolver(compiler.cnf)
         sat = solver.solve(max_conflicts=self.max_conflicts)
 
         result = ProbeResult(
             rule=rule,
             ok=False,
-            cnf_vars=compiler.cnf.num_vars,
-            cnf_clauses=compiler.cnf.num_clauses,
+            cnf_vars=solver.num_vars,
+            cnf_clauses=solver.num_clauses,
             overlapping_rules=len(candidates),
             solver_conflicts=sat.conflicts,
         )

@@ -9,8 +9,8 @@ pure-Python equivalent:
   flat one-dimensional clause storage (the paper found vector-of-vectors
   allocation to be the conversion bottleneck; we keep the flat layout).
 * :mod:`repro.sat.encode` — formula-level building blocks: conjunction,
-  disjunction with Tseitin auxiliary variables, negation of clause lists,
-  and the quadratic Velev if-then-else chain encoding from Appendix B.
+  disjunction with Tseitin auxiliary variables, and the if-then-else
+  chain encodings (Appendix B's quadratic Velev one and a linear one).
 * :mod:`repro.sat.solver` — a CDCL solver with two-watched-literal
   propagation, first-UIP clause learning, VSIDS-style activity and
   restarts (the PicoSAT stand-in), usable one-shot or incrementally.
@@ -22,12 +22,9 @@ pure-Python equivalent:
 from repro.sat.cnf import CNF, Lit
 from repro.sat.encode import (
     assert_ite_chain,
-    at_most_one,
     clause_and,
     clause_or,
     ite_chain,
-    negate_clause,
-    negate_conjunction,
 )
 from repro.sat.solver import SatResult, SatSolver, solve
 from repro.sat.incremental import IncrementalSolver, IncrementalStats
@@ -36,12 +33,9 @@ __all__ = [
     "CNF",
     "Lit",
     "assert_ite_chain",
-    "at_most_one",
     "clause_and",
     "clause_or",
     "ite_chain",
-    "negate_clause",
-    "negate_conjunction",
     "SatResult",
     "SatSolver",
     "solve",

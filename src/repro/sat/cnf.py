@@ -48,10 +48,6 @@ class CNF:
         self._num_vars += 1
         return self._num_vars
 
-    def new_vars(self, count: int) -> list[int]:
-        """Allocate ``count`` fresh variables."""
-        return [self.new_var() for _ in range(count)]
-
     def ensure_var(self, var: int) -> None:
         """Grow the variable space to include ``var``."""
         if var > self._num_vars:

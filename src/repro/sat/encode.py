@@ -6,8 +6,6 @@ stay polynomial when converted to CNF:
 * conjunction of clause lists — concatenation;
 * disjunction — Tseitin transform with fresh selector variables rather
   than distribution (which blows up exponentially);
-* negation — only of conjunctions of literals / single clauses, which is
-  all the compiler requires;
 * the if-then-else *chain* encoding of the Distinguish constraint,
   mimicking TCAM priority evaluation, using the quadratic construction of
   Velev cited by the paper.
@@ -27,9 +25,10 @@ from repro.sat.cnf import Lit
 class ClauseSink(Protocol):
     """Where encode helpers put clauses.
 
-    Satisfied structurally by :class:`~repro.sat.cnf.CNF` and by the
-    incremental solver adapter (:class:`~repro.core.constraints.
-    SolverSink`), so the same helpers target a throwaway formula or a
+    Satisfied structurally by :class:`~repro.sat.cnf.CNF`, by
+    :class:`~repro.sat.solver.SatSolver` and by the incremental solver
+    adapter (:class:`~repro.core.constraints.SolverSink`), so the same
+    helpers target a formula container, the solver about to run, or a
     persistent solver context.
     """
 
@@ -72,23 +71,6 @@ def clause_or(cnf: ClauseSink, literals: Sequence[Lit]) -> Lit:
     # s -> (l1 | ... | ln)
     cnf.add_clause([-s] + list(literals))
     return s
-
-
-def negate_clause(literals: Sequence[Lit]) -> list[list[Lit]]:
-    """CNF of ``NOT(l1 | ... | ln)``: the unit clauses ``{-li}``."""
-    return [[-lit] for lit in literals]
-
-
-def negate_conjunction(literals: Sequence[Lit]) -> list[Lit]:
-    """CNF (single clause) of ``NOT(l1 & ... & ln)``: ``(-l1 | ... | -ln)``."""
-    return [-lit for lit in literals]
-
-
-def at_most_one(cnf: ClauseSink, literals: Sequence[Lit]) -> None:
-    """Pairwise at-most-one constraint over ``literals``."""
-    for i in range(len(literals)):
-        for j in range(i + 1, len(literals)):
-            cnf.add_clause((-literals[i], -literals[j]))
 
 
 def ite_chain(

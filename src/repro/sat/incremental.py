@@ -72,7 +72,6 @@ class IncrementalSolver:
         compaction_floor: int = 2000,
         compaction_ratio: float = 1.0,
     ) -> None:
-        self._num_vars = num_vars
         self.compaction_floor = compaction_floor
         self.compaction_ratio = compaction_ratio
         self._solver = SatSolver(CNF(num_vars), check_models=False)
@@ -122,7 +121,7 @@ class IncrementalSolver:
 
     @property
     def num_vars(self) -> int:
-        return self._num_vars
+        return self._solver.num_vars
 
     @property
     def num_clauses(self) -> int:
@@ -141,16 +140,10 @@ class IncrementalSolver:
         if self._free_vars:
             var = self._free_vars.pop()
         else:
-            self._num_vars += 1
-            self._solver.ensure_num_vars(self._num_vars)
-            var = self._num_vars
+            var = self._solver.new_var()
         if group is not None:
             self._group_vars[group].append(var)
         return var
-
-    def new_vars(self, count: int, group: int | None = None) -> list[int]:
-        """Allocate ``count`` unconstrained variables."""
-        return [self.new_var(group) for _ in range(count)]
 
     # ----- clauses and groups -------------------------------------------
 
@@ -164,15 +157,16 @@ class IncrementalSolver:
         """
         lits = list(literals)
         if group is None:
-            self._permanent.append(lits)
-            self._solver.add_clause(lits)
-            return
-        clauses = self._groups.get(group)
-        if clauses is None:
+            store = self._permanent
+        elif group in self._groups:
+            store = self._groups[group]
+            lits.append(-group)
+        else:
             raise ValueError(f"unknown or retired group {group}")
-        stored = lits + [-group]
-        clauses.append(stored)
-        self._solver.add_clause(stored)
+        # The core first: it rejects a malformed clause, which must not
+        # reach the store compaction rebuilds from either.
+        self._solver.add_clause(lits)
+        store.append(lits)
 
     def add_unit(self, lit: Lit, group: int | None = None) -> None:
         """Add a unit clause (grouped units become binary selectors)."""
@@ -185,9 +179,7 @@ class IncrementalSolver:
         Selectors never come from the recycling pool: retirement pins
         them false forever, so they are constrained, not free.
         """
-        self._num_vars += 1
-        self._solver.ensure_num_vars(self._num_vars)
-        selector = self._num_vars
+        selector = self._solver.new_var()
         self._groups[selector] = []
         self._group_vars[selector] = []
         self.stats.groups_created += 1
@@ -295,7 +287,7 @@ class IncrementalSolver:
             keep.append(list(lemma))
         if len(keep) > self.MAX_KEPT_LEMMAS:
             keep = keep[-self.MAX_KEPT_LEMMAS :]
-        solver = SatSolver(CNF(self._num_vars), check_models=False)
+        solver = SatSolver(CNF(self.num_vars), check_models=False)
         for clause in self._permanent:
             solver.add_clause(clause)
         for clauses in self._groups.values():
@@ -334,7 +326,7 @@ class IncrementalSolver:
         snapshot.
         """
         return {
-            "num_vars": self._num_vars,
+            "num_vars": self.num_vars,
             "num_clauses": self.num_clauses,
             "dead_clauses": self._dead_clauses,
             "lemma_count": self.lemma_count(),
@@ -349,7 +341,6 @@ class IncrementalSolver:
         along) and diverges from there.
         """
         dup = IncrementalSolver.__new__(IncrementalSolver)
-        dup._num_vars = self._num_vars
         dup.compaction_floor = self.compaction_floor
         dup.compaction_ratio = self.compaction_ratio
         dup._solver = self._solver.clone()
@@ -372,7 +363,7 @@ class IncrementalSolver:
 
     def __repr__(self) -> str:
         return (
-            f"IncrementalSolver(vars={self._num_vars}, "
+            f"IncrementalSolver(vars={self.num_vars}, "
             f"live={self.num_clauses}, dead={self._dead_clauses}, "
             f"groups={len(self._groups)})"
         )

@@ -10,6 +10,19 @@ Implements the standard conflict-driven clause learning loop:
 * Luby-sequence restarts,
 * phase saving.
 
+A solve costs what its formula mentions.  The branching heap holds the
+variables some *stored* clause names — a clause of two or more live
+literals, learned lemmas included; a variable enters it the first time
+such a clause is stored, not when it is allocated.  Search ends when
+the heap runs dry: every candidate is then assigned, propagation found
+no conflict, so every stored clause is satisfied.  A variable nothing
+stored names (only units or assumptions, or nothing at all, ever
+mention it) is never decided and reports its saved phase in the model,
+which is exactly what a decision at its own level would have assigned.
+Entries are lazy — an assigned variable's entry is dropped when popped
+and pushed again when the variable is unwound — so a satisfiable solve,
+which drains the heap, leaves at most one entry per variable behind.
+
 The solver is deliberately self-contained (lists of ints, no numpy) so
 its behaviour is easy to audit and to cross-check against the
 brute-force reference the tests carry.
@@ -75,12 +88,11 @@ class SatSolver:
 
     The constructor loads the formula; further clauses may be appended
     with :meth:`add_clause` and variables allocated with
-    :meth:`new_var` between `solve` calls.
+    :meth:`new_var` between `solve` calls.  With those two,
+    :meth:`add_unit`, ``num_vars`` and ``num_clauses`` the solver is a
+    :class:`~repro.sat.encode.ClauseSink`, so an encoder can write a
+    formula straight into the solver that is about to run it.
     """
-
-    _UNASSIGNED = 0
-    _TRUE = 1
-    _FALSE = -1
 
     def __init__(
         self,
@@ -95,6 +107,9 @@ class SatSolver:
         self.check_models = check_models
 
         self.num_vars = 0
+        #: Clauses handed to :meth:`add_clause` so far (units, satisfied
+        #: and tautological ones included; learned lemmas are not).
+        self.num_clauses = 0
         # Clause database: list of literal lists.  Original clauses and
         # learned clauses share it; learned ones are appended.
         self.clauses: list[list[int]] = []
@@ -107,16 +122,13 @@ class SatSolver:
         self._pending_units: list[int] = []
         #: All unit clauses ever added (for the defensive model check).
         self._units: list[int] = []
-        #: Number of currently assigned variables; lets the branching
-        #: loop detect "model found" in O(1) instead of scanning the
-        #: whole variable space once per solve.
-        self._num_assigned = 0
         #: Bumped whenever the formula changes (clauses or variables);
         #: callers memoizing solve results key on it.
         self.generation = 0
 
-        # Assignment state (index 0 unused).
-        self.values: list[int] = [self._UNASSIGNED]
+        # Assignment state (index 0 unused): 0 unassigned, 1 true,
+        # -1 false.  An unassigned variable's reason is None.
+        self.values: list[int] = [0]
         self.levels: list[int] = [0]
         self.reasons: list[list[int] | None] = [None]
         self.trail: list[int] = []
@@ -126,11 +138,13 @@ class SatSolver:
         # Watched literals: watch lit -> clause indices.
         self.watches: dict[int, list[int]] = {}
 
-        # VSIDS activity, served by a lazy max-heap of (-act, var).
+        # VSIDS activity, served by a lazy max-heap of (-act, var) over
+        # the variables flagged in _branchable (see the module docstring).
         self.activity: list[float] = [0.0]
         self.act_inc = 1.0
         self.act_decay = 0.95
         self._heap: list[tuple[float, int]] = []
+        self._branchable: list[bool] = [False]
 
         self.stats = SatResult(satisfiable=None)
 
@@ -153,23 +167,40 @@ class SatSolver:
                 out.append(lit)
         return out
 
-    def _watch(self, lit: int, clause_idx: int) -> None:
-        self.watches.setdefault(lit, []).append(clause_idx)
+    def _store(self, clause: list[int]) -> int:
+        """Put a clause of two or more literals in the database.
+
+        Its first two literals are watched, and every variable it names
+        becomes a branching candidate if it was not one already.
+        """
+        idx = len(self.clauses)
+        self.clauses.append(clause)
+        watches = self.watches
+        watches.setdefault(clause[0], []).append(idx)
+        watches.setdefault(clause[1], []).append(idx)
+        branchable = self._branchable
+        for lit in clause:
+            var = abs(lit)
+            if not branchable[var]:
+                branchable[var] = True
+                heapq.heappush(self._heap, (-self.activity[var], var))
+        return idx
 
     # ----- incremental interface ----------------------------------------
 
     def ensure_num_vars(self, count: int) -> None:
         """Grow the variable space to at least ``count`` variables."""
-        if self.num_vars < count:
-            self.generation += 1
-        while self.num_vars < count:
-            self.num_vars += 1
-            self.values.append(self._UNASSIGNED)
-            self.levels.append(0)
-            self.reasons.append(None)
-            self.phase.append(False)
-            self.activity.append(0.0)
-            heapq.heappush(self._heap, (0.0, self.num_vars))
+        grow = count - self.num_vars
+        if grow <= 0:
+            return
+        self.generation += 1
+        self.num_vars = count
+        self.values.extend([0] * grow)
+        self.levels.extend([0] * grow)
+        self.reasons.extend([None] * grow)
+        self.phase.extend([False] * grow)
+        self.activity.extend([0.0] * grow)
+        self._branchable.extend([False] * grow)
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
@@ -194,12 +225,12 @@ class SatSolver:
         dup = SatSolver.__new__(SatSolver)
         dup.check_models = self.check_models
         dup.num_vars = self.num_vars
+        dup.num_clauses = self.num_clauses
         dup.clauses = [list(clause) for clause in self.clauses]
         dup.learned_idx = list(self.learned_idx)
         dup._contradiction = self._contradiction
         dup._pending_units = list(self._pending_units)
         dup._units = list(self._units)
-        dup._num_assigned = self._num_assigned
         dup.generation = self.generation
         dup.values = list(self.values)
         dup.levels = list(self.levels)
@@ -215,10 +246,11 @@ class SatSolver:
         dup.act_inc = self.act_inc
         dup.act_decay = self.act_decay
         dup._heap = list(self._heap)
+        dup._branchable = list(self._branchable)
         dup.stats = SatResult(satisfiable=None)
         return dup
 
-    def add_clause(self, clause: Iterable[Lit]) -> None:
+    def add_clause(self, literals: Iterable[Lit]) -> None:
         """Append one clause to the database.
 
         Legal at any time between `solve` calls (the solver is always at
@@ -232,95 +264,103 @@ class SatSolver:
         watched literals were falsified in a *previous* call would
         never fire a watch event — `solve` does not re-propagate the
         old trail — and the solver would silently ignore it.
+
+        Raises:
+            ValueError: if the clause contains the literal 0.
         """
+        lits = list(literals)
+        if 0 in lits:
+            raise ValueError("0 is not a valid literal")
         self.generation += 1
-        unique = self._simplify_clause(list(clause))
-        if unique is None:
-            return  # tautology
-        for lit in unique:
-            self.ensure_num_vars(abs(lit))
-        live: list[int] = []
-        for lit in unique:
-            value = self._lit_value(lit)
-            if value == self._TRUE:
-                return  # satisfied by a formula-implied fact
-            if value == self._UNASSIGNED:
-                live.append(lit)
-        if not live:
-            self._contradiction = True
-        elif len(live) == 1:
-            self._units.append(live[0])
-            self._pending_units.append(live[0])
+        self.num_clauses += 1
+        if lits:
+            self.ensure_num_vars(max(map(abs, lits)))
+        if len(lits) == 2:
+            if lits[0] == -lits[1]:
+                return  # tautology
+            if lits[0] == lits[1]:
+                lits.pop()
+        elif len(lits) > 2:
+            unique = self._simplify_clause(lits)
+            if unique is None:
+                return  # tautology
+            lits = unique
+        if self.trail:  # empty until a solve leaves level-0 facts
+            values = self.values
+            live: list[int] = []
+            for lit in lits:
+                value = values[lit] if lit > 0 else -values[-lit]
+                if value > 0:
+                    return  # satisfied by a formula-implied fact
+                if not value:
+                    live.append(lit)
+            lits = live
+        if len(lits) > 1:
+            self._store(lits)
+        elif lits:
+            self._units.append(lits[0])
+            self._pending_units.append(lits[0])
         else:
-            self.clauses.append(live)
-            idx = len(self.clauses) - 1
-            self._watch(live[0], idx)
-            self._watch(live[1], idx)
+            self._contradiction = True
 
-    # ----- assignment ------------------------------------------------------
-
-    def _lit_value(self, lit: int) -> int:
-        value = self.values[abs(lit)]
-        if value == self._UNASSIGNED:
-            return self._UNASSIGNED
-        return value if lit > 0 else -value
-
-    def _assign(self, lit: int, reason: list[int] | None) -> None:
-        var = abs(lit)
-        self.values[var] = self._TRUE if lit > 0 else self._FALSE
-        self.levels[var] = self._decision_level()
-        self.reasons[var] = reason
-        self.phase[var] = lit > 0
-        self.trail.append(lit)
-        self._num_assigned += 1
-        self.stats.propagations += 1
-
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
+    def add_unit(self, lit: Lit) -> None:
+        """Append a unit clause."""
+        self.add_clause((lit,))
 
     # ----- propagation ------------------------------------------------------
 
     def _propagate(self, queue_start: int) -> list[int] | None:
         """Propagate from trail position; return conflicting clause or None."""
+        trail = self.trail
+        values = self.values
+        levels = self.levels
+        reasons = self.reasons
+        phase = self.phase
+        watches = self.watches
+        clauses = self.clauses
+        level = len(self.trail_lim)
         i = queue_start
-        while i < len(self.trail):
-            lit = self.trail[i]
+        while i < len(trail):
+            falsified = -trail[i]
             i += 1
-            falsified = -lit
-            watch_list = self.watches.get(falsified)
+            watch_list = watches.get(falsified)
             if not watch_list:
                 continue
-            new_watch_list: list[int] = []
-            j = 0
-            while j < len(watch_list):
-                clause_idx = watch_list[j]
-                j += 1
-                clause = self.clauses[clause_idx]
+            kept: list[int] = []
+            pending = iter(watch_list)
+            for clause_idx in pending:
+                clause = clauses[clause_idx]
                 # Normalize: put the falsified watch at position 1.
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0] = clause[1]
+                    clause[1] = falsified
                 first = clause[0]
-                if self._lit_value(first) == self._TRUE:
-                    new_watch_list.append(clause_idx)
+                first_value = values[first] if first > 0 else -values[-first]
+                if first_value > 0:
+                    kept.append(clause_idx)
                     continue
-                # Find a replacement watch.
-                replaced = False
+                # Find a replacement watch: any literal not false.
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != self._FALSE:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], clause_idx)
-                        replaced = True
+                    lit = clause[k]
+                    if (values[lit] if lit > 0 else -values[-lit]) >= 0:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches.setdefault(lit, []).append(clause_idx)
                         break
-                if replaced:
-                    continue
-                # No replacement: clause is unit or conflicting.
-                new_watch_list.append(clause_idx)
-                if self._lit_value(first) == self._FALSE:
-                    new_watch_list.extend(watch_list[j:])
-                    self.watches[falsified] = new_watch_list
-                    return clause
-                self._assign(first, clause)
-            self.watches[falsified] = new_watch_list
+                else:
+                    # No replacement: clause is unit or conflicting.
+                    kept.append(clause_idx)
+                    if first_value:
+                        kept.extend(pending)
+                        watches[falsified] = kept
+                        return clause
+                    var = abs(first)
+                    values[var] = 1 if first > 0 else -1
+                    levels[var] = level
+                    reasons[var] = clause
+                    phase[var] = first > 0
+                    trail.append(first)
+            watches[falsified] = kept
         return None
 
     # ----- conflict analysis ---------------------------------------------
@@ -334,7 +374,7 @@ class SatSolver:
         clauses — implied by the formula alone — so keeping it across
         `solve` calls with different assumptions is sound.
         """
-        level = self._decision_level()
+        level = len(self.trail_lim)
         seen = [False] * (self.num_vars + 1)
         learned: list[int] = []
         counter = 0
@@ -385,51 +425,37 @@ class SatSolver:
             for v in range(1, self.num_vars + 1):
                 self.activity[v] *= 1e-100
             self.act_inc *= 1e-100
-            self._rebuild_heap()
+            # In place: solve holds the heap in a local.
+            self._heap[:] = [
+                (-self.activity[v], v)
+                for v in range(1, self.num_vars + 1)
+                if self._branchable[v] and not self.values[v]
+            ]
+            heapq.heapify(self._heap)
         else:
             heapq.heappush(self._heap, (-act, var))
 
-    def _rebuild_heap(self) -> None:
-        self._heap = [
-            (-self.activity[v], v)
-            for v in range(1, self.num_vars + 1)
-            if self.values[v] == self._UNASSIGNED
-        ]
-        heapq.heapify(self._heap)
-
     def _backjump(self, level: int) -> None:
-        while self._decision_level() > level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.values[var] = self._UNASSIGNED
-                self.reasons[var] = None
-                self._num_assigned -= 1
-                heapq.heappush(self._heap, (-self.activity[var], var))
-
-    # ----- branching -----------------------------------------------------
-
-    def _pick_branch(self) -> int:
-        # The assigned counter makes "model found" O(1); without it the
-        # loop ended every solve with an O(vars) confirmation scan.
-        if self._num_assigned == self.num_vars:
-            return 0
-        while True:
-            if not self._heap:
-                # Defensive: the lazy heap lost an unassigned variable
-                # (cannot happen while the push invariants hold).
-                self._rebuild_heap()
-                if not self._heap:
-                    raise AssertionError(
-                        "unassigned variables exist but heap is empty"
-                    )
-            neg_act, var = heapq.heappop(self._heap)
-            if self.values[var] != self._UNASSIGNED:
-                continue
-            if -neg_act != self.activity[var]:
-                continue  # stale entry; a fresher one exists
-            return var if self.phase[var] else -var
+        """Unwind every decision level above ``level`` in one pass."""
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
+            return
+        trail = self.trail
+        values = self.values
+        reasons = self.reasons
+        activity = self.activity
+        branchable = self._branchable
+        heap = self._heap
+        limit = trail_lim[level]
+        self.stats.propagations += len(trail) - limit
+        for lit in trail[limit:]:
+            var = abs(lit)
+            values[var] = 0
+            reasons[var] = None
+            if branchable[var]:
+                heapq.heappush(heap, (-activity[var], var))
+        del trail[limit:]
+        del trail_lim[level:]
 
     # ----- main loop -------------------------------------------------------
 
@@ -444,77 +470,89 @@ class SatSolver:
             assumptions: literals asserted for this call only.  Each is
                 given its own decision level (the MiniSat discipline) so
                 learned clauses remain valid when the assumptions change
-                on the next call.
+                on the next call.  An assumption on a variable the
+                solver has not seen grows the variable space.
             max_conflicts: optional conflict budget; exceeding it returns
                 ``satisfiable=None``.
 
         The solver backtracks to decision level 0 before returning, so
         it can be reused: clauses added and lemmas learned in earlier
         calls are retained; assumption effects are not.
+
+        Raises:
+            ValueError: if an assumption is the literal 0.
         """
-        self.stats = SatResult(satisfiable=None)
-        assumption_list = [lit for lit in assumptions]
+        stats = self.stats = SatResult(satisfiable=None)
+        assumption_list = list(assumptions)
+        if assumption_list:
+            if 0 in assumption_list:
+                raise ValueError("0 is not a valid literal")
+            self.ensure_num_vars(max(map(abs, assumption_list)))
         if self._contradiction:
-            self.stats.satisfiable = False
-            return self.stats
+            stats.satisfiable = False
+            return stats
         self._backjump(0)
 
+        trail = self.trail
+        trail_lim = self.trail_lim
+        values = self.values
+        levels = self.levels
+        phase = self.phase
+        watches = self.watches
+        activity = self.activity
+        heap = self._heap
+        heappop = heapq.heappop
+        # Literals put on the trail by this call: what is on it at the
+        # end beyond `base`, plus what _backjump took off on the way.
+        base = queue_start = len(trail)
+
         # Flush unit clauses at level 0 (their effects are permanent).
-        queue_start = len(self.trail)
         pending, self._pending_units = self._pending_units, []
         for lit in pending:
-            value = self._lit_value(lit)
-            if value == self._FALSE:
+            var = abs(lit)
+            if not values[var]:
+                values[var] = 1 if lit > 0 else -1
+                levels[var] = 0
+                phase[var] = lit > 0
+                trail.append(lit)
+            elif (values[var] > 0) != (lit > 0):
                 self._contradiction = True
-                self.stats.satisfiable = False
-                return self.stats
-            if value == self._UNASSIGNED:
-                self._assign(lit, None)
+                break
 
         restarts = 0
         conflicts_until_restart = _RESTART_BASE * _luby(1)
 
-        while True:
+        while not self._contradiction:
             conflict = self._propagate(queue_start)
-            queue_start = len(self.trail)
             if conflict is not None:
-                self.stats.conflicts += 1
-                if self._decision_level() == 0:
+                stats.conflicts += 1
+                if not trail_lim:
                     # Conflict among formula-implied facts: permanent.
                     self._contradiction = True
-                    self.stats.satisfiable = False
-                    return self.stats
+                    break
                 if (
                     max_conflicts is not None
-                    and self.stats.conflicts > max_conflicts
+                    and stats.conflicts > max_conflicts
                 ):
-                    self.stats.satisfiable = None
-                    self._backjump(0)
-                    return self.stats
+                    break  # budget ran out: satisfiable stays None
                 learned, backjump = self._analyze(conflict)
                 self._backjump(backjump)
-                if len(learned) == 1:
-                    value = self._lit_value(learned[0])
-                    if value == self._FALSE:
-                        # Unit lemma contradicts a level-0 fact.
-                        self._contradiction = True
-                        self.stats.satisfiable = False
-                        self._backjump(0)
-                        return self.stats
-                    if value == self._UNASSIGNED:
-                        self._assign(learned[0], None)
-                else:
-                    self.clauses.append(learned)
-                    idx = len(self.clauses) - 1
-                    self.learned_idx.append(idx)
-                    self._watch(learned[0], idx)
-                    self._watch(learned[1], idx)
-                    self._assign(learned[0], learned)
-                    self.stats.learned_clauses += 1
+                # The asserting literal sat on the conflict level, above
+                # `backjump`, so it is unassigned now.
+                lit = learned[0]
+                var = abs(lit)
+                values[var] = 1 if lit > 0 else -1
+                levels[var] = backjump
+                phase[var] = lit > 0
+                trail.append(lit)
+                if len(learned) > 1:
+                    self.reasons[var] = learned
+                    self.learned_idx.append(self._store(learned))
+                    stats.learned_clauses += 1
                 self.act_inc /= self.act_decay
                 # Resume propagation AT the literal just asserted — it has
                 # not been propagated yet.
-                queue_start = len(self.trail) - 1
+                queue_start = len(trail) - 1
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
                     restarts += 1
@@ -526,39 +564,62 @@ class SatSolver:
                 continue
 
             # Assert the next assumption, one decision level each.
-            level = self._decision_level()
+            level = len(trail_lim)
             if level < len(assumption_list):
                 lit = assumption_list[level]
-                value = self._lit_value(lit)
-                if value == self._FALSE:
+                var = abs(lit)
+                queue_start = len(trail)
+                if not values[var]:
+                    values[var] = 1 if lit > 0 else -1
+                    levels[var] = level + 1
+                    phase[var] = lit > 0
+                    trail.append(lit)
+                elif (values[var] > 0) != (lit > 0):
                     # Incompatible with the formula or an earlier
                     # assumption: UNSAT *under these assumptions* only.
-                    self.stats.satisfiable = False
-                    self._backjump(0)
-                    return self.stats
-                self.trail_lim.append(len(self.trail))
-                if value == self._UNASSIGNED:
-                    self._assign(lit, None)
-                    queue_start = len(self.trail) - 1
+                    stats.satisfiable = False
+                    break
                 # Already-true assumptions get a dummy level so that
                 # assumption index == decision level stays invariant.
+                trail_lim.append(queue_start)
                 continue
 
-            branch = self._pick_branch()
-            if branch == 0:
+            # Branch on the most active unassigned candidate, in its
+            # saved phase.  A decision nothing watches cannot propagate,
+            # so the next one follows without a propagation pass.
+            while heap:
+                neg_act, var = heappop(heap)
+                if values[var] or -neg_act != activity[var]:
+                    continue  # assigned, or stale: a fresher entry exists
+                queue_start = len(trail)
+                trail_lim.append(queue_start)
+                stats.decisions += 1
+                lit = var if phase[var] else -var
+                values[var] = 1 if lit > 0 else -1
+                levels[var] = len(trail_lim)
+                trail.append(lit)
+                if watches.get(-lit):
+                    break
+            else:
+                # The heap ran dry: every variable a stored clause names
+                # is assigned and propagation found no conflict.  The
+                # others keep their saved phase, which is what deciding
+                # them would assign.
                 assignment = {
-                    var: self.values[var] == self._TRUE
+                    var: values[var] > 0 if values[var] else phase[var]
                     for var in range(1, self.num_vars + 1)
                 }
                 if self.check_models:
                     self._assert_model(assignment)
-                self.stats.satisfiable = True
-                self.stats.assignment = assignment
-                self._backjump(0)
-                return self.stats
-            self.trail_lim.append(len(self.trail))
-            self.stats.decisions += 1
-            self._assign(branch, None)
+                stats.satisfiable = True
+                stats.assignment = assignment
+                break
+
+        if self._contradiction:
+            stats.satisfiable = False
+        self._backjump(0)
+        stats.propagations += len(trail) - base
+        return stats
 
     def _assert_model(self, assignment: dict[int, bool]) -> None:
         """Defensive final check: the returned model satisfies every

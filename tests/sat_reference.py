@@ -3,8 +3,10 @@
 :func:`brute_force_solve` enumerates all assignments over the formula's
 variables and reports the first model found (exponential by nature, so
 it is guarded against formulas with more than 24 variables);
-:func:`evaluate` checks a model against a formula; the DIMACS functions
-dump and reload formulas for failure messages and fixtures.
+:func:`evaluate` checks a model against a formula;
+:func:`unqueued_candidates` audits the solver's branching heap; the
+DIMACS functions dump and reload formulas for failure messages and
+fixtures.
 """
 
 from __future__ import annotations
@@ -50,6 +52,20 @@ def evaluate(cnf: CNF, assignment: dict[int, bool]) -> bool:
         any((lit > 0) == assignment[abs(lit)] for lit in clause)
         for clause in cnf.clauses()
     )
+
+
+def unqueued_candidates(solver) -> set[int]:
+    """Unassigned variables a stored clause of ``solver`` (a resting
+    :class:`~repro.sat.solver.SatSolver`) names that have no current
+    entry on its branching heap.  Search ends when the heap runs dry,
+    so one variable in this set is one the next solve never decides."""
+    queued = {
+        var
+        for neg_act, var in solver._heap
+        if -neg_act == solver.activity[var]
+    }
+    named = {abs(lit) for clause in solver.clauses for lit in clause}
+    return {var for var in named - queued if not solver.values[var]}
 
 
 def to_dimacs(cnf: CNF) -> str:

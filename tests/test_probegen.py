@@ -436,3 +436,49 @@ class TestPersistentChains:
         assert fork.table.get(*above.key()) is None
         again = context.probe_for(hot)
         assert again.packet == first.packet or again.ok
+
+
+class TestBranchingHeapBound:
+    """Regression: the core solver's lazy branching heap grew by one
+    stale entry per unwound variable per solve (~34,000 entries on 512
+    variables after a 256-probe cycle) until a compaction happened to
+    rebuild the solver.  A satisfiable solve now drains it."""
+
+    def test_heap_bounded_by_the_variable_count(self):
+        from repro.core.probegen import ProbeGenContext
+
+        # A fleet switch's shape: a neighbour's catching rule on top of
+        # every host rule, and an in_port domain.
+        context = ProbeGenContext(generator(valid_in_ports=(1, 2)))
+        context.add_rule(Rule(65535, Match.build(dl_vlan=0xF01), output(9)))
+        probed, shadowed = [], []
+        for i in range(300):
+            match = Match.build(nw_dst=0x60000000 + i)
+            rule = Rule(100, match, output(1 + i % 2))
+            context.add_rule(rule)
+            probed.append(rule)
+            if i < 4:
+                # Same match, lower priority: nothing can hit it.
+                hidden = Rule(40, match, output(3))
+                context.add_rule(hidden)
+                shadowed.append(hidden)
+
+        def heap_and_vars():
+            core = context.solver._solver
+            return len(core._heap), core.num_vars
+
+        for rule in probed:
+            assert context.probe_for(rule).ok
+            entries, num_vars = heap_and_vars()
+            assert entries <= num_vars
+        assert context.stats.probes_generated == 300
+
+        for _ in range(10):
+            context.clear_cache()
+            for rule in shadowed:
+                result = context.probe_for(rule)
+                assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        assert context.solver.stats.model_cache_hits == 0
+        assert context.probe_for(probed[0]).ok
+        entries, num_vars = heap_and_vars()
+        assert entries <= num_vars

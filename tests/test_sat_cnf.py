@@ -15,10 +15,6 @@ class TestVariables:
         assert cnf.new_var() == 2
         assert cnf.num_vars == 2
 
-    def test_new_vars_batch(self):
-        cnf = CNF()
-        assert cnf.new_vars(3) == [1, 2, 3]
-
     def test_ensure_var_grows(self):
         cnf = CNF()
         cnf.ensure_var(10)

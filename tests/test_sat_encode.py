@@ -4,13 +4,10 @@ import itertools
 
 from repro.sat.cnf import CNF
 from repro.sat.encode import (
-    at_most_one,
     clause_and,
     clause_or,
     constant,
     ite_chain,
-    negate_clause,
-    negate_conjunction,
 )
 from repro.sat.solver import solve
 
@@ -35,7 +32,7 @@ def models_of(cnf, projection):
 class TestClauseAnd:
     def test_and_gate_truth_table(self):
         cnf = CNF()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         s = clause_and(cnf, [a, b])
         # For every total assignment, s must equal a & b.
         for va, vb in itertools.product([False, True], repeat=2):
@@ -56,7 +53,7 @@ class TestClauseAnd:
 class TestClauseOr:
     def test_or_gate_truth_table(self):
         cnf = CNF()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         s = clause_or(cnf, [a, -b])
         for va, vb in itertools.product([False, True], repeat=2):
             trial = cnf.copy()
@@ -73,14 +70,6 @@ class TestClauseOr:
         assert result.assignment[s] is False
 
 
-class TestNegations:
-    def test_negate_clause(self):
-        assert negate_clause([1, -2, 3]) == [[-1], [2], [-3]]
-
-    def test_negate_conjunction(self):
-        assert negate_conjunction([1, -2]) == [-1, 2]
-
-
 class TestConstant:
     def test_constants(self):
         cnf = CNF()
@@ -89,16 +78,6 @@ class TestConstant:
         result = solve(cnf)
         assert result.assignment[t] is True
         assert result.assignment[f] is False
-
-
-class TestAtMostOne:
-    def test_blocks_pairs(self):
-        cnf = CNF()
-        a, b, c = cnf.new_vars(3)
-        at_most_one(cnf, [a, b, c])
-        projected = models_of(cnf, [a, b, c])
-        for model in projected:
-            assert sum(model) <= 1
 
 
 class TestIteChain:
@@ -114,7 +93,7 @@ class TestIteChain:
         for assignment in itertools.product([False, True], repeat=5):
             g1, v1, g2, v2, ev = assignment
             cnf = CNF()
-            lits = cnf.new_vars(5)
+            lits = [cnf.new_var() for _ in range(5)]
             s = ite_chain(
                 cnf, [(lits[0], lits[1]), (lits[2], lits[3])], lits[4]
             )
@@ -160,7 +139,7 @@ class TestEquisatisfiability:
         # s <-> (a | b): projecting models onto (a, b) with s asserted
         # gives exactly the assignments where a|b holds.
         cnf = CNF()
-        a, b = cnf.new_vars(2)
+        a, b = cnf.new_var(), cnf.new_var()
         s = clause_or(cnf, [a, b])
         cnf.add_unit(s)
         projected = models_of(cnf, [a, b])

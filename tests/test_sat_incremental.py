@@ -9,11 +9,13 @@ the brute-force reference solver on random formulas.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import SatSolver
-from sat_reference import brute_force_solve
+from sat_reference import brute_force_solve, evaluate, unqueued_candidates
 
 
 def random_cnf(rng, num_vars, num_clauses, width=3):
@@ -281,6 +283,25 @@ class TestCoreSolverIncrementalSurface:
         assert solver.solve().satisfiable is False
         assert solver.solve().satisfiable is False
 
+    def test_literal_zero_reaches_neither_store(self):
+        solver = IncrementalSolver(num_vars=2)
+        group = solver.new_group()
+        for target in (None, group):
+            with pytest.raises(ValueError, match="0 is not a valid literal"):
+                solver.add_clause([1, 0, 2], group=target)
+        assert solver.num_clauses == 0 and solver._solver.clauses == []
+        solver.compact()  # rebuilds from the stores: nothing malformed
+        assert solver.solve([group]).satisfiable is True
+
+    def test_assumption_on_an_unseen_variable_grows_the_space(self):
+        solver = IncrementalSolver(num_vars=2)
+        solver.add_clause([1, 2])
+        result = solver.solve([5])
+        assert result.satisfiable is True and result.assignment[5] is True
+        assert sorted(result.assignment) == [1, 2, 3, 4, 5]
+        # The wrapper sees the growth: fresh variables start above it.
+        assert solver.num_vars == 5 and solver.new_var() == 6
+
 
 def random_3sat(rng, num_vars, num_clauses):
     """Exact-3 clauses near the phase transition: conflict-rich."""
@@ -461,16 +482,128 @@ class TestClone:
         )
 
 
+BASE_VARS = 6
+
+
+@st.composite
+def group_scripts(draw):
+    """Operations on a context over ``BASE_VARS`` base variables, of
+    which clauses name only a drawn subset: permanent clauses, groups
+    (with an auxiliary variable each), retirements, compactions, phase
+    suggestions, and solves under a mix of selectors and base literals."""
+    named = sorted(
+        draw(st.sets(st.integers(1, BASE_VARS), min_size=1, max_size=4))
+    )
+    def signed(variables):
+        return st.builds(
+            lambda var, sign: var * sign, variables, st.sampled_from((1, -1))
+        )
+
+    literal = signed(st.sampled_from(named))
+    any_literal = signed(st.integers(1, BASE_VARS))
+    clause = st.lists(literal, min_size=1, max_size=3)
+    operation = st.one_of(
+        st.tuples(st.just("permanent"), clause),
+        st.tuples(st.just("group"), st.lists(clause, min_size=1, max_size=4)),
+        st.tuples(st.just("retire"), st.integers(0, 7)),
+        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("phase"), any_literal),
+        st.tuples(
+            st.just("solve"),
+            st.tuples(
+                st.lists(st.integers(0, 7), max_size=3),
+                st.lists(any_literal, max_size=2),
+            ),
+        ),
+    )
+    return draw(st.lists(operation, min_size=1, max_size=14))
+
+
 class TestBranchBookkeeping:
-    def test_assigned_counter_stays_consistent(self):
+    def test_solver_rests_at_level_zero(self):
         solver = SatSolver(CNF(4))
         solver.add_clause([1, 2])
         solver.add_clause([-1, 3])
+        solver.add_clause([-3])
         for _ in range(3):
             result = solver.solve()
             assert result.satisfiable is True
             # Post-solve the trail holds only level-0 facts.
-            assert solver._num_assigned == len(solver.trail)
+            assert len(solver.trail_lim) == 0
+            assert [abs(lit) for lit in solver.trail] == [3, 1, 2]
+            assert all(solver.levels[abs(lit)] == 0 for lit in solver.trail)
+
+    @settings(max_examples=200, deadline=None)
+    @given(group_scripts())
+    def test_group_scripts_agree_with_enumeration(self, script):
+        solver = IncrementalSolver(num_vars=BASE_VARS)
+        permanent: list[list[int]] = []
+        groups: list[tuple[int, int, list[list[int]]]] = []
+        suggested: dict[int, bool] = {}
+        touched: set[int] = set()
+        for op, arg in script:
+            if op == "permanent":
+                solver.add_clause(arg)
+                permanent.append(arg)
+                touched.update(map(abs, arg))
+            elif op == "group":
+                selector = solver.new_group()
+                aux = solver.new_var(selector)
+                # aux <-> first clause, then the rest as they are: a
+                # recycled auxiliary is named again by a new group.
+                solver.add_clause([-aux] + arg[0], group=selector)
+                solver.add_unit(aux, group=selector)
+                for clause in arg[1:]:
+                    solver.add_clause(clause, group=selector)
+                groups.append((selector, aux, arg))
+                touched.update(abs(lit) for c in arg for lit in c)
+            elif op == "retire" and groups:
+                solver.retire_group(groups.pop(arg % len(groups))[0])
+            elif op == "compact":
+                solver.compact()
+                suggested.clear()  # the rebuilt core starts cold
+            elif op == "phase":
+                solver.suggest_phase(abs(arg), arg > 0)
+                suggested[abs(arg)] = arg > 0
+            elif op == "solve":
+                picks, literals = arg
+                active = (
+                    {groups[i % len(groups)][0] for i in picks}
+                    if groups
+                    else set()
+                )
+                reference = CNF(BASE_VARS)
+                reference.extend(permanent)
+                for selector, _aux, clauses in groups:
+                    if selector in active:
+                        reference.extend(clauses)
+                reference.extend([lit] for lit in literals)
+                touched.update(map(abs, literals))
+                expected = brute_force_solve(reference) is not None
+                twin = solver.clone()
+                hits = solver.stats.model_cache_hits
+                result = solver.solve(sorted(active) + literals)
+                assert result.satisfiable == expected
+                again = twin.solve(sorted(active) + literals)
+                assert again.satisfiable == result.satisfiable
+                assert again.assignment == result.assignment
+                core = solver._solver
+                assert not core.trail_lim
+                assert not unqueued_candidates(core)
+                if not result.satisfiable:
+                    continue
+                model = result.assignment
+                assert sorted(model) == list(range(1, solver.num_vars + 1))
+                assert evaluate(reference, model)
+                assert len(core._heap) <= core.num_vars
+                stored = {abs(lit) for c in core.clauses for lit in c}
+                if not result.conflicts:
+                    assert result.decisions <= len(stored)
+                if solver.stats.model_cache_hits != hits:
+                    continue  # the memoized model predates suggestions
+                for var in range(1, BASE_VARS + 1):
+                    if var not in touched:
+                        assert model[var] is suggested.get(var, False)
 
     def test_model_cache_does_not_survive_compaction_collisions(self):
         # Regression: compact() rebuilds the core solver, restarting

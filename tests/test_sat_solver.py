@@ -1,10 +1,18 @@
 """Tests for the CDCL SAT solver against hand-built and random formulas."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, _luby, solve
 from repro.sim.random import DeterministicRandom
-from sat_reference import brute_force_solve, evaluate, to_dimacs
+from sat_reference import (
+    brute_force_solve,
+    evaluate,
+    to_dimacs,
+    unqueued_candidates,
+)
 
 
 def make_cnf(num_vars, clauses):
@@ -103,6 +111,160 @@ class TestAgainstBruteForce:
             assert result.satisfiable == expected, to_dimacs(cnf)
             if result.satisfiable:
                 assert evaluate(cnf, result.assignment)
+
+
+@st.composite
+def sparse_steps(draw):
+    """``(num_vars, check_models, steps)``: a formula grown in steps of
+    ``(clauses, assumptions)``.  Clauses of two or more literals draw
+    from a subset of the variables only, so the others are named by
+    units and assumptions at most."""
+    num_vars = draw(st.integers(1, 9))
+    everything = st.integers(1, num_vars)
+    named = draw(st.sets(everything, min_size=1))
+    sign = st.sampled_from((1, -1))
+
+    def literals(variables):
+        return st.builds(lambda var, s: var * s, variables, sign)
+
+    stored = st.lists(
+        literals(st.sampled_from(sorted(named))), min_size=2, max_size=4
+    )
+    unit = st.lists(literals(everything), min_size=1, max_size=1)
+    step = st.tuples(
+        st.lists(st.one_of(stored, stored, stored, unit), max_size=12),
+        st.lists(literals(everything), max_size=2),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=3))
+    return num_vars, draw(st.booleans()), steps
+
+
+class TestUnmentionedVariables:
+    """The heap holds what stored clauses name; everything else keeps
+    its saved phase and costs no decision."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_steps())
+    def test_steps_agree_with_enumeration(self, drawn):
+        num_vars, check_models, steps = drawn
+        solver = SatSolver(CNF(num_vars), check_models=check_models)
+        formula = CNF(num_vars)
+        touched: set[int] = set()
+        for clauses, assumptions in steps:
+            for clause in clauses:
+                solver.add_clause(clause)
+                formula.add_clause(clause)
+                touched.update(map(abs, clause))
+            touched.update(map(abs, assumptions))
+            assumed = formula.copy()
+            assumed.extend([lit] for lit in assumptions)
+            twin = solver.clone()
+            result = solver.solve(assumptions)
+            expected = brute_force_solve(assumed) is not None
+            assert result.satisfiable == expected, to_dimacs(assumed)
+            again = twin.solve(assumptions)
+            assert again.satisfiable == result.satisfiable
+            assert again.assignment == result.assignment
+            # The solver rests at level 0, every candidate queued.
+            assert not solver.trail_lim
+            assert not unqueued_candidates(solver)
+            assert not unqueued_candidates(twin)
+            if not result.satisfiable:
+                continue
+            assert sorted(result.assignment) == list(range(1, num_vars + 1))
+            assert evaluate(assumed, result.assignment)
+            assert len(solver._heap) <= num_vars
+            stored = {abs(lit) for c in solver.clauses for lit in c}
+            if not result.conflicts:
+                assert result.decisions <= len(stored)
+            for var in range(1, num_vars + 1):
+                if var not in touched:
+                    assert result.assignment[var] is False
+
+    def test_untouched_variable_reports_saved_phase(self):
+        solver = SatSolver(CNF(6))
+        solver.add_clause([1, 2])
+        first = solver.solve(assumptions=[3])
+        assert first.assignment[3] is True and first.assignment[6] is False
+        assert first.decisions <= 2
+        # The assumption is gone; the phase it saved is what 3 reports.
+        second = solver.solve()
+        assert second.assignment[3] is True
+        assert solver.solve(assumptions=[-3]).assignment[3] is False
+        assert solver.solve().assignment[3] is False
+
+    def test_variable_named_after_a_solve_is_constrained(self):
+        solver = SatSolver(CNF(3))
+        solver.add_clause([1, 2])
+        assert solver.solve().assignment[3] is False
+        twin = solver.clone()
+        for each in (solver, twin):
+            each.add_clause([3, 1])
+            each.add_clause([3, -1])
+            result = each.solve()
+            assert result.satisfiable and result.assignment[3] is True
+            assert each.solve(assumptions=[-3]).satisfiable is False
+
+    def test_variable_assigned_by_a_unit_before_a_clause_names_it(self):
+        solver = SatSolver(CNF(3))
+        solver.add_clause([-3])
+        assert solver.solve().assignment[3] is False
+        solver.add_clause([3, 1])  # reduces to the unit [1]
+        solver.add_clause([3, 2, -1])  # reduces to the unit [2]
+        result = solver.solve()
+        assert result.assignment == {1: True, 2: True, 3: False}
+        assert result.decisions == 0
+
+    def test_lemma_variables_stay_constrained(self):
+        # Exact-3 clauses near the phase transition over 10 of 12
+        # variables: the first solve learns lemmas, and every later
+        # answer over the lemmas' variables still matches enumeration.
+        rng = DeterministicRandom(5)
+        learned = 0
+        for _ in range(6):
+            cnf = CNF(12)
+            for _ in range(43):
+                variables = rng.sample(range(1, 11), 3)
+                cnf.add_clause(
+                    [v if rng.random() < 0.5 else -v for v in variables]
+                )
+            solver = SatSolver(cnf)
+            solver.solve()
+            lemma_vars = {
+                abs(lit) for lemma in solver.learned_clauses() for lit in lemma
+            }
+            learned += len(lemma_vars)
+            for var in sorted(lemma_vars):
+                for lit in (var, -var):
+                    assumed = cnf.copy()
+                    assumed.add_unit(lit)
+                    expected = brute_force_solve(assumed) is not None
+                    result = solver.solve(assumptions=[lit, 11])
+                    assert result.satisfiable == expected
+                    if expected:
+                        assert result.assignment[11] is True
+                        assert result.assignment[12] is False
+        assert learned
+
+
+class TestMalformedInput:
+    def test_literal_zero_is_rejected_before_it_is_stored(self):
+        solver = SatSolver(CNF(2))
+        with pytest.raises(ValueError, match="0 is not a valid literal"):
+            solver.add_clause([1, 0, 2])
+        assert solver.clauses == [] and solver.num_clauses == 0
+        with pytest.raises(ValueError, match="0 is not a valid literal"):
+            solver.solve(assumptions=[1, 0])
+        assert solver.solve().satisfiable is True
+
+    def test_assumption_on_an_unseen_variable_grows_the_space(self):
+        solver = SatSolver(CNF(2))
+        solver.add_clause([1, 2])
+        result = solver.solve(assumptions=[5])
+        assert result.satisfiable is True
+        assert sorted(result.assignment) == [1, 2, 3, 4, 5]
+        assert result.assignment[5] is True
+        assert solver.solve(assumptions=[-5, 5]).satisfiable is False
 
 
 class TestBudget:
