@@ -26,6 +26,7 @@ cross-switch context sharing.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from benchmarks.conftest import print_header, write_bench_artifact
@@ -110,6 +111,11 @@ def _drive(deployment, leaves, specs, churn_specs) -> dict:
         )
         return result
 
+    # Each arm starts from a collected heap, as ``bench/`` does before
+    # timed work: the shared arm is ~10 ms at CI's scale, and a pause
+    # for the session's earlier garbage landing in it (rather than in
+    # whichever arm allocates more) would decide the ratio.
+    gc.collect()
     start = time.perf_counter()
     hot_ok = 0
     for leaf in leaves:
@@ -142,8 +148,8 @@ def test_fleet_shared_context_churn(scale, seed):
     specs = _leaf_rule_specs(num_rules, rng.fork(1))
 
     # Churn: flip a below-the-hot-rule deny filler to a rewriting
-    # forward each round (a real table change — chain retraction +
-    # re-solve on the first replica, shared-log replay on the rest).
+    # forward each round (a real table change — a re-solve on the
+    # first replica, shared-log replay on the rest).
     fillers = [s for s in specs[1:] if s[0] < HOT_PRIORITY]
     churn_specs = []
     for i in range(rounds):

@@ -8,13 +8,20 @@ regeneration three ways on the same table and churn sequence:
   rebuilds the whole CNF and a fresh solver per probe (the seed
   behaviour);
 * **incremental** — :class:`~repro.core.probegen.ProbeGenContext` with
-  its probe cache cleared before each call, so every call goes back to
-  the persistent solver (retained match guards, DiffOutcome literals,
-  persistent per-rule probe groups, learned lemmas, heuristics).  When
-  the churn cancels out — as remove + re-add does — the persistent
-  group makes the re-solve formula-identical and the solver's model
-  cache answers it without running CDCL; that IS the incremental win
-  being measured, not an artifact;
+  its probe cache cleared before each call (which production never
+  does), so every call goes back to the persistent solver.  What
+  persists there is the definitions — match guards, DiffOutcome
+  literals, the catching match — plus learned lemmas and heuristics;
+  the probe's own constraints are assumed, and its Distinguish chain
+  over those guards is emitted for the one solve and retired after it.
+  So this arm pays one chain (two short clauses per lower rule) per
+  call where from-scratch pays the whole instance: 4-5x at every size.
+  (Until probes stopped being stored as per-rule clause groups, a
+  remove + re-add left the stored group and the formula unchanged and a
+  result memo answered this arm without running CDCL — 21-30x in the
+  artifact of that time, for a repetition only this benchmark's
+  ``clear_cache()`` could produce: a rule whose constraints are
+  unchanged still has a valid cached probe, see the next arm.)
 * **revalidate** — the full delta API as the Monitor drives it: the
   stale-marked cached probe is cheaply re-checked against the churned
   table and only re-solved if it actually died.

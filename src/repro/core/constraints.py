@@ -25,8 +25,9 @@ common ports for multicast pairs and AND-ed when ECMP is involved.
 
 from __future__ import annotations
 
+import contextlib
 import enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.openflow.actions import OutcomeKind
 from repro.openflow.fields import HEADER, FieldName
@@ -42,6 +43,10 @@ from repro.sat.encode import (
     ite_chain,
 )
 from repro.sat.incremental import IncrementalSolver
+
+
+#: The SAT variables holding the abstract header, bit 0 first.
+_HEADER_VARS = range(1, HEADER.total_bits + 1)
 
 
 class DistinguishEncoding(str, enum.Enum):
@@ -350,16 +355,11 @@ class ConstraintCompiler:
     @staticmethod
     def decode_assignment(assignment: dict[int, bool]) -> dict[FieldName, int]:
         """Abstract header values from a satisfying assignment."""
-        values: dict[FieldName, int] = {}
-        for field in HEADER:
-            value = 0
-            for bit_in_field in range(field.width):
-                value <<= 1
-                var = field.offset + bit_in_field + 1
-                if assignment.get(var, False):
-                    value |= 1
-            values[field.name] = value
-        return values
+        bits = "".join(
+            ["1" if bit else "0" for bit in map(assignment.get, _HEADER_VARS)]
+        )
+        values = HEADER.unpack(int(bits, 2))
+        return {name: values[name] for name in HEADER.names()}
 
 
 class IncrementalProbeEncoder:
@@ -379,13 +379,16 @@ class IncrementalProbeEncoder:
     * the **catching match** and the ``in_port`` domain restriction,
       asserted permanently at construction (they apply to every probe).
 
-    The probed-rule-specific parts — Hit bits, negated higher-rule
-    guards, and the Distinguish chain — go into one *persistent* clause
-    group per rule (:meth:`assert_probe_group`); a solve activates it
-    with a single selector assumption, and the group survives across
-    probes until the rule's overlap context churns.  The incremental
-    Distinguish always uses the linear asserted-chain construction (the
-    Velev ablation only applies to the from-scratch compiler).
+    What is specific to one probe is *assumed*, not stored
+    (:meth:`probe_assumptions`): the Hit bits, the negated guard of
+    every rule the probe must avoid, and — only when a lower overlapping
+    rule exists — the selector of a transient clause group holding the
+    Distinguish chain over those permanent guards, retired as soon as
+    the solve that assumed it returns.  A regenerated probe therefore
+    adds no clause once its neighbours' guards exist, and no group
+    outlives a solve.  The incremental Distinguish always uses the
+    linear asserted-chain construction (the Velev ablation only applies
+    to the from-scratch compiler).
     """
 
     def __init__(
@@ -449,38 +452,46 @@ class IncrementalProbeEncoder:
             self._diffs[key] = cached
         return cached
 
-    # ----- per-probe emission ---------------------------------------------
+    # ----- per-probe assumptions -------------------------------------------
 
-    def assert_probe_group(
+    @contextlib.contextmanager
+    def probe_assumptions(
         self,
         probed: Rule,
         lower_rules: Sequence[Rule],
-        higher_rules: Sequence[Rule],
-        group: int,
-    ) -> None:
-        """Emit a rule's complete probe constraints into a clause group.
+        avoid_rules: Sequence[Rule],
+    ) -> Iterator[list[Lit]]:
+        """The literals a solve for ``probed`` assumes, for one ``with``.
 
-        The group carries everything probe-specific — Hit unit bits,
-        the negated guards of higher-priority overlapping rules, and
-        the Distinguish chain — so a solve needs exactly *one*
-        assumption (the selector) instead of one decision level per
-        higher rule and match bit.  Guard and DiffOutcome literals
-        referenced from the group are the persistent cached ones, so
-        re-emitting a churned group only pays for the group-local
-        clauses.
+        ``avoid_rules`` are the overlapping rules that would take the
+        probe ahead of ``probed``, ``lower_rules`` the ones that decide
+        its fate without it.  One decision level per literal costs less
+        than storing them: nothing is added to the clause database
+        unless a Distinguish chain is needed, and what the chain adds is
+        retired on leaving the block — after a satisfiable,
+        unsatisfiable or budget-exhausted solve, and when emission or
+        the solve raises.
         """
-        sink = SolverSink(self.solver, group)
         # Hit: the probe matches the probed rule ...
-        for lit in self.compiler.match_literals(probed.match):
-            sink.add_unit(lit)
-        # ... and no higher-priority overlapping rule.
-        for rule in higher_rules:
-            sink.add_unit(-self.guard(rule.match))
+        assumptions = self.compiler.match_literals(probed.match)
+        # ... and none of the rules ahead of it.
+        assumptions.extend(-self.guard(rule.match) for rule in avoid_rules)
         # Distinguish: the priority-ordered lower-overlap ITE chain.
+        else_value = self.diff_outcome(probed, None)
+        if not lower_rules and else_value is True:
+            yield assumptions  # the chain is its else branch, and holds
+            return
         ordered = sorted(lower_rules, key=lambda r: -r.priority)
         branches = [
             (self.guard(rule.match), self.diff_outcome(probed, rule))
             for rule in ordered
         ]
-        else_value = self.diff_outcome(probed, None)
-        assert_ite_chain(sink, branches, else_value)
+        group = self.solver.new_group()
+        try:
+            assert_ite_chain(
+                SolverSink(self.solver, group), branches, else_value
+            )
+            assumptions.append(group)
+            yield assumptions
+        finally:
+            self.solver.retire_group(group)

@@ -289,8 +289,11 @@ class DynamicMonitor:
         if old_rule.priority == 0:
             return None  # cannot demote below priority 0
         altered = FlowTable(check_overlap=False)
+        key = old_rule.key()
         for rule in self.monitor.expected.overlapping(old_rule.match):
-            if rule.priority > old_rule.priority:
+            # Equal priority is not lower: a tied overlapping rule
+            # stays, for the generator to avoid.
+            if rule.priority >= old_rule.priority and rule.key() != key:
                 altered.install(rule)
         altered.install(new_rule)
         altered.install(old_rule.with_priority(old_rule.priority - 1))

@@ -160,15 +160,14 @@ class ProbeGenerator:
         # The §3.2 no-rewriting-reserved-fields assumption only needs to
         # hold on rules this probe can interact with.
         self._check_reserved_fields([rule] + candidates)
-        higher = [r for r in candidates if r.priority > rule.priority]
-        lower = [r for r in candidates if r.priority < rule.priority]
+        avoid, lower = _split_candidates(rule, candidates)
 
         # The compiler writes straight into the solver about to run.
         solver = SatSolver(CNF(HEADER.total_bits))
         compiler = ConstraintCompiler(encoding=self.encoding, sink=solver)
         # Hit
         compiler.assert_matches(rule.match)
-        for other in higher:
+        for other in avoid:
             compiler.assert_not_matches(other.match)
         # Collect
         compiler.assert_matches(self.catch_match)
@@ -216,6 +215,23 @@ class ProbeGenerator:
                     f"rule {rule!r} rewrites probe-reserved field(s) "
                     f"{sorted(f.value for f in bad)}"
                 )
+
+
+def _split_candidates(
+    rule: Rule, candidates: list[Rule]
+) -> tuple[list[Rule], list[Rule]]:
+    """(rules the probe must avoid, rules that take it once ``rule`` is gone).
+
+    An overlapping rule of *equal* priority is one to avoid.  Which of
+    two tied rules a switch applies is undefined (paper footnote 1;
+    :meth:`FlowTable.lookup` goes by install order), so the only probe
+    that is sound either way matches just one of them — and a rule no
+    packet reaches without also matching a tied one is reported
+    UNSATISFIABLE instead of being probed on a guess.
+    """
+    avoid = [r for r in candidates if r.priority >= rule.priority]
+    lower = [r for r in candidates if r.priority < rule.priority]
+    return avoid, lower
 
 
 def _decode_probe(
@@ -355,12 +371,6 @@ class ProbeGenContextStats:
     solver_conflicts: int = 0
     generation_seconds: float = 0.0
     engine_rebuilds: int = 0
-    #: Persistent Distinguish-chain bookkeeping: solves that reused the
-    #: probed rule's cached chain group vs. ones that had to (re-)emit
-    #: it, and chains retracted because their lower-overlap set churned.
-    chain_reuses: int = 0
-    chain_emits: int = 0
-    chain_retractions: int = 0
 
 
 class ProbeGenContext:
@@ -381,7 +391,9 @@ class ProbeGenContext:
 
     Reusable constraint pieces (match guards, DiffOutcome literals, the
     catching match, learned lemmas, solver heuristics) persist inside
-    the solver across calls; see
+    the solver across calls; what is specific to one probe is assumed
+    for one solve and leaves nothing behind — no per-rule solver state
+    exists to keep in step with the table.  See
     :class:`~repro.core.constraints.IncrementalProbeEncoder`.
 
     The configuration (catch match, in_port domain, conflict budget)
@@ -423,14 +435,6 @@ class ProbeGenContext:
             catch_match=self.generator.catch_match,
             valid_in_ports=self.generator.valid_in_ports,
         )
-        #: Persistent probe groups (Hit + higher guards + Distinguish
-        #: chain): rule key -> (clause group, signature).  A group
-        #: survives across probe_for calls and is retracted lazily,
-        #: when the signature — the rule's overlap context — actually
-        #: changes.  Insertion order doubles as LRU recency for the
-        #: retained-variable budget.
-        self._chains: dict[tuple[int, Match], tuple[int, tuple]] = {}
-        self._chain_vars = 0
 
     def attach_obs(self, obs: object, node: object) -> None:
         """Publish solve timings through an observer.
@@ -517,13 +521,10 @@ class ProbeGenContext:
         churn; a deleted rule's probe can never be asked for again
         under that key, and keeping it would grow the cache (and the
         per-change invalidation scan) with every rule ever churned.
-        The rule's persistent Distinguish chain is retired with it.
         """
         self._cache.pop(key, None)
         self._stale.discard(key)
         self._cache_index.discard(key)
-        if key in self._chains:
-            self._retire_chain(key)
 
     def _invalidate(self, match: Match) -> None:
         """Stale-mark cached probes whose rule intersects ``match``.
@@ -543,9 +544,10 @@ class ProbeGenContext:
         """Drop all cached probes (benchmark/ablation hook).
 
         Persistent solver state — match guards, DiffOutcome literals,
-        Distinguish chains, learned lemmas — survives; only the probe
-        result cache is emptied, so every subsequent ``probe_for`` runs
-        a real solve against the warm context.
+        learned lemmas — survives; only the probe result cache is
+        emptied, so every subsequent ``probe_for`` runs a real solve
+        against the warm context.  Nothing in ``src/`` calls this: a
+        monitored switch re-solves only what revalidation gave up on.
         """
         self._cache.clear()
         self._stale.clear()
@@ -559,7 +561,7 @@ class ProbeGenContext:
         verifies that before any state is shared): a cached result is a
         pure function of the table and the generator config, so either
         context's entry is valid for both.  Stale marks travel with the
-        adopted entries; solver state (chains, lemmas) is deliberately
+        adopted entries; solver state (guards, lemmas) is deliberately
         not merged — each context keeps its own.  Returns the number of
         entries adopted.
         """
@@ -604,8 +606,6 @@ class ProbeGenContext:
         dup._cache_index = self._cache_index.copy()
         dup.solver = self.solver.clone()
         dup.encoder = self.encoder.clone(dup.solver)
-        dup._chains = dict(self._chains)
-        dup._chain_vars = self._chain_vars
         return dup
 
     # ----- probe generation ----------------------------------------------
@@ -685,113 +685,29 @@ class ProbeGenContext:
                 return None
         return refreshed
 
-    def _chain_signature(
-        self, rule: Rule, lower: list[Rule], higher: list[Rule]
-    ) -> tuple:
-        """Value identity of the probe constraints a solve needs.
-
-        The group's clauses are fully determined by the probed rule's
-        match (Hit bits), the higher-overlap matches in emission order
-        (negated guards), the priority-ordered lower-overlap matches
-        and the probed-vs-lower action pairs (the Distinguish chain).
-        Two solves with equal signatures can share one persistent
-        clause group; a churn event that leaves the signature intact —
-        the common case of a neighbour being removed and re-added, or
-        of churn outside the rule's overlap set — costs no re-emission
-        at all.  Higher rules' *actions* are deliberately absent: they
-        never enter the constraints.
-        """
-        ordered = sorted(lower, key=lambda r: -r.priority)
-        return (
-            rule.match,
-            rule.actions,
-            tuple(r.match for r in higher),
-            tuple((r.priority, r.match, r.actions) for r in ordered),
-        )
-
-    def _chain_budget(self) -> int:
-        """Retained-variable budget for persistent probe groups.
-
-        Keeping every probed rule's group alive forever would make each
-        solve assign O(sum of all chain sizes) variables (a CDCL model
-        assigns everything); bounding retention by a multiple of the
-        table size keeps the per-solve cost proportional to the live
-        formula while still holding the entire working set of any
-        realistic probing cycle.
-        """
-        return max(4096, 8 * (len(self.table) + 1))
-
-    def _chain_group(
-        self, rule: Rule, lower: list[Rule], higher: list[Rule]
-    ) -> int:
-        """The persistent clause group holding ``rule``'s constraints.
-
-        Reuses the cached group when the signature still matches;
-        otherwise retires the stale group (this is the *only* place a
-        live group is retracted for content reasons) and emits a fresh
-        one.  Least-recently-probed groups are evicted when retained
-        auxiliary variables exceed the budget.
-        """
-        key = rule.key()
-        signature = self._chain_signature(rule, lower, higher)
-        cached = self._chains.get(key)
-        if cached is not None and cached[1] == signature:
-            self._chains[key] = self._chains.pop(key)  # refresh recency
-            self.stats.chain_reuses += 1
-            return cached[0]
-        if cached is not None:
-            self._retire_chain(key)
-        group = self.solver.new_group()
-        try:
-            self.encoder.assert_probe_group(rule, lower, higher, group)
-        except BaseException:
-            self.solver.retire_group(group)
-            raise
-        self._chains[key] = (group, signature)
-        self._chain_vars += self.solver.group_size(group)
-        self.stats.chain_emits += 1
-        budget = self._chain_budget()
-        while self._chain_vars > budget and len(self._chains) > 1:
-            oldest = next(iter(self._chains))
-            if oldest == key:
-                break  # never evict the group we are about to solve
-            self._retire_chain(oldest)
-        return group
-
-    def _retire_chain(self, key: tuple[int, Match]) -> None:
-        group, _signature = self._chains.pop(key)
-        self._chain_vars -= self.solver.group_size(group)
-        self.solver.retire_group(group)
-        self.stats.chain_retractions += 1
-
     def _generate(self, rule: Rule) -> ProbeResult:
         """One incremental, assumption-based probe generation."""
         start = time.perf_counter()
         generator = self.generator
         candidates = self._candidates(rule)
         generator._check_reserved_fields([rule] + candidates)
-        higher = [r for r in candidates if r.priority > rule.priority]
-        lower = [r for r in candidates if r.priority < rule.priority]
+        avoid, lower = _split_candidates(rule, candidates)
 
-        group = self._chain_group(rule, lower, higher)
-        sat = self.solver.solve(
-            [group], max_conflicts=generator.max_conflicts
-        )
-        # The solve saved phase True for the selector; point the default
-        # branch back at "inactive" so other rules' solves do not pay
-        # conflicts to switch this group off.
-        self.solver.suggest_phase(group, False)
-
+        with self.encoder.probe_assumptions(rule, lower, avoid) as assumed:
+            sat = self.solver.solve(
+                assumed, max_conflicts=generator.max_conflicts
+            )
+            # Sized as solved: this probe's own chain is still in it.
+            result = ProbeResult(
+                rule=rule,
+                ok=False,
+                cnf_vars=self.solver.num_vars,
+                cnf_clauses=self.solver.num_clauses,
+                overlapping_rules=len(candidates),
+                solver_conflicts=sat.conflicts,
+            )
         self.stats.probes_generated += 1
         self.stats.solver_conflicts += sat.conflicts
-        result = ProbeResult(
-            rule=rule,
-            ok=False,
-            cnf_vars=self.solver.num_vars,
-            cnf_clauses=self.solver.num_clauses,
-            overlapping_rules=len(candidates),
-            solver_conflicts=sat.conflicts,
-        )
         try:
             if sat.satisfiable is None:
                 result.reason = UnmonitorableReason.BUDGET_EXCEEDED

@@ -1,8 +1,14 @@
 """TCAM-style flow table with OpenFlow 1.0 priority semantics.
 
 Lookup returns the highest-priority matching rule.  The OpenFlow spec
-leaves overlapping equal-priority rules undefined; following the paper
-(footnote 1) the table refuses to create that situation.
+leaves overlapping equal-priority rules undefined (paper footnote 1).
+A table built with ``check_overlap=True`` refuses to create that
+situation; every live table — a switch's control and data plane, a
+Monitor's expected table, the ACL datasets — is built with
+``check_overlap=False``, as a real switch accepts such FlowMods, and
+there ties go to the earlier install.  Probe generation therefore never
+relies on the tie-break: a probe avoids every overlapping rule of the
+probed rule's priority.
 
 The table also exposes the queries probe generation needs: rules with
 higher/lower priority than a given rule, and rules overlapping a match
@@ -118,8 +124,8 @@ class FlowTable:
     """An ordered collection of rules with TCAM lookup semantics.
 
     Rules are kept sorted by descending priority; within one priority the
-    order is insertion order (irrelevant for lookup because equal-priority
-    overlap is rejected).
+    order is insertion order, which decides a lookup only between
+    overlapping rules of one priority (``check_overlap=False`` tables).
     """
 
     def __init__(

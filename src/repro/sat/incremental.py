@@ -26,7 +26,12 @@ are carried across the rebuild, so compaction no longer costs the
 solver its accumulated warmth.
 
 The wrapper is formula-agnostic; probe-specific encoding lives in
-:mod:`repro.core.constraints`.
+:mod:`repro.core.constraints`.  Its one client keeps match-guard and
+DiffOutcome *definitions* permanent, states what is specific to a probe
+as assumptions, and opens a group only for a Distinguish chain, retired
+right after the solve that assumed it: retirement, variable recycling
+and compaction are that client's steady state on overlapping tables,
+and a table of disjoint rules never creates a group at all.
 """
 
 from __future__ import annotations
@@ -51,8 +56,6 @@ class IncrementalStats:
     compactions: int = 0
     #: Lemmas carried across compactions (warmth retention).
     lemmas_retained: int = 0
-    #: Solves answered from the memoized (formula, assumptions) result.
-    model_cache_hits: int = 0
 
 
 class IncrementalSolver:
@@ -101,16 +104,6 @@ class IncrementalSolver:
         #: re-added explicitly on the next rebuild).
         self._kept_lemmas: list[list[Lit]] = []
         self._dead_clauses = 0
-        #: Memoized last solve: ((formula generation, assumptions),
-        #: result).  Valid because a solve result only depends on the
-        #: clause database and the assumptions — heuristic state
-        #: (phases, activities, lemmas) never changes satisfiability.
-        #: The persistent probe groups of the probe-gen layer make
-        #: "identical formula, identical assumptions" the common case
-        #: under churn that cancels out (remove + re-add).
-        self._model_cache: (
-            "tuple[tuple[int, tuple[Lit, ...]], SatResult] | None"
-        ) = None
         self.stats = IncrementalStats()
 
     #: Upper bound on lemmas surviving a compaction; beyond this the
@@ -204,51 +197,15 @@ class IncrementalSolver:
 
     # ----- solving --------------------------------------------------------
 
-    def group_size(self, selector: int) -> int:
-        """Variables allocated on behalf of a live group (0 if retired)."""
-        return len(self._group_vars.get(selector, ()))
-
-    def suggest_phase(self, var: int, value: bool) -> None:
-        """Override the saved phase of ``var`` (branching heuristic).
-
-        Callers holding many live-but-inactive groups use this to point
-        the default branch of a selector at "deactivated" after a solve
-        assumed it true, so later solves of *other* groups do not waste
-        conflicts switching it back off.
-        """
-        self._solver.phase[var] = value
-
     def solve(
         self,
         assumptions: Sequence[Lit] = (),
         max_conflicts: int | None = None,
     ) -> SatResult:
-        """Solve under per-call assumptions (group selectors included).
-
-        When neither the formula nor the assumptions changed since the
-        last decided call, the memoized result is returned without
-        touching the core solver (its counters report zero new work).
-        """
-        key = (self._solver.generation, tuple(assumptions))
-        cached = self._model_cache
-        if cached is not None and cached[0] == key:
-            self.stats.solves += 1
-            self.stats.model_cache_hits += 1
-            return cached[1]
+        """Solve under per-call assumptions (group selectors included)."""
         result = self._solver.solve(
             assumptions=assumptions, max_conflicts=max_conflicts
         )
-        if result.satisfiable is not None:
-            # Key on the post-solve generation: the call itself may
-            # have flushed pending units but learned lemmas never
-            # change satisfiability.
-            self._model_cache = (
-                (self._solver.generation, tuple(assumptions)),
-                SatResult(
-                    satisfiable=result.satisfiable,
-                    assignment=result.assignment,
-                ),
-            )
         self.stats.solves += 1
         self.stats.conflicts += result.conflicts
         self.stats.propagations += result.propagations
@@ -295,12 +252,6 @@ class IncrementalSolver:
                 solver.add_clause(clause)
         for lemma in keep:
             solver.add_clause(lemma)
-        # The rebuilt core restarts its generation counter near zero; a
-        # later collision with a pre-compaction generation would let
-        # the memoized model outlive clauses added after it.  Carry the
-        # old counter forward and drop the memo outright.
-        solver.generation = self._solver.generation + 1
-        self._model_cache = None
         self._kept_lemmas = keep
         self._solver = solver
         self._dead_clauses = 0
@@ -357,7 +308,6 @@ class IncrementalSolver:
         dup._retired = set(self._retired)
         dup._kept_lemmas = [list(clause) for clause in self._kept_lemmas]
         dup._dead_clauses = self._dead_clauses
-        dup._model_cache = self._model_cache
         dup.stats = replace(self.stats)
         return dup
 

@@ -122,9 +122,6 @@ class SatSolver:
         self._pending_units: list[int] = []
         #: All unit clauses ever added (for the defensive model check).
         self._units: list[int] = []
-        #: Bumped whenever the formula changes (clauses or variables);
-        #: callers memoizing solve results key on it.
-        self.generation = 0
 
         # Assignment state (index 0 unused): 0 unassigned, 1 true,
         # -1 false.  An unassigned variable's reason is None.
@@ -193,7 +190,6 @@ class SatSolver:
         grow = count - self.num_vars
         if grow <= 0:
             return
-        self.generation += 1
         self.num_vars = count
         self.values.extend([0] * grow)
         self.levels.extend([0] * grow)
@@ -231,7 +227,6 @@ class SatSolver:
         dup._contradiction = self._contradiction
         dup._pending_units = list(self._pending_units)
         dup._units = list(self._units)
-        dup.generation = self.generation
         dup.values = list(self.values)
         dup.levels = list(self.levels)
         reasons: list[list[int] | None] = [None] * (self.num_vars + 1)
@@ -271,7 +266,6 @@ class SatSolver:
         lits = list(literals)
         if 0 in lits:
             raise ValueError("0 is not a valid literal")
-        self.generation += 1
         self.num_clauses += 1
         if lits:
             self.ensure_num_vars(max(map(abs, lits)))
@@ -563,25 +557,31 @@ class SatSolver:
                     queue_start = 0
                 continue
 
-            # Assert the next assumption, one decision level each.
+            # Assert the next assumptions, one decision level each.  As
+            # with decisions below, one nothing watches cannot propagate,
+            # so the next follows without a propagation pass.
             level = len(trail_lim)
             if level < len(assumption_list):
-                lit = assumption_list[level]
-                var = abs(lit)
-                queue_start = len(trail)
-                if not values[var]:
-                    values[var] = 1 if lit > 0 else -1
-                    levels[var] = level + 1
-                    phase[var] = lit > 0
-                    trail.append(lit)
-                elif (values[var] > 0) != (lit > 0):
-                    # Incompatible with the formula or an earlier
-                    # assumption: UNSAT *under these assumptions* only.
-                    stats.satisfiable = False
+                for lit in assumption_list[level:]:
+                    var = abs(lit)
+                    queue_start = len(trail)
+                    # Already-true assumptions get a dummy level so that
+                    # assumption index == decision level stays invariant.
+                    trail_lim.append(queue_start)
+                    if not values[var]:
+                        values[var] = 1 if lit > 0 else -1
+                        levels[var] = len(trail_lim)
+                        phase[var] = lit > 0
+                        trail.append(lit)
+                        if watches.get(-lit):
+                            break
+                    elif (values[var] > 0) != (lit > 0):
+                        # Incompatible with the formula or an earlier
+                        # assumption: UNSAT *under these assumptions* only.
+                        stats.satisfiable = False
+                        break
+                if stats.satisfiable is False:
                     break
-                # Already-true assumptions get a dummy level so that
-                # assumption index == decision level stays invariant.
-                trail_lim.append(queue_start)
                 continue
 
             # Branch on the most active unassigned candidate, in its

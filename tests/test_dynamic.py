@@ -186,6 +186,48 @@ class TestModification:
         }
 
 
+class TestEqualPriorityOverlap:
+    """An update next to an overlapping rule of the same priority is
+    confirmed by a probe that avoids the tied rule (which of the two a
+    switch applies is undefined); regression: the tied rule was in
+    neither priority class and ``probe_for`` raised out of the FlowMod
+    path."""
+
+    def test_add_then_modify_of_a_tied_rule_confirm(self):
+        sim, net, system, acks = setup()
+        ports = net.port_toward["s3"]
+        # 0/8 is where an unconstrained nw_dst lands.
+        first = FlowMod(
+            command=FlowModCommand.ADD,
+            match=Match.build(dl_type=0x800, nw_dst=(0x00000000, 8)),
+            priority=100,
+            actions=output(ports["s1"]),
+        )
+        tied = FlowMod(
+            command=FlowModCommand.ADD,
+            match=Match.build(dl_type=0x800, nw_src=(0x0B000000, 8)),
+            priority=100,
+            actions=output(ports["s2"]),
+        )
+        rewired = FlowMod(
+            command=FlowModCommand.MODIFY_STRICT,
+            match=tied.match,
+            priority=tied.priority,
+            actions=output(ports["s1"], nw_tos=4),
+        )
+        for mod in (first, tied, rewired):
+            system.send_to_switch("s3", mod)
+            sim.run_for(3.0)
+        dynamic = system.dynamics["s3"]
+        monitor = system.monitor("s3")
+        assert [ack.flowmod_xid for _, _, ack in acks] == [
+            first.xid, tied.xid, rewired.xid
+        ]
+        assert dynamic.updates_confirmed == 3
+        assert dynamic.updates_given_up == 0
+        assert monitor.rules_unmonitorable == 0 and monitor.alarms == []
+
+
 class TestDropPostponing:
     def test_drop_rule_positively_confirmed_and_finalized(self):
         sim = Simulator()

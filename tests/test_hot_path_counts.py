@@ -1,6 +1,7 @@
-"""What a probe costs on the read path, and that nothing simulated moved.
+"""What a probe costs on the read path, what a regenerated probe leaves
+behind on the write path, and that nothing simulated moved.
 
-Two small fleets, seconds each:
+Two small probing fleets, seconds each:
 
 * ``clean``: ring-6 x 16 rules at the default configuration (the
   paper's section-3 steady state) with two rule drops and two
@@ -16,6 +17,13 @@ claims to move no simulated quantity.  The call-count tests hold the
 diet itself: a later change that re-introduces a per-hop codec pass or
 a per-message conditioner call fails here, in tier-1, not in a
 benchmark.
+
+And one small ``churn_fleet``: two islands of 8 switches x 8 disjoint
+rules under a 400 FlowMods/s add/modify/delete stream, every update
+confirmed dynamically.  ``CHURN_PINS`` was recorded on the commit
+*before* a probe's constraints became assumptions; the guard beside it
+holds that change: a regenerated probe adds no clause group and no
+clause to its switch's solver, and costs exactly one core solve.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import repro.core.monitor
 import repro.packets.craft
 import repro.packets.parse
 from repro.core.monitor import MonitorConfig
+from repro.core.probegen import ProbeGenerator
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
     ChannelDegradation,
@@ -36,9 +45,10 @@ from repro.fleet.failures import (
     schedule_failures,
 )
 from repro.fleet.metrics import collect_fleet_metrics
-from repro.fleet.workloads import SteadyRules
+from repro.fleet.workloads import RuleChurn, SteadyRules
 from repro.network.conditioning import ChannelConditioner
-from repro.topology.generators import ring, star
+from repro.sat.solver import SatSolver
+from repro.topology.generators import islands, ring, star
 
 
 def run_clean():
@@ -94,6 +104,46 @@ def _run(topology, config, rules, loss, faults, duration, dynamic):
         deployment, injections=injections, duration=duration
     )
     return deployment, metrics
+
+
+def run_churn():
+    deployment = FleetDeployment(
+        islands(16),
+        config=MonitorConfig(probe_rate=20.0),
+        dynamic=True,
+        seed=7,
+    )
+    SteadyRules(8).setup(deployment)
+    churn = RuleChurn(rate=400.0, start=0.1, stop=0.6)
+    churn.setup(deployment)
+    deployment.start_monitoring()
+    deployment.run(1.1)
+    return deployment, churn
+
+
+def churn_facts(deployment, churn) -> dict:
+    stats = deployment.probegen_stats()
+    dynamics = deployment.system.dynamics.values()
+    return {
+        "probes_generated": stats.probes_generated,
+        "cache_hits": stats.cache_hits,
+        "revalidations": stats.revalidations,
+        "updates_sent": len(churn.records),
+        "updates_confirmed": sum(d.updates_confirmed for d in dynamics),
+        "updates_given_up": sum(d.updates_given_up for d in dynamics),
+        "alarms": len(deployment.total_alarms()),
+    }
+
+
+CHURN_PINS = {
+    "probes_generated": 286,
+    "cache_hits": 203,
+    "revalidations": 5,
+    "updates_sent": 206,
+    "updates_confirmed": 206,
+    "updates_given_up": 0,
+    "alarms": 0,
+}
 
 
 def conditioner_total(deployment, counter: str) -> int:
@@ -259,6 +309,8 @@ def calls(monkeypatch):
         "observations": _Calls(
             monkeypatch, repro.core.monitor, "outcome_observations"
         ),
+        "solve": _Calls(monkeypatch, SatSolver, "solve"),
+        "generate": _Calls(monkeypatch, ProbeGenerator, "generate"),
     }
 
 
@@ -309,6 +361,40 @@ def test_lossy_channel_still_plans_every_message(calls):
     assert planned == calls["plan"].count > 1000
 
 
+def test_regenerated_probe_adds_nothing_and_solves_once(calls):
+    """The write path's guard.  On disjoint rules a probe's whole
+    constraint is its Hit bits and the negated guard of the catching
+    rule above it, all assumed: once a switch's guards are defined its
+    solver never grows again, whatever the FlowMod stream does."""
+    deployment, churn = run_churn()
+    assert churn_facts(deployment, churn) == CHURN_PINS
+    # One core solve per probe: the contexts' and the cold generator's
+    # (DynamicMonitor's modification probes), none answered from a memo.
+    stats = deployment.probegen_stats()
+    cold = calls["generate"].count
+    assert cold > 0
+    assert calls["solve"].count == stats.probes_generated + cold
+    assert stats.probes_generated > 2 * 16 * 8  # mostly regeneration
+    generated = 0
+    for node in deployment.nodes:
+        monitor = deployment.monitor(node)
+        context = monitor.probe_context
+        solver = context.solver
+        assert solver.stats.groups_created == 0
+        assert not solver._groups and not solver._group_vars
+        assert solver.stats.solves == context.stats.probes_generated
+        generated += solver.stats.solves
+        # Permanent definitions alone: the catching match, the in_port
+        # domain, and one guard per match ever placed above a probe.
+        assert solver.num_clauses == len(solver._permanent)
+        size = (solver.num_vars, solver.num_clauses)
+        context.clear_cache()
+        for key in monitor.scheduler.keys():  # the rules it probes
+            assert context.probe_for(context.table.get(*key)).ok
+        assert (solver.num_vars, solver.num_clauses) == size
+    assert generated == stats.probes_generated
+
+
 if __name__ == "__main__":  # record PINS: python tests/test_hot_path_counts.py
     import pprint
 
@@ -316,3 +402,4 @@ if __name__ == "__main__":  # record PINS: python tests/test_hot_path_counts.py
         {"clean": facts(*run_clean()), "lossy": facts(*run_lossy())},
         width=76,
     )
+    pprint.pprint(churn_facts(*run_churn()), width=76)

@@ -4,6 +4,7 @@ unmonitorable detection, rule-kind coverage, and the §5.4 filter."""
 import pytest
 
 from repro.core.probegen import (
+    ProbeGenContext,
     ProbeGenerator,
     UnmonitorableReason,
     expected_outcomes,
@@ -291,13 +292,12 @@ class TestStatsAndBudget:
         assert result.cnf_vars >= HEADER_BITS  # header bits + Tseitin vars
 
 
-class TestPersistentChains:
-    """Persistent per-rule probe groups in ProbeGenContext."""
+class TestTransientChain:
+    """What is specific to one probe is assumed for one solve: no clause
+    group outlives ``probe_for``, however the solve ends."""
 
-    def _context(self, *rules):
-        from repro.core.probegen import ProbeGenContext
-
-        context = ProbeGenContext(generator())
+    def _context(self, *rules, **config):
+        context = ProbeGenContext(generator(**config))
         for rule in rules:
             context.add_rule(rule)
         return context
@@ -320,101 +320,120 @@ class TestPersistentChains:
         )
         return hot, below, above
 
-    def test_chain_reused_across_probes(self):
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
-        assert context.probe_for(hot).ok
-        context.clear_cache()  # force a real solve, same table
-        assert context.probe_for(hot).ok
-        assert context.stats.chain_emits == 1
-        assert context.stats.chain_reuses == 1
-        assert context.stats.chain_retractions == 0
+    @staticmethod
+    def _assert_no_group_left(context, created):
+        solver = context.solver
+        assert solver.stats.groups_created == created
+        assert solver.stats.groups_retired == created
+        assert not solver._groups and not solver._group_vars
+        # What is left is the permanent definitions alone.
+        assert solver.num_clauses == len(solver._permanent)
 
-    def test_chain_survives_remove_readd_churn(self):
+    def test_satisfiable_solve_retires_its_chain(self):
         hot, below, above = self._rules()
         context = self._context(hot, below, above)
-        assert context.probe_for(hot).ok
-        context.remove_rule(below)
-        context.add_rule(below)
-        context.clear_cache()
-        assert context.probe_for(hot).ok
-        # The overlap context is unchanged, so the chain group (and via
-        # the solver's model cache, the whole solve) is reused.
-        assert context.stats.chain_emits == 1
-        assert context.stats.chain_reuses == 1
-
-    def test_chain_retracted_when_lower_overlap_churns(self):
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
-        assert context.probe_for(hot).ok
-        # Change the lower rule's behaviour: the Distinguish chain for
-        # the hot rule is stale and must be re-emitted.
-        context.add_rule(below.with_actions(output(4)))
-        context.clear_cache()
         result = context.probe_for(hot)
         assert result.ok
-        assert context.stats.chain_emits == 2
-        assert context.stats.chain_retractions == 1
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
+        self._assert_no_group_left(context, created=1)
+        # The instance is sized as solved: its chain was one clause.
+        assert result.cnf_clauses == context.solver.num_clauses + 1
 
-    def test_chain_kept_when_higher_actions_churn(self):
-        # Higher rules enter the constraints only via their matches;
-        # an action change above the probed rule must not retract.
+    def test_unsatisfiable_solve_retires_its_chain(self):
+        # A drop rule with only the table miss below it: present and
+        # absent both drop, the chain is the constant false.
         hot, below, above = self._rules()
         context = self._context(hot, below, above)
-        assert context.probe_for(hot).ok
-        context.add_rule(above.with_actions(output(5)))
-        context.clear_cache()
-        assert context.probe_for(hot).ok
-        assert context.stats.chain_emits == 1
-        assert context.stats.chain_reuses == 1
+        result = context.probe_for(below)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        self._assert_no_group_left(context, created=1)
 
-    def test_chain_retired_with_rule_removal(self):
+    def test_exhausted_budget_retires_its_chain(self):
+        # The two halves of the probed /8 forward as it does, so the
+        # chain's propagation alone runs into a conflict.
+        hot = self._rules()[0]
+        halves = [
+            Rule(
+                priority=50 - i,
+                match=Match.build(nw_dst=(0x0A000000 + (i << 23), 9)),
+                actions=output(2),
+            )
+            for i in range(2)
+        ]
+        context = self._context(hot, *halves, max_conflicts=0)
+        result = context.probe_for(hot)
+        assert result.reason is UnmonitorableReason.BUDGET_EXCEEDED
+        assert result.solver_conflicts == 1
+        self._assert_no_group_left(context, created=1)
+        # With a budget the same instance is a proof, not a timeout.
+        patient = self._context(hot, *halves)
+        result = patient.probe_for(hot)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        self._assert_no_group_left(patient, created=1)
+
+    def test_refused_table_opens_no_group(self):
         hot, below, above = self._rules()
-        context = self._context(hot, below, above)
-        assert context.probe_for(hot).ok
-        retired_before = context.solver.stats.groups_retired
-        context.remove_rule(hot)
-        assert context.solver.stats.groups_retired == retired_before + 1
-        assert context.stats.chain_retractions == 1
-
-    def test_chain_lru_eviction_bounds_live_vars(self):
-        from repro.core.probegen import ProbeGenContext
-
-        context = ProbeGenContext(generator())
-        context._chain_budget = lambda: 4  # tiny budget for the test
-        rules = []
-        for i in range(6):
-            probed = Rule(
-                priority=100 + i,
-                match=Match.build(nw_dst=(0x0A000000 + (i << 16), 16)),
-                actions=output(2 + i % 3),
-            )
-            lower = Rule(
-                priority=10 + i,
-                match=Match.build(nw_dst=0x0A000001 + (i << 16)),
-                actions=drop(),
-            )
-            context.add_rule(probed)
-            context.add_rule(lower)
-            rules.append(probed)
-        for rule in rules:
-            context.probe_for(rule)
-        assert context._chain_vars <= 4 + max(
-            context.solver.group_size(group)
-            for group, _sig in context._chains.values()
+        context = self._context(
+            hot, below.with_actions(output(4, dl_vlan=7)), above
         )
-        assert context.stats.chain_retractions > 0
-        # Evicted chains re-emit and still produce valid probes.
-        context.clear_cache()
-        for rule in rules:
-            result = context.probe_for(rule)
-            assert result.ok
-            valid, why = verify_probe(
-                context.table, rule, result.header, CATCH
-            )
+        with pytest.raises(ValueError, match="probe-reserved"):
+            context.probe_for(hot)
+        self._assert_no_group_left(context, created=0)
+
+    def test_chain_is_retired_when_emission_raises(self, monkeypatch):
+        import repro.core.constraints as constraints
+
+        hot, below, above = self._rules()
+        context = self._context(hot, below, above)
+        emit = constraints.assert_ite_chain
+
+        def half_emitted(sink, branches, else_value):
+            emit(sink, branches[:1], True)
+            raise RuntimeError("mid-emission")
+
+        monkeypatch.setattr(constraints, "assert_ite_chain", half_emitted)
+        with pytest.raises(RuntimeError, match="mid-emission"):
+            context.probe_for(hot)
+        self._assert_no_group_left(context, created=1)
+        # The half-emitted chain binds nothing: the next solve is sound.
+        monkeypatch.setattr(constraints, "assert_ite_chain", emit)
+        result = context.probe_for(hot)
+        valid, why = verify_probe(context.table, hot, result.header, CATCH)
+        assert valid, why
+        self._assert_no_group_left(context, created=2)
+
+    def test_regenerated_probe_without_lower_overlap_adds_nothing(self):
+        # Rules to avoid are negated guards, a forwarding rule over the
+        # table miss has no chain: once the guards exist, a re-solve
+        # leaves the solver exactly as large as it found it.
+        hot, _below, above = self._rules()
+        context = self._context(hot, above)
+        assert context.probe_for(hot).ok
+        size = (context.solver.num_vars, context.solver.num_clauses)
+        for _ in range(3):
+            context.clear_cache()  # force a real solve on the same table
+            result = context.probe_for(hot)
+            valid, why = verify_probe(context.table, hot, result.header, CATCH)
             assert valid, why
+        assert context.stats.probes_generated == 4
+        assert (context.solver.num_vars, context.solver.num_clauses) == size
+        self._assert_no_group_left(context, created=0)
+
+    def test_resolve_follows_a_lower_rules_new_actions(self):
+        hot, below, above = self._rules()
+        context = self._context(hot, below, above)
+        assert context.probe_for(hot).ok
+        # The lower rule now forwards exactly as the hot rule does: a
+        # probe landing on it no longer distinguishes.
+        context.add_rule(below.with_actions(output(2)))
+        context.clear_cache()  # the cached probe never met `below`
+        result = context.probe_for(hot)
+        assert result.ok
+        assert not below.match.matches(result.header)
+        valid, why = verify_probe(context.table, hot, result.header, CATCH)
+        assert valid, why
+        self._assert_no_group_left(context, created=2)
 
     def test_fork_is_independent_and_byte_identical(self):
         hot, below, above = self._rules()
@@ -438,6 +457,75 @@ class TestPersistentChains:
         assert again.packet == first.packet or again.ok
 
 
+class TestEqualPriorityOverlap:
+    """Two overlapping rules of one priority: which of them a switch
+    applies is undefined (paper footnote 1), and every live table is
+    built with ``check_overlap=False``, so a probe for either avoids
+    the other.  Regression: the tied rule was in neither ``higher`` nor
+    ``lower``; the context's own re-simulation then raised out of
+    ``probe_for``, and the cold generator stayed sound only while its
+    fresh phases happened to miss the tied match."""
+
+    @staticmethod
+    def _prober(engine, table):
+        """``rule -> ProbeResult``; one context serves a whole table,
+        so a later probe starts from the phases an earlier one saved."""
+        if engine == "cold":
+            return lambda rule: generator().generate(table, rule)
+        return ProbeGenContext(generator(), table=table.copy()).probe_for
+
+    # The second prefix is where an all-zero model lands.
+    @pytest.mark.parametrize("dst", [0x0A000000, 0x00000000])
+    @pytest.mark.parametrize("engine", ["cold", "context"])
+    def test_probe_is_sound_under_either_tie_break(self, engine, dst):
+        rules = (
+            Rule(10, Match.build(dl_type=0x800, nw_dst=(dst, 8)), output(1)),
+            Rule(
+                10,
+                Match.build(dl_type=0x800, nw_src=(0x0B000000, 8)),
+                output(2),
+            ),
+        )
+        orders = [table_of(*rules), table_of(*reversed(rules))]
+        for table in orders:
+            probe = self._prober(engine, table)
+            for rule, tied in (rules, reversed(rules)):
+                result = probe(rule)
+                assert result.ok, result.reason
+                assert not tied.match.matches(result.header)
+                for installed in orders:
+                    valid, why = verify_probe(
+                        installed, rule, result.header, CATCH
+                    )
+                    assert valid, why
+
+    @pytest.mark.parametrize("engine", ["cold", "context"])
+    def test_unavoidable_tie_is_visibly_unsatisfiable(self, engine):
+        wide = Rule(10, Match.build(nw_dst=(0x0A000000, 8)), output(1))
+        inside = Rule(10, Match.build(nw_dst=0x0A000005), output(2))
+        table = table_of(wide, inside)
+        probe = self._prober(engine, table)
+        result = probe(inside)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        result = probe(wide)
+        assert result.ok and not inside.match.matches(result.header)
+
+    def test_cached_probe_a_new_tied_rule_catches_is_resolved(self):
+        probed = Rule(10, Match.build(nw_src=(0x0B000000, 8)), output(2))
+        context = ProbeGenContext(generator())
+        context.add_rule(probed)
+        first = context.probe_for(probed)
+        tied = Rule(
+            10,
+            Match.build(nw_dst=first.header[FieldName.NW_DST]),
+            output(1),
+        )
+        context.add_rule(tied)
+        second = context.probe_for(probed)
+        assert context.stats.revalidations == 0
+        assert second.ok and not tied.match.matches(second.header)
+
+
 class TestBranchingHeapBound:
     """Regression: the core solver's lazy branching heap grew by one
     stale entry per unwound variable per solve (~34,000 entries on 512
@@ -445,8 +533,6 @@ class TestBranchingHeapBound:
     rebuild the solver.  A satisfiable solve now drains it."""
 
     def test_heap_bounded_by_the_variable_count(self):
-        from repro.core.probegen import ProbeGenContext
-
         # A fleet switch's shape: a neighbour's catching rule on top of
         # every host rule, and an in_port domain.
         context = ProbeGenContext(generator(valid_in_ports=(1, 2)))
@@ -478,7 +564,6 @@ class TestBranchingHeapBound:
             for rule in shadowed:
                 result = context.probe_for(rule)
                 assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        assert context.solver.stats.model_cache_hits == 0
         assert context.probe_for(probed[0]).ok
         entries, num_vars = heap_and_vars()
         assert entries <= num_vars

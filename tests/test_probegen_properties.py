@@ -264,6 +264,94 @@ def test_incremental_context_equivalent_over_200_churn_steps():
     assert set(context._cache) <= live_keys
 
 
+def test_transient_chains_compact_and_recycle_over_acl_churn():
+    """The same equivalence on an ACL-shaped table, where every solve
+    opens and retires a Distinguish chain.
+
+    Two towers of nested ``nw_dst`` prefixes (/8 ... /32, priority
+    growing with specificity) over a default rule: a probed rule has a
+    dozen lower overlapping rules, so 300 add / delete / re-probe steps
+    retire enough chain clauses for the solver to compact itself and to
+    hand recycled variables out again.  A ``fork()`` taken mid-run and
+    fed the same steps answers exactly as the original, which never
+    shared anything, does.
+    """
+    rng = random.Random(0xAC1)
+
+    def actions():
+        kind = rng.random()
+        if kind < 0.2:
+            return drop()
+        if kind < 0.8:
+            return output(rng.choice(PORTS))
+        return output(rng.choice(PORTS), nw_tos=rng.randrange(4))
+
+    slots = []
+    for tower in range(2):
+        base = (10 + tower) << 24 | rng.getrandbits(24)
+        for depth in range(25):
+            length = 8 + depth
+            prefix = base & ~((1 << (32 - length)) - 1)
+            match = Match.build(dl_type=0x800, nw_dst=(prefix, length))
+            slots.append((100 * tower + depth + 1, match))
+
+    context = ProbeGenContext(ProbeGenerator(catch_match=CATCH))
+    context.add_rule(Rule(0, Match.build(dl_type=0x800), output(1)))
+    live: dict[tuple, Rule] = {}
+    for slot in slots:
+        if rng.random() < 0.8:
+            live[slot] = Rule(*slot, actions())
+            context.add_rule(live[slot])
+
+    recycled = 0
+    solver = context.solver
+    allocate = solver.new_var
+
+    def counting(group=None):
+        nonlocal recycled
+        before = solver.num_vars
+        var = allocate(group)
+        recycled += var <= before
+        return var
+
+    solver.new_var = counting
+
+    contexts = [context]
+    for step in range(300):
+        if step == 150:
+            assert solver.stats.groups_retired and recycled
+            contexts.append(context.fork())
+        slot = rng.choice(slots)
+        if slot in live and rng.random() < 0.4:
+            victim = live.pop(slot)
+            for each in contexts:
+                each.remove_rule(victim)
+        else:
+            live[slot] = Rule(*slot, actions())
+            for each in contexts:
+                each.add_rule(live[slot])
+        probed = live[rng.choice(sorted(live, key=lambda s: s[0]))]
+        result = context.probe_for(probed)
+        _assert_equivalent(context.table, probed, result)
+        for fork in contexts[1:]:
+            twin = fork.probe_for(probed)
+            assert (twin.ok, twin.reason, twin.header, twin.packet) == (
+                result.ok, result.reason, result.header, result.packet
+            )
+            assert twin.solver_conflicts == result.solver_conflicts
+
+    stats = context.solver.stats
+    assert stats.compactions >= 1
+    assert stats.groups_created == stats.groups_retired > 100
+    assert not context.solver._groups
+    assert recycled > stats.groups_created  # chains reuse each other's vars
+    (fork,) = contexts[1:]
+    assert fork.solver is not context.solver
+    assert fork.solver.stats == stats
+    assert fork.stats.probes_generated == context.stats.probes_generated
+    assert fork.stats.revalidations == context.stats.revalidations
+
+
 def test_engine_rebuild_bounds_guard_growth():
     """Churn that never reuses a match must not grow the persistent
     encoder forever: once dead guards dominate the live table the

@@ -390,44 +390,6 @@ class TestWarmCompaction:
             assert solver.solve([]).satisfiable == expected, trial
 
 
-class TestModelCache:
-    def test_identical_resolve_is_memoized(self):
-        solver = IncrementalSolver(num_vars=4)
-        solver.add_clause([1, 2])
-        solver.add_clause([-2, 3])
-        first = solver.solve([1])
-        again = solver.solve([1])
-        assert again.satisfiable == first.satisfiable
-        assert again.assignment == first.assignment
-        assert solver.stats.model_cache_hits == 1
-        assert again.conflicts == 0 and again.propagations == 0
-
-    def test_cache_invalidated_by_new_clause(self):
-        solver = IncrementalSolver(num_vars=2)
-        solver.add_clause([1, 2])
-        assert solver.solve([]).satisfiable is True
-        solver.add_clause([-1])
-        solver.add_clause([-2])
-        assert solver.solve([]).satisfiable is False
-        assert solver.stats.model_cache_hits == 0
-
-    def test_cache_respects_assumption_change(self):
-        solver = IncrementalSolver(num_vars=2)
-        solver.add_clause([1, 2])
-        assert solver.solve([-1]).satisfiable is True
-        assert solver.solve([-2]).satisfiable is True
-        assert solver.solve([-1, -2]).satisfiable is False
-        assert solver.stats.model_cache_hits == 0
-
-    def test_cache_invalidated_by_group_retirement(self):
-        solver = IncrementalSolver(num_vars=1)
-        group = solver.new_group()
-        solver.add_clause([1], group=group)
-        assert solver.solve([group]).satisfiable is True
-        solver.retire_group(group)  # adds the -selector unit
-        assert solver.solve([group]).satisfiable is False
-
-
 class TestClone:
     def test_clone_is_equivalent_and_independent(self):
         rng = random.Random(8)
@@ -489,8 +451,8 @@ BASE_VARS = 6
 def group_scripts(draw):
     """Operations on a context over ``BASE_VARS`` base variables, of
     which clauses name only a drawn subset: permanent clauses, groups
-    (with an auxiliary variable each), retirements, compactions, phase
-    suggestions, and solves under a mix of selectors and base literals."""
+    (with an auxiliary variable each), retirements, compactions, and
+    solves under a mix of selectors and base literals."""
     named = sorted(
         draw(st.sets(st.integers(1, BASE_VARS), min_size=1, max_size=4))
     )
@@ -507,7 +469,6 @@ def group_scripts(draw):
         st.tuples(st.just("group"), st.lists(clause, min_size=1, max_size=4)),
         st.tuples(st.just("retire"), st.integers(0, 7)),
         st.tuples(st.just("compact"), st.none()),
-        st.tuples(st.just("phase"), any_literal),
         st.tuples(
             st.just("solve"),
             st.tuples(
@@ -539,7 +500,6 @@ class TestBranchBookkeeping:
         solver = IncrementalSolver(num_vars=BASE_VARS)
         permanent: list[list[int]] = []
         groups: list[tuple[int, int, list[list[int]]]] = []
-        suggested: dict[int, bool] = {}
         touched: set[int] = set()
         for op, arg in script:
             if op == "permanent":
@@ -561,10 +521,6 @@ class TestBranchBookkeeping:
                 solver.retire_group(groups.pop(arg % len(groups))[0])
             elif op == "compact":
                 solver.compact()
-                suggested.clear()  # the rebuilt core starts cold
-            elif op == "phase":
-                solver.suggest_phase(abs(arg), arg > 0)
-                suggested[abs(arg)] = arg > 0
             elif op == "solve":
                 picks, literals = arg
                 active = (
@@ -581,7 +537,6 @@ class TestBranchBookkeeping:
                 touched.update(map(abs, literals))
                 expected = brute_force_solve(reference) is not None
                 twin = solver.clone()
-                hits = solver.stats.model_cache_hits
                 result = solver.solve(sorted(active) + literals)
                 assert result.satisfiable == expected
                 again = twin.solve(sorted(active) + literals)
@@ -599,31 +554,6 @@ class TestBranchBookkeeping:
                 stored = {abs(lit) for c in core.clauses for lit in c}
                 if not result.conflicts:
                     assert result.decisions <= len(stored)
-                if solver.stats.model_cache_hits != hits:
-                    continue  # the memoized model predates suggestions
                 for var in range(1, BASE_VARS + 1):
                     if var not in touched:
-                        assert model[var] is suggested.get(var, False)
-
-    def test_model_cache_does_not_survive_compaction_collisions(self):
-        # Regression: compact() rebuilds the core solver, restarting
-        # its generation counter; clauses added afterwards could raise
-        # it back to exactly the memoized generation, resurrecting a
-        # stale model that violates the new clauses.
-        solver = IncrementalSolver(num_vars=2)
-        for _ in range(16):
-            solver.add_clause([1, 2])
-        group = solver.new_group()
-        solver.add_clause([1, 2], group=group)
-        first = solver.solve([group])
-        assert first.satisfiable is True
-        true_var = next(
-            var for var, value in sorted(first.assignment.items()) if value
-        )
-        solver.compact()
-        # Forbid the memoized model; enough add_clause calls may bring
-        # the rebuilt generation back to the memoized value.
-        solver.add_clause([-true_var])
-        result = solver.solve([group])
-        assert result.satisfiable is True
-        assert result.assignment[true_var] is False
+                        assert model[var] is False

@@ -133,7 +133,7 @@ def sparse_steps(draw):
     unit = st.lists(literals(everything), min_size=1, max_size=1)
     step = st.tuples(
         st.lists(st.one_of(stored, stored, stored, unit), max_size=12),
-        st.lists(literals(everything), max_size=2),
+        st.lists(literals(everything), max_size=5),
     )
     steps = draw(st.lists(step, min_size=1, max_size=3))
     return num_vars, draw(st.booleans()), steps
@@ -192,6 +192,38 @@ class TestUnmentionedVariables:
         assert second.assignment[3] is True
         assert solver.solve(assumptions=[-3]).assignment[3] is False
         assert solver.solve().assignment[3] is False
+
+    def test_unwatched_assumptions_share_a_propagation_pass(
+        self, monkeypatch
+    ):
+        """An assumption no clause watches cannot propagate, so the
+        next one is asserted in the same pass — each still on its own
+        decision level, an already-true one on a dummy level."""
+        solver = SatSolver(CNF(12))
+        solver.add_clause([4])  # true at level 0 before it is assumed
+        solver.add_clause([-10, 11])
+        solver.add_clause([-11, -12, 9])
+        passes = []
+        original = SatSolver._propagate
+
+        def recording(self, queue_start):
+            passes.append(
+                (len(self.trail_lim), [self.levels[v] for v in range(1, 11)])
+            )
+            return original(self, queue_start)
+
+        monkeypatch.setattr(SatSolver, "_propagate", recording)
+        result = solver.solve(assumptions=list(range(1, 11)))
+        assert result.satisfiable and result.assignment[11] is True
+        # Level 0, then all ten assumptions at once: only 10 is
+        # watched.  (Deciding 12 false afterwards falsifies nothing
+        # watched either, so it makes no pass of its own.)
+        assert [depth for depth, _ in passes] == [0, 10]
+        assert passes[1][1] == [1, 2, 3, 0, 5, 6, 7, 8, 9, 10]
+        # A watched assumption in the middle ends its pass there.
+        del passes[:]
+        solver.solve(assumptions=[1, 10, 2, 3, 12])
+        assert [depth for depth, _ in passes] == [0, 2, 5]
 
     def test_variable_named_after_a_solve_is_constrained(self):
         solver = SatSolver(CNF(3))
