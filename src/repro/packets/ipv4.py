@@ -76,8 +76,13 @@ def encode_ipv4(header: Ipv4Header, payload: bytes) -> bytes:
 def decode_ipv4(data: bytes) -> tuple[Ipv4Header, bytes]:
     """Parse an IPv4 packet; returns (header, payload).
 
+    The datagram ends at ``total_length``: what follows it in ``data``
+    is link padding (Ethernet's 60-byte minimum), not payload.
+
     Raises:
-        ValueError: on truncation, wrong version, or bad checksum.
+        ValueError: on truncation, wrong version, bad checksum, or a
+            ``total_length`` that is shorter than the header or longer
+            than ``data``.
     """
     if len(data) < IPV4_HEADER_LEN:
         raise ValueError(f"too short for IPv4: {len(data)} bytes")
@@ -91,6 +96,8 @@ def decode_ipv4(data: bytes) -> tuple[Ipv4Header, bytes]:
         raise ValueError("IPv4 header checksum mismatch")
     tos_byte = data[1]
     total_length = struct.unpack("!H", data[2:4])[0]
+    if not ihl <= total_length <= len(data):
+        raise ValueError(f"bad IPv4 total length: {total_length}")
     ident = struct.unpack("!H", data[4:6])[0]
     ttl = data[8]
     proto = data[9]
@@ -105,4 +112,4 @@ def decode_ipv4(data: bytes) -> tuple[Ipv4Header, bytes]:
         ident=ident,
         total_length=total_length,
     )
-    return header, data[ihl:]
+    return header, data[ihl:total_length]

@@ -77,7 +77,7 @@ def decode_udp(data: bytes) -> tuple[int, int, bytes]:
     if len(data) < UDP_HEADER_LEN:
         raise ValueError(f"too short for UDP: {len(data)} bytes")
     src_port, dst_port, length, _checksum = struct.unpack("!HHHH", data[0:8])
-    if length < UDP_HEADER_LEN:
+    if not UDP_HEADER_LEN <= length <= len(data):
         raise ValueError(f"bad UDP length: {length}")
     return src_port, dst_port, data[UDP_HEADER_LEN:length]
 

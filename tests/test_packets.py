@@ -250,6 +250,89 @@ class TestCraftParseRoundtrip:
             parse_packet(b"\x00" * 5)
 
 
+IPV4_PROTOS = [IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ICMP]
+
+
+def probe_frame(proto, payload, vlan=VLAN_NONE):
+    return craft_packet(
+        {
+            FieldName.DL_TYPE: ETHERTYPE_IPV4,
+            FieldName.DL_VLAN: vlan,
+            FieldName.NW_PROTO: proto,
+            FieldName.NW_SRC: 0x0A000001,
+            FieldName.NW_DST: 0x0A000002,
+            FieldName.TP_SRC: 8,
+            FieldName.TP_DST: 0,
+        },
+        payload,
+    )
+
+
+def with_ipv4_total_length(frame: bytes, total_length: int) -> bytes:
+    """An untagged frame whose IPv4 header claims ``total_length``,
+    header checksum recomputed so only the length lies."""
+    patched = bytearray(frame)
+    patched[16:18] = total_length.to_bytes(2, "big")
+    patched[24:26] = b"\x00\x00"
+    patched[24:26] = internet_checksum(bytes(patched[14:34])).to_bytes(2, "big")
+    return bytes(patched)
+
+
+class TestLengthFieldsThatLie:
+    """A length field is a claim about the bytes present.  Bytes beyond
+    the IPv4 ``total_length`` are link padding, never payload; a claim
+    the bytes cannot back is a ``ParseError`` — so a truncated probe is
+    not mistaken for foreign traffic with an undecodable payload."""
+
+    META = ProbeMetadata(switch_id=3, rule_cookie=99, nonce=7).encode()
+
+    @pytest.mark.parametrize("proto", IPV4_PROTOS)
+    @pytest.mark.parametrize("payload", [b"", b"meta"])
+    def test_ethernet_padding_is_not_payload(self, proto, payload):
+        frame = probe_frame(proto, payload)
+        assert len(frame) < 60
+        padded = frame.ljust(60, b"\x00")
+        assert parse_packet(padded) == parse_packet(frame)
+        assert parse_packet(padded)[1] == payload
+
+    @pytest.mark.parametrize("proto", IPV4_PROTOS)
+    @pytest.mark.parametrize("cut", [1, 10, len(META)])
+    @pytest.mark.parametrize("vlan", [VLAN_NONE, 0x123])
+    def test_frame_shorter_than_total_length_rejected(self, proto, cut, vlan):
+        frame = probe_frame(proto, self.META, vlan)
+        assert ProbeMetadata.decode(parse_packet(frame)[1]) is not None
+        with pytest.raises(ParseError, match="bad IPv4 total length"):
+            parse_packet(frame[:-cut])
+
+    @pytest.mark.parametrize("proto", IPV4_PROTOS)
+    def test_total_length_shorter_than_the_header_rejected(self, proto):
+        frame = with_ipv4_total_length(probe_frame(proto, self.META), 19)
+        with pytest.raises(ParseError, match="bad IPv4 total length: 19"):
+            parse_packet(frame)
+
+    @pytest.mark.parametrize("proto", IPV4_PROTOS)
+    def test_total_length_cuts_the_datagram_short(self, proto):
+        frame = probe_frame(proto, self.META)
+        shorter = with_ipv4_total_length(frame, len(frame) - 14 - 5)
+        if proto == IPPROTO_UDP:  # its own length now overruns
+            with pytest.raises(ParseError, match="bad UDP length"):
+                parse_packet(shorter)
+        else:
+            assert parse_packet(shorter)[1] == self.META[:-5]
+
+    def test_udp_length_beyond_its_datagram_rejected(self):
+        frame = bytearray(probe_frame(IPPROTO_UDP, self.META))
+        claimed = 8 + len(self.META) + 1
+        frame[38:40] = claimed.to_bytes(2, "big")
+        with pytest.raises(ParseError, match=f"bad UDP length: {claimed}"):
+            parse_packet(bytes(frame))
+
+    def test_udp_length_within_its_datagram_is_honoured(self):
+        frame = bytearray(probe_frame(IPPROTO_UDP, self.META))
+        frame[38:40] = (8 + 4).to_bytes(2, "big")
+        assert parse_packet(bytes(frame))[1] == self.META[:4]
+
+
 class TestNormalization:
     def test_invalid_dl_type_replaced_with_valid(self):
         values = {FieldName.DL_TYPE: 0x1234}

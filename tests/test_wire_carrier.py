@@ -39,6 +39,7 @@ from repro.packets.craft import (
     wire_visible_items,
 )
 from repro.packets.parse import parse_packet
+from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Simulator
 from repro.switches.switch import SimulatedSwitch
 from repro.topology.generators import linear
@@ -256,6 +257,23 @@ class TestRealBytesAtEveryRealBoundary:
         assert net.switch("sw0").stats.parse_errors == 1
         assert net.switch("sw1").stats.parse_errors == 0
         assert host_bytes == [] and packet_ins == []
+
+    def test_a_truncated_probe_is_a_parse_error_not_foreign_traffic(
+        self, two_switches
+    ):
+        """Ten bytes short of its IPv4 total length: the frame used to
+        parse, with a payload ``ProbeMetadata.decode`` returned None
+        for — a cut-off probe read as somebody else's packet."""
+        sim, net, h1, host_bytes, packet_ins = two_switches
+        meta = ProbeMetadata(switch_id=1, rule_cookie=2, nonce=3).encode()
+        frame = craft_packet(_sent(DST_TO_CONTROLLER), meta)
+        h1.send_raw(frame[:-10])
+        sim.run_for(0.1)
+        assert net.switch("sw0").stats.parse_errors == 1
+        assert host_bytes == [] and packet_ins == []
+        h1.receive(frame[:-10])
+        assert h1.received[-1].values == {}
+        assert h1.received[-1].payload == frame[:-10]
 
 
 # ----- a rewrite with no wire form ----------------------------------------
