@@ -95,17 +95,25 @@ def table_fingerprint(rules: Iterable[Rule]) -> str:
     return f"{acc:064x}"
 
 
+#: Where each field sits in the packed header: (name, mask, shift).
+_PACK_TABLE = tuple(
+    (f.name, f.max_value, HEADER.total_bits - f.offset - f.width)
+    for f in HEADER
+)
+
+
 def pack_header(header_values: Mapping[FieldName, int]) -> int:
     """The abstract header as one bigint (``Match.packed`` bit layout).
 
-    Absent fields read as 0, mirroring :meth:`Match.matches`.
+    Absent fields read as 0, mirroring :meth:`Match.matches`; a value
+    wider than its field is cut to the field's width.
     """
-    total = HEADER.total_bits
+    get = header_values.get
     packed = 0
-    for field in HEADER:
-        value = header_values.get(field.name, 0) & field.max_value
+    for name, mask, shift in _PACK_TABLE:
+        value = get(name, 0) & mask
         if value:
-            packed |= value << (total - field.offset - field.width)
+            packed |= value << shift
     return packed
 
 

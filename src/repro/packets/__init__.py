@@ -4,17 +4,23 @@ This is the library that turns the *abstract* probe header produced by the
 SAT stage into a real, wire-valid packet (paper §5.2), and parses caught
 probes back into abstract headers:
 
-* :mod:`repro.packets.checksum` — the Internet checksum.
-* :mod:`repro.packets.ethernet`, :mod:`repro.packets.ipv4`,
-  :mod:`repro.packets.arp`, :mod:`repro.packets.transport` — per-protocol
-  header encode/decode.
-* :mod:`repro.packets.craft` — abstract header -> raw bytes, including
-  the §5.2 normalization steps: limited-domain (spare value) substitution
-  and elimination of conditionally-excluded fields.
-* :mod:`repro.packets.parse` — raw bytes -> abstract header.
+* :mod:`repro.packets.checksum` — the Internet checksum as arithmetic
+  mod 0xFFFF (``sum16``), so a codec can add it up from integers.
+* :mod:`repro.packets.craft` — the §5.2 normalization steps
+  (limited-domain spare-value substitution, elimination of
+  conditionally-excluded fields), then abstract header -> raw bytes in
+  one pass (``craft_packet``): one precompiled ``struct`` per fixed
+  header, each packed once with its checksum in place.
+* :mod:`repro.packets.parse` — raw bytes -> abstract header in one pass
+  (``parse_packet``), every length field checked against the bytes.
 * :mod:`repro.packets.payload` — probe metadata carried in the packet
   payload (§4.2: which rule is under test, expected outcome), untouched
   by switches.
+* :mod:`repro.packets.ipv4` — dotted-quad text for ``nw_src``/``nw_dst``.
+
+The layered codec this replaced (a header object and an encode/decode
+pair per protocol) is the test oracle, ``tests/packet_reference.py``:
+``tests/test_packets.py`` holds the one-pass codec to it byte for byte.
 """
 
 from repro.packets.checksum import internet_checksum

@@ -23,11 +23,13 @@ Ethernet (+VLAN) and then IPv4/TCP/UDP/ICMP or ARP.
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
 from repro.openflow.fields import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
+    ETHERTYPE_VLAN,
     HEADER,
     IPPROTO_ICMP,
     IPPROTO_TCP,
@@ -39,7 +41,7 @@ from repro.openflow.fields import (
     FieldName,
 )
 from repro.openflow.match import FieldMatch, Match
-from repro.packets import arp, ethernet, ipv4, transport
+from repro.packets.checksum import sum16
 
 
 class CraftError(ValueError):
@@ -255,67 +257,127 @@ def normalize_abstract_header(
     return normalized
 
 
+# ----- the wire ------------------------------------------------------------
+# One precompiled struct per fixed header, packed from integers here and
+# read in place (``unpack_from``) by :func:`repro.packets.parse.
+# parse_packet`.  A MAC is a 16-bit and a 32-bit half, an IPv4 address one
+# word; pad bytes (``x``) are fields always written 0 and never read.
+
+#: dst MAC (hi, lo), src MAC (hi, lo), ethertype — or ETHERTYPE_VLAN.
+ETHERNET = Struct("!HIHIH")
+#: 802.1Q, after ETHERTYPE_VLAN: TCI (priority, CFI, VLAN id), ethertype.
+VLAN_TAG = Struct("!HH")
+#: version/IHL, ToS, total length, (ident, fragment), TTL, protocol,
+#: header checksum, src, dst.
+IPV4 = Struct("!BBH4xBBHII")
+#: ports, (seq, ack), data offset, flags, window, checksum, (urgent).
+TCP = Struct("!HH8xBBHH2x")
+#: ports, length of header and data, checksum.
+UDP = Struct("!HHHH")
+#: type, code, checksum, (echo-style identifier and sequence).
+ICMP = Struct("!BBH4x")
+#: htype, ptype, hlen, plen, opcode, sender MAC (hi, lo), sender IP,
+#: (target MAC), target IP.
+ARP = Struct("!HHBBHHII6xI")
+
+_LOW32 = 0xFFFFFFFF
+_DL_SRC = FieldName.DL_SRC
+_DL_DST = FieldName.DL_DST
+_DL_TYPE = FieldName.DL_TYPE
+_DL_VLAN = FieldName.DL_VLAN
+_DL_VLAN_PCP = FieldName.DL_VLAN_PCP
+_NW_SRC = FieldName.NW_SRC
+_NW_DST = FieldName.NW_DST
+_NW_PROTO = FieldName.NW_PROTO
+_NW_TOS = FieldName.NW_TOS
+_TP_SRC = FieldName.TP_SRC
+_TP_DST = FieldName.TP_DST
+
+
 def craft_packet(
     values: Mapping[FieldName, int],
     payload: bytes = b"",
 ) -> bytes:
     """Serialize a normalized abstract header into real packet bytes.
 
+    One pass: each header is packed once, its checksum already in place.
+    A checksum complements a sum mod 0xFFFF (:mod:`repro.packets.
+    checksum`), so it is added up from the integers about to be packed —
+    a 32-bit address counts as itself — plus ``sum16(payload)``; a sum
+    holding a non-zero constant is never the all-zero corner and
+    complements to ``-total % 0xFFFF``.
+
     The ``in_port`` field is injection metadata, not packet content, and
-    is ignored here.
+    is ignored here.  A value wider than its wire field raises
+    ``struct.error``: it is never cut to fit.
 
     Raises:
         CraftError: if ``dl_type`` (or ``nw_proto`` for IPv4) holds a
             value this library cannot serialize; run
             :func:`normalize_abstract_header` first.
     """
-    dl_type = values.get(FieldName.DL_TYPE, 0)
-    eth_header = ethernet.EthernetHeader(
-        dst=values.get(FieldName.DL_DST, 0),
-        src=values.get(FieldName.DL_SRC, 0),
-        ethertype=dl_type,
-        vlan=values.get(FieldName.DL_VLAN, VLAN_NONE),
-        vlan_pcp=values.get(FieldName.DL_VLAN_PCP, 0),
-    )
-
+    get = values.get
+    dl_type = get(_DL_TYPE, 0)
+    dl_src = get(_DL_SRC, 0)
+    src_hi = dl_src >> 32
+    src_lo = dl_src & _LOW32
+    nw_src = get(_NW_SRC, 0)
+    nw_dst = get(_NW_DST, 0)
     if dl_type == ETHERTYPE_IPV4:
-        inner = _craft_ipv4(values, payload)
+        nw_proto = get(_NW_PROTO, 0)
+        tp_src = get(_TP_SRC, 0)
+        tp_dst = get(_TP_DST, 0)
+        # What the IPv4 header and the TCP/UDP pseudo-header both sum.
+        pseudo = nw_src + nw_dst + nw_proto
+        if nw_proto == IPPROTO_TCP:
+            length = TCP.size + len(payload)
+            # No options (data offset 5 words), ACK (keeps middleboxes
+            # calm), a full window: the words 0x5010 and 0xFFFF.
+            total = pseudo + length + tp_src + tp_dst + 0x5010 + 0xFFFF
+            total += sum16(payload)
+            l4 = TCP.pack(tp_src, tp_dst, 0x50, 0x10, 0xFFFF, -total % 0xFFFF)
+        elif nw_proto == IPPROTO_UDP:
+            length = UDP.size + len(payload)
+            total = pseudo + 2 * length + tp_src + tp_dst + sum16(payload)
+            # RFC 768: a zero checksum means "absent", so 0 goes as 0xFFFF.
+            l4 = UDP.pack(tp_src, tp_dst, length, -total % 0xFFFF or 0xFFFF)
+        elif nw_proto == IPPROTO_ICMP:
+            # OpenFlow 1.0 maps ICMP type/code onto tp_src/tp_dst.
+            tp_src &= _ICMP_TP_MASK
+            tp_dst &= _ICMP_TP_MASK
+            length = ICMP.size + len(payload)
+            # Type 0, code 0 over zeros: the one sum that can be all zero.
+            total = (tp_src << 8 | tp_dst) + sum16(payload)
+            checksum = -total % 0xFFFF if total else 0xFFFF
+            l4 = ICMP.pack(tp_src, tp_dst, checksum)
+        else:
+            raise CraftError(f"cannot craft nw_proto={nw_proto}")
+        # nw_tos occupies the DSCP bits (upper 6) of the ToS byte.
+        tos = (get(_NW_TOS, 0) & 0x3F) << 2
+        length += IPV4.size
+        # Version 4, IHL 5 (no options), TTL 64: the high bytes 0x45, 0x40.
+        total = 0x4500 + tos + length + 0x4000 + pseudo
+        l3 = IPV4.pack(
+            0x45, tos, length, 64, nw_proto, -total % 0xFFFF, nw_src, nw_dst
+        )
     elif dl_type == ETHERTYPE_ARP:
-        inner = arp.encode_arp(
-            arp.ArpPacket(
-                opcode=arp.OP_REQUEST,
-                sender_mac=values.get(FieldName.DL_SRC, 0),
-                sender_ip=values.get(FieldName.NW_SRC, 0),
-                target_mac=0,
-                target_ip=values.get(FieldName.NW_DST, 0),
-            )
-        ) + payload
+        # A request (opcode 1) for IPv4 over Ethernet (htype 1, 6- and
+        # 4-byte addresses) from the frame's own source.
+        l3 = ARP.pack(
+            1, ETHERTYPE_IPV4, 6, 4, 1, src_hi, src_lo, nw_src, nw_dst
+        )
+        l4 = b""
     else:
         raise CraftError(f"cannot craft dl_type={dl_type:#06x}")
-    return ethernet.encode_ethernet(eth_header, inner)
 
-
-def _craft_ipv4(values: Mapping[FieldName, int], payload: bytes) -> bytes:
-    nw_src = values.get(FieldName.NW_SRC, 0)
-    nw_dst = values.get(FieldName.NW_DST, 0)
-    nw_proto = values.get(FieldName.NW_PROTO, 0)
-    tp_src = values.get(FieldName.TP_SRC, 0)
-    tp_dst = values.get(FieldName.TP_DST, 0)
-
-    if nw_proto == IPPROTO_TCP:
-        inner = transport.encode_tcp(tp_src, tp_dst, payload, nw_src, nw_dst)
-    elif nw_proto == IPPROTO_UDP:
-        inner = transport.encode_udp(tp_src, tp_dst, payload, nw_src, nw_dst)
-    elif nw_proto == IPPROTO_ICMP:
-        # OpenFlow 1.0 maps ICMP type/code onto tp_src/tp_dst.
-        inner = transport.encode_icmp(tp_src & 0xFF, tp_dst & 0xFF, payload)
-    else:
-        raise CraftError(f"cannot craft nw_proto={nw_proto}")
-
-    ip_header = ipv4.Ipv4Header(
-        src=nw_src,
-        dst=nw_dst,
-        proto=nw_proto,
-        tos=values.get(FieldName.NW_TOS, 0),
+    dl_dst = get(_DL_DST, 0)
+    dl_vlan = get(_DL_VLAN, VLAN_NONE)
+    tag = b""
+    if dl_vlan != VLAN_NONE:
+        tci = (get(_DL_VLAN_PCP, 0) & 0x7) << 13 | dl_vlan & 0xFFF
+        tag = VLAN_TAG.pack(tci, dl_type)
+        dl_type = ETHERTYPE_VLAN
+    link = ETHERNET.pack(
+        dl_dst >> 32, dl_dst & _LOW32, src_hi, src_lo, dl_type
     )
-    return ipv4.encode_ipv4(ip_header, inner)
+    return b"".join((link, tag, l3, l4, payload))

@@ -16,7 +16,8 @@ idle conditioner) and must never need re-recording for a change that
 claims to move no simulated quantity.  The call-count tests hold the
 diet itself: a later change that re-introduces a per-hop codec pass or
 a per-message conditioner call fails here, in tier-1, not in a
-benchmark.
+benchmark.  One pass is held too: crafting and parsing a probe frame is
+a handful of Python-level calls and builds no per-layer header object.
 
 And one small ``churn_fleet``: two islands of 8 switches x 8 disjoint
 rules under a 400 FlowMods/s add/modify/delete stream, every update
@@ -47,6 +48,14 @@ from repro.fleet.failures import (
 from repro.fleet.metrics import collect_fleet_metrics
 from repro.fleet.workloads import RuleChurn, SteadyRules
 from repro.network.conditioning import ChannelConditioner
+from repro.openflow.fields import (
+    ETHERTYPE_IPV4,
+    IPPROTO_ICMP,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    FieldName,
+)
+from repro.packets.payload import ProbeMetadata
 from repro.sat.solver import SatSolver
 from repro.topology.generators import islands, ring, star
 
@@ -341,6 +350,47 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     assert 2 * probes - edge <= spent["parse"] <= 2 * probes + edge
     assert spent["is_active"] == spent["plan"] == 0
     assert spent["observations"] == 0
+
+
+@pytest.mark.parametrize("proto", [IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP])
+def test_one_codec_pass_is_a_handful_of_calls_and_no_header_object(proto):
+    """Craft, then parse, one probe frame (802.1Q-tagged IPv4 with a
+    ``ProbeMetadata`` payload): each walks the frame once.  The layered
+    codec made 19-20 Python-level calls here, four of them frozen
+    dataclass ``__init__``s; the one-pass codec makes 4.  Exact for an
+    input, so a "small helper per layer" cannot quietly grow back."""
+    header = {
+        FieldName.DL_SRC: 0x020000000001,
+        FieldName.DL_DST: 0x020000000002,
+        FieldName.DL_TYPE: ETHERTYPE_IPV4,
+        FieldName.DL_VLAN: 0x123,
+        FieldName.DL_VLAN_PCP: 3,
+        FieldName.NW_SRC: 0x0A000001,
+        FieldName.NW_DST: 0x60002009,
+        FieldName.NW_PROTO: proto,
+        FieldName.NW_TOS: 0x15,
+        FieldName.TP_SRC: 8,
+        FieldName.TP_DST: 0,
+    }
+    payload = ProbeMetadata(switch_id=2, rule_cookie=9, nonce=41).encode()
+    called = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code.co_name)
+
+    craft_packet = repro.packets.craft.craft_packet
+    parse_packet = repro.packets.parse.parse_packet
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        values, parsed_payload = parse_packet(craft_packet(header, payload))
+    finally:
+        sys.setprofile(previous)
+    assert parsed_payload == payload
+    assert all(values[name] == value for name, value in header.items())
+    assert len(called) <= 8, called
+    assert "__init__" not in called
 
 
 def test_observation_sets_once_per_result_not_per_launch(calls):

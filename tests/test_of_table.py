@@ -2,16 +2,63 @@
 mutation, overlap queries, and outcome processing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.openflow.actions import drop, ecmp, multicast, output
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable, OverlapError
+from repro.openflow.table import FlowTable, OverlapError, pack_header
 
 
 def header(**kwargs):
     return {FieldName(k): v for k, v in kwargs.items()}
+
+
+def pack_header_field_by_field(header_values):
+    """``pack_header`` as it was before it read a precomputed (name,
+    mask, shift) table: the definition, from the layout itself."""
+    packed = 0
+    for field in HEADER:
+        value = header_values.get(field.name, 0) & field.max_value
+        packed |= value << (HEADER.total_bits - field.offset - field.width)
+    return packed
+
+
+class TestPackHeader:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                field.name: st.integers(0, field.max_value)
+                for field in HEADER
+            },
+        )
+    )
+    def test_in_range_values_pack_as_the_layout_packs_them(self, values):
+        assert pack_header(values) == HEADER.pack(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                field.name: st.one_of(
+                    st.integers(0, field.max_value),
+                    st.integers(field.max_value + 1, 1 << 70),
+                )
+                for field in HEADER
+            },
+        )
+    )
+    def test_wide_and_missing_values_are_cut_and_zero(self, values):
+        assert pack_header(values) == pack_header_field_by_field(values)
+
+    def test_a_wide_value_does_not_spill_into_its_neighbour(self):
+        assert pack_header({FieldName.TP_DST: 0x1_0001}) == 1
+        assert pack_header({}) == 0
 
 
 class TestLookup:

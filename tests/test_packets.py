@@ -1,13 +1,18 @@
 """Tests for packet crafting and parsing: protocol round trips,
-checksums, and the §5.2 normalization lemmas."""
+checksums, the one-pass codec against the layered reference
+(``tests/packet_reference.py``), and the §5.2 normalization lemmas."""
 
+import struct
+
+import packet_reference as reference
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.openflow.fields import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
+    HEADER,
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
@@ -15,47 +20,73 @@ from repro.openflow.fields import (
     FieldName,
 )
 from repro.openflow.match import Match
-from repro.packets import arp, ethernet, ipv4, transport
-from repro.packets.checksum import internet_checksum
+from repro.packets.checksum import internet_checksum, sum16
 from repro.packets.craft import (
     CraftError,
     craft_packet,
     normalize_abstract_header,
     wire_visible_items,
 )
+from repro.packets.ipv4 import ip_to_str, str_to_ip
 from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
 
 
-def rfc1071_reference(data: bytes) -> int:
-    """RFC 1071 section 4.1, byte by byte: the oracle (and, until the
-    word-wise sum replaced it, the implementation)."""
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+def words_summing_to_a_multiple_of_0xffff(words: list[int]) -> bytes:
+    """``words`` plus the one word that brings their sum to a non-zero
+    multiple of 0xFFFF: one's-complement "negative zero", the corner
+    where a sum mod 0xFFFF and the RFC 1071 fold disagree."""
+    last = 0xFFFF - sum(words) % 0xFFFF
+    return struct.pack(f"!{len(words) + 1}H", *words, last)
+
+
+#: Payloads at the lengths and contents where a checksum can go wrong:
+#: empty, one byte, odd, long; all-zero (the sum's only true zero),
+#: all-0xFF and other sums that are non-zero multiples of 0xFFFF.
+corner_payloads = st.one_of(
+    st.binary(max_size=81),
+    st.sampled_from([0, 1, 2, 25, 63, 64, 1400]).flatmap(
+        lambda n: st.sampled_from([bytes(n), b"\xff" * n])
+    ),
+    st.binary(min_size=1399, max_size=1400),
+    st.lists(st.integers(0, 0xFFFF), max_size=40).map(
+        words_summing_to_a_multiple_of_0xffff
+    ),
+    # Long runs of 0xFF: the sum carries out of 16 bits, and out of the
+    # fold itself, at odd and even lengths alike.
+    st.builds(
+        lambda n, tail: b"\xff" * n + tail,
+        st.integers(0, 1500),
+        st.binary(max_size=3),
+    ),
+)
 
 
 class TestChecksum:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.one_of(
-            st.binary(max_size=81),
-            # Long runs of 0xFF: the sum carries out of 16 bits, and out
-            # of the fold itself, at odd and even lengths alike.
-            st.builds(
-                lambda n, tail: b"\xff" * n + tail,
-                st.integers(0, 1500),
-                st.binary(max_size=3),
-            ),
-        )
-    )
+    @given(corner_payloads)
+    @example(b"")
+    @example(b"\x00")
+    @example(b"\xff\xff")
+    @example(b"\xff\xfe\x00\x01")
     def test_matches_the_rfc1071_reference(self, data):
-        assert internet_checksum(data) == rfc1071_reference(data)
+        assert internet_checksum(data) == reference.internet_checksum(data)
+
+    def test_the_sum_has_two_zeros(self):
+        """Only all-zero data sums to 0; any other multiple of 0xFFFF
+        sums to 0xFFFF (checksum 0), not to 0 (checksum 0xFFFF)."""
+        for zeros in (b"", b"\x00", bytes(2), bytes(25), bytes(1400)):
+            assert sum16(zeros) == 0
+            assert internet_checksum(zeros) == 0xFFFF
+        for data in (
+            b"\xff\xff",
+            b"\xff" * 26,
+            b"\xff\xfe\x00\x01",
+            b"\x80\x00\x7f\xff" * 3,
+            words_summing_to_a_multiple_of_0xffff([1, 2, 3]),
+        ):
+            assert sum16(data) == 0xFFFF, data
+            assert internet_checksum(data) == 0
 
     def test_rfc1071_example(self):
         # Canonical example from RFC 1071 §3.
@@ -70,108 +101,384 @@ class TestChecksum:
         checksum = internet_checksum(data)
         full = data + checksum.to_bytes(2, "big")
         assert internet_checksum(full) == 0
+        assert sum16(full) == 0xFFFF
+
+
+IPV4_PROTOS = [IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ICMP]
+
+
+def ipv4_header(proto, **fields):
+    return {
+        FieldName.DL_TYPE: ETHERTYPE_IPV4,
+        FieldName.NW_PROTO: proto,
+        **{FieldName(name): value for name, value in fields.items()},
+    }
+
+
+def probe_frame(proto, payload, vlan=VLAN_NONE):
+    return craft_packet(
+        ipv4_header(
+            proto,
+            dl_vlan=vlan,
+            nw_src=0x0A000001,
+            nw_dst=0x0A000002,
+            tp_src=8,
+            tp_dst=0,
+        ),
+        payload,
+    )
+
+
+def resealed(frame: bytearray, ihl: int = 20) -> bytes:
+    """An untagged frame whose IPv4 header was patched, with the header
+    checksum recomputed: only the patched field lies."""
+    frame[24:26] = b"\x00\x00"
+    frame[24:26] = internet_checksum(bytes(frame[14 : 14 + ihl])).to_bytes(
+        2, "big"
+    )
+    return bytes(frame)
+
+
+def with_ipv4_total_length(frame: bytes, total_length: int) -> bytes:
+    patched = bytearray(frame)
+    patched[16:18] = total_length.to_bytes(2, "big")
+    return resealed(patched)
 
 
 class TestEthernet:
     def test_untagged_roundtrip(self):
-        header = ethernet.EthernetHeader(
-            dst=0x112233445566, src=0xAABBCCDDEEFF, ethertype=ETHERTYPE_IPV4
+        header = ipv4_header(
+            IPPROTO_UDP, dl_dst=0x112233445566, dl_src=0xAABBCCDDEEFF
         )
-        frame = ethernet.encode_ethernet(header, b"payload")
-        decoded, rest = ethernet.decode_ethernet(frame)
-        assert decoded == header
-        assert rest == b"payload"
+        frame = craft_packet(header, b"payload")
+        assert frame[12:14] == b"\x08\x00"  # no tag before the ethertype
+        values, payload = parse_packet(frame)
+        assert values[FieldName.DL_DST] == 0x112233445566
+        assert values[FieldName.DL_SRC] == 0xAABBCCDDEEFF
+        assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
+        assert values[FieldName.DL_VLAN] == VLAN_NONE
+        assert payload == b"payload"
 
     def test_vlan_tag_roundtrip(self):
-        header = ethernet.EthernetHeader(
-            dst=1, src=2, ethertype=ETHERTYPE_IPV4, vlan=0xF03, vlan_pcp=5
+        header = ipv4_header(
+            IPPROTO_UDP, dl_dst=1, dl_src=2, dl_vlan=0xF03, dl_vlan_pcp=5
         )
-        frame = ethernet.encode_ethernet(header, b"x")
-        decoded, rest = ethernet.decode_ethernet(frame)
-        assert decoded.vlan == 0xF03
-        assert decoded.vlan_pcp == 5
-        assert decoded.ethertype == ETHERTYPE_IPV4
+        frame = craft_packet(header, b"x")
+        assert frame[12:16] == bytes([0x81, 0x00, 0xAF, 0x03])
+        values, payload = parse_packet(frame)
+        assert values[FieldName.DL_VLAN] == 0xF03
+        assert values[FieldName.DL_VLAN_PCP] == 5
+        assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
+        assert payload == b"x"
 
     def test_short_frame_rejected(self):
-        with pytest.raises(ValueError):
-            ethernet.decode_ethernet(b"short")
+        with pytest.raises(ParseError, match="too short for Ethernet"):
+            parse_packet(b"short")
+        tagged = craft_packet(ipv4_header(IPPROTO_UDP, dl_vlan=7))
+        with pytest.raises(ParseError, match="too short for VLAN tag"):
+            parse_packet(tagged[:17])
 
     def test_mac_to_str(self):
-        raw = ethernet.mac_to_bytes(0xAABBCCDDEEFF)
-        assert raw.hex(":") == "aa:bb:cc:dd:ee:ff"
-        with pytest.raises(ValueError):
-            ethernet.mac_to_bytes(1 << 48)
+        frame = craft_packet(ipv4_header(IPPROTO_UDP, dl_dst=0xAABBCCDDEEFF))
+        assert frame[:6].hex(":") == "aa:bb:cc:dd:ee:ff"
+        with pytest.raises(struct.error):
+            craft_packet(ipv4_header(IPPROTO_UDP, dl_dst=1 << 48))
 
 
 class TestIpv4:
     def test_roundtrip_and_checksum(self):
-        header = ipv4.Ipv4Header(
-            src=0x0A000001, dst=0x0A000002, proto=IPPROTO_TCP, tos=0x2A
+        header = ipv4_header(
+            IPPROTO_TCP, nw_src=0x0A000001, nw_dst=0x0A000002, nw_tos=0x2A
         )
-        packet = ipv4.encode_ipv4(header, b"data")
-        decoded, rest = ipv4.decode_ipv4(packet)
-        assert decoded.src == header.src
-        assert decoded.dst == header.dst
-        assert decoded.proto == IPPROTO_TCP
-        assert decoded.tos == 0x2A
-        assert rest == b"data"
+        frame = craft_packet(header, b"data")
+        assert sum16(frame[14:34]) == 0xFFFF
+        assert frame[14:34] == reference.craft_packet(header, b"data")[14:34]
+        values, payload = parse_packet(frame)
+        assert values[FieldName.NW_SRC] == 0x0A000001
+        assert values[FieldName.NW_DST] == 0x0A000002
+        assert values[FieldName.NW_PROTO] == IPPROTO_TCP
+        assert values[FieldName.NW_TOS] == 0x2A
+        assert payload == b"data"
 
     def test_corrupted_checksum_rejected(self):
-        packet = bytearray(
-            ipv4.encode_ipv4(
-                ipv4.Ipv4Header(src=1, dst=2, proto=6), b""
-            )
+        frame = bytearray(
+            craft_packet(ipv4_header(IPPROTO_TCP, nw_src=1, nw_dst=2))
         )
-        packet[12] ^= 0xFF
-        with pytest.raises(ValueError):
-            ipv4.decode_ipv4(bytes(packet))
+        frame[14 + 12] ^= 0xFF
+        with pytest.raises(ParseError, match="header checksum mismatch"):
+            parse_packet(bytes(frame))
+
+    def test_options_are_skipped(self):
+        """An IHL above 5: the header checksum covers the options and
+        the transport header starts after them."""
+        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP), b"opt"))
+        options = b"\x01" * 8
+        frame[14] = 0x47
+        frame[16:18] = (int.from_bytes(frame[16:18], "big") + 8).to_bytes(
+            2, "big"
+        )
+        frame[34:34] = options
+        with_options = resealed(frame, ihl=28)
+        assert parse_packet(with_options)[1] == b"opt"
+        assert parse_packet(with_options) == reference.parse_packet(
+            with_options
+        )
+        frame[14] = 0x44
+        with pytest.raises(ParseError, match="bad IHL: 16"):
+            parse_packet(bytes(frame))
 
     def test_ip_string_conversions(self):
-        assert ipv4.ip_to_str(0x0A000001) == "10.0.0.1"
-        assert ipv4.str_to_ip("10.0.0.1") == 0x0A000001
+        assert ip_to_str(0x0A000001) == "10.0.0.1"
+        assert str_to_ip("10.0.0.1") == 0x0A000001
         with pytest.raises(ValueError):
-            ipv4.str_to_ip("10.0.0")
+            str_to_ip("10.0.0")
         with pytest.raises(ValueError):
-            ipv4.str_to_ip("10.0.0.999")
+            str_to_ip("10.0.0.999")
 
 
 class TestTransport:
+    def roundtrip(self, proto, tp_src, tp_dst, payload):
+        frame = craft_packet(
+            ipv4_header(
+                proto, nw_src=1, nw_dst=2, tp_src=tp_src, tp_dst=tp_dst
+            ),
+            payload,
+        )
+        values, parsed_payload = parse_packet(frame)
+        return (
+            values[FieldName.TP_SRC],
+            values[FieldName.TP_DST],
+            parsed_payload,
+        )
+
     def test_tcp_roundtrip(self):
-        segment = transport.encode_tcp(1234, 443, b"hello", 1, 2)
-        src, dst, payload = transport.decode_tcp(segment)
-        assert (src, dst, payload) == (1234, 443, b"hello")
+        assert self.roundtrip(IPPROTO_TCP, 1234, 443, b"hello") == (
+            1234,
+            443,
+            b"hello",
+        )
 
     def test_udp_roundtrip(self):
-        datagram = transport.encode_udp(53, 5353, b"query", 1, 2)
-        src, dst, payload = transport.decode_udp(datagram)
-        assert (src, dst, payload) == (53, 5353, b"query")
+        assert self.roundtrip(IPPROTO_UDP, 53, 5353, b"query") == (
+            53,
+            5353,
+            b"query",
+        )
 
     def test_icmp_roundtrip(self):
-        message = transport.encode_icmp(8, 0, b"ping")
-        icmp_type, icmp_code, payload = transport.decode_icmp(message)
-        assert (icmp_type, icmp_code, payload) == (8, 0, b"ping")
+        assert self.roundtrip(IPPROTO_ICMP, 8, 0, b"ping") == (8, 0, b"ping")
 
     def test_truncated_rejected(self):
-        with pytest.raises(ValueError):
-            transport.decode_tcp(b"abc")
-        with pytest.raises(ValueError):
-            transport.decode_udp(b"abc")
-        with pytest.raises(ValueError):
-            transport.decode_icmp(b"abc")
+        """A datagram that ends inside its transport header — its
+        ``total_length`` says so, the bytes are all there."""
+        for proto, name, header_len in (
+            (IPPROTO_TCP, "TCP", 20),
+            (IPPROTO_UDP, "UDP", 8),
+            (IPPROTO_ICMP, "ICMP", 8),
+        ):
+            frame = craft_packet(ipv4_header(proto))
+            assert len(frame) == 14 + 20 + header_len
+            for kept in (0, 3, header_len - 1):
+                short = with_ipv4_total_length(frame, 20 + kept)
+                with pytest.raises(
+                    ParseError, match=f"too short for {name}: {kept} bytes"
+                ):
+                    parse_packet(short)
+        with pytest.raises(ParseError, match="too short for IPv4: 19 bytes"):
+            parse_packet(frame[: 14 + 19])
+
+    def test_bad_tcp_data_offset_rejected(self):
+        frame = bytearray(craft_packet(ipv4_header(IPPROTO_TCP), b"abcd"))
+        frame[34 + 12] = 0x40  # 16 bytes: inside the fixed header
+        with pytest.raises(ParseError, match="bad TCP data offset: 16"):
+            parse_packet(bytes(frame))
+        frame[34 + 12] = 0x70  # 28 bytes: beyond the 24 present
+        with pytest.raises(ParseError, match="bad TCP data offset: 28"):
+            parse_packet(bytes(frame))
+        frame[34 + 12] = 0x60  # 24 bytes: the payload read as options
+        assert parse_packet(bytes(frame))[1] == b""
+
+    def test_unsupported_protocol_rejected(self):
+        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP)))
+        frame[14 + 9] = 99
+        with pytest.raises(ParseError, match="unsupported nw_proto 99"):
+            parse_packet(resealed(frame))
 
 
 class TestArp:
+    HEADER = {
+        FieldName.DL_TYPE: ETHERTYPE_ARP,
+        FieldName.DL_SRC: 0xAABBCCDDEEFF,
+        FieldName.NW_SRC: 0x0A000001,
+        FieldName.NW_DST: 0x0A000002,
+    }
+
     def test_roundtrip(self):
-        packet = arp.ArpPacket(
-            opcode=arp.OP_REQUEST,
-            sender_mac=0xAABBCCDDEEFF,
-            sender_ip=0x0A000001,
-            target_mac=0,
-            target_ip=0x0A000002,
+        frame = craft_packet(self.HEADER, b"tail")
+        # A request from the frame's own source, target MAC unknown.
+        assert frame[14:22] == bytes([0, 1, 8, 0, 6, 4, 0, 1])
+        assert frame[22:28] == frame[6:12]
+        assert frame[32:38] == bytes(6)
+        values, payload = parse_packet(frame)
+        assert values[FieldName.NW_SRC] == 0x0A000001
+        assert values[FieldName.NW_DST] == 0x0A000002
+        assert FieldName.NW_PROTO not in values
+        assert payload == b"tail"
+
+    def test_malformed_rejected(self):
+        frame = craft_packet(self.HEADER)
+        with pytest.raises(ParseError, match="too short for ARP: 27 bytes"):
+            parse_packet(frame[:-1])
+        for offset, message in (
+            (15, "unsupported ARP htype/ptype: 0/0x800"),
+            (17, "unsupported ARP htype/ptype: 1/0x801"),
+            (18, "unsupported ARP address lengths: 7/4"),
+            (19, "unsupported ARP address lengths: 6/5"),
+        ):
+            bad = bytearray(frame)
+            bad[offset] ^= 1
+            with pytest.raises(ParseError, match=message):
+                parse_packet(bytes(bad))
+        bad = bytearray(frame)
+        bad[12:14] = b"\x12\x34"
+        with pytest.raises(ParseError, match="unsupported ethertype 0x1234"):
+            parse_packet(bytes(bad))
+
+
+# ----- the one-pass codec against the layered reference --------------------
+
+
+def _any_value(name: FieldName) -> st.SearchStrategy[int]:
+    return st.integers(0, HEADER.field(name).max_value)
+
+
+#: All four L3/L4 shapes and the two uncraftable classes, tagged and
+#: untagged, every other field anywhere within its width.
+any_headers = st.fixed_dictionaries(
+    {
+        **{name: _any_value(name) for name in HEADER.names()},
+        FieldName.DL_TYPE: st.sampled_from(
+            (ETHERTYPE_IPV4, ETHERTYPE_IPV4, ETHERTYPE_ARP, 0x1234)
+        ),
+        FieldName.NW_PROTO: st.sampled_from(
+            (IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP, 99)
+        ),
+        FieldName.DL_VLAN: st.one_of(
+            st.just(VLAN_NONE), _any_value(FieldName.DL_VLAN)
+        ),
+        # Type 0 / code 0 over an all-zero payload is ICMP's true zero.
+        FieldName.TP_SRC: st.one_of(st.just(0), _any_value(FieldName.TP_SRC)),
+        FieldName.TP_DST: st.one_of(st.just(0), _any_value(FieldName.TP_DST)),
+    }
+)
+
+
+def outcome(codec, *args):
+    """What a codec call did: its result, or its own error class and
+    message.  Any other exception propagates and fails the test."""
+    try:
+        return "ok", codec(*args)
+    except (CraftError, ParseError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOnePassAgainstLayeredReference:
+    """``craft_packet`` / ``parse_packet`` walk a frame once, from and
+    to integers; the layered codec they replaced is the oracle.  Same
+    bytes, same headers, same errors — and nothing but ``CraftError`` /
+    ``ParseError`` for an uncraftable class or malformed bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=any_headers,
+        missing=st.sets(st.sampled_from(sorted(HEADER.names())), max_size=3),
+        payload=corner_payloads,
+        in_port=st.integers(0, 0xFFFF),
+    )
+    def test_same_bytes_same_headers_same_errors(
+        self, values, missing, payload, in_port
+    ):
+        values = {k: v for k, v in values.items() if k not in missing}
+        crafted = outcome(craft_packet, values, payload)
+        assert crafted == outcome(reference.craft_packet, values, payload)
+        if crafted[0] != "ok":
+            assert crafted[0] == "CraftError"
+            return
+        frame = crafted[1]
+        parsed = outcome(parse_packet, frame, in_port)
+        assert parsed[0] == "ok" and parsed[1][1] == payload
+        assert parsed == outcome(reference.parse_packet, frame, in_port)
+        for cut in range(len(frame)):
+            prefix = frame[:cut]
+            assert outcome(parse_packet, prefix) == outcome(
+                reference.parse_packet, prefix
+            ), cut
+        flipped = bytearray(frame)
+        for bit in range(8 * min(60, len(frame))):
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            damaged = bytes(flipped)
+            assert outcome(parse_packet, damaged) == outcome(
+                reference.parse_packet, damaged
+            ), bit
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+
+    @pytest.mark.parametrize("proto", IPV4_PROTOS)
+    @pytest.mark.parametrize("size", [0, 1, 2, 25, 26, 1400])
+    @pytest.mark.parametrize("fill", [b"\x00", b"\xff"])
+    def test_all_zero_and_all_ones_payloads(self, proto, size, fill):
+        for tp in (0, 0xFF):
+            header = ipv4_header(proto, tp_src=tp, tp_dst=tp)
+            frame = craft_packet(header, fill * size)
+            assert frame == reference.craft_packet(header, fill * size)
+            assert parse_packet(frame)[1] == fill * size
+
+    def test_icmp_true_zero_and_negative_zero(self):
+        """Type 0, code 0 over zeros sums to 0: checksum 0xFFFF.  A
+        message summing to a non-zero multiple of 0xFFFF: checksum 0."""
+        echo_reply = ipv4_header(IPPROTO_ICMP, tp_src=0, tp_dst=0)
+        for zeros in (b"", bytes(1), bytes(26)):
+            frame = craft_packet(echo_reply, zeros)
+            assert frame[36:38] == b"\xff\xff"
+            assert frame == reference.craft_packet(echo_reply, zeros)
+        echo = ipv4_header(IPPROTO_ICMP, tp_src=8, tp_dst=0)
+        payload = words_summing_to_a_multiple_of_0xffff([0x0800])[2:]
+        frame = craft_packet(echo, payload)
+        assert frame[36:38] == b"\x00\x00"
+        assert frame == reference.craft_packet(echo, payload)
+
+    def test_udp_zero_checksum_is_sent_as_0xffff(self):
+        header = ipv4_header(
+            IPPROTO_UDP, nw_src=0x0A000001, nw_dst=0x0A000002, tp_src=53
         )
-        decoded, rest = arp.decode_arp(arp.encode_arp(packet) + b"tail")
-        assert decoded == packet
-        assert rest == b"tail"
+        # Pseudo-header, UDP header and payload word sum to 0xFFFF * k.
+        rest = 0x0A000001 + 0x0A000002 + 17 + 2 * (8 + 2) + 53
+        payload = (0xFFFF - rest % 0xFFFF).to_bytes(2, "big")
+        frame = craft_packet(header, payload)
+        assert frame[40:42] == b"\xff\xff"
+        assert frame == reference.craft_packet(header, payload)
+
+    @pytest.mark.parametrize(
+        "field, proto",
+        [
+            ("dl_src", IPPROTO_UDP),
+            ("dl_dst", IPPROTO_UDP),
+            ("nw_src", IPPROTO_ICMP),
+            ("nw_dst", IPPROTO_TCP),
+            ("tp_src", IPPROTO_TCP),
+            ("tp_dst", IPPROTO_UDP),
+        ],
+    )
+    def test_a_value_wider_than_its_wire_field_raises(self, field, proto):
+        """Never a silently truncated field — in either codec."""
+        width = HEADER.field(FieldName(field)).width
+        for value in (1 << width, -1):
+            header = ipv4_header(proto, **{field: value})
+            with pytest.raises(struct.error):
+                craft_packet(header)
+            with pytest.raises((ValueError, OverflowError, struct.error)):
+                reference.craft_packet(header)
+        with pytest.raises(struct.error):  # total_length is 16 bits
+            craft_packet(ipv4_header(proto), bytes(0x10000))
 
 
 class TestCraftParseRoundtrip:
@@ -248,34 +555,6 @@ class TestCraftParseRoundtrip:
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
             parse_packet(b"\x00" * 5)
-
-
-IPV4_PROTOS = [IPPROTO_TCP, IPPROTO_UDP, IPPROTO_ICMP]
-
-
-def probe_frame(proto, payload, vlan=VLAN_NONE):
-    return craft_packet(
-        {
-            FieldName.DL_TYPE: ETHERTYPE_IPV4,
-            FieldName.DL_VLAN: vlan,
-            FieldName.NW_PROTO: proto,
-            FieldName.NW_SRC: 0x0A000001,
-            FieldName.NW_DST: 0x0A000002,
-            FieldName.TP_SRC: 8,
-            FieldName.TP_DST: 0,
-        },
-        payload,
-    )
-
-
-def with_ipv4_total_length(frame: bytes, total_length: int) -> bytes:
-    """An untagged frame whose IPv4 header claims ``total_length``,
-    header checksum recomputed so only the length lies."""
-    patched = bytearray(frame)
-    patched[16:18] = total_length.to_bytes(2, "big")
-    patched[24:26] = b"\x00\x00"
-    patched[24:26] = internet_checksum(bytes(patched[14:34])).to_bytes(2, "big")
-    return bytes(patched)
 
 
 class TestLengthFieldsThatLie:
