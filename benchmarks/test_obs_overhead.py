@@ -15,8 +15,8 @@ fails real regressions while shrugging off scheduler noise.  The
 median ratio is reported alongside as the central estimate.
 
 The NullObserver arm doubles as the no-obs baseline: it *is* the
-default path every other benchmark (``BENCH_fleet.json``,
-``BENCH_cycle.json``, ``BENCH_probegen.json``) runs on, so their
+default path every other benchmark (``BENCH_cycle.json``,
+``BENCH_probegen.json``) runs on, so their
 unchanged gates pin "NullObserver within noise of no observability"
 continuously.  Both arms must produce a byte-identical alarm timeline
 — observability must never perturb the simulation it observes.

@@ -41,17 +41,6 @@ class Cdf:
         )
         return self.samples[index]
 
-    def points(self, num: int = 20) -> list[tuple[float, float]]:
-        """Evenly spaced (value, fraction) pairs for plotting/printing."""
-        if not self.samples:
-            return []
-        out = []
-        for i in range(1, num + 1):
-            q = i / num
-            index = min(len(self.samples) - 1, int(q * len(self.samples)) - 1)
-            out.append((self.samples[max(0, index)], q))
-        return out
-
 
 @dataclass(frozen=True)
 class Summary:

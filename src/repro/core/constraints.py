@@ -412,21 +412,6 @@ class IncrementalProbeEncoder:
         if valid_in_ports is not None:
             self.compiler.assert_value_in(FieldName.IN_PORT, valid_in_ports)
 
-    def clone(self, solver: IncrementalSolver) -> "IncrementalProbeEncoder":
-        """A copy of this encoder bound to ``solver``.
-
-        ``solver`` must be a clone of this encoder's solver: the cached
-        guard and DiffOutcome literals are carried over verbatim, and
-        the permanent catch-match / in_port clauses already live in the
-        cloned solver, so construction-time assertion is skipped.
-        """
-        dup = IncrementalProbeEncoder.__new__(IncrementalProbeEncoder)
-        dup.solver = solver
-        dup.compiler = ConstraintCompiler(sink=SolverSink(solver))
-        dup._guards = dict(self._guards)
-        dup._diffs = dict(self._diffs)
-        return dup
-
     # ----- reusable pieces ------------------------------------------------
 
     def guard(self, match: Match) -> Lit:

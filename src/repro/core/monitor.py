@@ -47,7 +47,6 @@ from repro.sim.kernel import Event, Simulator
 
 if TYPE_CHECKING:
     from repro.core.multiplexer import Multiplexer
-    from repro.core.shared import SharedProbeGenContext
 
 _nonce_counter = itertools.count(1)
 
@@ -188,10 +187,7 @@ class Monitor:
       :meth:`handle_caught_probe`.
     * ``probe_context``: the incremental probe-generation engine
       (persistent SAT context, per-rule probe cache), already seeded
-      with the switch's catching rules.  A fleet deployment passes a
-      :class:`~repro.core.shared.SharedProbeGenContext` handle,
-      deduping identical tables across switches; observability
-      validation stays per-switch either way.
+      with the switch's catching rules.
     * ``scheduler``: owns the probe cycle.  The one full
       expected-table walk happens here at construction; every later
       FlowMod feeds it an O(delta) add/remove instead.
@@ -208,7 +204,7 @@ class Monitor:
         forward_down: Callable[[Message], None],
         to_controller: Callable[[Hashable, Message], None],
         multiplexer: "Multiplexer",
-        probe_context: "ProbeGenContext | SharedProbeGenContext",
+        probe_context: ProbeGenContext,
         scheduler: ProbeScheduler,
         obs: "Observer | NullObserver",
     ) -> None:
@@ -241,6 +237,10 @@ class Monitor:
 
         probe_context.validate_result = self._check_observability
         self.probe_context = probe_context
+        #: Expected (control-plane view) flow table, catch rules
+        #: included.  Owned by the probe context, so delta updates and
+        #: probe generation see one table.
+        self.expected: FlowTable = probe_context.table
         self.alarms: list[MonitorAlarm] = []
         self.outstanding: dict[int, OutstandingProbe] = {}
         self.scheduler = scheduler
@@ -279,16 +279,6 @@ class Monitor:
 
     # ----- expected-table maintenance --------------------------------------
 
-    @property
-    def expected(self) -> "FlowTable":
-        """Expected (control-plane view) flow table, catch rules included.
-
-        Owned by the probe context so delta updates and probe
-        generation see one table; resolved dynamically because a
-        shared context swaps tables when it forks (copy-on-churn).
-        """
-        return self.probe_context.table
-
     def preinstall(self, rule: Rule) -> None:
         """Record a rule installed out-of-band (catch rules, initial state)."""
         self.probe_context.add_rule(rule)
@@ -310,6 +300,9 @@ class Monitor:
         when the switch's BarrierReply proves the mod was applied.
         """
         affected = self.probe_context.apply_flowmod(mod)
+        for rule in affected:
+            if self._in_flight(rule.key()):
+                self._invalidate_steady_probes(rule.key())
         defer = (
             self.config.promotion_grace
             and not self.dynamic_guarded
@@ -874,6 +867,24 @@ class Monitor:
     def invalidate_probe(self, probe: OutstandingProbe) -> None:
         """Cancel an in-flight probe (its table context became stale)."""
         self._retire(probe)
+        if probe.timeout_event is not None:
+            probe.timeout_event.cancel()
+
+    def _invalidate_steady_probes(self, key: tuple) -> None:
+        """A FlowMod touched the rule a steady probe in flight is for.
+
+        Whether the probe meets the old or the new rule in the data
+        plane is a race it cannot win: silence after a DELETE or the
+        new outcome after a MODIFY would raise an alarm on a rule that
+        did what it was told.  The update's own probes (dynamic mode)
+        expect the change and stay.
+        """
+        for probe in list(self.outstanding.values()):
+            if (
+                probe.on_alarm == self._steady_alarm
+                and probe.result.rule.key() == key
+            ):
+                self.invalidate_probe(probe)
 
     def _probe_timeout(self, probe: OutstandingProbe) -> None:
         if probe.done:

@@ -35,7 +35,6 @@ from repro.core.dynamic import DynamicMonitor
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContext, ProbeGenerator
 from repro.core.schedule import ProbeScheduler, make_policy
-from repro.core.shared import SharedContextRegistry, SharedProbeGenContext
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.actions import CONTROLLER_PORT
 from repro.openflow.fields import FieldName
@@ -125,10 +124,6 @@ class MonocleSystem:
             confirmed and acknowledged (§4).
         controller_handler: ``(node, message) -> None`` receiving
             non-probe upstream traffic and UpdateAcks.
-        shared_contexts: when given, Monitors draw their probe-gen
-            contexts from this registry, deduping switches with
-            identical tables and compatible generator configs into one
-            shared solver context (copy-on-churn).
         probe_policy: probe-scheduling policy per switch — a
             :data:`~repro.core.schedule.POLICIES` name for the whole
             fleet, a node -> name mapping, or a callable
@@ -150,7 +145,6 @@ class MonocleSystem:
         dynamic: bool = True,
         controller_handler: Callable[[Hashable, Message], None] | None = None,
         use_drop_postponing: bool = False,
-        shared_contexts: "SharedContextRegistry | None" = None,
         probe_policy: "str | Mapping | Callable" = "round_robin",
         obs: "Observer | NullObserver | None" = None,
         monitored_nodes: "Iterable[Hashable] | None" = None,
@@ -168,7 +162,6 @@ class MonocleSystem:
                 algorithm=ColoringAlgorithm.EXACT,
             )
         self.plan = plan
-        self.shared_contexts = shared_contexts
         self.multiplexer = Multiplexer(network)
         self.monitors: dict[Hashable, Monitor] = {}
         self.dynamics: dict[Hashable, DynamicMonitor] = {}
@@ -220,18 +213,10 @@ class MonocleSystem:
             valid_in_ports=tuple(switch_facing) if switch_facing else None,
         )
         # The catch rules are part of the expected table (the Hit
-        # constraint); seeding the context with them also lets replicas
-        # compare equal at acquire time (same-color switches install
-        # identical catch sets).
-        probe_context: ProbeGenContext | SharedProbeGenContext
-        if self.shared_contexts is not None:
-            probe_context = self.shared_contexts.acquire(
-                generator, rules=catch_rules
-            )
-        else:
-            probe_context = ProbeGenContext(generator)
-            for rule in catch_rules:
-                probe_context.add_rule(rule)
+        # constraint).
+        probe_context = ProbeGenContext(generator)
+        for rule in catch_rules:
+            probe_context.add_rule(rule)
         monitor = Monitor(
             sim=self.sim,
             node=node,
@@ -319,10 +304,3 @@ class MonocleSystem:
     def _to_controller(self, node: Hashable, msg: Message) -> None:
         if self.controller_handler is not None:
             self.controller_handler(node, msg)
-
-    def total_alarms(self) -> list:
-        """All alarms across monitors, time-ordered."""
-        alarms = []
-        for monitor in self.monitors.values():
-            alarms.extend(monitor.alarms)
-        return sorted(alarms, key=lambda a: a.time)

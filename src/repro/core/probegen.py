@@ -83,8 +83,7 @@ class ProbeResult:
         overlapping_rules: how many rules survived the §5.4 filter.
         observations: ``Monitor.observations`` memo of the one Monitor
             this result is served to.  ``init=False``, so a ``replace``
-            copy (revalidated outcomes, another switch's view of a
-            shared result) starts without it.
+            copy (revalidated outcomes) starts without it.
     """
 
     rule: Rule
@@ -552,61 +551,6 @@ class ProbeGenContext:
         self._cache.clear()
         self._stale.clear()
         self._cache_index.clear()
-
-    def merge_cache_from(self, other: "ProbeGenContext") -> int:
-        """Adopt ``other``'s cached probes this context does not hold.
-
-        Sound only when both contexts' tables are rule-sequence
-        identical (the caller — the shared registry's warm re-merge —
-        verifies that before any state is shared): a cached result is a
-        pure function of the table and the generator config, so either
-        context's entry is valid for both.  Stale marks travel with the
-        adopted entries; solver state (guards, lemmas) is deliberately
-        not merged — each context keeps its own.  Returns the number of
-        entries adopted.
-        """
-        adopted = 0
-        for key, result in other._cache.items():
-            if key in self._cache:
-                continue
-            self._cache[key] = result
-            if key in other._stale:
-                self._stale.add(key)
-            if key not in self._cache_index:
-                # key == (priority, match): index the rule's packed match.
-                self._cache_index.add(key, *key[1].packed())
-            adopted += 1
-        return adopted
-
-    def fork(self) -> "ProbeGenContext":
-        """An independent copy of this context (copy-on-churn).
-
-        Clones the table, the probe cache and the entire persistent
-        solver state, so the fork continues exactly where the original
-        stands: its next solves produce the same probes an always-
-        independent context would have produced.  Used by the shared
-        fleet registry when a switch's table diverges from its
-        replicas; the original context (and its other users) are
-        unaffected.
-        """
-        dup = ProbeGenContext.__new__(ProbeGenContext)
-        dup.generator = self.generator
-        dup.table = self.table.copy()
-        dup.validate_result = self.validate_result
-        dup.rebuild_floor = self.rebuild_floor
-        dup.stats = replace(self.stats)
-        dup.obs = self.obs
-        dup._obs_node = self._obs_node
-        if dup.obs.enabled:
-            dup._h_solve = self._h_solve
-        # Cached ProbeResults are immutable once stored, so sharing the
-        # objects (not the dicts) across the fork is safe.
-        dup._cache = dict(self._cache)
-        dup._stale = set(self._stale)
-        dup._cache_index = self._cache_index.copy()
-        dup.solver = self.solver.clone()
-        dup.encoder = self.encoder.clone(dup.solver)
-        return dup
 
     # ----- probe generation ----------------------------------------------
 

@@ -32,12 +32,8 @@ in PR 4.  This module extracts cycle ownership into a subsystem:
     ``max_weight * N`` ticks.
 
 The scheduler is deliberately ignorant of tables and solvers: it holds
-rule *keys* and resolves them against whatever expected table the
-Monitor serves at probe time — which is exactly how shared-context
-handles stay correct: a handle behind the shared log schedules against
-its private view because ``Monitor.expected`` already is that view, and
-the scheduler's key set is maintained from the handle's *own* operation
-stream (never from foreign replicas' operations).
+rule *keys* and resolves them against the Monitor's expected table at
+probe time.
 """
 
 from __future__ import annotations
@@ -374,9 +370,7 @@ class ProbeScheduler:
 
     Selection (:meth:`next_rule`, drained per tick by
     :meth:`next_rules`) resolves keys against the expected
-    table *at probe time*, so a shared-context handle that is serving
-    its private behind-the-log view schedules against exactly that
-    view.
+    table *at probe time*.
     """
 
     def __init__(

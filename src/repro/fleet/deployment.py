@@ -23,7 +23,6 @@ from repro.core.catching import ColoringAlgorithm, plan_catching_rules
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContextStats
 from repro.core.multiplexer import MonocleSystem
-from repro.core.shared import SharedContextRegistry, SharedContextStats
 from repro.fleet.metrics import publish_metrics
 from repro.network.network import Network
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
@@ -33,13 +32,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
 from repro.switches.profiles import OVS, SwitchProfile
 from repro.switches.switch import SimulatedSwitch
-
-#: How often (sim seconds) a deployment with forked contexts checks for
-#: churn quiescence and re-merges those whose tables became identical
-#: again (rolling re-fingerprinting; see
-#: :meth:`~repro.core.shared.SharedContextRegistry.rededupe`).
-REDEDUPE_INTERVAL = 0.5
-
 
 class FleetDeployment:
     """One topology, fully instrumented and ready to run.
@@ -53,10 +45,6 @@ class FleetDeployment:
             confirmed and acknowledged (§4).
         seed: base seed for all deployment-level randomness; the
             network forks its own streams from the same value.
-        share_contexts: dedupe probe-generation contexts across
-            switches with identical tables and compatible generator
-            configs (one shared solver per replica group, copy-on-churn
-            forking).  On by default; disable for A/B benchmarking.
         probe_policy: probe-scheduling policy per switch — one
             :data:`~repro.core.schedule.POLICIES` name for the whole
             fleet, a node -> name mapping, or a callable
@@ -84,7 +72,6 @@ class FleetDeployment:
         seed: int = 0,
         strategy: int = 1,
         algorithm: ColoringAlgorithm = ColoringAlgorithm.EXACT,
-        share_contexts: bool = True,
         probe_policy: str
         | Mapping[Hashable, str]
         | Callable[[Hashable], str] = "round_robin",
@@ -112,24 +99,12 @@ class FleetDeployment:
         self.plan = plan_catching_rules(
             topology, strategy=strategy, algorithm=algorithm
         )
-        self.shared_contexts = (
-            SharedContextRegistry() if share_contexts else None
-        )
-        #: churn_ops sample from the previous tick; a tick that sees
-        #: no new operations treats the fleet as churn-quiescent.
-        self._churn_ops_seen = -1
-        self._rededupe_armed = False
-        if self.shared_contexts is not None:
-            # Armed lazily: the timer only runs while forked contexts
-            # exist, so an idle deployment's event queue can drain.
-            self.shared_contexts.on_fork = self._arm_rededupe
         self.system = MonocleSystem(
             self.network,
             plan=self.plan,
             config=self.config,
             dynamic=dynamic,
             controller_handler=self._handle_upstream,
-            shared_contexts=self.shared_contexts,
             probe_policy=probe_policy,
             obs=self.obs,
             monitored_nodes=self._monitored_set,
@@ -151,37 +126,6 @@ class FleetDeployment:
 
     def _handle_upstream(self, node: Hashable, msg: Message) -> None:
         self.controller.handle_message(node, msg)
-
-    def _arm_rededupe(self) -> None:
-        """Schedule the next re-dedupe tick (idempotent)."""
-        if self._rededupe_armed:
-            return
-        registry = self.shared_contexts
-        assert registry is not None
-        self._rededupe_armed = True
-        self._churn_ops_seen = registry.churn_ops
-        self.sim.schedule(REDEDUPE_INTERVAL, self._rededupe_tick)
-
-    def _rededupe_tick(self) -> None:
-        """Re-merge forked contexts once the churn wave has settled.
-
-        Runs every :data:`REDEDUPE_INTERVAL` while forked contexts exist
-        (armed by the registry's fork hook, disarmed when nothing is
-        left to re-merge); only a tick observing zero new table
-        operations since the previous one (churn quiescence) pays for
-        the re-fingerprinting sweep — and that sweep is O(1) per
-        context thanks to the tables' rolling fingerprints.
-        """
-        registry = self.shared_contexts
-        assert registry is not None
-        self._rededupe_armed = False
-        ops = registry.churn_ops
-        quiescent = ops == self._churn_ops_seen
-        self._churn_ops_seen = ops
-        if quiescent and registry.forked:
-            registry.rededupe()
-        if registry.forked:
-            self._arm_rededupe()
 
     # ----- accessors -------------------------------------------------------
 
@@ -238,10 +182,6 @@ class FleetDeployment:
         """Advance the shared sim kernel by ``duration`` seconds."""
         self.sim.run_for(duration)
 
-    def total_alarms(self):
-        """All alarms across the fleet, time-ordered."""
-        return self.system.total_alarms()
-
     def probegen_stats(self) -> ProbeGenContextStats:
         """Fleet-wide sum of every Monitor's probe-generation counters.
 
@@ -259,12 +199,6 @@ class FleetDeployment:
                 for f in dataclasses.fields(ProbeGenContextStats)
             }
         )
-
-    def shared_context_stats(self) -> SharedContextStats:
-        """Registry counters (all zero when sharing is disabled)."""
-        if self.shared_contexts is None:
-            return SharedContextStats()
-        return self.shared_contexts.stats
 
     def __repr__(self) -> str:
         return (

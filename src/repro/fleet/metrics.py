@@ -99,11 +99,6 @@ class SwitchMetrics:
         agg="sum", family="monocle_probe_revalidations_total"
     )
     probegen_seconds: float = _stat(0.0, agg="sum")
-    #: Cross-switch context sharing: is this switch currently deduped
-    #: into a shared solver context, and did it fork off one
-    #: (copy-on-churn) during the scenario?
-    context_shared: bool = False
-    context_forked: bool = False
     #: Probe-cycle scheduling: which policy served this switch, how
     #: many full cycle builds it paid (exactly 1 however much the
     #: scenario churned — the delta-maintenance invariant) and how many
@@ -158,24 +153,14 @@ class SwitchMetrics:
 class ShardMetrics:
     """Counters one deployment keeps once, not per switch.
 
-    One row per shard: the multiplexer's routing totals and the
-    shard-local shared-context registry's counters (all zero when the
-    deployment runs per-switch independent contexts).
+    One row per shard: the multiplexer's routing totals.
     """
 
     probes_routed: int = _stat(agg="sum")
     probes_unroutable: int = _stat(agg="sum")
-    tables_fingerprinted: int = _stat(agg="sum")
-    contexts_created: int = _stat(agg="sum")
+    #: Always 0: ``bench/workloads.py`` reads it; the next
+    #: ``benchmark`` PR drops both (see ROADMAP).
     contexts_deduped: int = _stat(agg="sum")
-    contexts_forked: int = _stat(
-        agg="sum", family="monocle_contexts_forked_total"
-    )
-    contexts_remerged: int = _stat(
-        agg="sum", family="monocle_contexts_remerged_total"
-    )
-    #: Contexts forked off right now (a level, not a count of forks).
-    contexts_apart: int = _stat(family="monocle_contexts_forked")
 
 
 #: Fleet-level attribute / ``aggregates`` key -> (the FleetMetrics row
@@ -424,8 +409,6 @@ def scrape_switch(
         probe_cache_hits=generation.cache_hits,
         probe_revalidations=generation.revalidations,
         probegen_seconds=generation.generation_seconds,
-        context_shared=getattr(context, "is_shared", False),
-        context_forked=getattr(context, "forked", False),
         probe_policy=monitor.scheduler.policy.name,
         cycle_rebuilds=scheduling.cycle_rebuilds,
         scheduler_promotions=scheduling.scheduler_promotions,
@@ -447,17 +430,9 @@ def scrape_switch(
 def scrape_shard(deployment: FleetDeployment) -> ShardMetrics:
     """Read the deployment-wide counters into its :class:`ShardMetrics`."""
     multiplexer = deployment.system.multiplexer
-    shared = deployment.shared_context_stats()
-    registry = deployment.shared_contexts
     return ShardMetrics(
         probes_routed=multiplexer.probes_routed,
         probes_unroutable=multiplexer.probes_unroutable,
-        tables_fingerprinted=shared.tables_fingerprinted,
-        contexts_created=shared.contexts_created,
-        contexts_deduped=shared.contexts_deduped,
-        contexts_forked=shared.contexts_forked,
-        contexts_remerged=shared.contexts_remerged,
-        contexts_apart=len(registry.forked) if registry else 0,
     )
 
 

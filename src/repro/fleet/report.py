@@ -105,16 +105,6 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
             f"{len(metrics.per_switch)} switches, "
             f"{metrics.scheduler_promotions} promotions"
         )
-    if metrics.tables_fingerprinted:
-        shared_now = sum(1 for m in metrics.per_switch if m.context_shared)
-        lines.append(
-            f"context sharing: {metrics.contexts_created} contexts for "
-            f"{metrics.tables_fingerprinted} tables "
-            f"({metrics.contexts_deduped} deduped, "
-            f"{metrics.contexts_forked} forked, "
-            f"{metrics.contexts_remerged} re-merged, "
-            f"{shared_now} switches still sharing)"
-        )
     if metrics.workers > 1:
         lines.append(
             f"sharding: {metrics.workers} workers, "

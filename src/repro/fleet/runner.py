@@ -103,6 +103,17 @@ PROFILES: dict[str, SwitchProfile] = {
 ALGORITHMS = {a.value: a for a in ColoringAlgorithm}
 
 
+def _check_output_path(option: str, path: str | None) -> None:
+    """Refuse, before the run, an output file it could not write after."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ScenarioError(f"{option}: no such directory: {parent!r}")
+    if os.path.isdir(path) or not os.access(parent, os.W_OK):
+        raise ScenarioError(f"{option}: cannot write {path!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fleet scenario, fully determined by its fields + seed."""
@@ -204,6 +215,8 @@ class ScenarioSpec:
                 f"unknown probe policy {self.probe_policy!r}; "
                 f"choose from {sorted(SCHEDULE_POLICIES)}"
             )
+        for option in ("trace_out", "trace_chrome", "metrics_out"):
+            _check_output_path(option, getattr(self, option))
         if self.duration <= 0:
             raise ScenarioError(f"duration must be positive: {self.duration}")
         if self.probe_rate <= 0:
@@ -699,6 +712,9 @@ def main(argv: list[str] | None = None) -> int:
         workloads.append(BackgroundTraffic(flows=args.traffic))
 
     try:
+        _check_output_path("json_out", args.json_out)
+        if args.churn < 0:
+            raise ScenarioError(f"churn must be >= 0: {args.churn}")
         spec = replace(
             spec,
             workloads=tuple(workloads),

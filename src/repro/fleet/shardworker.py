@@ -1,10 +1,9 @@
 """One shard of a fleet scenario: the engine every run goes through.
 
 A :class:`ShardWorker` owns one shard of the topology and its own
-discrete-event kernel, switches, Monitors, and (shard-local)
-:class:`~repro.core.shared.SharedContextRegistry`; it is the one place
-that builds a deployment from a :class:`~repro.fleet.runner.
-ScenarioSpec`, arms its failures and collects its metrics.  A one-shard
+discrete-event kernel, switches and Monitors; it is the one place that
+builds a deployment from a :class:`~repro.fleet.runner.ScenarioSpec`,
+arms its failures and collects its metrics.  A one-shard
 plan runs its worker in the calling process; a larger plan runs each
 worker in its own process (:func:`worker_main`), driven over pipes by
 :mod:`repro.fleet.coordinator`.

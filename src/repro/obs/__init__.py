@@ -20,7 +20,7 @@ package is that substrate:
 
 Wiring: ``FleetDeployment(obs=Observer(...))`` threads the observer
 through :class:`~repro.core.multiplexer.MonocleSystem` into every
-Monitor, scheduler, probe-gen context and the shared-context registry;
+Monitor, scheduler and probe-gen context;
 ``repro-fleet --trace-out/--metrics-out`` surfaces it on the CLI.
 """
 

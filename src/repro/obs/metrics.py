@@ -107,12 +107,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
@@ -159,16 +153,6 @@ class Histogram:
             out.append((bound, running))
         return out
 
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the bucket bounds (0 <= q <= 1)."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        for bound, cumulative in self.cumulative():
-            if cumulative >= target:
-                return bound
-        return self.bounds[-1] if self.bounds else 0.0
-
 
 class MetricsRegistry:
     """Get-or-create instrument registry with sim-time snapshots."""
@@ -178,7 +162,7 @@ class MetricsRegistry:
         #: name -> instrument kind, so one family never mixes types.
         self._kinds: dict[str, str] = {}
         #: Called before every snapshot / exposition so gauges that
-        #: mirror live structures (outstanding probes, forked contexts)
+        #: mirror live structures (outstanding probes, window depth)
         #: can be refreshed without per-mutation publishing.
         self._collect_hooks: list[Callable[[], None]] = []
         #: Snapshot dicts in sim-time order (see :meth:`snapshot`).

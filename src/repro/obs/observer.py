@@ -15,7 +15,7 @@ construction, no dict lookups; regression-gated by
 ``snapshot_interval`` is configured, the kernel's event-dispatch hook
 drives periodic metric snapshots.  Snapshots ride the hook instead of
 self-rescheduling timer events so an idle deployment's event queue can
-still drain — the same reason the fleet's re-dedupe timer arms lazily.
+still drain.
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ class _NullInstrument:
     sum = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -42,7 +42,6 @@ from repro.openflow.table import (
     FlowTable,
     TableMissPolicy,
     pack_header,
-    table_fingerprint,
 )
 from repro.openflow.tuplespace import TupleSpaceIndex
 from repro.openflow.messages import (
@@ -82,7 +81,6 @@ __all__ = [
     "TableMissPolicy",
     "TupleSpaceIndex",
     "pack_header",
-    "table_fingerprint",
     "BarrierReply",
     "BarrierRequest",
     "EchoRequest",

@@ -285,15 +285,6 @@ def output(port: int, **rewrites: int) -> ActionList:
     return ActionList(actions)
 
 
-def multicast(ports: Sequence[int], **rewrites: int) -> ActionList:
-    """Multicast to ``ports`` with shared rewrites."""
-    actions: list[Action] = [
-        SetField(FieldName(name), value) for name, value in rewrites.items()
-    ]
-    actions.append(Multicast(tuple(ports)))
-    return ActionList(actions)
-
-
 def ecmp(ports: Sequence[int], **rewrites: int) -> ActionList:
     """ECMP across ``ports`` with shared rewrites."""
     actions: list[Action] = [

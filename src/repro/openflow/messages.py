@@ -43,8 +43,8 @@ class FlowModCommand(enum.Enum):
     def is_delete(self) -> bool:
         """Removal semantics (strict or not).
 
-        The one definition every affected-rule consumer (probe context,
-        shared-context overlay, probe scheduler) classifies against, so
+        The one definition every affected-rule consumer (probe
+        context, probe scheduler) classifies against, so
         a future delete-like command cannot desynchronize them.
         """
         return self in (FlowModCommand.DELETE, FlowModCommand.DELETE_STRICT)

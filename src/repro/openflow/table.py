@@ -21,16 +21,11 @@ degrading to the packed scan of the overlapping buckets when
 everything overlaps.
 
 The index is maintained through :meth:`FlowTable.install`/
-:meth:`~FlowTable.remove` deltas, and the table additionally keeps a
-**rolling content fingerprint** (:meth:`FlowTable.fingerprint`, O(1) to
-read): the commutative sum of per-rule content hashes, equal by
-construction to the from-scratch :func:`table_fingerprint` of the same
-rules.  The fleet's shared-context registry dedupes on it.
+:meth:`~FlowTable.remove` deltas.
 """
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -41,59 +36,6 @@ from repro.openflow.tuplespace import TupleSpaceIndex
 
 #: Rule keys: (priority, match) — the OpenFlow identity of a table entry.
 RuleKey = tuple[int, Match]
-
-_FINGERPRINT_MOD = 1 << 256
-
-
-def rule_fingerprint(rule: Rule) -> int:
-    """Cookie-free content hash of one rule (priority, match, actions).
-
-    The commutative building block of :func:`table_fingerprint` and of
-    :meth:`FlowTable.fingerprint`'s rolling accumulator.  Memoized on
-    the (immutable) rule object so fleet churn re-hashes a rule at most
-    once however many tables and copies it passes through.
-    """
-    cached = rule.__dict__.get("_content_hash")
-    if cached is not None:
-        return cached
-    value, mask = rule.match.packed()
-    actions = rule.actions
-    item = (
-        rule.priority,
-        value,
-        mask,
-        actions.is_ecmp,
-        tuple(
-            (
-                po.port,
-                tuple((name.value, val) for name, val in po.rewrites),
-            )
-            for po in actions.port_outcomes
-        ),
-    )
-    digest = hashlib.sha256(repr(item).encode()).digest()
-    result = int.from_bytes(digest, "big")
-    object.__setattr__(rule, "_content_hash", result)  # frozen dataclass
-    return result
-
-
-def table_fingerprint(rules: Iterable[Rule]) -> str:
-    """Canonical, cookie-free hash of a flow table's behaviour.
-
-    A commutative multiset hash over (priority, match, actions) — the
-    sum of :func:`rule_fingerprint` values mod 2**256 — so a table's
-    rolling fingerprint can be maintained in O(1) per add/remove and
-    still equal this from-scratch computation after every operation.
-    Order-insensitive; callers for whom within-priority table order
-    matters (the shared-context registry: probe generation consumes
-    rules in table order) verify rule-sequence identity on top of a
-    fingerprint hit before sharing state.
-    """
-    acc = 0
-    for rule in rules:
-        acc = (acc + rule_fingerprint(rule)) % _FINGERPRINT_MOD
-    return f"{acc:064x}"
-
 
 #: Where each field sits in the packed header: (name, mask, shift).
 _PACK_TABLE = tuple(
@@ -162,12 +104,6 @@ class FlowTable:
         #: so tests can assert churn never rebuilds.
         self._index: TupleSpaceIndex | None = None
         self.index_builds = 0
-        #: Rolling content fingerprint (sum of rule_fingerprint mod
-        #: 2^256).  ``None`` until the first :meth:`fingerprint` read:
-        #: transient tables (altered-table probes, FlowMod undo copies)
-        #: never pay per-op hashing; long-lived tables pay one O(N)
-        #: compute on first read, then O(1) per churn op.
-        self._fp_acc: int | None = None
         for rule in rules:
             self.install(rule)
 
@@ -181,9 +117,8 @@ class FlowTable:
                 priority and overlap checking is on.
         """
         key = rule.key()
-        existing = self._by_key.get(key)
-        if existing is not None:
-            self._replace(existing, rule)
+        if key in self._by_key:
+            self._replace(rule)
             return
         if self.check_overlap:
             # The overlap query is already the candidate set; only the
@@ -205,25 +140,17 @@ class FlowTable:
         self._by_key[key] = rule
         self._rank[key] = rank
         self._by_rank[rank] = rule
-        if self._fp_acc is not None:
-            self._fp_acc = (self._fp_acc + rule_fingerprint(rule)) % (
-                _FINGERPRINT_MOD
-            )
         if self._index is not None:
             value, mask = rule.match.packed()
             self._index.add(rank, value, mask)
 
-    def _replace(self, old: Rule, new: Rule) -> None:
+    def _replace(self, new: Rule) -> None:
         key = new.key()
         rank = self._rank[key]
         index = bisect_left(self._order, rank)
         self._rules[index] = new
         self._by_key[key] = new
         self._by_rank[rank] = new
-        if self._fp_acc is not None:
-            self._fp_acc = (
-                self._fp_acc - rule_fingerprint(old) + rule_fingerprint(new)
-            ) % _FINGERPRINT_MOD
         # The tuple-space index stores only (key, packed match) — both
         # unchanged on a same-key replace.
 
@@ -233,18 +160,13 @@ class FlowTable:
         Returns True if a rule was removed.
         """
         key = rule.key()
-        existing = self._by_key.pop(key, None)
-        if existing is None:
+        if self._by_key.pop(key, None) is None:
             return False
         rank = self._rank.pop(key)
         del self._by_rank[rank]
         index = bisect_left(self._order, rank)
         del self._order[index]
         del self._rules[index]
-        if self._fp_acc is not None:
-            self._fp_acc = (self._fp_acc - rule_fingerprint(existing)) % (
-                _FINGERPRINT_MOD
-            )
         if self._index is not None:
             self._index.discard(rank)
         return True
@@ -277,7 +199,6 @@ class FlowTable:
         self._rank.clear()
         self._by_rank.clear()
         self._index = None
-        self._fp_acc = 0
 
     # ----- queries ------------------------------------------------------
 
@@ -297,22 +218,6 @@ class FlowTable:
     def get(self, priority: int, match: Match) -> Rule | None:
         """The rule with exactly this key, or None."""
         return self._by_key.get((priority, match))
-
-    def fingerprint(self) -> str:
-        """Rolling content fingerprint (== :func:`table_fingerprint`).
-
-        First read computes the accumulator from the live rules; from
-        then on it is maintained through every install/replace/remove,
-        so fleet-scale consumers (shared-context dedup, re-convergence
-        checks) never pay an O(N) re-hash on the churn path.
-        """
-        acc = self._fp_acc
-        if acc is None:
-            acc = 0
-            for rule in self._rules:
-                acc = (acc + rule_fingerprint(rule)) % _FINGERPRINT_MOD
-            self._fp_acc = acc
-        return f"{acc:064x}"
 
     def _ensure_index(self) -> TupleSpaceIndex:
         index = self._index
@@ -380,9 +285,9 @@ class FlowTable:
 
         The OpenFlow non-strict MODIFY/DELETE target set.  Coverage
         implies overlap, so the index prunes the candidate pool first —
-        but only when it is already built: short-lived table copies
-        (FlowMod undo capture, altered-table probes) answer one such
-        query and must not pay an index construction for it.
+        but only when it is already built: a table nothing looks up
+        in (a switch's control-plane table) must not pay an index
+        construction for it.
         """
         if self._index is not None:
             return [
@@ -395,8 +300,7 @@ class FlowTable:
     def copy(self) -> "FlowTable":
         """A shallow copy (rules are immutable so this is safe).
 
-        The overlap engine of the copy rebuilds lazily on first use;
-        the rolling fingerprint carries over in O(1).
+        The overlap engine of the copy rebuilds lazily on first use.
         """
         table = FlowTable(miss_policy=self.miss_policy, check_overlap=False)
         table.check_overlap = self.check_overlap
@@ -406,7 +310,6 @@ class FlowTable:
         table._rank = dict(self._rank)
         table._by_rank = dict(self._by_rank)
         table._next_seq = self._next_seq
-        table._fp_acc = self._fp_acc
         return table
 
     def __repr__(self) -> str:
@@ -418,6 +321,4 @@ __all__ = [
     "OverlapError",
     "TableMissPolicy",
     "pack_header",
-    "rule_fingerprint",
-    "table_fingerprint",
 ]

@@ -231,25 +231,6 @@ class TupleSpaceIndex:
         self._tuples.clear()
         self._where.clear()
 
-    def copy(self) -> "TupleSpaceIndex":
-        """An independent copy.
-
-        Row arrays and bounds are duplicated; the staged hash levels
-        rebuild lazily on the copy's first queries (cheaper than deep-
-        copying every level for forks that may never query).
-        """
-        dup = TupleSpaceIndex()
-        dup._where = dict(self._where)
-        dup.compactions = self.compactions
-        for sig, bucket in self._tuples.items():
-            twin = _Tuple(sig)
-            twin.rows = list(bucket.rows)
-            twin.live = bucket.live
-            twin.value_or = bucket.value_or
-            twin.value_and = bucket.value_and
-            dup._tuples[sig] = twin
-        return dup
-
     # ----- queries --------------------------------------------------------
 
     def query(self, value: int, mask: int) -> list[Hashable]:

@@ -36,7 +36,7 @@ and a table of disjoint rules never creates a group at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.sat.cnf import CNF, Lit
@@ -263,18 +263,15 @@ class IncrementalSolver:
 
         Counts the core solver's live learned clauses plus lemmas
         carried across earlier compactions (those were re-added to the
-        core as plain clauses, so the two sets are disjoint).  The
-        fleet's re-merge machinery uses this to decide which of two
-        converged contexts' solvers to keep.
+        core as plain clauses, so the two sets are disjoint).
         """
         return len(self._solver.learned_clauses()) + len(self._kept_lemmas)
 
     def health(self) -> dict[str, int]:
         """Point-in-time solver health for observability gauges.
 
-        JSON-ready snapshot of the quantities that drive compaction
-        and re-merge decisions; cheap enough to sample per metrics
-        snapshot.
+        JSON-ready snapshot of the quantities that drive compaction;
+        cheap enough to sample per metrics snapshot.
         """
         return {
             "num_vars": self.num_vars,
@@ -282,34 +279,6 @@ class IncrementalSolver:
             "dead_clauses": self._dead_clauses,
             "lemma_count": self.lemma_count(),
         }
-
-    def clone(self) -> "IncrementalSolver":
-        """An independent copy: same formula, groups, lemmas, heuristics.
-
-        The substrate of copy-on-churn context forking: a forked
-        per-switch context starts from the shared solver's exact state
-        (so its next solves behave as if it had been independent all
-        along) and diverges from there.
-        """
-        dup = IncrementalSolver.__new__(IncrementalSolver)
-        dup.compaction_floor = self.compaction_floor
-        dup.compaction_ratio = self.compaction_ratio
-        dup._solver = self._solver.clone()
-        dup._permanent = [list(clause) for clause in self._permanent]
-        dup._groups = {
-            selector: [list(clause) for clause in clauses]
-            for selector, clauses in self._groups.items()
-        }
-        dup._group_vars = {
-            selector: list(group_vars)
-            for selector, group_vars in self._group_vars.items()
-        }
-        dup._free_vars = list(self._free_vars)
-        dup._retired = set(self._retired)
-        dup._kept_lemmas = [list(clause) for clause in self._kept_lemmas]
-        dup._dead_clauses = self._dead_clauses
-        dup.stats = replace(self.stats)
-        return dup
 
     def __repr__(self) -> str:
         return (

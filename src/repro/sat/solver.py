@@ -207,44 +207,6 @@ class SatSolver:
         """The non-unit lemmas currently in the database."""
         return [self.clauses[idx] for idx in self.learned_idx]
 
-    def clone(self) -> "SatSolver":
-        """An independent copy sharing no mutable state.
-
-        Legal only at decision level 0 (between ``solve`` calls, where
-        the solver always rests).  Clause lists are copied one level
-        deep because propagation reorders their literals in place;
-        level-0 reasons are dropped (they are never resolved on — the
-        first-UIP walk stops at the current decision level).
-        """
-        if self.trail_lim:
-            raise RuntimeError("cannot clone mid-solve")
-        dup = SatSolver.__new__(SatSolver)
-        dup.check_models = self.check_models
-        dup.num_vars = self.num_vars
-        dup.num_clauses = self.num_clauses
-        dup.clauses = [list(clause) for clause in self.clauses]
-        dup.learned_idx = list(self.learned_idx)
-        dup._contradiction = self._contradiction
-        dup._pending_units = list(self._pending_units)
-        dup._units = list(self._units)
-        dup.values = list(self.values)
-        dup.levels = list(self.levels)
-        reasons: list[list[int] | None] = [None] * (self.num_vars + 1)
-        dup.reasons = reasons
-        dup.trail = list(self.trail)
-        dup.trail_lim = []
-        dup.phase = list(self.phase)
-        dup.watches = {
-            lit: list(indices) for lit, indices in self.watches.items()
-        }
-        dup.activity = list(self.activity)
-        dup.act_inc = self.act_inc
-        dup.act_decay = self.act_decay
-        dup._heap = list(self._heap)
-        dup._branchable = list(self._branchable)
-        dup.stats = SatResult(satisfiable=None)
-        return dup
-
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Append one clause to the database.
 

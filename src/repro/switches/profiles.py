@@ -162,13 +162,3 @@ IDEAL = SwitchProfile(
     premature_ack=False,
     reorders=False,
 )
-
-ALL_PROFILES = (
-    HP_5406ZL,
-    DELL_S4810,
-    DELL_S4810_SAME_PRIO,
-    DELL_8132F,
-    PICA8,
-    OVS,
-    IDEAL,
-)

@@ -27,15 +27,6 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf.percentile(50)
 
-    def test_points_monotonic(self):
-        cdf = Cdf([5, 1, 4, 2, 3])
-        points = cdf.points(num=5)
-        values = [v for v, _ in points]
-        fractions = [f for _, f in points]
-        assert values == sorted(values)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
-
 
 class TestSummarize:
     def test_basic(self):

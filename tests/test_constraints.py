@@ -3,8 +3,9 @@ analysis across rule kinds (§3.1-3.4)."""
 
 import pytest
 
+from action_helpers import multicast
 from repro.core.constraints import ConstraintCompiler, DistinguishEncoding
-from repro.openflow.actions import drop, ecmp, multicast, output
+from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule

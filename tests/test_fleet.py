@@ -313,63 +313,118 @@ class TestLargerTopology:
             assert sw.probes_sent > 0
 
 
-class TestFleetRededupe:
-    """Re-convergence after forks, driven by the deployment's
-    churn-quiescence tick (ROADMAP "re-convergence after forks")."""
+class TestCliRefusesBeforeTheRun:
+    """A run the CLI cannot finish is refused before it starts: exit 2,
+    no deployment built."""
 
-    def test_reversed_private_churn_remerges_on_quiescence(self):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--json-out", "{missing}/x.json"], "json_out"),
+            (["--trace-out", "{missing}/x.jsonl"], "trace_out"),
+            (["--trace-chrome", "{missing}/x.json"], "trace_chrome"),
+            (["--metrics-out", "{missing}/x.prom"], "metrics_out"),
+            (["--churn", "-5"], "churn"),
+        ],
+    )
+    def test_bad_output_path_or_churn_rate(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro.fleet import runner
+
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(runner, "ShardWorker", never)
+        missing = str(tmp_path / "no" / "such" / "dir")
+        argv = [arg.format(missing=missing) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--size", "4", "--duration", "1", *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestReplicatedFleet:
+    """Switches holding the same production rules share nothing: each
+    Monitor probes from its own expected table, with its own rule
+    objects, through one switch's private churn and back."""
+
+    def test_replicas_stay_per_switch_correct_through_private_churn(self):
+        from repro.core.catching import is_infrastructure
+        from repro.core.probegen import verify_probe
         from repro.fleet.deployment import FleetDeployment
         from repro.openflow.actions import output
         from repro.openflow.match import Match
+        from repro.openflow.messages import FlowMod, FlowModCommand
         from repro.openflow.rule import Rule
         from repro.topology.generators import ring
 
-        deployment = FleetDeployment(ring(4), dynamic=False, seed=7)
-        registry = deployment.shared_contexts
-        assert registry is not None
+        deployment = FleetDeployment(ring(4), seed=7)
+        replicated = Match.build(nw_dst=0x0A000001)
         for node in deployment.nodes:
             deployment.install_production_rule(
-                node,
-                Rule(
-                    priority=100,
-                    match=Match.build(nw_dst=0x0A000001),
-                    actions=output(1),
-                ),
+                node, Rule(priority=100, match=replicated, actions=output(1))
             )
-        shared_nodes = [
-            node
-            for node in deployment.nodes
-            if deployment.monitor(node).probe_context.is_shared
-        ]
-        assert len(shared_nodes) >= 2
         deployment.start_monitoring()
+
+        def check(expected_rules):
+            cookies = set()
+            for node in deployment.nodes:
+                monitor = deployment.monitor(node)
+                probed = [
+                    rule
+                    for rule in monitor.expected
+                    if not is_infrastructure(rule)
+                ]
+                assert len(probed) == expected_rules[node]
+                for rule in probed:
+                    result = monitor.probe_for_rule(rule)
+                    assert result.ok and result.rule is rule
+                    valid, why = verify_probe(
+                        monitor.expected,
+                        rule,
+                        result.header,
+                        monitor.generator.catch_match,
+                    )
+                    assert valid, (node, rule, why)
+                    cookies.add(rule.cookie)
+                assert not monitor.alarms
+            assert len(cookies) == sum(expected_rules.values())
+
+        everywhere = dict.fromkeys(deployment.nodes, 1)
         deployment.run(0.3)
+        check(everywhere)
 
-        # One switch receives a private rule: its siblings' steady-state
-        # probing resolves the divergence into a copy-on-churn fork.
-        victim = shared_nodes[0]
-        context = deployment.monitor(victim).probe_context
-        private = Rule(
-            priority=90,
-            match=Match.build(nw_dst=0xC0A80101),
-            actions=output(1),
+        # One replica gets a private rule *above* the replicated one
+        # and overlapping it: only its probe has to steer around it.
+        victim = deployment.nodes[0]
+        private = Match.build(nw_src=0xC0A80101)
+        deployment.controller.send_flowmod(
+            victim,
+            FlowMod(
+                command=FlowModCommand.ADD,
+                match=private,
+                priority=110,
+                actions=output(2),
+            ),
+            confirm=deployment.confirm_mode,
         )
-        context.add_rule(private)
         deployment.run(0.4)
-        assert registry.stats.contexts_forked >= 1
-        assert context.forked
+        check({**everywhere, victim: 2})
+        steered = deployment.monitor(victim).probe_for_rule(
+            deployment.monitor(victim).expected.get(100, replicated)
+        )
+        assert not private.matches(steered.header)
 
-        # The private rule is withdrawn: the table converges back, and
-        # the next quiescent tick re-merges the forked context.
-        context.remove_rule(private)
-        deployment.run(1.0)
-        assert registry.stats.contexts_remerged >= 1
-        assert not context.forked
-        assert deployment.monitor(victim).probe_context.is_shared
-        # Metrics + report surface the re-merge.
-        from repro.fleet.metrics import collect_fleet_metrics
-        from repro.fleet.report import format_fleet_report
-
-        metrics = collect_fleet_metrics(deployment)
-        assert metrics.contexts_remerged >= 1
-        assert "re-merged" in format_fleet_report(metrics)
+        deployment.controller.send_flowmod(
+            victim,
+            FlowMod(
+                command=FlowModCommand.DELETE_STRICT,
+                match=private,
+                priority=110,
+            ),
+            confirm=deployment.confirm_mode,
+        )
+        deployment.run(0.4)
+        check(everywhere)
+        assert deployment.monitor(victim).probes_confirmed > 0

@@ -140,7 +140,9 @@ def churn_facts(deployment, churn) -> dict:
         "updates_sent": len(churn.records),
         "updates_confirmed": sum(d.updates_confirmed for d in dynamics),
         "updates_given_up": sum(d.updates_given_up for d in dynamics),
-        "alarms": len(deployment.total_alarms()),
+        "alarms": sum(
+            len(deployment.monitor(node).alarms) for node in deployment.nodes
+        ),
     }
 
 
@@ -247,7 +249,7 @@ PINS: dict[str, dict] = {
         "probes_sent": 1810,
         "probes_confirmed": 1758,
         "probes_timed_out": 5,
-        "events_dispatched": 16077,
+        "events_dispatched": 16076,
         "conditioner_dropped": 0,
         "undetected": [],
         "false_alarms": 0,
@@ -268,7 +270,7 @@ PINS: dict[str, dict] = {
         "probes_sent": 6328,
         "probes_confirmed": 5644,
         "probes_timed_out": 18,
-        "events_dispatched": 49172,
+        "events_dispatched": 49170,
         "conditioner_dropped": 602,
         "undetected": [],
         "false_alarms": 0,

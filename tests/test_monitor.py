@@ -1,13 +1,10 @@
 """Tests for the Monitor proxy: expected-table tracking, steady-state
 cycling, probe confirmation and alarms — over a real simulated star."""
 
+import pytest
 
-from repro.core.monitor import Monitor, MonitorConfig, outcome_observations
+from repro.core.monitor import MonitorConfig, outcome_observations
 from repro.core.multiplexer import MonocleSystem
-from repro.core.probegen import ProbeGenerator
-from repro.core.schedule import ProbeScheduler
-from repro.core.shared import SharedContextRegistry
-from repro.obs import NULL_OBSERVER
 from repro.openflow.actions import drop, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
@@ -141,46 +138,6 @@ class TestObservationMemo:
         assert second is not first and second.header == first.header
         assert second.observations == _observations(monitor, second)
         assert second.observations[1] != frozenset()
-
-    def test_shared_handles_never_see_each_others_sets(self):
-        generator = ProbeGenerator(catch_match=Match.build(dl_vlan=0xF03))
-        registry = SharedContextRegistry()
-        rule = Rule(
-            priority=100, match=Match.build(nw_dst=7), actions=output(1)
-        )
-        below = Rule(priority=10, match=Match.wildcard(), actions=output(2))
-        monitors = []
-        for ports in ({1, 2}, {1}):
-            handle = registry.acquire(generator)
-            monitors.append(
-                Monitor(
-                    sim=Simulator(),
-                    node=len(monitors),
-                    switch_number=1 + len(monitors),
-                    generator=generator,
-                    config=MonitorConfig(),
-                    observable_ports=frozenset(ports),
-                    forward_down=lambda msg: None,
-                    to_controller=lambda node, msg: None,
-                    multiplexer=None,
-                    probe_context=handle,
-                    scheduler=ProbeScheduler(),
-                    obs=NULL_OBSERVER,
-                )
-            )
-        for monitor in monitors:
-            monitor.probe_context.add_rule(rule)
-            monitor.probe_context.add_rule(below)
-        assert registry.stats.contexts_deduped == 1
-        wide, narrow = (m.probe_for_rule(rule) for m in monitors)
-        assert wide is not narrow and wide.header == narrow.header
-        assert wide.observations == _observations(monitors[0], wide)
-        assert narrow.observations == _observations(monitors[1], narrow)
-        # Port 2 (the rule-absent outcome) is dark to the second switch.
-        assert wide.observations[1] and not narrow.observations[1]
-        # Served again, each handle still gets its own.
-        assert monitors[0].probe_for_rule(rule) is wide
-        assert monitors[1].probe_for_rule(rule) is narrow
 
     def test_unvalidated_modification_probe_gets_its_sets_at_launch(self):
         """Dynamic mode probes a MODIFY with a result generated on an
@@ -354,6 +311,35 @@ class TestSteadyState:
         assert len(nonces) == len(set(nonces))
         assert {alarm.kind for alarm in monitor.alarms} == {"misbehaving"}
         assert {a.rule.key() for a in monitor.alarms} == {target.key()}
+
+    @pytest.mark.parametrize("command", ["DELETE_STRICT", "MODIFY_STRICT"])
+    def test_flowmod_retires_the_steady_probe_of_the_rule_it_touches(
+        self, command
+    ):
+        """The switch may apply the FlowMod before the probe in flight
+        arrives: silence (DELETE) or the new outcome (MODIFY) would be
+        an alarm on a rule that did what it was told."""
+        sim, net, system, rules = star_setup(num_rules=1)
+        monitor = system.monitor("hub")
+        monitor.start_steady_state()
+        sim.run_for(0.0021)  # the first tick has launched, not confirmed
+        (probe,) = monitor.outstanding.values()
+        assert probe.steady and probe.result.rule is rules[0]
+        system.send_to_switch(
+            "hub",
+            FlowMod(
+                command=FlowModCommand[command],
+                match=rules[0].match,
+                priority=rules[0].priority,
+                actions=output(net.port_toward["hub"]["leaf3"]),
+            ),
+        )
+        assert probe.done and not monitor.outstanding
+        assert monitor.window_depth == 0
+        sim.run_for(0.5)
+        assert monitor.alarms == []
+        if command == "MODIFY_STRICT":
+            assert monitor.probes_confirmed > 0  # the new rule, probed on
 
     def test_cycle_skips_catch_rules(self):
         sim, net, system, _ = star_setup(num_rules=4)

@@ -171,19 +171,6 @@ class TestControllerPassThrough:
         system.send_to_switch("s1", mod)
         assert system.monitors["s1"].expected.get(10, mod.match) is not None
 
-    def test_total_alarms_sorted(self):
-        sim, net, system, _ = make_system()
-        from repro.core.monitor import MonitorAlarm
-
-        system.monitors["s1"].alarms.append(
-            MonitorAlarm(time=2.0, rule=None, kind="missing")
-        )
-        system.monitors["s2"].alarms.append(
-            MonitorAlarm(time=1.0, rule=None, kind="missing")
-        )
-        alarms = system.total_alarms()
-        assert [a.time for a in alarms] == [1.0, 2.0]
-
 
 class TestEgressObservability:
     def test_host_facing_rule_unmonitorable(self):
@@ -342,7 +329,7 @@ class TestReturnPathRobustness:
             forwarded = len(upstream) - before[2]
             assert sorted((routed, unroutable, forwarded)) == [0, 0, 1]
             assert stale() - before[3] == routed
-        assert system.total_alarms() == []
+        assert not any(m.alarms for m in system.monitors.values())
 
 
 class TestOnePassPerProbe:

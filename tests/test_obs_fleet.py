@@ -188,19 +188,18 @@ def _exposition_totals(text):
 #: the latter, so a derived view must not rename or drop one silently.
 AGGREGATE_KEYS = {
     "alarms_suppressed", "alarms_total", "all_detected", "barriers",
-    "contexts_created", "contexts_deduped", "contexts_forked",
-    "contexts_remerged", "cut_links", "cycle_rebuilds",
+    "contexts_deduped", "cut_links", "cycle_rebuilds",
     "detection_latencies", "false_alarms", "packetin_total",
     "packetout_total", "probe_cache_hits", "probe_revalidations",
     "probe_window", "probegen_seconds", "probes_confirmed",
     "probes_generated", "probes_routed", "probes_sent",
     "probes_unroutable", "quarantines", "scheduler_promotions",
     "shard_status", "shards_failed", "switches_quarantined",
-    "tables_fingerprinted", "true_alarms", "updates_confirmed",
+    "true_alarms", "updates_confirmed",
     "updates_given_up", "window_peak", "worker_restarts", "workers",
 }
 PER_SWITCH_KEYS = {
-    "alarms", "alarms_suppressed", "context_forked", "context_shared",
+    "alarms", "alarms_suppressed",
     "cycle_rebuilds", "flowmods_processed", "node", "packetins_sent",
     "packetouts_processed", "probe_cache_hits", "probe_policy",
     "probe_rate", "probe_revalidations", "probe_window",
@@ -210,8 +209,7 @@ PER_SWITCH_KEYS = {
 }
 EXPOSITION_FAMILIES = {
     "monocle_alarms_suppressed_total", "monocle_alarms_total",
-    "monocle_contexts_forked", "monocle_contexts_forked_total",
-    "monocle_contexts_remerged_total", "monocle_cycle_keys",
+    "monocle_cycle_keys",
     "monocle_detection_latency_seconds", "monocle_outstanding_probes",
     "monocle_probe_cache_hits_total", "monocle_probe_revalidations_total",
     "monocle_probe_window", "monocle_probe_wire_seconds",
@@ -292,7 +290,7 @@ class TestOneSetOfBooks:
                 assert exposed[family] == total, family
                 if family.endswith("_total"):
                     counter_families.add(family)
-        assert len(counter_families) == 13
+        assert len(counter_families) == 11
         assert metrics.probes_sent > 0 and metrics.updates_confirmed > 0
 
     def test_merged_bundle_folds_every_field(self, observed_run):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from action_helpers import multicast
 from repro.openflow.actions import (
     ActionList,
     EcmpGroup,
@@ -11,7 +12,6 @@ from repro.openflow.actions import (
     SetField,
     drop,
     ecmp,
-    multicast,
     output,
 )
 from repro.openflow.fields import FieldName

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.openflow.actions import drop, ecmp, multicast, output
+from action_helpers import multicast
+from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome

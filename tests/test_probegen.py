@@ -3,6 +3,7 @@ unmonitorable detection, rule-kind coverage, and the §5.4 filter."""
 
 import pytest
 
+from action_helpers import multicast
 from repro.core.probegen import (
     ProbeGenContext,
     ProbeGenerator,
@@ -10,7 +11,7 @@ from repro.core.probegen import (
     expected_outcomes,
     verify_probe,
 )
-from repro.openflow.actions import drop, ecmp, multicast, output
+from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
@@ -434,27 +435,6 @@ class TestTransientChain:
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
         self._assert_no_group_left(context, created=2)
-
-    def test_fork_is_independent_and_byte_identical(self):
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
-        first = context.probe_for(hot)
-        fork = context.fork()
-        # Same churn on both sides -> byte-identical probes.
-        change = below.with_actions(output(4))
-        context.add_rule(change)
-        fork.add_rule(change)
-        context.clear_cache()
-        fork.clear_cache()
-        a = context.probe_for(hot)
-        b = fork.probe_for(hot)
-        assert a.packet == b.packet and a.header == b.header
-        # Diverging the fork does not touch the original.
-        fork.remove_rule(above)
-        assert context.table.get(*above.key()) is not None
-        assert fork.table.get(*above.key()) is None
-        again = context.probe_for(hot)
-        assert again.packet == first.packet or again.ok
 
 
 class TestEqualPriorityOverlap:

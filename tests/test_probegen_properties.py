@@ -13,13 +13,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from action_helpers import multicast
 from repro.core.probegen import (
     ProbeGenContext,
     ProbeGenerator,
     UnmonitorableReason,
     verify_probe,
 )
-from repro.openflow.actions import drop, ecmp, multicast, output
+from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
@@ -272,9 +273,8 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
     growing with specificity) over a default rule: a probed rule has a
     dozen lower overlapping rules, so 300 add / delete / re-probe steps
     retire enough chain clauses for the solver to compact itself and to
-    hand recycled variables out again.  A ``fork()`` taken mid-run and
-    fed the same steps answers exactly as the original, which never
-    shared anything, does.
+    hand recycled variables out again.  A second context fed the same
+    steps in lockstep answers exactly as the first.
     """
     rng = random.Random(0xAC1)
 
@@ -295,13 +295,18 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
             match = Match.build(dl_type=0x800, nw_dst=(prefix, length))
             slots.append((100 * tower + depth + 1, match))
 
-    context = ProbeGenContext(ProbeGenerator(catch_match=CATCH))
-    context.add_rule(Rule(0, Match.build(dl_type=0x800), output(1)))
+    generator = ProbeGenerator(catch_match=CATCH)
+    context, twin = ProbeGenContext(generator), ProbeGenContext(generator)
+    contexts = (context, twin)
+    default = Rule(0, Match.build(dl_type=0x800), output(1))
+    for each in contexts:
+        each.add_rule(default)
     live: dict[tuple, Rule] = {}
     for slot in slots:
         if rng.random() < 0.8:
             live[slot] = Rule(*slot, actions())
-            context.add_rule(live[slot])
+            for each in contexts:
+                each.add_rule(live[slot])
 
     recycled = 0
     solver = context.solver
@@ -316,11 +321,9 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
 
     solver.new_var = counting
 
-    contexts = [context]
     for step in range(300):
         if step == 150:
             assert solver.stats.groups_retired and recycled
-            contexts.append(context.fork())
         slot = rng.choice(slots)
         if slot in live and rng.random() < 0.4:
             victim = live.pop(slot)
@@ -333,23 +336,21 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
         probed = live[rng.choice(sorted(live, key=lambda s: s[0]))]
         result = context.probe_for(probed)
         _assert_equivalent(context.table, probed, result)
-        for fork in contexts[1:]:
-            twin = fork.probe_for(probed)
-            assert (twin.ok, twin.reason, twin.header, twin.packet) == (
-                result.ok, result.reason, result.header, result.packet
-            )
-            assert twin.solver_conflicts == result.solver_conflicts
+        again = twin.probe_for(probed)
+        assert (again.ok, again.reason, again.header, again.packet) == (
+            result.ok, result.reason, result.header, result.packet
+        )
+        assert again.solver_conflicts == result.solver_conflicts
 
     stats = context.solver.stats
     assert stats.compactions >= 1
     assert stats.groups_created == stats.groups_retired > 100
     assert not context.solver._groups
     assert recycled > stats.groups_created  # chains reuse each other's vars
-    (fork,) = contexts[1:]
-    assert fork.solver is not context.solver
-    assert fork.solver.stats == stats
-    assert fork.stats.probes_generated == context.stats.probes_generated
-    assert fork.stats.revalidations == context.stats.revalidations
+    assert twin.solver is not context.solver
+    assert twin.solver.stats == stats
+    assert twin.stats.probes_generated == context.stats.probes_generated
+    assert twin.stats.revalidations == context.stats.revalidations
 
 
 def test_engine_rebuild_bounds_guard_growth():

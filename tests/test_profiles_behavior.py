@@ -11,7 +11,6 @@ from repro.switches.behavior import (
     behavior_for,
 )
 from repro.switches.profiles import (
-    ALL_PROFILES,
     DELL_8132F,
     DELL_S4810,
     DELL_S4810_SAME_PRIO,
@@ -19,6 +18,16 @@ from repro.switches.profiles import (
     IDEAL,
     OVS,
     PICA8,
+)
+
+ALL_PROFILES = (
+    HP_5406ZL,
+    DELL_S4810,
+    DELL_S4810_SAME_PRIO,
+    DELL_8132F,
+    PICA8,
+    OVS,
+    IDEAL,
 )
 
 

@@ -390,60 +390,6 @@ class TestWarmCompaction:
             assert solver.solve([]).satisfiable == expected, trial
 
 
-class TestClone:
-    def test_clone_is_equivalent_and_independent(self):
-        rng = random.Random(8)
-        cnf = random_cnf(rng, 10, 40)
-        solver = IncrementalSolver(num_vars=10)
-        for clause in cnf.clauses():
-            solver.add_clause(clause)
-        group = solver.new_group()
-        solver.add_clause([1, 2], group=group)
-        first = solver.solve([group])
-        dup = solver.clone()
-        assert dup.solve([group]).satisfiable == first.satisfiable
-        # Diverge the clone; the original must be unaffected.
-        dup.add_clause([-1])
-        dup.add_clause([-2])
-        dup_result = dup.solve([group])
-        assert dup_result.satisfiable is False
-        assert solver.solve([group]).satisfiable == first.satisfiable
-
-    def test_clone_preserves_group_machinery(self):
-        solver = IncrementalSolver(num_vars=2)
-        group = solver.new_group()
-        aux = solver.new_var(group)
-        solver.add_clause([1, aux], group=group)
-        dup = solver.clone()
-        dup.retire_group(group)
-        recycled = dup.new_var()
-        assert recycled == aux  # recycling pool carried over
-        # The original still has the group live.
-        assert solver.solve([group, -1, -aux]).satisfiable is False
-
-    def test_clone_matches_brute_force_after_divergence(self):
-        rng = random.Random(12)
-        base = random_cnf(rng, 6, 12)
-        solver = IncrementalSolver(num_vars=6)
-        for clause in base.clauses():
-            solver.add_clause(clause)
-        solver.solve([])
-        dup = solver.clone()
-        extra = random_cnf(rng, 6, 5)
-        combined = base.copy()
-        for clause in extra.clauses():
-            dup.add_clause(clause)
-            combined.add_clause(clause)
-        assert (
-            dup.solve([]).satisfiable
-            == (brute_force_solve(combined) is not None)
-        )
-        assert (
-            solver.solve([]).satisfiable
-            == (brute_force_solve(base) is not None)
-        )
-
-
 BASE_VARS = 6
 
 
@@ -497,30 +443,38 @@ class TestBranchBookkeeping:
     @settings(max_examples=200, deadline=None)
     @given(group_scripts())
     def test_group_scripts_agree_with_enumeration(self, script):
+        # Two solvers fed the same calls in lockstep: same models.
         solver = IncrementalSolver(num_vars=BASE_VARS)
+        twin = IncrementalSolver(num_vars=BASE_VARS)
+        both = (solver, twin)
         permanent: list[list[int]] = []
         groups: list[tuple[int, int, list[list[int]]]] = []
         touched: set[int] = set()
         for op, arg in script:
             if op == "permanent":
-                solver.add_clause(arg)
+                for each in both:
+                    each.add_clause(arg)
                 permanent.append(arg)
                 touched.update(map(abs, arg))
             elif op == "group":
-                selector = solver.new_group()
-                aux = solver.new_var(selector)
+                (selector,) = {each.new_group() for each in both}
+                (aux,) = {each.new_var(selector) for each in both}
                 # aux <-> first clause, then the rest as they are: a
                 # recycled auxiliary is named again by a new group.
-                solver.add_clause([-aux] + arg[0], group=selector)
-                solver.add_unit(aux, group=selector)
-                for clause in arg[1:]:
-                    solver.add_clause(clause, group=selector)
+                for each in both:
+                    each.add_clause([-aux] + arg[0], group=selector)
+                    each.add_unit(aux, group=selector)
+                    for clause in arg[1:]:
+                        each.add_clause(clause, group=selector)
                 groups.append((selector, aux, arg))
                 touched.update(abs(lit) for c in arg for lit in c)
             elif op == "retire" and groups:
-                solver.retire_group(groups.pop(arg % len(groups))[0])
+                retired = groups.pop(arg % len(groups))[0]
+                for each in both:
+                    each.retire_group(retired)
             elif op == "compact":
-                solver.compact()
+                for each in both:
+                    each.compact()
             elif op == "solve":
                 picks, literals = arg
                 active = (
@@ -536,7 +490,6 @@ class TestBranchBookkeeping:
                 reference.extend([lit] for lit in literals)
                 touched.update(map(abs, literals))
                 expected = brute_force_solve(reference) is not None
-                twin = solver.clone()
                 result = solver.solve(sorted(active) + literals)
                 assert result.satisfiable == expected
                 again = twin.solve(sorted(active) + literals)

@@ -147,18 +147,20 @@ class TestUnmentionedVariables:
     @given(sparse_steps())
     def test_steps_agree_with_enumeration(self, drawn):
         num_vars, check_models, steps = drawn
+        # Two solvers fed the same calls in lockstep: same models.
         solver = SatSolver(CNF(num_vars), check_models=check_models)
+        twin = SatSolver(CNF(num_vars), check_models=check_models)
         formula = CNF(num_vars)
         touched: set[int] = set()
         for clauses, assumptions in steps:
             for clause in clauses:
                 solver.add_clause(clause)
+                twin.add_clause(clause)
                 formula.add_clause(clause)
                 touched.update(map(abs, clause))
             touched.update(map(abs, assumptions))
             assumed = formula.copy()
             assumed.extend([lit] for lit in assumptions)
-            twin = solver.clone()
             result = solver.solve(assumptions)
             expected = brute_force_solve(assumed) is not None
             assert result.satisfiable == expected, to_dimacs(assumed)
@@ -226,10 +228,10 @@ class TestUnmentionedVariables:
         assert [depth for depth, _ in passes] == [0, 2, 5]
 
     def test_variable_named_after_a_solve_is_constrained(self):
-        solver = SatSolver(CNF(3))
-        solver.add_clause([1, 2])
-        assert solver.solve().assignment[3] is False
-        twin = solver.clone()
+        solver, twin = SatSolver(CNF(3)), SatSolver(CNF(3))
+        for each in (solver, twin):
+            each.add_clause([1, 2])
+            assert each.solve().assignment[3] is False
         for each in (solver, twin):
             each.add_clause([3, 1])
             each.add_clause([3, -1])

@@ -1,4 +1,4 @@
-"""Tuple-space overlap index: equivalence, maintenance, fingerprints.
+"""Tuple-space overlap index: equivalence and maintenance.
 
 The index is a pure performance structure — every behaviour here is
 defined by a fieldwise scan over ``table.rules()``:
@@ -9,8 +9,6 @@ defined by a fieldwise scan over ``table.rules()``:
   (hypothesis property);
 * :meth:`FlowTable.lookup` must pick the same winner as first-match
   ``Match.matches`` iteration in table order;
-* the rolling :meth:`FlowTable.fingerprint` must equal the from-scratch
-  :func:`table_fingerprint` after every operation;
 * churn must never trigger a wholesale rebuild of the index
   (``index_builds`` stays at 1).
 """
@@ -25,7 +23,7 @@ from repro.openflow.actions import ActionList, Drop, output
 from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import FieldMatch, Match
 from repro.openflow.rule import Rule
-from repro.openflow.table import FlowTable, table_fingerprint
+from repro.openflow.table import FlowTable
 from repro.openflow.tuplespace import TupleSpaceIndex, signature_of
 
 
@@ -118,7 +116,6 @@ def test_index_linear_equivalence_under_churn(initial, ops, queries, probes):
     indexed = FlowTable(check_overlap=False)
 
     def check():
-        assert indexed.fingerprint() == table_fingerprint(indexed.rules())
         for match in queries + [r.match for r in indexed.rules()[:3]]:
             # Rule objects, not keys: a same-key replace must surface
             # the new rule.
@@ -193,45 +190,6 @@ class TestNoWholesaleRebuild:
         assert table.index_builds == 1
 
 
-# ----- rolling fingerprint ------------------------------------------------
-
-
-class TestRollingFingerprint:
-    def test_matches_from_scratch_after_every_operation(self):
-        table = FlowTable(check_overlap=False)
-        history = [_filler(i) for i in range(20)]
-        for rule in history:
-            table.install(rule)
-            assert table.fingerprint() == table_fingerprint(table.rules())
-        for rule in history[::2]:
-            table.remove(rule)
-            assert table.fingerprint() == table_fingerprint(table.rules())
-        replacement = history[1].with_actions(output(9))
-        table.install(replacement)
-        assert table.fingerprint() == table_fingerprint(table.rules())
-        table.clear()
-        assert table.fingerprint() == table_fingerprint([])
-
-    def test_cookie_free_and_order_insensitive(self):
-        a = [_filler(1), _filler(2)]
-        b = [
-            Rule(priority=r.priority, match=r.match, actions=r.actions)
-            for r in reversed(a)
-        ]
-        ta = FlowTable(a, check_overlap=False)
-        tb = FlowTable(b, check_overlap=False)
-        assert ta.fingerprint() == tb.fingerprint()
-
-    def test_copy_carries_the_accumulator(self):
-        table = FlowTable((_filler(i) for i in range(10)),
-                          check_overlap=False)
-        dup = table.copy()
-        assert dup.fingerprint() == table.fingerprint()
-        dup.remove(_filler(0))
-        assert dup.fingerprint() != table.fingerprint()
-        assert dup.fingerprint() == table_fingerprint(dup.rules())
-
-
 # ----- index internals ----------------------------------------------------
 
 
@@ -259,16 +217,6 @@ class TestTupleSpaceIndex:
         assert index.compactions >= 1
         assert len(index) == 10
         assert sorted(index.query(value, mask)) == list(range(90, 100))
-
-    def test_copy_is_independent(self):
-        index = TupleSpaceIndex()
-        value, mask = Match.build(nw_dst=0x0A000001).packed()
-        index.add("a", value, mask)
-        dup = index.copy()
-        dup.discard("a")
-        assert "a" in index and "a" not in dup
-        assert index.query(value, mask) == ["a"]
-        assert dup.query(value, mask) == []
 
     def test_level_cap_evicts_but_stays_correct(self):
         index = TupleSpaceIndex()

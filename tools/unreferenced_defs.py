@@ -2,7 +2,10 @@
 
     python3 tools/unreferenced_defs.py
 
-Two lists, both textual (occurrences of the name as a whole word):
+Two lists, both by name (``tokenize`` ``NAME`` tokens only: a name in a
+comment, a docstring or a string literal is prose, not a reference —
+except an f-string's replacement fields and the ``"module:Class.name"``
+entry points ``bench/trace.py`` patches, which are code):
 
 * defs whose name occurs once — its own definition — across ``src/``,
   ``tests/``, ``benchmarks/``, ``examples/`` and ``bench/``;
@@ -14,20 +17,49 @@ def must have a caller in ``src/``, ``benchmarks/``, ``examples/`` or
 ``bench/``, or move to a ``tests/`` helper, or go.
 """
 
+import ast
 import re
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SEARCHED = ("src", "tests", "benchmarks", "examples", "bench")
+
+#: ``"package.module:Class.method"``, the form in which ``bench/trace.py``
+#: names the entry points it patches: a reference to the last name.
+ENTRY_POINT = re.compile(r"""["'][\w.]+:(?:\w+\.)*(\w+)["']""")
+
+
+def names_in(path: Path) -> Iterator[str]:
+    """Every name the file's code mentions."""
+    with tokenize.open(path) as source:
+        for token in tokenize.generate_tokens(source.readline):
+            if token.type == tokenize.NAME:
+                yield token.string
+            elif token.type == tokenize.STRING:
+                text = token.string
+                entry = ENTRY_POINT.fullmatch(text)
+                if entry:
+                    yield entry[1]
+                elif text.lstrip("rR")[:1] in ("f", "F"):
+                    # Before Python 3.12 an f-string is one STRING
+                    # token; its replacement fields are code.
+                    for node in ast.walk(ast.parse(text, mode="eval")):
+                        if isinstance(node, ast.Name):
+                            yield node.id
+                        elif isinstance(node, ast.Attribute):
+                            yield node.attr
+
 
 #: Occurrences per name: everywhere searched, and in ``tests/`` alone.
 words: Counter[str] = Counter()
 in_tests: Counter[str] = Counter()
 for top in SEARCHED:
     for path in sorted((ROOT / top).rglob("*.py")):
-        found_words = re.findall(r"\w+", path.read_text())
+        found_words = list(names_in(path))
         words.update(found_words)
         if top == "tests":
             in_tests.update(found_words)
