@@ -32,7 +32,7 @@ import time
 
 from benchmarks.conftest import print_header, write_bench_artifact
 from repro.core.catching import CATCH_PRIORITY, FILTER_PRIORITY
-from repro.core.schedule import ProbeScheduler, RoundRobinPolicy
+from repro.core.schedule import ProbeScheduler
 from repro.datasets import sized_acl_table
 from repro.sim.random import DeterministicRandom
 
@@ -96,7 +96,7 @@ def test_cycle_maintenance_incremental_vs_rebuild(scale, seed):
         ]
 
         scheduler = ProbeScheduler(
-            policy=RoundRobinPolicy(),
+            policy="round_robin",
             is_infrastructure=_is_infrastructure,
         )
         scheduler.rebuild(table)

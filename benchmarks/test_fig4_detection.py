@@ -14,11 +14,9 @@ policy takes to raise the alarm:
 * **churn_first** — the churned rule jumps the queue: the promotion is
   held while the dynamic-mode update probe is still in flight and
   served the moment it gives up, so detection tracks the update
-  deadline, not the cycle length;
-* **weighted** — churn/update boosts via stride scheduling, an
-  intermediate point.
+  deadline, not the cycle length.
 
-A fourth arm re-runs round_robin with a 4-deep probe window (PR 10's
+A third arm re-runs round_robin with a 4-deep probe window (PR 10's
 pipelining): instead of dodging the cycle like churn_first, it makes
 the whole cycle ~4x faster, and is gated to beat the W=1 baseline the
 same way.
@@ -67,7 +65,6 @@ BACKGROUND_MODS = 3
 ARMS = (
     ("round_robin", 1),
     ("churn_first", 1),
-    ("weighted", 1),
     ("round_robin", 4),
 )
 

@@ -9,9 +9,9 @@
   crafting, and expected-outcome computation.
 * :mod:`repro.core.monitor` — the Monitor proxy: expected flow-table
   tracking, steady-state probing cycles, retries/timeouts, alarms.
-* :mod:`repro.core.schedule` — the probe cycle as a subsystem: a
-  delta-maintained :class:`ProbeScheduler` with pluggable selection
-  policies (round-robin, recent-churn-first, weighted stride).
+* :mod:`repro.core.schedule` — the probe cycle: a delta-maintained
+  :class:`ProbeScheduler` served round-robin, with recently churned
+  rules promoted ahead of it under ``churn_first``.
 * :mod:`repro.core.dynamic` — reconfiguration monitoring: probing rule
   additions, modifications and deletions, queueing of overlapping
   unconfirmed updates, and rule-installation acknowledgments (§4).
@@ -38,13 +38,7 @@ from repro.core.probegen import (
     verify_probe,
 )
 from repro.core.monitor import Monitor, MonitorAlarm, MonitorConfig
-from repro.core.schedule import (
-    ProbeScheduler,
-    RecentChurnFirstPolicy,
-    RoundRobinPolicy,
-    SchedulerStats,
-    WeightedPolicy,
-)
+from repro.core.schedule import ProbeScheduler, SchedulerStats
 from repro.core.dynamic import DynamicMonitor, UpdateAck
 from repro.core.catching import CatchingPlan, plan_catching_rules
 from repro.core.droppostpone import postpone_drop_rule, DROP_TAG_TOS
@@ -64,10 +58,7 @@ __all__ = [
     "MonitorAlarm",
     "MonitorConfig",
     "ProbeScheduler",
-    "RecentChurnFirstPolicy",
-    "RoundRobinPolicy",
     "SchedulerStats",
-    "WeightedPolicy",
     "DynamicMonitor",
     "UpdateAck",
     "CatchingPlan",

@@ -77,7 +77,7 @@ class DynamicMonitor:
     ) -> None:
         self.monitor = monitor
         # Updates are confirmed with transient tolerance here, so the
-        # static-deployment promotion-grace barrier must not engage.
+        # static-deployment promotion barrier must not engage.
         monitor.dynamic_guarded = True
         self.sim = monitor.sim
         self.obs = monitor.obs
@@ -152,12 +152,6 @@ class DynamicMonitor:
         update.gave_up = True
         self.updates_given_up += 1
         self._unconfirmed.discard(update.token)
-        # An unconfirmable update is a strike against the switch: feed
-        # quarantine scoring (no-op unless quarantine is enabled).
-        # Deletions carry no rule keys — score them by xid so each
-        # distinct abandoned update still counts as one suspect.
-        for key in update.hint_keys or (("gaveup", update.mod.xid),):
-            self.monitor.note_suspect(key)
         if self.obs.enabled:
             self.obs.emit(
                 "update.gaveup",
@@ -435,9 +429,9 @@ class DynamicMonitor:
             self.monitor.from_controller(update.finalize)
         # Post-confirmation reprobe hints: a just-confirmed update is
         # still the likeliest region of the table to regress (§4), so
-        # feed the scheduler's recency weights instead of launching
-        # ad-hoc probes — priority-aware policies re-visit the rules in
-        # the steady cycle; round-robin ignores the hints by design.
+        # tell the scheduler instead of launching ad-hoc probes —
+        # ``churn_first`` re-visits the rules ahead of the steady
+        # cycle; round-robin ignores the hints by design.
         # Keys were resolved per update path at start time (deletions
         # carry none: a removed rule cannot be re-probed).
         for key in update.hint_keys:

@@ -50,6 +50,14 @@ if TYPE_CHECKING:
 
 _nonce_counter = itertools.count(1)
 
+#: Re-probe gap after a suppressed strike: the first, the factor each
+#: further strike escalates it by, and its cap (the same shape as
+#: probe-retry backoff: prompt when suspicion is fresh, polite when the
+#: switch keeps timing out).
+SUSPICION_REPROBE_GAP = 0.010
+SUSPICION_REPROBE_ESCALATION = 2.0
+SUSPICION_REPROBE_GAP_CAP = 0.050
+
 
 @dataclass
 class MonitorConfig:
@@ -72,23 +80,6 @@ class MonitorConfig:
     #: robust to stochastic probe loss on a degraded control channel
     #: (a lost probe costs one suppressed strike, not a false alarm).
     alarm_confirmations: int = 1
-    #: First re-probe gap after a suppressed strike; each further
-    #: strike escalates it by ``suspicion_backoff`` up to
-    #: ``max_suspicion_interval`` (the same shape as probe-retry
-    #: backoff: prompt when suspicion is fresh, polite when the switch
-    #: keeps timing out).
-    suspicion_reprobe_interval: float = 0.010
-    suspicion_backoff: float = 2.0
-    max_suspicion_interval: float = 0.050
-    #: Per-switch quarantine: this many *distinct* suspect rules inside
-    #: ``quarantine_window`` downgrades the switch to best-effort —
-    #: ``missing`` alarms are suppressed (counted, traced) until the
-    #: switch stays strike-free for ``quarantine_exit`` seconds.
-    #: ``misbehaving`` alarms (positive evidence) always fire.
-    #: 0 disables quarantine.
-    quarantine_threshold: int = 0
-    quarantine_window: float = 0.5
-    quarantine_exit: float = 1.0
     #: Steady-state probe pipelining.  1 (the default) is the paper's
     #: rate-paced cycle: one launch per tick, however many earlier
     #: probes are still in flight.  W > 1 tops the steady probes in
@@ -97,16 +88,6 @@ class MonitorConfig:
     #: ~N/(probe_window * probe_rate).  Concurrent probes of one switch
     #: share its reserved value and are told apart by their nonce.
     probe_window: int = 1
-    #: Hold ``churn_first``/``weighted`` promotions of a FlowMod's
-    #: rules until the switch confirms (via a Monitor-issued barrier)
-    #: that it has applied the FlowMod.  Without this, a *static*
-    #: deployment can promote-and-probe inside the switch's
-    #: application window and alarm on the old state; dynamic mode is
-    #: already safe (updates are probed with transient tolerance) and
-    #: ignores the knob.  Off by default: byte-identical to the paper
-    #: path, and only as trustworthy as the switch's barrier semantics
-    #: (a premature-ack switch shrinks the grace, never corrupts it).
-    promotion_grace: bool = False
 
 
 @dataclass
@@ -227,12 +208,12 @@ class Monitor:
         #: rule key -> number of outstanding (not done) probes, the
         #: O(1) busy check behind the scheduler's window drain.
         self._inflight_keys: dict[tuple, int] = {}
-        #: Promotion grace (static deployments): barrier xid -> rule
-        #: keys whose churn promotion is held until the BarrierReply.
-        self._grace_pending: dict[int, list[tuple]] = {}
+        #: Held promotions (static deployments): barrier xid -> rule
+        #: keys the scheduler is told about at the BarrierReply.
+        self._held_promotions: dict[int, list[tuple]] = {}
         self.promotions_held = 0
         #: Set by DynamicMonitor: updates are confirmed with transient
-        #: tolerance there, so promotion grace must not double-guard.
+        #: tolerance there, so no promotion needs holding.
         self.dynamic_guarded = False
 
         probe_context.validate_result = self._check_observability
@@ -252,15 +233,9 @@ class Monitor:
         self.probes_timed_out = 0
         self.rules_unmonitorable = 0
         self.stale_probes = 0
-        # Hysteresis / graceful degradation (all dormant — zero extra
-        # events, zero draws — at the default config).
-        #: rule key -> consecutive unconfirmed-timeout strikes.
+        #: Alarm hysteresis: rule key -> consecutive unconfirmed-timeout
+        #: strikes (dormant — zero extra events — at the default config).
         self.suspicion: dict[tuple, int] = {}
-        #: rule key -> last strike time (quarantine scoring).
-        self._suspect_times: dict = {}
-        self._last_strike = 0.0
-        self.quarantined = False
-        self.quarantines = 0
         self.alarms_suppressed = 0
         #: Observability: every hot-path publication site guards on
         #: ``obs.enabled``, so the default NULL_OBSERVER costs one
@@ -294,17 +269,23 @@ class Monitor:
         the same affected-rule delta maintains the probe cycle — no
         full-table rebuild, ever.
 
-        Returns the rule keys whose scheduler promotion is being held
-        for promotion grace (empty on the default path): the proxy
-        sends a barrier *behind* the FlowMod and touches the keys only
-        when the switch's BarrierReply proves the mod was applied.
+        Returns the rule keys whose scheduler promotion is held (empty
+        unless this is a static deployment that promotes): promoted at
+        once, the rule would be probed inside the switch's application
+        window and alarm on the old state.  The proxy sends a barrier
+        *behind* the FlowMod and touches the keys only when the
+        switch's BarrierReply says the mod was applied — as trustworthy
+        as the switch's barrier semantics: a profile that acks early
+        shrinks the hold, never corrupts it.  Dynamic mode confirms
+        updates with transient tolerance and ``round_robin`` promotes
+        nothing, so neither sends a barrier.
         """
         affected = self.probe_context.apply_flowmod(mod)
         for rule in affected:
             if self._in_flight(rule.key()):
                 self._invalidate_steady_probes(rule.key())
         defer = (
-            self.config.promotion_grace
+            self.scheduler.promotes
             and not self.dynamic_guarded
             and not mod.command.is_delete
         )
@@ -327,18 +308,18 @@ class Monitor:
 
     def from_controller(self, msg: Message) -> None:
         """Controller -> switch passthrough with FlowMod tracking."""
-        grace_keys: list[tuple] = []
+        held_keys: list[tuple] = []
         if isinstance(msg, FlowMod):
-            grace_keys = self.observe_flowmod(msg)
+            held_keys = self.observe_flowmod(msg)
         self.forward_down(msg)
-        if grace_keys:
+        if held_keys:
             # The barrier rides *behind* the FlowMod on the control
             # channel, so its reply bounds the mod's application time.
-            self._send_grace_barrier(grace_keys)
+            self._send_promotion_barrier(held_keys)
 
-    def _send_grace_barrier(self, keys: list[tuple]) -> None:
+    def _send_promotion_barrier(self, keys: list[tuple]) -> None:
         xid = next_xid()
-        self._grace_pending[xid] = keys
+        self._held_promotions[xid] = keys
         self.promotions_held += 1
         if self.obs.enabled:
             self.obs.emit(
@@ -349,14 +330,14 @@ class Monitor:
             )
         self.forward_down(BarrierRequest(xid=xid))
 
-    def _grace_barrier_done(self, xid: int) -> bool:
-        """Consume a BarrierReply for a Monitor-issued grace barrier."""
-        keys = self._grace_pending.pop(xid, None)
+    def _promotion_barrier_done(self, xid: int) -> bool:
+        """Consume a BarrierReply for a Monitor-issued barrier."""
+        keys = self._held_promotions.pop(xid, None)
         if keys is None:
             return False
         for key in keys:
             # touch() ignores keys that left the cycle in the interim.
-            self.scheduler.touch(key, "churn")
+            self.scheduler.touch(key)
         if self.obs.enabled:
             self.obs.emit(
                 "promotion.released",
@@ -373,10 +354,10 @@ class Monitor:
         classifies every PacketIn and routes probes through the
         multiplexer to :meth:`handle_caught_probe`.
         """
-        if isinstance(msg, BarrierReply) and self._grace_pending:
-            # Replies to *our* grace barriers stop here; the
-            # controller's own barriers (different xids) pass through.
-            if self._grace_barrier_done(msg.xid):
+        if isinstance(msg, BarrierReply) and self._held_promotions:
+            # Replies to *our* barriers stop here; the controller's
+            # own barriers (different xids) pass through.
+            if self._promotion_barrier_done(msg.xid):
                 return
         self.to_controller(self.node, msg)
 
@@ -521,8 +502,7 @@ class Monitor:
         if kind == "missing" and self._suppress_missing(probe):
             return
         # A raised alarm restarts the rule's strike count (the next
-        # alarm needs k fresh strikes); the suspect timestamp stays so
-        # an alarm storm still counts toward quarantine scoring.
+        # alarm needs k fresh strikes).
         self.suspicion.pop(probe.result.rule.key(), None)
         self.alarms.append(
             MonitorAlarm(
@@ -543,43 +523,31 @@ class Monitor:
                 priority=rule.priority,
                 match=rule.match,
             )
-        # Alarm history feeds the scheduler: weighted policies re-visit
-        # misbehaving rules sooner.
+        # Alarm history feeds the scheduler: a promoting one re-visits
+        # the rule ahead of the cycle.
         self.scheduler.record_alarm(probe.result.rule.key())
 
-    # ----- alarm hysteresis / quarantine -----------------------------------
+    # ----- alarm hysteresis ------------------------------------------------
 
     def _steady_confirm(self, probe: OutstandingProbe) -> None:
         """A steady probe confirmed: the rule is vindicated."""
-        if self.suspicion or self._suspect_times:
-            self._clear_suspicion(probe.result.rule.key())
-
-    def _clear_suspicion(self, key: tuple) -> None:
-        self.suspicion.pop(key, None)
-        self._suspect_times.pop(key, None)
+        if self.suspicion:
+            self.suspicion.pop(probe.result.rule.key(), None)
 
     def _suppress_missing(self, probe: OutstandingProbe) -> bool:
-        """The suspicion state machine's strike path.
-
-        Returns True when the ``missing`` alarm must be swallowed: the
-        rule has not yet accumulated ``alarm_confirmations`` strikes,
-        or the switch is quarantined.  Dormant (always False, no state
-        touched) at the default config.
+        """Count a strike; True when the ``missing`` alarm must be
+        swallowed because the rule has not yet accumulated
+        ``alarm_confirmations`` of them.  Dormant (always False, no
+        state touched) at the default config.
         """
-        config = self.config
-        if config.alarm_confirmations <= 1 and (
-            config.quarantine_threshold <= 0
-        ):
+        confirmations = self.config.alarm_confirmations
+        if confirmations <= 1:
             return False
         rule = probe.result.rule
         key = rule.key()
-        now = self.sim.now
-        self._last_strike = now
         strikes = self.suspicion.get(key, 0) + 1
         self.suspicion[key] = strikes
-        self._suspect_times[key] = now
-        self._maybe_quarantine(now)
-        if not self.quarantined and strikes >= config.alarm_confirmations:
+        if strikes >= confirmations:
             # Confirmed missing: let the alarm through (strike count
             # resets in the caller).
             return False
@@ -594,24 +562,16 @@ class Monitor:
                 priority=rule.priority,
                 match=rule.match,
                 strikes=strikes,
-                quarantined=self.quarantined,
             )
-        if not self.quarantined:
-            # Escalating re-probe: resolve the suspicion faster than
-            # the steady cycle would come back around.  A quarantined
-            # switch runs best-effort — steady cycle only, no extra
-            # probe pressure on an already-degraded channel.
-            self._schedule_suspicion_reprobe(rule, strikes)
-        return True
-
-    def _schedule_suspicion_reprobe(self, rule: Rule, strikes: int) -> None:
-        config = self.config
+        # Escalating re-probe: resolve the suspicion faster than the
+        # steady cycle would come back around.
         gap = min(
-            config.suspicion_reprobe_interval
-            * config.suspicion_backoff ** (strikes - 1),
-            config.max_suspicion_interval,
+            SUSPICION_REPROBE_GAP
+            * SUSPICION_REPROBE_ESCALATION ** (strikes - 1),
+            SUSPICION_REPROBE_GAP_CAP,
         )
         self.sim.schedule(gap, lambda: self._reprobe_suspect(rule))
+        return True
 
     def _reprobe_suspect(self, rule: Rule) -> None:
         key = rule.key()
@@ -621,7 +581,7 @@ class Monitor:
         if current is not rule:
             # The rule left the expected table (or was replaced by an
             # update): stale suspicion, drop it.
-            self._clear_suspicion(key)
+            del self.suspicion[key]
             return
         if self._in_flight(key):
             # The steady cycle beat us to it; its outcome feeds the
@@ -630,71 +590,13 @@ class Monitor:
         result = self.probe_for_rule(rule)
         if not result.ok:
             self.rules_unmonitorable += 1
-            self._clear_suspicion(key)
+            del self.suspicion[key]
             return
         self.launch_probe(
             result,
             confirm_on="present",
             on_confirm=self._steady_confirm,
             on_alarm=self._steady_alarm,
-        )
-
-    def note_suspect(self, key) -> None:
-        """External strike source for quarantine scoring.
-
-        Dynamic mode calls this when an update *gives up* — a switch
-        whose updates cannot be confirmed is flapping just as surely as
-        one whose steady probes time out.
-        """
-        if self.config.quarantine_threshold <= 0:
-            return
-        now = self.sim.now
-        self._last_strike = now
-        self._suspect_times[key] = now
-        self._maybe_quarantine(now)
-
-    def _maybe_quarantine(self, now: float) -> None:
-        threshold = self.config.quarantine_threshold
-        if threshold <= 0 or self.quarantined:
-            return
-        window_start = now - self.config.quarantine_window
-        recent = 0
-        for key, struck in list(self._suspect_times.items()):
-            if struck < window_start:
-                del self._suspect_times[key]
-            else:
-                recent += 1
-        if recent < threshold:
-            return
-        self.quarantined = True
-        self.quarantines += 1
-        if self.obs.enabled:
-            self.obs.emit(
-                "switch.quarantined",
-                node=self.node,
-                suspects=recent,
-            )
-        self.sim.schedule(
-            self.config.quarantine_exit, self._quarantine_check
-        )
-
-    def _quarantine_check(self) -> None:
-        if not self.quarantined:
-            return
-        quiet = self.sim.now - self._last_strike
-        if quiet >= self.config.quarantine_exit:
-            self.quarantined = False
-            self.suspicion.clear()
-            self._suspect_times.clear()
-            if self.obs.enabled:
-                self.obs.emit(
-                    "switch.recovered",
-                    node=self.node,
-                    quiet_seconds=quiet,
-                )
-            return
-        self.sim.schedule(
-            self.config.quarantine_exit - quiet, self._quarantine_check
         )
 
     # ----- probe lifecycle ---------------------------------------------------

@@ -34,7 +34,7 @@ from repro.core.droppostpone import tag_drop_rule
 from repro.core.dynamic import DynamicMonitor
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContext, ProbeGenerator
-from repro.core.schedule import ProbeScheduler, make_policy
+from repro.core.schedule import ProbeScheduler
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.actions import CONTROLLER_PORT
 from repro.openflow.fields import FieldName
@@ -124,10 +124,8 @@ class MonocleSystem:
             confirmed and acknowledged (§4).
         controller_handler: ``(node, message) -> None`` receiving
             non-probe upstream traffic and UpdateAcks.
-        probe_policy: probe-scheduling policy per switch — a
-            :data:`~repro.core.schedule.POLICIES` name for the whole
-            fleet, a node -> name mapping, or a callable
-            ``node -> name``.
+        probe_policy: probe order of every switch's scheduler, a
+            :data:`~repro.core.schedule.POLICIES` name.
         monitored_nodes: when given, build Monitors only for these
             switches (a sharded fleet worker owning one shard of a
             full-topology mirror).  Every switch still gets its catch
@@ -145,7 +143,7 @@ class MonocleSystem:
         dynamic: bool = True,
         controller_handler: Callable[[Hashable, Message], None] | None = None,
         use_drop_postponing: bool = False,
-        probe_policy: "str | Mapping | Callable" = "round_robin",
+        probe_policy: str = "round_robin",
         obs: "Observer | NullObserver | None" = None,
         monitored_nodes: "Iterable[Hashable] | None" = None,
     ) -> None:
@@ -173,15 +171,6 @@ class MonocleSystem:
 
         for node in sorted(network.topology.nodes, key=repr):
             self._deploy(node, dynamic, use_drop_postponing)
-
-    def _policy_name(self, node: Hashable) -> str:
-        """Resolve the probe-policy name for one switch."""
-        spec = self.probe_policy
-        if isinstance(spec, str):
-            return spec
-        if isinstance(spec, Mapping):
-            return spec.get(node, "round_robin")
-        return spec(node)
 
     def _deploy(
         self, node: Hashable, dynamic: bool, use_drop_postponing: bool
@@ -229,7 +218,7 @@ class MonocleSystem:
             multiplexer=self.multiplexer,
             probe_context=probe_context,
             scheduler=ProbeScheduler(
-                policy=make_policy(self._policy_name(node)),
+                policy=self.probe_policy,
                 is_infrastructure=is_infrastructure,
             ),
             obs=self.obs,

@@ -9,7 +9,7 @@ failure-injected deployment and aggregates what happened:
 * :mod:`~repro.fleet.workloads` — steady-state rule populations, rule
   churn, ACL tables, background data-plane traffic.
 * :mod:`~repro.fleet.failures` — rule drops, corruption, priority
-  swaps, link/port failures, silently-ignored FlowMods.
+  swaps, link failures, silently-ignored FlowMods.
 * :mod:`~repro.fleet.metrics` / :mod:`~repro.fleet.report` — per-switch
   and aggregate detection/overhead metrics, plain-text reports.
 * :mod:`~repro.fleet.runner` — :func:`run_scenario` over a declarative
@@ -25,7 +25,6 @@ from repro.fleet.failures import (
     FlowModBlackhole,
     Injection,
     LinkFailure,
-    PortFailure,
     PrioritySwap,
     RuleCorruption,
     RuleDrop,
@@ -62,7 +61,6 @@ __all__ = [
     "FlowModBlackhole",
     "Injection",
     "LinkFailure",
-    "PortFailure",
     "PrioritySwap",
     "RuleCorruption",
     "RuleDrop",

@@ -45,11 +45,8 @@ class FleetDeployment:
             confirmed and acknowledged (§4).
         seed: base seed for all deployment-level randomness; the
             network forks its own streams from the same value.
-        probe_policy: probe-scheduling policy per switch — one
-            :data:`~repro.core.schedule.POLICIES` name for the whole
-            fleet, a node -> name mapping, or a callable
-            ``node -> name`` (``round_robin``, ``churn_first`` or
-            ``weighted``).
+        probe_policy: probe order of every switch's scheduler
+            (``round_robin`` or ``churn_first``).
         obs: an :class:`~repro.obs.Observer` to thread through every
             layer (sim-time trace + live metrics); defaults to the
             disabled :data:`~repro.obs.NULL_OBSERVER`, whose hot path
@@ -72,9 +69,7 @@ class FleetDeployment:
         seed: int = 0,
         strategy: int = 1,
         algorithm: ColoringAlgorithm = ColoringAlgorithm.EXACT,
-        probe_policy: str
-        | Mapping[Hashable, str]
-        | Callable[[Hashable], str] = "round_robin",
+        probe_policy: str = "round_robin",
         obs: Observer | NullObserver | None = None,
         monitored_nodes: "Iterable[Hashable] | None" = None,
     ) -> None:

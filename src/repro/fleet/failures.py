@@ -45,7 +45,7 @@ class Injection:
         cookies: rule cookies whose alarms count as *detection*; filled
             at injection time (victims are picked when the clock fires).
         broad: when True, *any* later alarm on ``nodes`` is attributed
-            to this injection (link/port failures disturb probing of
+            to this injection (link failures disturb probing of
             every rule on the adjacent switches, not just the rules
             that forwarded across the dead link).
         chaos: this injection degrades the *substrate* (the control
@@ -284,40 +284,6 @@ class LinkFailure(FailureSpec):
 
 
 @dataclass(frozen=True)
-class PortFailure(FailureSpec):
-    """Kill one switch's egress port toward a neighbor (one direction)."""
-
-    node: Hashable = None
-    toward: Hashable = None
-
-    kind = "port_down"
-
-    def inject(
-        self,
-        deployment: FleetDeployment,
-        record: Injection,
-        rng: DeterministicRandom | None = None,
-    ) -> None:
-        network = deployment.network
-        port = network.port_toward.get(self.node, {}).get(self.toward)
-        if port is None:
-            raise FailureSpecError(
-                f"{self.node!r} has no port toward {self.toward!r}"
-            )
-        deployment.switch(self.node).fail_port(port)
-        record.nodes = {self.node, self.toward}
-        record.broad = True  # probe paths through the port die too
-        record.cookies = {
-            rule.cookie
-            for rule in deployment.production_rules.get(self.node, [])
-            if port in rule.forwarding_set()
-        }
-        record.description = (
-            f"port {port} of {self.node!r} (toward {self.toward!r}) down"
-        )
-
-
-@dataclass(frozen=True)
 class FlowModBlackhole(FailureSpec):
     """The switch accepts a FlowMod but never applies it (§2).
 
@@ -445,7 +411,7 @@ class ControlPlaneFlap(FailureSpec):
     Implemented as a 100%-loss overlay in both directions: probes,
     probe observations and FlowMods all vanish while the flap lasts,
     then the channel heals.  The monitor must ride it out without
-    false alarms (quarantine / suppression) — another chaos injection
+    false alarms (suppression) — another chaos injection
     that explains nothing.
     """
 

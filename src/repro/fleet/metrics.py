@@ -49,7 +49,7 @@ def _stat(
         default: the field default; also what a ``max`` fold returns
             over no rows.
         agg: how :class:`FleetMetrics` folds the column fleet-wide —
-            ``"sum"`` (booleans count their true rows) or ``"max"``;
+            ``"sum"`` or ``"max"``;
             ``None`` keeps the field per-row only.
         name: the fleet-level attribute and ``aggregates`` key, where it
             differs from the field name.
@@ -102,19 +102,15 @@ class SwitchMetrics:
     #: Probe-cycle scheduling: which policy served this switch, how
     #: many full cycle builds it paid (exactly 1 however much the
     #: scenario churned — the delta-maintenance invariant) and how many
-    #: probes a priority-aware policy served ahead of the base cycle.
+    #: probes ``churn_first`` served ahead of the base cycle.
     probe_policy: str = "round_robin"
     cycle_rebuilds: int = _stat(agg="sum")
     scheduler_promotions: int = _stat(agg="sum")
-    #: Alarm hysteresis: ``missing`` alarms swallowed by the suspicion
-    #: state machine (below the strike threshold, or quarantined), how
-    #: many times the switch entered quarantine, and whether it was
-    #: still quarantined when the scenario ended.
+    #: Alarm hysteresis: ``missing`` alarms swallowed below the strike
+    #: threshold.
     alarms_suppressed: int = _stat(
         agg="sum", family="monocle_alarms_suppressed_total"
     )
-    quarantines: int = _stat(agg="sum", family="monocle_quarantines_total")
-    quarantined: bool = _stat(False, agg="sum", name="switches_quarantined")
     #: Probe pipelining: the window this switch ran (1 = the paper's
     #: rate-paced cycle) and the deepest concurrent steady occupancy
     #: reached.
@@ -409,12 +405,10 @@ def scrape_switch(
         probe_cache_hits=generation.cache_hits,
         probe_revalidations=generation.revalidations,
         probegen_seconds=generation.generation_seconds,
-        probe_policy=monitor.scheduler.policy.name,
+        probe_policy=monitor.scheduler.policy,
         cycle_rebuilds=scheduling.cycle_rebuilds,
         scheduler_promotions=scheduling.scheduler_promotions,
         alarms_suppressed=monitor.alarms_suppressed,
-        quarantines=monitor.quarantines,
-        quarantined=monitor.quarantined,
         probe_window=monitor.window,
         window_peak=monitor.window_peak,
         updates_confirmed=dynamic.updates_confirmed if dynamic else 0,

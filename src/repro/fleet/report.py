@@ -123,11 +123,10 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
             f"median={s.median * 1000:.1f}ms p95={s.p95 * 1000:.1f}ms "
             f"max={s.maximum * 1000:.1f}ms"
         )
-    if metrics.alarms_suppressed or metrics.quarantines:
+    if metrics.alarms_suppressed:
         lines.append(
             f"resilience: {metrics.alarms_suppressed} alarms suppressed "
-            f"by hysteresis, {metrics.quarantines} quarantines "
-            f"({metrics.switches_quarantined} switches still quarantined)"
+            "by hysteresis"
         )
     if metrics.probe_window > 1:
         lines.append(

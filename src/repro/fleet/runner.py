@@ -138,10 +138,8 @@ class ScenarioSpec:
     algorithm: str = "exact"
     workloads: tuple[Workload, ...] = ()
     failures: tuple[FailureSpec, ...] = ()
-    #: Probe-cycle scheduling policy, fleet-wide (per-switch overrides
-    #: go through :class:`~repro.fleet.deployment.FleetDeployment`
-    #: directly): ``round_robin`` (§3 baseline), ``churn_first``
-    #: (recently-churned rules jump the queue) or ``weighted``.
+    #: Probe order, fleet-wide: ``round_robin`` (§3 baseline) or
+    #: ``churn_first`` (recently-churned rules jump the queue).
     probe_policy: str = "round_robin"
     #: Observability (:mod:`repro.obs`).  Tracing + live metrics turn
     #: on when ``observe`` is True or any output/interval below is
@@ -170,10 +168,6 @@ class ScenarioSpec:
     #: (alarm on first timeout); ``2``+ rides out lossy control
     #: channels at the cost of one suspicion re-probe per strike.
     alarm_confirmations: int = 1
-    #: Distinct suspect rules inside the quarantine window that
-    #: downgrade a switch to best-effort monitoring (``0`` disables
-    #: quarantine entirely — the default).
-    quarantine_threshold: int = 0
     #: Worker chaos hooks (:class:`~repro.fleet.shardworker.
     #: WorkerCrash` / :class:`~repro.fleet.shardworker.WorkerHang`)
     #: exercising the self-healing coordinator; requires a sharded run.
@@ -256,11 +250,6 @@ class ScenarioSpec:
                 f"alarm_confirmations must be >= 1: "
                 f"{self.alarm_confirmations}"
             )
-        if self.quarantine_threshold < 0:
-            raise ScenarioError(
-                f"quarantine_threshold must be >= 0: "
-                f"{self.quarantine_threshold}"
-            )
         if self.max_worker_restarts < 0:
             raise ScenarioError(
                 f"max_worker_restarts must be >= 0: "
@@ -306,7 +295,7 @@ class ScenarioSpec:
                     f"failure at t={spec.at} outside the scenario "
                     f"duration {self.duration}"
                 )
-            for attr in ("node", "u", "v", "toward"):
+            for attr in ("node", "u", "v"):
                 if not hasattr(spec, attr):
                     continue
                 value = getattr(spec, attr)
@@ -350,7 +339,6 @@ class ScenarioSpec:
             probe_window=self.probe_window,
             update_deadline=self.update_deadline,
             alarm_confirmations=self.alarm_confirmations,
-            quarantine_threshold=self.quarantine_threshold,
         )
 
     @property
@@ -632,10 +620,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="missing-probe strikes before a steady "
                              "alarm fires (hysteresis; 1 = paper "
                              "baseline)")
-    parser.add_argument("--quarantine-threshold", type=int, default=0,
-                        metavar="N",
-                        help="distinct suspect rules that quarantine a "
-                             "switch to best-effort (0 = disabled)")
     parser.add_argument("--chaos", type=_chaos_arg, action="append",
                         default=None, metavar="KIND:SHARD[@WINDOW]",
                         help="kill or hang a shard worker mid-run "
@@ -696,7 +680,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         barrier_quantum=args.barrier_quantum,
         alarm_confirmations=args.alarm_confirmations,
-        quarantine_threshold=args.quarantine_threshold,
         chaos=tuple(args.chaos or ()),
         max_worker_restarts=args.max_worker_restarts,
         worker_timeout=args.worker_timeout,
@@ -713,8 +696,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _check_output_path("json_out", args.json_out)
-        if args.churn < 0:
-            raise ScenarioError(f"churn must be >= 0: {args.churn}")
+        for option in (
+            "churn", "traffic", "drops", "corruptions", "link_failures"
+        ):
+            value = getattr(args, option)
+            if value < 0:
+                raise ScenarioError(f"{option} must be >= 0: {value}")
         spec = replace(
             spec,
             workloads=tuple(workloads),

@@ -39,7 +39,7 @@ from repro.obs.metrics import (
     window_rates,
 )
 from repro.obs.observer import NULL_OBSERVER, NullObserver, Observer
-from repro.obs.trace import TraceEvent, TraceRecorder, read_jsonl
+from repro.obs.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "NULL_OBSERVER",
@@ -56,6 +56,5 @@ __all__ = [
     "detection_latencies",
     "format_span_table",
     "probe_spans",
-    "read_jsonl",
     "window_rates",
 ]

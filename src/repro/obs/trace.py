@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 
 class TraceEvent(NamedTuple):
@@ -225,20 +225,3 @@ class TraceRecorder:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump({"traceEvents": out}, handle)
         return len(events)
-
-
-def read_jsonl(source: "str | IO[str] | Iterable[str]") -> list[dict]:
-    """Load a JSONL trace (as written by :meth:`export_jsonl`).
-
-    Accepts a path, an open file, or any iterable of lines; blank lines
-    are skipped.  The analysis helpers accept the returned dicts and
-    live :class:`TraceEvent` objects interchangeably.
-    """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            return [
-                json.loads(line)
-                for line in handle
-                if line.strip()
-            ]
-    return [json.loads(line) for line in source if line.strip()]

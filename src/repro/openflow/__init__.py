@@ -9,8 +9,8 @@ This package implements the subset of OpenFlow 1.0 that Monocle needs:
   groups (:mod:`repro.openflow.actions`),
 * prioritized rules and TCAM-style flow tables
   (:mod:`repro.openflow.rule`, :mod:`repro.openflow.table`),
-* control-plane messages: FlowMod, BarrierRequest/Reply, PacketOut,
-  PacketIn, FlowRemoved and errors (:mod:`repro.openflow.messages`).
+* control-plane messages: FlowMod, BarrierRequest/Reply, PacketOut
+  and PacketIn (:mod:`repro.openflow.messages`).
 
 The *abstract header* used for SAT-based probe generation (a flat bit
 vector concatenating the match fields) is defined by
@@ -49,10 +49,8 @@ from repro.openflow.messages import (
     BarrierRequest,
     EchoRequest,
     EchoReply,
-    ErrorMsg,
     FlowMod,
     FlowModCommand,
-    FlowRemoved,
     Message,
     PacketIn,
     PacketOut,
@@ -85,10 +83,8 @@ __all__ = [
     "BarrierRequest",
     "EchoRequest",
     "EchoReply",
-    "ErrorMsg",
     "FlowMod",
     "FlowModCommand",
-    "FlowRemoved",
     "Message",
     "PacketIn",
     "PacketOut",

@@ -116,23 +116,6 @@ class PacketIn(Message):
 
 
 @dataclass
-class FlowRemoved(Message):
-    """Notification that a rule was removed (e.g. by delete)."""
-
-    match: Match = field(default_factory=Match.wildcard)
-    priority: int = 0
-    cookie: int = 0
-
-
-@dataclass
-class ErrorMsg(Message):
-    """An OpenFlow error (e.g. overlap, table full)."""
-
-    error_type: str = "unknown"
-    detail: str = ""
-
-
-@dataclass
 class EchoRequest(Message):
     """Liveness probe from either side of the channel."""
 

@@ -23,7 +23,6 @@ pair per protocol) is the test oracle, ``tests/packet_reference.py``:
 ``tests/test_packets.py`` holds the one-pass codec to it byte for byte.
 """
 
-from repro.packets.checksum import internet_checksum
 from repro.packets.craft import (
     CraftError,
     craft_packet,
@@ -33,7 +32,6 @@ from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
 
 __all__ = [
-    "internet_checksum",
     "CraftError",
     "craft_packet",
     "normalize_abstract_header",

@@ -27,11 +27,3 @@ def sum16(data: bytes) -> int:
     if len(data) & 1:
         total <<= 8
     return total % 0xFFFF or (0xFFFF if total else 0)
-
-
-def internet_checksum(data: bytes) -> int:
-    """One's-complement sum of 16-bit words, complemented.
-
-    Odd-length input is zero-padded on the right, per RFC 1071.
-    """
-    return sum16(data) ^ 0xFFFF

@@ -147,7 +147,6 @@ class SimulatedSwitch:
         self.stats = SwitchStats()
         self.send_to_controller: Callable[[Message], None] | None = None
         self._ports: dict[int, Callable[[Frame], None]] = {}
-        self._dead_ports: set[int] = set()
 
         # Control-plane serial processor state.
         self._queue: list[Message] = []
@@ -311,9 +310,6 @@ class SimulatedSwitch:
         if port == CONTROLLER_PORT:
             self._emit_packetin(frame, in_port=0)
             return
-        if port in self._dead_ports:
-            self.stats.packets_dropped += 1
-            return
         handler = self._ports.get(port)
         if handler is None:
             self.stats.packets_dropped += 1
@@ -369,10 +365,6 @@ class SimulatedSwitch:
         tracks it, but the data plane silently ignores the update
         (paper §2).  Concurrent updates are untouched."""
         self._blackholed_xids.add(xid)
-
-    def fail_port(self, port: int) -> None:
-        """All packets emitted on ``port`` vanish (link failure)."""
-        self._dead_ports.add(port)
 
     def install_directly(self, rule: Rule) -> None:
         """Install a rule in both planes instantly (test/pre-setup)."""

@@ -156,6 +156,31 @@ class TestRingIntegration:
             if sw.node != "sw1":
                 assert sw.alarms == 0
 
+    @pytest.mark.parametrize("seed", [2015, 2020])
+    def test_static_churn_first_does_not_alarm_on_its_own_churn(
+        self, seed
+    ):
+        """``repro-fleet --static --probe-policy churn_first --churn 40
+        --drops 1`` at the default seed: a promoted probe used to reach
+        a modified rule inside the switch's application window and
+        alarm ``misbehaving`` on a rule that did what it was told."""
+        result = run_scenario(
+            ScenarioSpec(
+                topology="ring",
+                size=6,
+                duration=2.0,
+                seed=seed,
+                rules_per_switch=12,
+                dynamic=False,
+                probe_policy="churn_first",
+                workloads=(RuleChurn(rate=40.0),),
+                failures=(RuleDrop(at=0.5, node="sw0", rule_index=0),),
+            )
+        )
+        assert result.metrics.false_alarms == []
+        assert result.metrics.all_detected
+        assert result.metrics.scheduler_promotions > 0
+
     def test_healthy_fleet_raises_no_alarms(self):
         result = run_scenario(_ring4_spec(failures=()))
         assert not result.metrics.detections
@@ -325,6 +350,10 @@ class TestCliRefusesBeforeTheRun:
             (["--trace-chrome", "{missing}/x.json"], "trace_chrome"),
             (["--metrics-out", "{missing}/x.prom"], "metrics_out"),
             (["--churn", "-5"], "churn"),
+            (["--traffic", "-3"], "traffic"),
+            (["--drops", "-1"], "drops"),
+            (["--drops", "1", "--corruptions", "-1"], "corruptions"),
+            (["--link-failures", "-1"], "link_failures"),
         ],
     )
     def test_bad_output_path_or_churn_rate(

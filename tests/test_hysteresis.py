@@ -1,7 +1,6 @@
 """Tests for the Monitor's graceful-degradation layer: alarm
-hysteresis (k-of-n strike confirmation), suspicion re-probes,
-per-switch quarantine, and the probe retry/backoff edge cases the
-chaos arms lean on."""
+hysteresis (k-of-n strike confirmation), suspicion re-probes, and the
+probe retry/backoff edge cases the chaos arms lean on."""
 
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
@@ -111,86 +110,6 @@ class TestAlarmHysteresis:
         sim.run_for(1.0)
         assert monitor.alarms == []
         assert not monitor.suspicion
-        assert not monitor._suspect_times
-
-
-class TestQuarantine:
-    def test_blackout_quarantines_then_recovers(self):
-        sim, net, system, rules = star_setup(
-            MonitorConfig(
-                probe_rate=500.0,
-                alarm_confirmations=99,
-                quarantine_threshold=2,
-            )
-        )
-        monitor = system.monitor("hub")
-        blackout(net, sim, 0.25)
-        monitor.start_steady_state()
-        sim.run_for(0.4)
-        # Distinct rules struck inside the window: best-effort mode.
-        assert monitor.quarantined
-        assert monitor.quarantines == 1
-        sim.run_for(2.0)
-        # Strike-free since the channel healed: quarantine lifts and
-        # the suspicion state is wiped.
-        assert not monitor.quarantined
-        assert monitor.alarms == []
-        assert not monitor.suspicion
-        assert not monitor._suspect_times
-
-    def test_single_bad_rule_never_quarantines(self):
-        sim, net, system, rules = star_setup(
-            MonitorConfig(
-                probe_rate=500.0,
-                alarm_confirmations=2,
-                quarantine_threshold=2,
-            )
-        )
-        monitor = system.monitor("hub")
-        net.switch("hub").fail_rule_in_dataplane(rules[5])
-        monitor.start_steady_state()
-        sim.run_for(1.5)
-        # Scoring is per *distinct* rule: one rule striking forever is
-        # a broken rule (alarm), not a flapping switch (quarantine).
-        assert monitor.alarms
-        assert not monitor.quarantined
-        assert monitor.quarantines == 0
-
-    def test_misbehaving_alarms_pierce_quarantine(self):
-        sim, net, system, rules = star_setup(
-            MonitorConfig(
-                probe_rate=500.0,
-                alarm_confirmations=99,
-                quarantine_threshold=2,
-            )
-        )
-        monitor = system.monitor("hub")
-        blackout(net, sim, 0.25)
-        monitor.start_steady_state()
-        sim.run_for(0.4)
-        assert monitor.quarantined
-        # Positive evidence of wrong forwarding is not a probe loss:
-        # it must alarm even on a quarantined switch.
-        target = rules[5]
-        wrong_port = net.port_toward["hub"]["leaf2"]
-        if target.forwarding_set() == {wrong_port}:
-            wrong_port = net.port_toward["hub"]["leaf3"]
-        net.switch("hub").corrupt_rule_in_dataplane(
-            target, output(wrong_port)
-        )
-        sim.run_for(0.3)
-        kinds = {alarm.kind for alarm in monitor.alarms}
-        assert "misbehaving" in kinds
-        assert "missing" not in kinds
-
-    def test_note_suspect_is_noop_when_disabled(self):
-        sim, net, system, rules = star_setup(
-            MonitorConfig(probe_rate=500.0)
-        )
-        monitor = system.monitor("hub")
-        monitor.note_suspect(rules[0].key())
-        assert not monitor._suspect_times
-        assert not monitor.quarantined
 
 
 class TestProbeRetryEdges:

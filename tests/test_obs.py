@@ -13,11 +13,11 @@ from repro.obs import (
     detection_latencies,
     format_span_table,
     probe_spans,
-    read_jsonl,
     window_rates,
 )
 from repro.obs.metrics import family_name, series_key
 from repro.sim.kernel import Simulator
+from trace_helpers import read_jsonl
 
 
 class TestTraceRecorder:

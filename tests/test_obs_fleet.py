@@ -36,8 +36,8 @@ from repro.obs import (
     NULL_OBSERVER,
     detection_latencies,
     probe_spans,
-    read_jsonl,
 )
+from trace_helpers import read_jsonl
 
 
 def _fig4_spec(**overrides):
@@ -193,8 +193,8 @@ AGGREGATE_KEYS = {
     "packetout_total", "probe_cache_hits", "probe_revalidations",
     "probe_window", "probegen_seconds", "probes_confirmed",
     "probes_generated", "probes_routed", "probes_sent",
-    "probes_unroutable", "quarantines", "scheduler_promotions",
-    "shard_status", "shards_failed", "switches_quarantined",
+    "probes_unroutable", "scheduler_promotions",
+    "shard_status", "shards_failed",
     "true_alarms", "updates_confirmed",
     "updates_given_up", "window_peak", "worker_restarts", "workers",
 }
@@ -204,7 +204,7 @@ PER_SWITCH_KEYS = {
     "packetouts_processed", "probe_cache_hits", "probe_policy",
     "probe_rate", "probe_revalidations", "probe_window",
     "probegen_seconds", "probes_confirmed", "probes_generated",
-    "probes_sent", "probes_timed_out", "quarantined", "quarantines",
+    "probes_sent", "probes_timed_out",
     "rules_installed", "scheduler_promotions", "window_peak",
 }
 EXPOSITION_FAMILIES = {
@@ -215,7 +215,7 @@ EXPOSITION_FAMILIES = {
     "monocle_probe_window", "monocle_probe_wire_seconds",
     "monocle_probegen_solve_seconds", "monocle_probegen_solves_total",
     "monocle_probes_confirmed_total", "monocle_probes_sent_total",
-    "monocle_probes_timed_out_total", "monocle_quarantines_total",
+    "monocle_probes_timed_out_total",
     "monocle_scheduler_wait_seconds", "monocle_solver_clauses",
     "monocle_solver_lemmas", "monocle_update_confirmation_seconds",
     "monocle_updates_confirmed_total", "monocle_updates_given_up_total",
@@ -290,7 +290,7 @@ class TestOneSetOfBooks:
                 assert exposed[family] == total, family
                 if family.endswith("_total"):
                     counter_families.add(family)
-        assert len(counter_families) == 11
+        assert len(counter_families) == 10
         assert metrics.probes_sent > 0 and metrics.updates_confirmed > 0
 
     def test_merged_bundle_folds_every_field(self, observed_run):

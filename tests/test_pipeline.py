@@ -1,6 +1,6 @@
 """Tests for probe pipelining: windowed steady-state monitoring on one
-reserved value per switch (probe identity is the nonce), and promotion
-grace."""
+reserved value per switch (probe identity is the nonce), and the
+barrier a static deployment holds its promotions behind."""
 
 import networkx as nx
 import pytest
@@ -164,7 +164,7 @@ class TestWindowedMonitor:
         assert monitor.window_depth == 0
 
 
-# ----- promotion grace (static deployments) -----------------------------
+# ----- held promotions (static deployments) -----------------------------
 
 #: An honest switch with a long application window: plenty of room for
 #: a promoted probe to race the install.
@@ -181,7 +181,7 @@ SLOW_HONEST = SwitchProfile(
 )
 
 
-def grace_setup(grace):
+def grace_setup(probe_policy="churn_first", dynamic=False):
     """400 rules at 1000 probes/s: the natural cycle takes 0.4 s, so a
     rule just *behind* the cursor is only probed inside the switch's
     50 ms application window if a promotion rushes it there."""
@@ -189,11 +189,9 @@ def grace_setup(grace):
     net = Network(sim, star(4), seed=5, profiles=SLOW_HONEST)
     system = MonocleSystem(
         net,
-        config=MonitorConfig(
-            probe_rate=1000.0, promotion_grace=grace
-        ),
-        dynamic=False,
-        probe_policy="churn_first",
+        config=MonitorConfig(probe_rate=1000.0),
+        dynamic=dynamic,
+        probe_policy=probe_policy,
     )
     rules = []
     for i in range(400):
@@ -226,35 +224,51 @@ def modify_port(net, rule):
 
 class TestPromotionGrace:
     def test_without_grace_promotion_races_install(self):
-        """The race the knob closes: churn_first probes the modified
-        rule inside the switch's application window and alarms on the
-        old data-plane state."""
-        sim, net, system, rules, monitor = grace_setup(grace=False)
+        """The race the hold closes, with no knob to forget: promoted
+        at once, the modified rule would be probed inside the switch's
+        application window and alarm ``misbehaving`` on the old
+        data-plane state.  Nothing is promoted inside that window."""
+        sim, net, system, rules, monitor = grace_setup()
+        system.send_to_switch("hub", modify_port(net, rules[5]))
+        sim.run_for(SLOW_HONEST.install_latency - 0.001)
+        assert monitor.scheduler.stats.scheduler_promotions == 0
+        sim.run_for(0.25)
+        assert monitor.scheduler.stats.scheduler_promotions == 1
+        assert not monitor.alarms
+
+    @pytest.mark.parametrize(
+        "probe_policy, dynamic",
+        [("round_robin", False), ("churn_first", True)],
+    )
+    def test_no_barrier_where_no_promotion_can_race(
+        self, probe_policy, dynamic
+    ):
+        """``round_robin`` promotes nothing and dynamic mode probes an
+        update with transient tolerance: neither holds anything."""
+        sim, net, system, rules, monitor = grace_setup(
+            probe_policy, dynamic
+        )
         system.send_to_switch("hub", modify_port(net, rules[5]))
         sim.run_for(0.3)
         assert monitor.promotions_held == 0
-        assert any(
-            a.kind == "misbehaving"
-            and a.rule.key() == rules[5].key()
-            for a in monitor.alarms
-        )
+        assert not monitor.alarms
 
     def test_grace_holds_promotion_until_barrier(self):
-        sim, net, system, rules, monitor = grace_setup(grace=True)
+        sim, net, system, rules, monitor = grace_setup()
         system.send_to_switch("hub", modify_port(net, rules[5]))
         assert monitor.promotions_held == 1
-        assert len(monitor._grace_pending) == 1
+        assert len(monitor._held_promotions) == 1
         sim.run_for(0.3)
         # Barrier replied (after the data plane caught up), promotion
         # released, and the probe saw the *new* state: no alarm.
-        assert not monitor._grace_pending
+        assert not monitor._held_promotions
         assert not monitor.alarms
         # The deferred churn touch did land: the scheduler served the
         # promoted rule.
         assert monitor.scheduler.stats.scheduler_promotions >= 1
 
     def test_grace_ignores_deletes(self):
-        sim, net, system, rules, monitor = grace_setup(grace=True)
+        sim, net, system, rules, monitor = grace_setup()
         system.send_to_switch(
             "hub",
             FlowMod(

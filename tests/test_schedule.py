@@ -1,13 +1,12 @@
 """Tests for the incremental probe scheduler (repro.core.schedule).
 
-The load-bearing property: :class:`RoundRobinPolicy` over the
-delta-maintained key set emits the *same probe sequence* as the
-historical rebuild-per-FlowMod loop (a from-scratch ``_rebuild_cycle``
-reference reimplemented here), under randomized churn — while the
-scheduler's ``cycle_rebuilds`` counter stays at 1 (mirroring the PR 4
-``index_builds`` no-rebuild contract).  Plus policy-specific behavior:
-churn-first promotion with bounded starvation, weighted boosts and
-their starvation bound.
+The load-bearing property: ``round_robin`` over the delta-maintained
+key set emits the *same probe sequence* as the historical
+rebuild-per-FlowMod loop (a from-scratch ``_rebuild_cycle`` reference
+reimplemented here), under randomized churn — while the scheduler's
+``cycle_rebuilds`` counter stays at 1 (mirroring the PR 4
+``index_builds`` no-rebuild contract).  Plus ``churn_first``: promotion
+with bounded starvation.
 """
 
 import random
@@ -19,14 +18,7 @@ from hypothesis import strategies as st
 from repro.core.catching import CATCH_PRIORITY
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
-from repro.core.schedule import (
-    POLICIES,
-    ProbeScheduler,
-    RecentChurnFirstPolicy,
-    RoundRobinPolicy,
-    WeightedPolicy,
-    make_policy,
-)
+from repro.core.schedule import POLICIES, PROMOTION_BURST, ProbeScheduler
 from repro.network import Network
 from repro.openflow.actions import output
 from repro.openflow.match import Match
@@ -111,7 +103,7 @@ class TestRoundRobinEquivalence:
     def test_probe_sequence_identical_under_churn(self, seed):
         rng = random.Random(seed)
         table = FlowTable(check_overlap=False)
-        scheduler = ProbeScheduler(policy=RoundRobinPolicy())
+        scheduler = ProbeScheduler(policy="round_robin")
         scheduler.rebuild(table)
         reference = ReferenceCycler(table)
         live: dict = {}
@@ -192,7 +184,7 @@ class TestNextRules:
 
     def _setup(self, policy: str, num_rules: int = 10):
         table = FlowTable(check_overlap=False)
-        scheduler = ProbeScheduler(policy=make_policy(policy))
+        scheduler = ProbeScheduler(policy=policy)
         rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
         for rule in rules:
             table.install(rule)
@@ -232,7 +224,7 @@ class TestNextRules:
         table, scheduler, rules = self._setup("churn_first")
         hot = {rules[7].key(), rules[4].key()}
         for key in hot:
-            scheduler.touch(key, "churn")
+            scheduler.touch(key)
         promoted: set = set()
         served = scheduler.next_rules(
             table, limit=5, promoted_out=promoted
@@ -255,8 +247,8 @@ class TestNextRules:
         under randomized FlowMods, touches and busy sets."""
         rng = random.Random(seed)
         table = FlowTable(check_overlap=False)
-        single = ProbeScheduler(policy=make_policy(policy))
-        drained = ProbeScheduler(policy=make_policy(policy))
+        single = ProbeScheduler(policy=policy)
+        drained = ProbeScheduler(policy=policy)
         live: dict = {}
         for _ in range(60):
             mod = _random_flowmod(rng, live)
@@ -265,10 +257,9 @@ class TestNextRules:
             drained.observe_flowmod(mod, affected)
             keys = single.keys()
             if keys and rng.random() < 0.3:
-                kind = rng.choice(("churn", "update", "alarm"))
                 key = rng.choice(keys)
-                single.touch(key, kind)
-                drained.touch(key, kind)
+                single.touch(key)
+                drained.touch(key)
             for _ in range(rng.randrange(4)):
                 busy = set(rng.sample(keys, min(len(keys), 2)))
                 ours = single.next_rule(table, busy.__contains__)
@@ -287,11 +278,9 @@ class TestNextRules:
 
 
 class TestRecentChurnFirst:
-    def _setup(self, num_rules=12, max_burst=4):
+    def _setup(self, num_rules=12):
         table = FlowTable(check_overlap=False)
-        scheduler = ProbeScheduler(
-            policy=RecentChurnFirstPolicy(max_burst=max_burst)
-        )
+        scheduler = ProbeScheduler(policy="churn_first")
         rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
         for rule in rules:
             table.install(rule)
@@ -301,20 +290,20 @@ class TestRecentChurnFirst:
     def test_touched_rule_jumps_the_queue(self):
         table, scheduler, rules = self._setup()
         hot = rules[-1]
-        scheduler.touch(hot.key(), "churn")
+        scheduler.touch(hot.key())
         assert scheduler.next_rule(table) is hot
         assert scheduler.stats.scheduler_promotions == 1
 
     def test_starvation_bounded_full_cycle_completes(self):
         """Under sustained churn the base cycle still visits every
-        rule within (max_burst + 1) * N ticks."""
-        table, scheduler, rules = self._setup(num_rules=10, max_burst=4)
+        rule within (PROMOTION_BURST + 1) * N ticks."""
+        table, scheduler, rules = self._setup(num_rules=10)
         served: set = set()
         rng = random.Random(3)
-        ticks = 5 * len(rules) + 5
+        ticks = (PROMOTION_BURST + 1) * (len(rules) + 1)
         for _ in range(ticks):
             # Adversarial: re-touch a random rule before every tick.
-            scheduler.touch(rng.choice(rules).key(), "churn")
+            scheduler.touch(rng.choice(rules).key())
             rule = scheduler.next_rule(table)
             assert rule is not None
             served.add(rule.key())
@@ -323,7 +312,7 @@ class TestRecentChurnFirst:
     def test_removed_key_is_not_promoted(self):
         table, scheduler, rules = self._setup(num_rules=3)
         doomed = rules[1]
-        scheduler.touch(doomed.key(), "churn")
+        scheduler.touch(doomed.key())
         table.remove(doomed)
         scheduler.discard(doomed.key())
         for _ in range(4):
@@ -331,119 +320,16 @@ class TestRecentChurnFirst:
             assert rule is not None and rule.key() != doomed.key()
 
 
-class TestWeighted:
-    def test_boosted_rule_served_more_often(self):
-        table = FlowTable(check_overlap=False)
-        scheduler = ProbeScheduler(policy=WeightedPolicy())
-        rules = [_rule(100, 0x0A000000 + i) for i in range(8)]
-        for rule in rules:
-            table.install(rule)
-            scheduler.add(rule)
-        hot = rules[5]
-        counts: dict = {}
-        for tick in range(64):
-            if tick % 8 == 0:
-                scheduler.record_alarm(hot.key())
-            rule = scheduler.next_rule(table)
-            counts[rule.key()] = counts.get(rule.key(), 0) + 1
-        assert counts[hot.key()] > max(
-            n for key, n in counts.items() if key != hot.key()
-        )
-        assert scheduler.stats.scheduler_promotions > 0
-        assert scheduler.stats.alarm_touches > 0
-
-    def test_every_rule_served_despite_boosts(self):
-        """The weight cap bounds starvation: all rules get probed."""
-        table = FlowTable(check_overlap=False)
-        policy = WeightedPolicy(max_weight=8.0)
-        scheduler = ProbeScheduler(policy=policy)
-        rules = [_rule(100, 0x0A000000 + i) for i in range(6)]
-        for rule in rules:
-            table.install(rule)
-            scheduler.add(rule)
-        served: set = set()
-        for tick in range(int(8.0 * len(rules)) + len(rules)):
-            scheduler.touch(rules[0].key(), "update")
-            rule = scheduler.next_rule(table)
-            assert rule is not None
-            served.add(rule.key())
-        assert served == {rule.key() for rule in rules}
-
-    def test_readd_does_not_resurrect_ghost_entries(self):
-        """Regression: generations are globally monotonic, so a rule
-        removed and re-added can never revive heap entries from its
-        previous incarnation (which would double-serve it and corrupt
-        virtual time)."""
-        table = FlowTable(check_overlap=False)
-        policy = WeightedPolicy()
-        scheduler = ProbeScheduler(policy=policy)
-        a, b = _rule(100, 0x0A000001), _rule(100, 0x0A000002)
-        for rule in (a, b):
-            table.install(rule)
-            scheduler.add(rule)
-        key = a.key()
-        for _ in range(2):
-            scheduler.record_alarm(key)  # leaves superseded heap ghosts
-        scheduler.discard(key)
-        scheduler.add(a)
-        for _ in range(2):
-            scheduler.record_alarm(key)
-        live = policy._gen[key]
-        matching = [
-            entry
-            for entry in policy._heap
-            if entry[2] == key and entry[1] == live
-        ]
-        assert len(matching) == 1
-        # Serving still rotates through both rules.
-        served = {scheduler.next_rule(table).key() for _ in range(6)}
-        assert served == {a.key(), b.key()}
-
-    def test_busy_key_does_not_rewind_virtual_time(self):
-        """Regression: serving a key whose entry sat below the clock
-        while busy must not rewind the stride clock (which would let
-        later boosts leapfrog the whole backlog)."""
-        table = FlowTable(check_overlap=False)
-        policy = WeightedPolicy()
-        scheduler = ProbeScheduler(policy=policy)
-        rules = [_rule(100, 0x0A000000 + i) for i in range(5)]
-        for rule in rules:
-            table.install(rule)
-            scheduler.add(rule)
-        blocked = rules[0].key()
-        for _ in range(12):  # clock advances past blocked's pass value
-            assert scheduler.next_rule(table, busy=lambda k: k == blocked)
-        clock_before = policy._clock
-        served = scheduler.next_rule(table)
-        assert served is not None and served.key() == blocked
-        assert policy._clock >= clock_before
-
-    def test_removed_rule_leaves_the_heap(self):
-        table = FlowTable(check_overlap=False)
-        scheduler = ProbeScheduler(policy=WeightedPolicy())
-        a, b = _rule(100, 0x0A000001), _rule(100, 0x0A000002)
-        for rule in (a, b):
-            table.install(rule)
-            scheduler.add(rule)
-        table.remove(a)
-        scheduler.discard(a.key())
-        for _ in range(4):
-            assert scheduler.next_rule(table) is b
-
-
 class TestPolicyRegistry:
     def test_make_policy_names(self):
-        assert isinstance(make_policy("round_robin"), RoundRobinPolicy)
-        assert isinstance(make_policy("churn_first"), RecentChurnFirstPolicy)
-        assert isinstance(make_policy("weighted"), WeightedPolicy)
+        """Each policy name makes a scheduler that answers to it."""
+        assert sorted(POLICIES) == ["churn_first", "round_robin"]
+        for name in POLICIES:
+            assert ProbeScheduler(policy=name).policy == name
 
     def test_unknown_policy_rejected(self):
-        try:
-            make_policy("nope")
-        except ValueError as exc:
-            assert "nope" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        with pytest.raises(ValueError, match="nope"):
+            ProbeScheduler(policy="nope")
 
 
 class TestMonitorIntegration:
@@ -472,7 +358,7 @@ class TestMonitorIntegration:
     def test_per_switch_policy_selection(self):
         sim, net, system, _ = self._system("churn_first")
         assert (
-            system.monitor("hub").scheduler.policy.name == "churn_first"
+            system.monitor("hub").scheduler.policy == "churn_first"
         )
 
     def test_churn_first_probes_churned_rule_promptly(self):
@@ -493,17 +379,27 @@ class TestMonitorIntegration:
 
     def test_confirmed_update_feeds_reprobe_hint(self):
         """Dynamic-mode confirmation routes the touched rule's key into
-        the scheduler as an update hint; a confirmed deletion (whose
-        rule can no longer be probed) carries none."""
+        the scheduler as an update hint, and the steady cycle serves it
+        as a promotion once the update's own probes free the rule; a
+        confirmed deletion (whose rule can no longer be probed) carries
+        none."""
         sim = Simulator()
         net = Network(sim, star(4), seed=9)
         system = MonocleSystem(
             net,
             config=MonitorConfig(probe_rate=500.0),
             dynamic=True,
-            probe_policy="weighted",
+            probe_policy="churn_first",
         )
         monitor = system.monitor("hub")
+        monitor.start_steady_state()
+        stats = monitor.scheduler.stats
+        hints: list = []
+        note_update = monitor.scheduler.note_update
+        monitor.scheduler.note_update = lambda key: (
+            hints.append(key),
+            note_update(key),
+        )
         add = FlowMod(
             command=FlowModCommand.ADD,
             match=Match.build(nw_dst=0x0A000042),
@@ -514,7 +410,9 @@ class TestMonitorIntegration:
         sim.run_for(0.3)
         dynamic = system.dynamic("hub")
         assert dynamic.updates_confirmed == 1
-        assert monitor.scheduler.stats.update_touches == 1
+        assert hints == [(add.priority, add.match)]
+        assert stats.scheduler_promotions == 1
+        assert monitor.alarms == []
         delete = FlowMod(
             command=FlowModCommand.DELETE_STRICT,
             match=add.match,
@@ -524,10 +422,11 @@ class TestMonitorIntegration:
         sim.run_for(0.5)
         assert dynamic.updates_confirmed == 2
         # The deletion confirmed without a hint: nothing left to probe.
-        assert monitor.scheduler.stats.update_touches == 1
+        assert len(hints) == 1
+        assert stats.scheduler_promotions == 1
 
     def test_steady_state_still_confirms_under_all_policies(self):
-        for policy in ("round_robin", "churn_first", "weighted"):
+        for policy in POLICIES:
             sim, net, system, _ = self._system(policy)
             monitor = system.monitor("hub")
             monitor.start_steady_state()

@@ -135,8 +135,6 @@ class TestChaosValidation:
         with pytest.raises(ScenarioError):
             ScenarioSpec(**base, alarm_confirmations=0).validate()
         with pytest.raises(ScenarioError):
-            ScenarioSpec(**base, quarantine_threshold=-1).validate()
-        with pytest.raises(ScenarioError):
             ScenarioSpec(**base, max_worker_restarts=-1).validate()
         with pytest.raises(ScenarioError):
             ScenarioSpec(**base, worker_timeout=0.0).validate()

@@ -358,21 +358,6 @@ class TestFaults:
         with pytest.raises(KeyError):
             switch.corrupt_rule_in_dataplane(rule, output(9))
 
-    def test_fail_port_blackholes(self):
-        sim, switch, _ = make_switch()
-        emitted = []
-        switch.attach_port(2, emitted.append)
-        switch.install_directly(
-            Rule(priority=5, match=Match.wildcard(), actions=output(2))
-        )
-        switch.fail_port(2)
-        switch.inject_raw(
-            craft_packet({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6}),
-            in_port=1,
-        )
-        sim.run_for(0.1)
-        assert emitted == []
-
 
 class TestReordering:
     def test_pica8_can_apply_out_of_order(self):

@@ -1,4 +1,5 @@
-"""List the defs in ``src/repro`` that nothing, or only tests, use.
+"""List the defs and classes in ``src/repro`` that nothing, or only
+tests, use.
 
     python3 tools/unreferenced_defs.py
 
@@ -7,13 +8,17 @@ comment, a docstring or a string literal is prose, not a reference —
 except an f-string's replacement fields and the ``"module:Class.name"``
 entry points ``bench/trace.py`` patches, which are code):
 
-* defs whose name occurs once — its own definition — across ``src/``,
-  ``tests/``, ``benchmarks/``, ``examples/`` and ``bench/``;
+* defs and classes whose name occurs once — its own definition —
+  across ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and
+  ``bench/``;
 * defs whose name occurs once outside ``tests/`` but is referenced from
-  ``tests/``: code only its own tests keep alive.
+  ``tests/``: code only its own tests keep alive.  (Not classes: the
+  failure kinds and workloads only tests build yet are the scenario
+  property harness's inputs-to-be.)
 
-Dunder methods are skipped.  Exits 1 when either list is non-empty: a
-def must have a caller in ``src/``, ``benchmarks/``, ``examples/`` or
+``src/**/__init__.py`` is not searched — a re-export is not a use —
+and dunder methods are skipped.  Exits 1 when either list is non-empty:
+a def must have a caller in ``src/``, ``benchmarks/``, ``examples/`` or
 ``bench/``, or move to a ``tests/`` helper, or go.
 """
 
@@ -59,6 +64,8 @@ words: Counter[str] = Counter()
 in_tests: Counter[str] = Counter()
 for top in SEARCHED:
     for path in sorted((ROOT / top).rglob("*.py")):
+        if top == "src" and path.name == "__init__.py":
+            continue
         found_words = list(names_in(path))
         words.update(found_words)
         if top == "tests":
@@ -68,14 +75,14 @@ unreferenced: list[str] = []
 tests_only: list[str] = []
 for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
     for number, line in enumerate(path.read_text().splitlines(), 1):
-        found = re.match(r"\s*def (\w+)\(", line)
-        if not found or found[1].startswith("__"):
+        found = re.match(r"\s*(def|class) (\w+)\b", line)
+        if not found or found[2].startswith("__"):
             continue
-        name = found[1]
+        kind, name = found.groups()
         where = f"{path.relative_to(ROOT)}:{number}: {name}"
         if words[name] == 1:
             unreferenced.append(where)
-        elif words[name] - in_tests[name] == 1:
+        elif kind == "def" and words[name] - in_tests[name] == 1:
             tests_only.append(where)
 
 for where in unreferenced:
