@@ -21,16 +21,16 @@ directions:
   All arms run the same monitor config, so the comparison isolates
   the channel, not the hysteresis overhead.
 
-* **Worker recovery** — a sharded run (cut links, so multi-window)
-  whose shard-0 worker is killed mid-scenario via
+* **Worker recovery** — a sharded run (cut links) whose shard-0
+  worker is killed at simulated t = 0.3 via
   :class:`~repro.fleet.shardworker.WorkerCrash`.  The self-healing
-  coordinator must respawn and deterministically replay the shard: the
+  coordinator must respawn the shard and run it again from its seed: the
   merged alarm timeline must be **byte-identical** to an uncrashed
   run, with ``restarts >= 1`` and no
   :class:`~repro.fleet.coordinator.ShardRunError`.
 
 Writes ``BENCH_chaos.json``.  Everything here is seed-deterministic —
-the loss pattern, the strikes, the crash, the replay — so the gates
+the loss pattern, the strikes, the crash, the rerun — so the gates
 are exact asserts, not statistical bounds.
 """
 
@@ -167,7 +167,7 @@ def test_chaos_resilience(scale: float, seed: int) -> None:
             "the hysteresis was never exercised"
         )
 
-    # ----- arm 2: worker crash + deterministic replay -----------------
+    # ----- arm 2: worker crash + deterministic rerun ------------------
     shard_spec = ScenarioSpec(
         topology="ring",
         size=SWITCHES,
@@ -181,7 +181,7 @@ def test_chaos_resilience(scale: float, seed: int) -> None:
     )
     clean = run_scenario(shard_spec)
     crashed = run_scenario(
-        replace(shard_spec, chaos=(WorkerCrash(shard=0, window=1),))
+        replace(shard_spec, chaos=(WorkerCrash(shard=0, at=0.3),))
     )
     identical = (
         crashed.metrics.alarm_timeline == clean.metrics.alarm_timeline
@@ -203,7 +203,7 @@ def test_chaos_resilience(scale: float, seed: int) -> None:
     assert not crashed.degraded, "recovery burned the whole budget"
     assert identical, (
         "post-respawn alarm timeline diverged from the uncrashed run — "
-        "deterministic replay is broken"
+        "the deterministic rerun is broken"
     )
 
     write_bench_artifact(

@@ -5,10 +5,9 @@ A 32-switch fleet (four 8-switch islands) under rule churn with two
 injected failures, run twice:
 
 * in-process — one sim kernel owns every switch (``workers=1``);
-* sharded — four worker processes, each with its own kernel, driven
-  by the conservative-time coordinator (``workers=4``; the islands
-  partition cleanly under the ``locality`` policy, so the run is
-  barrier-free).
+* sharded — four worker processes, each running its shard start to
+  finish on its own kernel (``workers=4``; the planner keeps each
+  island in one shard, so no link crosses the cut).
 
 The two runs must agree *exactly* — same alarm timeline, same
 detections, same confirmed-operation count — because sharding changes
@@ -72,8 +71,8 @@ def main():
     ]
     print("\nalarm timelines are byte-identical across worker counts")
     print(
-        f"sharded run: {s.workers} workers, {s.cut_links} cut links, "
-        f"{s.barriers} barriers (pure partition => barrier-free)"
+        f"sharded run: {s.workers} workers, {s.cut_links} cut links "
+        "(every shard runs start to finish on its own clock)"
     )
 
     ratio = (

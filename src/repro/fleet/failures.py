@@ -452,20 +452,15 @@ def inject_now(
     spec: FailureSpec,
     record: Injection,
     *,
-    time: float | None = None,
     rng: DeterministicRandom | None = None,
 ) -> None:
     """Apply ``spec`` to the deployment at the current sim time.
 
-    The fire-time body shared by :func:`arm_failure` and the shard
-    worker's envelope delivery (which applies cut-crossing specs
-    announced by a peer shard).  ``time`` overrides the
-    recorded injection time — an envelope receiver stamps the
-    *announcer's* fire time so detection latencies stay honest even
-    though delivery lands a barrier window later.  A
+    The fire-time body of :func:`arm_failure`: stamps ``record`` with
+    the clock, injects, and emits the trace event.  A
     :class:`FailureSpecError` is recorded, never raised.
     """
-    record.time = deployment.sim.now if time is None else time
+    record.time = deployment.sim.now
     try:
         spec.inject(deployment, record, rng)
     except FailureSpecError as exc:
@@ -490,30 +485,22 @@ def inject_now(
 
 
 def arm_failure(
-    deployment: FleetDeployment,
-    spec: FailureSpec,
-    index: int,
-    fired: list[tuple[float, int]] | None = None,
+    deployment: FleetDeployment, spec: FailureSpec, index: int
 ) -> Injection:
     """Arm one spec on the deployment's sim clock; returns its record.
 
     ``index`` is the spec's position in the scenario's failure list: it
     selects the spec-indexed random stream (:func:`failure_rng`), so
     victims do not depend on which deployment — the whole fleet or one
-    shard of it — arms the spec.  ``fired``, when given, receives
-    ``(fire time, index)`` once the spec has been injected (a shard
-    worker's outbox of cut-crossing failures to announce).
+    shard of it — arms the spec.
     """
     record = Injection(kind=spec.kind, time=spec.at, chaos=spec.chaos)
-
-    def fire() -> None:
-        inject_now(
+    deployment.sim.at(
+        spec.at,
+        lambda: inject_now(
             deployment, spec, record, rng=failure_rng(deployment, index)
-        )
-        if fired is not None:
-            fired.append((record.time, index))
-
-    deployment.sim.at(spec.at, fire)
+        ),
+    )
     return record
 
 

@@ -220,16 +220,15 @@ class FleetMetrics:
     false_alarms: list[tuple[Hashable, MonitorAlarm]]
     #: Raw update-confirmation latencies of the churn workloads.
     confirmation_latencies: list[float] = field(default_factory=list)
-    #: Sharded-runtime shape: worker count, links cut by the shard
-    #: boundary, and conservative-time barrier windows the coordinator
-    #: ran (0 for one-shard runs and pure partitions).
+    #: Sharded-runtime shape: worker count and links cut by the shard
+    #: boundary.
     workers: int = 1
     cut_links: int = 0
-    barriers: int = 0
     #: Always 0, and in neither ``to_json()`` nor the report: nothing
-    #: sets it, but ``bench/workloads.py`` (``fleet_facts``) reads the
-    #: attribute and ``bench/`` only changes in a ``benchmark`` PR, which
-    #: should drop both (see ROADMAP).
+    #: sets them, but ``bench/workloads.py`` (``fleet_facts``) reads the
+    #: attributes and ``bench/`` only changes in a ``benchmark`` PR,
+    #: which should drop both (see ROADMAP).
+    barriers: int = 0
     gossip_entries_imported: int = 0
     #: Self-healing shard runtime: worker re-spawns the coordinator
     #: performed, shards abandoned after the restart budget ran out,
@@ -343,7 +342,6 @@ class FleetMetrics:
         aggregates.update(
             workers=self.workers,
             cut_links=self.cut_links,
-            barriers=self.barriers,
             true_alarms=self.true_alarms,
             false_alarms=len(self.false_alarms),
             worker_restarts=self.worker_restarts,

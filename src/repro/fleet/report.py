@@ -108,7 +108,7 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
     if metrics.workers > 1:
         lines.append(
             f"sharding: {metrics.workers} workers, "
-            f"{metrics.cut_links} cut links, {metrics.barriers} barriers"
+            f"{metrics.cut_links} cut links"
         )
     if metrics.updates_confirmed or metrics.updates_given_up:
         lines.append(

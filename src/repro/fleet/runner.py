@@ -3,9 +3,10 @@
 :class:`ScenarioSpec` names a topology, a switch profile, a workload
 mix, and a failure schedule; :func:`run_scenario` plans the shards,
 runs one :class:`~repro.fleet.shardworker.ShardWorker` per shard (in
-this process for a one-shard plan, in worker processes otherwise), and
-returns a :class:`ScenarioResult` with aggregated metrics — so examples
-and benchmarks stop hand-rolling orchestration.
+this process for a one-shard plan, in worker processes otherwise) —
+each start to finish on its own kernel, with no clock shared between
+them — and returns a :class:`ScenarioResult` with aggregated metrics, so
+examples and benchmarks stop hand-rolling orchestration.
 
 The module doubles as the ``repro-fleet`` console entry point::
 
@@ -158,10 +159,6 @@ class ScenarioSpec:
     #: kernel.  ``1`` runs the one shard in this process; ``"auto"``
     #: sizes the fleet to this host's usable CPUs (affinity mask).
     workers: int | str = 1
-    #: Conservative-time barrier window (sim seconds) for scenarios
-    #: whose shard cut crosses topology links; ``None`` derives one
-    #: probe timeout.  Irrelevant for pure partitions (barrier-free).
-    barrier_quantum: float | None = None
     #: Alarm hysteresis (:class:`~repro.core.monitor.MonitorConfig`):
     #: consecutive missing-probe strikes before a steady-state
     #: ``missing`` alarm fires.  ``1`` keeps the paper baseline
@@ -176,9 +173,9 @@ class ScenarioSpec:
     #: shard that dies more often than this is marked failed and the
     #: scenario completes degraded on the survivors.
     max_worker_restarts: int = 2
-    #: Wall-clock seconds the coordinator waits for a worker reply
-    #: before treating it as hung; ``None`` uses the coordinator
-    #: default (60s).
+    #: Wall-clock seconds the coordinator waits for a worker's reply —
+    #: so for one shard's whole run — before treating it as hung;
+    #: ``None`` uses the coordinator default (60s).
     worker_timeout: float | None = None
 
     # ----- validation -----------------------------------------------------
@@ -272,14 +269,11 @@ class ScenarioSpec:
                         f"unknown chaos hook kind {kind!r} "
                         f"(expected WorkerCrash or WorkerHang)"
                     )
-                if hook.shard < 0 or hook.window < 0:
+                if hook.shard < 0 or not 0 <= hook.at < self.duration:
                     raise ScenarioError(
-                        f"chaos hook shard/window must be >= 0: {hook}"
+                        f"chaos hook needs shard >= 0 and 0 <= at < "
+                        f"{self.duration} (the duration): {hook}"
                     )
-        if self.barrier_quantum is not None and self.barrier_quantum <= 0:
-            raise ScenarioError(
-                f"barrier_quantum must be positive: {self.barrier_quantum}"
-            )
         if self.resolved_workers() > 1 and self.metrics_out:
             raise ScenarioError(
                 "metrics_out is incompatible with workers > 1: the "
@@ -440,6 +434,12 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         # "auto", or more workers than switches: the result names the
         # shard count that actually ran.
         spec = replace(spec, workers=plan.workers)
+    for hook in spec.chaos:
+        if hook.shard >= plan.workers:
+            raise ScenarioError(
+                f"chaos hook names shard {hook.shard}, but the plan has "
+                f"shards 0..{plan.workers - 1}: {hook}"
+            )
     deployment: FleetDeployment | None = None
     # FleetMetrics fields only a coordinator fills (the defaults
     # describe a run without one).
@@ -447,7 +447,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     if plan.workers == 1:
         worker = ShardWorker(spec, plan, 0)
         run_started = _time.perf_counter()
-        worker.run_window(spec.duration, {})
+        worker.run()
         run_seconds = _time.perf_counter() - run_started
         results = [worker.result()]
         deployment = worker.deployment
@@ -551,21 +551,21 @@ def _workers_arg(text: str) -> int | str:
 
 
 def _chaos_arg(text: str) -> WorkerCrash | WorkerHang:
-    """``--chaos kill:SHARD[@WINDOW]`` / ``hang:SHARD[@WINDOW]``."""
+    """``--chaos kill:SHARD[@SECONDS]`` / ``hang:SHARD[@SECONDS]``."""
     kind, _, rest = text.partition(":")
-    shard_text, _, window_text = rest.partition("@")
+    shard_text, _, at_text = rest.partition("@")
     try:
         shard = int(shard_text)
-        window = int(window_text) if window_text else 0
+        at = float(at_text) if at_text else 0.0
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected kill:SHARD[@WINDOW] or hang:SHARD[@WINDOW], "
+            f"expected kill:SHARD[@SECONDS] or hang:SHARD[@SECONDS], "
             f"got {text!r}"
         ) from None
     if kind == "kill":
-        return WorkerCrash(shard=shard, window=window)
+        return WorkerCrash(shard=shard, at=at)
     if kind == "hang":
-        return WorkerHang(shard=shard, window=window)
+        return WorkerHang(shard=shard, at=at)
     raise argparse.ArgumentTypeError(
         f"unknown chaos kind {kind!r} (kill or hang)"
     )
@@ -611,28 +611,25 @@ def main(argv: list[str] | None = None) -> int:
                         help="shard the fleet across this many worker "
                              "processes (1 = in this process, auto = "
                              "usable CPU count)")
-    parser.add_argument("--barrier-quantum", type=float, default=None,
-                        metavar="SECONDS",
-                        help="cross-shard barrier window (default: one "
-                             "probe timeout)")
     parser.add_argument("--alarm-confirmations", type=int, default=1,
                         metavar="K",
                         help="missing-probe strikes before a steady "
                              "alarm fires (hysteresis; 1 = paper "
                              "baseline)")
     parser.add_argument("--chaos", type=_chaos_arg, action="append",
-                        default=None, metavar="KIND:SHARD[@WINDOW]",
-                        help="kill or hang a shard worker mid-run "
-                             "(kill:0@1 / hang:2); repeatable, needs "
-                             "--workers > 1")
+                        default=None, metavar="KIND:SHARD[@SECONDS]",
+                        help="kill or hang a shard worker at that "
+                             "simulated second of its run (kill:0@0.5 / "
+                             "hang:2); repeatable, needs --workers > 1")
     parser.add_argument("--max-worker-restarts", type=int, default=2,
                         metavar="N",
                         help="per-shard respawn budget for the "
                              "self-healing coordinator")
     parser.add_argument("--worker-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="wall-clock reply deadline before a shard "
-                             "worker counts as hung (default 60)")
+                        help="wall-clock deadline for one shard's whole "
+                             "run before its worker counts as hung "
+                             "(default 60)")
     parser.add_argument("--churn", type=float, default=0.0,
                         help="rule-churn FlowMods/s across the fleet")
     parser.add_argument("--traffic", type=int, default=0,
@@ -678,7 +675,6 @@ def main(argv: list[str] | None = None) -> int:
         algorithm=args.algorithm,
         probe_policy=args.probe_policy,
         workers=args.workers,
-        barrier_quantum=args.barrier_quantum,
         alarm_confirmations=args.alarm_confirmations,
         chaos=tuple(args.chaos or ()),
         max_worker_restarts=args.max_worker_restarts,

@@ -8,10 +8,9 @@ they can be unit-tested deterministically:
 * :func:`plan_shards` cuts the topology, keeping connected
   neighborhoods together to minimize cross-shard links.  The
   resulting :class:`ShardPlan` knows every *cut edge* — a link whose
-  endpoints live in different shards — which is what decides whether
-  a run needs conservative-time barriers at all.
+  endpoints live in different shards (the report's ``cut links``).
 * :func:`spec_nodes` names the switches a failure spec references, which
-  decides whether the spec must be announced across the cut.
+  decides which shards arm it: every shard that owns one of them.
 """
 
 from __future__ import annotations
@@ -76,11 +75,6 @@ class ShardPlan:
     def workers(self) -> int:
         return len(self.shards)
 
-    @property
-    def is_pure(self) -> bool:
-        """No link crosses a shard boundary: runs barrier-free."""
-        return not self.cut_edges
-
     @cached_property
     def _owners(self) -> dict[Hashable, int]:
         return {
@@ -125,14 +119,12 @@ def plan_shards(topology: nx.Graph, workers: int) -> ShardPlan:
 def spec_nodes(spec: object) -> list[Hashable]:
     """The topology nodes a failure spec explicitly references.
 
-    Used to classify injections: a spec whose nodes span shards must be
-    announced across the cut (the announcing shard fires it locally and
-    ships an envelope so the peer applies its half at the next
-    barrier).  Specs with no explicit nodes (random victim) stay
-    shard-local by construction.
+    A shard arms the specs that reference a switch it owns, so a spec
+    whose nodes span shards (a link failure across the cut) is armed
+    once by each adjacent shard.
     """
     nodes: list[Hashable] = []
-    for attr in ("node", "u", "v", "toward"):
+    for attr in ("node", "u", "v"):
         value = getattr(spec, attr, None)
         if value is not None:
             nodes.append(value)

@@ -59,16 +59,6 @@ class Simulator:
         """Number of events dispatched so far (skips cancelled events)."""
         return self._dispatched
 
-    def next_event_time(self) -> float | None:
-        """Time of the earliest pending event (None when idle).
-
-        A public peek for conservative-time coordination: a sharded
-        fleet coordinator uses it to fast-forward barrier windows no
-        shard has work in, instead of lock-stepping through empty
-        quanta.
-        """
-        return self._queue.peek_time()
-
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:

@@ -187,7 +187,7 @@ def _exposition_totals(text):
 #: literals: ``bench/`` diffs the former key by key and dashboards read
 #: the latter, so a derived view must not rename or drop one silently.
 AGGREGATE_KEYS = {
-    "alarms_suppressed", "alarms_total", "all_detected", "barriers",
+    "alarms_suppressed", "alarms_total", "all_detected",
     "contexts_deduped", "cut_links", "cycle_rebuilds",
     "detection_latencies", "false_alarms", "packetin_total",
     "packetout_total", "probe_cache_hits", "probe_revalidations",

@@ -1,6 +1,7 @@
 """Tests for the self-healing shard coordinator: crash/hang detection,
-deterministic replay respawn, restart budgets and degraded completion,
-plus the ``workers="auto"`` resolution and the chaos CLI parsers."""
+deterministic rebuild-and-rerun respawn, restart budgets and degraded
+completion, plus the ``workers="auto"`` resolution and the chaos CLI
+parsers."""
 
 import argparse
 from dataclasses import replace
@@ -13,6 +14,7 @@ from repro.fleet.runner import (
     ScenarioSpec,
     _chaos_arg,
     _workers_arg,
+    main,
     run_scenario,
 )
 from repro.fleet.failures import RuleDrop
@@ -39,15 +41,15 @@ class TestSelfHealing:
     def test_crash_recovery_replays_to_identical_timeline(self):
         clean = run_scenario(_shard_spec())
         crashed = run_scenario(
-            _shard_spec(chaos=(WorkerCrash(shard=0, window=1),))
+            _shard_spec(chaos=(WorkerCrash(shard=0, at=0.3),))
         )
         assert crashed.restarts == 1
         assert not crashed.degraded
         assert crashed.metrics.worker_restarts == 1
         assert crashed.metrics.shards_failed == 0
         assert crashed.metrics.shard_status == ["restarted x1", "ok"]
-        # The respawned worker replayed the shard's command history
-        # from its deterministic seed: nothing observable changed.
+        # The respawned worker rebuilt the shard from its deterministic
+        # seed and ran it again: nothing observable changed.
         assert (
             crashed.metrics.alarm_timeline == clean.metrics.alarm_timeline
         )
@@ -56,7 +58,7 @@ class TestSelfHealing:
     def test_crash_before_any_window_recovers(self):
         clean = run_scenario(_shard_spec())
         crashed = run_scenario(
-            _shard_spec(chaos=(WorkerCrash(shard=1, window=0),))
+            _shard_spec(chaos=(WorkerCrash(shard=1, at=0.0),))
         )
         assert crashed.restarts == 1
         assert not crashed.degraded
@@ -68,7 +70,7 @@ class TestSelfHealing:
         clean = run_scenario(_shard_spec())
         hung = run_scenario(
             _shard_spec(
-                chaos=(WorkerHang(shard=0, window=1),),
+                chaos=(WorkerHang(shard=0, at=0.3),),
                 worker_timeout=1.5,
             )
         )
@@ -85,7 +87,7 @@ class TestSelfHealing:
             _shard_spec(
                 failures=(RuleDrop(at=0.3, node="sw5", rule_index=1),),
                 chaos=(
-                    WorkerCrash(shard=0, window=1, incarnation=None),
+                    WorkerCrash(shard=0, at=0.3, incarnation=None),
                 ),
                 max_worker_restarts=1,
             )
@@ -129,6 +131,27 @@ class TestChaosValidation:
                 workers=2,
                 chaos=(WorkerCrash(shard=-1),),
             ).validate()
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [
+            "kill:5@0",  # ring-6 on two workers has shards 0 and 1
+            "kill:0@7",  # nothing runs at or past the duration
+            "hang:0@0.6",
+            "kill:0@-0.1",
+        ],
+    )
+    def test_hook_that_can_never_fire_is_refused(self, chaos, capsys):
+        """A usage error (exit 2) before anything is built, not a run
+        that silently skips its chaos."""
+        argv = (
+            "--topology ring --size 6 --duration 0.6 --rules 4 "
+            f"--probe-rate 200 --drops 1 --workers 2 --chaos {chaos}"
+        ).split()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "chaos hook" in capsys.readouterr().err
 
     def test_resilience_knob_bounds(self):
         base = dict(topology="ring", size=4, duration=0.5)
@@ -188,22 +211,24 @@ class TestChaosCli:
             _workers_arg("many")
 
     def test_chaos_arg_kill_with_window(self):
-        hook = _chaos_arg("kill:1@2")
+        hook = _chaos_arg("kill:0@0.5")
         assert isinstance(hook, WorkerCrash)
-        assert hook.shard == 1
-        assert hook.window == 2
+        assert hook.shard == 0
+        assert hook.at == 0.5
 
     def test_chaos_arg_hang_defaults_window(self):
-        hook = _chaos_arg("hang:0")
+        hook = _chaos_arg("hang:2")
         assert isinstance(hook, WorkerHang)
-        assert hook.shard == 0
-        assert hook.window == 0
+        assert hook.shard == 2
+        assert hook.at == 0.0
 
     def test_chaos_arg_rejects_garbage(self):
         with pytest.raises(argparse.ArgumentTypeError):
             _chaos_arg("explode:0")
         with pytest.raises(argparse.ArgumentTypeError):
             _chaos_arg("kill:zero")
+        with pytest.raises(argparse.ArgumentTypeError):
+            _chaos_arg("kill:0@soon")
 
 
 class TestRandomVictimDeterminism:

@@ -5,9 +5,9 @@ Two layers:
 * unit — shard planning (locality, cut edges, clamping);
 * end-to-end — the determinism pin (a partitionable scenario produces
   a byte-identical alarm timeline at ``workers=4`` and ``workers=1``),
-  the cut-latency bound (a cross-shard failure is detected within
-  one barrier quantum of the in-process run), and the one-shard case
-  running in the calling process.
+  worker-count parity on a failure that crosses the cut (every owning
+  shard arms it, so the merged run equals the in-process one), and the
+  one-shard case running in the calling process.
 """
 
 from dataclasses import replace
@@ -25,6 +25,7 @@ from repro.fleet.runner import (
 from repro.fleet.shardworker import WorkerCrash
 from repro.fleet.sharding import plan_shards
 from repro.topology.generators import islands, linear
+from test_scenario_properties import check_worker_parity
 
 
 class TestShardPlan:
@@ -32,7 +33,7 @@ class TestShardPlan:
         graph = islands(16, island=4)
         plan = plan_shards(graph, 4)
         assert plan.workers == 4
-        assert plan.is_pure
+        assert not plan.cut_edges
         assert [len(shard) for shard in plan.shards] == [4, 4, 4, 4]
         # Each shard is one island: connected in the original graph.
         for shard in plan.shards:
@@ -41,7 +42,6 @@ class TestShardPlan:
     def test_locality_on_linear_cuts_one_link_per_boundary(self):
         plan = plan_shards(linear(8), 2)
         assert len(plan.cut_edges) == 1
-        assert not plan.is_pure
 
     def test_owner_is_consistent_with_shards(self):
         plan = plan_shards(linear(6), 2)
@@ -93,12 +93,11 @@ class TestShardedScenarios:
         assert [d.detected_at for d in s.detections] == [
             d.detected_at for d in b.detections
         ]
-        # Four workers split each 8-switch island in two, so this run
-        # exercises the barrier path — and the timeline STILL matches:
-        # single-node failures have one owner, probe transit never
-        # crosses the process boundary, and barriers only delay
-        # envelope delivery (of which there is none here).
-        assert s.workers == 4 and s.cut_links > 0 and s.barriers > 0
+        # Four workers split each 8-switch island in two, so links
+        # cross the cut — and the timeline STILL matches: single-node
+        # failures have one owner and probe transit never crosses the
+        # process boundary.
+        assert s.workers == 4 and s.cut_links > 0
 
     def test_pipelined_window_survives_sharding(self):
         """PR 10 pin: a 4-deep probe window changes the timeline (the
@@ -120,12 +119,15 @@ class TestShardedScenarios:
         sharded = run_scenario(_pure_spec(workers=2))
         s = sharded.metrics
         assert s.alarm_timeline == baseline.metrics.alarm_timeline
-        # Two workers on two islands: the cut is empty, so each shard
-        # ran start-to-finish in a single window.
-        assert s.cut_links == 0 and s.barriers == 0
+        # Two workers on two islands: the cut is empty.
+        assert s.cut_links == 0
 
-    def test_cross_shard_failure_detected_within_one_quantum(self):
-        quantum = 0.15
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_cut_crossing_failure_matches_one_process(self, workers):
+        """ROADMAP direction 1(d) on a fault that spans the cut: both
+        adjacent shards arm the link failure at its own time, so
+        nothing lands late and the merged run equals the in-process
+        one."""
         spec = ScenarioSpec(
             topology="linear",
             size=6,
@@ -135,20 +137,29 @@ class TestShardedScenarios:
             probe_rate=200.0,
             failures=(LinkFailure(at=0.4, u="sw2", v="sw3"),),
         )
-        baseline = run_scenario(spec)
-        sharded = run_scenario(
-            replace(spec, workers=2, barrier_quantum=quantum)
-        )
-        assert sharded.metrics.cut_links >= 1
-        assert sharded.metrics.barriers >= 1
-        (base_det,) = baseline.metrics.detections
-        (shard_det,) = sharded.metrics.detections
-        assert base_det.detected and shard_det.detected
+        sharded = check_worker_parity(spec, workers)
+        assert sharded.cut_links >= 1
+        (record,) = sharded.detections
         # The merged injection record spans the cut: both endpoints'
         # nodes and cookies were unioned by the coordinator.
-        assert {"sw2", "sw3"} <= set(shard_det.injection.nodes)
-        # Envelopes land one barrier late at worst.
-        assert abs(shard_det.latency - base_det.latency) <= quantum
+        assert record.detected
+        assert {"sw2", "sw3"} <= set(record.injection.nodes)
+
+    def test_detection_tie_across_the_cut_names_the_same_switch(self):
+        """``sw6`` and ``sw7`` live in different shards and both alarm
+        at 0.555 s: the merge names ``sw6``, as one process does (it
+        scans switches in ``repr`` order), not the lower shard's."""
+        spec = ScenarioSpec(
+            topology="ring",
+            size=8,
+            duration=1.2,
+            seed=3,
+            rules_per_switch=6,
+            probe_rate=200.0,
+            failures=(LinkFailure(at=0.4, u="sw6", v="sw7"),),
+        )
+        (record,) = check_worker_parity(spec, workers=2).detections
+        assert record.detected_on == "sw6"
 
     def test_workers1_runs_in_process_with_live_handles(self):
         result = run_scenario(_pure_spec(workers=1))
@@ -188,7 +199,7 @@ class TestShardedScenarios:
         result = run_scenario(_pure_spec(workers=2))
         payload = json.loads(json.dumps(result.metrics.to_json()))
         assert payload["aggregates"]["workers"] == 2
-        assert payload["aggregates"]["barriers"] == 0
+        assert "barriers" not in payload["aggregates"]
         assert "gossip_digests_published" not in payload["aggregates"]
         assert "gossip_entries_shipped" not in payload["aggregates"]
 

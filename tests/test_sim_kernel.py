@@ -154,19 +154,6 @@ class TestSimulator:
         assert fired == ["a", "c"]
         assert sim.events_dispatched == 2
 
-    def test_next_event_time_skips_cancelled_heads(self):
-        sim = Simulator()
-        assert sim.next_event_time() is None
-        first = sim.schedule(1.0, lambda: None)
-        second = sim.schedule(2.0, lambda: None)
-        sim.schedule(4.0, lambda: None)
-        first.cancel()
-        second.cancel()
-        assert sim.next_event_time() == 4.0
-        sim.run(until=3.0)
-        assert sim.events_dispatched == 0
-        assert (sim.now, sim.next_event_time()) == (3.0, 4.0)
-
     def test_max_events_limit(self):
         sim = Simulator()
         count = [0]
