@@ -67,9 +67,7 @@ def _loss_spec(seed: int, loss: float, scale: float) -> ScenarioSpec:
         # the steady rules are installed, so lost FlowMods do not
         # manufacture real discrepancies — this arm measures probe
         # loss, exactly what the hysteresis is for.
-        ChannelDegradation(
-            at=duration * 0.1, node=node, loss=loss, direction="both"
-        )
+        ChannelDegradation(at=duration * 0.1, node=node, loss=loss)
         for node in nodes
         if loss > 0.0
     )

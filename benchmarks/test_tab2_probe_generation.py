@@ -16,6 +16,7 @@ Scale: by default a deterministic sample of rules per table keeps the
 run under a couple of minutes; REPRO_BENCH_SCALE=27 probes every rule.
 """
 
+import gc
 import random
 
 from repro.analysis import format_table
@@ -39,17 +40,30 @@ PAPER = {
 
 
 def probe_all(table, rules):
-    generator = ProbeGenerator(catch_match=CATCH)
-    times = []
-    found = 0
-    for rule in rules:
-        result = generator.generate(table, rule)
-        times.append(result.generation_time * 1000.0)
-        if result.ok:
-            found += 1
-            valid, why = verify_probe(table, rule, result.header, CATCH)
-            assert valid, why
-    return times, found
+    # Earlier tests of a session leave ~390k objects behind; every full
+    # collection the probes trigger (27 in a tier-1 run) would traverse
+    # them (~0.17 s each on a 2-core x86 container) and bill that to
+    # whichever probe it lands on, so the Stanford-vs-Campus gate would
+    # depend on test order.  Frozen, they are skipped; the generator's
+    # own garbage is still collected.
+    gc.collect()
+    gc.freeze()
+    try:
+        generator = ProbeGenerator(catch_match=CATCH)
+        times = []
+        found = 0
+        for rule in rules:
+            result = generator.generate(table, rule)
+            times.append(result.generation_time * 1000.0)
+            if result.ok:
+                found += 1
+                valid, why = verify_probe(
+                    table, rule, result.header, CATCH
+                )
+                assert valid, why
+        return times, found
+    finally:
+        gc.unfreeze()
 
 
 def sample_rules(table, fraction, seed):

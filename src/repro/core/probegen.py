@@ -352,6 +352,14 @@ def verify_probe(
 # --------------------------------------------------------------------------
 
 
+#: A context re-founds its engine once the encoder caches more guards
+#: than this and than twice the live table ...
+REBUILD_FLOOR = 1024
+#: ... or once retired chains have left at least this many dead clauses
+#: in its solver, and no fewer than it has live ones.
+DEAD_CLAUSE_FLOOR = 2000
+
+
 @dataclass
 class ProbeGenContextStats:
     """Counters describing how much work the delta API avoided.
@@ -406,16 +414,12 @@ class ProbeGenContext:
         generator: ProbeGenerator,
         table: FlowTable | None = None,
         validate_result: Callable[[ProbeResult], ProbeResult] | None = None,
-        rebuild_floor: int = 1024,
     ) -> None:
         self.generator = generator
         self.table = (
             table if table is not None else FlowTable(check_overlap=False)
         )
         self.validate_result = validate_result
-        #: Re-found the persistent solver once the encoder caches this
-        #: many guards beyond twice the live table (see _maybe_rebuild).
-        self.rebuild_floor = rebuild_floor
         self.stats = ProbeGenContextStats()
         self.obs = NULL_OBSERVER
         self._obs_node: object | None = None
@@ -451,18 +455,23 @@ class ProbeGenContext:
             )
 
     def _maybe_rebuild(self) -> None:
-        """Bound encoder growth under non-recycled churn.
+        """The engine's one growth bound: start a fresh solver when
+        what it holds is mostly dead.
 
-        Match-guard and DiffOutcome definitions are permanent in the
-        solver (that is what makes them reusable), so a workload that
-        keeps inventing fresh matches accumulates encodings for rules
-        long deleted.  When dead guards dominate the live table, start
-        a fresh solver: live guards re-encode lazily on the next
-        probes, cached probe results (plain headers/outcomes, no solver
-        references) stay valid.
+        Two things die in it.  Match-guard and DiffOutcome definitions
+        are permanent (that is what makes them reusable), so a workload
+        that keeps inventing fresh matches accumulates encodings for
+        rules long deleted; and every retired Distinguish chain leaves
+        its clauses behind, satisfied forever.  Checked after deletes
+        and after every solve.  Live guards re-encode lazily on the
+        next probes; cached probe results (plain headers/outcomes, no
+        solver references) stay valid.
         """
-        live = len(self.table) + 1
-        if self.encoder.cached_guards <= max(self.rebuild_floor, 2 * live):
+        solver = self.solver
+        dead = solver.dead_clauses
+        if self.encoder.cached_guards <= max(
+            REBUILD_FLOOR, 2 * (len(self.table) + 1)
+        ) and (dead < DEAD_CLAUSE_FLOOR or dead < solver.num_clauses):
             return
         self._fresh_engine()
         self.stats.engine_rebuilds += 1
@@ -650,6 +659,7 @@ class ProbeGenContext:
                 overlapping_rules=len(candidates),
                 solver_conflicts=sat.conflicts,
             )
+        self._maybe_rebuild()
         self.stats.probes_generated += 1
         self.stats.solver_conflicts += sat.conflicts
         try:

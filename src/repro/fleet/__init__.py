@@ -9,7 +9,8 @@ failure-injected deployment and aggregates what happened:
 * :mod:`~repro.fleet.workloads` — steady-state rule populations, rule
   churn, ACL tables, background data-plane traffic.
 * :mod:`~repro.fleet.failures` — rule drops, corruption, priority
-  swaps, link failures, silently-ignored FlowMods.
+  swaps, link failures, silently-ignored FlowMods, and control-message
+  loss (chaos).
 * :mod:`~repro.fleet.metrics` / :mod:`~repro.fleet.report` — per-switch
   and aggregate detection/overhead metrics, plain-text reports.
 * :mod:`~repro.fleet.runner` — :func:`run_scenario` over a declarative
@@ -19,7 +20,6 @@ failure-injected deployment and aggregates what happened:
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
     ChannelDegradation,
-    ControlPlaneFlap,
     FailureSpec,
     FailureSpecError,
     FlowModBlackhole,
@@ -55,7 +55,6 @@ from repro.fleet.workloads import (
 __all__ = [
     "FleetDeployment",
     "ChannelDegradation",
-    "ControlPlaneFlap",
     "FailureSpec",
     "FailureSpecError",
     "FlowModBlackhole",

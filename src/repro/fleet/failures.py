@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.fleet.deployment import FleetDeployment
-from repro.network.conditioning import ChannelConditions
 from repro.openflow.actions import output
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, next_xid
@@ -96,6 +95,11 @@ class FailureSpec:
     #: records carry ``Injection.chaos`` and are excluded from
     #: detection accounting.
     chaos = False
+
+    def check(self) -> None:
+        """Raise :class:`FailureSpecError` if the spec is malformed
+        whatever it is armed on (``ScenarioSpec.validate`` calls this
+        before anything is built)."""
 
     def inject(
         self,
@@ -335,39 +339,36 @@ class FlowModBlackhole(FailureSpec):
 
 @dataclass(frozen=True)
 class ChannelDegradation(FailureSpec):
-    """Degrade one switch's control channel (chaos, not a fault).
+    """Lose control messages of one switch (chaos, not a fault).
 
-    Overlays seed-deterministic loss/delay/jitter/duplication/reorder
-    on the node's control channel for ``duration`` seconds (forever
-    when ``None``).  Probe sends, probe observations, and FlowMods all
-    traverse that channel, so every control interaction of the switch
-    is exposed.  Being chaos, the injection never *explains* an alarm:
-    a ``missing`` alarm caused by a lost probe is a false alarm the
-    monitor's hysteresis must suppress.
+    Drops each message on the node's control channel, both directions,
+    with probability ``loss`` for ``duration`` seconds (forever when
+    ``None``); ``loss=1.0`` with a ``duration`` is a control-plane flap.
+    Probe sends, probe observations, and FlowMods all traverse that
+    channel, so every control interaction of the switch is exposed.
+    Being chaos, the injection never *explains* an alarm: a ``missing``
+    alarm caused by a lost probe is a false alarm the monitor's
+    hysteresis must suppress.
     """
 
     node: Hashable = None
-    duration: float | None = None
     loss: float = 0.0
-    delay: float = 0.0
-    jitter: float = 0.0
-    duplicate: float = 0.0
-    reorder: float = 0.0
-    reorder_window: float = 0.0
-    direction: str = "both"
+    duration: float | None = None
 
     kind = "channel_degradation"
     chaos = True
 
-    def conditions(self) -> ChannelConditions:
-        return ChannelConditions(
-            loss=self.loss,
-            delay=self.delay,
-            jitter=self.jitter,
-            duplicate=self.duplicate,
-            reorder=self.reorder,
-            reorder_window=self.reorder_window,
-        )
+    def check(self) -> None:
+        if not 0.0 < self.loss <= 1.0:
+            raise FailureSpecError(
+                f"degradation of {self.node!r} needs a loss in (0, 1], "
+                f"got {self.loss!r}"
+            )
+        if self.duration is not None and self.duration <= 0.0:
+            raise FailureSpecError(
+                f"degradation of {self.node!r} needs a positive "
+                f"duration, got {self.duration!r}"
+            )
 
     def inject(
         self,
@@ -375,18 +376,13 @@ class ChannelDegradation(FailureSpec):
         record: Injection,
         rng: DeterministicRandom | None = None,
     ) -> None:
+        self.check()
         if self.node not in deployment.network.channels:
             raise FailureSpecError(
                 f"no control channel for {self.node!r}"
             )
-        conditions = self.conditions()
-        if not conditions.active:
-            raise FailureSpecError(
-                f"degradation of {self.node!r} perturbs nothing "
-                "(all knobs zero)"
-            )
         conditioner = deployment.network.conditioner(self.node)
-        token = conditioner.apply(conditions, self.direction)
+        token = conditioner.apply(self.loss)
         if self.duration is not None:
             deployment.sim.schedule(
                 self.duration, lambda: conditioner.remove(token)
@@ -399,51 +395,7 @@ class ChannelDegradation(FailureSpec):
             else "permanently"
         )
         record.description = (
-            f"degrade channel of {self.node!r} ({self.direction}) "
-            f"{window}: {conditions}"
-        )
-
-
-@dataclass(frozen=True)
-class ControlPlaneFlap(FailureSpec):
-    """The control channel goes completely dark for ``duration`` secs.
-
-    Implemented as a 100%-loss overlay in both directions: probes,
-    probe observations and FlowMods all vanish while the flap lasts,
-    then the channel heals.  The monitor must ride it out without
-    false alarms (suppression) — another chaos injection
-    that explains nothing.
-    """
-
-    node: Hashable = None
-    duration: float = 0.1
-
-    kind = "control_flap"
-    chaos = True
-
-    def inject(
-        self,
-        deployment: FleetDeployment,
-        record: Injection,
-        rng: DeterministicRandom | None = None,
-    ) -> None:
-        if self.node not in deployment.network.channels:
-            raise FailureSpecError(
-                f"no control channel for {self.node!r}"
-            )
-        if self.duration <= 0.0:
-            raise FailureSpecError(
-                f"flap of {self.node!r} needs a positive duration"
-            )
-        conditioner = deployment.network.conditioner(self.node)
-        token = conditioner.apply(ChannelConditions(loss=1.0), "both")
-        deployment.sim.schedule(
-            self.duration, lambda: conditioner.remove(token)
-        )
-        record.nodes = {self.node}
-        record.chaos = True
-        record.description = (
-            f"control channel of {self.node!r} dark for {self.duration}s"
+            f"degrade channel of {self.node!r} {window}: loss={self.loss}"
         )
 
 

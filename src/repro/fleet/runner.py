@@ -281,6 +281,11 @@ class ScenarioSpec:
                 "expositions cannot be merged (use --json-out, whose "
                 "snapshots the coordinator does merge)"
             )
+        for item in self.workloads + self.failures:
+            try:
+                item.check()
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
         graph = self.build_topology()
         nodes = set(graph.nodes)
         for spec in self.failures:

@@ -38,6 +38,11 @@ class Workload:
 
     name = "workload"
 
+    def check(self) -> None:
+        """Raise ValueError if the workload is malformed whatever it is
+        set up on (``ScenarioSpec.validate`` calls this before anything
+        is built)."""
+
     def setup(self, deployment: FleetDeployment) -> None:
         """Install rules / schedule events on the deployment's kernel."""
         raise NotImplementedError
@@ -110,12 +115,12 @@ class RuleChurn(Workload):
         start/stop: churn window on the sim clock (``stop=None`` runs
             for the entire scenario).
         mix: relative weights of (add, modify, delete).
-        recycle: reuse the destination addresses of deleted rules for
-            later adds (per switch).  Real controllers churn a bounded
-            rule population rather than an ever-growing address space;
-            recycling also drives the incremental probe engine's
-            match-guard cache (a re-added match re-uses its persistent
-            SAT encoding instead of paying for a fresh one).
+
+    An add reuses the destination address of a rule deleted earlier on
+    the same switch when there is one.  Real controllers churn a
+    bounded rule population rather than an ever-growing address space,
+    and a re-added match re-uses the incremental probe engine's
+    persistent SAT encoding of it instead of paying for a fresh one.
     """
 
     rate: float = 50.0
@@ -123,13 +128,15 @@ class RuleChurn(Workload):
     stop: float | None = None
     mix: tuple[float, float, float] = (0.6, 0.25, 0.15)
     priority: int = 200
-    recycle: bool = True
     name = "churn"
     records: list[ChurnRecord] = field(default_factory=list)
 
-    def setup(self, deployment: FleetDeployment) -> None:
+    def check(self) -> None:
         if self.rate <= 0:
             raise ValueError(f"churn rate must be positive: {self.rate}")
+
+    def setup(self, deployment: FleetDeployment) -> None:
+        self.check()
         self.records = []  # fresh per run; specs may be reused
         self._rng = deployment.rng.fork(0xC4)
         self._deployment = deployment
@@ -144,7 +151,7 @@ class RuleChurn(Workload):
         self._live: dict[Hashable, dict[Match, int]] = {
             node: {} for node in deployment.nodes
         }
-        #: Matches freed by deletes, reused by later adds (see recycle).
+        #: Matches freed by deletes, reused by later adds.
         self._free: dict[Hashable, list[Match]] = {
             node: [] for node in deployment.nodes
         }
@@ -174,7 +181,7 @@ class RuleChurn(Workload):
 
     def _build_add(self, node: Hashable) -> tuple[Match, FlowMod]:
         ports = self._ports[node]
-        if self.recycle and self._free[node]:
+        if self._free[node]:
             match = self._free[node].pop()
         else:
             match = Match.build(nw_dst=self._next_dst)

@@ -3,22 +3,18 @@
 * :mod:`repro.network.link` — point-to-point links with latency and
   failure injection.
 * :mod:`repro.network.channel` — OpenFlow control channels (with
-  latency), designed so proxies — Monocle — can interpose.
+  latency, in order), designed so proxies — Monocle — can interpose.
 * :mod:`repro.network.host` — end hosts that send and record traffic.
 * :mod:`repro.network.network` — builds a full network from a
   :mod:`networkx` topology: switches, links, port maps, hosts.
 * :mod:`repro.network.traffic` — constant-rate flow generators used by
   the consistent-update experiments.
-* :mod:`repro.network.conditioning` — seed-deterministic channel
-  degradation (loss/delay/jitter/duplication/reorder) for chaos
-  scenarios.
+* :mod:`repro.network.conditioning` — seed-deterministic control
+  message loss for chaos scenarios.
 """
 
 from repro.network.channel import ControlChannel
-from repro.network.conditioning import (
-    ChannelConditioner,
-    ChannelConditions,
-)
+from repro.network.conditioning import ChannelConditioner
 from repro.network.host import Host
 from repro.network.link import Link
 from repro.network.network import Network
@@ -26,7 +22,6 @@ from repro.network.traffic import FlowSpec, TrafficGenerator
 
 __all__ = [
     "ChannelConditioner",
-    "ChannelConditions",
     "ControlChannel",
     "Host",
     "Link",

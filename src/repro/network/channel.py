@@ -2,7 +2,8 @@
 
 A :class:`ControlChannel` carries control messages between a
 controller-side endpoint and a switch-side endpoint with a configurable
-latency.  Endpoints are callables; Monocle interposes by owning the
+latency, in order and at most once (the TCP connection OpenFlow runs
+over).  Endpoints are callables; Monocle interposes by owning the
 switch's channel and exposing a controller-facing endpoint of its own
 (the paper's proxy design, §2/§7).
 """
@@ -23,11 +24,12 @@ class ControlChannel:
     """A bidirectional, ordered message pipe with latency.
 
     An optional :class:`~repro.network.conditioning.ChannelConditioner`
-    perturbs delivery (loss/delay/jitter/duplication/reorder) with
-    seed-deterministic draws.  A message pays for it only in a
-    direction that has an overlay in force: otherwise the send path
-    reads one attribute and is byte-identical to an unconditioned
-    channel — no conditioner call, no draws, no extra scheduling.
+    drops messages with seed-deterministic draws; a message that
+    survives is delivered once, after the same latency as every other,
+    so messages arrive in the order sent.  A message pays for the draw
+    only in a direction that has an overlay in force: otherwise the
+    send path reads one attribute and is byte-identical to an
+    unconditioned channel — no conditioner call, no draws.
 
     Attributes:
         down_handler: receives messages travelling controller -> switch.
@@ -69,10 +71,9 @@ class ControlChannel:
         direction: str,
     ) -> None:
         conditioner = self.conditioner
-        if conditioner is None or direction not in conditioner.active:
+        if (
+            conditioner is None
+            or direction not in conditioner.active
+            or conditioner.plan(direction)
+        ):
             self.sim.schedule(self.latency, lambda: handler(msg))
-            return
-        for extra in conditioner.plan(direction):
-            self.sim.schedule(
-                self.latency + extra, lambda: handler(msg)
-            )

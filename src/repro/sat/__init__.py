@@ -15,8 +15,8 @@ pure-Python equivalent:
   propagation, first-UIP clause learning, VSIDS-style activity and
   restarts (the PicoSAT stand-in), usable one-shot or incrementally.
 * :mod:`repro.sat.incremental` — the persistent solver context:
-  assumption-based solving, clause groups with retraction, learned
-  lemma retention across calls, and database compaction.
+  assumption-based solving, clause groups with retraction, and learned
+  lemma retention across calls.
 """
 
 from repro.sat.cnf import CNF, Lit

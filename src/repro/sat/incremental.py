@@ -17,21 +17,19 @@ facilities that make those solves share work:
   any lemmas learned from them (they all carry ``-s``).  Selector
   variables are never reused.
 
-Retired groups leave dead-but-satisfied clauses in the database; when
-their number exceeds both an absolute floor and a multiple of the live
-clause count, the wrapper rebuilds the core solver from the live clause
-store (**compaction**), dropping dead clauses.  Learned lemmas that
-mention no retired selector are implied by the surviving formula and
-are carried across the rebuild, so compaction no longer costs the
-solver its accumulated warmth.
+Retired groups leave dead-but-satisfied clauses in the database; the
+wrapper counts them (:attr:`IncrementalSolver.dead_clauses`) and keeps
+no copy of any clause.  Bounding them is the client's business: the
+probe engine (:class:`~repro.core.probegen.ProbeGenContext`) starts a
+fresh solver once the dead clauses outnumber the live ones.
 
 The wrapper is formula-agnostic; probe-specific encoding lives in
 :mod:`repro.core.constraints`.  Its one client keeps match-guard and
 DiffOutcome *definitions* permanent, states what is specific to a probe
 as assumptions, and opens a group only for a Distinguish chain, retired
-right after the solve that assumed it: retirement, variable recycling
-and compaction are that client's steady state on overlapping tables,
-and a table of disjoint rules never creates a group at all.
+right after the solve that assumed it: retirement and variable
+recycling are that client's steady state on overlapping tables, and a
+table of disjoint rules never creates a group at all.
 """
 
 from __future__ import annotations
@@ -53,9 +51,6 @@ class IncrementalStats:
     learned_clauses: int = 0
     groups_created: int = 0
     groups_retired: int = 0
-    compactions: int = 0
-    #: Lemmas carried across compactions (warmth retention).
-    lemmas_retained: int = 0
 
 
 class IncrementalSolver:
@@ -64,24 +59,16 @@ class IncrementalSolver:
     Args:
         num_vars: variables pre-allocated at construction (callers use
             ``1..num_vars`` directly; :meth:`new_var` allocates above).
-        compaction_floor: never compact below this many dead clauses.
-        compaction_ratio: compact when dead clauses exceed this multiple
-            of the live clause count.
     """
 
-    def __init__(
-        self,
-        num_vars: int = 0,
-        compaction_floor: int = 2000,
-        compaction_ratio: float = 1.0,
-    ) -> None:
-        self.compaction_floor = compaction_floor
-        self.compaction_ratio = compaction_ratio
+    def __init__(self, num_vars: int = 0) -> None:
         self._solver = SatSolver(CNF(num_vars), check_models=False)
-        #: Permanent clauses (group None) for compaction rebuilds.
-        self._permanent: list[list[Lit]] = []
-        #: Live groups: selector -> clauses as stored (selector included).
-        self._groups: dict[int, list[list[Lit]]] = {}
+        #: Live clauses (permanent + grouped), excluding learned lemmas.
+        self.num_clauses = 0
+        #: Clauses of retired groups: satisfied forever, still stored.
+        self.dead_clauses = 0
+        #: Live groups: selector -> clauses stored under it.
+        self._groups: dict[int, int] = {}
         #: Variables allocated on behalf of a live group (Tseitin
         #: auxiliaries of its transient clauses).
         self._group_vars: dict[int, list[int]] = {}
@@ -94,34 +81,13 @@ class IncrementalSolver:
         #: per-solve assignment/propagation cost) bounded by the *live*
         #: formula instead of growing with every probe ever solved.
         self._free_vars: list[int] = []
-        #: Selectors of retired groups.  Every lemma learned from a
-        #: group's clauses carries the group's negated selector, so this
-        #: set is exactly what compaction needs to tell transferable
-        #: lemmas from dead ones.
-        self._retired: set[int] = set()
-        #: Lemmas carried over by earlier compactions (they live in the
-        #: core solver as plain clauses, so they must be re-filtered and
-        #: re-added explicitly on the next rebuild).
-        self._kept_lemmas: list[list[Lit]] = []
-        self._dead_clauses = 0
         self.stats = IncrementalStats()
-
-    #: Upper bound on lemmas surviving a compaction; beyond this the
-    #: oldest are dropped (a safety valve, not a tuning knob).
-    MAX_KEPT_LEMMAS = 20_000
 
     # ----- variables ----------------------------------------------------
 
     @property
     def num_vars(self) -> int:
         return self._solver.num_vars
-
-    @property
-    def num_clauses(self) -> int:
-        """Live clauses (permanent + grouped), excluding learned lemmas."""
-        return len(self._permanent) + sum(
-            len(clauses) for clauses in self._groups.values()
-        )
 
     def new_var(self, group: int | None = None) -> int:
         """Allocate an unconstrained variable.
@@ -149,17 +115,15 @@ class IncrementalSolver:
         assumption to :meth:`solve`; permanent clauses always bind.
         """
         lits = list(literals)
-        if group is None:
-            store = self._permanent
-        elif group in self._groups:
-            store = self._groups[group]
+        if group is not None:
+            if group not in self._groups:
+                raise ValueError(f"unknown or retired group {group}")
             lits.append(-group)
-        else:
-            raise ValueError(f"unknown or retired group {group}")
-        # The core first: it rejects a malformed clause, which must not
-        # reach the store compaction rebuilds from either.
+        # The core first: a malformed clause it rejects is not counted.
         self._solver.add_clause(lits)
-        store.append(lits)
+        if group is not None:
+            self._groups[group] += 1
+        self.num_clauses += 1
 
     def add_unit(self, lit: Lit, group: int | None = None) -> None:
         """Add a unit clause (grouped units become binary selectors)."""
@@ -173,7 +137,7 @@ class IncrementalSolver:
         them false forever, so they are constrained, not free.
         """
         selector = self._solver.new_var()
-        self._groups[selector] = []
+        self._groups[selector] = 0
         self._group_vars[selector] = []
         self.stats.groups_created += 1
         return selector
@@ -189,11 +153,10 @@ class IncrementalSolver:
         if clauses is None:
             return  # already retired; idempotent
         self._solver.add_clause((-selector,))
-        self._retired.add(selector)
         self._free_vars.extend(self._group_vars.pop(selector, ()))
-        self._dead_clauses += len(clauses)
+        self.num_clauses -= clauses
+        self.dead_clauses += clauses
         self.stats.groups_retired += 1
-        self._maybe_compact()
 
     # ----- solving --------------------------------------------------------
 
@@ -212,77 +175,22 @@ class IncrementalSolver:
         self.stats.learned_clauses += result.learned_clauses
         return result
 
-    # ----- compaction -----------------------------------------------------
-
-    def _maybe_compact(self) -> None:
-        if self._dead_clauses < self.compaction_floor:
-            return
-        if self._dead_clauses < self.compaction_ratio * max(
-            1, self.num_clauses
-        ):
-            return
-        self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the core solver from live clauses only.
-
-        Drops dead (retired) clauses; variable numbering is preserved so
-        cached literals stay valid.  Learned lemmas that mention no
-        retired selector are *kept*: by the selector invariant (every
-        lemma derived from a group's clauses carries the group's negated
-        selector) such lemmas are resolvents of permanent and live-group
-        clauses only, hence still implied — re-adding them preserves the
-        solver's warmth through the rebuild.  Lemmas that do mention a
-        retired selector are permanently satisfied and dropped (this is
-        also what keeps recycled variables out: a retired group's
-        auxiliaries only ever appear alongside its selector).
-        """
-        keep: list[list[Lit]] = []
-        for lemma in self._kept_lemmas + self._solver.learned_clauses():
-            if any(abs(lit) in self._retired for lit in lemma):
-                continue
-            keep.append(list(lemma))
-        if len(keep) > self.MAX_KEPT_LEMMAS:
-            keep = keep[-self.MAX_KEPT_LEMMAS :]
-        solver = SatSolver(CNF(self.num_vars), check_models=False)
-        for clause in self._permanent:
-            solver.add_clause(clause)
-        for clauses in self._groups.values():
-            for clause in clauses:
-                solver.add_clause(clause)
-        for lemma in keep:
-            solver.add_clause(lemma)
-        self._kept_lemmas = keep
-        self._solver = solver
-        self._dead_clauses = 0
-        self.stats.compactions += 1
-        self.stats.lemmas_retained += len(keep)
-
-    def lemma_count(self) -> int:
-        """Learned lemmas currently held (a solver-warmth proxy).
-
-        Counts the core solver's live learned clauses plus lemmas
-        carried across earlier compactions (those were re-added to the
-        core as plain clauses, so the two sets are disjoint).
-        """
-        return len(self._solver.learned_clauses()) + len(self._kept_lemmas)
-
     def health(self) -> dict[str, int]:
         """Point-in-time solver health for observability gauges.
 
-        JSON-ready snapshot of the quantities that drive compaction;
-        cheap enough to sample per metrics snapshot.
+        JSON-ready snapshot of the database's size; cheap enough to
+        sample per metrics snapshot.
         """
         return {
             "num_vars": self.num_vars,
             "num_clauses": self.num_clauses,
-            "dead_clauses": self._dead_clauses,
-            "lemma_count": self.lemma_count(),
+            "dead_clauses": self.dead_clauses,
+            "lemma_count": len(self._solver.learned_clauses()),
         }
 
     def __repr__(self) -> str:
         return (
             f"IncrementalSolver(vars={self.num_vars}, "
-            f"live={self.num_clauses}, dead={self._dead_clauses}, "
+            f"live={self.num_clauses}, dead={self.dead_clauses}, "
             f"groups={len(self._groups)})"
         )

@@ -114,8 +114,7 @@ class SatSolver:
         # learned clauses share it; learned ones are appended.
         self.clauses: list[list[int]] = []
         #: Indices into :attr:`clauses` holding learned (non-unit)
-        #: lemmas; incremental compaction uses this to carry solver
-        #: warmth across database rebuilds.
+        #: lemmas (:meth:`learned_clauses`).
         self.learned_idx: list[int] = []
         self._contradiction = False
         #: Unit clauses not yet asserted on the trail (consumed by solve).

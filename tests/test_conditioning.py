@@ -1,25 +1,21 @@
-"""Tests for the control-channel chaos layer: ChannelConditions
+"""Tests for the control-channel chaos layer: loss overlays and their
 stacking, ChannelConditioner draws, conditioned ControlChannel
-delivery, and the chaos failure specs that drive them."""
+delivery, and the ChannelDegradation spec that drives them."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
     ChannelDegradation,
-    ControlPlaneFlap,
     FailureSpecError,
     Injection,
     failure_rng,
     inject_now,
 )
 from repro.network.channel import ControlChannel
-from repro.network.conditioning import (
-    DIRECTIONS,
-    PERFECT,
-    ChannelConditioner,
-    ChannelConditions,
-)
+from repro.network.conditioning import DIRECTIONS, ChannelConditioner
 from repro.openflow.messages import EchoRequest
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
@@ -31,103 +27,102 @@ def _msg():
 
 
 class TestChannelConditions:
+    """The loss a stack of overlays puts on both directions."""
+
     def test_validate_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            ChannelConditions(loss=1.5).validate()
-        with pytest.raises(ValueError):
-            ChannelConditions(duplicate=-0.1).validate()
-
-    def test_validate_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            ChannelConditions(delay=-0.001).validate()
-
-    def test_reorder_requires_window(self):
-        with pytest.raises(ValueError):
-            ChannelConditions(reorder=0.5).validate()
-        ChannelConditions(reorder=0.5, reorder_window=0.01).validate()
+        for loss in (1.5, -0.1, 0.0):
+            spec = ChannelDegradation(at=0.0, node="sw0", loss=loss)
+            with pytest.raises(FailureSpecError, match="loss"):
+                spec.check()
+        ChannelDegradation(at=0.0, node="sw0", loss=1.0).check()
 
     def test_active(self):
-        assert not PERFECT.active
-        assert ChannelConditions(loss=0.1).active
-        assert ChannelConditions(delay=0.002).active
+        conditioner = ChannelConditioner(DeterministicRandom(11))
+        assert conditioner.active == frozenset()
+        conditioner.apply(0.1)
+        assert conditioner.active == frozenset(DIRECTIONS)
 
     def test_combine_stacks_independent_probabilities(self):
-        stacked = ChannelConditions.combine(
-            [
-                ChannelConditions(loss=0.5, delay=0.01, jitter=0.002),
-                ChannelConditions(
-                    loss=0.5,
-                    delay=0.02,
-                    reorder=0.25,
-                    reorder_window=0.05,
-                ),
-            ]
-        )
-        assert stacked.loss == pytest.approx(0.75)
-        assert stacked.delay == pytest.approx(0.03)
-        assert stacked.jitter == pytest.approx(0.002)
-        assert stacked.reorder == pytest.approx(0.25)
-        assert stacked.reorder_window == 0.05
+        conditioner = ChannelConditioner(DeterministicRandom(11))
+        conditioner.apply(0.5)
+        conditioner.apply(0.2)
+        conditioner.apply(0.1)
+        assert conditioner.loss == pytest.approx(1 - 0.5 * 0.8 * 0.9)
 
     def test_combine_single_overlay_is_identity(self):
-        only = ChannelConditions(loss=0.3)
-        assert ChannelConditions.combine([only]) is only
+        # 1 - (1 - 0.05) is 0.050000000000000044: one overlay's loss is
+        # used exactly as given, not pushed through the product.
+        assert 1.0 - (1.0 - 0.05) != 0.05
+        conditioner = ChannelConditioner(DeterministicRandom(11))
+        conditioner.apply(0.05)
+        assert conditioner.loss == 0.05
+        # ... and so is the one left standing when the others go.
+        extra = conditioner.apply(0.3)
+        conditioner.remove(extra)
+        assert conditioner.loss == 0.05
 
 
 class TestChannelConditioner:
     def test_idle_conditioner_draws_nothing(self):
-        conditioner = ChannelConditioner(DeterministicRandom(11))
+        sim = Simulator()
+        idle = ChannelConditioner(DeterministicRandom(11))
+        channel = ControlChannel(sim, conditioner=idle)
+        channel.down_handler = channel.up_handler = lambda msg: None
+        for _ in range(50):
+            channel.send_down(_msg())
+            channel.send_up(_msg())
+        sim.run()
         for direction in DIRECTIONS:
-            assert not conditioner.is_active(direction)
-            assert conditioner.stats[direction].conditioned == 0
+            assert not idle.is_active(direction)
+            assert idle.stats[direction].conditioned == 0
+        # The streams were not advanced: once lossy, the conditioner
+        # draws exactly what a fresh one with the same seed draws.
+        fresh = ChannelConditioner(DeterministicRandom(11))
+        for conditioner in (idle, fresh):
+            conditioner.apply(0.5)
+        assert [idle.plan("down") for _ in range(40)] == [
+            fresh.plan("down") for _ in range(40)
+        ]
 
     def test_apply_remove_restores_idle(self):
         conditioner = ChannelConditioner(DeterministicRandom(11))
-        token = conditioner.apply(ChannelConditions(loss=0.5), "both")
+        token = conditioner.apply(0.5)
         assert conditioner.is_active("down")
         assert conditioner.is_active("up")
         conditioner.remove(token)
         assert not conditioner.is_active("down")
         assert not conditioner.is_active("up")
+        assert conditioner.loss == 0.0
         # Idempotent: a second remove of the same token is a no-op.
         conditioner.remove(token)
 
     def test_overlays_stack_and_unstack(self):
         conditioner = ChannelConditioner(DeterministicRandom(11))
-        first = conditioner.apply(ChannelConditions(loss=0.5), "down")
-        conditioner.apply(ChannelConditions(loss=0.5), "down")
-        assert conditioner.effective["down"].loss == pytest.approx(0.75)
-        assert not conditioner.is_active("up")
+        first = conditioner.apply(0.5)
+        second = conditioner.apply(0.5)
+        assert conditioner.loss == pytest.approx(0.75)
         conditioner.remove(first)
-        assert conditioner.effective["down"].loss == pytest.approx(0.5)
-
-    def test_unknown_direction_rejected(self):
-        conditioner = ChannelConditioner(DeterministicRandom(11))
-        with pytest.raises(ValueError):
-            conditioner.apply(ChannelConditions(loss=0.5), "sideways")
+        assert conditioner.loss == 0.5
+        conditioner.remove(second)
+        assert not conditioner.active
 
     def test_plan_is_seed_deterministic(self):
-        conditions = ChannelConditions(
-            loss=0.3, jitter=0.002, duplicate=0.2
-        )
         plans = []
         for _ in range(2):
             conditioner = ChannelConditioner(DeterministicRandom(42))
-            conditioner.apply(conditions, "down")
-            plans.append(
-                [conditioner.plan("down") for _ in range(200)]
-            )
+            conditioner.apply(0.3)
+            plans.append([conditioner.plan("down") for _ in range(200)])
         assert plans[0] == plans[1]
+        assert 0 < plans[0].count(False) < 200
 
     def test_directions_draw_from_independent_streams(self):
         # Draining one direction's stream must not perturb the other:
         # two conditioners, one of which plans 100 extra "down"
         # messages, still agree on the "up" sequence.
-        conditions = ChannelConditions(loss=0.5)
         one = ChannelConditioner(DeterministicRandom(42))
         two = ChannelConditioner(DeterministicRandom(42))
         for conditioner in (one, two):
-            conditioner.apply(conditions, "both")
+            conditioner.apply(0.5)
         for _ in range(100):
             one.plan("down")
         ups_one = [one.plan("up") for _ in range(50)]
@@ -136,32 +131,17 @@ class TestChannelConditioner:
 
     def test_certain_loss_drops_everything(self):
         conditioner = ChannelConditioner(DeterministicRandom(5))
-        conditioner.apply(ChannelConditions(loss=1.0), "up")
+        conditioner.apply(1.0)
         for _ in range(20):
-            assert conditioner.plan("up") == []
+            assert conditioner.plan("up") is False
         assert conditioner.stats["up"].dropped == 20
-
-    def test_certain_duplicate_delivers_two_copies(self):
-        conditioner = ChannelConditioner(DeterministicRandom(5))
-        conditioner.apply(ChannelConditions(duplicate=1.0), "down")
-        for _ in range(20):
-            assert len(conditioner.plan("down")) == 2
-        assert conditioner.stats["down"].duplicated == 20
-
-    def test_delay_and_jitter_bound_extra_latency(self):
-        conditioner = ChannelConditioner(DeterministicRandom(5))
-        conditioner.apply(
-            ChannelConditions(delay=0.010, jitter=0.005), "down"
-        )
-        for _ in range(50):
-            (extra,) = conditioner.plan("down")
-            assert 0.010 <= extra <= 0.015
+        assert conditioner.stats["down"].conditioned == 0
 
     def test_stats_summary_shape(self):
         conditioner = ChannelConditioner(DeterministicRandom(5))
         summary = conditioner.stats_summary()
         assert set(summary) == set(DIRECTIONS)
-        assert summary["down"]["dropped"] == 0
+        assert summary["down"] == {"conditioned": 0, "dropped": 0}
 
 
 class TestConditionedChannel:
@@ -173,43 +153,11 @@ class TestConditionedChannel:
         )
         return sim, conditioner, channel
 
-    def test_blackout_drops_down_traffic_only(self):
-        sim, conditioner, channel = self._channel()
-        down, up = [], []
-        channel.down_handler = down.append
-        channel.up_handler = up.append
-        conditioner.apply(ChannelConditions(loss=1.0), "down")
-        for _ in range(5):
-            channel.send_down(_msg())
-            channel.send_up(_msg())
-        sim.run()
-        assert down == []
-        assert len(up) == 5
-        assert conditioner.stats["down"].dropped == 5
-
-    def test_duplicate_doubles_delivery(self):
-        sim, conditioner, channel = self._channel()
-        got = []
-        channel.up_handler = got.append
-        conditioner.apply(ChannelConditions(duplicate=1.0), "up")
-        channel.send_up(_msg())
-        sim.run()
-        assert len(got) == 2
-
-    def test_delay_shifts_delivery_time(self):
-        sim, conditioner, channel = self._channel()
-        times = []
-        channel.down_handler = lambda msg: times.append(sim.now)
-        conditioner.apply(ChannelConditions(delay=0.050), "down")
-        channel.send_down(_msg())
-        sim.run()
-        assert times == [pytest.approx(0.051)]
-
     def test_removed_overlay_restores_clean_delivery(self):
         sim, conditioner, channel = self._channel()
         got = []
         channel.down_handler = got.append
-        token = conditioner.apply(ChannelConditions(loss=1.0), "down")
+        token = conditioner.apply(1.0)
         channel.send_down(_msg())
         conditioner.remove(token)
         channel.send_down(_msg())
@@ -217,6 +165,55 @@ class TestConditionedChannel:
         assert len(got) == 1
         # Post-removal sends never touch the rng.
         assert conditioner.stats["down"].conditioned == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("send"), st.sampled_from(DIRECTIONS)),
+                st.tuples(
+                    st.just("apply"),
+                    st.one_of(
+                        st.sampled_from((0.05, 0.5, 1.0)),
+                        st.floats(0.001, 1.0),
+                    ),
+                ),
+                st.tuples(st.just("remove"), st.integers(0, 7)),
+                st.tuples(st.just("wait"), st.floats(0.0, 0.003)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_each_direction_delivers_a_subsequence_in_send_order(
+        self, seed, script
+    ):
+        sim, conditioner, channel = self._channel(seed)
+        sent = {direction: [] for direction in DIRECTIONS}
+        got = {direction: [] for direction in DIRECTIONS}
+        channel.down_handler = got["down"].append
+        channel.up_handler = got["up"].append
+        send = {"down": channel.send_down, "up": channel.send_up}
+        tokens = []
+        for op, arg in script:
+            if op == "send":
+                msg = _msg()
+                sent[arg].append(msg)
+                send[arg](msg)
+            elif op == "apply":
+                tokens.append(conditioner.apply(arg))
+            elif op == "remove" and tokens:
+                conditioner.remove(tokens.pop(arg % len(tokens)))
+            elif op == "wait":
+                sim.run_for(arg)
+        sim.run()
+        for direction in DIRECTIONS:
+            # Delivered at most once each, in the order sent.
+            position = {id(msg): i for i, msg in enumerate(sent[direction])}
+            order = [position[id(msg)] for msg in got[direction]]
+            assert order == sorted(set(order))
+            dropped = conditioner.stats[direction].dropped
+            assert len(got[direction]) == len(sent[direction]) - dropped
 
 
 def _deployment(seed=3):
@@ -226,27 +223,30 @@ def _deployment(seed=3):
 class TestChaosFailureSpecs:
     def test_channel_degradation_overlays_and_expires(self):
         deployment = _deployment()
-        spec = ChannelDegradation(
-            at=0.0, node="sw0", loss=0.5, duration=0.2, direction="up"
-        )
+        spec = ChannelDegradation(at=0.0, node="sw0", loss=0.5, duration=0.2)
         record = Injection(kind=spec.kind, time=0.0)
         inject_now(deployment, spec, record)
         conditioner = deployment.network.conditioner("sw0")
         assert record.error is None
         assert record.chaos
         assert conditioner.is_active("up")
-        assert not conditioner.is_active("down")
+        assert conditioner.is_active("down")
         deployment.run(0.3)
         assert not conditioner.is_active("up")
+        assert not conditioner.is_active("down")
 
     def test_control_plane_flap_blacks_out_both_directions(self):
+        # loss=1.0 with a duration is a flap: every message either way
+        # vanishes while it lasts, then the channel heals.
         deployment = _deployment()
-        spec = ControlPlaneFlap(at=0.0, node="sw1", duration=0.1)
+        spec = ChannelDegradation(at=0.0, node="sw1", loss=1.0, duration=0.1)
         record = Injection(kind=spec.kind, time=0.0)
         inject_now(deployment, spec, record)
+        assert record.error is None
         conditioner = deployment.network.conditioner("sw1")
-        assert conditioner.effective["down"].loss == 1.0
-        assert conditioner.effective["up"].loss == 1.0
+        assert conditioner.loss == 1.0
+        for direction in DIRECTIONS:
+            assert conditioner.plan(direction) is False
         deployment.run(0.2)
         assert not conditioner.is_active("down")
         assert not conditioner.is_active("up")
@@ -257,6 +257,17 @@ class TestChaosFailureSpecs:
         record = Injection(kind=spec.kind, time=0.0)
         inject_now(deployment, spec, record)
         assert record.error is not None
+
+    @pytest.mark.parametrize(
+        "fields", [dict(loss=1.5), dict(loss=0.5, duration=-0.1)]
+    )
+    def test_malformed_degradation_is_recorded_not_raised(self, fields):
+        deployment = _deployment()
+        spec = ChannelDegradation(at=0.0, node="sw0", **fields)
+        record = Injection(kind=spec.kind, time=0.0)
+        inject_now(deployment, spec, record)
+        assert record.error is not None
+        assert not deployment.network.conditioner("sw0").active
 
     def test_degradation_of_unknown_node_is_an_error(self):
         deployment = _deployment()

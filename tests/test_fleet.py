@@ -5,6 +5,7 @@ import pytest
 from repro.fleet import (
     AclTables,
     BackgroundTraffic,
+    ChannelDegradation,
     FlowModBlackhole,
     LinkFailure,
     PrioritySwap,
@@ -80,6 +81,41 @@ class TestScenarioSpecValidation:
         )
         with pytest.raises(ScenarioError, match="unknown switch"):
             spec.validate()
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (
+                dict(
+                    failures=(
+                        ChannelDegradation(at=0.1, node="sw0", loss=1.5),
+                    )
+                ),
+                "loss",
+            ),
+            (
+                dict(
+                    failures=(
+                        ChannelDegradation(
+                            at=0.1, node="sw0", loss=0.5, duration=-0.1
+                        ),
+                    )
+                ),
+                "duration",
+            ),
+            (dict(workloads=(RuleChurn(rate=0.0),)), "churn rate"),
+        ],
+        ids=["loss", "duration", "churn_rate"],
+    )
+    def test_malformed_chaos_or_churn_is_refused_before_the_run(
+        self, fields, match
+    ):
+        spec = ScenarioSpec(
+            topology="ring", size=4, duration=0.5, rules_per_switch=2,
+            **fields,
+        )
+        with pytest.raises(ScenarioError, match=match):
+            run_scenario(spec)
 
 
 def _ring4_spec(**overrides):

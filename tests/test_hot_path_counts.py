@@ -438,7 +438,8 @@ def test_regenerated_probe_adds_nothing_and_solves_once(calls):
         generated += solver.stats.solves
         # Permanent definitions alone: the catching match, the in_port
         # domain, and one guard per match ever placed above a probe.
-        assert solver.num_clauses == len(solver._permanent)
+        assert solver.num_clauses == solver._solver.num_clauses
+        assert solver.dead_clauses == 0
         size = (solver.num_vars, solver.num_clauses)
         context.clear_cache()
         for key in monitor.scheduler.keys():  # the rules it probes

@@ -5,7 +5,6 @@ probe retry/backoff edge cases the chaos arms lean on."""
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
 from repro.network import Network
-from repro.network.conditioning import ChannelConditions
 from repro.openflow.actions import output
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
@@ -39,7 +38,7 @@ def blackout(net, sim, duration):
     """
     for node in net.channels:
         conditioner = net.conditioner(node)
-        token = conditioner.apply(ChannelConditions(loss=1.0), "both")
+        token = conditioner.apply(1.0)
         sim.schedule(
             duration,
             lambda c=conditioner, t=token: c.remove(t),

@@ -327,8 +327,12 @@ class TestTransientChain:
         assert solver.stats.groups_created == created
         assert solver.stats.groups_retired == created
         assert not solver._groups and not solver._group_vars
-        # What is left is the permanent definitions alone.
-        assert solver.num_clauses == len(solver._permanent)
+        # What is left is the permanent definitions alone: every other
+        # clause the core holds is dead, or a selector's retiring unit.
+        core = solver._solver
+        assert core.num_clauses == (
+            solver.num_clauses + solver.dead_clauses + created
+        )
 
     def test_satisfiable_solve_retires_its_chain(self):
         hot, below, above = self._rules()

@@ -14,7 +14,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from action_helpers import multicast
+from repro.core import probegen
 from repro.core.probegen import (
+    DEAD_CLAUSE_FLOOR,
     ProbeGenContext,
     ProbeGenerator,
     UnmonitorableReason,
@@ -25,6 +27,7 @@ from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import FlowTable
+from repro.sat.incremental import IncrementalSolver
 
 CATCH = Match.build(dl_vlan=0xF03)
 
@@ -265,16 +268,18 @@ def test_incremental_context_equivalent_over_200_churn_steps():
     assert set(context._cache) <= live_keys
 
 
-def test_transient_chains_compact_and_recycle_over_acl_churn():
+def test_transient_chains_compact_and_recycle_over_acl_churn(monkeypatch):
     """The same equivalence on an ACL-shaped table, where every solve
     opens and retires a Distinguish chain.
 
     Two towers of nested ``nw_dst`` prefixes (/8 ... /32, priority
     growing with specificity) over a default rule: a probed rule has a
     dozen lower overlapping rules, so 300 add / delete / re-probe steps
-    retire enough chain clauses for the solver to compact itself and to
-    hand recycled variables out again.  A second context fed the same
-    steps in lockstep answers exactly as the first.
+    hand recycled variables out again and retire enough chain clauses
+    for the context to re-found its engine — right after the solve
+    whose chain took the dead clauses to ``DEAD_CLAUSE_FLOOR`` and past
+    the live ones, and at no other solve.  A second context fed the
+    same steps in lockstep answers exactly as the first.
     """
     rng = random.Random(0xAC1)
 
@@ -309,21 +314,22 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
                 each.add_rule(live[slot])
 
     recycled = 0
-    solver = context.solver
-    allocate = solver.new_var
+    allocate = IncrementalSolver.new_var
 
-    def counting(group=None):
+    def counting(solver, group=None):
         nonlocal recycled
         before = solver.num_vars
-        var = allocate(group)
-        recycled += var <= before
+        var = allocate(solver, group)
+        if solver is context.solver:
+            recycled += var <= before
         return var
 
-    solver.new_var = counting
+    monkeypatch.setattr(IncrementalSolver, "new_var", counting)
 
+    engines = [context.solver]
     for step in range(300):
         if step == 150:
-            assert solver.stats.groups_retired and recycled
+            assert engines[0].stats.groups_retired and recycled
         slot = rng.choice(slots)
         if slot in live and rng.random() < 0.4:
             victim = live.pop(slot)
@@ -334,7 +340,13 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
             for each in contexts:
                 each.add_rule(live[slot])
         probed = live[rng.choice(sorted(live, key=lambda s: s[0]))]
+        solver = context.solver
         result = context.probe_for(probed)
+        dead = solver.dead_clauses
+        due = dead >= DEAD_CLAUSE_FLOOR and dead >= solver.num_clauses
+        assert (context.solver is not solver) is due
+        if due:
+            engines.append(context.solver)
         _assert_equivalent(context.table, probed, result)
         again = twin.probe_for(probed)
         assert (again.ok, again.reason, again.header, again.packet) == (
@@ -342,26 +354,26 @@ def test_transient_chains_compact_and_recycle_over_acl_churn():
         )
         assert again.solver_conflicts == result.solver_conflicts
 
-    stats = context.solver.stats
-    assert stats.compactions >= 1
-    assert stats.groups_created == stats.groups_retired > 100
+    assert context.stats.engine_rebuilds == len(engines) - 1 >= 1
+    created = sum(engine.stats.groups_created for engine in engines)
+    assert created == sum(e.stats.groups_retired for e in engines) > 100
     assert not context.solver._groups
-    assert recycled > stats.groups_created  # chains reuse each other's vars
+    assert recycled > created  # chains reuse each other's vars
     assert twin.solver is not context.solver
-    assert twin.solver.stats == stats
+    assert twin.solver.stats == context.solver.stats
     assert twin.stats.probes_generated == context.stats.probes_generated
     assert twin.stats.revalidations == context.stats.revalidations
+    assert twin.stats.engine_rebuilds == context.stats.engine_rebuilds
 
 
-def test_engine_rebuild_bounds_guard_growth():
+def test_engine_rebuild_bounds_guard_growth(monkeypatch):
     """Churn that never reuses a match must not grow the persistent
     encoder forever: once dead guards dominate the live table the
     context re-founds its solver, and probes stay correct across the
     rebuild."""
+    monkeypatch.setattr(probegen, "REBUILD_FLOOR", 8)
     rng = random.Random(7)
-    context = ProbeGenContext(
-        ProbeGenerator(catch_match=CATCH), rebuild_floor=8
-    )
+    context = ProbeGenContext(ProbeGenerator(catch_match=CATCH))
     keeper = Rule(
         priority=500,
         match=Match.build(nw_src=SRC_VALUES[0]),
@@ -383,7 +395,7 @@ def test_engine_rebuild_bounds_guard_growth():
         context.remove_rule(rule)
     assert context.stats.engine_rebuilds >= 1
     assert context.encoder.cached_guards <= max(
-        context.rebuild_floor, 2 * (len(context.table) + 1)
+        8, 2 * (len(context.table) + 1)
     )
     result = context.probe_for(keeper)
     _assert_equivalent(context.table, keeper, result)

@@ -2,7 +2,8 @@
 
 Covers the three incremental facilities — assumption-based solving,
 clause groups with retraction, lemma/heuristic retention across calls —
-plus variable recycling and database compaction, cross-checked against
+plus variable recycling and the probe engine's re-founding of a solver
+whose retired groups outnumber its live clauses, cross-checked against
 the brute-force reference solver on random formulas.
 """
 
@@ -12,6 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import probegen
+from repro.openflow.actions import drop, output
+from repro.openflow.match import Match
+from repro.openflow.rule import Rule
 from repro.sat.cnf import CNF
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import SatSolver
@@ -147,6 +152,27 @@ class TestGroups:
             )
 
 
+CATCH = Match.build(dl_vlan=0xF03)
+
+
+def chained_context(monkeypatch):
+    """A probe engine whose probes open and retire Distinguish chains,
+    re-founded once ten dead clauses (not 2,000) outnumber live ones."""
+    monkeypatch.setattr(probegen, "DEAD_CLAUSE_FLOOR", 10)
+    context = probegen.ProbeGenContext(
+        probegen.ProbeGenerator(catch_match=CATCH)
+    )
+    rules = [
+        Rule(100, Match.build(nw_dst=(0x0A000000, 8)), output(2)),
+        Rule(80, Match.build(nw_dst=(0x0A000000, 16)), output(3)),
+        Rule(50, Match.build(nw_dst=0x0A000005), drop()),
+        Rule(10, Match.build(), output(1)),
+    ]
+    for rule in rules:
+        context.add_rule(rule)
+    return context, rules
+
+
 class TestRecyclingAndCompaction:
     def test_group_vars_are_recycled(self):
         solver = IncrementalSolver(num_vars=2)
@@ -174,37 +200,44 @@ class TestRecyclingAndCompaction:
         assert solver.solve([fresh]).satisfiable is True
         assert solver.solve([-fresh]).satisfiable is True
 
-    def test_compaction_preserves_semantics(self):
-        rng = random.Random(11)
-        base = random_cnf(rng, 6, 10)
-        solver = IncrementalSolver(num_vars=6)
-        for clause in base.clauses():
-            solver.add_clause(clause)
-        live = solver.new_group()
-        solver.add_clause([1, 2], group=live)
-        for _ in range(5):
-            dead = solver.new_group()
-            solver.add_clause([3, 4], group=dead)
-            solver.retire_group(dead)
-        before = solver.solve([live]).satisfiable
-        solver.compact()
-        assert solver.health()["dead_clauses"] == 0
-        assert solver.solve([live]).satisfiable == before
-        reference = base.copy()
-        reference.add_clause([1, 2])
-        assert before == (brute_force_solve(reference) is not None)
+    def test_auto_compaction_fires(self, monkeypatch):
+        """Retired groups' dead clauses are bounded by the engine that
+        owns the solver: the probe engine re-founds it at the trigger
+        compaction had — at least ``DEAD_CLAUSE_FLOOR`` dead clauses and
+        no fewer than live ones — right after the solve that reached it.
+        """
+        context, rules = chained_context(monkeypatch)
+        rebuilds = 0
+        for _ in range(200):
+            solver = context.solver
+            context.clear_cache()  # every probe_for is a solve
+            assert context.probe_for(rules[0]).ok
+            dead = solver.dead_clauses
+            due = dead >= 10 and dead >= solver.num_clauses
+            assert (context.solver is not solver) is due
+            rebuilds += due
+        assert rebuilds >= 2
+        assert context.stats.engine_rebuilds == rebuilds
 
-    def test_auto_compaction_fires(self):
-        solver = IncrementalSolver(
-            num_vars=2, compaction_floor=10, compaction_ratio=0.5
-        )
-        solver.add_clause([1, 2])
-        for _ in range(20):
-            group = solver.new_group()
-            solver.add_clause([1], group=group)
-            solver.retire_group(group)
-        assert solver.stats.compactions >= 1
-        assert solver.solve([]).satisfiable is True
+    def test_compaction_preserves_semantics(self, monkeypatch):
+        # Every rule's probe, across several engine rebuilds, gets the
+        # from-scratch verdict and passes the simulation check.
+        context, rules = chained_context(monkeypatch)
+        scratch = probegen.ProbeGenerator(catch_match=CATCH)
+        for _ in range(40):
+            context.clear_cache()
+            for rule in rules:
+                result = context.probe_for(rule)
+                expected = scratch.generate(context.table, rule)
+                assert (result.ok, result.reason) == (
+                    expected.ok, expected.reason
+                )
+                if result.ok:
+                    valid, why = probegen.verify_probe(
+                        context.table, rule, result.header, CATCH
+                    )
+                    assert valid, why
+        assert context.stats.engine_rebuilds >= 2
 
 
 class TestLearnedRetention:
@@ -261,12 +294,16 @@ class TestCoreSolverIncrementalSurface:
         result = solver.solve([-2])
         assert result.satisfiable is True
 
-    def test_compaction_keeps_model_check_disabled(self):
-        solver = IncrementalSolver(num_vars=2)
-        solver.add_clause([1, 2])
-        assert solver._solver.check_models is False
-        solver.compact()
-        assert solver._solver.check_models is False
+    def test_compaction_keeps_model_check_disabled(self, monkeypatch):
+        # The engine's re-founded solver skips the model check too: the
+        # engine verifies every probe it decodes itself.
+        assert IncrementalSolver()._solver.check_models is False
+        context, rules = chained_context(monkeypatch)
+        for _ in range(200):
+            context.clear_cache()
+            assert context.probe_for(rules[0]).ok
+        assert context.stats.engine_rebuilds
+        assert context.solver._solver.check_models is False
 
     def test_add_clause_after_solve(self):
         solver = SatSolver(CNF(2))
@@ -290,7 +327,6 @@ class TestCoreSolverIncrementalSurface:
             with pytest.raises(ValueError, match="0 is not a valid literal"):
                 solver.add_clause([1, 0, 2], group=target)
         assert solver.num_clauses == 0 and solver._solver.clauses == []
-        solver.compact()  # rebuilds from the stores: nothing malformed
         assert solver.solve([group]).satisfiable is True
 
     def test_assumption_on_an_unseen_variable_grows_the_space(self):
@@ -303,93 +339,6 @@ class TestCoreSolverIncrementalSurface:
         assert solver.num_vars == 5 and solver.new_var() == 6
 
 
-def random_3sat(rng, num_vars, num_clauses):
-    """Exact-3 clauses near the phase transition: conflict-rich."""
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append([v if rng.random() < 0.5 else -v for v in variables])
-    return clauses
-
-
-class TestWarmCompaction:
-    """Compaction keeps lemmas that mention no retired selector."""
-
-    def _churned_solver(self, rng, num_vars=20, clauses=86):
-        threes = random_3sat(rng, num_vars, clauses)
-        solver = IncrementalSolver(num_vars=num_vars)
-        for clause in threes:
-            solver.add_clause(clause)
-        return threes, solver
-
-    def test_lemmas_survive_compaction(self):
-        rng = random.Random(3)
-        cnf, solver = self._churned_solver(rng)
-        first = solver.solve([])
-        assert first.learned_clauses > 0  # the instance must be nontrivial
-        # Create retirement garbage to give compaction something to do.
-        for _ in range(5):
-            group = solver.new_group()
-            solver.add_clause([1, 2], group=group)
-            solver.retire_group(group)
-        solver.compact()
-        assert solver.stats.lemmas_retained > 0
-        assert solver.solve([]).satisfiable == first.satisfiable
-
-    def test_retired_group_lemmas_are_dropped(self):
-        solver = IncrementalSolver(num_vars=6)
-        solver.add_clause([1, 2])
-        group = solver.new_group()
-        # A contradictory group: solving under it learns lemmas that
-        # carry the group selector.
-        solver.add_clause([3], group=group)
-        solver.add_clause([-3, 4], group=group)
-        solver.add_clause([-4], group=group)
-        assert solver.solve([group]).satisfiable is False
-        solver.retire_group(group)
-        solver.compact()
-        # No kept lemma may mention the retired selector.
-        for lemma in solver._kept_lemmas:
-            assert all(abs(lit) != group for lit in lemma)
-        assert solver.solve([]).satisfiable is True
-
-    def test_warmth_measurably_retained(self):
-        # After compaction the solver must not redo all its conflicts.
-        rng = random.Random(8)
-        measured = 0
-        for _ in range(8):
-            _cnf, solver = self._churned_solver(rng)
-            first = solver.solve([])
-            if first.conflicts < 4:
-                continue  # too easy to measure warmth on
-            solver.compact()
-            assert solver.stats.lemmas_retained > 0
-            second = solver.solve([])
-            assert second.satisfiable == first.satisfiable
-            assert second.conflicts <= first.conflicts
-            measured += 1
-        assert measured > 0
-
-    def test_compaction_matches_brute_force_after_retention(self):
-        rng = random.Random(53)
-        for trial in range(15):
-            base = random_cnf(rng, 7, rng.randint(6, 20))
-            solver = IncrementalSolver(num_vars=7)
-            for clause in base.clauses():
-                solver.add_clause(clause)
-            solver.solve([])
-            for _ in range(3):
-                group = solver.new_group()
-                extra = random_cnf(rng, 7, rng.randint(1, 4))
-                for clause in extra.clauses():
-                    solver.add_clause(clause, group=group)
-                solver.solve([group])
-                solver.retire_group(group)
-            solver.compact()
-            expected = brute_force_solve(base) is not None
-            assert solver.solve([]).satisfiable == expected, trial
-
-
 BASE_VARS = 6
 
 
@@ -397,8 +346,8 @@ BASE_VARS = 6
 def group_scripts(draw):
     """Operations on a context over ``BASE_VARS`` base variables, of
     which clauses name only a drawn subset: permanent clauses, groups
-    (with an auxiliary variable each), retirements, compactions, and
-    solves under a mix of selectors and base literals."""
+    (with an auxiliary variable each), retirements, engine rebuilds,
+    and solves under a mix of selectors and base literals."""
     named = sorted(
         draw(st.sets(st.integers(1, BASE_VARS), min_size=1, max_size=4))
     )
@@ -414,7 +363,7 @@ def group_scripts(draw):
         st.tuples(st.just("permanent"), clause),
         st.tuples(st.just("group"), st.lists(clause, min_size=1, max_size=4)),
         st.tuples(st.just("retire"), st.integers(0, 7)),
-        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("rebuild"), st.none()),
         st.tuples(
             st.just("solve"),
             st.tuples(
@@ -444,37 +393,55 @@ class TestBranchBookkeeping:
     @given(group_scripts())
     def test_group_scripts_agree_with_enumeration(self, script):
         # Two solvers fed the same calls in lockstep: same models.
-        solver = IncrementalSolver(num_vars=BASE_VARS)
-        twin = IncrementalSolver(num_vars=BASE_VARS)
-        both = (solver, twin)
+        both = (
+            IncrementalSolver(num_vars=BASE_VARS),
+            IncrementalSolver(num_vars=BASE_VARS),
+        )
         permanent: list[list[int]] = []
         groups: list[tuple[int, int, list[list[int]]]] = []
         touched: set[int] = set()
+
+        def add_group(clauses):
+            (selector,) = {each.new_group() for each in both}
+            (aux,) = {each.new_var(selector) for each in both}
+            # aux <-> first clause, then the rest as they are: a
+            # recycled auxiliary is named again by a new group.
+            for each in both:
+                each.add_clause([-aux] + clauses[0], group=selector)
+                each.add_unit(aux, group=selector)
+                for clause in clauses[1:]:
+                    each.add_clause(clause, group=selector)
+            return selector, aux, clauses
+
         for op, arg in script:
+            solver, twin = both
             if op == "permanent":
                 for each in both:
                     each.add_clause(arg)
                 permanent.append(arg)
                 touched.update(map(abs, arg))
             elif op == "group":
-                (selector,) = {each.new_group() for each in both}
-                (aux,) = {each.new_var(selector) for each in both}
-                # aux <-> first clause, then the rest as they are: a
-                # recycled auxiliary is named again by a new group.
-                for each in both:
-                    each.add_clause([-aux] + arg[0], group=selector)
-                    each.add_unit(aux, group=selector)
-                    for clause in arg[1:]:
-                        each.add_clause(clause, group=selector)
-                groups.append((selector, aux, arg))
+                groups.append(add_group(arg))
                 touched.update(abs(lit) for c in arg for lit in c)
             elif op == "retire" and groups:
                 retired = groups.pop(arg % len(groups))[0]
                 for each in both:
                     each.retire_group(retired)
-            elif op == "compact":
-                for each in both:
-                    each.compact()
+            elif op == "rebuild":
+                # The probe engine's growth bound: fresh solvers fed the
+                # live formula alone, dead clauses left behind.
+                live = solver.num_clauses
+                both = (
+                    IncrementalSolver(num_vars=BASE_VARS),
+                    IncrementalSolver(num_vars=BASE_VARS),
+                )
+                for clause in permanent:
+                    for each in both:
+                        each.add_clause(clause)
+                groups = [add_group(clauses) for _, _, clauses in groups]
+                solver, twin = both
+                assert solver.num_clauses == live
+                assert solver.dead_clauses == 0
             elif op == "solve":
                 picks, literals = arg
                 active = (
@@ -489,6 +456,9 @@ class TestBranchBookkeeping:
                         reference.extend(clauses)
                 reference.extend([lit] for lit in literals)
                 touched.update(map(abs, literals))
+                assert solver.num_clauses == len(permanent) + sum(
+                    len(clauses) + 1 for _, _, clauses in groups
+                )
                 expected = brute_force_solve(reference) is not None
                 result = solver.solve(sorted(active) + literals)
                 assert result.satisfiable == expected
