@@ -79,7 +79,8 @@ def main():
         baseline.timings["run_seconds"] / sharded.timings["run_seconds"]
     )
     print(f"wall-clock speedup: {ratio:.2f}x "
-          "(hardware-dependent; the BENCH_shard gate runs on >= 4 cores)")
+          "(hardware-dependent; `python3 -m bench` measures it as "
+          "fleet.shard_speedup_x)")
 
 
 if __name__ == "__main__":

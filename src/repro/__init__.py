@@ -20,8 +20,9 @@ Quickstart::
     probe = generator.generate(table, table.rules()[0])
     assert probe.ok
 
-See ``examples/`` for full scenarios and ``benchmarks/`` for the
-paper's tables and figures.
+See ``examples/`` for full scenarios; ``tests/test_integration.py``
+and its neighbours hold the paper's figures as seconds-scale tests, and
+``python3 -m bench`` measures what the system costs.
 """
 
 from repro.openflow import FlowTable, Match, Rule

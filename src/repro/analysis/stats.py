@@ -1,4 +1,4 @@
-"""Statistics helpers for the benchmark harness."""
+"""Statistics helpers for fleet metrics and ``bench``."""
 
 from __future__ import annotations
 
@@ -14,20 +14,6 @@ class Cdf:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def fraction_at_or_below(self, x: float) -> float:
-        """P(X <= x)."""
-        if not self.samples:
-            return 0.0
-        # Binary search for the rightmost sample <= x.
-        lo, hi = 0, len(self.samples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.samples[mid] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo / len(self.samples)
 
     def percentile(self, q: float) -> float:
         """The q-th percentile, q in [0, 100]."""

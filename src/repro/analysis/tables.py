@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark output."""
+"""Plain-text table rendering for reports and examples."""
 
 from __future__ import annotations
 

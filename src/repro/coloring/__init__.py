@@ -22,7 +22,7 @@ Solvers provided:
 from repro.coloring.greedy import greedy_coloring, GreedyOrder
 from repro.coloring.exact import exact_coloring
 from repro.coloring.square import square_graph
-from repro.coloring.validate import is_proper_coloring, num_colors
+from repro.coloring.validate import is_proper_coloring
 
 __all__ = [
     "greedy_coloring",
@@ -30,5 +30,4 @@ __all__ = [
     "exact_coloring",
     "square_graph",
     "is_proper_coloring",
-    "num_colors",
 ]

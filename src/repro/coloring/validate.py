@@ -14,10 +14,3 @@ def is_proper_coloring(graph: nx.Graph, coloring: dict) -> bool:
         if u != v and coloring[u] == coloring[v]:
             return False
     return True
-
-
-def num_colors(coloring: dict) -> int:
-    """Number of distinct colors used."""
-    if not coloring:
-        return 0
-    return len(set(coloring.values()))

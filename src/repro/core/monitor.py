@@ -239,7 +239,7 @@ class Monitor:
         self.alarms_suppressed = 0
         #: Observability: every hot-path publication site guards on
         #: ``obs.enabled``, so the default NULL_OBSERVER costs one
-        #: attribute read per site (gated by BENCH_obs.json).
+        #: attribute read per site (inside every ``bench`` ``op_us``).
         self.obs = obs
         if obs.enabled:
             label = repr(node)
@@ -281,9 +281,8 @@ class Monitor:
         nothing, so neither sends a barrier.
         """
         affected = self.probe_context.apply_flowmod(mod)
-        for rule in affected:
-            if self._in_flight(rule.key()):
-                self._invalidate_steady_probes(rule.key())
+        if self.outstanding:
+            self._invalidate_steady_probes(affected, mod.command.is_delete)
         defer = (
             self.scheduler.promotes
             and not self.dynamic_guarded
@@ -772,21 +771,33 @@ class Monitor:
         if probe.timeout_event is not None:
             probe.timeout_event.cancel()
 
-    def _invalidate_steady_probes(self, key: tuple) -> None:
-        """A FlowMod touched the rule a steady probe in flight is for.
+    def _invalidate_steady_probes(
+        self, affected: list[Rule], deleting: bool
+    ) -> None:
+        """A FlowMod touched the rule a steady probe in flight is for,
+        or installed a rule above it that the probe's header matches.
 
-        Whether the probe meets the old or the new rule in the data
-        plane is a race it cannot win: silence after a DELETE or the
-        new outcome after a MODIFY would raise an alarm on a rule that
-        did what it was told.  The update's own probes (dynamic mode)
-        expect the change and stay.
+        Whether the probe meets the old or the new state in the data
+        plane is a race it cannot win: silence after a DELETE, the new
+        outcome after a MODIFY, or the higher rule's outcome after an
+        ADD above it would raise an alarm on a rule that did what it
+        was told.  The update's own probes (dynamic mode) expect the
+        change and stay.
         """
+        steady_alarm = self._steady_alarm
         for probe in list(self.outstanding.values()):
-            if (
-                probe.on_alarm == self._steady_alarm
-                and probe.result.rule.key() == key
-            ):
-                self.invalidate_probe(probe)
+            if probe.on_alarm != steady_alarm:
+                continue
+            probed, header = probe.result.rule, probe.result.header
+            assert header is not None  # launched probes carry one
+            for rule in affected:
+                if rule.key() == probed.key() or (
+                    not deleting
+                    and rule.priority > probed.priority
+                    and rule.match.matches(header)
+                ):
+                    self.invalidate_probe(probe)
+                    break
 
     def _probe_timeout(self, probe: OutstandingProbe) -> None:
         if probe.done:

@@ -548,19 +548,6 @@ class ProbeGenContext:
                 stale.add(key)
                 self.stats.invalidations += 1
 
-    def clear_cache(self) -> None:
-        """Drop all cached probes (benchmark/ablation hook).
-
-        Persistent solver state — match guards, DiffOutcome literals,
-        learned lemmas — survives; only the probe result cache is
-        emptied, so every subsequent ``probe_for`` runs a real solve
-        against the warm context.  Nothing in ``src/`` calls this: a
-        monitored switch re-solves only what revalidation gave up on.
-        """
-        self._cache.clear()
-        self._stale.clear()
-        self._cache_index.clear()
-
     # ----- probe generation ----------------------------------------------
 
     def probe_for(self, rule: Rule) -> ProbeResult:

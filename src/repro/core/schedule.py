@@ -62,8 +62,7 @@ class SchedulerStats:
 
     The one construction-time build is the only full expected-table
     iteration a scheduler ever pays; churn maintenance must keep
-    ``cycle_rebuilds`` there (regression-tested and gated by
-    ``BENCH_cycle.json``).
+    ``cycle_rebuilds`` there (pinned at 1 in ``tests/test_schedule.py``).
     """
 
     cycle_rebuilds: int = 0
@@ -87,7 +86,7 @@ class ProbeScheduler:
     * :meth:`add` / :meth:`discard` — an O(log N) bisect plus an O(N)
       C-level memmove splice per churned rule (pointer moves, not the
       Python-level per-rule work a full rebuild pays — three orders of
-      magnitude cheaper at 16k-64k rules, see ``BENCH_cycle.json``);
+      magnitude cheaper at 16k-64k rules);
     * :meth:`observe_flowmod` — translates a FlowMod plus the affected
       rules (as returned by the probe context's delta API) into the
       add/discard delta, and touches the surviving rules.

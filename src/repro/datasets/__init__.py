@@ -17,8 +17,6 @@ from repro.datasets.acl import (
     STANFORD_PROFILE,
     campus_table,
     generate_acl_table,
-    scaled_profile,
-    sized_acl_table,
     stanford_table,
 )
 
@@ -28,7 +26,5 @@ __all__ = [
     "STANFORD_PROFILE",
     "campus_table",
     "generate_acl_table",
-    "scaled_profile",
-    "sized_acl_table",
     "stanford_table",
 ]

@@ -219,37 +219,6 @@ def _shrink_match(rng: DeterministicRandom, match: Match) -> Match:
     return Match(fields)
 
 
-def scaled_profile(base: AclProfile, num_rules: int) -> AclProfile:
-    """``base`` resized to ``num_rules`` rules at constant *density*.
-
-    The destination-universe pool grows with the rule count (one extra
-    /8 per ~512 rules) so the per-rule overlap set stays roughly
-    constant as tables grow — the production-ACL regime the tuple-space
-    overlap index targets (sparse overlap at 10k-100k rules), as
-    opposed to packing ever more rules into the same few prefixes.
-    """
-    from dataclasses import replace
-
-    return replace(
-        base,
-        name=f"{base.name}-{num_rules}",
-        num_rules=num_rules,
-        dst_universes=max(base.dst_universes, num_rules // 512),
-    )
-
-
-def sized_acl_table(num_rules: int, seed: int = 0) -> FlowTable:
-    """A ClassBench-style ACL table with ``num_rules`` rules.
-
-    Stanford-profile structure at constant overlap density (see
-    :func:`scaled_profile`); the overlap-index benchmark sweeps this at
-    4k/16k/64k rules.
-    """
-    return generate_acl_table(
-        scaled_profile(STANFORD_PROFILE, num_rules), seed=seed
-    )
-
-
 def stanford_table(seed: int = 11) -> FlowTable:
     """The Stanford-like table (2755 rules)."""
     return generate_acl_table(STANFORD_PROFILE, seed=seed)

@@ -6,14 +6,11 @@ runs one :class:`~repro.fleet.shardworker.ShardWorker` per shard (in
 this process for a one-shard plan, in worker processes otherwise) —
 each start to finish on its own kernel, with no clock shared between
 them — and returns a :class:`ScenarioResult` with aggregated metrics, so
-examples and benchmarks stop hand-rolling orchestration.
+examples, tests and ``bench`` stop hand-rolling orchestration.
 
 The module doubles as the ``repro-fleet`` console entry point::
 
     repro-fleet --topology ring --size 12 --duration 3 --drops 2 --churn 40
-
-Environment: ``REPRO_BENCH_SCALE`` scales ``rules_per_switch`` (CI
-smoke runs use 0.1), ``REPRO_BENCH_SEED`` overrides the default seed.
 """
 
 from __future__ import annotations
@@ -380,7 +377,7 @@ class ScenarioResult:
     #: Wall-clock phase timings (``run_seconds``: the simulation run,
     #: excluding deployment build).  Deliberately kept out of
     #: :meth:`FleetMetrics.to_json` and the report — those stay pure
-    #: functions of the spec + seed; benchmarks read this field.
+    #: functions of the spec + seed; ``bench`` reads this field.
     timings: dict[str, float] = field(default_factory=dict)
     #: Self-healing summary for sharded runs: total worker respawns
     #: the coordinator performed (0 for in-process runs).
@@ -593,7 +590,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=int, default=12)
     parser.add_argument("--profile", default="ovs", choices=sorted(PROFILES))
     parser.add_argument("--duration", type=float, default=3.0)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument("--rules", type=int, default=20,
                         help="production rules per switch")
     parser.add_argument("--probe-rate", type=float, default=500.0)
@@ -660,19 +657,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="dump the full FleetMetrics as JSON")
     args = parser.parse_args(argv)
 
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-    seed = (
-        args.seed
-        if args.seed is not None
-        else int(os.environ.get("REPRO_BENCH_SEED", "2015"))
-    )
     spec = ScenarioSpec(
         topology=args.topology,
         size=args.size,
         profile=args.profile,
         duration=args.duration,
-        seed=seed,
-        rules_per_switch=max(4, int(args.rules * scale)),
+        seed=args.seed,
+        rules_per_switch=args.rules,
         probe_rate=args.probe_rate,
         probe_window=args.probe_window,
         dynamic=not args.static,

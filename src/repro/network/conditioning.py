@@ -8,7 +8,8 @@ order and exactly once, so what a conditioned channel does not drop
 arrives as it would have unconditioned.  Every decision is drawn from
 a per-direction :class:`~repro.sim.random.DeterministicRandom` stream
 forked from the network seed, so a degraded run is a pure function of
-its spec + seed — the property all chaos benchmarks gate on.
+its spec + seed — what lets the lossy-channel tests
+(``tests/test_hysteresis.py``) assert exact outcomes.
 
 Overlays stack: failure specs push a loss probability onto both
 directions and remove it when the degradation window closes.  One

@@ -61,7 +61,3 @@ class Link:
     def fail(self) -> None:
         """Cut the link: all packets in both directions are lost."""
         self.failed = True
-
-    def restore(self) -> None:
-        """Repair the link."""
-        self.failed = False

@@ -77,7 +77,7 @@ class TraceRecorder:
         #: Raw 5-tuples, wrapped into :class:`TraceEvent` lazily on
         #: read: a plain tuple literal is built in C, a NamedTuple call
         #: is a Python-level ``__new__`` — on the hot record path that
-        #: difference is measurable (see ``BENCH_obs.json``).
+        #: difference is measurable.
         self._buffer: deque[tuple] = deque(maxlen=capacity)
         #: Total events ever recorded (including evicted ones).
         self.emitted = 0

@@ -227,10 +227,6 @@ class TupleSpaceIndex:
         bucket.value_and = value_and
         self.compactions += 1
 
-    def clear(self) -> None:
-        self._tuples.clear()
-        self._where.clear()
-
     # ----- queries --------------------------------------------------------
 
     def query(self, value: int, mask: int) -> list[Hashable]:
@@ -290,11 +286,6 @@ class TupleSpaceIndex:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._where
-
-    @property
-    def num_tuples(self) -> int:
-        """Distinct mask signatures currently indexed."""
-        return len(self._tuples)
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
 """Seeded randomness helpers for reproducible experiments.
 
-Every experiment in the benchmark harness takes a seed; all stochastic
+Every experiment (tests, examples, ``bench``) takes a seed; all stochastic
 choices (which rule to fail, install latencies, ECMP port selection, ...)
 flow through a :class:`DeterministicRandom` so that a run is a pure
 function of its seed.

@@ -97,7 +97,8 @@ def apply_flowmod(table: FlowTable, mod: FlowMod) -> list[Rule]:
 
 @dataclass
 class SwitchStats:
-    """Counters exposed for the overhead benchmarks (Figures 6 and 7)."""
+    """Per-switch counters (Figures 6 and 7 read ``flowmods_processed``,
+    ``tests/test_profiles_behavior.py``)."""
 
     flowmods_processed: int = 0
     packetouts_processed: int = 0

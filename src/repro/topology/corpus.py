@@ -1,22 +1,20 @@
-"""Synthetic topology corpora for the Figure 9 experiment.
+"""A synthetic topology corpus for the Figure 9 experiment.
 
 The paper evaluates catching-rule overhead on the 261 Internet Topology
-Zoo graphs and 10 Rocketfuel ISP maps.  Those datasets are not shipped
-here, so we synthesize corpora with matched structural statistics — the
-quantities Figure 9 actually depends on:
+Zoo graphs (and 10 Rocketfuel ISP maps).  That dataset is not shipped
+here, so we synthesize a corpus with matched structural statistics —
+the quantities Figure 9 actually depends on:
 
 * **size distribution**: Topology Zoo graphs are mostly small (median
-  ~21 nodes) with a heavy tail up to 754; Rocketfuel router-level maps
-  run from hundreds of nodes to 11.8k.
+  ~21 nodes) with a heavy tail up to 754.
 * **sparsity / degree structure**: ISP topologies are near-planar
   meshes (average degree ~2-3) with occasional hubs; their chromatic
   numbers stay small (the paper finds <= 9 colors suffice for all of
   them), while squared-graph chromatic numbers track the max degree
-  (up to 59 on the zoo, 258 on Rocketfuel).
+  (up to 59 on the zoo).
 
 Zoo-like graphs: a random spanning tree over waypoints plus a few
-shortcut edges (ring/mesh flavour).  Rocketfuel-like graphs: preferential
-attachment (hub-and-spoke ISP flavour) with m in {1, 2}.
+shortcut edges (ring/mesh flavour).
 """
 
 from __future__ import annotations
@@ -35,9 +33,6 @@ _ZOO_SIZE_BUCKETS = (
     (91, 200, 15),
     (201, 754, 6),
 )
-
-#: Rocketfuel router-level map sizes (approximate, ascending).
-_ROCKETFUEL_SIZES = (121, 315, 604, 960, 2180, 2914, 3447, 4750, 7018, 11800)
 
 
 def _tree_plus_shortcuts(
@@ -63,28 +58,6 @@ def _tree_plus_shortcuts(
     return graph
 
 
-def _preferential_attachment(
-    n: int, m: int, rng: DeterministicRandom
-) -> nx.Graph:
-    """Barabasi-Albert-style growth with seeded randomness."""
-    graph = nx.Graph()
-    targets = list(range(m + 1))
-    graph.add_nodes_from(targets)
-    for u, v in zip(targets, targets[1:]):
-        graph.add_edge(u, v)
-    repeated: list[int] = []
-    for node in targets:
-        repeated.extend([node] * graph.degree[node])
-    for node in range(m + 1, n):
-        chosen: set[int] = set()
-        while len(chosen) < m:
-            chosen.add(repeated[rng.randint(0, len(repeated) - 1)])
-        for target in chosen:
-            graph.add_edge(node, target)
-            repeated.extend((node, target))
-    return graph
-
-
 @functools.lru_cache(maxsize=None)
 def topology_zoo_like_corpus(seed: int = 2015) -> list[nx.Graph]:
     """261 synthetic graphs with Topology-Zoo-like structure.
@@ -92,8 +65,8 @@ def topology_zoo_like_corpus(seed: int = 2015) -> list[nx.Graph]:
     Each graph's ``graph['name']`` identifies it (``zoo000`` ...).
 
     The corpus for a given seed is generated once per process and
-    cached (examples and benchmarks index into it repeatedly); treat
-    the returned list and its graphs as read-only.
+    cached (the fleet runner, examples and tests index into it
+    repeatedly); treat the returned list and its graphs as read-only.
     """
     rng = DeterministicRandom(seed)
     graphs: list[nx.Graph] = []
@@ -107,21 +80,4 @@ def topology_zoo_like_corpus(seed: int = 2015) -> list[nx.Graph]:
             graph.graph["name"] = f"zoo{index:03d}"
             graphs.append(graph)
             index += 1
-    return graphs
-
-
-@functools.lru_cache(maxsize=None)
-def rocketfuel_like_corpus(seed: int = 2002) -> list[nx.Graph]:
-    """10 synthetic ISP-scale graphs standing in for Rocketfuel.
-
-    Cached per seed like :func:`topology_zoo_like_corpus`; treat the
-    result as read-only.
-    """
-    rng = DeterministicRandom(seed)
-    graphs: list[nx.Graph] = []
-    for i, n in enumerate(_ROCKETFUEL_SIZES):
-        m = 1 if i % 3 == 0 else 2
-        graph = _preferential_attachment(n, m, rng.fork(i))
-        graph.graph["name"] = f"rocketfuel{i}"
-        graphs.append(graph)
     return graphs

@@ -1,7 +1,8 @@
 """Concrete experiment topologies.
 
-Node naming conventions matter to the benchmarks (they look switches up
-by name), so generators label nodes with readable strings.
+Node naming conventions matter to the tests, examples and ``bench``
+(they look switches up by name), so generators label nodes with
+readable strings.
 """
 
 from __future__ import annotations

@@ -6,12 +6,6 @@ from repro.analysis import Cdf, format_table, summarize
 
 
 class TestCdf:
-    def test_fraction_at_or_below(self):
-        cdf = Cdf([1.0, 2.0, 3.0, 4.0])
-        assert cdf.fraction_at_or_below(0.5) == 0.0
-        assert cdf.fraction_at_or_below(2.0) == 0.5
-        assert cdf.fraction_at_or_below(10.0) == 1.0
-
     def test_percentile(self):
         cdf = Cdf(list(range(101)))
         assert cdf.percentile(0) == 0
@@ -22,7 +16,6 @@ class TestCdf:
 
     def test_empty(self):
         cdf = Cdf([])
-        assert cdf.fraction_at_or_below(1.0) == 0.0
         assert len(cdf) == 0
         with pytest.raises(ValueError):
             cdf.percentile(50)

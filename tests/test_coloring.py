@@ -1,4 +1,5 @@
-"""Tests for the vertex-coloring solvers and the strategy-2 transform."""
+"""Tests for the vertex-coloring solvers and the strategy-2 transform,
+and Figure 9's reserved-value counts on the zoo-like corpus."""
 
 import networkx as nx
 import pytest
@@ -8,10 +9,14 @@ from repro.coloring import (
     exact_coloring,
     greedy_coloring,
     is_proper_coloring,
-    num_colors,
     square_graph,
 )
 from repro.sim.random import DeterministicRandom
+from repro.topology.corpus import topology_zoo_like_corpus
+
+
+def num_colors(coloring):
+    return len(set(coloring.values()))
 
 
 def random_graph(n, p, seed):
@@ -139,5 +144,30 @@ class TestValidate:
         graph = nx.path_graph(2)
         assert not is_proper_coloring(graph, {0: 1, 1: 1})
 
-    def test_num_colors_empty(self):
-        assert num_colors({}) == 0
+
+class TestFigure9:
+    """§8.3.2: reserved header values per topology, on every eighth
+    zoo-like graph plus the one with the highest degree (it sets
+    strategy 2's maximum).  Exact coloring stands in for the paper's
+    ILP on small graphs, DSATUR above."""
+
+    @staticmethod
+    def values(graph, strategy):
+        target = graph if strategy == 1 else square_graph(graph)
+        if target.number_of_nodes() <= (200 if strategy == 1 else 60):
+            coloring = exact_coloring(target, node_budget=300_000)
+        else:
+            coloring = greedy_coloring(target, GreedyOrder.DSATUR)
+        assert is_proper_coloring(target, coloring)
+        return num_colors(coloring)
+
+    def test_one_reserved_field_needs_few_values(self):
+        zoo = topology_zoo_like_corpus()
+        widest = max(zoo, key=lambda g: max(d for _, d in g.degree))
+        sample = [g for i, g in enumerate(zoo) if i % 8 == 0 or g is widest]
+        one_per_switch = [g.number_of_nodes() for g in sample]
+        strategy1 = [self.values(g, 1) for g in sample]
+        strategy2 = [self.values(g, 2) for g in sample]
+        assert max(strategy1) <= 9  # the paper's headline number
+        assert max(strategy2) > 3 * max(strategy1)  # tracks max degree
+        assert sum(strategy1) < sum(one_per_switch)

@@ -441,7 +441,7 @@ def test_regenerated_probe_adds_nothing_and_solves_once(calls):
         assert solver.num_clauses == solver._solver.num_clauses
         assert solver.dead_clauses == 0
         size = (solver.num_vars, solver.num_clauses)
-        context.clear_cache()
+        context._cache.clear()
         for key in monitor.scheduler.keys():  # the rules it probes
             assert context.probe_for(context.table.get(*key)).ok
         assert (solver.num_vars, solver.num_clauses) == size

@@ -1,6 +1,8 @@
 """Tests for the Monitor proxy: expected-table tracking, steady-state
 cycling, probe confirmation and alarms — over a real simulated star."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.monitor import MonitorConfig, outcome_observations
@@ -12,12 +14,15 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.network import Network
 from repro.sim.kernel import Simulator
+from repro.switches.profiles import OVS
 from repro.topology.generators import star
 
 
-def star_setup(num_rules=20, probe_rate=500.0, dynamic=False, seed=3):
+def star_setup(
+    num_rules=20, probe_rate=500.0, dynamic=False, seed=3, profiles=OVS
+):
     sim = Simulator()
-    net = Network(sim, star(4), seed=seed)
+    net = Network(sim, star(4), seed=seed, profiles=profiles)
     system = MonocleSystem(
         net, config=MonitorConfig(probe_rate=probe_rate), dynamic=dynamic
     )
@@ -340,6 +345,60 @@ class TestSteadyState:
         assert monitor.alarms == []
         if command == "MODIFY_STRICT":
             assert monitor.probes_confirmed > 0  # the new rule, probed on
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize(
+        "offset, races",
+        [(0.0, True), (0.0005, True), (0.0015, False), (0.0029, False)],
+    )
+    def test_add_above_the_probed_rule_retires_its_probe(
+        self, dynamic, offset, races
+    ):
+        """A steady probe enters the hub through a leaf, here one that
+        takes 1 ms per PacketOut, so it reaches the hub ~2.3 ms after
+        it leaves; an ADD down the hub's own channel applies ~1.3 ms
+        after it is sent.  Sent less than ~1 ms behind the probe, an
+        ADD above the probed rule wins: the probe meets the new rule
+        and leaves toward its port, an outcome that would alarm
+        ``misbehaving`` on a rule that did what it was told."""
+        slow_packetout = replace(OVS, packetout_rate=1000.0)
+        sim, net, system, rules = star_setup(
+            dynamic=dynamic,
+            profiles=lambda n: OVS if n == "hub" else slow_packetout,
+        )
+        monitor = system.monitor("hub")
+        victim = rules[7]
+        other = net.port_toward["hub"]["leaf0"]
+        assert victim.forwarding_set() != {other}
+        add = FlowMod(
+            command=FlowModCommand.ADD,
+            match=victim.match,
+            priority=200,
+            actions=output(other),
+        )
+        launched, egress = [], {}
+        launch, handle = monitor.launch_probe, monitor.handle_caught_probe
+
+        def add_behind_the_first_victim_probe(result, *args, **kwargs):
+            probe = launch(result, *args, **kwargs)
+            if result.rule is victim and not launched:
+                launched.append(probe)
+                sim.schedule(offset, lambda: system.send_to_switch("hub", add))
+            return probe
+
+        def record_egress(egress_port, values, metadata):
+            egress.setdefault(metadata.nonce, egress_port)
+            handle(egress_port, values, metadata)
+
+        monitor.launch_probe = add_behind_the_first_victim_probe
+        monitor.handle_caught_probe = record_egress
+        monitor.start_steady_state()
+        sim.run_for(0.5)
+        (probe,) = launched
+        # The probe's caught copy says which rule it met at the hub.
+        assert (egress[probe.nonce] == other) is races
+        assert probe.done
+        assert monitor.alarms == []
 
     def test_cycle_skips_catch_rules(self):
         sim, net, system, _ = star_setup(num_rules=4)

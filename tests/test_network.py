@@ -51,10 +51,6 @@ class TestLink:
         sim.run()
         assert got == []
         assert link.dropped == 2
-        link.restore()
-        link.send_from_a(b"z")
-        sim.run()
-        assert got == [b"z"]
 
 
 class TestControlChannel:

@@ -2,6 +2,8 @@
 reserved value per switch (probe identity is the nonce), and the
 barrier a static deployment holds its promotions behind."""
 
+import statistics
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.openflow.messages import FlowMod, FlowModCommand, next_xid
 from repro.openflow.rule import Rule
 from repro.network import Network
 from repro.sim.kernel import Simulator
+from repro.sim.random import DeterministicRandom
 from repro.switches.profiles import OVS, SwitchProfile
 from repro.topology.generators import star
 
@@ -70,8 +73,10 @@ def windowed_setup(
     )
     system = MonocleSystem(
         net,
-        config=MonitorConfig(
-            probe_rate=probe_rate, probe_window=window
+        config=(
+            MonitorConfig(probe_rate=probe_rate)
+            if window is None  # probe_window left at its default
+            else MonitorConfig(probe_rate=probe_rate, probe_window=window)
         ),
         dynamic=False,
     )
@@ -110,6 +115,49 @@ class TestWindowedMonitor:
         keys = {a.rule.key() for a in monitor.alarms}
         assert keys == {victim.key()}
         assert monitor.alarms[0].kind == "missing"
+
+    def test_deeper_window_detects_a_silent_drop_sooner(self):
+        """Detection pays ~uniform(0, cycle/W) + timeout.  On 512 rules
+        at 250 probes/s (4 ms ticks, well above the probe RTT, so a
+        window really sustains ~W probes per tick), seven silent drops
+        per window: W=8's median detection latency is <= 0.35x W=1's,
+        W=4's lies between, no window alarms on a rule it did not drop,
+        and leaving ``probe_window`` at its default is the W=1 run."""
+        runs, medians = {}, {}
+        for window in (None, 1, 4, 8):
+            sim, net, system, rules = windowed_setup(
+                window, num_rules=512, probe_rate=250.0, seed=2015
+            )
+            monitor = system.monitor("hub")
+            monitor.start_steady_state()
+            sim.run_for(0.05)
+            hub = net.switch("hub")
+            rng = DeterministicRandom(2015).fork(0x919E)
+            dropped, latencies = set(), []
+            for _ in range(7):
+                victim = rng.choose(rules)
+                dropped.add(victim.key())
+                start, t_drop = len(monitor.alarms), sim.now
+                assert hub.fail_rule_in_dataplane(victim)
+                hits = []
+                while not hits and sim.now < t_drop + 2 * 512 / 250 + 1.5:
+                    sim.run_for(0.02)
+                    hits = [
+                        a.time
+                        for a in monitor.alarms[start:]
+                        if a.rule.key() == victim.key()
+                    ]
+                assert hits, "dropped rule never detected"
+                latencies.append(hits[0] - t_drop)
+                hub.dataplane.install(victim)
+                sim.run_for(0.3)  # a probe sent before the repair drains
+            timeline = [(a.time, a.rule.key(), a.kind) for a in monitor.alarms]
+            assert {key for _, key, _ in timeline} <= dropped
+            runs[window] = (timeline, latencies)
+            medians[window] = statistics.median(latencies)
+        assert runs[None] == runs[1]
+        assert medians[8] <= 0.35 * medians[1]
+        assert medians[8] <= medians[4] <= medians[1]
 
     @settings(max_examples=12, deadline=None)
     @given(

@@ -417,7 +417,7 @@ class TestTransientChain:
         assert context.probe_for(hot).ok
         size = (context.solver.num_vars, context.solver.num_clauses)
         for _ in range(3):
-            context.clear_cache()  # force a real solve on the same table
+            context._cache.clear()  # force a real solve on the same table
             result = context.probe_for(hot)
             valid, why = verify_probe(context.table, hot, result.header, CATCH)
             assert valid, why
@@ -432,7 +432,7 @@ class TestTransientChain:
         # The lower rule now forwards exactly as the hot rule does: a
         # probe landing on it no longer distinguishes.
         context.add_rule(below.with_actions(output(2)))
-        context.clear_cache()  # the cached probe never met `below`
+        context._cache.clear()  # the cached probe never met `below`
         result = context.probe_for(hot)
         assert result.ok
         assert not below.match.matches(result.header)
@@ -544,7 +544,7 @@ class TestBranchingHeapBound:
         assert context.stats.probes_generated == 300
 
         for _ in range(10):
-            context.clear_cache()
+            context._cache.clear()
             for rule in shadowed:
                 result = context.probe_for(rule)
                 assert result.reason is UnmonitorableReason.UNSATISFIABLE

@@ -71,6 +71,10 @@ PINS: dict[str, dict[str, str]] = {
 #: Conflicts the context's 140 solves met per table while a probe's
 #: constraints were stored per-rule clause groups.
 PARENT_CONFLICTS = {"stanford": 26, "campus": 7}
+#: Table 2's "probes found": the share of sampled rules the cold
+#: generator must find a probe for (the paper's 0.89 / 0.97; these
+#: samples read 0.85 / 0.96).
+FOUND_SHARE = {"stanford": 0.75, "campus": 0.85}
 
 
 def sampled(name):
@@ -173,6 +177,7 @@ def test_cold_probes_are_the_pinned_ones(sample, solves):
     name, table, rules = sample
     results = cold_results(table, rules)
     assert digest(results, what_it_is, what_it_cost) == PINS[name]["cold"]
+    assert sum(r.ok for r in results) / SAMPLE > FOUND_SHARE[name]
     # One solve per probe, and a solve is a handful of decisions: the
     # overlap filter leaves a median of one other rule in the instance.
     assert len(solves) == SAMPLE

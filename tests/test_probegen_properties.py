@@ -389,7 +389,7 @@ def test_engine_rebuild_bounds_guard_growth(monkeypatch):
         context.add_rule(rule)
         # Force a real solve: the fresh rule overlaps the keeper, so
         # generating the keeper's probe encodes a guard for it.
-        context.clear_cache()
+        context._cache.clear()
         result = context.probe_for(keeper)
         _assert_equivalent(context.table, keeper, result)
         context.remove_rule(rule)

@@ -210,7 +210,7 @@ class TestRecyclingAndCompaction:
         rebuilds = 0
         for _ in range(200):
             solver = context.solver
-            context.clear_cache()  # every probe_for is a solve
+            context._cache.clear()  # every probe_for is a solve
             assert context.probe_for(rules[0]).ok
             dead = solver.dead_clauses
             due = dead >= 10 and dead >= solver.num_clauses
@@ -225,7 +225,7 @@ class TestRecyclingAndCompaction:
         context, rules = chained_context(monkeypatch)
         scratch = probegen.ProbeGenerator(catch_match=CATCH)
         for _ in range(40):
-            context.clear_cache()
+            context._cache.clear()
             for rule in rules:
                 result = context.probe_for(rule)
                 expected = scratch.generate(context.table, rule)
@@ -300,7 +300,7 @@ class TestCoreSolverIncrementalSurface:
         assert IncrementalSolver()._solver.check_models is False
         context, rules = chained_context(monkeypatch)
         for _ in range(200):
-            context.clear_cache()
+            context._cache.clear()
             assert context.probe_for(rules[0]).ok
         assert context.stats.engine_rebuilds
         assert context.solver._solver.check_models is False

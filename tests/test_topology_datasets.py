@@ -10,10 +10,7 @@ from repro.datasets import (
     stanford_table,
 )
 from repro.openflow.fields import FieldName
-from repro.topology.corpus import (
-    rocketfuel_like_corpus,
-    topology_zoo_like_corpus,
-)
+from repro.topology.corpus import topology_zoo_like_corpus
 from repro.topology.generators import (
     fat_tree,
     linear,
@@ -100,18 +97,9 @@ class TestCorpora:
         assert topology_zoo_like_corpus(seed=1) is topology_zoo_like_corpus(
             seed=1
         )
-        assert rocketfuel_like_corpus() is rocketfuel_like_corpus()
-
-    def test_rocketfuel_corpus_shape(self):
-        corpus = rocketfuel_like_corpus()
-        sizes = [g.number_of_nodes() for g in corpus]
-        assert len(corpus) == 10
-        assert max(sizes) == 11800  # the paper's largest Rocketfuel map
-        assert all(nx.is_connected(g) for g in corpus[:3])
 
     def test_corpus_names(self):
         assert topology_zoo_like_corpus()[0].graph["name"] == "zoo000"
-        assert rocketfuel_like_corpus()[0].graph["name"] == "rocketfuel0"
 
 
 class TestAclDatasets:

@@ -9,8 +9,7 @@ except an f-string's replacement fields and the ``"module:Class.name"``
 entry points ``bench/trace.py`` patches, which are code):
 
 * defs and classes whose name occurs once — its own definition —
-  across ``src/``, ``tests/``, ``benchmarks/``, ``examples/`` and
-  ``bench/``;
+  across ``src/``, ``tests/``, ``examples/`` and ``bench/``;
 * defs whose name occurs once outside ``tests/`` but is referenced from
   ``tests/``: code only its own tests keep alive.  (Not classes: the
   failure kinds and workloads only tests build yet are the scenario
@@ -18,8 +17,8 @@ entry points ``bench/trace.py`` patches, which are code):
 
 ``src/**/__init__.py`` is not searched — a re-export is not a use —
 and dunder methods are skipped.  Exits 1 when either list is non-empty:
-a def must have a caller in ``src/``, ``benchmarks/``, ``examples/`` or
-``bench/``, or move to a ``tests/`` helper, or go.
+a def must have a caller in ``src/``, ``examples/`` or ``bench/``, or
+move to a ``tests/`` helper, or go.
 """
 
 import ast
@@ -31,7 +30,7 @@ from pathlib import Path
 from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
-SEARCHED = ("src", "tests", "benchmarks", "examples", "bench")
+SEARCHED = ("src", "tests", "examples", "bench")
 
 #: ``"package.module:Class.method"``, the form in which ``bench/trace.py``
 #: names the entry points it patches: a reference to the last name.
