@@ -20,8 +20,8 @@ constraint guarantees the two sets cannot coincide.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Mapping
 
 from repro.core.probegen import (
     ProbeGenContext,
@@ -29,7 +29,7 @@ from repro.core.probegen import (
     ProbeResult,
     UnmonitorableReason,
 )
-from repro.core.schedule import ProbeScheduler
+from repro.core.schedule import POLICIES, ProbeScheduler
 from repro.obs import NullObserver, Observer
 from repro.openflow.fields import FieldName
 from repro.openflow.messages import (
@@ -59,7 +59,12 @@ SUSPICION_REPROBE_ESCALATION = 2.0
 SUSPICION_REPROBE_GAP_CAP = 0.050
 
 
-@dataclass
+def knob(default: Any, doc: str) -> Any:
+    """A config field; ``repro-fleet`` makes its flag, helped by ``doc``."""
+    return field(default=default, metadata={"help": doc})
+
+
+@dataclass(frozen=True)
 class MonitorConfig:
     """Tunables of the monitoring loop.
 
@@ -67,27 +72,70 @@ class MonitorConfig:
     detection timeout, up to 3 re-sends.
     """
 
-    probe_rate: float = 500.0
-    probe_timeout: float = 0.150
-    max_retries: int = 3
-    #: Re-injection interval for unconfirmed rule updates (dynamic mode).
-    update_probe_interval: float = 0.005
-    #: Give up confirming an update after this long (transient tolerance).
-    update_deadline: float = 10.0
-    #: Alarm hysteresis: consecutive probe-timeout *strikes* a rule must
-    #: accumulate before a ``missing`` alarm is raised.  1 reproduces
-    #: the paper's immediate alarm byte-for-byte; >1 makes the monitor
-    #: robust to stochastic probe loss on a degraded control channel
-    #: (a lost probe costs one suppressed strike, not a false alarm).
-    alarm_confirmations: int = 1
-    #: Steady-state probe pipelining.  1 (the default) is the paper's
-    #: rate-paced cycle: one launch per tick, however many earlier
-    #: probes are still in flight.  W > 1 tops the steady probes in
-    #: flight back up to W every tick (a depth cap), so detection
-    #: latency on an N-rule table drops from ~N/probe_rate toward
-    #: ~N/(probe_window * probe_rate).  Concurrent probes of one switch
-    #: share its reserved value and are told apart by their nonce.
-    probe_window: int = 1
+    probe_rate: float = knob(500.0, "steady-state probes per second")
+    probe_timeout: float = knob(
+        0.150, "seconds a probe may go unconfirmed before it alarms"
+    )
+    max_retries: int = knob(3, "re-sends of a probe within its timeout")
+    update_probe_interval: float = knob(
+        0.005, "re-injection interval for unconfirmed updates (dynamic mode)"
+    )
+    update_deadline: float = knob(
+        10.0, "give up on an update after this long (transient tolerance)"
+    )
+    alarm_confirmations: int = knob(
+        1,
+        "alarm hysteresis: consecutive probe-timeout strikes a rule must "
+        "accumulate before a missing alarm is raised; 1 reproduces the "
+        "paper's immediate alarm byte-for-byte, >1 makes the monitor "
+        "robust to stochastic probe loss on a degraded control channel "
+        "(a lost probe costs one suppressed strike, not a false alarm)",
+    )
+    probe_window: int = knob(
+        1,
+        "steady-state probe pipelining: 1 is the paper's rate-paced "
+        "cycle, one launch per tick however many earlier probes are "
+        "still in flight; W > 1 tops the steady probes in flight back up "
+        "to W every tick (a depth cap), so detection latency on an "
+        "N-rule table drops from ~N/probe_rate toward "
+        "~N/(probe_window * probe_rate); concurrent probes of one switch "
+        "share its reserved value and are told apart by their nonce",
+    )
+    probe_policy: str = knob(
+        "round_robin",
+        "probe order: round_robin (the paper's cycle) or churn_first "
+        "(recently churned rules jump the queue)",
+    )
+
+    #: :meth:`check`'s bounds (a field left ``None`` is unset).
+    POSITIVE: ClassVar[tuple[str, ...]] = (
+        "probe_rate",
+        "probe_timeout",
+        "update_probe_interval",
+        "update_deadline",
+    )
+    AT_LEAST: ClassVar[tuple[tuple[str, int], ...]] = (
+        ("max_retries", 0),
+        ("alarm_confirmations", 1),
+        ("probe_window", 1),
+    )
+
+    def check(self) -> None:
+        """Raise :class:`ValueError` on a value the loop cannot run
+        with (``MonocleSystem`` calls this before building anything)."""
+        for name in self.POSITIVE:
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive: {value}")
+        for name, least in self.AT_LEAST:
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}: {value}")
+        if self.probe_policy not in POLICIES:
+            raise ValueError(
+                f"unknown probe policy {self.probe_policy!r}; "
+                f"choose from {sorted(POLICIES)}"
+            )
 
 
 @dataclass
@@ -199,10 +247,8 @@ class Monitor:
         self.to_controller = to_controller
         self.multiplexer = multiplexer
 
-        #: Probe window: the cap on steady probes in flight at once
-        #: (see ``MonitorConfig.probe_window``).
-        self.window = max(1, self.config.probe_window)
-        #: Steady probes in flight right now, and the most there were.
+        #: Steady probes in flight right now, and the most there were
+        #: (``MonitorConfig.probe_window`` caps the first).
         self.window_depth = 0
         self.window_peak = 0
         #: rule key -> number of outstanding (not done) probes, the
@@ -414,7 +460,8 @@ class Monitor:
         # steady probes in flight back up to ``window`` each tick, so
         # the sustained injection rate approaches window * probe_rate
         # while probe_rate still paces (and batches) the injections.
-        budget = 1 if self.window == 1 else self.window - self.window_depth
+        window = self.config.probe_window
+        budget = 1 if window == 1 else window - self.window_depth
         if budget <= 0:
             return
         promoted_keys: set[tuple] = set()
@@ -426,13 +473,13 @@ class Monitor:
         )
         for rule in rules:
             self._serve_steady_rule(rule, rule.key() in promoted_keys)
-        if self.obs.enabled and rules and self.window > 1:
+        if self.obs.enabled and rules and window > 1:
             self.obs.emit(
                 "window.depth",
                 node=self.node,
                 depth=self.window_depth,
                 launched=len(rules),
-                window=self.window,
+                window=window,
             )
 
     def _serve_steady_rule(self, rule: Rule, promoted: bool) -> None:
@@ -540,7 +587,7 @@ class Monitor:
         state touched) at the default config.
         """
         confirmations = self.config.alarm_confirmations
-        if confirmations <= 1:
+        if confirmations == 1:
             return False
         rule = probe.result.rule
         key = rule.key()

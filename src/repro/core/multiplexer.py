@@ -119,13 +119,12 @@ class MonocleSystem:
         network: the wired network to monitor.
         plan: catching plan; computed (strategy 1, exact coloring) when
             omitted.
-        config: monitoring configuration shared by all Monitors.
+        config: monitoring configuration shared by all Monitors,
+            checked before anything is built.
         dynamic: create a DynamicMonitor per switch so FlowMods are
             confirmed and acknowledged (§4).
         controller_handler: ``(node, message) -> None`` receiving
             non-probe upstream traffic and UpdateAcks.
-        probe_policy: probe order of every switch's scheduler, a
-            :data:`~repro.core.schedule.POLICIES` name.
         monitored_nodes: when given, build Monitors only for these
             switches (a sharded fleet worker owning one shard of a
             full-topology mirror).  Every switch still gets its catch
@@ -139,20 +138,19 @@ class MonocleSystem:
         self,
         network: Network,
         plan: CatchingPlan | None = None,
-        config: MonitorConfig | None = None,
+        config: MonitorConfig = MonitorConfig(),
         dynamic: bool = True,
         controller_handler: Callable[[Hashable, Message], None] | None = None,
         use_drop_postponing: bool = False,
-        probe_policy: str = "round_robin",
         obs: "Observer | NullObserver | None" = None,
         monitored_nodes: "Iterable[Hashable] | None" = None,
     ) -> None:
+        config.check()
         self.network = network
         self.sim = network.sim
         self.obs = obs if obs is not None else NULL_OBSERVER
-        self.config = config if config is not None else MonitorConfig()
+        self.config = config
         self.controller_handler = controller_handler
-        self.probe_policy = probe_policy
         if plan is None:
             plan = plan_catching_rules(
                 network.topology,
@@ -218,7 +216,7 @@ class MonocleSystem:
             multiplexer=self.multiplexer,
             probe_context=probe_context,
             scheduler=ProbeScheduler(
-                policy=self.probe_policy,
+                policy=self.config.probe_policy,
                 is_infrastructure=is_infrastructure,
             ),
             obs=self.obs,

@@ -12,16 +12,16 @@ alarm timeline equals the one-process run's whenever no unowned mirror
 would have carried control-plane load of its own (see README).
 
 Self-healing: the coordinator waits at most ``spec.worker_timeout``
-wall-clock seconds for a worker's result (so the deadline bounds one
-shard's whole run); a pipe EOF (crash) or a missed deadline (hang)
-triggers a respawn of just that shard.  A shard's state is a pure
-function of its seeded build — fork-start replacements inherit the
-same module-global counters the original did (the coordinator never
-advances them between spawns) — so the replacement is simply built
-again and sent the one command again.  Restarts are budgeted per shard
-(``spec.max_worker_restarts``); a shard that exhausts its budget is
-marked failed and the scenario continues without it, yielding a
-*degraded* partial result instead of an abort.
+wall-clock seconds (60 unless the spec says otherwise) for a worker's
+result, so the deadline bounds one shard's whole run; a pipe EOF
+(crash) or a missed deadline (hang) triggers a respawn of just that
+shard.  A shard's state is a pure function of its seeded build —
+fork-start replacements inherit the same module-global counters the
+original did (the coordinator never advances them between spawns) — so
+the replacement is simply built again and sent the one command again.
+Restarts are budgeted per shard (``spec.max_worker_restarts``); a shard
+that exhausts its budget is marked failed and the scenario continues
+without it, yielding a *degraded* partial result instead of an abort.
 """
 
 from __future__ import annotations
@@ -48,11 +48,6 @@ def _mp_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-fork platforms
         return multiprocessing.get_context()
-
-
-#: Wall-clock seconds a worker may go silent before it counts as hung
-#: (overridable per scenario via ``ScenarioSpec.worker_timeout``).
-DEFAULT_WORKER_TIMEOUT = 60.0
 
 
 class _WorkerHandle:
@@ -132,7 +127,7 @@ class _ShardDriver:
         self.ctx = ctx
         self.spec = spec
         self.plan = plan
-        self.timeout = spec.worker_timeout or DEFAULT_WORKER_TIMEOUT
+        self.timeout = spec.worker_timeout
         self.budget = spec.max_worker_restarts
         self.workers: list[_WorkerHandle | None] = [
             _WorkerHandle(ctx, spec, plan, shard)

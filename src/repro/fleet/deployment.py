@@ -45,8 +45,6 @@ class FleetDeployment:
             confirmed and acknowledged (§4).
         seed: base seed for all deployment-level randomness; the
             network forks its own streams from the same value.
-        probe_policy: probe order of every switch's scheduler
-            (``round_robin`` or ``churn_first``).
         obs: an :class:`~repro.obs.Observer` to thread through every
             layer (sim-time trace + live metrics); defaults to the
             disabled :data:`~repro.obs.NULL_OBSERVER`, whose hot path
@@ -64,12 +62,11 @@ class FleetDeployment:
         profiles: SwitchProfile
         | Mapping[Hashable, SwitchProfile]
         | Callable[[Hashable], SwitchProfile] = OVS,
-        config: MonitorConfig | None = None,
+        config: MonitorConfig = MonitorConfig(),
         dynamic: bool = True,
         seed: int = 0,
         strategy: int = 1,
         algorithm: ColoringAlgorithm = ColoringAlgorithm.EXACT,
-        probe_policy: str = "round_robin",
         obs: Observer | NullObserver | None = None,
         monitored_nodes: "Iterable[Hashable] | None" = None,
     ) -> None:
@@ -90,7 +87,7 @@ class FleetDeployment:
         self.network = Network(
             self.sim, topology, profiles=profiles, seed=seed
         )
-        self.config = config if config is not None else MonitorConfig()
+        self.config = config
         self.plan = plan_catching_rules(
             topology, strategy=strategy, algorithm=algorithm
         )
@@ -100,7 +97,6 @@ class FleetDeployment:
             config=self.config,
             dynamic=dynamic,
             controller_handler=self._handle_upstream,
-            probe_policy=probe_policy,
             obs=self.obs,
             monitored_nodes=self._monitored_set,
         )

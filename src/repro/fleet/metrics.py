@@ -407,7 +407,7 @@ def scrape_switch(
         cycle_rebuilds=scheduling.cycle_rebuilds,
         scheduler_promotions=scheduling.scheduler_promotions,
         alarms_suppressed=monitor.alarms_suppressed,
-        probe_window=monitor.window,
+        probe_window=monitor.config.probe_window,
         window_peak=monitor.window_peak,
         updates_confirmed=dynamic.updates_confirmed if dynamic else 0,
         updates_given_up=dynamic.updates_given_up if dynamic else 0,

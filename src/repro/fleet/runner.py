@@ -1,14 +1,16 @@
 """Declarative fleet scenarios: spec in, metrics out.
 
-:class:`ScenarioSpec` names a topology, a switch profile, a workload
-mix, and a failure schedule; :func:`run_scenario` plans the shards,
-runs one :class:`~repro.fleet.shardworker.ShardWorker` per shard (in
-this process for a one-shard plan, in worker processes otherwise) —
+:class:`ScenarioSpec`, a :class:`~repro.core.monitor.MonitorConfig` with
+the fleet's own fields added, names a topology, a switch profile, a
+workload mix, and a failure schedule; :func:`run_scenario` plans the
+shards, runs one :class:`~repro.fleet.shardworker.ShardWorker` per shard
+(in this process for a one-shard plan, in worker processes otherwise) —
 each start to finish on its own kernel, with no clock shared between
 them — and returns a :class:`ScenarioResult` with aggregated metrics, so
 examples, tests and ``bench`` stop hand-rolling orchestration.
 
-The module doubles as the ``repro-fleet`` console entry point::
+The module doubles as the ``repro-fleet`` console entry point, whose
+flags :func:`build_parser` generates from the spec's fields::
 
     repro-fleet --topology ring --size 12 --duration 3 --drops 2 --churn 40
 """
@@ -19,14 +21,13 @@ import argparse
 import json
 import os
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 import networkx as nx
 
 from repro.core.catching import ColoringAlgorithm
-from repro.core.monitor import MonitorConfig
-from repro.core.schedule import POLICIES as SCHEDULE_POLICIES
+from repro.core.monitor import MonitorConfig, knob
 from repro.fleet.coordinator import drive_shards, merge_detections
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
@@ -113,124 +114,106 @@ def _check_output_path(option: str, path: str | None) -> None:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """One fleet scenario, fully determined by its fields + seed."""
+class ScenarioSpec(MonitorConfig):
+    """One fleet scenario, fully determined by its fields + seed.
 
-    topology: str = "ring"
-    size: int = 12
-    profile: str = "ovs"
-    duration: float = 3.0
-    seed: int = 2015
-    rules_per_switch: int = 20
-    probe_rate: float = 500.0
-    probe_timeout: float = 0.150
-    #: Steady-state probe pipelining: ``1`` keeps the paper's
-    #: rate-paced cycle (one launch per tick, no depth cap); ``W > 1``
-    #: tops the steady probes in flight up to W each tick, cutting
-    #: cycle-bound detection latency toward 1/W.  Probes in flight
-    #: share the switch's reserved value; the nonce tells them apart.
-    probe_window: int = 1
-    update_deadline: float = 1.0
-    dynamic: bool = True
-    strategy: int = 1
-    algorithm: str = "exact"
+    The monitoring knobs are :class:`MonitorConfig`'s fields, inherited;
+    ``repro-fleet`` has one flag per scalar field, those included.
+    """
+
+    topology: str = knob("ring", f"one of {', '.join(sorted(TOPOLOGIES))}")
+    size: int = knob(12, "switches in the topology")
+    profile: str = knob("ovs", f"one of {', '.join(sorted(PROFILES))}")
+    duration: float = knob(3.0, "simulated seconds to run")
+    seed: int = knob(2015, "seed of every random draw in the run")
+    rules_per_switch: int = knob(20, "production rules per switch")
+    #: The one redeclared MonitorConfig field: the fleet gives up on an
+    #: update after 1 s, not 10 s, and every fleet result was taken so.
+    update_deadline: float = knob(
+        1.0, "give up confirming an update after this long"
+    )
+    dynamic: bool = knob(True, "confirm every FlowMod in the data plane")
+    strategy: int = knob(1, "catching-rule strategy (§6), 1 or 2")
+    algorithm: str = knob("exact", f"one of {', '.join(sorted(ALGORITHMS))}")
     workloads: tuple[Workload, ...] = ()
     failures: tuple[FailureSpec, ...] = ()
-    #: Probe order, fleet-wide: ``round_robin`` (§3 baseline) or
-    #: ``churn_first`` (recently-churned rules jump the queue).
-    probe_policy: str = "round_robin"
-    #: Observability (:mod:`repro.obs`).  Tracing + live metrics turn
-    #: on when ``observe`` is True or any output/interval below is
-    #: set; the default leaves the NullObserver's no-op path in place.
-    observe: bool = False
-    #: Write the trace as JSONL / Chrome ``trace_event`` after the run.
-    trace_out: str | None = None
-    trace_chrome: str | None = None
-    #: Write the Prometheus text exposition after the run.
-    metrics_out: str | None = None
-    #: Sim seconds between metric snapshots (the report's timeline
-    #: granularity); None picks duration/10 when observing.
-    obs_snapshot_interval: float | None = None
-    #: Sharded runtime (:mod:`repro.fleet.coordinator`): split the
-    #: fleet across this many worker processes, each with its own sim
-    #: kernel.  ``1`` runs the one shard in this process; ``"auto"``
-    #: sizes the fleet to this host's usable CPUs (affinity mask).
-    workers: int | str = 1
-    #: Alarm hysteresis (:class:`~repro.core.monitor.MonitorConfig`):
-    #: consecutive missing-probe strikes before a steady-state
-    #: ``missing`` alarm fires.  ``1`` keeps the paper baseline
-    #: (alarm on first timeout); ``2``+ rides out lossy control
-    #: channels at the cost of one suspicion re-probe per strike.
-    alarm_confirmations: int = 1
+    observe: bool = knob(
+        False,
+        "trace and keep live metrics (repro.obs); any output or interval "
+        "below turns this on too, and off leaves the NullObserver's no-op "
+        "path in place",
+    )
+    trace_out: str | None = knob(
+        None, "write the sim-time event trace as JSONL after the run"
+    )
+    trace_chrome: str | None = knob(
+        None,
+        "write a Chrome trace_event file after the run (chrome://tracing "
+        "/ ui.perfetto.dev)",
+    )
+    metrics_out: str | None = knob(
+        None, "write the Prometheus text exposition after the run"
+    )
+    obs_snapshot_interval: float | None = knob(
+        None,
+        "sim seconds between metric snapshots (the report's timeline "
+        "granularity); unset picks duration/10 when observing",
+    )
+    workers: int | str = knob(
+        1,
+        "split the fleet across this many worker processes, each with its "
+        "own sim kernel: 1 runs the one shard in this process, auto sizes "
+        "the fleet to this host's usable CPUs (affinity mask)",
+    )
     #: Worker chaos hooks (:class:`~repro.fleet.shardworker.
     #: WorkerCrash` / :class:`~repro.fleet.shardworker.WorkerHang`)
     #: exercising the self-healing coordinator; requires a sharded run.
     chaos: tuple = ()
-    #: Per-shard respawn budget for the self-healing coordinator; a
-    #: shard that dies more often than this is marked failed and the
-    #: scenario completes degraded on the survivors.
-    max_worker_restarts: int = 2
-    #: Wall-clock seconds the coordinator waits for a worker's reply —
-    #: so for one shard's whole run — before treating it as hung;
-    #: ``None`` uses the coordinator default (60s).
-    worker_timeout: float | None = None
+    max_worker_restarts: int = knob(
+        2,
+        "per-shard respawn budget for the self-healing coordinator; a "
+        "shard that dies more often is marked failed and the scenario "
+        "completes degraded on the survivors",
+    )
+    worker_timeout: float = knob(
+        60.0,
+        "wall-clock seconds the coordinator waits for a worker's reply, "
+        "so for one shard's whole run, before treating it as hung",
+    )
+
+    #: :meth:`~MonitorConfig.check`'s bounds, the scenario's added.
+    POSITIVE = MonitorConfig.POSITIVE + ("duration", "worker_timeout")
+    AT_LEAST = MonitorConfig.AT_LEAST + (
+        ("size", 1),
+        ("rules_per_switch", 0),
+        ("max_worker_restarts", 0),
+        ("obs_snapshot_interval", 0),
+    )
 
     # ----- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Raise :class:`ScenarioError` on any inconsistency."""
-        if self.topology not in TOPOLOGIES:
-            raise ScenarioError(
-                f"unknown topology {self.topology!r}; "
-                f"choose from {sorted(TOPOLOGIES)}"
-            )
-        if self.profile not in PROFILES:
-            raise ScenarioError(
-                f"unknown profile {self.profile!r}; "
-                f"choose from {sorted(PROFILES)}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ScenarioError(
-                f"unknown coloring algorithm {self.algorithm!r}; "
-                f"choose from {sorted(ALGORITHMS)}"
-            )
-        if self.strategy not in (1, 2):
-            raise ScenarioError(
-                f"strategy must be 1 or 2, not {self.strategy}"
-            )
-        if self.probe_policy not in SCHEDULE_POLICIES:
-            raise ScenarioError(
-                f"unknown probe policy {self.probe_policy!r}; "
-                f"choose from {sorted(SCHEDULE_POLICIES)}"
-            )
+        """Raise :class:`ScenarioError` on any inconsistency, the bounds
+        :meth:`~MonitorConfig.check` holds included."""
+        for name, allowed in (
+            ("topology", TOPOLOGIES),
+            ("profile", PROFILES),
+            ("algorithm", ALGORITHMS),
+            ("strategy", (1, 2)),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ScenarioError(
+                    f"unknown {name} {getattr(self, name)!r}; "
+                    f"choose from {sorted(allowed)}"
+                )
         for option in ("trace_out", "trace_chrome", "metrics_out"):
             _check_output_path(option, getattr(self, option))
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive: {self.duration}")
-        if self.probe_rate <= 0:
-            raise ScenarioError(
-                f"probe_rate must be positive: {self.probe_rate}"
-            )
-        if self.probe_window < 1:
-            raise ScenarioError(
-                f"probe_window must be >= 1: {self.probe_window}"
-            )
-        if self.probe_timeout <= 0 or self.update_deadline <= 0:
-            raise ScenarioError("timeouts must be positive")
-        if self.rules_per_switch < 0:
-            raise ScenarioError(
-                f"rules_per_switch must be >= 0: {self.rules_per_switch}"
-            )
-        if (
-            self.obs_snapshot_interval is not None
-            and self.obs_snapshot_interval < 0
-        ):
-            raise ScenarioError(
-                f"obs_snapshot_interval must be >= 0: "
-                f"{self.obs_snapshot_interval}"
-            )
-        if self.size < 1:
-            raise ScenarioError(f"size must be >= 1: {self.size}")
+        try:
+            self.check()
+            for item in self.workloads + self.failures:
+                item.check()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         if isinstance(self.workers, str):
             if self.workers != "auto":
                 raise ScenarioError(
@@ -239,20 +222,6 @@ class ScenarioSpec:
                 )
         elif self.workers < 1:
             raise ScenarioError(f"workers must be >= 1: {self.workers}")
-        if self.alarm_confirmations < 1:
-            raise ScenarioError(
-                f"alarm_confirmations must be >= 1: "
-                f"{self.alarm_confirmations}"
-            )
-        if self.max_worker_restarts < 0:
-            raise ScenarioError(
-                f"max_worker_restarts must be >= 0: "
-                f"{self.max_worker_restarts}"
-            )
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ScenarioError(
-                f"worker_timeout must be positive: {self.worker_timeout}"
-            )
         if self.chaos:
             if self.workers == 1:
                 raise ScenarioError(
@@ -278,11 +247,6 @@ class ScenarioSpec:
                 "expositions cannot be merged (use --json-out, whose "
                 "snapshots the coordinator does merge)"
             )
-        for item in self.workloads + self.failures:
-            try:
-                item.check()
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
         graph = self.build_topology()
         nodes = set(graph.nodes)
         for spec in self.failures:
@@ -328,29 +292,22 @@ class ScenarioSpec:
         return self.workers
 
     def monitor_config(self) -> MonitorConfig:
-        """The MonitorConfig all fleet Monitors share."""
+        """The MonitorConfig all fleet Monitors share: this spec's
+        :class:`MonitorConfig` fields."""
         return MonitorConfig(
-            probe_rate=self.probe_rate,
-            probe_timeout=self.probe_timeout,
-            probe_window=self.probe_window,
-            update_deadline=self.update_deadline,
-            alarm_confirmations=self.alarm_confirmations,
+            **{f.name: getattr(self, f.name) for f in fields(MonitorConfig)}
         )
 
-    @property
-    def wants_observer(self) -> bool:
-        """Does this spec need live tracing + metrics?"""
-        return bool(
+    def build_observer(self) -> "Observer | None":
+        """The spec's observer (live tracing + metrics), or None for the
+        NullObserver default when nothing asks for one."""
+        if not (
             self.observe
             or self.trace_out
             or self.trace_chrome
             or self.metrics_out
             or self.obs_snapshot_interval
-        )
-
-    def build_observer(self) -> "Observer | None":
-        """The spec's observer, or None for the NullObserver default."""
-        if not self.wants_observer:
+        ):
             return None
         interval = self.obs_snapshot_interval
         if interval is None:
@@ -573,65 +530,52 @@ def _chaos_arg(text: str) -> WorkerCrash | WorkerHang:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``repro-fleet``: run one scenario and print the fleet report.
+#: How ``repro-fleet`` parses a flag, by its field's annotation.
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "int | str": _workers_arg,
+}
+#: The fields with a flag: all but the tuples the hand-written ones make.
+FLAG_FIELDS = tuple(
+    f for f in fields(ScenarioSpec) if not str(f.type).startswith("tuple")
+)
 
-    Returns a non-zero exit code when an injected failure went
-    undetected or any healthy switch raised a false alarm, so CI smoke
-    runs fail loudly in both directions.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """``repro-fleet``'s flags: one per :data:`FLAG_FIELDS` entry, named
+    (``--rules-per-switch``), parsed, defaulted and explained by its
+    field — a bool is one switch away from its default (``--observe``,
+    ``--no-dynamic``) — and the hand-written ones that assemble
+    workloads, failures and chaos or write output."""
     parser = argparse.ArgumentParser(
         prog="repro-fleet",
         description="Run a network-wide Monocle monitoring scenario.",
     )
-    parser.add_argument(
-        "--topology", default="ring", choices=sorted(TOPOLOGIES)
-    )
-    parser.add_argument("--size", type=int, default=12)
-    parser.add_argument("--profile", default="ovs", choices=sorted(PROFILES))
-    parser.add_argument("--duration", type=float, default=3.0)
-    parser.add_argument("--seed", type=int, default=2015)
-    parser.add_argument("--rules", type=int, default=20,
-                        help="production rules per switch")
-    parser.add_argument("--probe-rate", type=float, default=500.0)
-    parser.add_argument("--probe-window", type=int, default=1,
-                        metavar="W",
-                        help="concurrent in-flight probes per switch "
-                             "(pipelining; 1 = paper baseline, W cuts "
-                             "cycle-bound detection latency toward "
-                             "1/W)")
-    parser.add_argument("--strategy", type=int, default=1, choices=(1, 2))
-    parser.add_argument("--algorithm", default="exact",
-                        choices=sorted(ALGORITHMS))
-    parser.add_argument("--static", action="store_true",
-                        help="disable dynamic update confirmation")
-    parser.add_argument("--probe-policy", default="round_robin",
-                        choices=sorted(SCHEDULE_POLICIES),
-                        help="probe-cycle scheduling policy")
-    parser.add_argument("--workers", type=_workers_arg, default=1,
-                        metavar="N|auto",
-                        help="shard the fleet across this many worker "
-                             "processes (1 = in this process, auto = "
-                             "usable CPU count)")
-    parser.add_argument("--alarm-confirmations", type=int, default=1,
-                        metavar="K",
-                        help="missing-probe strikes before a steady "
-                             "alarm fires (hysteresis; 1 = paper "
-                             "baseline)")
+    for spec_field in FLAG_FIELDS:
+        name, doc = spec_field.name, spec_field.metadata["help"]
+        flag = "--" + name.replace("_", "-")
+        if spec_field.type == "bool":
+            on = spec_field.default
+            parser.add_argument(
+                "--no-" + flag[2:] if on else flag,
+                dest=name,
+                action="store_false" if on else "store_true",
+                help=f"do not {doc}" if on else doc,
+            )
+        else:
+            parser.add_argument(
+                flag,
+                type=_PARSERS[str(spec_field.type).removesuffix(" | None")],
+                default=spec_field.default,
+                help=f"{doc} (default: %(default)s)",
+            )
     parser.add_argument("--chaos", type=_chaos_arg, action="append",
                         default=None, metavar="KIND:SHARD[@SECONDS]",
                         help="kill or hang a shard worker at that "
                              "simulated second of its run (kill:0@0.5 / "
                              "hang:2); repeatable, needs --workers > 1")
-    parser.add_argument("--max-worker-restarts", type=int, default=2,
-                        metavar="N",
-                        help="per-shard respawn budget for the "
-                             "self-healing coordinator")
-    parser.add_argument("--worker-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline for one shard's whole "
-                             "run before its worker counts as hung "
-                             "(default 60)")
     parser.add_argument("--churn", type=float, default=0.0,
                         help="rule-churn FlowMods/s across the fleet")
     parser.add_argument("--traffic", type=int, default=0,
@@ -642,44 +586,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="rule-corruption failures to inject")
     parser.add_argument("--link-failures", type=int, default=0,
                         help="link failures to inject")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write the sim-time event trace as JSONL")
-    parser.add_argument("--trace-chrome", default=None, metavar="PATH",
-                        help="write a Chrome trace_event file "
-                             "(chrome://tracing / ui.perfetto.dev)")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="write the Prometheus text exposition")
-    parser.add_argument("--obs-snapshot-interval", type=float,
-                        default=None, metavar="SECONDS",
-                        help="sim seconds between metric snapshots "
-                             "(default: duration/10 when observing)")
     parser.add_argument("--json-out", default=None, metavar="PATH",
                         help="dump the full FleetMetrics as JSON")
-    args = parser.parse_args(argv)
+    return parser
 
-    spec = ScenarioSpec(
-        topology=args.topology,
-        size=args.size,
-        profile=args.profile,
-        duration=args.duration,
-        seed=args.seed,
-        rules_per_switch=args.rules,
-        probe_rate=args.probe_rate,
-        probe_window=args.probe_window,
-        dynamic=not args.static,
-        strategy=args.strategy,
-        algorithm=args.algorithm,
-        probe_policy=args.probe_policy,
-        workers=args.workers,
-        alarm_confirmations=args.alarm_confirmations,
-        chaos=tuple(args.chaos or ()),
-        max_worker_restarts=args.max_worker_restarts,
-        worker_timeout=args.worker_timeout,
-        trace_out=args.trace_out,
-        trace_chrome=args.trace_chrome,
-        metrics_out=args.metrics_out,
-        obs_snapshot_interval=args.obs_snapshot_interval,
-    )
+
+def main(argv: list[str] | None = None) -> int:
+    """``repro-fleet``: run one scenario and print the fleet report.
+
+    Returns a non-zero exit code when an injected failure went
+    undetected or any healthy switch raised a false alarm, so CI smoke
+    runs fail loudly in both directions.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    spec = ScenarioSpec(**{f.name: getattr(args, f.name) for f in FLAG_FIELDS})
     workloads: list[Workload] = []
     if args.churn > 0:
         workloads.append(RuleChurn(rate=args.churn))
@@ -700,6 +621,7 @@ def main(argv: list[str] | None = None) -> int:
             failures=_default_failures(
                 spec, args.drops, args.corruptions, args.link_failures
             ),
+            chaos=tuple(args.chaos or ()),
         )
         result = run_scenario(spec)
     except ScenarioError as exc:

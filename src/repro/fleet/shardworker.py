@@ -146,7 +146,6 @@ class ShardWorker:
                 seed=spec.seed,
                 strategy=spec.strategy,
                 algorithm=ALGORITHMS[spec.algorithm],
-                probe_policy=spec.probe_policy,
                 obs=spec.build_observer(),
                 monitored_nodes=plan.shards[shard],
             )

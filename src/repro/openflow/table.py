@@ -191,15 +191,6 @@ class FlowTable:
             self.remove(rule)
         return removed
 
-    def clear(self) -> None:
-        """Remove every rule."""
-        self._rules.clear()
-        self._order.clear()
-        self._by_key.clear()
-        self._rank.clear()
-        self._by_rank.clear()
-        self._index = None
-
     # ----- queries ------------------------------------------------------
 
     def __len__(self) -> int:

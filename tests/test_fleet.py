@@ -1,7 +1,11 @@
 """The fleet runtime: spec validation, determinism, end-to-end detection."""
 
+import re
+from dataclasses import fields
+
 import pytest
 
+from repro.core.monitor import MonitorConfig
 from repro.fleet import (
     AclTables,
     BackgroundTraffic,
@@ -16,6 +20,8 @@ from repro.fleet import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.fleet.deployment import FleetDeployment
+from repro.topology.generators import ring
 
 
 class TestScenarioSpecValidation:
@@ -196,7 +202,7 @@ class TestRingIntegration:
     def test_static_churn_first_does_not_alarm_on_its_own_churn(
         self, seed
     ):
-        """``repro-fleet --static --probe-policy churn_first --churn 40
+        """``repro-fleet --no-dynamic --probe-policy churn_first --churn 40
         --drops 1`` at the default seed: a promoted probe used to reach
         a modified rule inside the switch's application window and
         alarm ``misbehaving`` on a rule that did what it was told."""
@@ -409,6 +415,111 @@ class TestCliRefusesBeforeTheRun:
         assert message in capsys.readouterr().err
 
 
+class TestMonitorConfigCheck:
+    """A monitoring value the loop cannot run with is refused before
+    anything is built: ``MonocleSystem`` (so a bare ``FleetDeployment``)
+    raises ``ValueError`` and ``repro-fleet`` exits 2.  Each one used to
+    crash mid-run (``ZeroDivisionError``, "cannot schedule in the past")
+    or run as if it were 1."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_retries", -1),
+            ("probe_rate", 0.0),
+            ("update_probe_interval", 0.0),
+            ("probe_timeout", -0.1),
+            ("update_deadline", -1.0),
+            ("probe_window", 0),
+            ("alarm_confirmations", 0),
+        ],
+    )
+    def test_refused_at_construction_and_by_the_cli(
+        self, name, value, monkeypatch, capsys
+    ):
+        from repro.fleet import runner
+
+        with pytest.raises(ValueError, match=name):
+            FleetDeployment(ring(4), config=MonitorConfig(**{name: value}))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(runner, "ShardWorker", never)
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["--size", "4", "--duration", "0.5", flag, str(value)])
+        assert exit_info.value.code == 2
+        assert name in capsys.readouterr().err
+
+
+class TestCliIsTheSpec:
+    """``repro-fleet``'s flags are generated from ``ScenarioSpec``'s
+    fields, ``MonitorConfig``'s included."""
+
+    HAND_WRITTEN = {
+        "--help", "--chaos", "--churn", "--traffic", "--drops",
+        "--corruptions", "--link-failures", "--json-out",
+    }
+
+    def test_help_has_one_flag_per_scalar_field(self, capsys):
+        from repro.fleet import runner
+
+        with pytest.raises(SystemExit):
+            runner.main(["--help"])
+        listed = re.findall(
+            r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M
+        )
+        scalar = [
+            f for f in fields(ScenarioSpec)
+            if not str(f.type).startswith("tuple")
+        ]
+        assert {f.name for f in fields(MonitorConfig)} <= {
+            f.name for f in scalar
+        }
+        assert len(scalar) == 25
+        expected = {
+            "--" + ("no-" if f.default is True else "")
+            + f.name.replace("_", "-")
+            for f in scalar
+        }
+        assert len(listed) == len(set(listed))
+        assert set(listed) == expected | self.HAND_WRITTEN
+
+    def test_no_spec_flags_parse_to_the_field_defaults(self):
+        from repro.fleet import runner
+
+        args = runner.build_parser().parse_args([])
+        default = ScenarioSpec()
+        for spec_field in runner.FLAG_FIELDS:
+            name = spec_field.name
+            assert getattr(args, name) == getattr(default, name), name
+
+    def test_monitor_flags_reach_every_monitor(self, monkeypatch):
+        from repro.fleet import runner
+
+        results = []
+
+        def recorded(spec):
+            results.append(run_scenario(spec))
+            return results[-1]
+
+        monkeypatch.setattr(runner, "run_scenario", recorded)
+        argv = [
+            "--size", "4", "--duration", "0.3", "--rules-per-switch", "2",
+            "--drops", "0", "--max-retries", "0",
+            "--update-probe-interval", "0.01",
+        ]
+        assert runner.main(argv) == 0
+        (result,) = results
+        deployment = result.deployment
+        configs = [deployment.monitor(n).config for n in deployment.nodes]
+        assert len(configs) == 4
+        assert {(c.max_retries, c.update_probe_interval) for c in configs} == {
+            (0, 0.01)
+        }
+
+
 class TestReplicatedFleet:
     """Switches holding the same production rules share nothing: each
     Monitor probes from its own expected table, with its own rule
@@ -417,12 +528,10 @@ class TestReplicatedFleet:
     def test_replicas_stay_per_switch_correct_through_private_churn(self):
         from repro.core.catching import is_infrastructure
         from repro.core.probegen import verify_probe
-        from repro.fleet.deployment import FleetDeployment
         from repro.openflow.actions import output
         from repro.openflow.match import Match
         from repro.openflow.messages import FlowMod, FlowModCommand
         from repro.openflow.rule import Rule
-        from repro.topology.generators import ring
 
         deployment = FleetDeployment(ring(4), seed=7)
         replicated = Match.build(nw_dst=0x0A000001)

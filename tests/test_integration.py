@@ -38,15 +38,12 @@ def star_hub(
     seed,
     dynamic=False,
     profiles=OVS,
-    probe_policy="round_robin",
 ):
     """A monitored star hub, steady cycle started, with ``num_rules``
     /32 rules spread round-robin over the four leaves."""
     sim = Simulator()
     net = Network(sim, star(4), profiles=profiles, seed=seed)
-    system = MonocleSystem(
-        net, config=config, dynamic=dynamic, probe_policy=probe_policy
-    )
+    system = MonocleSystem(net, config=config, dynamic=dynamic)
     rules = []
     for i in range(num_rules):
         rule = Rule(
@@ -76,7 +73,7 @@ def alarm_time(sim, monitor, keys, start, poll, deadline, count=1):
     return None
 
 
-def wire_controller(sim, net, use_monocle, config=None):
+def wire_controller(sim, net, use_monocle, config=MonitorConfig()):
     """(controller, confirmation mode, rule installer): updates
     confirmed by Monocle's data-plane acks, or by the switches' own
     barriers."""
@@ -210,9 +207,10 @@ class TestMiniFigure4:
                 probe_timeout=0.150,
                 update_deadline=0.25,
                 probe_window=window,
+                probe_policy=policy,
             )
             sim, net, system, rules, monitor = star_hub(
-                config, 96, seed=2015, dynamic=True, probe_policy=policy
+                config, 96, seed=2015, dynamic=True
             )
             sim.run_for(0.05)
             hub = net.switch("hub")

@@ -384,7 +384,7 @@ class TestJsonOut:
             [
                 "--topology", "ring", "--size", "4",
                 "--duration", "1.5", "--seed", "2015",
-                "--rules", "8", "--probe-rate", "150",
+                "--rules-per-switch", "8", "--probe-rate", "150",
                 "--churn", "10", "--drops", "1",
                 "--json-out", str(path),
             ]

@@ -188,12 +188,6 @@ class TestRemoval:
         assert table.remove_matching(match, strict_priority=4) == []
         assert table.remove_matching(match, strict_priority=5) == [rule]
 
-    def test_clear(self):
-        table = FlowTable()
-        table.install(Rule(priority=1, match=Match.wildcard(), actions=drop()))
-        table.clear()
-        assert len(table) == 0
-
 
 class TestQueries:
     def test_higher_and_lower_priority(self):

@@ -97,7 +97,7 @@ class TestWindowedMonitor:
     def test_window_fills_and_probes_confirm(self):
         sim, _net, system, _rules = windowed_setup(window=4)
         monitor = system.monitor("hub")
-        assert monitor.window == 4
+        assert monitor.config.probe_window == 4
         monitor.start_steady_state()
         sim.run_for(0.5)
         assert monitor.window_peak == 4
@@ -237,9 +237,8 @@ def grace_setup(probe_policy="churn_first", dynamic=False):
     net = Network(sim, star(4), seed=5, profiles=SLOW_HONEST)
     system = MonocleSystem(
         net,
-        config=MonitorConfig(probe_rate=1000.0),
+        config=MonitorConfig(probe_rate=1000.0, probe_policy=probe_policy),
         dynamic=dynamic,
-        probe_policy=probe_policy,
     )
     rules = []
     for i in range(400):

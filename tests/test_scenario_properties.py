@@ -3,9 +3,9 @@
 §3 promises *no false alarm, and every detectable fault alarmed*.  The
 hand-picked scenarios pin that one spec at a time; here hypothesis
 draws the :class:`ScenarioSpec` — topology family and size, rules per
-switch, probe window, probe policy, alarm hysteresis, rule churn on or
-off, up to two injected faults, observer on or off — and
-:func:`run_scenario` must hold, on every draw:
+switch, probe window, probe policy, alarm hysteresis, probe retries,
+rule churn on or off, up to two injected faults, observer on or off —
+and :func:`run_scenario` must hold, on every draw:
 
 * (a) no alarm on a rule no injected fault explains;
 * (b) every injected, detectable fault is alarmed, or every rule it
@@ -109,6 +109,7 @@ def scenario_specs(draw):
         probe_window=draw(st.sampled_from((1, 4))),
         probe_policy=draw(st.sampled_from(("round_robin", "churn_first"))),
         alarm_confirmations=draw(st.sampled_from((1, 2))),
+        max_retries=draw(st.sampled_from((0, 3))),
         workloads=() if churn is None else (RuleChurn(rate=churn, stop=0.6),),
         failures=tuple(failures),
         observe=draw(st.booleans()),

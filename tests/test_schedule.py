@@ -340,9 +340,8 @@ class TestMonitorIntegration:
         net = Network(sim, star(4), seed=5)
         system = MonocleSystem(
             net,
-            config=MonitorConfig(probe_rate=500.0),
+            config=MonitorConfig(probe_rate=500.0, probe_policy=policy),
             dynamic=False,
-            probe_policy=policy,
         )
         rules = []
         for i in range(6):
@@ -387,9 +386,8 @@ class TestMonitorIntegration:
         net = Network(sim, star(4), seed=9)
         system = MonocleSystem(
             net,
-            config=MonitorConfig(probe_rate=500.0),
+            config=MonitorConfig(probe_rate=500.0, probe_policy="churn_first"),
             dynamic=True,
-            probe_policy="churn_first",
         )
         monitor = system.monitor("hub")
         monitor.start_steady_state()

@@ -145,7 +145,7 @@ class TestChaosValidation:
         """A usage error (exit 2) before anything is built, not a run
         that silently skips its chaos."""
         argv = (
-            "--topology ring --size 6 --duration 0.6 --rules 4 "
+            "--topology ring --size 6 --duration 0.6 --rules-per-switch 4 "
             f"--probe-rate 200 --drops 1 --workers 2 --chaos {chaos}"
         ).split()
         with pytest.raises(SystemExit) as exit_info:

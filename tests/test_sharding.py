@@ -223,7 +223,8 @@ class TestShardedScenarios:
         with pytest.raises(ScenarioError, match="exceed dl_vlan capacity"):
             run_scenario(spec)
         argv = (
-            "--topology ring --size 300 --algorithm none --rules 4 "
+            "--topology ring --size 300 --algorithm none "
+            "--rules-per-switch 4 "
             f"--duration 0.1 --drops 0 --workers {workers}"
         ).split()
         with pytest.raises(SystemExit) as exit_info:
