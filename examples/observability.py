@@ -20,8 +20,6 @@ wall-clock CPU time and varies run to run.
 Run:  python examples/observability.py
 """
 
-from collections import Counter
-
 from repro.fleet import RuleChurn, RuleDrop, ScenarioSpec, run_scenario
 from repro.obs import detection_latencies, format_span_table, probe_spans
 from repro.obs.metrics import window_rates
@@ -54,10 +52,16 @@ def main():
         print(f"... {len(spans) - shown} more spans not shown")
 
     print("\n=== where the time goes, fleet-wide ===\n")
-    sources = Counter(s.source for s in spans.values() if s.source)
+    sources: dict[str, int] = {}
+    for span in spans.values():
+        if span.source:
+            sources[span.source] = sources.get(span.source, 0) + 1
     print(
         "probe generation: "
-        + ", ".join(f"{n} {src}" for src, n in sources.most_common())
+        + ", ".join(
+            f"{n} {src}"
+            for src, n in sorted(sources.items(), key=lambda kv: -kv[1])
+        )
     )
     for label, values in [
         ("solve", [s.solve_seconds for s in spans.values()]),
@@ -85,7 +89,7 @@ def main():
     print("(exactly equal to the metrics layer's DetectionRecords)")
 
     print("\n=== probes/s per sim-time window (metric snapshots) ===\n")
-    snapshots = result.observer.metrics.snapshots
+    snapshots = result.metrics.obs_snapshots
     for ts, rate in window_rates(snapshots, "monocle_probes_sent_total"):
         print(f"t={ts:4.2f}  {rate:7.1f} probes/s")
 

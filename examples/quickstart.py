@@ -60,7 +60,7 @@ def main():
     probed = Rule(
         priority=10, match=Match.build(nw_dst=dst), actions=output(2)
     )
-    table = FlowTable(rules=[default, probed], check_overlap=False)
+    table = FlowTable(rules=[default, probed])
     show(
         "Basic unicast rule", table, probed, generator.generate(table, probed)
     )
@@ -75,7 +75,7 @@ def main():
             nw_src=src, nw_dst=dst
         ), actions=output(1)
     )
-    table = FlowTable(rules=[rlowest, rlower, rprobed], check_overlap=False)
+    table = FlowTable(rules=[rlowest, rlower, rprobed])
     show("§3.1: distinguishing via a middle rule", table, rprobed,
          generator.generate(table, rprobed))
 
@@ -86,20 +86,20 @@ def main():
             nw_src=src
         ), actions=output(1, nw_tos=0x2A)
     )
-    table = FlowTable(rules=[rlowest, marked], check_overlap=False)
+    table = FlowTable(rules=[rlowest, marked])
     show("§3.2: rewrite-distinguished rule", table, marked,
          generator.generate(table, marked))
 
     # 4. Drop rule: negative probing (silence = installed).
     dropper = Rule(priority=10, match=Match.build(nw_dst=dst), actions=drop())
-    table = FlowTable(rules=[rlowest, dropper], check_overlap=False)
+    table = FlowTable(rules=[rlowest, dropper])
     result = generator.generate(table, dropper)
     show("§3.3: drop rule (negative probing)", table, dropper, result)
     print(f"  expects probe back: {result.expects_return()}")
 
     # 5. Unmonitorable: same outcome as the rule below it.
     clone = Rule(priority=10, match=Match.build(nw_dst=dst), actions=output(1))
-    table = FlowTable(rules=[rlowest, clone], check_overlap=False)
+    table = FlowTable(rules=[rlowest, clone])
     show("§3.5: unmonitorable rule", table, clone,
          generator.generate(table, clone))
 

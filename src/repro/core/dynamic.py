@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
 from repro.core.monitor import Monitor, OutstandingProbe
 from repro.core.probegen import ProbeResult
+from repro.obs import Histogram
 from repro.openflow.messages import FlowMod, FlowModCommand, Message, next_xid
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
@@ -81,11 +82,11 @@ class DynamicMonitor:
         monitor.dynamic_guarded = True
         self.sim = monitor.sim
         self.obs = monitor.obs
+        #: Update-confirmation latencies, observed only under
+        #: ``obs.enabled``.
+        self.confirm_histogram: Histogram | None = None
         if self.obs.enabled:
-            self._h_confirm = self.obs.metrics.histogram(
-                "monocle_update_confirmation_seconds",
-                node=repr(monitor.node),
-            )
+            self.confirm_histogram = Histogram()
         self.use_drop_postponing = use_drop_postponing
         self.drop_postpone_port = drop_postpone_port
         self.pending: list[PendingUpdate] = []
@@ -282,7 +283,7 @@ class DynamicMonitor:
         """
         if old_rule.priority == 0:
             return None  # cannot demote below priority 0
-        altered = FlowTable(check_overlap=False)
+        altered = FlowTable()
         key = old_rule.key()
         for rule in self.monitor.expected.overlapping(old_rule.match):
             # Equal priority is not lower: a tied overlapping rule
@@ -423,7 +424,7 @@ class DynamicMonitor:
                 latency_seconds=latency,
                 monitorable=monitorable,
             )
-            self._h_confirm.observe(latency)
+            self.confirm_histogram.observe(latency)  # type: ignore[union-attr]
         if update.finalize is not None:
             # Drop-postponing: swap the real drop rule in (§4.3).
             self.monitor.from_controller(update.finalize)

@@ -30,7 +30,7 @@ from repro.core.probegen import (
     UnmonitorableReason,
 )
 from repro.core.schedule import POLICIES, ProbeScheduler
-from repro.obs import NullObserver, Observer
+from repro.obs import Histogram, NullObserver, Observer
 from repro.openflow.fields import FieldName
 from repro.openflow.messages import (
     BarrierReply,
@@ -287,16 +287,16 @@ class Monitor:
         #: ``obs.enabled``, so the default NULL_OBSERVER costs one
         #: attribute read per site (inside every ``bench`` ``op_us``).
         self.obs = obs
+        #: Latency distributions, observed only under ``obs.enabled``:
+        #: how long a rule waited in the schedule, and a confirmed
+        #: probe's wire time (first injection to its PacketIn).
+        self.wait_histogram: Histogram | None = None
+        self.wire_histogram: Histogram | None = None
         if obs.enabled:
-            label = repr(node)
-            self._h_wait = self.obs.metrics.histogram(
-                "monocle_scheduler_wait_seconds", node=label
-            )
-            self._h_wire = self.obs.metrics.histogram(
-                "monocle_probe_wire_seconds", node=label
-            )
+            self.wait_histogram = Histogram()
+            self.wire_histogram = Histogram()
             scheduler.set_clock(lambda: sim.now)
-            probe_context.attach_obs(self.obs, node)
+            probe_context.solve_histogram = Histogram()
 
     # ----- expected-table maintenance --------------------------------------
 
@@ -499,7 +499,7 @@ class Monitor:
                     match=rule.match,
                 )
             if wait is not None:
-                self._h_wait.observe(wait)
+                self.wait_histogram.observe(wait)  # type: ignore[union-attr]
             genstats = self.probe_context.stats
             before = (
                 genstats.cache_hits,
@@ -788,7 +788,7 @@ class Monitor:
             wire_seconds=wire,
         )
         if etype == "probe.confirmed" and not negative:
-            self._h_wire.observe(wire)
+            self.wire_histogram.observe(wire)  # type: ignore[union-attr]
 
     def _retire(self, probe: OutstandingProbe) -> None:
         """Take a probe out of flight.

@@ -33,7 +33,7 @@ from repro.core.constraints import (
     DistinguishEncoding,
     IncrementalProbeEncoder,
 )
-from repro.obs import NULL_OBSERVER
+from repro.obs import Histogram
 from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
@@ -416,13 +416,13 @@ class ProbeGenContext:
         validate_result: Callable[[ProbeResult], ProbeResult] | None = None,
     ) -> None:
         self.generator = generator
-        self.table = (
-            table if table is not None else FlowTable(check_overlap=False)
-        )
+        self.table = table if table is not None else FlowTable()
         self.validate_result = validate_result
         self.stats = ProbeGenContextStats()
-        self.obs = NULL_OBSERVER
-        self._obs_node: object | None = None
+        #: Solve-time distribution; the owning Monitor sets it only
+        #: when observability is enabled, so an unobserved context pays
+        #: a single ``is not None`` test per solve.
+        self.solve_histogram: Histogram | None = None
         self._cache: dict[tuple[int, Match], ProbeResult] = {}
         self._stale: set[tuple[int, Match]] = set()
         #: Tuple-space index over the cached probes' rule matches, so a
@@ -438,21 +438,6 @@ class ProbeGenContext:
             catch_match=self.generator.catch_match,
             valid_in_ports=self.generator.valid_in_ports,
         )
-
-    def attach_obs(self, obs: object, node: object) -> None:
-        """Publish solve timings through an observer.
-
-        Called by the owning Monitor once observability is enabled; the
-        default :data:`~repro.obs.NULL_OBSERVER` path never reaches
-        here, so an unobserved context pays a single ``.enabled`` read
-        per solve.
-        """
-        self.obs = obs
-        self._obs_node = node
-        if obs.enabled:  # type: ignore[attr-defined]
-            self._h_solve = obs.metrics.histogram(  # type: ignore[attr-defined]
-                "monocle_probegen_solve_seconds", node=repr(node)
-            )
 
     def _maybe_rebuild(self) -> None:
         """The engine's one growth bound: start a fresh solver when
@@ -688,5 +673,5 @@ class ProbeGenContext:
         finally:
             result.generation_time = time.perf_counter() - start
             self.stats.generation_seconds += result.generation_time
-            if self.obs.enabled:
-                self._h_solve.observe(result.generation_time)
+            if self.solve_histogram is not None:
+                self.solve_histogram.observe(result.generation_time)

@@ -182,7 +182,7 @@ def generate_acl_table(
         default_actions: ActionList = ActionList((Drop(),))
     else:
         default_actions = output(1)
-    table = FlowTable(check_overlap=False)
+    table = FlowTable()
     for index, (match, actions) in enumerate(specs):
         table.install(
             Rule(priority=len(specs) - index, match=match, actions=actions)

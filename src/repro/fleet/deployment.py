@@ -23,7 +23,7 @@ from repro.core.catching import ColoringAlgorithm, plan_catching_rules
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenContextStats
 from repro.core.multiplexer import MonocleSystem
-from repro.fleet.metrics import publish_metrics
+from repro.fleet.metrics import live_series
 from repro.network.network import Network
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.messages import Message
@@ -46,7 +46,8 @@ class FleetDeployment:
         seed: base seed for all deployment-level randomness; the
             network forks its own streams from the same value.
         obs: an :class:`~repro.obs.Observer` to thread through every
-            layer (sim-time trace + live metrics); defaults to the
+            layer (sim-time trace + metric snapshots of this
+            deployment's scrape); defaults to the
             disabled :data:`~repro.obs.NULL_OBSERVER`, whose hot path
             is a single attribute read.
         monitored_nodes: when given, only these switches get Monitors,
@@ -80,7 +81,7 @@ class FleetDeployment:
         )
         self.sim = Simulator()
         self.obs = obs if obs is not None else NULL_OBSERVER
-        self.obs.install(self.sim)
+        self.obs.install(self.sim, functools.partial(live_series, self))
         self.seed = seed
         self.dynamic = dynamic
         self.rng = DeterministicRandom(seed).fork(0xF1EE7)
@@ -100,10 +101,6 @@ class FleetDeployment:
             obs=self.obs,
             monitored_nodes=self._monitored_set,
         )
-        if self.obs.enabled:
-            self.obs.metrics.add_collect_hook(
-                functools.partial(publish_metrics, self)
-            )
         self.controller = SdnController(
             self.sim, send=self.system.send_to_switch
         )

@@ -2,16 +2,18 @@
 
 The layers keep plain ``int`` attributes (``Monitor.probes_sent``,
 ``SchedulerStats.cycle_rebuilds``, ``SwitchStats.packetins_sent``, ...)
-and nothing on the probe path publishes anywhere.  At collect time
-:func:`scrape_switch` / :func:`scrape_shard` read them into one
-:class:`SwitchMetrics` row per switch and one :class:`ShardMetrics` row
-per deployment, and each field's declaration (:func:`_stat`) names its
-views once:
+and, when observed, four latency histograms
+(:class:`~repro.obs.metrics.Histogram`); nothing on the probe path
+publishes anywhere.  At collect time :func:`scrape_switch` /
+:func:`scrape_shard` read them into one :class:`SwitchMetrics` row per
+switch and one :class:`ShardMetrics` row per deployment, and each
+field's declaration (:func:`_stat`) names its views once:
 
 * the fleet-wide fold (``FleetMetrics.probes_sent``,
   ``to_json()["aggregates"]``, the merged sharded bundle),
-* the Prometheus family the observer's collect hook
-  (:func:`publish_metrics`) exposes it under.
+* the Prometheus family :func:`metric_series` exposes it under — in
+  the observer's sim-time snapshots and in ``--metrics-out``, which is
+  rendered from the merged bundle, so it works at every worker count.
 
 So a new counter is one field plus its line in the scrape.  Beside the
 counters a bundle carries one detection record per injected failure
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
 from repro.analysis.stats import Summary, summarize
+from repro.obs.metrics import Histogram, Series
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.monitor import MonitorAlarm
@@ -53,9 +56,11 @@ def _stat(
             ``None`` keeps the field per-row only.
         name: the fleet-level attribute and ``aggregates`` key, where it
             differs from the field name.
-        family: the Prometheus family :func:`publish_metrics` exposes
-            the field under — a counter when it ends in ``_total``, a
-            gauge otherwise; ``None`` keeps it out of the registry.
+        family: the Prometheus family :func:`metric_series` exposes a
+            :class:`SwitchMetrics` field under — a histogram when the
+            value is a :class:`~repro.obs.metrics.Histogram`, else a
+            counter when it ends in ``_total`` and a gauge otherwise;
+            ``None`` (or a ``None`` value) keeps it out.
         json_row: ``False`` keeps the field out of the ``--json-out``
             per-switch rows, whose key set downstream tooling reads.
     """
@@ -125,7 +130,7 @@ class SwitchMetrics:
     updates_given_up: int = _stat(
         agg="sum", family="monocle_updates_given_up_total", json_row=False
     )
-    #: Levels at collect time (the registry's gauges): probes in
+    #: Levels at collect time (the exposition's gauges): probes in
     #: flight, probe-cycle length, steady window occupancy, and the
     #: probe-generation solver's live clauses and learned lemmas.
     outstanding_probes: int = _stat(
@@ -137,6 +142,22 @@ class SwitchMetrics:
         family="monocle_solver_clauses", json_row=False
     )
     solver_lemmas: int = _stat(family="monocle_solver_lemmas", json_row=False)
+    #: Latency distributions the layers observe live (``None`` unless
+    #: the deployment is observed; no update confirmations on a static
+    #: one): schedule wait, a confirmed probe's wire time, SAT solve
+    #: time (wall clock), update confirmation.
+    scheduler_wait: Histogram | None = _stat(
+        None, family="monocle_scheduler_wait_seconds", json_row=False
+    )
+    probe_wire: Histogram | None = _stat(
+        None, family="monocle_probe_wire_seconds", json_row=False
+    )
+    probegen_solve: Histogram | None = _stat(
+        None, family="monocle_probegen_solve_seconds", json_row=False
+    )
+    update_confirmation: Histogram | None = _stat(
+        None, family="monocle_update_confirmation_seconds", json_row=False
+    )
 
     def probe_rate(self, duration: float) -> float:
         """Achieved probes/s over the scenario."""
@@ -171,11 +192,10 @@ _VIEWS: dict[str, tuple[str, dataclasses.Field[Any]]] = {
     if f.metadata.get("agg")
 }
 
-#: Scraped field name -> the Prometheus family it is published under.
+#: Scraped field name -> the Prometheus family it is exposed under.
 FAMILY: dict[str, str] = {
     f.name: f.metadata["family"]
-    for row_type in (SwitchMetrics, ShardMetrics)
-    for f in dataclasses.fields(row_type)
+    for f in dataclasses.fields(SwitchMetrics)
     if f.metadata.get("family")
 }
 
@@ -416,6 +436,10 @@ def scrape_switch(
         window_depth=monitor.window_depth,
         solver_clauses=solver["num_clauses"],
         solver_lemmas=solver["lemma_count"],
+        scheduler_wait=monitor.wait_histogram,
+        probe_wire=monitor.wire_histogram,
+        probegen_solve=context.solve_histogram,
+        update_confirmation=dynamic.confirm_histogram if dynamic else None,
     )
 
 
@@ -428,32 +452,51 @@ def scrape_shard(deployment: FleetDeployment) -> ShardMetrics:
     )
 
 
-def publish_metrics(deployment: FleetDeployment) -> None:
-    """Registry collect hook: expose the scrape as ``monocle_*`` series.
+def metric_series(
+    per_switch: Iterable[SwitchMetrics],
+    detections: Iterable[DetectionRecord] | None = None,
+) -> list[Series]:
+    """The exposed series of some switch rows, sorted by family then
+    labels: every family-tagged field, labelled with its row's node —
+    a :class:`~repro.obs.metrics.Histogram` field is a histogram, a
+    family ending in ``_total`` a counter, any other a gauge.
 
-    Runs before every metrics snapshot / exposition, so the hot
-    monitoring paths never pay per-event counter updates: every
-    family-tagged row field is published from the same scrape
-    :func:`collect_fleet_metrics` aggregates — a counter when the
-    family ends in ``_total``, a gauge otherwise.
+    Given ``detections``, the series also carry their latencies as the
+    ``monocle_detection_latency_seconds`` histogram.
     """
-    registry = deployment.obs.metrics
-    rows: list[tuple[SwitchMetrics | ShardMetrics, dict[str, str]]] = [
-        (scrape_switch(deployment, node), {"node": repr(node)})
-        for node in deployment.monitored_nodes
-    ]
-    rows.append((scrape_shard(deployment), {}))
-    for row, labels in rows:
+    series: list[Series] = []
+    for row in per_switch:
+        labels = (("node", repr(row.node)),)
         for f in dataclasses.fields(row):
             family = f.metadata.get("family")
-            if family is None:
-                continue
             value = getattr(row, f.name)
-            if family.endswith("_total"):
-                counter = registry.counter(family, **labels)
-                counter.inc(value - counter.value)
+            if family is None or value is None:
+                continue
+            if isinstance(value, Histogram):
+                kind = "histogram"
+            elif family.endswith("_total"):
+                kind = "counter"
             else:
-                registry.gauge(family, **labels).set(value)
+                kind = "gauge"
+            series.append((kind, family, labels, value))
+    if detections is not None:
+        latency = Histogram()
+        for record in detections:
+            if (seconds := record.latency) is not None:
+                latency.observe(seconds)
+        series.append(
+            ("histogram", "monocle_detection_latency_seconds", (), latency)
+        )
+    series.sort(key=lambda s: (s[1], s[2]))
+    return series
+
+
+def live_series(deployment: FleetDeployment) -> list[Series]:
+    """The series of a running deployment's scrape: what its observer
+    snapshots each interval."""
+    return metric_series(
+        scrape_switch(deployment, node) for node in deployment.monitored_nodes
+    )
 
 
 # ----- collection and merge -------------------------------------------------
@@ -500,27 +543,21 @@ def collect_fleet_metrics(
                 false_alarms.append((node, alarm))
     timeline.sort()
     false_alarms.sort(key=_false_alarm_order)
+    per_switch = [
+        scrape_switch(deployment, node) for node in deployment.monitored_nodes
+    ]
 
     obs = deployment.obs
     obs_snapshots: list[dict[str, Any]] = []
     if obs.enabled:
-        # The histogram is a view of *this* collect's detections, so a
-        # repeated collect refills rather than double-observes; filled
-        # before the final snapshot, which therefore carries it.
-        histogram = obs.metrics.histogram("monocle_detection_latency_seconds")
-        histogram.reset()
-        for record in detections:
-            if (latency := record.latency) is not None:
-                histogram.observe(latency)
-        obs.snapshot_now()
-        obs_snapshots = list(obs.metrics.snapshots)
+        # The final snapshot also carries this collect's detection
+        # latencies; a repeated collect supersedes it.
+        obs.snapshot_now(metric_series(per_switch, detections))
+        obs_snapshots = list(obs.snapshots)
 
     return FleetMetrics(
         duration=duration,
-        per_switch=[
-            scrape_switch(deployment, node)
-            for node in deployment.monitored_nodes
-        ],
+        per_switch=per_switch,
         per_shard=[scrape_shard(deployment)],
         detections=detections,
         false_alarms=false_alarms,

@@ -37,7 +37,11 @@ from repro.fleet.failures import (
     RuleCorruption,
     RuleDrop,
 )
-from repro.fleet.metrics import FleetMetrics, merge_fleet_metrics
+from repro.fleet.metrics import (
+    FleetMetrics,
+    merge_fleet_metrics,
+    metric_series,
+)
 from repro.fleet.report import format_fleet_report
 from repro.fleet.sharding import plan_shards
 from repro.fleet.shardworker import (
@@ -47,6 +51,7 @@ from repro.fleet.shardworker import (
     WorkerHang,
 )
 from repro.obs import NullObserver, Observer
+from repro.obs.metrics import prometheus_text
 from repro.fleet.workloads import (
     BackgroundTraffic,
     RuleChurn,
@@ -139,9 +144,9 @@ class ScenarioSpec(MonitorConfig):
     failures: tuple[FailureSpec, ...] = ()
     observe: bool = knob(
         False,
-        "trace and keep live metrics (repro.obs); any output or interval "
-        "below turns this on too, and off leaves the NullObserver's no-op "
-        "path in place",
+        "trace and take metric snapshots (repro.obs); any output or "
+        "interval below turns this on too, and off leaves the "
+        "NullObserver's no-op path in place",
     )
     trace_out: str | None = knob(
         None, "write the sim-time event trace as JSONL after the run"
@@ -152,7 +157,9 @@ class ScenarioSpec(MonitorConfig):
         "/ ui.perfetto.dev)",
     )
     metrics_out: str | None = knob(
-        None, "write the Prometheus text exposition after the run"
+        None,
+        "write the Prometheus text exposition of the merged metrics after "
+        "the run",
     )
     obs_snapshot_interval: float | None = knob(
         None,
@@ -240,13 +247,6 @@ class ScenarioSpec(MonitorConfig):
                         f"chaos hook needs shard >= 0 and 0 <= at < "
                         f"{self.duration} (the duration): {hook}"
                     )
-        if self.resolved_workers() > 1 and self.metrics_out:
-            raise ScenarioError(
-                "metrics_out is incompatible with workers > 1: the "
-                "Prometheus registry lives per worker process and its "
-                "expositions cannot be merged (use --json-out, whose "
-                "snapshots the coordinator does merge)"
-            )
         graph = self.build_topology()
         nodes = set(graph.nodes)
         for spec in self.failures:
@@ -299,8 +299,9 @@ class ScenarioSpec(MonitorConfig):
         )
 
     def build_observer(self) -> "Observer | None":
-        """The spec's observer (live tracing + metrics), or None for the
-        NullObserver default when nothing asks for one."""
+        """The spec's observer (tracing, metric snapshots and the
+        latency histograms), or None for the NullObserver default when
+        nothing asks for one."""
         if not (
             self.observe
             or self.trace_out
@@ -363,7 +364,9 @@ class ScenarioResult:
                 f"{spec.trace_chrome} (chrome trace, {count} events)"
             )
         if spec.metrics_out:
-            text = obs.metrics.prometheus_text()
+            text = prometheus_text(
+                metric_series(self.metrics.per_switch, self.metrics.detections)
+            )
             with open(spec.metrics_out, "w", encoding="utf-8") as handle:
                 handle.write(text)
             written.append(f"{spec.metrics_out} (prometheus exposition)")

@@ -1,8 +1,8 @@
 """The observer facade: one object every layer publishes through.
 
 :class:`Observer` bundles a :class:`~repro.obs.trace.TraceRecorder`, a
-:class:`~repro.obs.metrics.MetricsRegistry`, a span-id allocator and a
-clock binding.  Components hold an ``obs`` attribute and guard every
+span-id allocator, a clock binding and the pacing of sim-time metric
+snapshots.  Components hold an ``obs`` attribute and guard every
 publication site with ``if self.obs.enabled:`` — with the default
 :class:`NullObserver` (:data:`NULL_OBSERVER`), the disabled path is a
 single attribute read and a falsy test, nothing else (no argument
@@ -10,24 +10,29 @@ construction, no dict lookups; a traced ``bench`` run reads
 ``obs.self_us`` 0 because no hot path calls into the NullObserver).
 
 :meth:`Observer.install` binds the observer to a
-:class:`~repro.sim.kernel.Simulator`: the clock becomes the sim clock
-(every event and metric is stamped with *simulation* time) and, when a
-``snapshot_interval`` is configured, the kernel's event-dispatch hook
-drives periodic metric snapshots.  Snapshots ride the hook instead of
-self-rescheduling timer events so an idle deployment's event queue can
-still drain.
+:class:`~repro.sim.kernel.Simulator` and to a *collector*, a callable
+returning the current metric :data:`~repro.obs.metrics.Series` (for a
+fleet, :func:`~repro.fleet.metrics.live_series` over its scrape).  The
+clock becomes the sim clock (every event and snapshot is stamped with
+*simulation* time) and, when a ``snapshot_interval`` is configured, the
+kernel's dispatch hook takes each due snapshot before the first event
+past it runs.  Snapshots ride the hook instead of self-rescheduling
+timer events so an idle deployment's event queue can still drain.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Series, snapshot
 from repro.obs.trace import TraceRecorder
+
+#: A callable returning the current metric series.
+Collector = Callable[[], Iterable[Series]]
 
 
 class Observer:
-    """Live tracing + metrics, stamped with simulation time.
+    """Live tracing + metric snapshots, stamped with simulation time.
 
     Args:
         snapshot_interval: sim seconds between metric snapshots; None
@@ -46,11 +51,13 @@ class Observer:
                 f"snapshot_interval must be >= 0: {snapshot_interval}"
             )
         self.trace = TraceRecorder()
-        self.metrics = MetricsRegistry()
+        #: Snapshot dicts in sim-time order (see :meth:`snapshot_now`).
+        self.snapshots: list[dict[str, Any]] = []
         self.snapshot_interval = snapshot_interval or None
         self._clock: Callable[[], float] = lambda: 0.0
+        self._collect: Collector = tuple
         self._spans = 0
-        self._next_snapshot: float | None = None
+        self._next_snapshot = 0.0
 
     # ----- clock and spans --------------------------------------------------
 
@@ -81,13 +88,15 @@ class Observer:
 
     # ----- simulator wiring -----------------------------------------------------
 
-    def install(self, sim: Any) -> None:
-        """Bind to a simulator: sim-time clock + snapshot pacing.
+    def install(self, sim: Any, collect: Collector) -> None:
+        """Bind to a simulator and a collector: sim-time clock +
+        snapshot pacing.
 
         ``sim`` is anything with ``.now`` and (for snapshots)
         ``set_dispatch_hook`` — in practice a
         :class:`~repro.sim.kernel.Simulator`; typed loosely so this
-        package stays dependency-free.
+        package stays dependency-free.  ``collect`` supplies every
+        snapshot's series.
         """
         prop = getattr(type(sim), "now", None)
         if isinstance(prop, property) and prop.fget is not None:
@@ -96,71 +105,44 @@ class Observer:
             self.bind_clock(prop.fget.__get__(sim))
         else:
             self.bind_clock(lambda: sim.now)
+        self._collect = collect
         if self.snapshot_interval:
             self._next_snapshot = sim.now  # t=0 baseline snapshot
-            sim.set_dispatch_hook(self._on_dispatch)
+            sim.set_dispatch_hook(self._before_dispatch)
 
-    def _on_dispatch(self, ts: float) -> None:
-        """Kernel hook: snapshot each time sim time crosses a boundary."""
+    def _before_dispatch(self, ts: float) -> None:
+        """Kernel hook: before an event at ``ts`` runs, snapshot every
+        boundary it passes, so a snapshot stamped t counts exactly the
+        events at or before t."""
         due = self._next_snapshot
-        if due is None or ts < due:
+        if ts <= due:
             return
         interval = self.snapshot_interval
         assert interval is not None
-        while due <= ts:
-            self.metrics.snapshot(due)
+        while due < ts:
+            self._record(snapshot(due, self._collect()))
             due += interval
         self._next_snapshot = due
 
-    def snapshot_now(self) -> dict[str, Any]:
-        """Take one snapshot at the current sim time."""
-        return self.metrics.snapshot(self._clock())
+    def snapshot_now(
+        self, series: Iterable[Series] | None = None
+    ) -> dict[str, Any]:
+        """Take one snapshot at the current sim time, of ``series`` or
+        else of the installed collector's.
 
+        Appended to :attr:`snapshots`; a snapshot at the previous one's
+        ``ts`` supersedes it, so timestamps are unique.
+        """
+        if series is None:
+            series = self._collect()
+        return self._record(snapshot(self._clock(), series))
 
-class _NullInstrument:
-    """Accepts every instrument method as a no-op."""
-
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class _NullRegistry:
-    """Metrics sink that swallows everything (cold-path safety net)."""
-
-    __slots__ = ()
-    snapshots: list[dict[str, Any]] = []
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def add_collect_hook(self, hook: Callable[[], None]) -> None:
-        pass
-
-    def snapshot(self, ts: float) -> dict[str, Any]:
-        return {"ts": ts, "counters": {}, "gauges": {}, "histograms": {}}
-
-    def prometheus_text(self) -> str:
-        return ""
+    def _record(self, snap: dict[str, Any]) -> dict[str, Any]:
+        if self.snapshots and self.snapshots[-1]["ts"] == snap["ts"]:
+            self.snapshots[-1] = snap
+        else:
+            self.snapshots.append(snap)
+        return snap
 
 
 class NullObserver:
@@ -173,10 +155,10 @@ class NullObserver:
     """
 
     enabled = False
+    snapshots: tuple[dict[str, Any], ...] = ()
 
     def __init__(self) -> None:
         self.trace = TraceRecorder(capacity=1)
-        self.metrics: Any = _NullRegistry()
         self.snapshot_interval = None
 
     def now(self) -> float:
@@ -197,11 +179,13 @@ class NullObserver:
     ) -> None:
         pass
 
-    def install(self, sim: Any) -> None:
+    def install(self, sim: Any, collect: Collector) -> None:
         pass
 
-    def snapshot_now(self) -> dict[str, Any]:
-        return self.metrics.snapshot(0.0)
+    def snapshot_now(
+        self, series: Iterable[Series] | None = None
+    ) -> dict[str, Any]:
+        return snapshot(0.0, ())
 
 
 #: The shared disabled observer every component defaults to.

@@ -38,11 +38,7 @@ from repro.openflow.actions import (
     CONTROLLER_PORT,
 )
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import (
-    FlowTable,
-    TableMissPolicy,
-    pack_header,
-)
+from repro.openflow.table import FlowTable, pack_header
 from repro.openflow.tuplespace import TupleSpaceIndex
 from repro.openflow.messages import (
     BarrierReply,
@@ -76,7 +72,6 @@ __all__ = [
     "Rule",
     "RuleOutcome",
     "FlowTable",
-    "TableMissPolicy",
     "TupleSpaceIndex",
     "pack_header",
     "BarrierReply",

@@ -1,14 +1,11 @@
 """TCAM-style flow table with OpenFlow 1.0 priority semantics.
 
 Lookup returns the highest-priority matching rule.  The OpenFlow spec
-leaves overlapping equal-priority rules undefined (paper footnote 1).
-A table built with ``check_overlap=True`` refuses to create that
-situation; every live table — a switch's control and data plane, a
-Monitor's expected table, the ACL datasets — is built with
-``check_overlap=False``, as a real switch accepts such FlowMods, and
-there ties go to the earlier install.  Probe generation therefore never
-relies on the tie-break: a probe avoids every overlapping rule of the
-probed rule's priority.
+leaves overlapping equal-priority rules undefined (paper footnote 1);
+a table accepts them, as a real switch accepts such FlowMods, and ties
+go to the earlier install.  Probe generation therefore never relies on
+the tie-break: a probe avoids every overlapping rule of the probed
+rule's priority.
 
 The table also exposes the queries probe generation needs: rules with
 higher/lower priority than a given rule, and rules overlapping a match
@@ -59,33 +56,15 @@ def pack_header(header_values: Mapping[FieldName, int]) -> int:
     return packed
 
 
-class TableMissPolicy:
-    """What happens to packets that match no rule."""
-
-    DROP = "drop"
-    CONTROLLER = "controller"
-
-
-class OverlapError(ValueError):
-    """Raised when inserting a rule that overlaps an equal-priority rule."""
-
-
 class FlowTable:
     """An ordered collection of rules with TCAM lookup semantics.
 
     Rules are kept sorted by descending priority; within one priority the
     order is insertion order, which decides a lookup only between
-    overlapping rules of one priority (``check_overlap=False`` tables).
+    overlapping rules of one priority.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[Rule] = (),
-        miss_policy: str = TableMissPolicy.DROP,
-        check_overlap: bool = True,
-    ) -> None:
-        self.miss_policy = miss_policy
-        self.check_overlap = check_overlap
+    def __init__(self, rules: Iterable[Rule] = ()) -> None:
         self._rules: list[Rule] = []
         #: Sort keys (-priority, seq) aligned with ``_rules`` so inserts
         #: and removals bisect instead of scanning.
@@ -110,27 +89,11 @@ class FlowTable:
     # ----- mutation ----------------------------------------------------
 
     def install(self, rule: Rule) -> None:
-        """Add a rule; replaces an existing rule with the same key.
-
-        Raises:
-            OverlapError: if the rule overlaps a *different* rule of equal
-                priority and overlap checking is on.
-        """
+        """Add a rule; replaces an existing rule with the same key."""
         key = rule.key()
         if key in self._by_key:
             self._replace(rule)
             return
-        if self.check_overlap:
-            # The overlap query is already the candidate set; only the
-            # equal-priority hits violate footnote 1.
-            for other in self.overlapping(rule.match):
-                if (
-                    other.priority == rule.priority
-                    and other.match is not rule.match
-                ):
-                    raise OverlapError(
-                        f"rule {rule!r} overlaps equal-priority {other!r}"
-                    )
         seq = self._next_seq
         self._next_seq += 1
         rank = (-rule.priority, seq)
@@ -293,8 +256,7 @@ class FlowTable:
 
         The overlap engine of the copy rebuilds lazily on first use.
         """
-        table = FlowTable(miss_policy=self.miss_policy, check_overlap=False)
-        table.check_overlap = self.check_overlap
+        table = FlowTable()
         table._rules = list(self._rules)
         table._order = list(self._order)
         table._by_key = dict(self._by_key)
@@ -304,12 +266,10 @@ class FlowTable:
         return table
 
     def __repr__(self) -> str:
-        return f"FlowTable({len(self._rules)} rules, miss={self.miss_policy})"
+        return f"FlowTable({len(self._rules)} rules)"
 
 
 __all__ = [
     "FlowTable",
-    "OverlapError",
-    "TableMissPolicy",
     "pack_header",
 ]

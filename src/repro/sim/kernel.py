@@ -31,16 +31,16 @@ class Simulator:
         self._queue = EventQueue()
         self._dispatched = 0
         self._running = False
-        #: Called with the event time after every dispatched event.
-        #: Observability (periodic metric snapshots) rides this hook
-        #: instead of self-rescheduling timer events, so an otherwise
-        #: idle deployment's queue can still drain.
+        #: Called with the event time before every dispatched event
+        #: runs.  Observability (periodic metric snapshots) rides this
+        #: hook instead of self-rescheduling timer events, so an
+        #: otherwise idle deployment's queue can still drain.
         self._dispatch_hook: Callable[[float], None] | None = None
 
     def set_dispatch_hook(
         self, hook: Callable[[float], None] | None
     ) -> None:
-        """Install (or clear) the post-dispatch hook.
+        """Install (or clear) the pre-dispatch hook.
 
         The hook must be passive: it runs outside the event queue and
         must not schedule, cancel, or otherwise perturb simulation
@@ -95,12 +95,12 @@ class Simulator:
                 event = pop(until)
                 if event is None:
                     break
+                if self._dispatch_hook is not None:
+                    self._dispatch_hook(event.time)
                 advance(event.time)
                 event.action()
                 self._dispatched += 1
                 budget -= 1
-                if self._dispatch_hook is not None:
-                    self._dispatch_hook(event.time)
             if until is not None and until > self.now:
                 self.clock.advance(until)
         finally:

@@ -141,9 +141,9 @@ class SimulatedSwitch:
         self.num_ports = num_ports
 
         #: Rules the control plane has accepted (what the switch reports).
-        self.control_table = FlowTable(check_overlap=False)
+        self.control_table = FlowTable()
         #: Rules the data plane actually applies.
-        self.dataplane = FlowTable(check_overlap=False)
+        self.dataplane = FlowTable()
 
         self.stats = SwitchStats()
         self.send_to_controller: Callable[[Message], None] | None = None

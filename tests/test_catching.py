@@ -104,7 +104,7 @@ class TestStrategy2:
         }
 
         def outcome_at(node):
-            table = FlowTable(check_overlap=False)
+            table = FlowTable()
             for rule in plan.catching_rules(node):
                 table.install(rule)
             return table.process(header)

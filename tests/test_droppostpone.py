@@ -77,7 +77,7 @@ class TestEndToEndSemantics:
             match=Match.build(dl_vlan=0xF01),
             actions=output(CONTROLLER_PORT),
         )
-        neighbor = FlowTable(check_overlap=False)
+        neighbor = FlowTable()
         neighbor.install(catch)
         neighbor.install(tag_drop_rule())
 

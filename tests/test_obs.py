@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs import (
     NULL_OBSERVER,
-    MetricsRegistry,
+    Histogram,
     NullObserver,
     Observer,
     TraceRecorder,
@@ -15,7 +15,13 @@ from repro.obs import (
     probe_spans,
     window_rates,
 )
-from repro.obs.metrics import family_name, series_key
+from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
+    family_name,
+    prometheus_text,
+    series_key,
+    snapshot,
+)
 from repro.sim.kernel import Simulator
 from trace_helpers import read_jsonl
 
@@ -90,92 +96,79 @@ class TestTraceRecorder:
 
 
 class TestMetricsRegistry:
-    def test_counter_get_or_create(self):
-        registry = MetricsRegistry()
-        c1 = registry.counter("probes_total", node="sw0")
-        c1.inc()
-        c1.inc(2)
-        assert registry.counter("probes_total", node="sw0") is c1
-        assert c1.value == 3
-        # Different labels are a different series.
-        assert registry.counter("probes_total", node="sw1") is not c1
-
-    def test_counter_rejects_decrease(self):
-        with pytest.raises(ValueError, match="up"):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_kind_conflict_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("latency")
-        with pytest.raises(ValueError, match="counter"):
-            registry.gauge("latency")
-
-    def test_gauge(self):
-        gauge = MetricsRegistry().gauge("outstanding")
-        gauge.set(4)
-        assert gauge.value == 4
-        gauge.set(3)
-        assert gauge.value == 3
+    """The histogram instrument and the two renderings of a series
+    list: snapshots and the Prometheus text exposition."""
 
     def test_histogram_buckets(self):
-        hist = MetricsRegistry().histogram("h", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.05, 0.5):
+        hist = Histogram()
+        for value in (0.005, 0.05, 0.05, 0.5, 20.0):
             hist.observe(value)
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(0.605)
-        assert hist.cumulative() == [(0.01, 1), (0.1, 3), (1.0, 4)]
-
-    def test_histogram_reset_forgets_observations(self):
-        hist = MetricsRegistry().histogram("h", buckets=(0.01, 0.1))
-        hist.observe(0.05)
-        hist.reset()
-        assert (hist.count, hist.sum) == (0, 0.0)
-        assert hist.cumulative() == [(0.01, 0), (0.1, 0)]
+        assert hist.count == 5
+        assert hist.sum == pytest.approx(20.605)
+        cumulative = dict(hist.cumulative())
+        assert [cumulative[b] for b in (0.005, 0.05, 0.5, 10)] == [1, 3, 4, 4]
+        # Value equality, so a metrics row holding one compares too.
+        assert Histogram() == Histogram()
+        assert hist != Histogram()
 
     def test_snapshot_at_same_ts_supersedes(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("probes_total")
-        registry.snapshot(1.0)
-        counter.inc()
-        registry.snapshot(1.0)
-        registry.snapshot(2.0)
+        obs = Observer()
+        state = {"probes": 0}
+        obs.install(
+            Simulator(),
+            lambda: [("counter", "probes_total", (), state["probes"])],
+        )
+        now = {"t": 1.0}
+        obs.bind_clock(lambda: now["t"])
+        obs.snapshot_now()
+        state["probes"] = 1
+        obs.snapshot_now()
+        now["t"] = 2.0
+        obs.snapshot_now()
         assert [
             (snap["ts"], snap["counters"]["probes_total"])
-            for snap in registry.snapshots
+            for snap in obs.snapshots
         ] == [(1.0, 1.0), (2.0, 1.0)]
 
     def test_prometheus_text(self):
-        registry = MetricsRegistry()
-        registry.counter("probes_total", node="sw0").inc(5)
-        registry.gauge("outstanding").set(2)
-        registry.histogram("wire", buckets=(0.1,)).observe(0.05)
-        text = registry.prometheus_text()
-        assert "# TYPE probes_total counter" in text
-        assert 'probes_total{node="sw0"} 5' in text
-        assert "outstanding 2" in text
-        assert 'wire_bucket{le="0.1"} 1' in text
-        assert 'wire_bucket{le="+Inf"} 1' in text
-        assert "wire_count 1" in text
-
-    def test_collect_hook_runs_before_snapshot(self):
-        registry = MetricsRegistry()
-        state = {"value": 0}
-        registry.add_collect_hook(
-            lambda: registry.gauge("live").set(state["value"])
-        )
-        state["value"] = 7
-        snap = registry.snapshot(1.0)
-        assert snap["gauges"]["live"] == 7
+        wire = Histogram()
+        wire.observe(0.05)
+        wire.observe(0.0002)
+        series = [
+            ("gauge", "outstanding", (), 2.0),
+            ("counter", "probes_total", (("node", "sw0"),), 5),
+            ("counter", "probes_total", (("node", "sw1"),), 0),
+            ("histogram", "wire", (("node", "sw0"),), wire),
+        ]
+        lines = prometheus_text(series).splitlines()
+        assert lines[:5] == [
+            "# TYPE outstanding gauge",
+            "outstanding 2",
+            "# TYPE probes_total counter",
+            'probes_total{node="sw0"} 5',
+            'probes_total{node="sw1"} 0',
+        ]
+        assert lines[5] == "# TYPE wire histogram"
+        buckets = lines[6 : 6 + len(DEFAULT_BUCKETS) + 1]
+        assert buckets[0] == 'wire_bucket{node="sw0",le="0.0001"} 0'
+        assert buckets[1] == 'wire_bucket{node="sw0",le="0.00025"} 1'
+        assert 'wire_bucket{node="sw0",le="0.05"} 2' in buckets
+        assert buckets[-2] == 'wire_bucket{node="sw0",le="10"} 2'
+        assert buckets[-1] == 'wire_bucket{node="sw0",le="+Inf"} 2'
+        assert lines[-2:] == [
+            'wire_sum{node="sw0"} 0.0502',
+            'wire_count{node="sw0"} 2',
+        ]
+        assert prometheus_text([]) == ""
 
     def test_snapshots_and_window_rates(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("probes_total", node="sw0")
-        registry.snapshot(0.0)
-        counter.inc(10)
-        registry.snapshot(1.0)
-        counter.inc(30)
-        registry.snapshot(2.0)
-        rates = window_rates(registry.snapshots, "probes_total")
+        def probes(count):
+            return [("counter", "probes_total", (("node", "sw0"),), count)]
+
+        snapshots = [snapshot(0.0, probes(0)), snapshot(1.0, probes(10))]
+        snapshots.append(snapshot(2.0, probes(40)))
+        assert snapshots[1]["counters"] == {'probes_total{node="sw0"}': 10.0}
+        rates = window_rates(snapshots, "probes_total")
         assert rates == [(1.0, 10.0), (2.0, 30.0)]
 
     def test_series_key_helpers(self):
@@ -201,16 +194,19 @@ class TestObserver:
         assert event.args == {"nonce": 9}
 
     def test_install_paces_snapshots_by_sim_time(self):
+        """A snapshot stamped t counts exactly the events at or before
+        t: each is taken before the first event past it runs."""
         sim = Simulator()
         obs = Observer(snapshot_interval=0.5)
-        obs.install(sim)
-        counter = obs.metrics.counter("ticks")
+        ticks = []
+        obs.install(sim, lambda: [("counter", "ticks", (), len(ticks))])
         for i in range(10):
-            sim.schedule(0.2 * (i + 1), counter.inc)
+            sim.schedule(0.2 * (i + 1), lambda: ticks.append(sim.now))
         sim.run(until=2.0)
-        # Snapshots at 0.0, 0.5, 1.0, 1.5, 2.0 boundaries.
-        times = [snap["ts"] for snap in obs.metrics.snapshots]
-        assert times == [0.0, 0.5, 1.0, 1.5, 2.0]
+        obs.snapshot_now()  # the run's end, as a fleet collect takes it
+        assert [s["ts"] for s in obs.snapshots] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        ticks_at = [s["counters"]["ticks"] for s in obs.snapshots]
+        assert ticks_at == [0, 2, 5, 7, 10]
 
     def test_negative_snapshot_interval_rejected(self):
         with pytest.raises(ValueError, match="snapshot_interval"):
@@ -222,10 +218,7 @@ class TestObserver:
         assert null.next_span() == 0
         null.emit("probe.sent", node="sw0", span=1)
         assert len(null.trace) == 0
-        null.metrics.counter("x").inc()
-        null.metrics.histogram("h").observe(1.0)
-        assert null.metrics.prometheus_text() == ""
-        null.install(object())
+        null.install(object(), tuple)
         assert null.snapshot_now()["counters"] == {}
         assert NULL_OBSERVER.enabled is False
 

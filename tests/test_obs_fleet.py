@@ -140,8 +140,8 @@ class TestTraceMetricsConsistency:
         assert len(observed_run.exported) == 3
 
     def test_final_snapshot_carries_detection_latency(self, observed_run):
-        """The histogram is filled before the final snapshot, and a
-        repeated collect refills it instead of observing twice."""
+        """The final snapshot carries the detection latencies, and a
+        repeated collect supersedes it instead of observing twice."""
         last = observed_run.metrics.obs_snapshots[-1]
         assert last["histograms"]["monocle_detection_latency_seconds"] == {
             "count": 2.0,
@@ -168,7 +168,12 @@ def _row_fields():
 
 
 def _column_total(metrics, rows, f):
-    return sum(getattr(row, f.name) for row in getattr(metrics, rows))
+    """A column's sum; for a latency histogram (a field defaulting to
+    ``None``), the sum of its observation counts."""
+    values = [getattr(row, f.name) for row in getattr(metrics, rows)]
+    if f.default is None:
+        return sum(hist.count for hist in values if hist is not None)
+    return sum(values)
 
 
 def _exposition_totals(text):
@@ -287,7 +292,8 @@ class TestOneSetOfBooks:
                 )
             family = f.metadata["family"]
             if family is not None:
-                assert exposed[family] == total, family
+                suffix = "_count" if f.default is None else ""
+                assert exposed[family + suffix] == total, family
                 if family.endswith("_total"):
                     counter_families.add(family)
         assert len(counter_families) == 10
@@ -340,6 +346,11 @@ class TestOneSetOfBooks:
             if family is None:
                 continue
             series = {**final["counters"], **final["gauges"]}
+            if f.default is None:  # a latency histogram: its count
+                series = {
+                    key: hist["count"]
+                    for key, hist in final["histograms"].items()
+                }
             snapshot_total = sum(
                 value
                 for key, value in series.items()

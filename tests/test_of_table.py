@@ -1,7 +1,6 @@
 """Tests for flow-table semantics: priority lookup, FlowMod-style
 mutation, overlap queries, and outcome processing."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +9,7 @@ from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable, OverlapError, pack_header
+from repro.openflow.table import FlowTable, pack_header
 
 
 def header(**kwargs):
@@ -81,7 +80,7 @@ class TestLookup:
 
     def test_lookup_agrees_with_linear_scan(self):
         # Reference property: lookup == max-priority matching rule.
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         rules = [
             Rule(
                 priority=p,
@@ -110,16 +109,6 @@ class TestInstallSemantics:
         assert len(table) == 1
         assert table.lookup(header(nw_src=1)).forwarding_set() == {2}
 
-    def test_equal_priority_overlap_rejected(self):
-        table = FlowTable()
-        table.install(
-            Rule(priority=5, match=Match.build(nw_src=1), actions=output(1))
-        )
-        with pytest.raises(OverlapError):
-            table.install(
-                Rule(priority=5, match=Match.wildcard(), actions=output(2))
-            )
-
     def test_equal_priority_disjoint_allowed(self):
         table = FlowTable()
         table.install(
@@ -130,8 +119,8 @@ class TestInstallSemantics:
         )
         assert len(table) == 2
 
-    def test_overlap_check_can_be_disabled(self):
-        table = FlowTable(check_overlap=False)
+    def test_equal_priority_overlap_accepted_earlier_install_wins(self):
+        table = FlowTable()
         table.install(
             Rule(priority=5, match=Match.build(nw_src=1), actions=output(1))
         )
@@ -139,6 +128,7 @@ class TestInstallSemantics:
             Rule(priority=5, match=Match.wildcard(), actions=output(2))
         )
         assert len(table) == 2
+        assert table.lookup(header(nw_src=1)).forwarding_set() == {1}
 
     def test_rules_sorted_desc_priority(self):
         table = FlowTable()
@@ -163,7 +153,7 @@ class TestRemoval:
         assert not table.remove(rule)
 
     def test_remove_matching_nonstrict_covers(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         inside = Rule(
             priority=5,
             match=Match.build(nw_dst=(0x0A000000, 24)),
@@ -191,7 +181,7 @@ class TestRemoval:
 
 class TestQueries:
     def test_higher_and_lower_priority(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         rules = {
             p: Rule(priority=p, match=Match.build(nw_src=1), actions=output(1))
             for p in (1, 5, 9)
@@ -202,7 +192,7 @@ class TestQueries:
         assert list(table) == [rules[9], rules[5], rules[1]]
 
     def test_overlapping_filter(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         a = Rule(priority=1, match=Match.build(nw_src=1), actions=output(1))
         b = Rule(priority=2, match=Match.build(nw_src=2), actions=output(1))
         c = Rule(priority=3, match=Match.wildcard(), actions=output(1))
@@ -212,7 +202,7 @@ class TestQueries:
         assert a in overlapping and c in overlapping and b not in overlapping
 
     def test_overlapping_cache_invalidated_on_mutation(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         a = Rule(priority=1, match=Match.build(nw_src=1), actions=output(1))
         table.install(a)
         assert table.overlapping(Match.build(nw_src=1)) == [a]

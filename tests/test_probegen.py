@@ -27,7 +27,7 @@ def generator(**kwargs):
 
 
 def table_of(*rules):
-    table = FlowTable(check_overlap=False)
+    table = FlowTable()
     for rule in rules:
         table.install(rule)
     return table
@@ -443,9 +443,8 @@ class TestTransientChain:
 
 class TestEqualPriorityOverlap:
     """Two overlapping rules of one priority: which of them a switch
-    applies is undefined (paper footnote 1), and every live table is
-    built with ``check_overlap=False``, so a probe for either avoids
-    the other.  Regression: the tied rule was in neither ``higher`` nor
+    applies is undefined (paper footnote 1), and a table accepts
+    both, so a probe for either avoids the other.  Regression: the tied rule was in neither ``higher`` nor
     ``lower``; the context's own re-simulation then raised out of
     ``probe_for``, and the cold generator stayed sound only while its
     fresh phases happened to miss the tied match."""

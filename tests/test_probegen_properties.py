@@ -85,7 +85,7 @@ def table_strategy(draw):
         )
     )
     rules = [draw(rule_strategy(priority)) for priority in priorities]
-    table = FlowTable(check_overlap=False)
+    table = FlowTable()
     for rule in rules:
         table.install(rule)
     probed = draw(st.sampled_from(rules))

@@ -102,7 +102,7 @@ class TestRoundRobinEquivalence:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_probe_sequence_identical_under_churn(self, seed):
         rng = random.Random(seed)
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         scheduler = ProbeScheduler(policy="round_robin")
         scheduler.rebuild(table)
         reference = ReferenceCycler(table)
@@ -154,7 +154,7 @@ class TestRoundRobinEquivalence:
         assert monitor.scheduler.keys() == expected_keys
 
     def test_busy_keys_are_skipped(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         rules = [_rule(100, 0x0A000000 + i) for i in range(3)]
         scheduler = ProbeScheduler()
         for rule in rules:
@@ -183,7 +183,7 @@ class TestNextRules:
     over the ``next_rule`` primitive with in-drain distinctness."""
 
     def _setup(self, policy: str, num_rules: int = 10):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         scheduler = ProbeScheduler(policy=policy)
         rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
         for rule in rules:
@@ -246,7 +246,7 @@ class TestNextRules:
         selections and the same promotion accounting, step for step,
         under randomized FlowMods, touches and busy sets."""
         rng = random.Random(seed)
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         single = ProbeScheduler(policy=policy)
         drained = ProbeScheduler(policy=policy)
         live: dict = {}
@@ -279,7 +279,7 @@ class TestNextRules:
 
 class TestRecentChurnFirst:
     def _setup(self, num_rules=12):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         scheduler = ProbeScheduler(policy="churn_first")
         rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
         for rule in rules:

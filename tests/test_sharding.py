@@ -16,6 +16,7 @@ import networkx as nx
 import pytest
 
 from repro.fleet.failures import LinkFailure, RuleDrop
+from repro.fleet.metrics import metric_series
 from repro.fleet.runner import (
     ScenarioError,
     ScenarioSpec,
@@ -24,6 +25,7 @@ from repro.fleet.runner import (
 )
 from repro.fleet.shardworker import WorkerCrash
 from repro.fleet.sharding import plan_shards
+from repro.obs.metrics import prometheus_text
 from repro.topology.generators import islands, linear
 from test_scenario_properties import check_worker_parity
 
@@ -203,9 +205,32 @@ class TestShardedScenarios:
         assert "gossip_digests_published" not in payload["aggregates"]
         assert "gossip_entries_shipped" not in payload["aggregates"]
 
-    def test_workers_reject_metrics_out_and_max_events(self):
-        with pytest.raises(ScenarioError):
-            _pure_spec(workers=2, metrics_out="/tmp/m.prom").validate()
+    def test_metrics_out_at_two_workers_writes_the_merged_exposition(
+        self, tmp_path
+    ):
+        """The exposition is rendered from the merged bundle: both
+        shards' switches, and on a pure partition every counter equal
+        to the in-process run's."""
+        texts = {}
+        for workers in (1, 2):
+            path = tmp_path / f"metrics_{workers}.prom"
+            spec = _pure_spec(workers=workers, metrics_out=str(path))
+            merged = run_scenario(spec).metrics
+            texts[workers] = path.read_text(encoding="utf-8")
+        assert texts[2] == prometheus_text(
+            metric_series(merged.per_switch, merged.detections)
+        )
+        assert "monocle_detection_latency_seconds_count 2" in texts[2]
+        counters = {
+            workers: [
+                line
+                for line in text.splitlines()
+                if line.partition("{")[0].endswith("_total")
+            ]
+            for workers, text in texts.items()
+        }
+        assert len(counters[2]) == 10 * 16  # ten families, 16 switches
+        assert counters[1] == counters[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unbuildable_spec_is_a_scenario_error(self, workers, capsys):

@@ -50,7 +50,7 @@ def add_mod(dst, port, priority=10):
 
 class TestApplyFlowmod:
     def table(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         table.install(
             Rule(priority=5, match=Match.build(nw_dst=1), actions=output(1))
         )
@@ -74,7 +74,7 @@ class TestApplyFlowmod:
         assert len(table) == 1
 
     def test_modify_nonstrict_covers(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         table.install(
             Rule(
                 priority=5,
@@ -104,7 +104,7 @@ class TestApplyFlowmod:
         ).forwarding_set() == {1}
 
     def test_modify_without_target_adds(self):
-        table = FlowTable(check_overlap=False)
+        table = FlowTable()
         mod = FlowMod(
             command=FlowModCommand.MODIFY_STRICT,
             match=Match.build(nw_dst=5),

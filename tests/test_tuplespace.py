@@ -15,7 +15,6 @@ defined by a fieldwise scan over ``table.rules()``:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,7 +112,7 @@ def _reference_lookup(table: FlowTable, header) -> Rule | None:
     probes=st.lists(headers(), min_size=1, max_size=4),
 )
 def test_index_linear_equivalence_under_churn(initial, ops, queries, probes):
-    indexed = FlowTable(check_overlap=False)
+    indexed = FlowTable()
 
     def check():
         for match in queries + [r.match for r in indexed.rules()[:3]]:
@@ -168,15 +167,10 @@ def _filler(i: int) -> Rule:
 
 class TestNoWholesaleRebuild:
     """Each churn step must be an O(delta) index update, never an O(N)
-    rebuild on the next query — whether or not installs run the
-    equal-priority overlap check (itself an index query)."""
+    rebuild on the next query."""
 
-    @pytest.mark.parametrize("check_overlap", [True, False])
-    def test_churn_never_rebuilds(self, check_overlap):
-        table = FlowTable(
-            (_filler(i) for i in range(256)),
-            check_overlap=check_overlap,
-        )
+    def test_churn_never_rebuilds(self):
+        table = FlowTable(_filler(i) for i in range(256))
         probe = Match.build(nw_dst=(0x0A000000, 24))
         baseline = {r.key() for r in table.overlapping(probe)}
         assert baseline  # index built by the first query
