@@ -25,7 +25,6 @@
 
 from repro.core.constraints import (
     ConstraintCompiler,
-    DistinguishEncoding,
     IncrementalProbeEncoder,
     SolverSink,
 )
@@ -45,7 +44,6 @@ from repro.core.droppostpone import postpone_drop_rule, DROP_TAG_TOS
 
 __all__ = [
     "ConstraintCompiler",
-    "DistinguishEncoding",
     "IncrementalProbeEncoder",
     "SolverSink",
     "ProbeGenContext",

@@ -10,10 +10,12 @@ top.  Three constraints are compiled for a probed rule:
 * **Distinguish** — the priority-ordered if-then-else chain over
   lower-priority overlapping rules.  Branch guards are
   ``Matches(P, R_k)`` (Tseitin AND), branch values are
-  ``DiffOutcome(P, Rprobed, R_k)``.  Two encodings are provided:
-  the *asserted chain* (linear; exploits that Monocle always asserts the
-  chain true) and the appendix's *Velev* quadratic ITE encoding, kept
-  for the encoding ablation.
+  ``DiffOutcome(P, Rprobed, R_k)``.  The chain is folded first
+  (:func:`fold_distinguish`): a constant-true chain emits nothing, a
+  constant-false one is §3.5's indistinguishable rule and needs no
+  solve.  What is left is asserted with the linear prefix-variable
+  construction (:func:`~repro.sat.encode.assert_if_chain`), which
+  exploits that Monocle always asserts the chain true.
 * **Collect** — ``Matches(P, Rcatch)`` as unit clauses.
 
 ``DiffOutcome`` is ``DiffPorts | DiffRewrite`` (§3.2–3.4):
@@ -26,8 +28,7 @@ common ports for multicast pairs and AND-ed when ECMP is involved.
 from __future__ import annotations
 
 import contextlib
-import enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.openflow.actions import OutcomeKind
 from repro.openflow.fields import HEADER, FieldName
@@ -36,11 +37,9 @@ from repro.openflow.rule import Rule
 from repro.sat.cnf import CNF, Lit
 from repro.sat.encode import (
     ClauseSink,
-    assert_ite_chain,
+    assert_if_chain,
     clause_and,
     clause_or,
-    constant,
-    ite_chain,
 )
 from repro.sat.incremental import IncrementalSolver
 
@@ -49,11 +48,38 @@ from repro.sat.incremental import IncrementalSolver
 _HEADER_VARS = range(1, HEADER.total_bits + 1)
 
 
-class DistinguishEncoding(str, enum.Enum):
-    """Which CNF encoding to use for the Distinguish ITE chain."""
+def fold_distinguish(
+    probed: Rule,
+    lower_rules: Sequence[Rule],
+    diff_outcome: Callable[[Rule, "Rule | None"], "bool | Lit"],
+) -> tuple[list[tuple[Rule, "bool | Lit"]], "bool | Lit"]:
+    """The Distinguish chain for ``probed``, folded before it is encoded.
 
-    ASSERTED_CHAIN = "asserted_chain"
-    VELEV_ITE = "velev_ite"
+    Returns ``(branches, else_value)``: the ``(lower rule,
+    DiffOutcome)`` branches of ``If(Matches(P, R_1), DiffOutcome(P,
+    probed, R_1), ..., else)``, highest priority first, and the value
+    of the table miss that takes what no lower rule matches — always a
+    ``bool``, since a miss drops.  ``If(g, c, c)`` is ``c`` whatever
+    ``g`` is, so tail branches whose constant value *is* the else value
+    are dropped, from the lowest priority up.  Two results need no
+    encoding at all:
+
+    * no branch, else ``True``: the chain constrains nothing;
+    * no branch, else ``False``: wherever the probe lands without
+      ``probed``, the outcome is the one ``probed`` gives — §3.5's
+      indistinguishable rule, unmonitorable before any solve.
+
+    ``diff_outcome`` is the engine's ``DiffOutcome`` (the cold
+    compiler's, or the persistent encoder's cached one).
+    """
+    else_value = diff_outcome(probed, None)
+    branches = [
+        (rule, diff_outcome(probed, rule))
+        for rule in sorted(lower_rules, key=lambda r: -r.priority)
+    ]
+    while branches and branches[-1][1] is else_value:
+        branches.pop()
+    return branches, else_value
 
 
 class SolverSink:
@@ -100,19 +126,13 @@ class ConstraintCompiler:
     order (variable ``i`` is bit ``i-1``); everything above is Tseitin.
 
     Args:
-        encoding: Distinguish-chain encoding variant.
         sink: formula destination; defaults to a fresh :class:`CNF`.
             Passing a :class:`~repro.sat.solver.SatSolver` loads the
             solver directly; a :class:`SolverSink` retargets every
             emitted clause at a persistent incremental solver instead.
     """
 
-    def __init__(
-        self,
-        encoding: DistinguishEncoding = DistinguishEncoding.ASSERTED_CHAIN,
-        sink: ClauseSink | None = None,
-    ) -> None:
-        self.encoding = encoding
+    def __init__(self, sink: ClauseSink | None = None) -> None:
         self.cnf = sink if sink is not None else CNF(HEADER.total_bits)
 
     # ----- bit-level helpers ---------------------------------------------
@@ -281,74 +301,34 @@ class ConstraintCompiler:
         self,
         probed: Rule,
         lower_rules: Sequence[Rule],
-    ) -> None:
-        """Assert the Distinguish constraint.
+    ) -> bool:
+        """Assert the Distinguish constraint, folded.
 
         Args:
             probed: the rule being probed.
             lower_rules: overlapping rules with priority strictly below
-                ``probed``, in any order (sorted internally).
+                ``probed``, in any order (:func:`fold_distinguish`
+                sorts them).
 
-        A probe that falls through every lower rule misses the table,
-        which drops it.
-        """
-        ordered = sorted(lower_rules, key=lambda r: -r.priority)
-        guards_and_values: list[tuple[list[Lit], bool | Lit]] = []
-        for rule in ordered:
-            guards_and_values.append(
-                (
-                    self.match_literals(rule.match),
-                    self.diff_outcome(probed, rule),
-                )
-            )
-        else_value = self.diff_outcome(probed, None)
-
-        if self.encoding is DistinguishEncoding.ASSERTED_CHAIN:
-            self._assert_chain_direct(guards_and_values, else_value)
-        else:
-            self._assert_chain_velev(guards_and_values, else_value)
-
-    def _assert_chain_direct(
-        self,
-        guards_and_values: list[tuple[list[Lit], bool | Lit]],
-        else_value: bool | Lit,
-    ) -> None:
-        """Linear encoding of ``If(m1,d1, If(m2,d2, ... else)) = True``.
+        Returns False when the chain folds to the constant false: the
+        formula is then unsatisfiable (an empty clause says so), and a
+        caller may skip its solve.
 
         Guards become Tseitin AND literals; the chain itself is the
         linear prefix-variable construction of
-        :func:`~repro.sat.encode.assert_ite_chain` — 2 short clauses per
+        :func:`~repro.sat.encode.assert_if_chain` — 2 short clauses per
         branch instead of the prefix-repetition encoding whose clause
         mass grows quadratically with chain length (the difference is
         minutes vs seconds on 1000-rule Distinguish chains).
         """
-        branches = [
-            (clause_and(self.cnf, guard_literals), value)
-            for guard_literals, value in guards_and_values
-        ]
-        assert_ite_chain(self.cnf, branches, else_value)
-
-    def _assert_chain_velev(
-        self,
-        guards_and_values: list[tuple[list[Lit], bool | Lit]],
-        else_value: bool | Lit,
-    ) -> None:
-        """Appendix B encoding: build the ITE chain with fresh variables
-        via the quadratic Velev construction, then assert its output."""
-        branches = []
-        for guard_literals, value in guards_and_values:
-            guard_lit = clause_and(self.cnf, guard_literals)
-            value_lit = (
-                constant(self.cnf, value) if isinstance(value, bool) else value
-            )
-            branches.append((guard_lit, value_lit))
-        else_lit = (
-            constant(self.cnf, else_value)
-            if isinstance(else_value, bool)
-            else else_value
+        chain, else_value = fold_distinguish(
+            probed, lower_rules, self.diff_outcome
         )
-        result = ite_chain(self.cnf, branches, else_lit)
-        self.cnf.add_unit(result)
+        branches = [
+            (self.matches_lit(rule.match), value) for rule, value in chain
+        ]
+        assert_if_chain(self.cnf, branches, else_value)
+        return bool(chain) or else_value is True
 
     # ----- solution decoding ---------------------------------------------
 
@@ -381,14 +361,12 @@ class IncrementalProbeEncoder:
 
     What is specific to one probe is *assumed*, not stored
     (:meth:`probe_assumptions`): the Hit bits, the negated guard of
-    every rule the probe must avoid, and — only when a lower overlapping
-    rule exists — the selector of a transient clause group holding the
-    Distinguish chain over those permanent guards, retired as soon as
-    the solve that assumed it returns.  A regenerated probe therefore
-    adds no clause once its neighbours' guards exist, and no group
-    outlives a solve.  The incremental Distinguish always uses the
-    linear asserted-chain construction (the Velev ablation only applies
-    to the from-scratch compiler).
+    every rule the probe must avoid, and — only when the Distinguish
+    chain survives :func:`fold_distinguish` — the selector of a
+    transient clause group holding that chain over those permanent
+    guards, retired as soon as the solve that assumed it returns.  A
+    regenerated probe therefore adds no clause once its neighbours'
+    guards exist, and no group outlives a solve.
     """
 
     def __init__(
@@ -445,35 +423,35 @@ class IncrementalProbeEncoder:
         probed: Rule,
         lower_rules: Sequence[Rule],
         avoid_rules: Sequence[Rule],
-    ) -> Iterator[list[Lit]]:
+    ) -> Iterator[list[Lit] | None]:
         """The literals a solve for ``probed`` assumes, for one ``with``.
 
         ``avoid_rules`` are the overlapping rules that would take the
         probe ahead of ``probed``, ``lower_rules`` the ones that decide
         its fate without it.  One decision level per literal costs less
         than storing them: nothing is added to the clause database
-        unless a Distinguish chain is needed, and what the chain adds is
-        retired on leaving the block — after a satisfiable,
-        unsatisfiable or budget-exhausted solve, and when emission or
-        the solve raises.
+        unless the folded Distinguish chain has a branch left, and what
+        the chain adds is retired on leaving the block — after a
+        satisfiable, unsatisfiable or budget-exhausted solve, and when
+        emission or the solve raises.  Yields None instead when the
+        chain folds to the constant false: no probe exists, and there
+        is nothing to solve.
         """
         # Hit: the probe matches the probed rule ...
         assumptions = self.compiler.match_literals(probed.match)
         # ... and none of the rules ahead of it.
         assumptions.extend(-self.guard(rule.match) for rule in avoid_rules)
         # Distinguish: the priority-ordered lower-overlap ITE chain.
-        else_value = self.diff_outcome(probed, None)
-        if not lower_rules and else_value is True:
-            yield assumptions  # the chain is its else branch, and holds
+        chain, else_value = fold_distinguish(
+            probed, lower_rules, self.diff_outcome
+        )
+        if not chain:
+            yield assumptions if else_value is True else None
             return
-        ordered = sorted(lower_rules, key=lambda r: -r.priority)
-        branches = [
-            (self.guard(rule.match), self.diff_outcome(probed, rule))
-            for rule in ordered
-        ]
+        branches = [(self.guard(rule.match), value) for rule, value in chain]
         group = self.solver.new_group()
         try:
-            assert_ite_chain(
+            assert_if_chain(
                 SolverSink(self.solver, group), branches, else_value
             )
             assumptions.append(group)

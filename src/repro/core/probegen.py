@@ -30,7 +30,6 @@ from typing import Callable
 
 from repro.core.constraints import (
     ConstraintCompiler,
-    DistinguishEncoding,
     IncrementalProbeEncoder,
 )
 from repro.obs import Histogram
@@ -47,15 +46,20 @@ from repro.packets.craft import (
 )
 from repro.sat.cnf import CNF
 from repro.sat.incremental import IncrementalSolver
-from repro.sat.solver import SatSolver
+from repro.sat.solver import SatResult, SatSolver
 
 
 class UnmonitorableReason(str, enum.Enum):
     """Why no probe exists for a rule (§3.5)."""
 
-    #: Higher-priority rules cover the probed rule completely (e.g. a
-    #: backup rule shadowed by its primary), or the catching match is
-    #: incompatible with the rule's match.
+    #: No header satisfies Table 1: higher-priority rules cover the
+    #: probed rule completely (e.g. a backup rule shadowed by its
+    #: primary), the catching match is incompatible with the rule's
+    #: match, or the Distinguish chain folds to the constant false —
+    #: wherever the probe lands without the rule, the outcome is the
+    #: same (§3.5's indistinguishable rule, reported without a solve).
+    #: The Monitor also demotes a probe to this reason when its two
+    #: outcomes differ only in what Monocle cannot observe (egress).
     UNSATISFIABLE = "unsatisfiable"
     #: A probe satisfying the bit constraints exists, but none of them
     #: can be turned into a wire-valid packet (limited-domain dead end).
@@ -123,7 +127,6 @@ class ProbeGenerator:
         valid_in_ports: if given, the probe's in_port is constrained to
             this set (ports that physically exist / have an upstream
             injector).
-        encoding: Distinguish-chain encoding (ablation knob).
         max_conflicts: CDCL conflict budget per probe.
 
     Only rules overlapping the probed rule enter the constraints (the
@@ -132,7 +135,6 @@ class ProbeGenerator:
 
     catch_match: Match
     valid_in_ports: tuple[int, ...] | None = None
-    encoding: DistinguishEncoding = DistinguishEncoding.ASSERTED_CHAIN
     max_conflicts: int | None = 100_000
     _reserved_fields: frozenset[FieldName] = field(init=False)
 
@@ -163,39 +165,29 @@ class ProbeGenerator:
 
         # The compiler writes straight into the solver about to run.
         solver = SatSolver(CNF(HEADER.total_bits))
-        compiler = ConstraintCompiler(encoding=self.encoding, sink=solver)
-        # Hit
-        compiler.assert_matches(rule.match)
-        for other in avoid:
-            compiler.assert_not_matches(other.match)
-        # Collect
-        compiler.assert_matches(self.catch_match)
-        # Distinguish
-        compiler.assert_distinguish(rule, lower)
-        # Wire-level domain restriction for in_port, which unlike the
-        # other limited-domain fields cannot be fixed after solving
-        # (rules commonly match on it exactly).
-        if self.valid_in_ports is not None:
-            compiler.assert_value_in(FieldName.IN_PORT, self.valid_in_ports)
-
-        sat = solver.solve(max_conflicts=self.max_conflicts)
-
-        result = ProbeResult(
-            rule=rule,
-            ok=False,
-            cnf_vars=solver.num_vars,
-            cnf_clauses=solver.num_clauses,
-            overlapping_rules=len(candidates),
-            solver_conflicts=sat.conflicts,
-        )
-        if sat.satisfiable is None:
-            result.reason = UnmonitorableReason.BUDGET_EXCEEDED
-            return result
-        if not sat.satisfiable:
-            result.reason = UnmonitorableReason.UNSATISFIABLE
-            return result
-        return _decode_probe(
-            result, rule, candidates, self.catch_match, sat.assignment
+        compiler = ConstraintCompiler(sink=solver)
+        # Distinguish first: a chain that folds to the constant false
+        # is the whole (unsatisfiable) instance, and nothing is solved.
+        if compiler.assert_distinguish(rule, lower):
+            # Hit
+            compiler.assert_matches(rule.match)
+            for other in avoid:
+                compiler.assert_not_matches(other.match)
+            # Collect
+            compiler.assert_matches(self.catch_match)
+            # Wire-level domain restriction for in_port, which unlike
+            # the other limited-domain fields cannot be fixed after
+            # solving (rules commonly match on it exactly).
+            if self.valid_in_ports is not None:
+                compiler.assert_value_in(
+                    FieldName.IN_PORT, self.valid_in_ports
+                )
+            sat = solver.solve(max_conflicts=self.max_conflicts)
+        else:
+            sat = _FOLDED_FALSE
+        return _conclude(
+            rule, candidates, self.catch_match, sat,
+            solver.num_vars, solver.num_clauses,
         )
 
     # ----- validation ------------------------------------------------------
@@ -233,21 +225,42 @@ def _split_candidates(
     return avoid, lower
 
 
-def _decode_probe(
-    result: ProbeResult,
+#: The verdict on a Distinguish chain folded to the constant false: no
+#: probe exists, and no solve ran to say so.
+_FOLDED_FALSE = SatResult(satisfiable=False)
+
+
+def _conclude(
     rule: Rule,
     candidates: list[Rule],
     catch_match: Match,
-    assignment: dict[int, bool],
+    sat: SatResult,
+    cnf_vars: int,
+    cnf_clauses: int,
 ) -> ProbeResult:
-    """Shared tail of both engines: model -> wire probe -> outcomes.
+    """Shared tail of both engines: verdict -> reason, or model -> wire
+    probe -> outcomes.
 
     The §5.2 substitution lemma only needs the matches the probe can
     interact with: by the §5.4 non-overlap lemma, a probe that matches
     the probed rule can never match a non-overlapping rule regardless
     of what value the substituted field takes.
     """
-    raw_values = ConstraintCompiler.decode_assignment(assignment)
+    result = ProbeResult(
+        rule=rule,
+        ok=False,
+        cnf_vars=cnf_vars,
+        cnf_clauses=cnf_clauses,
+        overlapping_rules=len(candidates),
+        solver_conflicts=sat.conflicts,
+    )
+    if sat.satisfiable is None:
+        result.reason = UnmonitorableReason.BUDGET_EXCEEDED
+        return result
+    if not sat.satisfiable:
+        result.reason = UnmonitorableReason.UNSATISFIABLE
+        return result
+    raw_values = ConstraintCompiler.decode_assignment(sat.assignment)
     relevant = (
         [rule.match] + [r.match for r in candidates] + [catch_match]
     )
@@ -258,40 +271,47 @@ def _decode_probe(
         result.reason = UnmonitorableReason.UNCRAFTABLE
         return result
 
+    # Re-simulate Table 1 on the decoded probe: independent of the
+    # encoding (the incremental solver does not check its models at
+    # all), so a violation is a solver or encoder bug, not user error.
+    outcomes = _hit_outcomes(rule, candidates, header)
+    if outcomes is None:
+        raise AssertionError(
+            f"probe for {rule!r} is processed by another rule"
+        )
+    if not catch_match.matches(header):
+        raise AssertionError(
+            f"probe for {rule!r} misses the catching rule"
+        )
     result.ok = True
     result.header = header
     result.packet = packet
-    result.outcome_present, result.outcome_absent = _candidate_outcomes(
-        rule, candidates, header
-    )
+    result.outcome_present, result.outcome_absent = outcomes
     return result
 
 
-def _candidate_outcomes(
+def _hit_outcomes(
     rule: Rule, candidates: list[Rule], header: dict[FieldName, int]
-) -> tuple[RuleOutcome, RuleOutcome]:
-    """Expected with/without outcomes using only the overlap candidates.
+) -> tuple[RuleOutcome, RuleOutcome] | None:
+    """Expected with/without outcomes of ``header``, or None when
+    ``rule`` does not take it (Hit fails).
 
-    Sound by the §5.4 lemma: the probe cannot match any rule outside the
-    candidate set, so the highest-priority match is decided within it.
+    Only the overlap candidates are scanned.  Sound by the §5.4 lemma:
+    the probe cannot match any rule outside the candidate set, so the
+    highest-priority match is decided within it.  A candidate tied
+    with ``rule`` sorts ahead of it, so a header both match fails Hit.
     """
     ordered = sorted(candidates + [rule], key=lambda r: -r.priority)
-    present: RuleOutcome | None = None
-    absent: RuleOutcome | None = None
-    for candidate in ordered:
-        if not candidate.match.matches(header):
-            continue
-        if present is None:
-            present = RuleOutcome.from_rule(candidate, header)
-        if absent is None and candidate.key() != rule.key():
-            absent = RuleOutcome.from_rule(candidate, header)
-        if present is not None and absent is not None:
-            break
-    if present is None:
-        present = RuleOutcome.dropped()
-    if absent is None:
-        absent = RuleOutcome.dropped()
-    return present, absent
+    matching = (r for r in ordered if r.match.matches(header))
+    if next(matching, None) is not rule:
+        return None
+    below = next(matching, None)
+    absent = (
+        RuleOutcome.dropped()
+        if below is None
+        else RuleOutcome.from_rule(below, header)
+    )
+    return RuleOutcome.from_rule(rule, header), absent
 
 
 def expected_outcomes(
@@ -364,8 +384,11 @@ DEAD_CLAUSE_FLOOR = 2000
 class ProbeGenContextStats:
     """Counters describing how much work the delta API avoided.
 
-    ``probes_generated`` counts actual incremental SAT solves;
-    ``cache_hits`` and ``revalidations`` are probes served without one.
+    ``probes_generated`` counts generations: one incremental SAT solve
+    each, save a rule whose Distinguish chain folds to the constant
+    false, which is generated (UNSATISFIABLE) without one.
+    ``cache_hits`` and ``revalidations`` are probes served from earlier
+    generations.
     """
 
     probes_generated: int = 0
@@ -582,19 +605,15 @@ class ProbeGenContext:
         """
         if not cached.ok or cached.header is None:
             return None  # cached failures must be re-derived
-        header = cached.header
         candidates = self._candidates(rule)
         # Same refusal as both generation paths: rules rewriting
         # probe-reserved fields make any probe unsound (§3.2).
         self.generator._check_reserved_fields([rule] + candidates)
         # Hit: the probed rule must still win for this header.
-        ordered = sorted(candidates + [rule], key=lambda r: -r.priority)
-        winner = next(
-            (r for r in ordered if r.match.matches(header)), None
-        )
-        if winner is None or winner.key() != rule.key():
+        outcomes = _hit_outcomes(rule, candidates, cached.header)
+        if outcomes is None:
             return None
-        present, absent = _candidate_outcomes(rule, candidates, header)
+        present, absent = outcomes
         if not present.distinguishable_from(absent):
             return None
         refreshed = replace(
@@ -619,59 +638,22 @@ class ProbeGenContext:
         avoid, lower = _split_candidates(rule, candidates)
 
         with self.encoder.probe_assumptions(rule, lower, avoid) as assumed:
-            sat = self.solver.solve(
-                assumed, max_conflicts=generator.max_conflicts
-            )
+            if assumed is None:
+                sat = _FOLDED_FALSE
+            else:
+                sat = self.solver.solve(
+                    assumed, max_conflicts=generator.max_conflicts
+                )
             # Sized as solved: this probe's own chain is still in it.
-            result = ProbeResult(
-                rule=rule,
-                ok=False,
-                cnf_vars=self.solver.num_vars,
-                cnf_clauses=self.solver.num_clauses,
-                overlapping_rules=len(candidates),
-                solver_conflicts=sat.conflicts,
-            )
+            size = (self.solver.num_vars, self.solver.num_clauses)
         self._maybe_rebuild()
         self.stats.probes_generated += 1
         self.stats.solver_conflicts += sat.conflicts
-        try:
-            if sat.satisfiable is None:
-                result.reason = UnmonitorableReason.BUDGET_EXCEEDED
-                return result
-            if not sat.satisfiable:
-                result.reason = UnmonitorableReason.UNSATISFIABLE
-                return result
-            result = _decode_probe(
-                result, rule, candidates, generator.catch_match,
-                sat.assignment,
-            )
-            if result.ok:
-                # Re-simulate Table 1 on the decoded model.  The
-                # incremental solver runs with its internal model check
-                # off; this independent (and cheaper) check replaces it
-                # — a violation is a solver/encoder bug, not user error.
-                header = result.header
-                assert header is not None
-                ordered = sorted(
-                    candidates + [rule], key=lambda r: -r.priority
-                )
-                winner = next(
-                    (r for r in ordered if r.match.matches(header)),
-                    None,
-                )
-                if winner is None or winner.key() != rule.key():
-                    raise AssertionError(
-                        f"incremental probe for {rule!r} is processed "
-                        f"by {winner!r} instead"
-                    )
-                if not generator.catch_match.matches(header):
-                    raise AssertionError(
-                        f"incremental probe for {rule!r} misses the "
-                        "catching rule"
-                    )
-            return result
-        finally:
-            result.generation_time = time.perf_counter() - start
-            self.stats.generation_seconds += result.generation_time
-            if self.solve_histogram is not None:
-                self.solve_histogram.observe(result.generation_time)
+        result = _conclude(
+            rule, candidates, generator.catch_match, sat, *size
+        )
+        result.generation_time = time.perf_counter() - start
+        self.stats.generation_seconds += result.generation_time
+        if self.solve_histogram is not None:
+            self.solve_histogram.observe(result.generation_time)
+        return result

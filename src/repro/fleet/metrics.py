@@ -92,8 +92,9 @@ class SwitchMetrics:
     packetouts_processed: int = _stat(agg="sum", name="packetout_total")
     packetins_sent: int = _stat(agg="sum", name="packetin_total")
     flowmods_processed: int = 0
-    #: Incremental probe-generation engine counters: SAT solves actually
-    #: run vs probes served from cache / cheap revalidation.
+    #: Incremental probe-generation engine counters: generations (one
+    #: SAT solve each, save a chain folded to the constant false) vs
+    #: probes served from cache / cheap revalidation.
     probes_generated: int = _stat(
         agg="sum", family="monocle_probegen_solves_total"
     )

@@ -9,8 +9,8 @@ pure-Python equivalent:
   flat one-dimensional clause storage (the paper found vector-of-vectors
   allocation to be the conversion bottleneck; we keep the flat layout).
 * :mod:`repro.sat.encode` — formula-level building blocks: conjunction,
-  disjunction with Tseitin auxiliary variables, and the if-then-else
-  chain encodings (Appendix B's quadratic Velev one and a linear one).
+  disjunction with Tseitin auxiliary variables, and the asserted
+  if-then-else chain in linear size.
 * :mod:`repro.sat.solver` — a CDCL solver with two-watched-literal
   propagation, first-UIP clause learning, VSIDS-style activity and
   restarts (the PicoSAT stand-in), usable one-shot or incrementally.
@@ -21,10 +21,9 @@ pure-Python equivalent:
 
 from repro.sat.cnf import CNF, Lit
 from repro.sat.encode import (
-    assert_ite_chain,
+    assert_if_chain,
     clause_and,
     clause_or,
-    ite_chain,
 )
 from repro.sat.solver import SatResult, SatSolver, solve
 from repro.sat.incremental import IncrementalSolver, IncrementalStats
@@ -32,10 +31,9 @@ from repro.sat.incremental import IncrementalSolver, IncrementalStats
 __all__ = [
     "CNF",
     "Lit",
-    "assert_ite_chain",
+    "assert_if_chain",
     "clause_and",
     "clause_or",
-    "ite_chain",
     "SatResult",
     "SatSolver",
     "solve",

@@ -6,9 +6,11 @@ stay polynomial when converted to CNF:
 * conjunction of clause lists — concatenation;
 * disjunction — Tseitin transform with fresh selector variables rather
   than distribution (which blows up exponentially);
-* the if-then-else *chain* encoding of the Distinguish constraint,
-  mimicking TCAM priority evaluation, using the quadratic construction of
-  Velev cited by the paper.
+* the if-then-else *chain* of the Distinguish constraint, mimicking
+  TCAM priority evaluation.  The chain is only ever asserted true, so
+  instead of the quadratic construction of Velev cited by the paper it
+  takes one prefix variable and two short clauses per branch
+  (:func:`assert_if_chain`).
 
 Each helper appends clauses to a shared :class:`~repro.sat.cnf.CNF` and
 returns, where meaningful, a literal that is true iff the encoded
@@ -73,50 +75,7 @@ def clause_or(cnf: ClauseSink, literals: Sequence[Lit]) -> Lit:
     return s
 
 
-def ite_chain(
-    cnf: ClauseSink,
-    branches: Sequence[tuple[Lit, Lit]],
-    else_lit: Lit,
-    max_segment: int = 16,
-) -> Lit:
-    """Encode ``s = if(i1,t1, if(i2,t2, ... , else))`` and return ``s``.
-
-    ``branches`` is a list of ``(condition_lit, then_lit)`` pairs in
-    priority order — exactly the shape of the Distinguish constraint,
-    where condition ``i_k`` is "probe matches lower-priority rule k" and
-    ``t_k`` is "rule k's outcome differs from the probed rule's".
-
-    Uses the quadratic Velev construction from Appendix B.  Because the
-    construction is quadratic in the number of branches, long chains are
-    split into segments of ``max_segment`` branches, each segment's tail
-    replaced by a fresh variable (the appendix's "substituting some
-    postfix of the chain by a fresh variable").
-    """
-    if not branches:
-        return else_lit
-    if len(branches) > max_segment:
-        head = branches[:max_segment]
-        tail_lit = ite_chain(
-            cnf, branches[max_segment:], else_lit, max_segment=max_segment
-        )
-        return ite_chain(cnf, head, tail_lit, max_segment=max_segment)
-
-    s = cnf.new_var()
-    # Velev: for branch k with guard i_k and value t_k, with all earlier
-    # guards false:
-    #   (i1..ik-1 false, ik true) -> (s <-> tk)
-    # realized as two clauses per branch; plus two for the else branch.
-    prefix: list[Lit] = []  # literals i1, i2, ... of earlier branches
-    for cond, then in branches:
-        cnf.add_clause(prefix + [-cond, -then, s])
-        cnf.add_clause(prefix + [-cond, then, -s])
-        prefix.append(cond)
-    cnf.add_clause(prefix + [-else_lit, s])
-    cnf.add_clause(prefix + [else_lit, -s])
-    return s
-
-
-def assert_ite_chain(
+def assert_if_chain(
     cnf: ClauseSink,
     branches: Sequence[tuple[Lit, "bool | Lit"]],
     else_value: "bool | Lit",
@@ -126,8 +85,8 @@ def assert_ite_chain(
     ``branches`` is a list of ``(guard_lit, value)`` pairs in priority
     order; values may be constants (``True``/``False``) or literals.
 
-    Unlike the quadratic constructions (:func:`ite_chain`, and the
-    clause-per-branch prefix expansion it replaced), this uses one fresh
+    Unlike the quadratic constructions (Velev's, and the
+    clause-per-branch prefix expansion), this uses one fresh
     *prefix* variable per branch: ``q_k`` is forced true exactly when
     guards ``1..k`` are all false (one-sided Plaisted–Greenbaum
     direction, sufficient because the chain is only asserted, never
@@ -159,9 +118,3 @@ def assert_ite_chain(
             clause.append(else_value)
         cnf.add_clause(clause)
 
-
-def constant(cnf: ClauseSink, value: bool) -> Lit:
-    """Fresh literal pinned to ``value``."""
-    s = cnf.new_var()
-    cnf.add_unit(s if value else -s)
-    return s

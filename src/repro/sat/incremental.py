@@ -26,10 +26,12 @@ fresh solver once the dead clauses outnumber the live ones.
 The wrapper is formula-agnostic; probe-specific encoding lives in
 :mod:`repro.core.constraints`.  Its one client keeps match-guard and
 DiffOutcome *definitions* permanent, states what is specific to a probe
-as assumptions, and opens a group only for a Distinguish chain, retired
-right after the solve that assumed it: retirement and variable
-recycling are that client's steady state on overlapping tables, and a
-table of disjoint rules never creates a group at all.
+as assumptions, and opens a group only for a Distinguish chain that
+stays live once folded, retired right after the solve that assumed it:
+retirement and variable recycling are that client's steady state where
+a probed rule has a lower overlapping rule that could hide its absence,
+and a table of disjoint rules, or of forwarding rules over drops, never
+creates a group at all.
 """
 
 from __future__ import annotations

@@ -1,15 +1,21 @@
 """Tests for the constraint compiler: Table 1 encodings and DiffOutcome
 analysis across rule kinds (§3.1-3.4)."""
 
-import pytest
+import collections
+import itertools
+import random
 
 from action_helpers import multicast
-from repro.core.constraints import ConstraintCompiler, DistinguishEncoding
+from repro.core.constraints import ConstraintCompiler, fold_distinguish
+from repro.core.probegen import ProbeGenContext, ProbeGenerator, verify_probe
 from repro.openflow.actions import drop, ecmp, output
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
+from repro.openflow.table import FlowTable
 from repro.sat.solver import solve
+
+CATCH = Match.build(dl_vlan=0xF03)
 
 
 def decode(compiler, result):
@@ -232,10 +238,61 @@ class TestDiffRewrite:
         assert lit is False
 
 
+def quarter(value):
+    """An ``nw_src``/``nw_dst`` match on the field's top two bits:
+    every address lies in exactly one of the quarters 0..3."""
+    return (value << 30, 2)
+
+
+def quarter_table(seed):
+    """A seeded single-switch table over the IPv4 quarters: up to five
+    rules matching ``nw_src``/``nw_dst`` in 0..3, forwarding or
+    dropping (no rewrites, so every DiffOutcome is a constant and the
+    quarters decide everything the table does to a packet)."""
+    rng = random.Random(seed)
+    table = FlowTable()
+    for priority in range(1, rng.randint(3, 6)):
+        match = {"dl_type": 0x800}
+        if rng.random() < 0.7:
+            match["nw_src"] = quarter(rng.randrange(4))
+        if rng.random() < 0.5:
+            match["nw_dst"] = quarter(rng.randrange(4))
+        actions = drop() if rng.random() < 0.3 else output(rng.randint(1, 2))
+        table.install(Rule(priority, Match.build(**match), actions))
+    return table
+
+
+def quarter_headers():
+    """One header per (nw_src, nw_dst) quarter pair; every other field
+    is fixed, to values the catching rule matches."""
+    base = {name: 0 for name in HEADER.names()}
+    base.update({FieldName.DL_TYPE: 0x800, FieldName.DL_VLAN: 0xF03})
+    for src, dst in itertools.product(range(4), repeat=2):
+        yield {
+            **base,
+            FieldName.NW_SRC: src << 30,
+            FieldName.NW_DST: dst << 30,
+        }
+
+
+def chain_kind(table, rule):
+    """``"true"``, ``"false"`` or ``"live"``: what the folded
+    Distinguish chain of ``rule`` in ``table`` is."""
+    lower = [
+        r
+        for r in table.overlapping(rule.match)
+        if r.priority < rule.priority
+    ]
+    chain, else_value = fold_distinguish(
+        rule, lower, ConstraintCompiler().diff_outcome
+    )
+    return "live" if chain else str(else_value).lower()
+
+
 class TestDistinguishChain:
-    def build_table_example(self, encoding):
+    def build_table_example(self):
         """The §3.1 example: probe must exist for Rprobed."""
-        compiler = ConstraintCompiler(encoding=encoding)
+        compiler = ConstraintCompiler()
         src, dst = 0x0A000001, 0x0A000002
         rlowest = Rule(priority=0, match=Match.wildcard(), actions=output(1))
         rlower = Rule(
@@ -247,26 +304,18 @@ class TestDistinguishChain:
             actions=output(1),
         )
         compiler.assert_matches(rprobed.match)
-        compiler.assert_distinguish(rprobed, [rlower, rlowest])
+        assert compiler.assert_distinguish(rprobed, [rlower, rlowest])
         return compiler
 
-    @pytest.mark.parametrize(
-        "encoding",
-        [DistinguishEncoding.ASSERTED_CHAIN, DistinguishEncoding.VELEV_ITE],
-    )
-    def test_paper_example_satisfiable_with_both_encodings(self, encoding):
-        compiler = self.build_table_example(encoding)
+    def test_paper_example_satisfiable(self):
+        compiler = self.build_table_example()
         values = decode(compiler, solve(compiler.cnf))
         # The only valid probes match Rlower (so the absence of Rprobed
         # diverts to port 2): nw_src is pinned by Hit already.
         assert values[FieldName.NW_SRC] == 0x0A000001
 
-    @pytest.mark.parametrize(
-        "encoding",
-        [DistinguishEncoding.ASSERTED_CHAIN, DistinguishEncoding.VELEV_ITE],
-    )
-    def test_shadowing_same_output_unsat(self, encoding):
-        compiler = ConstraintCompiler(encoding=encoding)
+    def test_shadowing_same_output_unsat(self):
+        compiler = ConstraintCompiler()
         rlow = Rule(priority=0, match=Match.wildcard(), actions=output(1))
         rhigh = Rule(
             priority=10, match=Match.build(nw_src=1), actions=output(1)
@@ -275,72 +324,93 @@ class TestDistinguishChain:
         compiler.assert_distinguish(rhigh, [rlow])
         assert solve(compiler.cnf).satisfiable is False
 
-    def test_encodings_agree_on_random_chains(self):
-        """The two encodings are equisatisfiable, and the asserted
-        chain is never the bigger CNF (the Appendix B ablation)."""
-        from repro.sim.random import DeterministicRandom
+    def test_fold_drops_the_tail_that_repeats_the_else_value(self):
+        compiler = ConstraintCompiler()
+        probed = Rule(10, Match.build(nw_src=1), output(1))
+        same = Rule(5, Match.build(nw_dst=2), output(1))
+        other = Rule(4, Match.build(nw_dst=3), output(2))
+        dropping = Rule(3, Match.wildcard(), drop())
+        # Else (the table miss) is True; so is the lowest branch.
+        chain, else_value = fold_distinguish(
+            probed, [dropping, other, same], compiler.diff_outcome
+        )
+        assert chain == [(same, False)] and else_value is True
+        # Every branch true: the chain is the else value alone.
+        assert fold_distinguish(
+            probed, [dropping, other], compiler.diff_outcome
+        ) == ([], True)
 
-        rng = DeterministicRandom(5)
-        for _ in range(25):
-            rules = []
-            for priority in range(1, rng.randint(2, 6)):
-                match_kwargs = {}
-                if rng.random() < 0.8:
-                    match_kwargs["nw_src"] = rng.randint(0, 3)
-                if rng.random() < 0.5:
-                    match_kwargs["nw_dst"] = rng.randint(0, 3)
-                actions = output(
-                    rng.randint(1, 3)
-                ) if rng.random() < 0.8 else drop()
-                rules.append(
-                    Rule(
-                        priority=priority,
-                        match=Match.build(**match_kwargs),
-                        actions=actions,
-                    )
+    def test_constant_true_chain_emits_nothing(self):
+        compiler = ConstraintCompiler()
+        probed = Rule(10, Match.build(nw_src=1), output(1))
+        below = Rule(5, Match.wildcard(), output(2))
+        assert compiler.assert_distinguish(probed, [below])
+        assert (compiler.cnf.num_vars, compiler.cnf.num_clauses) == (
+            HEADER.total_bits, 0
+        )
+
+    def test_constant_false_chain_is_the_empty_clause(self):
+        # A drop over a drop and the table miss: indistinguishable.
+        compiler = ConstraintCompiler()
+        probed = Rule(10, Match.build(nw_src=1), drop())
+        below = Rule(5, Match.build(nw_dst=2), drop())
+        assert not compiler.assert_distinguish(probed, [below])
+        assert compiler.cnf.num_vars == HEADER.total_bits
+        assert list(compiler.cnf.clauses()) == [[]]
+
+    def test_verdicts_match_exhaustive_search(self):
+        """Table 1 itself is the oracle: on seeded tables over the IPv4
+        quarters a probe exists iff one of the 16 quarter headers
+        passes ``verify_probe``, and both engines must say so — every
+        ``ok`` probe they return passing ``verify_probe`` too."""
+        kinds = collections.Counter()
+        for seed in range(40):
+            table = quarter_table(seed)
+            cold = ProbeGenerator(catch_match=CATCH)
+            context = ProbeGenContext(cold, table=table.copy())
+            for rule in table.rules():
+                kinds[chain_kind(table, rule)] += 1
+                exists = any(
+                    verify_probe(table, rule, header, CATCH)[0]
+                    for header in quarter_headers()
                 )
-            probed = Rule(
-                priority=10,
-                match=Match.build(nw_src=rng.randint(0, 3)),
-                actions=output(rng.randint(1, 3)),
-            )
-            verdicts, clauses = {}, {}
-            for encoding in DistinguishEncoding:
-                compiler = ConstraintCompiler(encoding=encoding)
-                compiler.assert_matches(probed.match)
-                compiler.assert_distinguish(probed, rules)
-                verdicts[encoding] = solve(compiler.cnf).satisfiable
-                clauses[encoding] = compiler.cnf.num_clauses
-            chain = DistinguishEncoding.ASSERTED_CHAIN
-            velev = DistinguishEncoding.VELEV_ITE
-            assert verdicts[chain] == verdicts[velev]
-            assert clauses[chain] <= clauses[velev]
+                for result in (
+                    cold.generate(table, rule),
+                    context.probe_for(rule),
+                ):
+                    assert result.ok == exists, (seed, rule, result)
+                    if result.ok:
+                        valid, why = verify_probe(
+                            table, rule, result.header, CATCH
+                        )
+                        assert valid, why
+        assert min(kinds[kind] for kind in ("true", "false", "live")) >= 10
 
-    def test_ablation_distinguish_encoding_on_campus(self):
-        """Appendix B ablation on the Campus-like table, whose deep
-        overlap chains stress the encoding: per probed rule both
-        encodings reach the same verdict, and the asserted chain is
-        never the bigger instance."""
-        from repro.core.probegen import ProbeGenerator
+    def test_engines_agree_on_campus(self):
+        """On the Campus-like table, whose overlap chains are deep, the
+        cold and the context engine reach the same verdict per rule,
+        every probe found passes ``verify_probe``, and the sample holds
+        constant-true, constant-false and live chains."""
         from repro.datasets import campus_table
 
         table = campus_table()
-        rules = table.rules()[:: max(1, len(table.rules()) // 30)][:30]
-        catch = Match.build(dl_vlan=0xF03)
-        results = {}
-        for encoding in DistinguishEncoding:
-            generator = ProbeGenerator(catch_match=catch, encoding=encoding)
-            results[encoding] = [
-                generator.generate(table, rule) for rule in rules
-            ]
-        chain = results[DistinguishEncoding.ASSERTED_CHAIN]
-        velev = results[DistinguishEncoding.VELEV_ITE]
-        assert len(chain) == 30
-        assert [r.ok for r in chain] == [r.ok for r in velev]
-        assert any(r.ok for r in chain)
-        assert sum(r.cnf_clauses for r in chain) <= sum(
-            r.cnf_clauses for r in velev
+        rules = random.Random(3).sample(
+            [rule for rule in table.rules() if rule.priority > 0], 30
         )
+        cold = ProbeGenerator(catch_match=CATCH)
+        context = ProbeGenContext(cold, table=table.copy())
+        for rule in rules:
+            result = cold.generate(table, rule)
+            again = context.probe_for(rule)
+            assert (again.ok, again.reason) == (result.ok, result.reason)
+            for probe in (result, again):
+                if probe.ok:
+                    valid, why = verify_probe(
+                        table, rule, probe.header, CATCH
+                    )
+                    assert valid, why
+        kinds = {chain_kind(table, rule) for rule in rules}
+        assert kinds == {"true", "false", "live"}
 
 
 class TestDecodeAssignment:

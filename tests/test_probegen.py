@@ -304,6 +304,9 @@ class TestTransientChain:
         return context
 
     def _rules(self):
+        """The probed /8 with a rule above it, a drop inside it and, in
+        its lower half, a /16 forwarding as it does: that branch keeps
+        the /8's Distinguish chain live through the fold."""
         hot = Rule(
             priority=100,
             match=Match.build(nw_dst=(0x0A000000, 8)),
@@ -319,7 +322,12 @@ class TestTransientChain:
             match=Match.build(nw_dst=0x0A000009),
             actions=output(3),
         )
-        return hot, below, above
+        floor = Rule(
+            priority=10,
+            match=Match.build(nw_dst=(0x0A000000, 16)),
+            actions=output(2),
+        )
+        return hot, below, above, floor
 
     @staticmethod
     def _assert_no_group_left(context, created):
@@ -335,24 +343,69 @@ class TestTransientChain:
         )
 
     def test_satisfiable_solve_retires_its_chain(self):
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
+        context = self._context(*self._rules())
+        hot = self._rules()[0]
         result = context.probe_for(hot)
         assert result.ok
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
         self._assert_no_group_left(context, created=1)
-        # The instance is sized as solved: its chain was one clause.
-        assert result.cnf_clauses == context.solver.num_clauses + 1
+        # The instance is sized as solved: its chain, a true branch
+        # over a false one, was three clauses.
+        assert result.cnf_clauses == context.solver.num_clauses + 3
 
     def test_unsatisfiable_solve_retires_its_chain(self):
-        # A drop rule with only the table miss below it: present and
-        # absent both drop, the chain is the constant false.
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
+        # A drop rule over a drop that covers it: the forwarding /16
+        # under both keeps the chain live, but a probe for the upper
+        # drop always lands on the lower one first.
+        hot, below, above, floor = self._rules()
+        drain = Rule(
+            priority=40,
+            match=Match.build(nw_dst=(0x0A000004, 30)),
+            actions=drop(),
+        )
+        context = self._context(hot, below, above, floor, drain)
         result = context.probe_for(below)
         assert result.reason is UnmonitorableReason.UNSATISFIABLE
         self._assert_no_group_left(context, created=1)
+
+    def test_constant_true_chain_opens_no_group(self):
+        # A forwarding rule over a drop and the table miss: every
+        # branch of its chain is true.
+        hot, below, above, _floor = self._rules()
+        context = self._context(hot, below, above)
+        result = context.probe_for(hot)
+        valid, why = verify_probe(context.table, hot, result.header, CATCH)
+        assert valid, why
+        self._assert_no_group_left(context, created=0)
+
+    def test_constant_false_chain_skips_its_solve(self, monkeypatch):
+        # A drop rule with only the table miss below it: present and
+        # absent both drop, whatever the probe — no engine solves.
+        from repro.sat.solver import SatSolver
+
+        hot, below, above, _floor = self._rules()
+        context = self._context(hot, below, above)
+        solves = context.solver.stats.solves
+        result = context.probe_for(below)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        assert context.solver.stats.solves == solves
+        assert context.stats.probes_generated == 1
+        self._assert_no_group_left(context, created=0)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a folded chain was solved")
+
+        monkeypatch.setattr(SatSolver, "solve", no_solve)
+        result = generator().generate(context.table, below)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        # The §3.2 refusal still comes first, in both engines.
+        rewriting = hot.with_actions(output(4, dl_vlan=7))
+        refused = self._context(rewriting, below, above)
+        with pytest.raises(ValueError, match="probe-reserved"):
+            refused.probe_for(below)
+        with pytest.raises(ValueError, match="probe-reserved"):
+            generator().generate(refused.table, below)
 
     def test_exhausted_budget_retires_its_chain(self):
         # The two halves of the probed /8 forward as it does, so the
@@ -378,9 +431,9 @@ class TestTransientChain:
         self._assert_no_group_left(patient, created=1)
 
     def test_refused_table_opens_no_group(self):
-        hot, below, above = self._rules()
+        hot, below, above, floor = self._rules()
         context = self._context(
-            hot, below.with_actions(output(4, dl_vlan=7)), above
+            hot, below.with_actions(output(4, dl_vlan=7)), above, floor
         )
         with pytest.raises(ValueError, match="probe-reserved"):
             context.probe_for(hot)
@@ -389,20 +442,20 @@ class TestTransientChain:
     def test_chain_is_retired_when_emission_raises(self, monkeypatch):
         import repro.core.constraints as constraints
 
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
-        emit = constraints.assert_ite_chain
+        hot = self._rules()[0]
+        context = self._context(*self._rules())
+        emit = constraints.assert_if_chain
 
         def half_emitted(sink, branches, else_value):
             emit(sink, branches[:1], True)
             raise RuntimeError("mid-emission")
 
-        monkeypatch.setattr(constraints, "assert_ite_chain", half_emitted)
+        monkeypatch.setattr(constraints, "assert_if_chain", half_emitted)
         with pytest.raises(RuntimeError, match="mid-emission"):
             context.probe_for(hot)
         self._assert_no_group_left(context, created=1)
         # The half-emitted chain binds nothing: the next solve is sound.
-        monkeypatch.setattr(constraints, "assert_ite_chain", emit)
+        monkeypatch.setattr(constraints, "assert_if_chain", emit)
         result = context.probe_for(hot)
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
@@ -412,7 +465,7 @@ class TestTransientChain:
         # Rules to avoid are negated guards, a forwarding rule over the
         # table miss has no chain: once the guards exist, a re-solve
         # leaves the solver exactly as large as it found it.
-        hot, _below, above = self._rules()
+        hot, _below, above, _floor = self._rules()
         context = self._context(hot, above)
         assert context.probe_for(hot).ok
         size = (context.solver.num_vars, context.solver.num_clauses)
@@ -426,8 +479,8 @@ class TestTransientChain:
         self._assert_no_group_left(context, created=0)
 
     def test_resolve_follows_a_lower_rules_new_actions(self):
-        hot, below, above = self._rules()
-        context = self._context(hot, below, above)
+        hot, below, above, floor = self._rules()
+        context = self._context(hot, below, above, floor)
         assert context.probe_for(hot).ok
         # The lower rule now forwards exactly as the hot rule does: a
         # probe landing on it no longer distinguishes.

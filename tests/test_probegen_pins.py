@@ -7,23 +7,28 @@ Campus-like ACL tables, ``PINS`` holds digests of what a
 serving the same first probes and then 20 ``MODIFY_STRICT`` -> re-probe
 steps (the shape of ``bench``'s churn steps).
 
-* ``cold`` (verdict, header, both expected outcomes, instance size,
-  solver conflicts) was recorded on the commit *before* the solver
-  stopped branching on header bits no clause names, and must never need
-  re-recording for a change that claims to return the same models.
-* The context's pin is two: ``context`` is *what the probe is*
-  (verdict, reason, header, both outcomes) and ``context_cost`` *what
-  it cost* (instance size, solver conflicts).  Both were re-recorded
-  when a probe's constraints became assumptions over the persistent
-  guards: that change does not claim the context path's models.  The
-  stored per-rule groups it deleted were part of every ``cnf_clauses``
-  and the cause of every conflict (33 over these 2 x 140 solves
-  before, ``PARENT_CONFLICTS``; none since), and where a search meets a
-  conflict the model it ends on can differ.  On this sample it did
-  not — ``context`` came out as it was — but what makes a re-recorded
-  probe right is ``verify_probe`` against the table as it stood at
-  that step: every ``ok`` probe when recording, a seeded quarter of
-  them in tier-1.
+* Each engine's pin is two: ``cold`` / ``context`` is *what the probe
+  is* (verdict, reason, header, both outcomes), ``cold_cost`` /
+  ``context_cost`` *what it cost* (instance size, solver conflicts).
+* ``cold`` dates from the commit *before* the solver stopped branching
+  on header bits no clause names, and must never need re-recording for
+  a change that claims to return the same models.
+* ``context`` was re-recorded when a probe's constraints became
+  assumptions over the persistent guards: that change does not claim
+  the context path's models.  The stored per-rule groups it deleted
+  were part of every ``cnf_clauses`` and the cause of every conflict
+  (33 over these 2 x 140 solves before, ``PARENT_CONFLICTS``), and
+  where a search meets a conflict the model it ends on can differ.  On
+  this sample it did not — ``context`` came out as it was.
+* Both cost pins were re-recorded, and neither *is* pin moved, when the
+  Distinguish chain began to be folded before it is encoded: the fold
+  drops the tail branches that repeat the else value, with their
+  guards and prefix variables, and a chain folded to the constant
+  false is never encoded or solved.
+
+What makes a re-recorded probe right is ``verify_probe`` against the
+table as it stood at that step: every ``ok`` probe of both engines when
+recording, a seeded quarter of the context's in tier-1.
 
 The decision-count tests hold the mechanism itself: a cold ACL probe
 is a handful of branching decisions, and a conflict-free incremental
@@ -49,6 +54,7 @@ from repro.openflow.actions import output
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sat.solver import SatSolver
+from test_constraints import chain_kind
 
 CATCH = Match.build(dl_vlan=0xF03)
 SEED = 7
@@ -58,14 +64,16 @@ TABLES = {"stanford": stanford_table, "campus": campus_table}
 
 PINS: dict[str, dict[str, str]] = {
     "stanford": {
-        "cold": "c6d7c77c2dd262ad",
+        "cold": "be91448435b56c00",
+        "cold_cost": "da3c096e2cc307e0",
         "context": "ffc4c46316119618",
-        "context_cost": "a2ec908432fb9bcb",
+        "context_cost": "f86e60d8b0c65621",
     },
     "campus": {
-        "cold": "a4db76cab9238640",
+        "cold": "e10e54dcbf1e898f",
+        "cold_cost": "af2af81907c45db4",
         "context": "e2b002aa9db0dd42",
-        "context_cost": "ee508fcb94595627",
+        "context_cost": "edabd6947b248667",
     },
 }
 #: Conflicts the context's 140 solves met per table while a probe's
@@ -120,13 +128,16 @@ def context_results(context, rules, verified: float):
     """First probes, then FlowMod -> re-probe: rewire a rule's output
     and ask again for every rule the FlowMod touched.  A seeded share
     ``verified`` of the ``ok`` probes goes through ``verify_probe``
-    there and then, against the table as that step left it."""
+    there and then, against the table as that step left it.  Returns
+    the results and each one's folded chain kind at that step."""
     rng = random.Random(SEED)
-    results = []
+    results: list = []
+    kinds: list[str] = []
 
     def probe(rule):
         result = context.probe_for(rule)
         results.append(result)
+        kinds.append(chain_kind(context.table, rule))
         if result.ok and rng.random() < verified:
             valid, why = verify_probe(
                 context.table, rule, result.header, CATCH
@@ -147,7 +158,7 @@ def context_results(context, rules, verified: float):
         )
         for touched in affected:
             probe(touched)
-    return results
+    return results, kinds
 
 
 def new_context(table) -> ProbeGenContext:
@@ -176,32 +187,37 @@ def solves(monkeypatch):
 def test_cold_probes_are_the_pinned_ones(sample, solves):
     name, table, rules = sample
     results = cold_results(table, rules)
-    assert digest(results, what_it_is, what_it_cost) == PINS[name]["cold"]
+    assert digest(results, what_it_is) == PINS[name]["cold"]
+    assert digest(results, what_it_cost) == PINS[name]["cold_cost"]
     assert sum(r.ok for r in results) / SAMPLE > FOUND_SHARE[name]
-    # One solve per probe, and a solve is a handful of decisions: the
+    # One solve per probe whose Distinguish chain does not fold to the
+    # constant false, and a solve is a handful of decisions: the
     # overlap filter leaves a median of one other rule in the instance.
-    assert len(solves) == SAMPLE
-    assert sum(result.decisions for result, _ in solves) <= 10 * SAMPLE
+    kinds = [chain_kind(table, rule) for rule in rules]
+    assert len(solves) == SAMPLE - kinds.count("false")
+    assert sum(result.decisions for result, _ in solves) <= 10 * len(solves)
 
 
 def test_context_probes_are_the_pinned_ones(sample, solves):
     name, table, rules = sample
     context = new_context(table)
-    results = context_results(context, rules, verified=0.25)
+    results, kinds = context_results(context, rules, verified=0.25)
     assert digest(results, what_it_is) == PINS[name]["context"]
     assert digest(results, what_it_cost) == PINS[name]["context_cost"]
-    # One core solve per probe generated, none answered from a memo.
-    assert len(solves) == len(results) == SAMPLE + CHURN
+    # One core solve per probe generated, none answered from a memo,
+    # save where the chain folds to the constant false: no solve there.
+    assert len(results) == SAMPLE + CHURN
+    assert len(solves) == len(results) - kinds.count("false")
     for result, named in solves:
         assert result.conflicts or result.decisions <= named
     conflicts = sum(result.conflicts for result, _ in solves)
     assert conflicts == context.stats.solver_conflicts
     assert conflicts <= PARENT_CONFLICTS[name]
-    # A chain per solve here (the table's default rule lies under every
-    # sampled rule), and none of them left behind.
+    # A clause group per chain the fold leaves live, and none of them
+    # left behind.
     incremental = context.solver.stats
-    assert incremental.groups_created == len(results)
-    assert incremental.groups_retired == len(results)
+    assert incremental.groups_created == kinds.count("live")
+    assert incremental.groups_retired == kinds.count("live")
 
 
 if __name__ == "__main__":  # record PINS: python tests/test_probegen_pins.py
@@ -210,11 +226,17 @@ if __name__ == "__main__":  # record PINS: python tests/test_probegen_pins.py
     pins = {}
     for table_name in sorted(TABLES):
         built, rules = sampled(table_name)
-        churned = context_results(new_context(built), rules, verified=1.0)
+        churned, _ = context_results(new_context(built), rules, verified=1.0)
+        cold = cold_results(built, rules)
+        for result in cold:
+            if result.ok:
+                valid, why = verify_probe(
+                    built, result.rule, result.header, CATCH
+                )
+                assert valid, f"cold probe for {result.rule!r}: {why}"
         pins[table_name] = {
-            "cold": digest(
-                cold_results(built, rules), what_it_is, what_it_cost
-            ),
+            "cold": digest(cold, what_it_is),
+            "cold_cost": digest(cold, what_it_cost),
             "context": digest(churned, what_it_is),
             "context_cost": digest(churned, what_it_cost),
         }

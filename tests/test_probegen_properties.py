@@ -273,8 +273,8 @@ def test_transient_chains_compact_and_recycle_over_acl_churn(monkeypatch):
     opens and retires a Distinguish chain.
 
     Two towers of nested ``nw_dst`` prefixes (/8 ... /32, priority
-    growing with specificity) over a default rule: a probed rule has a
-    dozen lower overlapping rules, so 300 add / delete / re-probe steps
+    growing with specificity) over an ECMP default rule: a probed rule
+    has a dozen lower overlapping rules, so 300 add / delete / re-probe steps
     hand recycled variables out again and retire enough chain clauses
     for the context to re-found its engine — right after the solve
     whose chain took the dead clauses to ``DEAD_CLAUSE_FLOOR`` and past
@@ -303,7 +303,10 @@ def test_transient_chains_compact_and_recycle_over_acl_churn(monkeypatch):
     generator = ProbeGenerator(catch_match=CATCH)
     context, twin = ProbeGenContext(generator), ProbeGenContext(generator)
     contexts = (context, twin)
-    default = Rule(0, Match.build(dl_type=0x800), output(1))
+    # ECMP over every port: a unicast or drop probed rule differs from
+    # it in the opposite sense from the table miss, a rewriting one by
+    # a header-dependent term, so its branch keeps every chain live.
+    default = Rule(0, Match.build(dl_type=0x800), ecmp(PORTS))
     for each in contexts:
         each.add_rule(default)
     live: dict[tuple, Rule] = {}
@@ -357,6 +360,7 @@ def test_transient_chains_compact_and_recycle_over_acl_churn(monkeypatch):
     assert context.stats.engine_rebuilds == len(engines) - 1 >= 1
     created = sum(engine.stats.groups_created for engine in engines)
     assert created == sum(e.stats.groups_retired for e in engines) > 100
+    assert created == context.stats.probes_generated  # every solve
     assert not context.solver._groups
     assert recycled > created  # chains reuse each other's vars
     assert twin.solver is not context.solver

@@ -1,14 +1,10 @@
-"""Tests for CNF encoding helpers: Tseitin gates and the ITE chain."""
+"""Tests for CNF encoding helpers: Tseitin gates and the asserted ITE
+chain."""
 
 import itertools
 
 from repro.sat.cnf import CNF
-from repro.sat.encode import (
-    clause_and,
-    clause_or,
-    constant,
-    ite_chain,
-)
+from repro.sat.encode import assert_if_chain, clause_and, clause_or
 from repro.sat.solver import solve
 
 
@@ -70,16 +66,6 @@ class TestClauseOr:
         assert result.assignment[s] is False
 
 
-class TestConstant:
-    def test_constants(self):
-        cnf = CNF()
-        t = constant(cnf, True)
-        f = constant(cnf, False)
-        result = solve(cnf)
-        assert result.assignment[t] is True
-        assert result.assignment[f] is False
-
-
 class TestIteChain:
     def evaluate_chain(self, guards_values, else_value):
         """Reference semantics of If(g1,v1, If(g2,v2, ..., else))."""
@@ -89,29 +75,37 @@ class TestIteChain:
         return else_value
 
     def test_chain_matches_reference_semantics(self):
-        # 2 branches + else: enumerate all inputs.
+        # 2 branches + else, as literals and as constants: the asserted
+        # chain is satisfiable under an input iff the chain is true.
         for assignment in itertools.product([False, True], repeat=5):
             g1, v1, g2, v2, ev = assignment
-            cnf = CNF()
-            lits = [cnf.new_var() for _ in range(5)]
-            s = ite_chain(
-                cnf, [(lits[0], lits[1]), (lits[2], lits[3])], lits[4]
-            )
-            for lit, val in zip(lits, assignment):
-                cnf.add_unit(lit if val else -lit)
-            result = solve(cnf)
-            assert result.satisfiable
             expected = self.evaluate_chain([(g1, v1), (g2, v2)], ev)
-            assert result.assignment[s] == expected
+            for constants in (False, True):
+                cnf = CNF()
+                lits = [cnf.new_var() for _ in range(5)]
+                for lit, val in zip(lits, assignment):
+                    cnf.add_unit(lit if val else -lit)
+                values = (v1, v2, ev) if constants else lits[1::2] + lits[4:]
+                assert_if_chain(
+                    cnf,
+                    [(lits[0], values[0]), (lits[2], values[1])],
+                    values[2],
+                )
+                assert solve(cnf).satisfiable is expected
 
     def test_empty_chain_is_else(self):
         cnf = CNF()
         e = cnf.new_var()
-        assert ite_chain(cnf, [], e) == e
+        assert_if_chain(cnf, [], True)
+        assert cnf.num_clauses == 0
+        assert_if_chain(cnf, [], e)
+        assert list(cnf.clauses()) == [[e]]
+        assert_if_chain(cnf, [], False)
+        assert solve(cnf).satisfiable is False
 
-    def test_long_chain_segmentation(self):
-        # 40 branches with max_segment=4 exercises the postfix
-        # substitution path; first true guard at position 25.
+    def test_long_chain_is_linear(self):
+        # 40 branches, first true guard at position 25: one prefix
+        # variable and at most two clauses per branch.
         cnf = CNF()
         branches = []
         for i in range(40):
@@ -120,17 +114,17 @@ class TestIteChain:
             cnf.add_unit(guard if i == 25 else -guard)
             cnf.add_unit(value if i == 25 else -value)
             branches.append((guard, value))
-        else_lit = constant(cnf, False)
-        s = ite_chain(cnf, branches, else_lit, max_segment=4)
-        cnf.add_unit(s)
+        size = (cnf.num_vars, cnf.num_clauses)
+        assert_if_chain(cnf, branches, False)
+        assert cnf.num_vars - size[0] == 40
+        assert cnf.num_clauses - size[1] <= 2 * 40 + 1
         assert solve(cnf).satisfiable
 
     def test_chain_false_when_selected_value_false(self):
         cnf = CNF()
-        guard = constant(cnf, True)
-        value = constant(cnf, False)
-        s = ite_chain(cnf, [(guard, value)], constant(cnf, True))
-        cnf.add_unit(s)
+        guard = cnf.new_var()
+        cnf.add_unit(guard)
+        assert_if_chain(cnf, [(guard, False)], True)
         assert solve(cnf).satisfiable is False
 
 

@@ -157,7 +157,9 @@ CATCH = Match.build(dl_vlan=0xF03)
 
 def chained_context(monkeypatch):
     """A probe engine whose probes open and retire Distinguish chains,
-    re-founded once ten dead clauses (not 2,000) outnumber live ones."""
+    re-founded once ten dead clauses (not 2,000) outnumber live ones.
+    The default rule forwards as the /8 does: that branch keeps the
+    /8's chain live through the fold."""
     monkeypatch.setattr(probegen, "DEAD_CLAUSE_FLOOR", 10)
     context = probegen.ProbeGenContext(
         probegen.ProbeGenerator(catch_match=CATCH)
@@ -166,7 +168,7 @@ def chained_context(monkeypatch):
         Rule(100, Match.build(nw_dst=(0x0A000000, 8)), output(2)),
         Rule(80, Match.build(nw_dst=(0x0A000000, 16)), output(3)),
         Rule(50, Match.build(nw_dst=0x0A000005), drop()),
-        Rule(10, Match.build(), output(1)),
+        Rule(10, Match.build(), output(2)),
     ]
     for rule in rules:
         context.add_rule(rule)
