@@ -4,9 +4,9 @@ The probe packet ``P`` is a vector of abstract header bits; SAT variable
 ``i+1`` holds bit ``i``.  Auxiliary (Tseitin) variables are allocated on
 top.  Three constraints are compiled for a probed rule:
 
-* **Hit** — ``Matches(P, Rprobed)`` as unit clauses, and
-  ``not Matches(P, R)`` for each higher-priority overlapping rule as one
-  clause of negated bit literals.
+* **Hit** — ``Matches(P, Rprobed)``, and ``not Matches(P, R)`` for each
+  higher-priority overlapping rule as one clause of negated bit
+  literals.
 * **Distinguish** — the priority-ordered if-then-else chain over
   lower-priority overlapping rules.  Branch guards are
   ``Matches(P, R_k)`` (Tseitin AND), branch values are
@@ -16,7 +16,20 @@ top.  Three constraints are compiled for a probed rule:
   solve.  What is left is asserted with the linear prefix-variable
   construction (:func:`~repro.sat.encode.assert_if_chain`), which
   exploits that Monocle always asserts the chain true.
-* **Collect** — ``Matches(P, Rcatch)`` as unit clauses.
+* **Collect** — ``Matches(P, Rcatch)``.
+
+The cold engine (:meth:`ConstraintCompiler.assert_probe`) never encodes
+Hit's and Collect's own matches: their conjunction is one packed
+``(value, mask)`` *cube* of fixed header bits, and every other match,
+rewrite term and domain option is folded against it before anything
+reaches the solver.  A clause keeps only its *residual* literals (the
+bits the cube leaves open); a rule that disagrees with the cube on a
+fixed bit drops out; one with no residual bit matches every probe —
+ahead of the probed rule that makes the probe impossible, below it
+that rule ends the chain.  The fixed bits themselves never enter the
+solver: decoding overlays the cube on the model.  The persistent
+context engine (:class:`IncrementalProbeEncoder`) keeps an empty cube:
+its Hit bits are per-solve assumptions over a shared solver.
 
 ``DiffOutcome`` is ``DiffPorts | DiffRewrite`` (§3.2–3.4):
 ``DiffPorts`` is decided during compilation (pure set logic on
@@ -48,21 +61,44 @@ from repro.sat.incremental import IncrementalSolver
 _HEADER_VARS = range(1, HEADER.total_bits + 1)
 
 
+def _literals(value: int, mask: int) -> list[Lit]:
+    """Literals whose conjunction is "``P`` agrees with the packed
+    ``value`` on every bit of ``mask``", header bit 0 (variable 1)
+    first.  Packed bit ``HEADER_BITS-1-i`` is header bit ``i``
+    (:meth:`~repro.openflow.match.Match.packed`)."""
+    literals = []
+    top = HEADER.total_bits
+    while mask:
+        shift = mask.bit_length() - 1
+        mask ^= 1 << shift
+        literals.append(top - shift if value >> shift & 1 else shift - top)
+    return literals
+
+
+def _field_packed(name: FieldName, value: int) -> tuple[int, int]:
+    """Packed ``(value, mask)`` of "field ``name`` equals ``value``"."""
+    field = HEADER.field(name)
+    shift = HEADER.total_bits - field.offset - field.width
+    return value << shift, ((1 << field.width) - 1) << shift
+
+
 def fold_distinguish(
     probed: Rule,
     lower_rules: Sequence[Rule],
     diff_outcome: Callable[[Rule, "Rule | None"], "bool | Lit"],
+    else_rule: Rule | None = None,
 ) -> tuple[list[tuple[Rule, "bool | Lit"]], "bool | Lit"]:
     """The Distinguish chain for ``probed``, folded before it is encoded.
 
     Returns ``(branches, else_value)``: the ``(lower rule,
     DiffOutcome)`` branches of ``If(Matches(P, R_1), DiffOutcome(P,
-    probed, R_1), ..., else)``, highest priority first, and the value
-    of the table miss that takes what no lower rule matches — always a
-    ``bool``, since a miss drops.  ``If(g, c, c)`` is ``c`` whatever
-    ``g`` is, so tail branches whose constant value *is* the else value
-    are dropped, from the lowest priority up.  Two results need no
-    encoding at all:
+    probed, R_1), ..., else)``, highest priority first, and the
+    DiffOutcome of ``else_rule``, which takes what no listed lower rule
+    matches: the table miss by default (always a ``bool``, since a
+    miss drops), or a lower rule every probe matches (the cold
+    engine's cube fold).  ``If(g, c, c)`` is ``c`` whatever ``g`` is,
+    so tail branches whose value *is* the else value are dropped, from
+    the lowest priority up.  Two results need no encoding at all:
 
     * no branch, else ``True``: the chain constrains nothing;
     * no branch, else ``False``: wherever the probe lands without
@@ -72,7 +108,7 @@ def fold_distinguish(
     ``diff_outcome`` is the engine's ``DiffOutcome`` (the cold
     compiler's, or the persistent encoder's cached one).
     """
-    else_value = diff_outcome(probed, None)
+    else_value = diff_outcome(probed, else_rule)
     branches = [
         (rule, diff_outcome(probed, rule))
         for rule in sorted(lower_rules, key=lambda r: -r.priority)
@@ -125,6 +161,11 @@ class ConstraintCompiler:
     Variables ``1 .. HEADER_BITS`` are the abstract header bits in layout
     order (variable ``i`` is bit ``i-1``); everything above is Tseitin.
 
+    ``cube_value`` / ``cube_mask`` are the cube (module docstring),
+    packed like :meth:`~repro.openflow.match.Match.packed`: empty until
+    :meth:`fix` folds a match into it, which only the cold engine's
+    :meth:`assert_probe` does.
+
     Args:
         sink: formula destination; defaults to a fresh :class:`CNF`.
             Passing a :class:`~repro.sat.solver.SatSolver` loads the
@@ -134,54 +175,68 @@ class ConstraintCompiler:
 
     def __init__(self, sink: ClauseSink | None = None) -> None:
         self.cnf = sink if sink is not None else CNF(HEADER.total_bits)
+        self.cube_value = 0
+        self.cube_mask = 0
 
     # ----- bit-level helpers ---------------------------------------------
 
-    @staticmethod
-    def bit_var(bit_index: int) -> int:
-        """SAT variable holding abstract header bit ``bit_index``."""
-        return bit_index + 1
-
     def match_literals(self, match: Match) -> list[Lit]:
-        """Literals whose conjunction is ``Matches(P, match)`` (Table 3)."""
-        literals = []
-        for bit_index, required in match.bit_constraints():
-            var = self.bit_var(bit_index)
-            literals.append(var if required else -var)
-        return literals
+        """Literals whose conjunction is ``Matches(P, match)`` (Table 3),
+        in the match's field order; the cube is not consulted."""
+        return [
+            bit_index + 1 if required else -bit_index - 1
+            for bit_index, required in match.bit_constraints()
+        ]
 
     def assert_matches(self, match: Match) -> None:
         """Add ``Matches(P, match)`` as unit clauses."""
         for lit in self.match_literals(match):
             self.cnf.add_unit(lit)
 
-    def assert_not_matches(self, match: Match) -> None:
-        """Add ``not Matches(P, match)`` as a single clause.
-
-        An all-wildcard match yields the empty clause (UNSAT) — correctly
-        so: no packet can avoid matching a wildcard rule.
-        """
-        self.cnf.add_clause([-lit for lit in self.match_literals(match)])
-
     def matches_lit(self, match: Match) -> Lit:
         """Fresh literal equivalent to ``Matches(P, match)``."""
         return clause_and(self.cnf, self.match_literals(match))
 
-    def assert_value_in(self, name: FieldName, values: Sequence[int]) -> None:
+    def fix(self, match: Match) -> bool:
+        """Fold ``Matches(P, match)`` into the cube, emitting nothing.
+
+        Returns False when ``match`` contradicts a bit already fixed:
+        no header satisfies both.
+        """
+        value, mask = match.packed()
+        if (value ^ self.cube_value) & mask & self.cube_mask:
+            return False
+        self.cube_value |= value
+        self.cube_mask |= mask
+        return True
+
+    def _residual(self, value: int, mask: int) -> list[Lit] | None:
+        """The literals of "``P`` agrees with ``value`` on ``mask``"
+        that the cube leaves open, or None when the cube contradicts
+        it (an empty list: the cube implies it)."""
+        if (value ^ self.cube_value) & mask & self.cube_mask:
+            return None
+        return _literals(value, mask & ~self.cube_mask)
+
+    def assert_value_in(self, name: FieldName, values: Sequence[int]) -> bool:
         """Constrain a field to a small domain (e.g. valid in_ports).
 
-        Encoded as a Tseitin OR of per-value conjunctions.
+        Encoded as a Tseitin OR of per-value conjunctions, folded
+        against the cube: a value the cube contradicts is no option,
+        and one the cube implies satisfies the constraint outright.
+        Returns False when no value is left (the empty clause then
+        says so).
         """
-        field = HEADER.field(name)
         options = []
         for value in values:
-            literals = []
-            for bit_in_field in range(field.width):
-                bit_mask = 1 << (field.width - 1 - bit_in_field)
-                var = self.bit_var(field.offset + bit_in_field)
-                literals.append(var if value & bit_mask else -var)
+            literals = self._residual(*_field_packed(name, value))
+            if literals is None:
+                continue
+            if not literals:
+                return True
             options.append(clause_and(self.cnf, literals))
         self.cnf.add_clause(options)
+        return bool(options)
 
     # ----- DiffOutcome ------------------------------------------------------
 
@@ -278,7 +333,6 @@ class ConstraintCompiler:
         """
         literals: list[Lit] = []
         for name in set(rewrites1) | set(rewrites2):
-            field = HEADER.field(name)
             in1 = name in rewrites1
             in2 = name in rewrites2
             if in1 and in2:
@@ -288,11 +342,13 @@ class ConstraintCompiler:
             fixed = rewrites1[name] if in1 else rewrites2[name]
             # One rule pins the field, the other passes P through: the
             # outcomes differ iff P disagrees with the pinned value on
-            # some bit (rows */0, */1, 0/*, 1/* of Table 4).
-            for bit_in_field in range(field.width):
-                bit_mask = 1 << (field.width - 1 - bit_in_field)
-                var = self.bit_var(field.offset + bit_in_field)
-                literals.append(-var if fixed & bit_mask else var)
+            # some bit (rows */0, */1, 0/*, 1/* of Table 4).  A bit
+            # the cube fixes decides its term: a fixed disagreement is
+            # a constant difference, a fixed agreement no term.
+            agree = self._residual(*_field_packed(name, fixed))
+            if agree is None:
+                return True
+            literals.extend(-lit for lit in agree)
         return literals
 
     # ----- Distinguish ------------------------------------------------------
@@ -307,38 +363,100 @@ class ConstraintCompiler:
         Args:
             probed: the rule being probed.
             lower_rules: overlapping rules with priority strictly below
-                ``probed``, in any order (:func:`fold_distinguish`
-                sorts them).
+                ``probed``, in any order.
 
         Returns False when the chain folds to the constant false: the
         formula is then unsatisfiable (an empty clause says so), and a
         caller may skip its solve.
 
-        Guards become Tseitin AND literals; the chain itself is the
-        linear prefix-variable construction of
-        :func:`~repro.sat.encode.assert_if_chain` — 2 short clauses per
-        branch instead of the prefix-repetition encoding whose clause
-        mass grows quadratically with chain length (the difference is
-        minutes vs seconds on 1000-rule Distinguish chains).
+        Under the cube, a lower rule it contradicts is left out, and
+        the first one it implies ends the chain as the else of
+        :func:`fold_distinguish`.  Guards become Tseitin AND literals
+        over the residual bits; the chain itself is the linear
+        prefix-variable construction of
+        :func:`~repro.sat.encode.assert_if_chain` — 2 short clauses
+        per branch instead of the prefix-repetition encoding whose
+        clause mass grows quadratically with chain length (the
+        difference is minutes vs seconds on 1000-rule Distinguish
+        chains).
         """
+        live: list[Rule] = []
+        guards: list[list[Lit]] = []
+        else_rule: Rule | None = None
+        for rule in sorted(lower_rules, key=lambda r: -r.priority):
+            literals = self._residual(*rule.match.packed())
+            if literals is None:
+                continue
+            if not literals:
+                else_rule = rule
+                break
+            live.append(rule)
+            guards.append(literals)
         chain, else_value = fold_distinguish(
-            probed, lower_rules, self.diff_outcome
+            probed, live, self.diff_outcome, else_rule
         )
+        # The fold keeps a prefix of ``live``: zip pairs each kept
+        # branch with its guard.
         branches = [
-            (self.matches_lit(rule.match), value) for rule, value in chain
+            (clause_and(self.cnf, literals), value)
+            for literals, (_, value) in zip(guards, chain)
         ]
         assert_if_chain(self.cnf, branches, else_value)
-        return bool(chain) or else_value is True
+        return bool(chain) or else_value is not False
+
+    # ----- the cold engine's instance ---------------------------------------
+
+    def assert_probe(
+        self,
+        probed: Rule,
+        avoid_rules: Sequence[Rule],
+        lower_rules: Sequence[Rule],
+        catch_match: Match,
+        valid_in_ports: Sequence[int] | None = None,
+    ) -> bool:
+        """Table 1 for ``probed``, folded over the Hit ∧ Collect cube.
+
+        ``avoid_rules`` are the overlapping rules of equal or higher
+        priority, ``lower_rules`` the lower ones.  ``probed.match`` and
+        ``catch_match`` become the cube (:meth:`fix`) and are never
+        encoded; a rule to avoid that the cube contradicts drops out,
+        one it implies makes the probe impossible, and the others
+        become one clause over their residual bits.  Returns False when
+        the fold alone proves that no probe exists: a self-conflicting
+        cube, an avoided rule covering it, a Distinguish chain folded
+        to the constant false, or no ``valid_in_ports`` value left.
+        The formula then needs no solve.
+        """
+        if not (self.fix(probed.match) and self.fix(catch_match)):
+            return False
+        for rule in avoid_rules:
+            literals = self._residual(*rule.match.packed())
+            if literals is None:
+                continue
+            if not literals:
+                return False
+            self.cnf.add_clause([-lit for lit in literals])
+        if not self.assert_distinguish(probed, lower_rules):
+            return False
+        # Wire-level domain restriction for in_port, which unlike the
+        # other limited-domain fields cannot be fixed after solving
+        # (rules commonly match on it exactly).
+        return valid_in_ports is None or self.assert_value_in(
+            FieldName.IN_PORT, valid_in_ports
+        )
 
     # ----- solution decoding ---------------------------------------------
 
-    @staticmethod
-    def decode_assignment(assignment: dict[int, bool]) -> dict[FieldName, int]:
-        """Abstract header values from a satisfying assignment."""
+    def decode_assignment(
+        self, assignment: dict[int, bool]
+    ) -> dict[FieldName, int]:
+        """Abstract header values from a satisfying assignment, the
+        cube's fixed bits overlaid on it."""
         bits = "".join(
             ["1" if bit else "0" for bit in map(assignment.get, _HEADER_VARS)]
         )
-        values = HEADER.unpack(int(bits, 2))
+        packed = int(bits, 2) & ~self.cube_mask | self.cube_value
+        values = HEADER.unpack(packed)
         return {name: values[name] for name in HEADER.names()}
 
 

@@ -187,6 +187,8 @@ class OutstandingProbe:
     first_injected: float
     retries_left: int
     timeout_event: Event | None = None
+    #: The pending retry: re-armed by every retry that fires.
+    retry_event: Event | None = None
     on_confirm: Callable[["OutstandingProbe"], None] | None = None
     on_alarm: Callable[["OutstandingProbe", str], None] | None = None
     #: "present" (steady state / additions) or "absent" (deletions).
@@ -772,7 +774,7 @@ class Monitor:
                 probe, next_gap, backoff, max_gap, max(0, grace - 1)
             )
 
-        self.sim.schedule(gap, retry)
+        probe.retry_event = self.sim.schedule(gap, retry)
 
     def _observe_probe_end(
         self, probe: OutstandingProbe, etype: str, negative: bool
@@ -795,12 +797,22 @@ class Monitor:
 
         The single bookkeeping point shared by confirmation, timeout,
         invalidation and misbehaving-alarm retirement: marks the probe
-        done, drops it from ``outstanding`` and decrements the per-key
-        in-flight count and steady window depth.
+        done, cancels its timeout and pending retry, drops it from
+        ``outstanding`` and decrements the per-key in-flight count and
+        steady window depth.
         """
         if probe.done:
             return
         probe.done = True
+        # Dropping the events too breaks the probe -> event -> closure
+        # -> probe cycles, so the probe is freed when they leave the
+        # queue instead of waiting for the cyclic collector.
+        if probe.timeout_event is not None:
+            probe.timeout_event.cancel()
+            probe.timeout_event = None
+        if probe.retry_event is not None:
+            probe.retry_event.cancel()
+            probe.retry_event = None
         self.outstanding.pop(probe.nonce, None)
         key = probe.result.rule.key()
         count = self._inflight_keys.get(key, 0)
@@ -815,8 +827,6 @@ class Monitor:
     def invalidate_probe(self, probe: OutstandingProbe) -> None:
         """Cancel an in-flight probe (its table context became stale)."""
         self._retire(probe)
-        if probe.timeout_event is not None:
-            probe.timeout_event.cancel()
 
     def _invalidate_steady_probes(
         self, affected: list[Rule], deleting: bool
@@ -899,8 +909,6 @@ class Monitor:
         )
         if observation in target:
             self._retire(probe)
-            if probe.timeout_event is not None:
-                probe.timeout_event.cancel()
             self.probes_confirmed += 1
             if self.obs.enabled:
                 self._observe_probe_end(probe, "probe.confirmed", False)
@@ -910,8 +918,6 @@ class Monitor:
             # Positive evidence of the opposite state.
             if probe.confirm_on == "present" and not probe.tolerate_anti:
                 self._retire(probe)
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
                 if probe.on_alarm is not None:
                     probe.on_alarm(probe, "misbehaving")
             # Otherwise: for deletions ("absent") or tolerant update
@@ -925,7 +931,5 @@ class Monitor:
             # handler gives the update up once.
             if not probe.tolerate_anti:
                 self._retire(probe)
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
             if probe.on_alarm is not None:
                 probe.on_alarm(probe, "misbehaving")

@@ -10,7 +10,9 @@ Pipeline (Figure 2):
 
 1. filter the table to rules overlapping the probed rule (§5.4 lemma),
 2. compile Hit / Distinguish / Collect to CNF
-   (:class:`~repro.core.constraints.ConstraintCompiler`),
+   (:class:`~repro.core.constraints.ConstraintCompiler`), folded over
+   the cube of bits Hit and Collect fix: what the fold decides is
+   never encoded, and a probe it proves impossible is never solved,
 3. run the CDCL solver,
 4. decode the assignment into abstract header values,
 5. normalize for wire validity (§5.2: spare values, conditional fields),
@@ -57,7 +59,9 @@ class UnmonitorableReason(str, enum.Enum):
     #: primary), the catching match is incompatible with the rule's
     #: match, or the Distinguish chain folds to the constant false —
     #: wherever the probe lands without the rule, the outcome is the
-    #: same (§3.5's indistinguishable rule, reported without a solve).
+    #: same (§3.5's indistinguishable rule).  The cold engine reports
+    #: all three without a solve when the Hit ∧ Collect cube fold
+    #: decides them, which on the ACL tables is every miss.
     #: The Monitor also demotes a probe to this reason when its two
     #: outcomes differ only in what Monocle cannot observe (egress).
     UNSATISFIABLE = "unsatisfiable"
@@ -131,6 +135,10 @@ class ProbeGenerator:
 
     Only rules overlapping the probed rule enter the constraints (the
     §5.4 lemma), so candidates come from the table's overlap index.
+    Each generation is cold: a fresh solver that sees only what the
+    Hit ∧ Collect cube fold leaves undecided, and no solve at all for
+    a probe the fold proves impossible
+    (:meth:`~repro.core.constraints.ConstraintCompiler.assert_probe`).
     """
 
     catch_match: Match
@@ -163,30 +171,18 @@ class ProbeGenerator:
         self._check_reserved_fields([rule] + candidates)
         avoid, lower = _split_candidates(rule, candidates)
 
-        # The compiler writes straight into the solver about to run.
+        # The compiler writes straight into the solver about to run;
+        # what the fold decides never reaches it.
         solver = SatSolver(CNF(HEADER.total_bits))
         compiler = ConstraintCompiler(sink=solver)
-        # Distinguish first: a chain that folds to the constant false
-        # is the whole (unsatisfiable) instance, and nothing is solved.
-        if compiler.assert_distinguish(rule, lower):
-            # Hit
-            compiler.assert_matches(rule.match)
-            for other in avoid:
-                compiler.assert_not_matches(other.match)
-            # Collect
-            compiler.assert_matches(self.catch_match)
-            # Wire-level domain restriction for in_port, which unlike
-            # the other limited-domain fields cannot be fixed after
-            # solving (rules commonly match on it exactly).
-            if self.valid_in_ports is not None:
-                compiler.assert_value_in(
-                    FieldName.IN_PORT, self.valid_in_ports
-                )
+        if compiler.assert_probe(
+            rule, avoid, lower, self.catch_match, self.valid_in_ports
+        ):
             sat = solver.solve(max_conflicts=self.max_conflicts)
         else:
             sat = _FOLDED_FALSE
         return _conclude(
-            rule, candidates, self.catch_match, sat,
+            rule, candidates, self.catch_match, sat, compiler,
             solver.num_vars, solver.num_clauses,
         )
 
@@ -235,11 +231,12 @@ def _conclude(
     candidates: list[Rule],
     catch_match: Match,
     sat: SatResult,
+    compiler: ConstraintCompiler,
     cnf_vars: int,
     cnf_clauses: int,
 ) -> ProbeResult:
     """Shared tail of both engines: verdict -> reason, or model -> wire
-    probe -> outcomes.
+    probe -> outcomes (``compiler`` decodes the model).
 
     The §5.2 substitution lemma only needs the matches the probe can
     interact with: by the §5.4 non-overlap lemma, a probe that matches
@@ -260,7 +257,7 @@ def _conclude(
     if not sat.satisfiable:
         result.reason = UnmonitorableReason.UNSATISFIABLE
         return result
-    raw_values = ConstraintCompiler.decode_assignment(sat.assignment)
+    raw_values = compiler.decode_assignment(sat.assignment)
     relevant = (
         [rule.match] + [r.match for r in candidates] + [catch_match]
     )
@@ -650,7 +647,8 @@ class ProbeGenContext:
         self.stats.probes_generated += 1
         self.stats.solver_conflicts += sat.conflicts
         result = _conclude(
-            rule, candidates, generator.catch_match, sat, *size
+            rule, candidates, generator.catch_match, sat,
+            self.encoder.compiler, *size,
         )
         result.generation_time = time.perf_counter() - start
         self.stats.generation_seconds += result.generation_time

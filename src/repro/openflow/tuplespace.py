@@ -23,10 +23,18 @@ Queries prune whole buckets, then hash into the survivors:
   maintained incrementally afterwards — the staged-lookup trick) yields
   the candidate list even when the query covers only part of the
   bucket's signature;
-* buckets whose anchor is empty but that still share mask bits with
-  the query are pruned through aggregate **value bounds** (OR and AND
-  of member values) when no row can agree on the common bits;
+* buckets whose anchor is empty, or that already keep their quota of
+  levels, but that still share mask bits with the query are pruned
+  through aggregate **value bounds** (OR and AND of member values)
+  when no row can agree on the common bits;
 * only then does a bucket fall back to a packed scan of its own rows.
+
+A level, once built, is kept until its bucket empties: a bucket builds
+levels for the first ``_MAX_LEVELS`` anchors it is queried with (and
+its own signature's, for :meth:`TupleSpaceIndex.lookup`), and answers
+any further anchor by the scan.  Nothing is evicted, so no level is
+ever rebuilt — a query mix cycling through more anchors than the
+quota costs the excess a scan each, not a re-hash of the bucket.
 
 Rows store their exact ``(value, mask)``, and every path re-verifies
 the pairwise overlap test
@@ -65,9 +73,14 @@ _COMPACT_MIN_ROWS = 16
 #: a field's mask into the bucket signature.
 _PREFIX_STEP = 8
 
-#: Hash levels kept per bucket.  Each level costs O(1) per add/remove
-#: to maintain, so a workload churning through exotic query masks stays
-#: bounded; the cap is far above what rule-match distributions request.
+#: Query levels a bucket builds; later anchors are scanned (module
+#: doc).  Each level holds one hash record per live row and costs O(1)
+#: per add/remove to maintain, so a bucket holds at most
+#: ``_MAX_LEVELS + 1`` records per row (its signature's level besides)
+#: however many query masks a workload invents.  Rule-match query
+#: mixes mostly stay under the quota; past it (the small buckets of
+#: the ACL tables see 20-41 anchors) a scan costs what building the
+#: level would, and leaves nothing to maintain.
 _MAX_LEVELS = 16
 
 #: (bit shift into the packed header, field width) per header field.
@@ -134,13 +147,6 @@ class _Tuple:
         """The hash on ``value & anchor``, building it on first use."""
         level = self.levels.get(anchor)
         if level is None:
-            if len(self.levels) >= _MAX_LEVELS:
-                # Evict an arbitrary old level, sparing the full
-                # signature (the containment-lookup level).
-                for old in self.levels:
-                    if old != self.sig:
-                        del self.levels[old]
-                        break
             level = {}
             for row in self.rows:
                 if row is not None:
@@ -239,10 +245,14 @@ class TupleSpaceIndex:
         query_sig = signature_of(mask)
         for sig, bucket in self._tuples.items():
             anchor = sig & query_sig
-            if anchor:
+            levels = bucket.levels
+            level = levels.get(anchor) if anchor else None
+            if level is None and anchor and len(levels) < _MAX_LEVELS:
+                level = bucket.level(anchor)
+            if level is not None:
                 # Both sides constrain the anchor bits, so overlapping
                 # rows agree with the query there: one hash probe.
-                hit = bucket.level(anchor).get(value & anchor)
+                hit = level.get(value & anchor)
                 if hit:
                     out.extend(
                         k

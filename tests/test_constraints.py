@@ -5,6 +5,8 @@ import collections
 import itertools
 import random
 
+import pytest
+
 from action_helpers import multicast
 from repro.core.constraints import ConstraintCompiler, fold_distinguish
 from repro.core.probegen import ProbeGenContext, ProbeGenerator, verify_probe
@@ -13,7 +15,7 @@ from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
-from repro.sat.solver import solve
+from repro.sat.solver import SatSolver, solve
 
 CATCH = Match.build(dl_vlan=0xF03)
 
@@ -30,16 +32,23 @@ class TestMatchesEncoding:
         values = decode(compiler, solve(compiler.cnf))
         assert values[FieldName.NW_SRC] == 0x0A000001
 
-    def test_assert_not_matches_excludes(self):
+    def test_avoided_rule_keeps_only_its_residual_bits(self):
+        # The cube fixes dl_vlan; the higher rule's one clause is over
+        # its residual bits, nw_src's, and the model leaves them.
         compiler = ConstraintCompiler()
-        compiler.assert_matches(Match.build(dl_vlan=5))
-        compiler.assert_not_matches(Match.build(dl_vlan=5))
-        assert solve(compiler.cnf).satisfiable is False
+        probed = Rule(5, Match.build(dl_vlan=5), output(1))
+        higher = Rule(9, Match.build(dl_vlan=5, nw_src=1), output(2))
+        assert compiler.assert_probe(probed, [higher], [], Match())
+        assert compiler.cnf.num_clauses == 1
+        values = decode(compiler, solve(compiler.cnf))
+        assert values[FieldName.DL_VLAN] == 5
+        assert values[FieldName.NW_SRC] != 1
 
-    def test_not_matches_wildcard_is_unsat(self):
+    def test_avoided_rule_covering_the_cube_is_unsat(self):
         compiler = ConstraintCompiler()
-        compiler.assert_not_matches(Match.wildcard())
-        assert solve(compiler.cnf).satisfiable is False
+        probed = Rule(5, Match.build(dl_vlan=5), output(1))
+        higher = Rule(9, Match.wildcard(), output(2))
+        assert not compiler.assert_probe(probed, [higher], [], Match())
 
     def test_prefix_match_constrains_only_prefix(self):
         compiler = ConstraintCompiler()
@@ -411,6 +420,98 @@ class TestDistinguishChain:
                     assert valid, why
         kinds = {chain_kind(table, rule) for rule in rules}
         assert kinds == {"true", "false", "live"}
+
+
+def fold_case_table(case, seed):
+    """``(table, probed rule)``: a seeded quarter table (priorities
+    1..5) with a probed rule at priority 8 and the rule that makes
+    ``case`` of the cube fold happen next to it."""
+    rng = random.Random(seed)
+    table = quarter_table(seed)
+    src, dst = rng.randrange(4), rng.randrange(4)
+    port = rng.randint(1, 2)
+    hit = {"dl_type": 0x800, "nw_src": quarter(src), "nw_dst": quarter(dst)}
+    if case == "cube_conflict":
+        # Hit fixes dl_vlan to a value Collect's does not allow.
+        hit["dl_vlan"] = 5
+    probed = Rule(8, Match.build(**hit), output(port))
+    table.install(probed)
+    src_only = {"dl_type": 0x800, "nw_src": quarter(src)}
+    if case == "higher_covers":
+        table.install(Rule(9, Match.build(**src_only), output(3 - port)))
+    elif case == "lower_covers_equal":
+        table.install(Rule(7, Match.build(**src_only), output(port)))
+    elif case == "lower_covers_different":
+        table.install(Rule(7, Match.build(**src_only), output(3 - port)))
+    elif case == "catch_disjoint":
+        # Covers the probed rule but for dl_vlan, where only the
+        # catching match sets the probe apart from it.
+        table.install(Rule(9, Match.build(dl_vlan=5, **src_only), drop()))
+    return table, probed
+
+
+class TestCubeFold:
+    """Hit ∧ Collect folded into one cube before anything is encoded,
+    held to Table 1 by exhaustive search over the 16 quarter headers
+    (as ``test_verdicts_match_exhaustive_search``), once per fold
+    case on seeded tables."""
+
+    @pytest.mark.parametrize(
+        "case, verdict, solved",
+        [
+            ("cube_conflict", False, False),
+            ("higher_covers", False, False),
+            ("lower_covers_equal", False, False),
+            ("lower_covers_different", True, True),
+            ("catch_disjoint", None, None),
+        ],
+    )
+    def test_verdicts_match_exhaustive_search(
+        self, monkeypatch, case, verdict, solved
+    ):
+        solves = []
+        original = SatSolver.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", counted)
+        found = set()
+        for seed in range(12):
+            table, probed = fold_case_table(case, seed)
+            exists = any(
+                verify_probe(table, probed, header, CATCH)[0]
+                for header in quarter_headers()
+            )
+            cold = ProbeGenerator(catch_match=CATCH)
+            context = ProbeGenContext(cold, table=table.copy())
+            del solves[:]
+            result = cold.generate(table, probed)
+            cold_solved = bool(solves)
+            for got in (result, context.probe_for(probed)):
+                assert got.ok == exists, (seed, got)
+                if got.ok:
+                    valid, why = verify_probe(table, probed, got.header, CATCH)
+                    assert valid, why
+            found.add(exists)
+            if verdict is not None:
+                assert exists is verdict, seed
+                assert cold_solved is solved, seed
+            if case == "lower_covers_different":
+                # The covering rule ends the chain as its else value:
+                # the rules below it are never encoded, and the ones
+                # above it contradict or are implied by the cube.
+                assert result.cnf_clauses == 0, seed
+            if case == "catch_disjoint":
+                # The rule covering all but the catch bits overlaps
+                # the probed rule, so it is a candidate; the cube
+                # leaves it out, and the lower rules decide.
+                (higher,) = [r for r in table.rules() if r.priority == 9]
+                assert higher.match.overlaps(probed.match)
+                assert result.overlapping_rules > 0
+        if verdict is None:
+            assert found == {True, False}
 
 
 class TestDecodeAssignment:

@@ -13,7 +13,11 @@ Two small probing fleets, seconds each:
 ``PINS`` was recorded on the commit *before* the read path was put on
 its diet (launch memo, header carrier between hops, tuple event heap,
 idle conditioner) and must never need re-recording for a change that
-claims to move no simulated quantity.  The call-count tests hold the
+claims to move no simulated quantity.  Its ``events_dispatched`` was
+re-recorded, and nothing else in it moved, when retiring a probe began
+to cancel its pending retry too: a confirmed probe's next retry used
+to fire as a no-op (16,076 -> 14,393 and 49,170 -> 43,667 events).
+The call-count tests hold the
 diet itself: a later change that re-introduces a per-hop codec pass or
 a per-message conditioner call fails here, in tier-1, not in a
 benchmark.  One pass is held too: crafting and parsing a probe frame is
@@ -249,7 +253,7 @@ PINS: dict[str, dict] = {
         "probes_sent": 1810,
         "probes_confirmed": 1758,
         "probes_timed_out": 5,
-        "events_dispatched": 16076,
+        "events_dispatched": 14393,
         "conditioner_dropped": 0,
         "undetected": [],
         "false_alarms": 0,
@@ -270,7 +274,7 @@ PINS: dict[str, dict] = {
         "probes_sent": 6328,
         "probes_confirmed": 5644,
         "probes_timed_out": 18,
-        "events_dispatched": 49170,
+        "events_dispatched": 43667,
         "conditioner_dropped": 602,
         "undetected": [],
         "false_alarms": 0,

@@ -15,6 +15,8 @@ defined by a fieldwise scan over ``table.rules()``:
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,11 @@ from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import FieldMatch, Match
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
-from repro.openflow.tuplespace import TupleSpaceIndex, signature_of
+from repro.openflow.tuplespace import (
+    _MAX_LEVELS,
+    TupleSpaceIndex,
+    signature_of,
+)
 
 
 # ----- strategies ---------------------------------------------------------
@@ -216,13 +222,14 @@ class TestTupleSpaceIndex:
         assert len(index) == 10
         assert sorted(index.query(value, mask)) == list(range(90, 100))
 
-    def test_level_cap_evicts_but_stays_correct(self):
+    def test_level_cap_scans_but_stays_correct(self):
         index = TupleSpaceIndex()
         value, mask = Match.build(
             nw_dst=(0x0A000000, 32), nw_src=(0x14000000, 32)
         ).packed()
         index.add("r", value, mask)
-        # Query with many distinct query signatures to churn levels.
+        # Query with more distinct query signatures than the bucket
+        # keeps levels for: the rest are answered by a scan.
         for dst_len in (8, 16, 24, 32):
             for src_len in (0, 8, 16, 24, 32):
                 kwargs = {"nw_dst": (0x0A000000, dst_len)}
@@ -230,3 +237,37 @@ class TestTupleSpaceIndex:
                     kwargs["nw_src"] = (0x14000000, src_len)
                 q = Match.build(**kwargs)
                 assert index.query(*q.packed()) == ["r"]
+
+    def test_a_cycle_of_anchors_builds_each_level_once(self):
+        """One bucket queried through a cycle of more distinct anchors
+        than it keeps levels for, twice: the second pass builds no
+        level — none is evicted to make room and then rebuilt."""
+        fields = {
+            "in_port": 3, "dl_vlan": 7, "nw_proto": 6,
+            "nw_tos": 4, "tp_src": 80, "tp_dst": 22,
+        }
+        index = TupleSpaceIndex()
+        entries = {}
+        for i in range(8):
+            match = Match.build(**{**fields, "tp_dst": 22 + i})
+            entries[i] = match
+            index.add(i, *match.packed())
+        (bucket,) = index._tuples.values()
+        cycle = [
+            Match.build(**{name: fields[name] for name in names})
+            for names in itertools.combinations(sorted(fields), 3)
+        ]
+        anchors = {bucket.sig & signature_of(q.packed()[1]) for q in cycle}
+        assert len(anchors) > _MAX_LEVELS
+        for query in cycle:
+            index.query(*query.packed())
+        built = dict(bucket.levels)
+        for query in cycle:
+            got = index.query(*query.packed())
+            assert sorted(got) == [
+                i for i, match in entries.items() if match.overlaps(query)
+            ]
+        assert all(
+            level is built.get(anchor)
+            for anchor, level in bucket.levels.items()
+        )
