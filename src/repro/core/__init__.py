@@ -23,11 +23,7 @@
   PacketOut/PacketIn between Monitors and switches (§7).
 """
 
-from repro.core.constraints import (
-    ConstraintCompiler,
-    IncrementalProbeEncoder,
-    SolverSink,
-)
+from repro.core.constraints import ConstraintCompiler
 from repro.core.probegen import (
     ProbeGenContext,
     ProbeGenContextStats,
@@ -44,8 +40,6 @@ from repro.core.droppostpone import postpone_drop_rule, DROP_TAG_TOS
 
 __all__ = [
     "ConstraintCompiler",
-    "IncrementalProbeEncoder",
-    "SolverSink",
     "ProbeGenContext",
     "ProbeGenContextStats",
     "ProbeGenerator",

@@ -18,7 +18,7 @@ top.  Three constraints are compiled for a probed rule:
   exploits that Monocle always asserts the chain true.
 * **Collect** — ``Matches(P, Rcatch)``.
 
-The cold engine (:meth:`ConstraintCompiler.assert_probe`) never encodes
+The compiler (:meth:`ConstraintCompiler.assert_probe`) never encodes
 Hit's and Collect's own matches: their conjunction is one packed
 ``(value, mask)`` *cube* of fixed header bits, and every other match,
 rewrite term and domain option is folded against it before anything
@@ -26,10 +26,12 @@ reaches the solver.  A clause keeps only its *residual* literals (the
 bits the cube leaves open); a rule that disagrees with the cube on a
 fixed bit drops out; one with no residual bit matches every probe —
 ahead of the probed rule that makes the probe impossible, below it
-that rule ends the chain.  The fixed bits themselves never enter the
-solver: decoding overlays the cube on the model.  The persistent
-context engine (:class:`IncrementalProbeEncoder`) keeps an empty cube:
-its Hit bits are per-solve assumptions over a shared solver.
+that rule ends the chain.  The bits every allowed ``in_port`` shares
+join the cube too; only the bits that tell the allowed ports apart are
+encoded.  The fixed bits themselves never enter the solver: decoding
+overlays the cube on the model.  Every probe is compiled this way,
+into a fresh solver: the cold generator's and the per-switch
+context's alike.
 
 ``DiffOutcome`` is ``DiffPorts | DiffRewrite`` (§3.2–3.4):
 ``DiffPorts`` is decided during compilation (pure set logic on
@@ -40,8 +42,7 @@ common ports for multicast pairs and AND-ed when ECMP is involved.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.openflow.actions import OutcomeKind
 from repro.openflow.fields import HEADER, FieldName
@@ -54,7 +55,6 @@ from repro.sat.encode import (
     clause_and,
     clause_or,
 )
-from repro.sat.incremental import IncrementalSolver
 
 
 #: The SAT variables holding the abstract header, bit 0 first.
@@ -82,6 +82,15 @@ def _field_packed(name: FieldName, value: int) -> tuple[int, int]:
     return value << shift, ((1 << field.width) - 1) << shift
 
 
+def _shared_packed(name: FieldName, values: Sequence[int]) -> tuple[int, int]:
+    """Packed ``(value, mask)`` of the bits of field ``name`` on which
+    all of ``values`` (at least one) agree."""
+    value, mask = _field_packed(name, values[0])
+    for other in values[1:]:
+        mask &= ~(_field_packed(name, other)[0] ^ value)
+    return value & mask, mask
+
+
 def fold_distinguish(
     probed: Rule,
     lower_rules: Sequence[Rule],
@@ -95,8 +104,8 @@ def fold_distinguish(
     probed, R_1), ..., else)``, highest priority first, and the
     DiffOutcome of ``else_rule``, which takes what no listed lower rule
     matches: the table miss by default (always a ``bool``, since a
-    miss drops), or a lower rule every probe matches (the cold
-    engine's cube fold).  ``If(g, c, c)`` is ``c`` whatever ``g`` is,
+    miss drops), or a lower rule every probe matches (the cube
+    fold).  ``If(g, c, c)`` is ``c`` whatever ``g`` is,
     so tail branches whose value *is* the else value are dropped, from
     the lowest priority up.  Two results need no encoding at all:
 
@@ -105,8 +114,7 @@ def fold_distinguish(
       ``probed``, the outcome is the one ``probed`` gives — §3.5's
       indistinguishable rule, unmonitorable before any solve.
 
-    ``diff_outcome`` is the engine's ``DiffOutcome`` (the cold
-    compiler's, or the persistent encoder's cached one).
+    ``diff_outcome`` is the compiler's ``DiffOutcome``.
     """
     else_value = diff_outcome(probed, else_rule)
     branches = [
@@ -118,43 +126,6 @@ def fold_distinguish(
     return branches, else_value
 
 
-class SolverSink:
-    """Adapts an :class:`~repro.sat.incremental.IncrementalSolver` to
-    the ``new_var``/``add_clause``/``add_unit`` surface the encode
-    helpers and :class:`ConstraintCompiler` expect.
-
-    With ``group`` set, every emitted clause lands in that clause group
-    (transient, retractable); with ``group=None`` clauses are permanent.
-    """
-
-    __slots__ = ("solver", "group")
-
-    def __init__(
-        self, solver: IncrementalSolver, group: int | None = None
-    ) -> None:
-        self.solver = solver
-        self.group = group
-
-    def new_var(self) -> int:
-        # Group-tied auxiliaries return to the solver's recycling pool
-        # when the group is retired.
-        return self.solver.new_var(self.group)
-
-    def add_clause(self, literals) -> None:
-        self.solver.add_clause(literals, group=self.group)
-
-    def add_unit(self, lit: Lit) -> None:
-        self.solver.add_unit(lit, group=self.group)
-
-    @property
-    def num_vars(self) -> int:
-        return self.solver.num_vars
-
-    @property
-    def num_clauses(self) -> int:
-        return self.solver.num_clauses
-
-
 class ConstraintCompiler:
     """Compiles Table 1 constraints for one probed rule into a CNF.
 
@@ -163,14 +134,12 @@ class ConstraintCompiler:
 
     ``cube_value`` / ``cube_mask`` are the cube (module docstring),
     packed like :meth:`~repro.openflow.match.Match.packed`: empty until
-    :meth:`fix` folds a match into it, which only the cold engine's
-    :meth:`assert_probe` does.
+    :meth:`fix` folds a match into it, as :meth:`assert_probe` does.
 
     Args:
         sink: formula destination; defaults to a fresh :class:`CNF`.
             Passing a :class:`~repro.sat.solver.SatSolver` loads the
-            solver directly; a :class:`SolverSink` retargets every
-            emitted clause at a persistent incremental solver instead.
+            solver directly.
     """
 
     def __init__(self, sink: ClauseSink | None = None) -> None:
@@ -180,30 +149,14 @@ class ConstraintCompiler:
 
     # ----- bit-level helpers ---------------------------------------------
 
-    def match_literals(self, match: Match) -> list[Lit]:
-        """Literals whose conjunction is ``Matches(P, match)`` (Table 3),
-        in the match's field order; the cube is not consulted."""
-        return [
-            bit_index + 1 if required else -bit_index - 1
-            for bit_index, required in match.bit_constraints()
-        ]
+    def fix(self, value: int, mask: int) -> bool:
+        """Fold "``P`` agrees with the packed ``value`` on every bit of
+        ``mask``" (a :meth:`~repro.openflow.match.Match.packed` pair)
+        into the cube, emitting nothing.
 
-    def assert_matches(self, match: Match) -> None:
-        """Add ``Matches(P, match)`` as unit clauses."""
-        for lit in self.match_literals(match):
-            self.cnf.add_unit(lit)
-
-    def matches_lit(self, match: Match) -> Lit:
-        """Fresh literal equivalent to ``Matches(P, match)``."""
-        return clause_and(self.cnf, self.match_literals(match))
-
-    def fix(self, match: Match) -> bool:
-        """Fold ``Matches(P, match)`` into the cube, emitting nothing.
-
-        Returns False when ``match`` contradicts a bit already fixed:
-        no header satisfies both.
+        Returns False when it contradicts a bit already fixed: no
+        header satisfies both.
         """
-        value, mask = match.packed()
         if (value ^ self.cube_value) & mask & self.cube_mask:
             return False
         self.cube_value |= value
@@ -404,7 +357,7 @@ class ConstraintCompiler:
         assert_if_chain(self.cnf, branches, else_value)
         return bool(chain) or else_value is not False
 
-    # ----- the cold engine's instance ---------------------------------------
+    # ----- one probe's instance ---------------------------------------------
 
     def assert_probe(
         self,
@@ -417,17 +370,26 @@ class ConstraintCompiler:
         """Table 1 for ``probed``, folded over the Hit ∧ Collect cube.
 
         ``avoid_rules`` are the overlapping rules of equal or higher
-        priority, ``lower_rules`` the lower ones.  ``probed.match`` and
-        ``catch_match`` become the cube (:meth:`fix`) and are never
-        encoded; a rule to avoid that the cube contradicts drops out,
-        one it implies makes the probe impossible, and the others
-        become one clause over their residual bits.  Returns False when
-        the fold alone proves that no probe exists: a self-conflicting
-        cube, an avoided rule covering it, a Distinguish chain folded
-        to the constant false, or no ``valid_in_ports`` value left.
-        The formula then needs no solve.
+        priority, ``lower_rules`` the lower ones.  ``probed.match``,
+        ``catch_match`` and the ``in_port`` bits every
+        ``valid_in_ports`` value shares become the cube (:meth:`fix`)
+        and are never encoded; a rule to avoid that the cube
+        contradicts drops out, one it implies makes the probe
+        impossible, and the others become one clause over their
+        residual bits.  Returns False when the fold alone proves that
+        no probe exists: a self-conflicting cube, an avoided rule
+        covering it, a Distinguish chain folded to the constant false,
+        or no ``valid_in_ports`` value left.  The formula then needs no
+        solve.
         """
-        if not (self.fix(probed.match) and self.fix(catch_match)):
+        if not (
+            self.fix(*probed.match.packed())
+            and self.fix(*catch_match.packed())
+        ):
+            return False
+        if valid_in_ports and not self.fix(
+            *_shared_packed(FieldName.IN_PORT, valid_in_ports)
+        ):
             return False
         for rule in avoid_rules:
             literals = self._residual(*rule.match.packed())
@@ -440,7 +402,8 @@ class ConstraintCompiler:
             return False
         # Wire-level domain restriction for in_port, which unlike the
         # other limited-domain fields cannot be fixed after solving
-        # (rules commonly match on it exactly).
+        # (rules commonly match on it exactly): the bits that tell the
+        # allowed ports apart.
         return valid_in_ports is None or self.assert_value_in(
             FieldName.IN_PORT, valid_in_ports
         )
@@ -458,121 +421,3 @@ class ConstraintCompiler:
         packed = int(bits, 2) & ~self.cube_mask | self.cube_value
         values = HEADER.unpack(packed)
         return {name: values[name] for name in HEADER.names()}
-
-
-class IncrementalProbeEncoder:
-    """Constraint emission over a *persistent* per-switch solver.
-
-    Where :class:`ConstraintCompiler` rebuilds every formula from
-    scratch, this encoder keeps the reusable parts of the probe
-    constraints alive inside an :class:`~repro.sat.incremental.
-    IncrementalSolver` across probes and across table churn:
-
-    * **match guards** — the Tseitin literal ``m <-> Matches(P, match)``
-      for each match, cached by :class:`~repro.openflow.match.Match`
-      value.  Guard definitions never constrain the header variables on
-      their own, so they are emitted permanently and survive rule
-      deletion (a re-added or re-used match costs nothing).
-    * **DiffOutcome literals** — per action-list pair, same reasoning.
-    * the **catching match** and the ``in_port`` domain restriction,
-      asserted permanently at construction (they apply to every probe).
-
-    What is specific to one probe is *assumed*, not stored
-    (:meth:`probe_assumptions`): the Hit bits, the negated guard of
-    every rule the probe must avoid, and — only when the Distinguish
-    chain survives :func:`fold_distinguish` — the selector of a
-    transient clause group holding that chain over those permanent
-    guards, retired as soon as the solve that assumed it returns.  A
-    regenerated probe therefore adds no clause once its neighbours'
-    guards exist, and no group outlives a solve.
-    """
-
-    def __init__(
-        self,
-        solver: IncrementalSolver,
-        catch_match: Match,
-        valid_in_ports: "tuple[int, ...] | None" = None,
-    ) -> None:
-        if solver.num_vars < HEADER.total_bits:
-            raise ValueError(
-                "incremental solver must pre-allocate the header bits"
-            )
-        self.solver = solver
-        self.compiler = ConstraintCompiler(sink=SolverSink(solver))
-        self._guards: dict[Match, Lit] = {}
-        #: DiffOutcome cache keyed by the (probed, other) action lists.
-        #: ActionList hashes by value (its actions tuple), so rules with
-        #: equal behaviour share one cached DiffOutcome literal.
-        self._diffs: dict[tuple, "bool | Lit"] = {}
-        self.compiler.assert_matches(catch_match)
-        if valid_in_ports is not None:
-            self.compiler.assert_value_in(FieldName.IN_PORT, valid_in_ports)
-
-    # ----- reusable pieces ------------------------------------------------
-
-    def guard(self, match: Match) -> Lit:
-        """The cached literal equivalent to ``Matches(P, match)``."""
-        lit = self._guards.get(match)
-        if lit is None:
-            lit = self.compiler.matches_lit(match)
-            self._guards[match] = lit
-        return lit
-
-    @property
-    def cached_guards(self) -> int:
-        return len(self._guards)
-
-    def diff_outcome(self, probed: Rule, other: Rule | None) -> "bool | Lit":
-        """Cached ``DiffOutcome(P, probed, other)`` (bool or literal)."""
-        if other is None:
-            return self.compiler.diff_outcome(probed, None)
-        key = (probed.actions, other.actions)
-        cached = self._diffs.get(key)
-        if cached is None:
-            cached = self.compiler.diff_outcome(probed, other)
-            self._diffs[key] = cached
-        return cached
-
-    # ----- per-probe assumptions -------------------------------------------
-
-    @contextlib.contextmanager
-    def probe_assumptions(
-        self,
-        probed: Rule,
-        lower_rules: Sequence[Rule],
-        avoid_rules: Sequence[Rule],
-    ) -> Iterator[list[Lit] | None]:
-        """The literals a solve for ``probed`` assumes, for one ``with``.
-
-        ``avoid_rules`` are the overlapping rules that would take the
-        probe ahead of ``probed``, ``lower_rules`` the ones that decide
-        its fate without it.  One decision level per literal costs less
-        than storing them: nothing is added to the clause database
-        unless the folded Distinguish chain has a branch left, and what
-        the chain adds is retired on leaving the block — after a
-        satisfiable, unsatisfiable or budget-exhausted solve, and when
-        emission or the solve raises.  Yields None instead when the
-        chain folds to the constant false: no probe exists, and there
-        is nothing to solve.
-        """
-        # Hit: the probe matches the probed rule ...
-        assumptions = self.compiler.match_literals(probed.match)
-        # ... and none of the rules ahead of it.
-        assumptions.extend(-self.guard(rule.match) for rule in avoid_rules)
-        # Distinguish: the priority-ordered lower-overlap ITE chain.
-        chain, else_value = fold_distinguish(
-            probed, lower_rules, self.diff_outcome
-        )
-        if not chain:
-            yield assumptions if else_value is True else None
-            return
-        branches = [(self.guard(rule.match), value) for rule, value in chain]
-        group = self.solver.new_group()
-        try:
-            assert_if_chain(
-                SolverSink(self.solver, group), branches, else_value
-            )
-            assumptions.append(group)
-            yield assumptions
-        finally:
-            self.solver.retire_group(group)

@@ -216,9 +216,9 @@ class Monitor:
       probe enter the monitored switch on ``in_port`` (via an upstream
       PacketOut), and it hands caught probes back through
       :meth:`handle_caught_probe`.
-    * ``probe_context``: the incremental probe-generation engine
-      (persistent SAT context, per-rule probe cache), already seeded
-      with the switch's catching rules.
+    * ``probe_context``: the switch's probe generation behind its
+      per-rule probe cache, already seeded with the switch's catching
+      rules.
     * ``scheduler``: owns the probe cycle.  The one full
       expected-table walk happens here at construction; every later
       FlowMod feeds it an O(delta) add/remove instead.
@@ -413,9 +413,8 @@ class Monitor:
     def probe_for_rule(self, rule: Rule) -> ProbeResult:
         """Probe for ``rule`` in the current expected table.
 
-        Served by the incremental engine: cache hit, cheap revalidation
-        of a stale-marked entry, or an assumption-based incremental SAT
-        solve — in that order.
+        Served by the switch's context: cache hit, cheap revalidation
+        of a stale-marked entry, or a fresh generation — in that order.
         """
         return self.probe_context.probe_for(rule)
 

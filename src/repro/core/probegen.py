@@ -30,10 +30,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.core.constraints import (
-    ConstraintCompiler,
-    IncrementalProbeEncoder,
-)
+from repro.core.constraints import ConstraintCompiler
 from repro.obs import Histogram
 from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import Match
@@ -47,7 +44,6 @@ from repro.packets.craft import (
     normalize_abstract_header,
 )
 from repro.sat.cnf import CNF
-from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import SatResult, SatSolver
 
 
@@ -59,9 +55,9 @@ class UnmonitorableReason(str, enum.Enum):
     #: primary), the catching match is incompatible with the rule's
     #: match, or the Distinguish chain folds to the constant false —
     #: wherever the probe lands without the rule, the outcome is the
-    #: same (§3.5's indistinguishable rule).  The cold engine reports
-    #: all three without a solve when the Hit ∧ Collect cube fold
-    #: decides them, which on the ACL tables is every miss.
+    #: same (§3.5's indistinguishable rule).  Generation reports all
+    #: three without a solve when the Hit ∧ Collect cube fold decides
+    #: them, which on the ACL tables is every miss.
     #: The Monitor also demotes a probe to this reason when its two
     #: outcomes differ only in what Monocle cannot observe (egress).
     UNSATISFIABLE = "unsatisfiable"
@@ -139,6 +135,7 @@ class ProbeGenerator:
     Hit ∧ Collect cube fold leaves undecided, and no solve at all for
     a probe the fold proves impossible
     (:meth:`~repro.core.constraints.ConstraintCompiler.assert_probe`).
+    A :class:`ProbeGenContext` generates through it too.
     """
 
     catch_match: Match
@@ -163,9 +160,7 @@ class ProbeGenerator:
         return result
 
     def _generate(self, table: FlowTable, rule: Rule) -> ProbeResult:
-        candidates = [
-            r for r in table.overlapping(rule.match) if r.key() != rule.key()
-        ]
+        candidates = _candidates(table, rule)
         # The §3.2 no-rewriting-reserved-fields assumption only needs to
         # hold on rules this probe can interact with.
         self._check_reserved_fields([rule] + candidates)
@@ -204,6 +199,11 @@ class ProbeGenerator:
                 )
 
 
+def _candidates(table: FlowTable, rule: Rule) -> list[Rule]:
+    """The rules of ``table`` other than ``rule`` that overlap it."""
+    return [r for r in table.overlapping(rule.match) if r.key() != rule.key()]
+
+
 def _split_candidates(
     rule: Rule, candidates: list[Rule]
 ) -> tuple[list[Rule], list[Rule]]:
@@ -221,8 +221,8 @@ def _split_candidates(
     return avoid, lower
 
 
-#: The verdict on a Distinguish chain folded to the constant false: no
-#: probe exists, and no solve ran to say so.
+#: The verdict on a probe the cube fold proves impossible: no probe
+#: exists, and no solve ran to say so.
 _FOLDED_FALSE = SatResult(satisfiable=False)
 
 
@@ -235,8 +235,8 @@ def _conclude(
     cnf_vars: int,
     cnf_clauses: int,
 ) -> ProbeResult:
-    """Shared tail of both engines: verdict -> reason, or model -> wire
-    probe -> outcomes (``compiler`` decodes the model).
+    """Verdict -> reason, or model -> wire probe -> outcomes
+    (``compiler`` decodes the model).
 
     The §5.2 substitution lemma only needs the matches the probe can
     interact with: by the §5.4 non-overlap lemma, a probe that matches
@@ -269,8 +269,8 @@ def _conclude(
         return result
 
     # Re-simulate Table 1 on the decoded probe: independent of the
-    # encoding (the incremental solver does not check its models at
-    # all), so a violation is a solver or encoder bug, not user error.
+    # encoding, so a violation is a solver or encoder bug, not user
+    # error.
     outcomes = _hit_outcomes(rule, candidates, header)
     if outcomes is None:
         raise AssertionError(
@@ -279,6 +279,10 @@ def _conclude(
     if not catch_match.matches(header):
         raise AssertionError(
             f"probe for {rule!r} misses the catching rule"
+        )
+    if not outcomes[0].distinguishable_from(outcomes[1]):
+        raise AssertionError(
+            f"probe for {rule!r} cannot tell the rule's absence"
         )
     result.ok = True
     result.header = header
@@ -365,27 +369,18 @@ def verify_probe(
 
 
 # --------------------------------------------------------------------------
-# Incremental probe generation
+# Per-switch probe generation
 # --------------------------------------------------------------------------
-
-
-#: A context re-founds its engine once the encoder caches more guards
-#: than this and than twice the live table ...
-REBUILD_FLOOR = 1024
-#: ... or once retired chains have left at least this many dead clauses
-#: in its solver, and no fewer than it has live ones.
-DEAD_CLAUSE_FLOOR = 2000
 
 
 @dataclass
 class ProbeGenContextStats:
     """Counters describing how much work the delta API avoided.
 
-    ``probes_generated`` counts generations: one incremental SAT solve
-    each, save a rule whose Distinguish chain folds to the constant
-    false, which is generated (UNSATISFIABLE) without one.
-    ``cache_hits`` and ``revalidations`` are probes served from earlier
-    generations.
+    ``probes_generated`` counts generations: one SAT solve each, save
+    a probe the Hit ∧ Collect cube fold proves impossible, which is
+    generated (UNSATISFIABLE) without one.  ``cache_hits`` and
+    ``revalidations`` are probes served from earlier generations.
     """
 
     probes_generated: int = 0
@@ -397,15 +392,13 @@ class ProbeGenContextStats:
     rules_removed: int = 0
     solver_conflicts: int = 0
     generation_seconds: float = 0.0
-    engine_rebuilds: int = 0
 
 
 class ProbeGenContext:
-    """Persistent per-switch probe-generation engine (the delta API).
+    """Per-switch probe generation behind a cache (the delta API).
 
-    Wraps one switch's expected flow table plus a persistent
-    :class:`~repro.sat.incremental.IncrementalSolver`, so that rule
-    churn costs only its delta instead of a from-scratch re-encode:
+    Wraps one switch's expected flow table, so that rule churn costs
+    only the probes it really breaks:
 
     * :meth:`add_rule` / :meth:`remove_rule` / :meth:`apply_flowmod`
       update the table and *stale-mark* exactly the cached probes whose
@@ -413,20 +406,15 @@ class ProbeGenContext:
       from cache untouched);
     * :meth:`probe_for` first tries the cache, then — for stale entries
       — a cheap simulation-based *revalidation* against the new table,
-      and only falls back to an (incremental, assumption-based) SAT
-      solve when the cached probe genuinely died.
+      and only falls back to generating the probe afresh when the
+      cached one genuinely died.
 
-    Reusable constraint pieces (match guards, DiffOutcome literals, the
-    catching match, learned lemmas, solver heuristics) persist inside
-    the solver across calls; what is specific to one probe is assumed
-    for one solve and leaves nothing behind — no per-rule solver state
-    exists to keep in step with the table.  See
-    :class:`~repro.core.constraints.IncrementalProbeEncoder`.
-
-    The configuration (catch match, in_port domain, conflict budget)
-    is borrowed from a :class:`ProbeGenerator` so the two paths are
-    interchangeable; ``validate_result`` is an optional post-generation
-    hook (the Monitor's observability demotion).
+    A generation is the borrowed :class:`ProbeGenerator`'s own: one
+    fresh, one-shot solve of what the Hit ∧ Collect cube fold leaves
+    undecided, and no solver state kept between probes.  The generator
+    also supplies the configuration (catch match, in_port domain,
+    conflict budget); ``validate_result`` is an optional
+    post-generation hook (the Monitor's observability demotion).
     """
 
     def __init__(
@@ -449,37 +437,6 @@ class ProbeGenContext:
         #: churn event stale-marks O(overlapping cache entries) instead
         #: of scanning the whole cache (mirrors ``_cache`` exactly).
         self._cache_index = TupleSpaceIndex()
-        self._fresh_engine()
-
-    def _fresh_engine(self) -> None:
-        self.solver = IncrementalSolver(HEADER.total_bits)
-        self.encoder = IncrementalProbeEncoder(
-            self.solver,
-            catch_match=self.generator.catch_match,
-            valid_in_ports=self.generator.valid_in_ports,
-        )
-
-    def _maybe_rebuild(self) -> None:
-        """The engine's one growth bound: start a fresh solver when
-        what it holds is mostly dead.
-
-        Two things die in it.  Match-guard and DiffOutcome definitions
-        are permanent (that is what makes them reusable), so a workload
-        that keeps inventing fresh matches accumulates encodings for
-        rules long deleted; and every retired Distinguish chain leaves
-        its clauses behind, satisfied forever.  Checked after deletes
-        and after every solve.  Live guards re-encode lazily on the
-        next probes; cached probe results (plain headers/outcomes, no
-        solver references) stay valid.
-        """
-        solver = self.solver
-        dead = solver.dead_clauses
-        if self.encoder.cached_guards <= max(
-            REBUILD_FLOOR, 2 * (len(self.table) + 1)
-        ) and (dead < DEAD_CLAUSE_FLOOR or dead < solver.num_clauses):
-            return
-        self._fresh_engine()
-        self.stats.engine_rebuilds += 1
 
     # ----- delta API ------------------------------------------------------
 
@@ -495,7 +452,6 @@ class ProbeGenContext:
             self.stats.rules_removed += 1
             self._evict(rule.key())
             self._invalidate(rule.match)
-            self._maybe_rebuild()
 
     def apply_flowmod(self, mod: FlowMod) -> list[Rule]:
         """Apply FlowMod semantics to the table; returns affected rules.
@@ -523,8 +479,6 @@ class ProbeGenContext:
             else:
                 self.stats.rules_added += 1
             self._invalidate(rule.match)
-        if deleting and affected:
-            self._maybe_rebuild()
         return affected
 
     def _evict(self, key: tuple[int, Match]) -> None:
@@ -559,7 +513,7 @@ class ProbeGenContext:
         """A probe for ``rule`` in the current table.
 
         Service order: exact cache hit, cheap revalidation of a
-        stale-marked hit, incremental SAT solve.
+        stale-marked hit, a fresh generation.
         """
         key = rule.key()
         cached = self._cache.get(key)
@@ -583,13 +537,6 @@ class ProbeGenContext:
             self._cache_index.add(key, *rule.match.packed())
         return result
 
-    def _candidates(self, rule: Rule) -> list[Rule]:
-        return [
-            r
-            for r in self.table.overlapping(rule.match)
-            if r.key() != rule.key()
-        ]
-
     def _revalidate(
         self, rule: Rule, cached: ProbeResult
     ) -> ProbeResult | None:
@@ -602,9 +549,9 @@ class ProbeGenContext:
         """
         if not cached.ok or cached.header is None:
             return None  # cached failures must be re-derived
-        candidates = self._candidates(rule)
-        # Same refusal as both generation paths: rules rewriting
-        # probe-reserved fields make any probe unsound (§3.2).
+        candidates = _candidates(self.table, rule)
+        # Same refusal as generation: rules rewriting probe-reserved
+        # fields make any probe unsound (§3.2).
         self.generator._check_reserved_fields([rule] + candidates)
         # Hit: the probed rule must still win for this header.
         outcomes = _hit_outcomes(rule, candidates, cached.header)
@@ -627,30 +574,10 @@ class ProbeGenContext:
         return refreshed
 
     def _generate(self, rule: Rule) -> ProbeResult:
-        """One incremental, assumption-based probe generation."""
-        start = time.perf_counter()
-        generator = self.generator
-        candidates = self._candidates(rule)
-        generator._check_reserved_fields([rule] + candidates)
-        avoid, lower = _split_candidates(rule, candidates)
-
-        with self.encoder.probe_assumptions(rule, lower, avoid) as assumed:
-            if assumed is None:
-                sat = _FOLDED_FALSE
-            else:
-                sat = self.solver.solve(
-                    assumed, max_conflicts=generator.max_conflicts
-                )
-            # Sized as solved: this probe's own chain is still in it.
-            size = (self.solver.num_vars, self.solver.num_clauses)
-        self._maybe_rebuild()
+        """One generation, counted and timed."""
+        result = self.generator.generate(self.table, rule)
         self.stats.probes_generated += 1
-        self.stats.solver_conflicts += sat.conflicts
-        result = _conclude(
-            rule, candidates, generator.catch_match, sat,
-            self.encoder.compiler, *size,
-        )
-        result.generation_time = time.perf_counter() - start
+        self.stats.solver_conflicts += result.solver_conflicts
         self.stats.generation_seconds += result.generation_time
         if self.solve_histogram is not None:
             self.solve_histogram.observe(result.generation_time)

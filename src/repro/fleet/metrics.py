@@ -132,17 +132,12 @@ class SwitchMetrics:
         agg="sum", family="monocle_updates_given_up_total", json_row=False
     )
     #: Levels at collect time (the exposition's gauges): probes in
-    #: flight, probe-cycle length, steady window occupancy, and the
-    #: probe-generation solver's live clauses and learned lemmas.
+    #: flight, probe-cycle length and steady window occupancy.
     outstanding_probes: int = _stat(
         family="monocle_outstanding_probes", json_row=False
     )
     cycle_keys: int = _stat(family="monocle_cycle_keys", json_row=False)
     window_depth: int = _stat(family="monocle_window_depth", json_row=False)
-    solver_clauses: int = _stat(
-        family="monocle_solver_clauses", json_row=False
-    )
-    solver_lemmas: int = _stat(family="monocle_solver_lemmas", json_row=False)
     #: Latency distributions the layers observe live (``None`` unless
     #: the deployment is observed; no update confirmations on a static
     #: one): schedule wait, a confirmed probe's wire time, SAT solve
@@ -409,7 +404,6 @@ def scrape_switch(
     generation = context.stats
     scheduling = monitor.scheduler.stats
     dynamic = deployment.system.dynamics.get(node)
-    solver = context.solver.health()
     return SwitchMetrics(
         node=node,
         rules_installed=len(deployment.production_rules[node]),
@@ -435,8 +429,6 @@ def scrape_switch(
         outstanding_probes=len(monitor.outstanding),
         cycle_keys=len(monitor.scheduler),
         window_depth=monitor.window_depth,
-        solver_clauses=solver["num_clauses"],
-        solver_lemmas=solver["lemma_count"],
         scheduler_wait=monitor.wait_histogram,
         probe_wire=monitor.wire_histogram,
         probegen_solve=context.solve_histogram,

@@ -90,11 +90,11 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
         # No wall-clock numbers here: reports must be byte-identical
         # across runs of the same seed (determinism checks diff them).
         lines.append(
-            f"probe generation: {metrics.probes_generated} incremental "
-            f"SAT solves, {metrics.probe_cache_hits} cache hits, "
+            f"probe generation: {metrics.probes_generated} generated, "
+            f"{metrics.probe_cache_hits} cache hits, "
             f"{metrics.probe_revalidations} revalidations "
             f"({100.0 * (served - metrics.probes_generated) / served:.0f}% "
-            "served without a solve)"
+            "served without generating)"
         )
     policies = sorted({m.probe_policy for m in metrics.per_switch})
     if policies:

@@ -118,9 +118,7 @@ class RuleChurn(Workload):
 
     An add reuses the destination address of a rule deleted earlier on
     the same switch when there is one.  Real controllers churn a
-    bounded rule population rather than an ever-growing address space,
-    and a re-added match re-uses the incremental probe engine's
-    persistent SAT encoding of it instead of paying for a fresh one.
+    bounded rule population rather than an ever-growing address space.
     """
 
     rate: float = 50.0

@@ -16,7 +16,7 @@ fixed bits agree wherever both masks care.  This test powers the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.openflow.fields import HEADER, Field, FieldName
 
@@ -148,7 +148,9 @@ class Match:
 
         Bit ``i`` of the header maps to bit ``HEADER_BITS-1-i`` of the
         integers.  Enables the one-op overlap test used by the §5.4
-        pre-filter on large tables.
+        pre-filter on large tables, and is the bridge to the SAT
+        encoding: ``Matches(P, R)`` is "``P`` agrees with ``value``
+        wherever ``mask`` is set" (paper Table 3).
         """
         if self._packed is None:
             value = 0
@@ -179,22 +181,6 @@ class Match:
             if not fm.covers(other_fm):
                 return False
         return True
-
-    def bit_constraints(self) -> Iterable[tuple[int, bool]]:
-        """Yield ``(abs_bit_index, required_value)`` for every fixed bit.
-
-        This is the bridge to the SAT encoding: ``Matches(P, R)`` is the
-        conjunction of these per-bit requirements (paper Table 3).
-        """
-        for name, fm in self._fields.items():
-            field = HEADER.field(name)
-            for bit_in_field in range(field.width):
-                bit_mask = 1 << (field.width - 1 - bit_in_field)
-                if fm.mask & bit_mask:
-                    yield (
-                        field.offset + bit_in_field,
-                        bool(fm.value & bit_mask),
-                    )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):

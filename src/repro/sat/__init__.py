@@ -13,10 +13,8 @@ pure-Python equivalent:
   if-then-else chain in linear size.
 * :mod:`repro.sat.solver` — a CDCL solver with two-watched-literal
   propagation, first-UIP clause learning, VSIDS-style activity and
-  restarts (the PicoSAT stand-in), usable one-shot or incrementally.
-* :mod:`repro.sat.incremental` — the persistent solver context:
-  assumption-based solving, clause groups with retraction, and learned
-  lemma retention across calls.
+  restarts (the PicoSAT stand-in).  Like the paper's, every probe is
+  one fresh, one-shot solve (§5, §7).
 """
 
 from repro.sat.cnf import CNF, Lit
@@ -26,7 +24,6 @@ from repro.sat.encode import (
     clause_or,
 )
 from repro.sat.solver import SatResult, SatSolver, solve
-from repro.sat.incremental import IncrementalSolver, IncrementalStats
 
 __all__ = [
     "CNF",
@@ -37,6 +34,4 @@ __all__ = [
     "SatResult",
     "SatSolver",
     "solve",
-    "IncrementalSolver",
-    "IncrementalStats",
 ]

@@ -27,11 +27,9 @@ from repro.sat.cnf import Lit
 class ClauseSink(Protocol):
     """Where encode helpers put clauses.
 
-    Satisfied structurally by :class:`~repro.sat.cnf.CNF`, by
-    :class:`~repro.sat.solver.SatSolver` and by the incremental solver
-    adapter (:class:`~repro.core.constraints.SolverSink`), so the same
-    helpers target a formula container, the solver about to run, or a
-    persistent solver context.
+    Satisfied structurally by :class:`~repro.sat.cnf.CNF` and by
+    :class:`~repro.sat.solver.SatSolver`, so the same helpers target a
+    formula container or the solver about to run.
     """
 
     def new_var(self) -> int: ...
@@ -96,8 +94,8 @@ def assert_if_chain(
         q_{k-1} & !g_k -> q_k        (the prefix stays all-false)
         q_n -> else                  (no guard fired)
 
-    ``cnf`` only needs ``new_var``/``add_clause``, so incremental
-    solver adapters work as well as a plain :class:`CNF`.
+    ``cnf`` only needs ``new_var``/``add_clause``, so the solver about
+    to run works as well as a plain :class:`CNF`.
     """
     prev_q: Lit | None = None  # None encodes the constant-true prefix
     for guard, value in branches:

@@ -16,9 +16,9 @@ literals, learned lemmas included; a variable enters it the first time
 such a clause is stored, not when it is allocated.  Search ends when
 the heap runs dry: every candidate is then assigned, propagation found
 no conflict, so every stored clause is satisfied.  A variable nothing
-stored names (only units or assumptions, or nothing at all, ever
-mention it) is never decided and reports its saved phase in the model,
-which is exactly what a decision at its own level would have assigned.
+stored names (only units, or nothing at all, ever mention it) is never
+decided and reports its saved phase in the model, which is exactly
+what a decision at its own level would have assigned.
 Entries are lazy — an assigned variable's entry is dropped when popped
 and pushed again when the variable is unwound — so a satisfiable solve,
 which drains the heap, leaves at most one entry per variable behind.
@@ -27,16 +27,13 @@ The solver is deliberately self-contained (lists of ints, no numpy) so
 its behaviour is easy to audit and to cross-check against the
 brute-force reference the tests carry.
 
-Beyond the one-shot `solve(cnf)` entry point, the solver supports
-*incremental* use — the substrate of the per-switch probe-generation
-context (:mod:`repro.sat.incremental`):
-
-* clauses may be added between `solve` calls (:meth:`add_clause`),
-* assumptions are asserted as their own decision levels (the MiniSat
-  discipline), so every learned clause is implied by the clause
-  database alone and can safely be kept across calls,
-* the trail is rewound to level 0 after every call, leaving only
-  formula-implied assignments behind.
+Probe generation runs it one-shot, the way the paper runs PicoSAT
+(§7): an encoder writes one probe's formula straight into a fresh
+solver, which solves it once.  Every model it returns is checked
+against every clause.  Clauses may still be added between `solve`
+calls: the trail is rewound to level 0 after every call, leaving only
+formula-implied facts behind, and learned clauses stay implied by the
+database.
 """
 
 from __future__ import annotations
@@ -94,18 +91,7 @@ class SatSolver:
     formula straight into the solver that is about to run it.
     """
 
-    def __init__(
-        self,
-        cnf: CNF,
-        check_models: bool = True,
-    ) -> None:
-        #: Run the O(database) defensive model check on every SAT
-        #: answer.  Incremental callers whose results are verified
-        #: independently (probe generation re-simulates Table 1 on the
-        #: decoded model) disable it: on a persistent clause database
-        #: the scan costs more than the solve it double-checks.
-        self.check_models = check_models
-
+    def __init__(self, cnf: CNF) -> None:
         self.num_vars = 0
         #: Clauses handed to :meth:`add_clause` so far (units, satisfied
         #: and tautological ones included; learned lemmas are not).
@@ -113,9 +99,6 @@ class SatSolver:
         # Clause database: list of literal lists.  Original clauses and
         # learned clauses share it; learned ones are appended.
         self.clauses: list[list[int]] = []
-        #: Indices into :attr:`clauses` holding learned (non-unit)
-        #: lemmas (:meth:`learned_clauses`).
-        self.learned_idx: list[int] = []
         self._contradiction = False
         #: Unit clauses not yet asserted on the trail (consumed by solve).
         self._pending_units: list[int] = []
@@ -163,7 +146,7 @@ class SatSolver:
                 out.append(lit)
         return out
 
-    def _store(self, clause: list[int]) -> int:
+    def _store(self, clause: list[int]) -> None:
         """Put a clause of two or more literals in the database.
 
         Its first two literals are watched, and every variable it names
@@ -180,9 +163,8 @@ class SatSolver:
             if not branchable[var]:
                 branchable[var] = True
                 heapq.heappush(self._heap, (-self.activity[var], var))
-        return idx
 
-    # ----- incremental interface ----------------------------------------
+    # ----- building the formula -----------------------------------------
 
     def ensure_num_vars(self, count: int) -> None:
         """Grow the variable space to at least ``count`` variables."""
@@ -201,10 +183,6 @@ class SatSolver:
         """Allocate a fresh variable and return its (positive) index."""
         self.ensure_num_vars(self.num_vars + 1)
         return self.num_vars
-
-    def learned_clauses(self) -> list[list[int]]:
-        """The non-unit lemmas currently in the database."""
-        return [self.clauses[idx] for idx in self.learned_idx]
 
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Append one clause to the database.
@@ -324,10 +302,8 @@ class SatSolver:
         """First-UIP analysis.
 
         Returns (learned_clause, backjump_level) with the asserting
-        literal first in the learned clause.  Because assumptions are
-        decisions, the learned clause is always a resolvent of database
-        clauses — implied by the formula alone — so keeping it across
-        `solve` calls with different assumptions is sound.
+        literal first in the learned clause, a resolvent of database
+        clauses: implied by the formula alone.
         """
         level = len(self.trail_lim)
         seen = [False] * (self.num_vars + 1)
@@ -414,35 +390,18 @@ class SatSolver:
 
     # ----- main loop -------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Sequence[int] = (),
-        max_conflicts: int | None = None,
-    ) -> SatResult:
+    def solve(self, max_conflicts: int | None = None) -> SatResult:
         """Run the CDCL loop.
 
         Args:
-            assumptions: literals asserted for this call only.  Each is
-                given its own decision level (the MiniSat discipline) so
-                learned clauses remain valid when the assumptions change
-                on the next call.  An assumption on a variable the
-                solver has not seen grows the variable space.
             max_conflicts: optional conflict budget; exceeding it returns
                 ``satisfiable=None``.
 
         The solver backtracks to decision level 0 before returning, so
         it can be reused: clauses added and lemmas learned in earlier
-        calls are retained; assumption effects are not.
-
-        Raises:
-            ValueError: if an assumption is the literal 0.
+        calls are retained.
         """
         stats = self.stats = SatResult(satisfiable=None)
-        assumption_list = list(assumptions)
-        if assumption_list:
-            if 0 in assumption_list:
-                raise ValueError("0 is not a valid literal")
-            self.ensure_num_vars(max(map(abs, assumption_list)))
         if self._contradiction:
             stats.satisfiable = False
             return stats
@@ -502,7 +461,7 @@ class SatSolver:
                 trail.append(lit)
                 if len(learned) > 1:
                     self.reasons[var] = learned
-                    self.learned_idx.append(self._store(learned))
+                    self._store(learned)
                     stats.learned_clauses += 1
                 self.act_inc /= self.act_decay
                 # Resume propagation AT the literal just asserted — it has
@@ -516,33 +475,6 @@ class SatSolver:
                     )
                     self._backjump(0)
                     queue_start = 0
-                continue
-
-            # Assert the next assumptions, one decision level each.  As
-            # with decisions below, one nothing watches cannot propagate,
-            # so the next follows without a propagation pass.
-            level = len(trail_lim)
-            if level < len(assumption_list):
-                for lit in assumption_list[level:]:
-                    var = abs(lit)
-                    queue_start = len(trail)
-                    # Already-true assumptions get a dummy level so that
-                    # assumption index == decision level stays invariant.
-                    trail_lim.append(queue_start)
-                    if not values[var]:
-                        values[var] = 1 if lit > 0 else -1
-                        levels[var] = len(trail_lim)
-                        phase[var] = lit > 0
-                        trail.append(lit)
-                        if watches.get(-lit):
-                            break
-                    elif (values[var] > 0) != (lit > 0):
-                        # Incompatible with the formula or an earlier
-                        # assumption: UNSAT *under these assumptions* only.
-                        stats.satisfiable = False
-                        break
-                if stats.satisfiable is False:
-                    break
                 continue
 
             # Branch on the most active unassigned candidate, in its
@@ -570,8 +502,7 @@ class SatSolver:
                     var: values[var] > 0 if values[var] else phase[var]
                     for var in range(1, self.num_vars + 1)
                 }
-                if self.check_models:
-                    self._assert_model(assignment)
+                self._assert_model(assignment)
                 stats.satisfiable = True
                 stats.assignment = assignment
                 break
@@ -600,6 +531,6 @@ class SatSolver:
                 )
 
 
-def solve(cnf: CNF, **kwargs) -> SatResult:
+def solve(cnf: CNF) -> SatResult:
     """One-shot convenience wrapper: build a solver and run it."""
-    return SatSolver(cnf, **kwargs).solve()
+    return SatSolver(cnf).solve()

@@ -27,8 +27,11 @@ def decode(compiler, result):
 
 class TestMatchesEncoding:
     def test_assert_matches_forces_field(self):
+        # A match folded into the cube never reaches the formula:
+        # decoding overlays its bits on the model.
         compiler = ConstraintCompiler()
-        compiler.assert_matches(Match.build(nw_src=0x0A000001))
+        assert compiler.fix(*Match.build(nw_src=0x0A000001).packed())
+        assert compiler.cnf.num_clauses == 0
         values = decode(compiler, solve(compiler.cnf))
         assert values[FieldName.NW_SRC] == 0x0A000001
 
@@ -52,7 +55,8 @@ class TestMatchesEncoding:
 
     def test_prefix_match_constrains_only_prefix(self):
         compiler = ConstraintCompiler()
-        compiler.assert_matches(Match.build(nw_dst=(0x0A000000, 8)))
+        assert compiler.fix(*Match.build(nw_dst=(0x0A000000, 8)).packed())
+        assert compiler.cube_mask.bit_count() == 8
         values = decode(compiler, solve(compiler.cnf))
         assert (values[FieldName.NW_DST] >> 24) == 0x0A
 
@@ -64,8 +68,8 @@ class TestMatchesEncoding:
 
     def test_value_in_conflicts_with_match(self):
         compiler = ConstraintCompiler()
-        compiler.assert_matches(Match.build(in_port=7))
-        compiler.assert_value_in(FieldName.IN_PORT, [3, 5])
+        assert compiler.fix(*Match.build(in_port=7).packed())
+        assert not compiler.assert_value_in(FieldName.IN_PORT, [3, 5])
         assert solve(compiler.cnf).satisfiable is False
 
 
@@ -217,13 +221,16 @@ class TestDiffRewrite:
     def test_probe_with_tos_equal_rewrite_is_excluded(self):
         # The strawman from §3.2: probe already carrying ToS=voice can't
         # witness rewrite(ToS<-voice) vs no-rewrite.
+        rewriting = self.rule(output(1, nw_tos=0x2A))
+        plain = self.rule(output(1))
         compiler = ConstraintCompiler()
-        lit = compiler.diff_outcome(
-            self.rule(output(1, nw_tos=0x2A)), self.rule(output(1))
-        )
-        compiler.assert_matches(Match.build(nw_tos=0x2A))
-        compiler.cnf.add_unit(lit)
-        assert solve(compiler.cnf).satisfiable is False
+        compiler.cnf.add_unit(compiler.diff_outcome(rewriting, plain))
+        values = decode(compiler, solve(compiler.cnf))
+        assert values[FieldName.NW_TOS] != 0x2A
+        # With the probe's ToS fixed to voice, the term is decided.
+        compiler = ConstraintCompiler()
+        assert compiler.fix(*Match.build(nw_tos=0x2A).packed())
+        assert compiler.diff_outcome(rewriting, plain) is False
 
     def test_ecmp_rewrite_needs_all_common_ports(self):
         from repro.openflow.actions import ActionList, EcmpGroup, SetField
@@ -271,17 +278,20 @@ def quarter_table(seed):
     return table
 
 
-def quarter_headers():
-    """One header per (nw_src, nw_dst) quarter pair; every other field
-    is fixed, to values the catching rule matches."""
+def quarter_headers(in_ports=(0,)):
+    """One header per (nw_src, nw_dst) quarter pair and ``in_port``;
+    every other field is fixed, to values the catching rule
+    matches."""
     base = {name: 0 for name in HEADER.names()}
     base.update({FieldName.DL_TYPE: 0x800, FieldName.DL_VLAN: 0xF03})
     for src, dst in itertools.product(range(4), repeat=2):
-        yield {
-            **base,
-            FieldName.NW_SRC: src << 30,
-            FieldName.NW_DST: dst << 30,
-        }
+        for in_port in in_ports:
+            yield {
+                **base,
+                FieldName.IN_PORT: in_port,
+                FieldName.NW_SRC: src << 30,
+                FieldName.NW_DST: dst << 30,
+            }
 
 
 def chain_kind(table, rule):
@@ -312,7 +322,7 @@ class TestDistinguishChain:
             match=Match.build(nw_src=src, nw_dst=dst),
             actions=output(1),
         )
-        compiler.assert_matches(rprobed.match)
+        assert compiler.fix(*rprobed.match.packed())
         assert compiler.assert_distinguish(rprobed, [rlower, rlowest])
         return compiler
 
@@ -329,8 +339,8 @@ class TestDistinguishChain:
         rhigh = Rule(
             priority=10, match=Match.build(nw_src=1), actions=output(1)
         )
-        compiler.assert_matches(rhigh.match)
-        compiler.assert_distinguish(rhigh, [rlow])
+        assert compiler.fix(*rhigh.match.packed())
+        assert not compiler.assert_distinguish(rhigh, [rlow])
         assert solve(compiler.cnf).satisfiable is False
 
     def test_fold_drops_the_tail_that_repeats_the_else_value(self):
@@ -422,10 +432,18 @@ class TestDistinguishChain:
         assert kinds == {"true", "false", "live"}
 
 
+#: The in_port domain of the ``ports_*`` fold cases: 4..7 share every
+#: bit but the two lowest, which ``PORTS_PREFIX`` leaves open.
+PORTS = (4, 5, 6, 7)
+PORTS_PREFIX = (4, 14)
+
+
 def fold_case_table(case, seed):
     """``(table, probed rule)``: a seeded quarter table (priorities
     1..5) with a probed rule at priority 8 and the rule that makes
-    ``case`` of the cube fold happen next to it."""
+    ``case`` of the cube fold happen next to it.  A ``ports_*`` case's
+    rule matches nothing but an ``in_port`` prefix covering
+    ``PORTS``."""
     rng = random.Random(seed)
     table = quarter_table(seed)
     src, dst = rng.randrange(4), rng.randrange(4)
@@ -447,6 +465,13 @@ def fold_case_table(case, seed):
         # Covers the probed rule but for dl_vlan, where only the
         # catching match sets the probe apart from it.
         table.install(Rule(9, Match.build(dl_vlan=5, **src_only), drop()))
+    ports_only = Match.build(in_port=PORTS_PREFIX)
+    if case == "ports_higher_covers":
+        table.install(Rule(9, ports_only, output(3 - port)))
+    elif case == "ports_lower_covers_equal":
+        table.install(Rule(7, ports_only, output(port)))
+    elif case == "ports_lower_covers_different":
+        table.install(Rule(7, ports_only, output(3 - port)))
     return table, probed
 
 
@@ -454,7 +479,9 @@ class TestCubeFold:
     """Hit ∧ Collect folded into one cube before anything is encoded,
     held to Table 1 by exhaustive search over the 16 quarter headers
     (as ``test_verdicts_match_exhaustive_search``), once per fold
-    case on seeded tables."""
+    case on seeded tables.  The ``ports_*`` cases generate under the
+    in_port domain ``PORTS``, whose shared bits join the cube, and
+    search the quarter headers once per allowed port."""
 
     @pytest.mark.parametrize(
         "case, verdict, solved",
@@ -464,6 +491,9 @@ class TestCubeFold:
             ("lower_covers_equal", False, False),
             ("lower_covers_different", True, True),
             ("catch_disjoint", None, None),
+            ("ports_higher_covers", False, False),
+            ("ports_lower_covers_equal", False, False),
+            ("ports_lower_covers_different", True, True),
         ],
     )
     def test_verdicts_match_exhaustive_search(
@@ -477,14 +507,15 @@ class TestCubeFold:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(SatSolver, "solve", counted)
+        ports = PORTS if case.startswith("ports_") else None
         found = set()
         for seed in range(12):
             table, probed = fold_case_table(case, seed)
             exists = any(
                 verify_probe(table, probed, header, CATCH)[0]
-                for header in quarter_headers()
+                for header in quarter_headers(ports or (0,))
             )
-            cold = ProbeGenerator(catch_match=CATCH)
+            cold = ProbeGenerator(catch_match=CATCH, valid_in_ports=ports)
             context = ProbeGenContext(cold, table=table.copy())
             del solves[:]
             result = cold.generate(table, probed)
@@ -494,6 +525,8 @@ class TestCubeFold:
                 if got.ok:
                     valid, why = verify_probe(table, probed, got.header, CATCH)
                     assert valid, why
+                    if ports:
+                        assert got.header[FieldName.IN_PORT] in ports
             found.add(exists)
             if verdict is not None:
                 assert exists is verdict, seed
@@ -503,6 +536,14 @@ class TestCubeFold:
                 # the rules below it are never encoded, and the ones
                 # above it contradict or are implied by the cube.
                 assert result.cnf_clauses == 0, seed
+            if case == "ports_lower_covers_different":
+                # Likewise: what is left is the domain's open bits.
+                (cover,) = [r for r in table.rules() if r.priority == 7]
+                alone = FlowTable()
+                alone.install(probed)
+                alone.install(cover)
+                bare = cold.generate(alone, probed)
+                assert result.cnf_clauses == bare.cnf_clauses > 0, seed
             if case == "catch_disjoint":
                 # The rule covering all but the catch bits overlaps
                 # the probed rule, so it is a candidate; the cube

@@ -232,8 +232,8 @@ class TestRingIntegration:
 
     def test_churn_drives_the_incremental_engine(self):
         """Fleet churn must exercise the delta API end-to-end: rules
-        added/removed through the context, probes regenerated
-        incrementally, and the steady-state cycle served from cache."""
+        added/removed through the context, only the probes they break
+        regenerated, and the steady-state cycle served from cache."""
         churn = RuleChurn(rate=60.0)
         result = run_scenario(
             _ring4_spec(
@@ -245,7 +245,7 @@ class TestRingIntegration:
         # Churn FlowMods flowed through ProbeGenContext.apply_flowmod.
         assert stats.rules_added > 0
         assert stats.invalidations > 0
-        # New/changed rules forced real incremental solves...
+        # New/changed rules forced real generations...
         assert stats.probes_generated > 0
         # ...while the steady-state cycle re-used cached probes.
         assert stats.cache_hits > stats.probes_generated

@@ -26,9 +26,10 @@ a handful of Python-level calls and builds no per-layer header object.
 And one small ``churn_fleet``: two islands of 8 switches x 8 disjoint
 rules under a 400 FlowMods/s add/modify/delete stream, every update
 confirmed dynamically.  ``CHURN_PINS`` was recorded on the commit
-*before* a probe's constraints became assumptions; the guard beside it
-holds that change: a regenerated probe adds no clause group and no
-clause to its switch's solver, and costs exactly one core solve.
+*before* a probe's constraints became assumptions over a persistent
+per-switch solver, and held when that solver was deleted again; the
+guard beside it holds what a regeneration costs: one fresh instance,
+the same as the first, and exactly one core solve.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import pytest
 import repro.core.monitor
 import repro.packets.craft
 import repro.packets.parse
+from repro.core.constraints import ConstraintCompiler
 from repro.core.monitor import MonitorConfig
 from repro.core.probegen import ProbeGenerator
 from repro.fleet.deployment import FleetDeployment
@@ -417,39 +419,44 @@ def test_lossy_channel_still_plans_every_message(calls):
     assert planned == calls["plan"].count > 1000
 
 
-def test_regenerated_probe_adds_nothing_and_solves_once(calls):
-    """The write path's guard.  On disjoint rules a probe's whole
-    constraint is its Hit bits and the negated guard of the catching
-    rule above it, all assumed: once a switch's guards are defined its
-    solver never grows again, whatever the FlowMod stream does."""
+def test_regenerated_probe_adds_nothing_and_solves_once(calls, monkeypatch):
+    """The write path's guard.  Every generation is one fresh instance,
+    the switches' contexts' and DynamicMonitor's modification probes
+    alike, and costs exactly one core solve unless the cube fold
+    decides it first.  On disjoint rules a regenerated probe is the
+    instance and the probe its first generation was, whatever the
+    FlowMod stream did in between."""
+    folded = []
+    assert_probe = ConstraintCompiler.assert_probe
+
+    def recording(self, *args, **kwargs):
+        live = assert_probe(self, *args, **kwargs)
+        folded.append(not live)
+        return live
+
+    monkeypatch.setattr(ConstraintCompiler, "assert_probe", recording)
     deployment, churn = run_churn()
     assert churn_facts(deployment, churn) == CHURN_PINS
-    # One core solve per probe: the contexts' and the cold generator's
-    # (DynamicMonitor's modification probes), none answered from a memo.
+    # One core solve per generation the fold leaves undecided, none
+    # answered from a memo.
     stats = deployment.probegen_stats()
-    cold = calls["generate"].count
-    assert cold > 0
-    assert calls["solve"].count == stats.probes_generated + cold
+    generations = calls["generate"].count
+    assert generations > stats.probes_generated  # modification probes
+    assert len(folded) == generations
+    assert calls["solve"].count == generations - sum(folded)
     assert stats.probes_generated > 2 * 16 * 8  # mostly regeneration
-    generated = 0
     for node in deployment.nodes:
         monitor = deployment.monitor(node)
         context = monitor.probe_context
-        solver = context.solver
-        assert solver.stats.groups_created == 0
-        assert not solver._groups and not solver._group_vars
-        assert solver.stats.solves == context.stats.probes_generated
-        generated += solver.stats.solves
-        # Permanent definitions alone: the catching match, the in_port
-        # domain, and one guard per match ever placed above a probe.
-        assert solver.num_clauses == solver._solver.num_clauses
-        assert solver.dead_clauses == 0
-        size = (solver.num_vars, solver.num_clauses)
+        rules = [context.table.get(*key) for key in monitor.scheduler.keys()]
+        served = [context.probe_for(rule) for rule in rules]
         context._cache.clear()
-        for key in monitor.scheduler.keys():  # the rules it probes
-            assert context.probe_for(context.table.get(*key)).ok
-        assert (solver.num_vars, solver.num_clauses) == size
-    assert generated == stats.probes_generated
+        for rule, first in zip(rules, served):
+            again = context.probe_for(rule)
+            assert again.ok
+            assert (again.header, again.cnf_vars, again.cnf_clauses) == (
+                first.header, first.cnf_vars, first.cnf_clauses
+            )
 
 
 if __name__ == "__main__":  # record PINS: python tests/test_hot_path_counts.py

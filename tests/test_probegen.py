@@ -294,8 +294,10 @@ class TestStatsAndBudget:
 
 
 class TestTransientChain:
-    """What is specific to one probe is assumed for one solve: no clause
-    group outlives ``probe_for``, however the solve ends."""
+    """A probe's constraints live in the solver of its one generation:
+    the context generates exactly as the cold generator does, and
+    nothing of one probe outlives ``probe_for``, however the solve
+    ends."""
 
     def _context(self, *rules, **config):
         context = ProbeGenContext(generator(**config))
@@ -330,17 +332,20 @@ class TestTransientChain:
         return hot, below, above, floor
 
     @staticmethod
-    def _assert_no_group_left(context, created):
-        solver = context.solver
-        assert solver.stats.groups_created == created
-        assert solver.stats.groups_retired == created
-        assert not solver._groups and not solver._group_vars
-        # What is left is the permanent definitions alone: every other
-        # clause the core holds is dead, or a selector's retiring unit.
-        core = solver._solver
-        assert core.num_clauses == (
-            solver.num_clauses + solver.dead_clauses + created
+    def _assert_cold(context, result):
+        """``result`` is what the cold generator returns for its rule
+        on the context's table: the same verdict, probe and instance."""
+        cold = ProbeGenerator(
+            catch_match=CATCH,
+            max_conflicts=context.generator.max_conflicts,
+        ).generate(context.table, result.rule)
+        assert (result.ok, result.reason, result.header) == (
+            cold.ok, cold.reason, cold.header
         )
+        assert (result.cnf_vars, result.cnf_clauses) == (
+            cold.cnf_vars, cold.cnf_clauses
+        )
+        assert result.solver_conflicts == cold.solver_conflicts
 
     def test_satisfiable_solve_retires_its_chain(self):
         context = self._context(*self._rules())
@@ -349,10 +354,7 @@ class TestTransientChain:
         assert result.ok
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
-        self._assert_no_group_left(context, created=1)
-        # The instance is sized as solved: its chain, a true branch
-        # over a false one, was three clauses.
-        assert result.cnf_clauses == context.solver.num_clauses + 3
+        self._assert_cold(context, result)
 
     def test_unsatisfiable_solve_retires_its_chain(self):
         # A drop rule over a drop that covers it: the forwarding /16
@@ -367,7 +369,7 @@ class TestTransientChain:
         context = self._context(hot, below, above, floor, drain)
         result = context.probe_for(below)
         assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        self._assert_no_group_left(context, created=1)
+        self._assert_cold(context, result)
 
     def test_constant_true_chain_opens_no_group(self):
         # A forwarding rule over a drop and the table miss: every
@@ -377,29 +379,25 @@ class TestTransientChain:
         result = context.probe_for(hot)
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
-        self._assert_no_group_left(context, created=0)
+        self._assert_cold(context, result)
 
     def test_constant_false_chain_skips_its_solve(self, monkeypatch):
         # A drop rule with only the table miss below it: present and
         # absent both drop, whatever the probe — no engine solves.
         from repro.sat.solver import SatSolver
 
-        hot, below, above, _floor = self._rules()
-        context = self._context(hot, below, above)
-        solves = context.solver.stats.solves
-        result = context.probe_for(below)
-        assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        assert context.solver.stats.solves == solves
-        assert context.stats.probes_generated == 1
-        self._assert_no_group_left(context, created=0)
-
         def no_solve(*args, **kwargs):
             raise AssertionError("a folded chain was solved")
 
         monkeypatch.setattr(SatSolver, "solve", no_solve)
+        hot, below, above, _floor = self._rules()
+        context = self._context(hot, below, above)
+        result = context.probe_for(below)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        assert context.stats.probes_generated == 1
         result = generator().generate(context.table, below)
         assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        # The §3.2 refusal still comes first, in both engines.
+        # The §3.2 refusal still comes first, in both paths.
         rewriting = hot.with_actions(output(4, dl_vlan=7))
         refused = self._context(rewriting, below, above)
         with pytest.raises(ValueError, match="probe-reserved"):
@@ -408,27 +406,27 @@ class TestTransientChain:
             generator().generate(refused.table, below)
 
     def test_exhausted_budget_retires_its_chain(self):
-        # The two halves of the probed /8 forward as it does, so the
-        # chain's propagation alone runs into a conflict.
+        # The four quarters of the probed /8 forward as it does, so no
+        # probe exists, and the solver must branch to find that out.
         hot = self._rules()[0]
-        halves = [
+        quarters = [
             Rule(
                 priority=50 - i,
-                match=Match.build(nw_dst=(0x0A000000 + (i << 23), 9)),
+                match=Match.build(nw_dst=(0x0A000000 + (i << 22), 10)),
                 actions=output(2),
             )
-            for i in range(2)
+            for i in range(4)
         ]
-        context = self._context(hot, *halves, max_conflicts=0)
+        context = self._context(hot, *quarters, max_conflicts=0)
         result = context.probe_for(hot)
         assert result.reason is UnmonitorableReason.BUDGET_EXCEEDED
         assert result.solver_conflicts == 1
-        self._assert_no_group_left(context, created=1)
+        self._assert_cold(context, result)
         # With a budget the same instance is a proof, not a timeout.
-        patient = self._context(hot, *halves)
+        patient = self._context(hot, *quarters)
         result = patient.probe_for(hot)
         assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        self._assert_no_group_left(patient, created=1)
+        self._assert_cold(patient, result)
 
     def test_refused_table_opens_no_group(self):
         hot, below, above, floor = self._rules()
@@ -437,7 +435,7 @@ class TestTransientChain:
         )
         with pytest.raises(ValueError, match="probe-reserved"):
             context.probe_for(hot)
-        self._assert_no_group_left(context, created=0)
+        assert context.stats.probes_generated == 0
 
     def test_chain_is_retired_when_emission_raises(self, monkeypatch):
         import repro.core.constraints as constraints
@@ -453,30 +451,32 @@ class TestTransientChain:
         monkeypatch.setattr(constraints, "assert_if_chain", half_emitted)
         with pytest.raises(RuntimeError, match="mid-emission"):
             context.probe_for(hot)
-        self._assert_no_group_left(context, created=1)
         # The half-emitted chain binds nothing: the next solve is sound.
         monkeypatch.setattr(constraints, "assert_if_chain", emit)
         result = context.probe_for(hot)
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
-        self._assert_no_group_left(context, created=2)
+        self._assert_cold(context, result)
 
     def test_regenerated_probe_without_lower_overlap_adds_nothing(self):
-        # Rules to avoid are negated guards, a forwarding rule over the
-        # table miss has no chain: once the guards exist, a re-solve
-        # leaves the solver exactly as large as it found it.
+        # Rules to avoid are one residual clause each, a forwarding
+        # rule over the table miss has no chain: every regeneration on
+        # the same table is the same instance and the same probe.
         hot, _below, above, _floor = self._rules()
         context = self._context(hot, above)
-        assert context.probe_for(hot).ok
-        size = (context.solver.num_vars, context.solver.num_clauses)
+        first = context.probe_for(hot)
+        assert first.ok
         for _ in range(3):
             context._cache.clear()  # force a real solve on the same table
             result = context.probe_for(hot)
             valid, why = verify_probe(context.table, hot, result.header, CATCH)
             assert valid, why
+            assert result.header == first.header
+            assert (result.cnf_vars, result.cnf_clauses) == (
+                first.cnf_vars, first.cnf_clauses
+            )
         assert context.stats.probes_generated == 4
-        assert (context.solver.num_vars, context.solver.num_clauses) == size
-        self._assert_no_group_left(context, created=0)
+        self._assert_cold(context, result)
 
     def test_resolve_follows_a_lower_rules_new_actions(self):
         hot, below, above, floor = self._rules()
@@ -491,7 +491,7 @@ class TestTransientChain:
         assert not below.match.matches(result.header)
         valid, why = verify_probe(context.table, hot, result.header, CATCH)
         assert valid, why
-        self._assert_no_group_left(context, created=2)
+        self._assert_cold(context, result)
 
 
 class TestEqualPriorityOverlap:
@@ -565,10 +565,21 @@ class TestEqualPriorityOverlap:
 class TestBranchingHeapBound:
     """Regression: the core solver's lazy branching heap grew by one
     stale entry per unwound variable per solve (~34,000 entries on 512
-    variables after a 256-probe cycle) until a compaction happened to
-    rebuild the solver.  A satisfiable solve now drains it."""
+    variables after a 256-probe cycle) while one solver served every
+    probe of a switch.  A satisfiable solve now drains it."""
 
-    def test_heap_bounded_by_the_variable_count(self):
+    def test_heap_bounded_by_the_variable_count(self, monkeypatch):
+        from repro.sat.solver import SatSolver
+
+        sizes = []
+        original = SatSolver.solve
+
+        def recording(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
+            sizes.append((len(self._heap), self.num_vars))
+            return result
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
         # A fleet switch's shape: a neighbour's catching rule on top of
         # every host rule, and an in_port domain.
         context = ProbeGenContext(generator(valid_in_ports=(1, 2)))
@@ -585,14 +596,8 @@ class TestBranchingHeapBound:
                 context.add_rule(hidden)
                 shadowed.append(hidden)
 
-        def heap_and_vars():
-            core = context.solver._solver
-            return len(core._heap), core.num_vars
-
         for rule in probed:
             assert context.probe_for(rule).ok
-            entries, num_vars = heap_and_vars()
-            assert entries <= num_vars
         assert context.stats.probes_generated == 300
 
         for _ in range(10):
@@ -601,5 +606,5 @@ class TestBranchingHeapBound:
                 result = context.probe_for(rule)
                 assert result.reason is UnmonitorableReason.UNSATISFIABLE
         assert context.probe_for(probed[0]).ok
-        entries, num_vars = heap_and_vars()
-        assert entries <= num_vars
+        assert len(sizes) >= 300
+        assert all(entries <= num_vars for entries, num_vars in sizes)

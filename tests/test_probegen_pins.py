@@ -30,16 +30,20 @@ steps (the shape of ``bench``'s churn steps).
   bits: those bits no longer enter the instance, the rules the cube
   decides leave it, and every miss of these samples is decided before
   a solve.
+* ``context`` and ``context_cost`` were re-recorded, and neither cold
+  pin moved, when the persistent per-switch solver was deleted: the
+  context now generates with the cold engine, so its models and its
+  instances are the cold engine's on the table of each step.
 
 What makes a re-recorded probe right is ``verify_probe`` against the
 table as it stood at that step: every ``ok`` probe of both engines when
 recording, a seeded quarter of the context's in tier-1.
 
 The decision-count tests hold the mechanism itself: a cold ACL probe
-is a handful of branching decisions, and a conflict-free incremental
-solve never makes more decisions than its stored clauses name
-variables — a later change that puts every allocated variable back on
-the branching heap fails here, in tier-1, not in a benchmark.
+is a handful of branching decisions, and a conflict-free solve never
+makes more decisions than its stored clauses name variables — a later
+change that puts every allocated variable back on the branching heap
+fails here, in tier-1, not in a benchmark.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from repro.openflow.actions import output
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.sat.solver import SatSolver
-from test_constraints import chain_kind
 
 CATCH = Match.build(dl_vlan=0xF03)
 SEED = 7
@@ -71,18 +74,19 @@ PINS: dict[str, dict[str, str]] = {
     "stanford": {
         "cold": "be91448435b56c00",
         "cold_cost": "c3a4bdb040af9689",
-        "context": "ffc4c46316119618",
-        "context_cost": "f86e60d8b0c65621",
+        "context": "cdeb14c7a6c2f8f5",
+        "context_cost": "18433d22830a56b4",
     },
     "campus": {
         "cold": "e10e54dcbf1e898f",
         "cold_cost": "0f4b3c0b74ec05ed",
-        "context": "e2b002aa9db0dd42",
-        "context_cost": "edabd6947b248667",
+        "context": "0f243a5b9fce1d9e",
+        "context_cost": "4d63e664baf4dc81",
     },
 }
 #: Conflicts the context's 140 solves met per table while a probe's
-#: constraints were stored per-rule clause groups.
+#: constraints were stored per-rule clause groups in a persistent
+#: solver.
 PARENT_CONFLICTS = {"stanford": 26, "campus": 7}
 #: Table 2's "probes found": the share of sampled rules the cold
 #: generator must find a probe for (the paper's 0.89 / 0.97; these
@@ -134,15 +138,13 @@ def context_results(context, rules, verified: float):
     and ask again for every rule the FlowMod touched.  A seeded share
     ``verified`` of the ``ok`` probes goes through ``verify_probe``
     there and then, against the table as that step left it.  Returns
-    the results and each one's folded chain kind at that step."""
+    the results."""
     rng = random.Random(SEED)
     results: list = []
-    kinds: list[str] = []
 
     def probe(rule):
         result = context.probe_for(rule)
         results.append(result)
-        kinds.append(chain_kind(context.table, rule))
         if result.ok and rng.random() < verified:
             valid, why = verify_probe(
                 context.table, rule, result.header, CATCH
@@ -163,7 +165,7 @@ def context_results(context, rules, verified: float):
         )
         for touched in affected:
             probe(touched)
-    return results, kinds
+    return results
 
 
 def new_context(table) -> ProbeGenContext:
@@ -207,23 +209,19 @@ def test_cold_probes_are_the_pinned_ones(sample, solves):
 def test_context_probes_are_the_pinned_ones(sample, solves):
     name, table, rules = sample
     context = new_context(table)
-    results, kinds = context_results(context, rules, verified=0.25)
+    results = context_results(context, rules, verified=0.25)
     assert digest(results, what_it_is) == PINS[name]["context"]
     assert digest(results, what_it_cost) == PINS[name]["context_cost"]
-    # One core solve per probe generated, none answered from a memo,
-    # save where the chain folds to the constant false: no solve there.
+    # One core solve per probe generated and found, none answered from
+    # a memo: the cube fold decides every miss before a solve.
     assert len(results) == SAMPLE + CHURN
-    assert len(solves) == len(results) - kinds.count("false")
+    assert context.stats.probes_generated == len(results)
+    assert len(solves) == sum(result.ok for result in results)
     for result, named in solves:
         assert result.conflicts or result.decisions <= named
     conflicts = sum(result.conflicts for result, _ in solves)
     assert conflicts == context.stats.solver_conflicts
     assert conflicts <= PARENT_CONFLICTS[name]
-    # A clause group per chain the fold leaves live, and none of them
-    # left behind.
-    incremental = context.solver.stats
-    assert incremental.groups_created == kinds.count("live")
-    assert incremental.groups_retired == kinds.count("live")
 
 
 if __name__ == "__main__":  # record PINS: python tests/test_probegen_pins.py
@@ -232,7 +230,7 @@ if __name__ == "__main__":  # record PINS: python tests/test_probegen_pins.py
     pins = {}
     for table_name in sorted(TABLES):
         built, rules = sampled(table_name)
-        churned, _ = context_results(new_context(built), rules, verified=1.0)
+        churned = context_results(new_context(built), rules, verified=1.0)
         cold = cold_results(built, rules)
         for result in cold:
             if result.ok:

@@ -14,9 +14,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from action_helpers import multicast
-from repro.core import probegen
 from repro.core.probegen import (
-    DEAD_CLAUSE_FLOOR,
     ProbeGenContext,
     ProbeGenerator,
     UnmonitorableReason,
@@ -27,7 +25,6 @@ from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import FlowTable
-from repro.sat.incremental import IncrementalSolver
 
 CATCH = Match.build(dl_vlan=0xF03)
 
@@ -162,7 +159,7 @@ def test_unsat_verdicts_are_complete(table_and_rule):
 
 
 def _assert_equivalent(table, probed, incremental_result):
-    """The incremental engine must agree with from-scratch generation.
+    """The context's delta API must agree with from-scratch generation.
 
     Equivalence is on the SAT/UNSAT verdict (models may differ between
     two complete solvers) and on probe validity: any produced probe must
@@ -218,7 +215,7 @@ def test_incremental_context_equivalent_over_200_churn_steps():
 
     Each step mutates the table through ``ProbeGenContext.add_rule`` /
     ``remove_rule`` (add, delete, or modify-in-place) and then probes a
-    random live rule through the incremental engine; the result must
+    random live rule through the context's cache; the result must
     match a from-scratch generation on every step.
     """
     rng = random.Random(0xC0DE)
@@ -259,150 +256,13 @@ def test_incremental_context_equivalent_over_200_churn_steps():
         probed = rng.choice(live)
         result = context.probe_for(probed)
         _assert_equivalent(context.table, probed, result)
-    # The engine must actually have exercised the incremental machinery.
+    # The context must actually have served probes from its cache.
     assert context.stats.probes_generated >= steps // 4
     assert context.stats.cache_hits + context.stats.revalidations > 0
     # Removed rules are evicted outright: the cache tracks live rules,
     # not every rule ever probed (unbounded growth regression).
     live_keys = {rule.key() for rule in context.table.rules()}
     assert set(context._cache) <= live_keys
-
-
-def test_transient_chains_compact_and_recycle_over_acl_churn(monkeypatch):
-    """The same equivalence on an ACL-shaped table, where every solve
-    opens and retires a Distinguish chain.
-
-    Two towers of nested ``nw_dst`` prefixes (/8 ... /32, priority
-    growing with specificity) over an ECMP default rule: a probed rule
-    has a dozen lower overlapping rules, so 300 add / delete / re-probe steps
-    hand recycled variables out again and retire enough chain clauses
-    for the context to re-found its engine — right after the solve
-    whose chain took the dead clauses to ``DEAD_CLAUSE_FLOOR`` and past
-    the live ones, and at no other solve.  A second context fed the
-    same steps in lockstep answers exactly as the first.
-    """
-    rng = random.Random(0xAC1)
-
-    def actions():
-        kind = rng.random()
-        if kind < 0.2:
-            return drop()
-        if kind < 0.8:
-            return output(rng.choice(PORTS))
-        return output(rng.choice(PORTS), nw_tos=rng.randrange(4))
-
-    slots = []
-    for tower in range(2):
-        base = (10 + tower) << 24 | rng.getrandbits(24)
-        for depth in range(25):
-            length = 8 + depth
-            prefix = base & ~((1 << (32 - length)) - 1)
-            match = Match.build(dl_type=0x800, nw_dst=(prefix, length))
-            slots.append((100 * tower + depth + 1, match))
-
-    generator = ProbeGenerator(catch_match=CATCH)
-    context, twin = ProbeGenContext(generator), ProbeGenContext(generator)
-    contexts = (context, twin)
-    # ECMP over every port: a unicast or drop probed rule differs from
-    # it in the opposite sense from the table miss, a rewriting one by
-    # a header-dependent term, so its branch keeps every chain live.
-    default = Rule(0, Match.build(dl_type=0x800), ecmp(PORTS))
-    for each in contexts:
-        each.add_rule(default)
-    live: dict[tuple, Rule] = {}
-    for slot in slots:
-        if rng.random() < 0.8:
-            live[slot] = Rule(*slot, actions())
-            for each in contexts:
-                each.add_rule(live[slot])
-
-    recycled = 0
-    allocate = IncrementalSolver.new_var
-
-    def counting(solver, group=None):
-        nonlocal recycled
-        before = solver.num_vars
-        var = allocate(solver, group)
-        if solver is context.solver:
-            recycled += var <= before
-        return var
-
-    monkeypatch.setattr(IncrementalSolver, "new_var", counting)
-
-    engines = [context.solver]
-    for step in range(300):
-        if step == 150:
-            assert engines[0].stats.groups_retired and recycled
-        slot = rng.choice(slots)
-        if slot in live and rng.random() < 0.4:
-            victim = live.pop(slot)
-            for each in contexts:
-                each.remove_rule(victim)
-        else:
-            live[slot] = Rule(*slot, actions())
-            for each in contexts:
-                each.add_rule(live[slot])
-        probed = live[rng.choice(sorted(live, key=lambda s: s[0]))]
-        solver = context.solver
-        result = context.probe_for(probed)
-        dead = solver.dead_clauses
-        due = dead >= DEAD_CLAUSE_FLOOR and dead >= solver.num_clauses
-        assert (context.solver is not solver) is due
-        if due:
-            engines.append(context.solver)
-        _assert_equivalent(context.table, probed, result)
-        again = twin.probe_for(probed)
-        assert (again.ok, again.reason, again.header, again.packet) == (
-            result.ok, result.reason, result.header, result.packet
-        )
-        assert again.solver_conflicts == result.solver_conflicts
-
-    assert context.stats.engine_rebuilds == len(engines) - 1 >= 1
-    created = sum(engine.stats.groups_created for engine in engines)
-    assert created == sum(e.stats.groups_retired for e in engines) > 100
-    assert created == context.stats.probes_generated  # every solve
-    assert not context.solver._groups
-    assert recycled > created  # chains reuse each other's vars
-    assert twin.solver is not context.solver
-    assert twin.solver.stats == context.solver.stats
-    assert twin.stats.probes_generated == context.stats.probes_generated
-    assert twin.stats.revalidations == context.stats.revalidations
-    assert twin.stats.engine_rebuilds == context.stats.engine_rebuilds
-
-
-def test_engine_rebuild_bounds_guard_growth(monkeypatch):
-    """Churn that never reuses a match must not grow the persistent
-    encoder forever: once dead guards dominate the live table the
-    context re-founds its solver, and probes stay correct across the
-    rebuild."""
-    monkeypatch.setattr(probegen, "REBUILD_FLOOR", 8)
-    rng = random.Random(7)
-    context = ProbeGenContext(ProbeGenerator(catch_match=CATCH))
-    keeper = Rule(
-        priority=500,
-        match=Match.build(nw_src=SRC_VALUES[0]),
-        actions=output(1),
-    )
-    context.add_rule(keeper)
-    for i in range(60):  # every add uses a fresh, never-recycled match
-        rule = Rule(
-            priority=100 + i,
-            match=Match.build(nw_dst=0x14000100 + i),
-            actions=output(rng.choice(PORTS)),
-        )
-        context.add_rule(rule)
-        # Force a real solve: the fresh rule overlaps the keeper, so
-        # generating the keeper's probe encodes a guard for it.
-        context._cache.clear()
-        result = context.probe_for(keeper)
-        _assert_equivalent(context.table, keeper, result)
-        context.remove_rule(rule)
-    assert context.stats.engine_rebuilds >= 1
-    assert context.encoder.cached_guards <= max(
-        8, 2 * (len(context.table) + 1)
-    )
-    result = context.probe_for(keeper)
-    _assert_equivalent(context.table, keeper, result)
 
 
 @settings(max_examples=40, deadline=None)

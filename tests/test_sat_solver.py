@@ -65,16 +65,6 @@ class TestBasics:
                     clauses.append([-var(a, j), -var(b, j)])
         assert solve(make_cnf(6, clauses)).satisfiable is False
 
-    def test_assumptions_restrict_models(self):
-        cnf = make_cnf(2, [[1, 2]])
-        result = SatSolver(cnf).solve(assumptions=[-1])
-        assert result.satisfiable
-        assert result.assignment[2] is True
-
-    def test_conflicting_assumption(self):
-        cnf = make_cnf(1, [[1]])
-        assert SatSolver(cnf).solve(assumptions=[-1]).satisfiable is False
-
     def test_duplicate_literals_tolerated(self):
         cnf = make_cnf(2, [[1, 1, 2], [-1, -1]])
         result = solve(cnf)
@@ -115,10 +105,10 @@ class TestAgainstBruteForce:
 
 @st.composite
 def sparse_steps(draw):
-    """``(num_vars, check_models, steps)``: a formula grown in steps of
-    ``(clauses, assumptions)``.  Clauses of two or more literals draw
-    from a subset of the variables only, so the others are named by
-    units and assumptions at most."""
+    """``(num_vars, steps)``: a formula grown in steps of clauses,
+    solved after each.  Clauses of two or more literals draw from a
+    subset of the variables only, so the others are named by units at
+    most."""
     num_vars = draw(st.integers(1, 9))
     everything = st.integers(1, num_vars)
     named = draw(st.sets(everything, min_size=1))
@@ -131,12 +121,9 @@ def sparse_steps(draw):
         literals(st.sampled_from(sorted(named))), min_size=2, max_size=4
     )
     unit = st.lists(literals(everything), min_size=1, max_size=1)
-    step = st.tuples(
-        st.lists(st.one_of(stored, stored, stored, unit), max_size=12),
-        st.lists(literals(everything), max_size=5),
-    )
+    step = st.lists(st.one_of(stored, stored, stored, unit), max_size=12)
     steps = draw(st.lists(step, min_size=1, max_size=3))
-    return num_vars, draw(st.booleans()), steps
+    return num_vars, steps
 
 
 class TestUnmentionedVariables:
@@ -146,25 +133,22 @@ class TestUnmentionedVariables:
     @settings(max_examples=300, deadline=None)
     @given(sparse_steps())
     def test_steps_agree_with_enumeration(self, drawn):
-        num_vars, check_models, steps = drawn
+        num_vars, steps = drawn
         # Two solvers fed the same calls in lockstep: same models.
-        solver = SatSolver(CNF(num_vars), check_models=check_models)
-        twin = SatSolver(CNF(num_vars), check_models=check_models)
+        solver = SatSolver(CNF(num_vars))
+        twin = SatSolver(CNF(num_vars))
         formula = CNF(num_vars)
         touched: set[int] = set()
-        for clauses, assumptions in steps:
+        for clauses in steps:
             for clause in clauses:
                 solver.add_clause(clause)
                 twin.add_clause(clause)
                 formula.add_clause(clause)
                 touched.update(map(abs, clause))
-            touched.update(map(abs, assumptions))
-            assumed = formula.copy()
-            assumed.extend([lit] for lit in assumptions)
-            result = solver.solve(assumptions)
-            expected = brute_force_solve(assumed) is not None
-            assert result.satisfiable == expected, to_dimacs(assumed)
-            again = twin.solve(assumptions)
+            result = solver.solve()
+            expected = brute_force_solve(formula) is not None
+            assert result.satisfiable == expected, to_dimacs(formula)
+            again = twin.solve()
             assert again.satisfiable == result.satisfiable
             assert again.assignment == result.assignment
             # The solver rests at level 0, every candidate queued.
@@ -174,7 +158,7 @@ class TestUnmentionedVariables:
             if not result.satisfiable:
                 continue
             assert sorted(result.assignment) == list(range(1, num_vars + 1))
-            assert evaluate(assumed, result.assignment)
+            assert evaluate(formula, result.assignment)
             assert len(solver._heap) <= num_vars
             stored = {abs(lit) for c in solver.clauses for lit in c}
             if not result.conflicts:
@@ -186,46 +170,13 @@ class TestUnmentionedVariables:
     def test_untouched_variable_reports_saved_phase(self):
         solver = SatSolver(CNF(6))
         solver.add_clause([1, 2])
-        first = solver.solve(assumptions=[3])
+        solver.add_clause([3])
+        first = solver.solve()
+        # 3 is named by a unit only, 6 by nothing: neither is decided.
         assert first.assignment[3] is True and first.assignment[6] is False
-        assert first.decisions <= 2
-        # The assumption is gone; the phase it saved is what 3 reports.
-        second = solver.solve()
-        assert second.assignment[3] is True
-        assert solver.solve(assumptions=[-3]).assignment[3] is False
-        assert solver.solve().assignment[3] is False
-
-    def test_unwatched_assumptions_share_a_propagation_pass(
-        self, monkeypatch
-    ):
-        """An assumption no clause watches cannot propagate, so the
-        next one is asserted in the same pass — each still on its own
-        decision level, an already-true one on a dummy level."""
-        solver = SatSolver(CNF(12))
-        solver.add_clause([4])  # true at level 0 before it is assumed
-        solver.add_clause([-10, 11])
-        solver.add_clause([-11, -12, 9])
-        passes = []
-        original = SatSolver._propagate
-
-        def recording(self, queue_start):
-            passes.append(
-                (len(self.trail_lim), [self.levels[v] for v in range(1, 11)])
-            )
-            return original(self, queue_start)
-
-        monkeypatch.setattr(SatSolver, "_propagate", recording)
-        result = solver.solve(assumptions=list(range(1, 11)))
-        assert result.satisfiable and result.assignment[11] is True
-        # Level 0, then all ten assumptions at once: only 10 is
-        # watched.  (Deciding 12 false afterwards falsifies nothing
-        # watched either, so it makes no pass of its own.)
-        assert [depth for depth, _ in passes] == [0, 10]
-        assert passes[1][1] == [1, 2, 3, 0, 5, 6, 7, 8, 9, 10]
-        # A watched assumption in the middle ends its pass there.
-        del passes[:]
-        solver.solve(assumptions=[1, 10, 2, 3, 12])
-        assert [depth for depth, _ in passes] == [0, 2, 5]
+        assert first.decisions <= 1
+        # The phases the first call saved are the next call's model.
+        assert solver.solve().assignment == first.assignment
 
     def test_variable_named_after_a_solve_is_constrained(self):
         solver, twin = SatSolver(CNF(3)), SatSolver(CNF(3))
@@ -237,7 +188,8 @@ class TestUnmentionedVariables:
             each.add_clause([3, -1])
             result = each.solve()
             assert result.satisfiable and result.assignment[3] is True
-            assert each.solve(assumptions=[-3]).satisfiable is False
+            each.add_clause([-3])
+            assert each.solve().satisfiable is False
 
     def test_variable_assigned_by_a_unit_before_a_clause_names_it(self):
         solver = SatSolver(CNF(3))
@@ -251,10 +203,17 @@ class TestUnmentionedVariables:
 
     def test_lemma_variables_stay_constrained(self):
         # Exact-3 clauses near the phase transition over 10 of 12
-        # variables: the first solve learns lemmas, and every later
-        # answer over the lemmas' variables still matches enumeration.
+        # variables: a first solve learns lemmas, and an answer over
+        # the lemmas' variables after it still matches enumeration.
         rng = DeterministicRandom(5)
         learned = 0
+
+        def learning_solver(cnf):
+            solver = SatSolver(cnf)
+            stored = len(solver.clauses)
+            solver.solve()
+            return solver, solver.clauses[stored:]
+
         for _ in range(6):
             cnf = CNF(12)
             for _ in range(43):
@@ -262,18 +221,18 @@ class TestUnmentionedVariables:
                 cnf.add_clause(
                     [v if rng.random() < 0.5 else -v for v in variables]
                 )
-            solver = SatSolver(cnf)
-            solver.solve()
-            lemma_vars = {
-                abs(lit) for lemma in solver.learned_clauses() for lit in lemma
-            }
+            _, lemmas = learning_solver(cnf)
+            lemma_vars = {abs(lit) for lemma in lemmas for lit in lemma}
             learned += len(lemma_vars)
             for var in sorted(lemma_vars):
                 for lit in (var, -var):
-                    assumed = cnf.copy()
-                    assumed.add_unit(lit)
-                    expected = brute_force_solve(assumed) is not None
-                    result = solver.solve(assumptions=[lit, 11])
+                    extended = cnf.copy()
+                    extended.add_unit(lit)
+                    expected = brute_force_solve(extended) is not None
+                    solver, _ = learning_solver(cnf)
+                    solver.add_clause([lit])
+                    solver.add_clause([11])
+                    result = solver.solve()
                     assert result.satisfiable == expected
                     if expected:
                         assert result.assignment[11] is True
@@ -287,19 +246,7 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="0 is not a valid literal"):
             solver.add_clause([1, 0, 2])
         assert solver.clauses == [] and solver.num_clauses == 0
-        with pytest.raises(ValueError, match="0 is not a valid literal"):
-            solver.solve(assumptions=[1, 0])
         assert solver.solve().satisfiable is True
-
-    def test_assumption_on_an_unseen_variable_grows_the_space(self):
-        solver = SatSolver(CNF(2))
-        solver.add_clause([1, 2])
-        result = solver.solve(assumptions=[5])
-        assert result.satisfiable is True
-        assert sorted(result.assignment) == [1, 2, 3, 4, 5]
-        assert result.assignment[5] is True
-        assert solver.solve(assumptions=[-5, 5]).satisfiable is False
-
 
 class TestBudget:
     def test_conflict_budget_returns_unknown(self):
