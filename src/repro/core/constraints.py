@@ -104,10 +104,10 @@ def fold_distinguish(
     probed, R_1), ..., else)``, highest priority first, and the
     DiffOutcome of ``else_rule``, which takes what no listed lower rule
     matches: the table miss by default (always a ``bool``, since a
-    miss drops), or a lower rule every probe matches (the cube
-    fold).  ``If(g, c, c)`` is ``c`` whatever ``g`` is,
-    so tail branches whose value *is* the else value are dropped, from
-    the lowest priority up.  Two results need no encoding at all:
+    miss drops), or a lower rule every probe matches (the cube fold).
+    ``If(g, c, c)`` is ``c`` whatever ``g`` is, so tail branches whose
+    value *is* the else value are dropped, from the lowest priority
+    up.  Two results need no encoding at all:
 
     * no branch, else ``True``: the chain constrains nothing;
     * no branch, else ``False``: wherever the probe lands without

@@ -380,8 +380,9 @@ class TestDistinguishChain:
     def test_verdicts_match_exhaustive_search(self):
         """Table 1 itself is the oracle: on seeded tables over the IPv4
         quarters a probe exists iff one of the 16 quarter headers
-        passes ``verify_probe``, and both engines must say so — every
-        ``ok`` probe they return passing ``verify_probe`` too."""
+        passes ``verify_probe``, and the cold generator and a context
+        must both say so — every ``ok`` probe they return passing
+        ``verify_probe`` too."""
         kinds = collections.Counter()
         for seed in range(40):
             table = quarter_table(seed)
@@ -407,7 +408,7 @@ class TestDistinguishChain:
 
     def test_engines_agree_on_campus(self):
         """On the Campus-like table, whose overlap chains are deep, the
-        cold and the context engine reach the same verdict per rule,
+        cold generator and a context reach the same verdict per rule,
         every probe found passes ``verify_probe``, and the sample holds
         constant-true, constant-false and live chains."""
         from repro.datasets import campus_table

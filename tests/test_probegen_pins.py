@@ -36,7 +36,7 @@ steps (the shape of ``bench``'s churn steps).
   instances are the cold engine's on the table of each step.
 
 What makes a re-recorded probe right is ``verify_probe`` against the
-table as it stood at that step: every ``ok`` probe of both engines when
+table as it stood at that step: every ``ok`` probe of both paths when
 recording, a seeded quarter of the context's in tier-1.
 
 The decision-count tests hold the mechanism itself: a cold ACL probe
