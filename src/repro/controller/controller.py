@@ -58,7 +58,6 @@ class SdnController:
             tuple[Hashable, int], Callable[[], None]
         ] = {}
         self._ack_waiters: dict[tuple[Hashable, int], Callable[[], None]] = {}
-        self.flowmods_sent = 0
         self.confirmations = 0
 
     # ----- message plumbing -------------------------------------------------
@@ -86,7 +85,6 @@ class SdnController:
         on_confirmed: Callable[[], None] | None = None,
     ) -> FlowMod:
         """Send one FlowMod with the chosen confirmation mode."""
-        self.flowmods_sent += 1
         if confirm is ConfirmMode.MONOCLE_ACK and on_confirmed is not None:
             self._ack_waiters[(node, mod.xid)] = on_confirmed
         self.send(node, mod)

@@ -184,19 +184,19 @@ def plan_catching_rules(
     topology: nx.Graph,
     strategy: int = 1,
     algorithm: ColoringAlgorithm = ColoringAlgorithm.EXACT,
-    field1: FieldName = FieldName.DL_VLAN,
-    field2: FieldName = FieldName.NW_TOS,
     base1: int = 0xF00,
     base2: int = 0x20,
 ) -> CatchingPlan:
     """Compute a catching plan for a topology.
+
+    The reserved fields are ``dl_vlan`` (``H`` / ``H1``) and ``nw_tos``
+    (``H2``).
 
     Args:
         topology: switch-level graph (nodes = switches, edges = links).
         strategy: 1 (single reserved field) or 2 (two fields).
         algorithm: coloring solver; ``NONE`` assigns each switch its own
             identifier (the paper's non-optimized baseline).
-        field1 / field2: reserved header fields.
         base1 / base2: first reserved value in each field.
 
     Raises:
@@ -224,6 +224,7 @@ def plan_catching_rules(
         raise AssertionError("coloring solver produced an improper coloring")
 
     colors_used = len(set(coloring.values())) if coloring else 0
+    field1, field2 = FieldName.DL_VLAN, FieldName.NW_TOS
     if base1 + colors_used - 1 > HEADER.field(field1).max_value:
         raise CapacityError(
             f"{colors_used} identifiers exceed {field1} capacity "

@@ -27,16 +27,12 @@ DROP_TAG_TOS = 0x3F
 TAG_DROP_PRIORITY = 0xFFFE
 
 
-def postpone_drop_rule(
-    rule: Rule,
-    neighbor_port: int,
-    tag_field: FieldName = FieldName.NW_TOS,
-    tag_value: int = DROP_TAG_TOS,
-) -> Rule:
+def postpone_drop_rule(rule: Rule, neighbor_port: int) -> Rule:
     """The temporary stand-in for a drop rule (Figure 3, left switch).
 
-    Matches the same packets, rewrites ``tag_field`` to ``tag_value``
-    and forwards to ``neighbor_port`` instead of dropping.
+    Matches the same packets, rewrites ``nw_tos`` to
+    :data:`DROP_TAG_TOS` and forwards to ``neighbor_port`` instead of
+    dropping.
 
     Raises:
         ValueError: if the rule is not a drop rule.
@@ -44,7 +40,7 @@ def postpone_drop_rule(
     if rule.forwarding_set():
         raise ValueError(f"not a drop rule: {rule!r}")
     actions = ActionList(
-        (SetField(tag_field, tag_value), Forward(neighbor_port))
+        (SetField(FieldName.NW_TOS, DROP_TAG_TOS), Forward(neighbor_port))
     )
     return rule.with_actions(actions)
 
@@ -54,10 +50,7 @@ def finalize_drop_rule(postponed: Rule) -> Rule:
     return postponed.with_actions(ActionList((Drop(),)))
 
 
-def tag_drop_rule(
-    tag_field: FieldName = FieldName.NW_TOS,
-    tag_value: int = DROP_TAG_TOS,
-) -> Rule:
+def tag_drop_rule() -> Rule:
     """The neighbor-side rule dropping tagged production traffic.
 
     Pre-installed on every switch (Figure 3, right switch, rule 2).
@@ -65,6 +58,6 @@ def tag_drop_rule(
     """
     return Rule(
         priority=TAG_DROP_PRIORITY,
-        match=Match.build(**{tag_field.value: tag_value}),
+        match=Match.build(nw_tos=DROP_TAG_TOS),
         actions=ActionList((Drop(),)),
     )

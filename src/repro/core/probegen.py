@@ -414,18 +414,20 @@ class ProbeGenContext:
     undecided, and no solver state kept between probes.  The generator
     also supplies the configuration (catch match, in_port domain,
     conflict budget); ``validate_result`` is an optional
-    post-generation hook (the Monitor's observability demotion).
+    post-generation hook the owner sets (the Monitor's observability
+    demotion).
     """
 
     def __init__(
         self,
         generator: ProbeGenerator,
         table: FlowTable | None = None,
-        validate_result: Callable[[ProbeResult], ProbeResult] | None = None,
     ) -> None:
         self.generator = generator
         self.table = table if table is not None else FlowTable()
-        self.validate_result = validate_result
+        self.validate_result: (
+            Callable[[ProbeResult], ProbeResult] | None
+        ) = None
         self.stats = ProbeGenContextStats()
         #: Solve-time distribution; the owning Monitor sets it only
         #: when observability is enabled, so an unobserved context pays

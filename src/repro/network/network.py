@@ -129,15 +129,13 @@ class Network:
         self.neighbor_on_port[u][port_u] = v
         self.neighbor_on_port[v][port_v] = u
 
-    def add_host(
-        self, name: str, switch: Hashable, latency: float = 0.0002
-    ) -> Host:
+    def add_host(self, name: str, switch: Hashable) -> Host:
         """Attach a new host to an edge port of ``switch``."""
         if name in self.hosts:
             raise ValueError(f"duplicate host name {name!r}")
         host = Host(self.sim, name)
         port = self._alloc_port(switch)
-        link = Link(self.sim, latency=latency)
+        link = Link(self.sim)
         sw = self.switches[switch]
         # Endpoint A receives what the switch-side sends and vice versa:
         # the host transmits from the B side (delivering to the switch),

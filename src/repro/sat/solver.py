@@ -19,21 +19,17 @@ no conflict, so every stored clause is satisfied.  A variable nothing
 stored names (only units, or nothing at all, ever mention it) is never
 decided and reports its saved phase in the model, which is exactly
 what a decision at its own level would have assigned.
-Entries are lazy — an assigned variable's entry is dropped when popped
-and pushed again when the variable is unwound — so a satisfiable solve,
-which drains the heap, leaves at most one entry per variable behind.
+Entries are lazy: an assigned variable's entry is dropped when popped
+and pushed again when the variable is unwound.
 
 The solver is deliberately self-contained (lists of ints, no numpy) so
 its behaviour is easy to audit and to cross-check against the
 brute-force reference the tests carry.
 
-Probe generation runs it one-shot, the way the paper runs PicoSAT
-(§7): an encoder writes one probe's formula straight into a fresh
-solver, which solves it once.  Every model it returns is checked
-against every clause.  Clauses may still be added between `solve`
-calls: the trail is rewound to level 0 after every call, leaving only
-formula-implied facts behind, and learned clauses stay implied by the
-database.
+A solver is one-shot, the way the paper runs PicoSAT (§7): an encoder
+writes one probe's formula straight into a fresh solver, which solves
+it once; a second `solve` raises.  The model it returns is checked
+against every clause.
 """
 
 from __future__ import annotations
@@ -85,7 +81,7 @@ class SatSolver:
 
     The constructor loads the formula; further clauses may be appended
     with :meth:`add_clause` and variables allocated with
-    :meth:`new_var` between `solve` calls.  With those two,
+    :meth:`new_var` before the one `solve` call.  With those two,
     :meth:`add_unit`, ``num_vars`` and ``num_clauses`` the solver is a
     :class:`~repro.sat.encode.ClauseSink`, so an encoder can write a
     formula straight into the solver that is about to run it.
@@ -100,9 +96,8 @@ class SatSolver:
         # learned clauses share it; learned ones are appended.
         self.clauses: list[list[int]] = []
         self._contradiction = False
-        #: Unit clauses not yet asserted on the trail (consumed by solve).
-        self._pending_units: list[int] = []
-        #: All unit clauses ever added (for the defensive model check).
+        self._solved = False
+        #: Unit clauses, asserted at level 0 when the solve starts.
         self._units: list[int] = []
 
         # Assignment state (index 0 unused): 0 unassigned, 1 true,
@@ -187,17 +182,8 @@ class SatSolver:
     def add_clause(self, literals: Iterable[Lit]) -> None:
         """Append one clause to the database.
 
-        Legal at any time between `solve` calls (the solver is always at
-        decision level 0 then).  Tautologies are dropped; an empty
-        clause makes the formula permanently unsatisfiable.
-
-        The clause is evaluated against the permanent level-0 trail
-        left behind by earlier `solve` calls: literals already false
-        there can never help and are removed, a literal already true
-        makes the clause redundant.  Without this, a clause whose two
-        watched literals were falsified in a *previous* call would
-        never fire a watch event — `solve` does not re-propagate the
-        old trail — and the solver would silently ignore it.
+        Tautologies are dropped; an empty clause makes the formula
+        unsatisfiable.
 
         Raises:
             ValueError: if the clause contains the literal 0.
@@ -218,21 +204,10 @@ class SatSolver:
             if unique is None:
                 return  # tautology
             lits = unique
-        if self.trail:  # empty until a solve leaves level-0 facts
-            values = self.values
-            live: list[int] = []
-            for lit in lits:
-                value = values[lit] if lit > 0 else -values[-lit]
-                if value > 0:
-                    return  # satisfied by a formula-implied fact
-                if not value:
-                    live.append(lit)
-            lits = live
         if len(lits) > 1:
             self._store(lits)
         elif lits:
             self._units.append(lits[0])
-            self._pending_units.append(lits[0])
         else:
             self._contradiction = True
 
@@ -391,21 +366,22 @@ class SatSolver:
     # ----- main loop -------------------------------------------------------
 
     def solve(self, max_conflicts: int | None = None) -> SatResult:
-        """Run the CDCL loop.
+        """Run the CDCL loop, once.
 
         Args:
             max_conflicts: optional conflict budget; exceeding it returns
                 ``satisfiable=None``.
 
-        The solver backtracks to decision level 0 before returning, so
-        it can be reused: clauses added and lemmas learned in earlier
-        calls are retained.
+        Raises:
+            RuntimeError: if this solver has already been solved.
         """
+        if self._solved:
+            raise RuntimeError("a SatSolver solves once")
+        self._solved = True
         stats = self.stats = SatResult(satisfiable=None)
         if self._contradiction:
             stats.satisfiable = False
             return stats
-        self._backjump(0)
 
         trail = self.trail
         trail_lim = self.trail_lim
@@ -416,13 +392,10 @@ class SatSolver:
         activity = self.activity
         heap = self._heap
         heappop = heapq.heappop
-        # Literals put on the trail by this call: what is on it at the
-        # end beyond `base`, plus what _backjump took off on the way.
-        base = queue_start = len(trail)
+        queue_start = 0
 
-        # Flush unit clauses at level 0 (their effects are permanent).
-        pending, self._pending_units = self._pending_units, []
-        for lit in pending:
+        # Assert the unit clauses at level 0.
+        for lit in self._units:
             var = abs(lit)
             if not values[var]:
                 values[var] = 1 if lit > 0 else -1
@@ -441,7 +414,7 @@ class SatSolver:
             if conflict is not None:
                 stats.conflicts += 1
                 if not trail_lim:
-                    # Conflict among formula-implied facts: permanent.
+                    # Conflict among formula-implied facts.
                     self._contradiction = True
                     break
                 if (
@@ -509,8 +482,9 @@ class SatSolver:
 
         if self._contradiction:
             stats.satisfiable = False
-        self._backjump(0)
-        stats.propagations += len(trail) - base
+        # Literals put on the trail: what is on it now, plus what
+        # _backjump took off on the way.
+        stats.propagations += len(trail)
         return stats
 
     def _assert_model(self, assignment: dict[int, bool]) -> None:

@@ -106,6 +106,6 @@ class Simulator:
         finally:
             self._running = False
 
-    def run_for(self, duration: float, max_events: int | None = None) -> None:
+    def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time from now."""
-        self.run(until=self.now + duration, max_events=max_events)
+        self.run(until=self.now + duration)

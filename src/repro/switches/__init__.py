@@ -10,9 +10,9 @@ reproduce the *protocol-visible* behaviour those experiments depend on:
   §8.3.1 message-rate measurements),
 * a data plane (TCAM) whose updates lag the control plane by a
   profile-specific latency,
-* behaviour models (:mod:`repro.switches.behavior`): faithful
-  acknowledgments, premature acknowledgments (HP-like), and FlowMod
-  reordering with premature barriers (Pica8-like, per [16]),
+* the two misbehaviours of [16], read from the profile's flags:
+  premature barrier acknowledgments (HP-like), and FlowMod reordering,
+  which implies premature barriers (Pica8-like),
 * fault injection: silently removing rules from the data plane,
   corrupting actions, failing ports — the §8.1.1 failure scenarios.
 """
@@ -27,12 +27,6 @@ from repro.switches.profiles import (
     OVS,
     PICA8,
 )
-from repro.switches.behavior import (
-    Behavior,
-    FaithfulBehavior,
-    PrematureAckBehavior,
-    ReorderingBehavior,
-)
 from repro.switches.switch import SimulatedSwitch
 
 __all__ = [
@@ -44,9 +38,5 @@ __all__ = [
     "IDEAL",
     "OVS",
     "PICA8",
-    "Behavior",
-    "FaithfulBehavior",
-    "PrematureAckBehavior",
-    "ReorderingBehavior",
     "SimulatedSwitch",
 ]

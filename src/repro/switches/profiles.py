@@ -37,7 +37,10 @@ class SwitchProfile:
         premature_ack: acknowledges barriers before the data plane
             caught up (HP 5406zl and Pica8 per [16]).
         reorders: may apply FlowMods to the data plane out of order
-            (Pica8 per [16]).
+            (Pica8 per [16]).  Reordering implies premature barriers:
+            such a switch acknowledges barriers before the data plane
+            caught up whatever ``premature_ack`` says, as the Pica8 of
+            [16] does.
     """
 
     name: str

@@ -2,8 +2,8 @@
 
 Separates the *control plane* (a serial message processor with
 per-message costs from the :class:`~repro.switches.profiles.SwitchProfile`)
-from the *data plane* (a flow table that lags behind by the behaviour
-model's install delay).  This split is what lets the reproduction
+from the *data plane* (a flow table that lags behind by the profile's
+install delay).  This split is what lets the reproduction
 exhibit the transient control/data-plane inconsistencies the paper
 monitors for.
 
@@ -35,11 +35,15 @@ from repro.packets.craft import CraftError, craft_packet, wire_header
 from repro.packets.parse import ParseError, parse_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
-from repro.switches.behavior import Behavior, behavior_for
 from repro.switches.profiles import OVS, SwitchProfile
 
 #: Data-plane forwarding latency through the switch fabric (seconds).
 FABRIC_LATENCY = 0.0001
+
+#: A reordering switch's heavy tail ([16]): the share of installs that
+#: draw an extra delay, and that delay's span (seconds).
+REORDER_TAIL_PROBABILITY = 0.2
+REORDER_TAIL_EXTRA = 0.25
 
 #: A packet inside the simulated data plane: the header the wire would
 #: carry (:func:`~repro.packets.craft.wire_header`) and the payload.
@@ -127,17 +131,13 @@ class SimulatedSwitch:
         profile: SwitchProfile = OVS,
         rng: DeterministicRandom | None = None,
         num_ports: int = 48,
-        behavior: Behavior | None = None,
     ) -> None:
         self.sim = sim
         self.switch_id = switch_id
         self.profile = profile
         self.rng = rng if rng is not None else DeterministicRandom(switch_id)
-        self.behavior = (
-            behavior
-            if behavior is not None
-            else behavior_for(profile, self.rng.fork(1))
-        )
+        #: Install delays' own stream, so ECMP draws do not shift them.
+        self._install_rng = self.rng.fork(1)
         self.num_ports = num_ports
 
         #: Rules the control plane has accepted (what the switch reports).
@@ -155,7 +155,6 @@ class SimulatedSwitch:
         self._stolen_cpu = 0.0  # PacketIn interference, consumed lazily
         self._pending_installs = 0
         self._last_install_time = 0.0
-        self._install_seq = 0
         self._blackholed_xids: set[int] = set()
 
         # PacketIn token bucket.
@@ -213,16 +212,20 @@ class SimulatedSwitch:
     def _complete_flowmod(self, mod: FlowMod) -> None:
         self.stats.flowmods_processed += 1
         apply_flowmod(self.control_table, mod)
-        delay = self.behavior.install_delay()
-        if self.behavior.preserves_order():
+        profile = self.profile
+        rng = self._install_rng
+        delay = rng.jittered(profile.install_latency, profile.install_jitter)
+        if profile.reorders:
+            # A heavy tail lets later FlowMods overtake earlier ones.
+            if rng.random() < REORDER_TAIL_PROBABILITY:
+                delay += rng.uniform(0.0, REORDER_TAIL_EXTRA)
+            apply_at = self.sim.now + delay
+        else:
             # In-order switches cannot apply an install before earlier
             # ones; enforce monotonic data-plane apply times.
             apply_at = max(self.sim.now + delay, self._last_install_time)
             self._last_install_time = apply_at
-        else:
-            apply_at = self.sim.now + delay
         self._pending_installs += 1
-        self._install_seq += 1
         self.sim.at(apply_at, lambda m=mod: self._apply_to_dataplane(m))
 
     def _apply_to_dataplane(self, mod: FlowMod) -> None:
@@ -241,8 +244,9 @@ class SimulatedSwitch:
 
     def _complete_barrier(self, msg: BarrierRequest) -> None:
         self.stats.barriers_processed += 1
+        profile = self.profile
         if (
-            self.behavior.barrier_waits_for_dataplane()
+            not (profile.premature_ack or profile.reorders)
             and self._pending_installs > 0
         ):
             # Honest switch: hold the reply until the data plane caught

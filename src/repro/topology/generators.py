@@ -10,12 +10,13 @@ from __future__ import annotations
 import networkx as nx
 
 
-def star(leaves: int = 4, center: str = "hub") -> nx.Graph:
-    """The §8.1.1 topology: a probed switch with ``leaves`` neighbors."""
+def star(leaves: int = 4) -> nx.Graph:
+    """The §8.1.1 topology: a probed switch ``hub`` with ``leaves``
+    neighbors."""
     graph = nx.Graph()
-    graph.add_node(center)
+    graph.add_node("hub")
     for i in range(leaves):
-        graph.add_edge(center, f"leaf{i}")
+        graph.add_edge("hub", f"leaf{i}")
     return graph
 
 

@@ -55,10 +55,10 @@ def evaluate(cnf: CNF, assignment: dict[int, bool]) -> bool:
 
 
 def unqueued_candidates(solver) -> set[int]:
-    """Unassigned variables a stored clause of ``solver`` (a resting
+    """Unassigned variables a stored clause of ``solver`` (a
     :class:`~repro.sat.solver.SatSolver`) names that have no current
     entry on its branching heap.  Search ends when the heap runs dry,
-    so one variable in this set is one the next solve never decides."""
+    so one variable in this set is one the search never decides."""
     queued = {
         var
         for neg_act, var in solver._heap

@@ -1,5 +1,8 @@
-"""Tests for switch profiles and behaviour models, and the control-plane
-interference the profiles calibrate (Figures 6 and 7, §8.3.1)."""
+"""Tests for switch profiles, the behaviour their flags give a switch,
+and the control-plane interference the profiles calibrate (Figures 6
+and 7, §8.3.1)."""
+
+import hashlib
 
 import pytest
 
@@ -7,6 +10,8 @@ from repro.openflow.actions import CONTROLLER_PORT, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import (
+    BarrierReply,
+    BarrierRequest,
     FlowMod,
     FlowModCommand,
     PacketOut,
@@ -16,12 +21,6 @@ from repro.openflow.rule import Rule
 from repro.packets.craft import craft_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
-from repro.switches.behavior import (
-    FaithfulBehavior,
-    PrematureAckBehavior,
-    ReorderingBehavior,
-    behavior_for,
-)
 from repro.switches.profiles import (
     DELL_8132F,
     DELL_S4810,
@@ -79,44 +78,129 @@ class TestProfiles:
             HP_5406ZL.flowmod_rate = 1.0
 
 
+def add_mod(index):
+    return FlowMod(
+        command=FlowModCommand.ADD,
+        match=Match.build(nw_dst=0x0A000000 + index),
+        priority=10,
+        actions=output(1),
+    )
+
+
+def installs(profile, count, seed=1):
+    """``(index, accepted_at, applied_at)`` of ``count`` ADD FlowMods
+    queued at once on a switch seeded ``seed``, in the order its data
+    plane applied them."""
+    sim = Simulator()
+    switch = SimulatedSwitch(
+        sim, switch_id=1, profile=profile, rng=DeterministicRandom(seed)
+    )
+    mods = [add_mod(index) for index in range(count)]
+    accepted = {}
+    applied = []
+    complete = switch._complete_flowmod
+    apply = switch._apply_to_dataplane
+
+    def record_acceptance(mod):
+        accepted[mod.xid] = sim.now
+        complete(mod)
+
+    def record_application(mod):
+        applied.append((mods.index(mod), accepted[mod.xid], sim.now))
+        apply(mod)
+
+    switch._complete_flowmod = record_acceptance
+    switch._apply_to_dataplane = record_application
+    for mod in mods:
+        switch.receive_message(mod)
+    sim.run()
+    assert len(applied) == count
+    return applied
+
+
+def install_delays(profile, count):
+    return [
+        applied - accepted for _, accepted, applied in installs(profile, count)
+    ]
+
+
+def applied_order(profile, count=50):
+    return [index for index, _, _ in installs(profile, count)]
+
+
+def rules_at_barrier_reply(profile, flowmods=5):
+    """Data-plane rules present when the reply arrives to a barrier sent
+    right after ``flowmods`` FlowMods."""
+    sim = Simulator()
+    switch = SimulatedSwitch(sim, switch_id=1, profile=profile)
+    at_reply = []
+    switch.send_to_controller = lambda msg: (
+        at_reply.append(len(switch.dataplane))
+        if isinstance(msg, BarrierReply)
+        else None
+    )
+    for index in range(flowmods):
+        switch.receive_message(add_mod(index))
+    switch.receive_message(BarrierRequest(xid=next_xid()))
+    sim.run()
+    assert len(at_reply) == 1
+    return at_reply[0]
+
+
 class TestBehaviors:
-    def rng(self):
-        return DeterministicRandom(1)
+    """A switch behaves as its profile's two flags say: it applies
+    updates in order unless it ``reorders``, and holds barrier replies
+    for the data plane unless it acknowledges prematurely or reorders."""
 
     def test_faithful_semantics(self):
-        behavior = FaithfulBehavior(IDEAL, self.rng())
-        assert behavior.barrier_waits_for_dataplane()
-        assert behavior.preserves_order()
+        assert rules_at_barrier_reply(IDEAL) == 5
+        assert applied_order(IDEAL) == list(range(50))
 
     def test_premature_semantics(self):
-        behavior = PrematureAckBehavior(HP_5406ZL, self.rng())
-        assert not behavior.barrier_waits_for_dataplane()
-        assert behavior.preserves_order()
+        assert rules_at_barrier_reply(HP_5406ZL) < 5
+        assert applied_order(HP_5406ZL) == list(range(50))
 
     def test_reordering_semantics(self):
-        behavior = ReorderingBehavior(PICA8, self.rng())
-        assert not behavior.barrier_waits_for_dataplane()
-        assert not behavior.preserves_order()
+        assert rules_at_barrier_reply(PICA8) < 5
+        assert applied_order(PICA8) != list(range(50))
 
     def test_install_delay_positive_and_jittered(self):
-        behavior = FaithfulBehavior(HP_5406ZL, self.rng())
-        delays = [behavior.install_delay() for _ in range(100)]
-        assert all(d >= 0 for d in delays)
-        assert len(set(delays)) > 50  # actually jittered
+        for profile in (IDEAL, HP_5406ZL, PICA8):
+            delays = install_delays(profile, 100)
+            assert all(d >= 0 for d in delays)
+            assert len(set(delays)) > 50  # actually jittered
 
     def test_reordering_has_heavy_tail(self):
-        behavior = ReorderingBehavior(PICA8, self.rng())
-        delays = [behavior.install_delay() for _ in range(500)]
+        delays = install_delays(PICA8, 500)
         base = PICA8.install_latency * (1 + PICA8.install_jitter)
         tail = [d for d in delays if d > base]
-        # Roughly TAIL_PROBABILITY of installs land in the long tail.
+        # Roughly a fifth of installs land in the long tail.
         assert 0.05 < len(tail) / len(delays) < 0.4
 
-    def test_factory_dispatch(self):
-        rng = self.rng()
-        assert type(behavior_for(PICA8, rng)) is ReorderingBehavior
-        assert type(behavior_for(HP_5406ZL, rng)) is PrematureAckBehavior
-        assert type(behavior_for(OVS, rng)) is FaithfulBehavior
+    def test_every_profile_behaves_as_its_flags_say(self):
+        for profile in ALL_PROFILES:
+            waits = not (profile.premature_ack or profile.reorders)
+            assert (rules_at_barrier_reply(profile) == 5) is waits
+            if not profile.reorders:
+                assert applied_order(profile) == list(range(50))
+
+    def test_apply_times_are_pinned(self):
+        """The install-delay draws, in order, from one seed: jittered
+        latency, then the reordering tail only when the profile
+        reorders.  Every bench workload runs OVS, so this pin alone
+        holds the reordering draws."""
+        for profile, pinned in APPLY_TIME_PINS.items():
+            applied = [
+                (index, round(at, 12))
+                for index, _, at in installs(profile, 50)
+            ]
+            digest = hashlib.sha1(repr(applied).encode()).hexdigest()[:16]
+            assert digest == pinned, profile.name
+
+
+#: sha1 of ``[(index, apply time rounded to 1e-12 s), ...]`` from
+#: :func:`installs` (50 FlowMods, seed 1), in apply order.
+APPLY_TIME_PINS = {HP_5406ZL: "887dd917083ab055", PICA8: "c7f12d2ae0238b12"}
 
 
 class TestXids:

@@ -105,10 +105,10 @@ class TestAgainstBruteForce:
 
 @st.composite
 def sparse_steps(draw):
-    """``(num_vars, steps)``: a formula grown in steps of clauses,
-    solved after each.  Clauses of two or more literals draw from a
-    subset of the variables only, so the others are named by units at
-    most."""
+    """``(num_vars, steps)``: a formula grown in steps of clauses, each
+    prefix solved by a fresh solver.  Clauses of two or more literals
+    draw from a subset of the variables only, so the others are named
+    by units at most."""
     num_vars = draw(st.integers(1, 9))
     everything = st.integers(1, num_vars)
     named = draw(st.sets(everything, min_size=1))
@@ -126,6 +126,13 @@ def sparse_steps(draw):
     return num_vars, steps
 
 
+def solver_for(num_vars, clauses):
+    solver = SatSolver(CNF(num_vars))
+    for clause in clauses:
+        solver.add_clause(clause)
+    return solver
+
+
 class TestUnmentionedVariables:
     """The heap holds what stored clauses name; everything else keeps
     its saved phase and costs no decision."""
@@ -134,27 +141,24 @@ class TestUnmentionedVariables:
     @given(sparse_steps())
     def test_steps_agree_with_enumeration(self, drawn):
         num_vars, steps = drawn
-        # Two solvers fed the same calls in lockstep: same models.
-        solver = SatSolver(CNF(num_vars))
-        twin = SatSolver(CNF(num_vars))
         formula = CNF(num_vars)
+        written: list[list[int]] = []
         touched: set[int] = set()
         for clauses in steps:
             for clause in clauses:
-                solver.add_clause(clause)
-                twin.add_clause(clause)
+                written.append(clause)
                 formula.add_clause(clause)
                 touched.update(map(abs, clause))
+            # Two fresh solvers fed the same clauses: same models.
+            solver = solver_for(num_vars, written)
             result = solver.solve()
             expected = brute_force_solve(formula) is not None
             assert result.satisfiable == expected, to_dimacs(formula)
-            again = twin.solve()
+            again = solver_for(num_vars, written).solve()
             assert again.satisfiable == result.satisfiable
             assert again.assignment == result.assignment
-            # The solver rests at level 0, every candidate queued.
-            assert not solver.trail_lim
+            # Every unassigned candidate is still queued.
             assert not unqueued_candidates(solver)
-            assert not unqueued_candidates(twin)
             if not result.satisfiable:
                 continue
             assert sorted(result.assignment) == list(range(1, num_vars + 1))
@@ -168,52 +172,36 @@ class TestUnmentionedVariables:
                     assert result.assignment[var] is False
 
     def test_untouched_variable_reports_saved_phase(self):
-        solver = SatSolver(CNF(6))
-        solver.add_clause([1, 2])
-        solver.add_clause([3])
-        first = solver.solve()
+        result = solver_for(6, [[1, 2], [3]]).solve()
         # 3 is named by a unit only, 6 by nothing: neither is decided.
-        assert first.assignment[3] is True and first.assignment[6] is False
-        assert first.decisions <= 1
-        # The phases the first call saved are the next call's model.
-        assert solver.solve().assignment == first.assignment
+        assert result.assignment[3] is True and result.assignment[6] is False
+        assert result.decisions <= 1
 
     def test_variable_named_after_a_solve_is_constrained(self):
-        solver, twin = SatSolver(CNF(3)), SatSolver(CNF(3))
-        for each in (solver, twin):
-            each.add_clause([1, 2])
-            assert each.solve().assignment[3] is False
-        for each in (solver, twin):
-            each.add_clause([3, 1])
-            each.add_clause([3, -1])
-            result = each.solve()
-            assert result.satisfiable and result.assignment[3] is True
-            each.add_clause([-3])
-            assert each.solve().satisfiable is False
+        # 3 is unconstrained by the first formula and keeps its phase;
+        # the formulas that grow from it name 3 and constrain it.
+        grown = [[1, 2]]
+        assert solver_for(3, grown).solve().assignment[3] is False
+        grown += [[3, 1], [3, -1]]
+        result = solver_for(3, grown).solve()
+        assert result.satisfiable and result.assignment[3] is True
+        grown.append([-3])
+        assert solver_for(3, grown).solve().satisfiable is False
 
     def test_variable_assigned_by_a_unit_before_a_clause_names_it(self):
-        solver = SatSolver(CNF(3))
-        solver.add_clause([-3])
-        assert solver.solve().assignment[3] is False
-        solver.add_clause([3, 1])  # reduces to the unit [1]
-        solver.add_clause([3, 2, -1])  # reduces to the unit [2]
-        result = solver.solve()
+        # The unit [-3] reduces [3, 1] to [1] and then [3, 2, -1] to [2].
+        result = solver_for(3, [[-3], [3, 1], [3, 2, -1]]).solve()
         assert result.assignment == {1: True, 2: True, 3: False}
         assert result.decisions == 0
 
     def test_lemma_variables_stay_constrained(self):
         # Exact-3 clauses near the phase transition over 10 of 12
-        # variables: a first solve learns lemmas, and an answer over
-        # the lemmas' variables after it still matches enumeration.
+        # variables, each pinned further by one literal of a variable
+        # some lemma of the unpinned formula names: a solve that learns
+        # lemmas still matches enumeration, and 11 and 12, which only a
+        # unit or nothing names, keep the unit's value and their phase.
         rng = DeterministicRandom(5)
         learned = 0
-
-        def learning_solver(cnf):
-            solver = SatSolver(cnf)
-            stored = len(solver.clauses)
-            solver.solve()
-            return solver, solver.clauses[stored:]
-
         for _ in range(6):
             cnf = CNF(12)
             for _ in range(43):
@@ -221,18 +209,20 @@ class TestUnmentionedVariables:
                 cnf.add_clause(
                     [v if rng.random() < 0.5 else -v for v in variables]
                 )
-            _, lemmas = learning_solver(cnf)
-            lemma_vars = {abs(lit) for lemma in lemmas for lit in lemma}
-            learned += len(lemma_vars)
+            solver = SatSolver(cnf)
+            stored = len(solver.clauses)
+            solver.solve()
+            lemma_vars = {
+                abs(lit) for lemma in solver.clauses[stored:] for lit in lemma
+            }
             for var in sorted(lemma_vars):
                 for lit in (var, -var):
                     extended = cnf.copy()
                     extended.add_unit(lit)
                     expected = brute_force_solve(extended) is not None
-                    solver, _ = learning_solver(cnf)
-                    solver.add_clause([lit])
-                    solver.add_clause([11])
-                    result = solver.solve()
+                    extended.add_unit(11)
+                    result = SatSolver(extended).solve()
+                    learned += result.learned_clauses
                     assert result.satisfiable == expected
                     if expected:
                         assert result.assignment[11] is True
@@ -247,6 +237,15 @@ class TestMalformedInput:
             solver.add_clause([1, 0, 2])
         assert solver.clauses == [] and solver.num_clauses == 0
         assert solver.solve().satisfiable is True
+
+class TestOneShot:
+    def test_second_solve_raises(self):
+        for clauses in ([[1, 2]], [[1], [-1]]):
+            solver = solver_for(2, clauses)
+            solver.solve()
+            with pytest.raises(RuntimeError, match="solves once"):
+                solver.solve()
+
 
 class TestBudget:
     def test_conflict_budget_returns_unknown(self):

@@ -1,5 +1,7 @@
 """Tests for the simulated switch: control/data plane split, FlowMod
-semantics, barriers under each behaviour model, rate limits, faults."""
+semantics, barriers under each profile's flags, rate limits, faults."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -21,12 +23,6 @@ from repro.openflow.table import FlowTable
 from repro.packets.craft import craft_packet
 from repro.packets.parse import parse_packet
 from repro.sim.kernel import Simulator
-from repro.switches.behavior import (
-    FaithfulBehavior,
-    PrematureAckBehavior,
-    ReorderingBehavior,
-    behavior_for,
-)
 from repro.switches.profiles import HP_5406ZL, IDEAL, OVS, PICA8
 from repro.switches.switch import SimulatedSwitch, apply_flowmod
 
@@ -185,49 +181,37 @@ class TestControlPlane:
 
 
 class TestBarrierBehaviors:
-    def run_barrier_scenario(self, profile):
-        sim, switch, received = make_switch(profile=profile)
+    def rules_at_barrier_reply(self, profile):
+        """Data-plane rules when the reply to a barrier sent right after
+        one FlowMod arrives."""
+        sim, switch, _ = make_switch(profile=profile)
+        at_reply = []
+        switch.send_to_controller = lambda m: (
+            at_reply.append(len(switch.dataplane))
+            if isinstance(m, BarrierReply) and m.xid == 5
+            else None
+        )
         switch.receive_message(add_mod(1, 2))
         switch.receive_message(BarrierRequest(xid=5))
         sim.run_for(5.0)
-        barrier_times = [
-            m for m in received if isinstance(m, BarrierReply) and m.xid == 5
-        ]
-        assert len(barrier_times) == 1
-        return switch
+        assert len(at_reply) == 1
+        return at_reply[0]
 
     def test_faithful_barrier_implies_dataplane(self):
-        sim, switch, received = make_switch(profile=IDEAL)
-        switch.receive_message(add_mod(1, 2))
-        switch.receive_message(BarrierRequest(xid=5))
-        # Track state at the moment the reply arrives.
-        state_at_reply = []
-        switch.send_to_controller = lambda m: state_at_reply.append(
-            (m, len(switch.dataplane))
-        )
-        sim.run_for(5.0)
-        replies = [s for s in state_at_reply if isinstance(s[0], BarrierReply)]
-        assert replies and replies[0][1] == 1
+        assert self.rules_at_barrier_reply(IDEAL) == 1
 
     def test_premature_barrier_races_dataplane(self):
-        sim, switch, _ = make_switch(profile=HP_5406ZL)
-        state_at_reply = []
-        switch.send_to_controller = lambda m: state_at_reply.append(
-            (type(m).__name__, len(switch.dataplane))
-        )
-        switch.receive_message(add_mod(1, 2))
-        switch.receive_message(BarrierRequest(xid=5))
-        sim.run_for(5.0)
-        replies = [s for s in state_at_reply if s[0] == "BarrierReply"]
-        assert replies and replies[0][1] == 0  # lied: dataplane empty
+        assert self.rules_at_barrier_reply(HP_5406ZL) == 0  # lied
 
-    def test_behavior_factory(self):
-        from repro.sim.random import DeterministicRandom
-
-        rng = DeterministicRandom(0)
-        assert isinstance(behavior_for(PICA8, rng), ReorderingBehavior)
-        assert isinstance(behavior_for(HP_5406ZL, rng), PrematureAckBehavior)
-        assert isinstance(behavior_for(IDEAL, rng), FaithfulBehavior)
+    def test_barrier_reply_follows_the_profile_flags(self):
+        # Reordering implies premature barriers, whatever premature_ack
+        # says; only a switch with neither flag waits for its data plane.
+        for profile in (IDEAL, HP_5406ZL, PICA8):
+            waits = not (profile.premature_ack or profile.reorders)
+            assert self.rules_at_barrier_reply(profile) == int(waits)
+        assert self.rules_at_barrier_reply(
+            replace(PICA8, premature_ack=False)
+        ) == 0
 
 
 class TestDataPlane:
