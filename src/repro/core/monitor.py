@@ -96,9 +96,13 @@ class MonitorConfig:
         "steady-state probe pipelining: 1 is the paper's rate-paced "
         "cycle, one launch per tick however many earlier probes are "
         "still in flight; W > 1 tops the steady probes in flight back up "
-        "to W every tick (a depth cap), so detection latency on an "
-        "N-rule table drops from ~N/probe_rate toward "
-        "~N/(probe_window * probe_rate); concurrent probes of one switch "
+        "to W every tick (a depth cap).  A slot refills only on the "
+        "first tick after its probe confirms, so W > 1 sustains W "
+        "launches per tick only while a probe's round trip RTT fits in "
+        "one tick (1/probe_rate); otherwise it sustains "
+        "W * probe_rate / (1 + floor(RTT * probe_rate)) probes/s, "
+        "W * probe_rate / 2 for a round trip of one to two ticks (then "
+        "W = 2 sends what W = 1 does); concurrent probes of one switch "
         "share its reserved value and are told apart by their nonce",
     )
     probe_policy: str = knob(
@@ -458,9 +462,11 @@ class Monitor:
         self.sim.schedule(1.0 / self.config.probe_rate, self._steady_tick)
         # Launch budget.  A window of 1 is purely rate-paced: one
         # launch per tick with no depth cap.  A deeper window tops the
-        # steady probes in flight back up to ``window`` each tick, so
-        # the sustained injection rate approaches window * probe_rate
-        # while probe_rate still paces (and batches) the injections.
+        # steady probes in flight back up to ``window`` each tick: a
+        # slot refills on the first tick after its probe confirms, so
+        # the window sends ``window`` per tick only while a round trip
+        # fits in one tick, and window * probe_rate / (1 + floor(RTT *
+        # probe_rate)) probes/s otherwise.
         window = self.config.probe_window
         budget = 1 if window == 1 else window - self.window_depth
         if budget <= 0:

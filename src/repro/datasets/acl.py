@@ -126,7 +126,7 @@ def _rule_match(rng: DeterministicRandom, profile: AclProfile) -> Match:
         proto = IPPROTO_TCP if rng.random() < 0.7 else IPPROTO_UDP
         kwargs["nw_proto"] = proto
         if rng.random() < profile.p_port:
-            kwargs["tp_dst"] = rng.choose(_COMMON_PORTS)
+            kwargs["tp_dst"] = rng.choice(_COMMON_PORTS)
     return Match.build(**kwargs)
 
 
@@ -160,7 +160,7 @@ def generate_acl_table(
 
     # Shadowed rules: strictly inside an earlier rule, lower priority.
     for _ in range(shadow_count):
-        parent_match, _parent_actions = rng.choose(specs)
+        parent_match, _parent_actions = rng.choice(specs)
         specs.append(
             (_shrink_match(rng, parent_match), _rule_actions(rng, profile))
         )

@@ -127,7 +127,7 @@ class FailureSpec:
             # victims byte-identical at any worker count; the shared
             # fleet stream remains only as a back-compat fallback for
             # direct inject() callers.
-            return (rng or deployment.rng).choose(rules)
+            return (rng or deployment.rng).choice(rules)
         return rules[index % len(rules)]
 
 
@@ -246,7 +246,7 @@ class PrioritySwap(FailureSpec):
             raise FailureSpecError(
                 f"no swappable rule pair on {self.node!r} at t={self.at}"
             )
-        a, b = (rng or deployment.rng).choose(pairs)
+        a, b = (rng or deployment.rng).choice(pairs)
         switch.corrupt_rule_in_dataplane(a, b.actions)
         switch.corrupt_rule_in_dataplane(b, a.actions)
         record.nodes = {self.node}

@@ -167,7 +167,7 @@ class RuleChurn(Workload):
     def _one_operation(self) -> None:
         if not self._nodes:
             return
-        node = self._rng.choose(self._nodes)
+        node = self._rng.choice(self._nodes)
         total = sum(self.mix)
         roll = self._rng.uniform(0.0, total)
         if roll < self.mix[0] or not self._live[node]:
@@ -184,7 +184,7 @@ class RuleChurn(Workload):
         else:
             match = Match.build(nw_dst=self._next_dst)
             self._next_dst += 1
-        port = self._rng.choose(ports)
+        port = self._rng.choice(ports)
         self._live[node][match] = port
         return match, FlowMod(
             command=FlowModCommand.ADD,
@@ -194,10 +194,10 @@ class RuleChurn(Workload):
         )
 
     def _build_modify(self, node: Hashable) -> tuple[Match, FlowMod]:
-        match = self._rng.choose(sorted(self._live[node], key=repr))
+        match = self._rng.choice(sorted(self._live[node], key=repr))
         ports = self._ports[node]
         others = [p for p in ports if p != self._live[node][match]]
-        port = self._rng.choose(others) if others else self._live[node][match]
+        port = self._rng.choice(others) if others else self._live[node][match]
         self._live[node][match] = port
         return match, FlowMod(
             command=FlowModCommand.MODIFY_STRICT,
@@ -207,7 +207,7 @@ class RuleChurn(Workload):
         )
 
     def _build_delete(self, node: Hashable) -> tuple[Match, FlowMod]:
-        match = self._rng.choose(sorted(self._live[node], key=repr))
+        match = self._rng.choice(sorted(self._live[node], key=repr))
         del self._live[node][match]
         self._free[node].append(match)
         return match, FlowMod(

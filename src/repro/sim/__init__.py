@@ -1,26 +1,21 @@
-"""Discrete-event simulation kernel.
+"""Discrete-event simulation kernel and seeded random streams.
 
 All timed behaviour in the reproduction (switch control planes, link
-latencies, Monocle probing cycles, traffic generators) runs on top of this
-kernel.  It provides a deterministic event loop with a virtual clock, timer
-scheduling, and cooperative processes.
-
-The kernel is deliberately small: a binary-heap scheduler plus a couple of
-convenience wrappers.  Determinism matters more than raw throughput here —
-the paper's experiments are about *orderings* of control-plane and
-data-plane events, and a deterministic kernel makes those orderings
-reproducible and testable.
+latencies, Monocle probing cycles, traffic generators) runs on a
+:class:`Simulator`: a virtual clock and a binary heap of timed
+callbacks, dispatched in time order, ties in scheduling order.  All
+randomness comes from a :class:`DeterministicRandom`, a seeded
+``random.Random`` that forks independent streams.  Determinism matters
+more than raw throughput here — the paper's experiments are about
+*orderings* of control-plane and data-plane events, and a deterministic
+kernel makes those orderings reproducible and testable.
 """
 
-from repro.sim.clock import Clock
-from repro.sim.events import Event, EventQueue
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.sim.random import DeterministicRandom
 
 __all__ = [
-    "Clock",
     "Event",
-    "EventQueue",
     "Simulator",
     "DeterministicRandom",
 ]

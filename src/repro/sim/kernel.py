@@ -1,17 +1,39 @@
 """The discrete-event simulation kernel.
 
-A :class:`Simulator` owns a clock and an event queue.  Components schedule
-callbacks with :meth:`Simulator.schedule` (relative delay) or
-:meth:`Simulator.at` (absolute time); :meth:`Simulator.run` dispatches
-events in time order until the queue drains or a time/event limit is hit.
+A :class:`Simulator` holds the virtual clock (``now``, seconds, moved
+forward only by :meth:`Simulator.run`) and a binary heap of
+``(time, seq, event)`` entries.  Components schedule callbacks with
+:meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.at`
+(absolute time); :meth:`Simulator.run` dispatches them in time order.
+``seq`` is unique and increasing, so ties in time dispatch in
+scheduling order and comparing two entries never reaches the
+:class:`Event`: every heap sift is a C-level tuple comparison.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable
 
-from repro.sim.clock import Clock
-from repro.sim.events import Event, EventQueue
+
+class Event:
+    """A scheduled callback: the handle ``schedule`` and ``at`` return.
+
+    Attributes:
+        action: zero-argument callable run when the event is dispatched.
+        cancelled: a cancelled event stays in the heap but is skipped.
+    """
+
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action: Callable[[], None]) -> None:
+        self.action = action
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Mark the event so the kernel skips it when popped."""
+        self.cancelled = True
 
 
 class Simulator:
@@ -27,8 +49,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self.clock = Clock()
-        self._queue = EventQueue()
+        self._now = 0.0
+        self._heap: list[tuple[float, int, Event]] = []
+        self._seq = itertools.count()
         self._dispatched = 0
         self._running = False
         #: Called with the event time before every dispatched event
@@ -52,7 +75,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.clock.now
+        return self._now
 
     @property
     def events_dispatched(self) -> int:
@@ -63,49 +86,48 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
-        return self._queue.push(self.now + delay, action)
+        event = Event(action)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
+        return event
 
     def at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at an absolute simulation ``time``."""
-        if time < self.now:
+        if time < self._now:
             raise ValueError(
-                f"cannot schedule in the past: now={self.now}, time={time}"
+                f"cannot schedule in the past: now={self._now}, time={time}"
             )
-        return self._queue.push(time, action)
+        event = Event(action)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
+        return event
 
-    def run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """Dispatch events in time order.
-
-        Args:
-            until: stop once the next event would fire strictly after this
-                time; the clock is left at ``until``.  ``None`` runs to
-                queue exhaustion.
-            max_events: safety valve against runaway simulations.
-        """
+    def run(self, until: float | None = None) -> None:
+        """Dispatch events in time order until the heap drains or the
+        next live event would fire strictly after ``until``; the clock
+        is then left at ``until`` (later events stay queued)."""
         if self._running:
             raise RuntimeError("Simulator.run() is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
         try:
-            pop = self._queue.pop
-            advance = self.clock.advance
-            budget = float("inf") if max_events is None else max_events
-            while budget > 0:
-                event = pop(until)
-                if event is None:
+            while heap:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if until is not None and time > until:
                     break
+                pop(heap)
                 if self._dispatch_hook is not None:
-                    self._dispatch_hook(event.time)
-                advance(event.time)
+                    self._dispatch_hook(time)
+                self._now = time
                 event.action()
                 self._dispatched += 1
-                budget -= 1
-            if until is not None and until > self.now:
-                self.clock.advance(until)
+            if until is not None and until > self._now:
+                self._now = until
         finally:
             self._running = False
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time from now."""
-        self.run(until=self.now + duration)
+        self.run(until=self._now + duration)

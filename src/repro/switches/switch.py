@@ -309,7 +309,7 @@ class SimulatedSwitch:
                 )
 
     def _choose_ecmp_port(self, rule: Rule) -> int:
-        return self.rng.choose(sorted(rule.forwarding_set()))
+        return self.rng.choice(sorted(rule.forwarding_set()))
 
     def _emit(self, frame: Frame, port: int) -> None:
         if port == CONTROLLER_PORT:

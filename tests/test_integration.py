@@ -449,8 +449,8 @@ class TestMiniFigure8:
         edges = sorted(n for n in graph.nodes if n.startswith("edge"))
         paths = []
         for _ in range(num_paths):
-            src = rng.choose(edges)
-            dst = rng.choose([e for e in edges if e != src])
+            src = rng.choice(edges)
+            dst = rng.choice([e for e in edges if e != src])
             paths.append(nx.shortest_path(graph, src, dst))
         controller, confirm, _installer = wire_controller(
             sim, net, use_monocle, MonitorConfig(update_probe_interval=0.004)

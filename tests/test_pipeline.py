@@ -135,7 +135,7 @@ class TestWindowedMonitor:
             rng = DeterministicRandom(2015).fork(0x919E)
             dropped, latencies = set(), []
             for _ in range(7):
-                victim = rng.choose(rules)
+                victim = rng.choice(rules)
                 dropped.add(victim.key())
                 start, t_drop = len(monitor.alarms), sim.now
                 assert hub.fail_rule_in_dataplane(victim)

@@ -2,85 +2,103 @@
 
 import pytest
 
-from repro.sim import Clock, Simulator
-from repro.sim.events import EventQueue
+from repro.sim import Simulator
 
 
 class TestClock:
+    """The simulator's virtual clock."""
+
     def test_starts_at_zero(self):
-        assert Clock().now == 0.0
-
-    def test_custom_start(self):
-        assert Clock(5.0).now == 5.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(-1.0)
+        assert Simulator().now == 0.0
 
     def test_advance(self):
-        clock = Clock()
-        clock.advance(2.5)
-        assert clock.now == 2.5
+        sim = Simulator()
+        seen = []
+        sim.at(2.5, lambda: seen.append(sim.now))
+        sim.run(until=4.0)
+        assert seen == [2.5]
+        assert sim.now == 4.0
 
     def test_advance_to_same_time_ok(self):
-        clock = Clock(1.0)
-        clock.advance(1.0)
-        assert clock.now == 1.0
+        sim = Simulator()
+        fired = []
+        sim.run_for(1.0)
+        sim.at(1.0, lambda: fired.append(sim.now))
+        sim.schedule(0.0, lambda: fired.append(sim.now))
+        sim.run(until=1.0)
+        assert fired == [1.0, 1.0]
+        assert sim.now == 1.0
 
     def test_cannot_move_backwards(self):
-        clock = Clock(2.0)
+        sim = Simulator()
+        sim.run_for(2.0)
+        sim.run(until=1.0)
+        assert sim.now == 2.0
         with pytest.raises(ValueError):
-            clock.advance(1.0)
+            sim.at(1.0, lambda: None)
 
 
 class TestEventQueue:
+    """The simulator's heap of pending events."""
+
     def test_pop_in_time_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.push(2.0, lambda: order.append("b"))
-        queue.push(1.0, lambda: order.append("a"))
-        queue.push(3.0, lambda: order.append("c"))
-        while (event := queue.pop()) is not None:
-            event.action()
+        sim.at(2.0, lambda: order.append("b"))
+        sim.at(1.0, lambda: order.append("a"))
+        sim.at(3.0, lambda: order.append("c"))
+        sim.run()
         assert order == ["a", "b", "c"]
 
     def test_ties_dispatch_in_schedule_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
         for tag in ("first", "second", "third"):
-            queue.push(1.0, lambda t=tag: order.append(t))
-        while (event := queue.pop()) is not None:
-            event.action()
+            sim.at(1.0, lambda t=tag: order.append(t))
+        sim.run()
         assert order == ["first", "second", "third"]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        event.cancel()
-        assert queue.pop() is None
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append("x")).cancel()
+        sim.run()
+        assert fired == []
+        assert sim.events_dispatched == 0
+        assert sim.now == 0.0
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 2.0
+    def test_cancelled_events_never_reach_the_clock(self):
+        sim = Simulator()
+        seen = []
+        sim.set_dispatch_hook(seen.append)
+        sim.at(1.0, lambda: None).cancel()
+        sim.at(2.0, lambda: None)
+        sim.run()
+        assert seen == [2.0]
+        assert sim.now == 2.0
 
     def test_pop_until_leaves_later_events_queued(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        late = queue.push(3.0, lambda: None)
-        assert queue.pop(until=2.0).time == 1.0
-        assert queue.pop(until=2.0) is None
-        assert queue.peek_time() == 3.0
-        assert queue.pop(until=3.0) is late
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1.0))
+        sim.at(3.0, lambda: fired.append(3.0))
+        sim.run(until=2.0)
+        assert fired == [1.0]
+        sim.run(until=2.5)
+        assert fired == [1.0]
+        sim.run(until=3.0)  # an event exactly at ``until`` is due
+        assert fired == [1.0, 3.0]
+        assert sim.events_dispatched == 2
 
     def test_cancelled_head_does_not_hide_a_due_event(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None).cancel()
-        due = queue.push(2.0, lambda: None)
-        assert queue.pop(until=2.0) is due
-        assert queue.pop() is None
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append("cancelled")).cancel()
+        sim.at(2.0, lambda: fired.append("due"))
+        sim.run(until=2.0)
+        assert fired == ["due"]
+        sim.run()
+        assert fired == ["due"]
 
 
 class TestSimulator:
@@ -153,18 +171,6 @@ class TestSimulator:
         sim.run()
         assert fired == ["a", "c"]
         assert sim.events_dispatched == 2
-
-    def test_max_events_limit(self):
-        sim = Simulator()
-        count = [0]
-
-        def recur():
-            count[0] += 1
-            sim.schedule(0.1, recur)
-
-        sim.schedule(0.1, recur)
-        sim.run(max_events=10)
-        assert count[0] == 10
 
     def test_event_cancellation_via_handle(self):
         sim = Simulator()
