@@ -29,9 +29,9 @@ ahead of the probed rule that makes the probe impossible, below it
 that rule ends the chain.  The bits every allowed ``in_port`` shares
 join the cube too; only the bits that tell the allowed ports apart are
 encoded.  The fixed bits themselves never enter the solver: decoding
-overlays the cube on the model.  Every probe is compiled this way,
-into a fresh solver: the cold generator's and the per-switch
-context's alike.
+overlays the cube on the model, the set of variables it sets true.
+Every probe is compiled this way, into a fresh solver: the cold
+generator's and the per-switch context's alike.
 
 ``DiffOutcome`` is ``DiffPorts | DiffRewrite`` (§3.2–3.4):
 ``DiffPorts`` is decided during compilation (pure set logic on
@@ -55,10 +55,6 @@ from repro.sat.encode import (
     clause_and,
     clause_or,
 )
-
-
-#: The SAT variables holding the abstract header, bit 0 first.
-_HEADER_VARS = range(1, HEADER.total_bits + 1)
 
 
 def _literals(value: int, mask: int) -> list[Lit]:
@@ -411,13 +407,13 @@ class ConstraintCompiler:
     # ----- solution decoding ---------------------------------------------
 
     def decode_assignment(
-        self, assignment: dict[int, bool]
+        self, model: frozenset[int]
     ) -> dict[FieldName, int]:
-        """Abstract header values from a satisfying assignment, the
-        cube's fixed bits overlaid on it."""
-        bits = "".join(
-            ["1" if bit else "0" for bit in map(assignment.get, _HEADER_VARS)]
-        )
-        packed = int(bits, 2) & ~self.cube_mask | self.cube_value
-        values = HEADER.unpack(packed)
+        """Abstract header values from a satisfying model (the
+        variables it sets true), the cube's fixed bits overlaid on it.
+        Header variable ``v`` is packed bit ``HEADER_BITS - v``; the
+        Tseitin variables above the header are no part of the probe."""
+        top = HEADER.total_bits
+        packed = sum(1 << (top - var) for var in model if var <= top)
+        values = HEADER.unpack(packed & ~self.cube_mask | self.cube_value)
         return {name: values[name] for name in HEADER.names()}

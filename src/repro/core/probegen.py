@@ -13,8 +13,8 @@ Pipeline (Figure 2):
    (:class:`~repro.core.constraints.ConstraintCompiler`), folded over
    the cube of bits Hit and Collect fix: what the fold decides is
    never encoded, and a probe it proves impossible is never solved,
-3. run the CDCL solver,
-4. decode the assignment into abstract header values,
+3. run the CDCL solver, sized by the variables the clauses name,
+4. decode the model (the variables it sets true) into header values,
 5. normalize for wire validity (§5.2: spare values, conditional fields),
 6. craft the raw packet and compute expected outcomes.
 
@@ -257,7 +257,7 @@ def _conclude(
     if not sat.satisfiable:
         result.reason = UnmonitorableReason.UNSATISFIABLE
         return result
-    raw_values = compiler.decode_assignment(sat.assignment)
+    raw_values = compiler.decode_assignment(sat.model)
     relevant = (
         [rule.match] + [r.match for r in candidates] + [catch_match]
     )

@@ -58,6 +58,7 @@ update tokens with the same structure.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable, Iterator
 
 from repro.openflow.fields import HEADER
@@ -90,6 +91,7 @@ _FIELD_SPANS: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+@lru_cache(maxsize=4096)
 def signature_of(mask: int) -> int:
     """Coarsen a packed mask into its bucket signature.
 
@@ -102,6 +104,8 @@ def signature_of(mask: int) -> int:
     Signatures are intersection-compatible: for a signature ``s`` and
     any mask ``m``, ``signature_of(s & m) == s & signature_of(m)``, so
     a query coarsens its mask once and per-bucket anchors are one AND.
+
+    Memoized: a table has few distinct masks (ACL tables: 676, 1,309).
     """
     sig = 0
     for shift, width in _FIELD_SPANS:

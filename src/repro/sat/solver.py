@@ -10,17 +10,20 @@ Implements the standard conflict-driven clause learning loop:
 * Luby-sequence restarts,
 * phase saving.
 
-A solve costs what its formula mentions.  The branching heap holds the
-variables some *stored* clause names — a clause of two or more live
-literals, learned lemmas included; a variable enters it the first time
-such a clause is stored, not when it is allocated.  Search ends when
-the heap runs dry: every candidate is then assigned, propagation found
-no conflict, so every stored clause is satisfied.  A variable nothing
-stored names (only units, or nothing at all, ever mention it) is never
-decided and reports its saved phase in the model, which is exactly
-what a decision at its own level would have assigned.
-Entries are lazy: an assigned variable's entry is dropped when popped
-and pushed again when the variable is unwound.
+A solve costs what its formula mentions.  The per-variable arrays
+reach only the highest variable a clause, a unit or :meth:`new_var`
+names (``num_vars`` counts every id allocated).  The branching heap
+holds the variables some *stored* clause names — a clause of two or
+more live literals, learned lemmas included; a variable enters it the
+first time such a clause is stored, not when it is allocated.  Search
+ends when the heap runs dry: every candidate is then assigned,
+propagation found no conflict, so every stored clause is satisfied.
+The model is the set of variables the trail then holds true.  One
+nothing stored names is never decided: a unit put it on the trail at
+level 0, never unwound, or it was never assigned and is false, as a
+decision in its saved phase would have assigned.  Heap entries are
+lazy: an assigned variable's entry is dropped when popped and pushed
+again when the variable is unwound.
 
 The solver is deliberately self-contained (lists of ints, no numpy) so
 its behaviour is easy to audit and to cross-check against the
@@ -35,7 +38,7 @@ against every clause.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.sat.cnf import CNF, Lit
@@ -47,7 +50,8 @@ class SatResult:
 
     Attributes:
         satisfiable: True / False, or None if the budget ran out.
-        assignment: var -> bool for a satisfying model (only when SAT).
+        model: the variables a satisfying model sets true (only when
+            SAT); every other variable, allocated or not, is false.
         conflicts: number of conflicts encountered.
         decisions: number of branching decisions made.
         propagations: number of literals assigned by unit propagation.
@@ -55,7 +59,7 @@ class SatResult:
     """
 
     satisfiable: bool | None
-    assignment: dict[int, bool] = field(default_factory=dict)
+    model: frozenset[int] = frozenset()
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
@@ -88,7 +92,7 @@ class SatSolver:
     """
 
     def __init__(self, cnf: CNF) -> None:
-        self.num_vars = 0
+        self.num_vars = cnf.num_vars
         #: Clauses handed to :meth:`add_clause` so far (units, satisfied
         #: and tautological ones included; learned lemmas are not).
         self.num_clauses = 0
@@ -122,7 +126,6 @@ class SatSolver:
 
         self.stats = SatResult(satisfiable=None)
 
-        self.ensure_num_vars(cnf.num_vars)
         for clause in cnf.clauses():
             self.add_clause(clause)
 
@@ -161,12 +164,12 @@ class SatSolver:
 
     # ----- building the formula -----------------------------------------
 
-    def ensure_num_vars(self, count: int) -> None:
-        """Grow the variable space to at least ``count`` variables."""
-        grow = count - self.num_vars
+    def _grow(self, var: int) -> None:
+        """Extend the per-variable arrays to ``var``, allocating it."""
+        grow = var + 1 - len(self.values)
         if grow <= 0:
             return
-        self.num_vars = count
+        self.num_vars = max(self.num_vars, var)
         self.values.extend([0] * grow)
         self.levels.extend([0] * grow)
         self.reasons.extend([None] * grow)
@@ -176,7 +179,8 @@ class SatSolver:
 
     def new_var(self) -> int:
         """Allocate a fresh variable and return its (positive) index."""
-        self.ensure_num_vars(self.num_vars + 1)
+        self.num_vars += 1
+        self._grow(self.num_vars)
         return self.num_vars
 
     def add_clause(self, literals: Iterable[Lit]) -> None:
@@ -193,7 +197,7 @@ class SatSolver:
             raise ValueError("0 is not a valid literal")
         self.num_clauses += 1
         if lits:
-            self.ensure_num_vars(max(map(abs, lits)))
+            self._grow(max(map(abs, lits)))
         if len(lits) == 2:
             if lits[0] == -lits[1]:
                 return  # tautology
@@ -281,7 +285,7 @@ class SatSolver:
         clauses: implied by the formula alone.
         """
         level = len(self.trail_lim)
-        seen = [False] * (self.num_vars + 1)
+        seen = [False] * len(self.values)
         learned: list[int] = []
         counter = 0
         lit = 0
@@ -328,13 +332,13 @@ class SatSolver:
         act = self.activity[var] + self.act_inc
         self.activity[var] = act
         if act > 1e100:
-            for v in range(1, self.num_vars + 1):
+            for v in range(1, len(self.activity)):
                 self.activity[v] *= 1e-100
             self.act_inc *= 1e-100
             # In place: solve holds the heap in a local.
             self._heap[:] = [
                 (-self.activity[v], v)
-                for v in range(1, self.num_vars + 1)
+                for v in range(1, len(self.activity))
                 if self._branchable[v] and not self.values[v]
             ]
             heapq.heapify(self._heap)
@@ -469,15 +473,12 @@ class SatSolver:
             else:
                 # The heap ran dry: every variable a stored clause names
                 # is assigned and propagation found no conflict.  The
-                # others keep their saved phase, which is what deciding
-                # them would assign.
-                assignment = {
-                    var: values[var] > 0 if values[var] else phase[var]
-                    for var in range(1, self.num_vars + 1)
-                }
-                self._assert_model(assignment)
+                # others are false unless a unit put them on the trail
+                # (module docstring).
+                model = frozenset([lit for lit in trail if lit > 0])
+                self._assert_model(model)
                 stats.satisfiable = True
-                stats.assignment = assignment
+                stats.model = model
                 break
 
         if self._contradiction:
@@ -487,19 +488,18 @@ class SatSolver:
         stats.propagations += len(trail)
         return stats
 
-    def _assert_model(self, assignment: dict[int, bool]) -> None:
+    def _assert_model(self, model: frozenset[int]) -> None:
         """Defensive final check: the returned model satisfies every
-        original clause.  A violation is a solver bug, not user error."""
+        stored clause and every unit.  A violation is a solver bug, not
+        user error."""
         for clause in self.clauses:
-            if not any(
-                (lit > 0) == assignment[abs(lit)] for lit in clause
-            ):
+            if not any((lit > 0) == (abs(lit) in model) for lit in clause):
                 raise AssertionError(
                     f"solver produced an invalid model; clause {clause} "
                     "unsatisfied"
                 )
         for lit in self._units:
-            if (lit > 0) != assignment[abs(lit)]:
+            if (lit > 0) != (abs(lit) in model):
                 raise AssertionError(
                     f"solver produced an invalid model; unit {lit} violated"
                 )

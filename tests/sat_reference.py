@@ -1,9 +1,12 @@
 """Reference SAT helpers the solver tests compare against.
 
+A model is written the way :class:`~repro.sat.solver.SatResult` writes
+it: the set of variables it sets true, every other variable false.
 :func:`brute_force_solve` enumerates all assignments over the formula's
 variables and reports the first model found (exponential by nature, so
 it is guarded against formulas with more than 24 variables);
-:func:`evaluate` checks a model against a formula;
+:func:`evaluate` checks a model against a formula; :func:`model_of`
+spells a model out as a total assignment, for whole-model comparisons;
 :func:`unqueued_candidates` audits the solver's branching heap; the
 DIMACS functions dump and reload formulas for failure messages and
 fixtures.
@@ -11,15 +14,15 @@ fixtures.
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import AbstractSet, TextIO
 
 from repro.sat.cnf import CNF
 
 MAX_BRUTE_VARS = 24
 
 
-def brute_force_solve(cnf: CNF) -> dict[int, bool] | None:
-    """Return a satisfying assignment by enumeration, or None if UNSAT.
+def brute_force_solve(cnf: CNF) -> frozenset[int] | None:
+    """Return a satisfying model by enumeration, or None if UNSAT.
 
     Raises:
         ValueError: if the formula has too many variables to enumerate.
@@ -31,27 +34,34 @@ def brute_force_solve(cnf: CNF) -> dict[int, bool] | None:
         )
     clause_list = list(cnf.clauses())
     for bits in range(1 << n):
-        assignment = {
-            var: bool(bits >> (var - 1) & 1) for var in range(1, n + 1)
-        }
+        model = frozenset(
+            var for var in range(1, n + 1) if bits >> (var - 1) & 1
+        )
         ok = True
         for clause in clause_list:
             if not clause:
                 return None  # empty clause: UNSAT regardless of assignment
-            if not any((lit > 0) == assignment[abs(lit)] for lit in clause):
+            if not any((lit > 0) == (abs(lit) in model) for lit in clause):
                 ok = False
                 break
         if ok:
-            return assignment
+            return model
     return None
 
 
-def evaluate(cnf: CNF, assignment: dict[int, bool]) -> bool:
-    """Evaluate under a *total* assignment (var -> bool)."""
+def evaluate(cnf: CNF, model: AbstractSet[int]) -> bool:
+    """Evaluate under ``model``: the variables it holds are true, every
+    other variable is false."""
     return all(
-        any((lit > 0) == assignment[abs(lit)] for lit in clause)
+        any((lit > 0) == (abs(lit) in model) for lit in clause)
         for clause in cnf.clauses()
     )
+
+
+def model_of(assignment: dict[int, bool]) -> frozenset[int]:
+    """The model of a total assignment (var -> bool): the variables it
+    sets true."""
+    return frozenset(var for var, value in assignment.items() if value)
 
 
 def unqueued_candidates(solver) -> set[int]:

@@ -22,7 +22,7 @@ CATCH = Match.build(dl_vlan=0xF03)
 
 def decode(compiler, result):
     assert result.satisfiable
-    return compiler.decode_assignment(result.assignment)
+    return compiler.decode_assignment(result.model)
 
 
 class TestMatchesEncoding:
@@ -187,7 +187,7 @@ class TestDiffRewrite:
         result = solve(compiler.cnf)
         if not result.satisfiable:
             return None
-        return compiler.decode_assignment(result.assignment)
+        return compiler.decode_assignment(result.model)
 
     def test_same_port_rewrite_distinguishable_for_right_probe(self):
         compiler = ConstraintCompiler()
@@ -559,11 +559,24 @@ class TestCubeFold:
 class TestDecodeAssignment:
     def test_unassigned_bits_default_false(self):
         compiler = ConstraintCompiler()
-        values = compiler.decode_assignment({})
+        values = compiler.decode_assignment(frozenset())
         assert all(v == 0 for v in values.values())
 
     def test_bit_order_msb_first(self):
         compiler = ConstraintCompiler()
         # Set the MSB of in_port (bit 0 of the header = var 1).
-        values = compiler.decode_assignment({1: True})
+        values = compiler.decode_assignment(frozenset({1}))
         assert values[FieldName.IN_PORT] == 1 << 15
+
+    def test_model_above_the_header_is_ignored_and_the_cube_wins(self):
+        compiler = ConstraintCompiler()
+        top = HEADER.total_bits
+        # The last header bit is packed bit 0; Tseitin variables above
+        # the header are no part of the probe.
+        values = compiler.decode_assignment(frozenset({top, top + 1, 400}))
+        assert values == HEADER.unpack(1)
+        # A bit the cube fixes reads the cube's value, not the model's.
+        assert compiler.fix(*Match.build(in_port=5).packed())
+        values = compiler.decode_assignment(frozenset({1, top}))
+        assert values[FieldName.IN_PORT] == 5
+        assert values == {**HEADER.unpack(1), FieldName.IN_PORT: 5}

@@ -43,13 +43,18 @@ The decision-count tests hold the mechanism itself: a cold ACL probe
 is a handful of branching decisions, and a conflict-free solve never
 makes more decisions than its stored clauses name variables — a later
 change that puts every allocated variable back on the branching heap
-fails here, in tier-1, not in a benchmark.
+fails here, in tier-1, not in a benchmark.  So does one that sizes the
+solver by the 253-bit header again: a cold solve's per-variable arrays
+reach no higher than a clause, a unit or ``new_var`` named (nowhere,
+for the instances the cube fold leaves empty), and its model is read
+off the trail.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import weakref
 
 import pytest
 
@@ -189,6 +194,62 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(SatSolver, "solve", wrapper)
     return seen
+
+
+@pytest.fixture
+def sizing(monkeypatch):
+    """Per ``SatSolver.solve`` call: ``(clauses handed to the solver,
+    highest variable a clause, a unit or new_var named, highest
+    variable the per-variable arrays index, the model, the variables
+    the trail holds true)``."""
+    named: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    seen = []
+    add_clause, new_var, solve = (
+        SatSolver.add_clause, SatSolver.new_var, SatSolver.solve
+    )
+
+    def name(solver, var):
+        named[solver] = max(named.get(solver, 0), var)
+
+    def add_clause_spy(self, literals):
+        literals = list(literals)
+        add_clause(self, literals)
+        name(self, max(map(abs, literals), default=0))
+
+    def new_var_spy(self):
+        var = new_var(self)
+        name(self, var)
+        return var
+
+    def solve_spy(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        seen.append((
+            self.num_clauses,
+            named.get(self, 0),
+            len(self.values) - 1,
+            result.model,
+            frozenset(lit for lit in self.trail if lit > 0),
+        ))
+        return result
+
+    monkeypatch.setattr(SatSolver, "add_clause", add_clause_spy)
+    monkeypatch.setattr(SatSolver, "new_var", new_var_spy)
+    monkeypatch.setattr(SatSolver, "solve", solve_spy)
+    return seen
+
+
+def test_cold_solver_is_sized_by_its_clauses(sample, sizing):
+    name, table, rules = sample
+    results = cold_results(table, rules)
+    assert len(sizing) == sum(r.ok for r in results)
+    for num_clauses, top_named, allocated, model, trail_true in sizing:
+        assert allocated <= top_named
+        if not num_clauses:
+            assert allocated == 0
+        assert model <= trail_true
+    # The fold leaves most cold instances empty: those allocate nothing.
+    empty = sum(not num_clauses for num_clauses, *_ in sizing)
+    assert empty > len(sizing) / 2
 
 
 def test_cold_probes_are_the_pinned_ones(sample, solves):

@@ -5,7 +5,13 @@ import io
 import pytest
 
 from repro.sat.cnf import CNF
-from sat_reference import evaluate, from_dimacs, to_dimacs, write_dimacs
+from sat_reference import (
+    evaluate,
+    from_dimacs,
+    model_of,
+    to_dimacs,
+    write_dimacs,
+)
 
 
 class TestVariables:
@@ -111,9 +117,9 @@ class TestEvaluate:
     def test_evaluate_true(self):
         cnf = CNF()
         cnf.extend([[1, 2], [-1, 2]])
-        assert evaluate(cnf, {1: False, 2: True})
+        assert evaluate(cnf, model_of({1: False, 2: True}))
 
     def test_evaluate_false(self):
         cnf = CNF()
         cnf.extend([[1], [2]])
-        assert not evaluate(cnf, {1: True, 2: False})
+        assert not evaluate(cnf, model_of({1: True, 2: False}))

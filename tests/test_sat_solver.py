@@ -10,6 +10,7 @@ from repro.sim.random import DeterministicRandom
 from sat_reference import (
     brute_force_solve,
     evaluate,
+    model_of,
     to_dimacs,
     unqueued_candidates,
 )
@@ -21,6 +22,21 @@ def make_cnf(num_vars, clauses):
     return cnf
 
 
+def pigeonhole(pigeons, holes):
+    """Clauses of "every pigeon in a hole, no two in one", over
+    variables ``1 .. pigeons * holes``."""
+
+    def var(i, j):
+        return i * holes + j + 1
+
+    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                clauses.append([-var(a, j), -var(b, j)])
+    return clauses
+
+
 class TestBasics:
     def test_empty_formula_sat(self):
         assert solve(CNF()).satisfiable is True
@@ -29,7 +45,7 @@ class TestBasics:
         cnf = make_cnf(1, [[1]])
         result = solve(cnf)
         assert result.satisfiable
-        assert result.assignment[1] is True
+        assert 1 in result.model
 
     def test_contradictory_units(self):
         assert solve(make_cnf(1, [[1], [-1]])).satisfiable is False
@@ -45,37 +61,28 @@ class TestBasics:
         clauses = [[1]] + [[-i, i + 1] for i in range(1, n)]
         result = solve(make_cnf(n, clauses))
         assert result.satisfiable
-        assert all(result.assignment[i] for i in range(1, n + 1))
+        assert result.model == frozenset(range(1, n + 1))
 
     def test_model_satisfies_formula(self):
         cnf = make_cnf(4, [[1, 2], [-1, 3], [-2, -3], [3, 4], [-4, 1]])
         result = solve(cnf)
         assert result.satisfiable
-        assert evaluate(cnf, result.assignment)
+        assert evaluate(cnf, result.model)
 
     def test_pigeonhole_3_into_2_unsat(self):
-        # Vars p_{i,j}: pigeon i in hole j; i in 0..2, j in 0..1.
-        def var(i, j):
-            return i * 2 + j + 1
-
-        clauses = [[var(i, 0), var(i, 1)] for i in range(3)]
-        for j in range(2):
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    clauses.append([-var(a, j), -var(b, j)])
-        assert solve(make_cnf(6, clauses)).satisfiable is False
+        assert solve(make_cnf(6, pigeonhole(3, 2))).satisfiable is False
 
     def test_duplicate_literals_tolerated(self):
         cnf = make_cnf(2, [[1, 1, 2], [-1, -1]])
         result = solve(cnf)
         assert result.satisfiable
-        assert result.assignment[1] is False
+        assert 1 not in result.model
 
     def test_tautological_clause_ignored(self):
         cnf = make_cnf(2, [[1, -1], [2]])
         result = solve(cnf)
         assert result.satisfiable
-        assert result.assignment[2] is True
+        assert 2 in result.model
 
 
 class TestAgainstBruteForce:
@@ -100,7 +107,7 @@ class TestAgainstBruteForce:
             result = solve(cnf)
             assert result.satisfiable == expected, to_dimacs(cnf)
             if result.satisfiable:
-                assert evaluate(cnf, result.assignment)
+                assert evaluate(cnf, result.model)
 
 
 @st.composite
@@ -134,8 +141,8 @@ def solver_for(num_vars, clauses):
 
 
 class TestUnmentionedVariables:
-    """The heap holds what stored clauses name; everything else keeps
-    its saved phase and costs no decision."""
+    """The heap holds what stored clauses name; everything else costs
+    no decision and is false unless the trail holds it true."""
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_steps())
@@ -156,42 +163,44 @@ class TestUnmentionedVariables:
             assert result.satisfiable == expected, to_dimacs(formula)
             again = solver_for(num_vars, written).solve()
             assert again.satisfiable == result.satisfiable
-            assert again.assignment == result.assignment
+            assert again.model == result.model
             # Every unassigned candidate is still queued.
             assert not unqueued_candidates(solver)
             if not result.satisfiable:
                 continue
-            assert sorted(result.assignment) == list(range(1, num_vars + 1))
-            assert evaluate(formula, result.assignment)
+            assert result.model <= frozenset(range(1, num_vars + 1))
+            assert evaluate(formula, result.model)
             assert len(solver._heap) <= num_vars
             stored = {abs(lit) for c in solver.clauses for lit in c}
             if not result.conflicts:
                 assert result.decisions <= len(stored)
             for var in range(1, num_vars + 1):
                 if var not in touched:
-                    assert result.assignment[var] is False
+                    assert var not in result.model
 
-    def test_untouched_variable_reports_saved_phase(self):
+    def test_untouched_variable_is_false_unless_the_trail_holds_it(self):
         result = solver_for(6, [[1, 2], [3]]).solve()
-        # 3 is named by a unit only, 6 by nothing: neither is decided.
-        assert result.assignment[3] is True and result.assignment[6] is False
+        # 3 is named by a unit only, 6 by nothing: neither is decided;
+        # the unit put 3 on the trail, nothing put 6 there.
+        assert 3 in result.model and 6 not in result.model
         assert result.decisions <= 1
 
     def test_variable_named_after_a_solve_is_constrained(self):
         # 3 is unconstrained by the first formula and keeps its phase;
         # the formulas that grow from it name 3 and constrain it.
         grown = [[1, 2]]
-        assert solver_for(3, grown).solve().assignment[3] is False
+        first = solver_for(3, grown).solve()
+        assert first.satisfiable and 3 not in first.model
         grown += [[3, 1], [3, -1]]
         result = solver_for(3, grown).solve()
-        assert result.satisfiable and result.assignment[3] is True
+        assert result.satisfiable and 3 in result.model
         grown.append([-3])
         assert solver_for(3, grown).solve().satisfiable is False
 
     def test_variable_assigned_by_a_unit_before_a_clause_names_it(self):
         # The unit [-3] reduces [3, 1] to [1] and then [3, 2, -1] to [2].
         result = solver_for(3, [[-3], [3, 1], [3, 2, -1]]).solve()
-        assert result.assignment == {1: True, 2: True, 3: False}
+        assert result.model == model_of({1: True, 2: True, 3: False})
         assert result.decisions == 0
 
     def test_lemma_variables_stay_constrained(self):
@@ -225,18 +234,47 @@ class TestUnmentionedVariables:
                     learned += result.learned_clauses
                     assert result.satisfiable == expected
                     if expected:
-                        assert result.assignment[11] is True
-                        assert result.assignment[12] is False
+                        assert 11 in result.model
+                        assert 12 not in result.model
         assert learned
+
+
+class TestClauseByClause:
+    """A formula written into the solver clause by clause, the way an
+    encoder writes one probe's formula: units first or last, clauses
+    that units already decide, and one solve at the end."""
+
+    def test_clause_falsified_by_previous_level0_trail(self):
+        """Regression: a clause all of whose literals earlier units make
+        false must make the formula UNSAT — not be silently ignored
+        because its two watches are falsified before search starts."""
+        result = solver_for(2, [[-1], [-2], [1, 2]]).solve()
+        assert result.satisfiable is False
+
+    def test_clause_reduced_to_unit_by_level0_trail(self):
+        result = solver_for(3, [[-1], [1, 3]]).solve()  # reduces to [3]
+        assert result.satisfiable is True
+        assert 3 in result.model
+        assert result.decisions == 0
+        unsat = solver_for(3, [[-1], [1, 3], [-3]]).solve()
+        assert unsat.satisfiable is False
+
+    def test_clause_satisfied_by_level0_trail_is_redundant(self):
+        result = solver_for(2, [[1], [1, 2], [-2]]).solve()
+        assert result.satisfiable is True
+        assert result.model == model_of({1: True, 2: False})
 
 
 class TestMalformedInput:
     def test_literal_zero_is_rejected_before_it_is_stored(self):
         solver = SatSolver(CNF(2))
-        with pytest.raises(ValueError, match="0 is not a valid literal"):
-            solver.add_clause([1, 0, 2])
+        for malformed in ([0], [1, 0, 2]):
+            with pytest.raises(ValueError, match="0 is not a valid literal"):
+                solver.add_clause(malformed)
         assert solver.clauses == [] and solver.num_clauses == 0
+        assert solver._units == []
         assert solver.solve().satisfiable is True
+
 
 class TestOneShot:
     def test_second_solve_raises(self):
@@ -250,17 +288,79 @@ class TestOneShot:
 class TestBudget:
     def test_conflict_budget_returns_unknown(self):
         # Hard pigeonhole instance with tiny budget.
-        def var(i, j):
-            return i * 4 + j + 1
-
-        clauses = [[var(i, j) for j in range(4)] for i in range(5)]
-        for j in range(4):
-            for a in range(5):
-                for b in range(a + 1, 5):
-                    clauses.append([-var(a, j), -var(b, j)])
-        cnf = make_cnf(20, clauses)
+        cnf = make_cnf(20, pigeonhole(5, 4))
         result = SatSolver(cnf).solve(max_conflicts=3)
         assert result.satisfiable is None
+
+
+class TestActivityRescale:
+    """``_bump``'s rescale past 1e100 walks the per-variable arrays,
+    which reach only as far as the highest variable named."""
+
+    def formulas(self):
+        """(variables, clauses): pigeonhole 4 -> 3 and random 3-SAT near
+        the phase transition, satisfiable and not."""
+        yield 12, pigeonhole(4, 3)
+        rng = DeterministicRandom(11)
+        for _ in range(6):
+            yield 12, [
+                [v if rng.random() < 0.5 else -v
+                 for v in rng.sample(range(1, 13), 3)]
+                for _ in range(55)
+            ]
+
+    def solve_rescaling(self, num_vars, clauses):
+        """Solve with ``act_inc`` just below 1e100, so the second bump
+        rescales; returns the result, the solver and, per rescale,
+        whether the rebuilt heap held exactly the branchable,
+        unassigned variables, each once and current."""
+        solver = solver_for(num_vars, clauses)
+        solver.act_inc = 0.99e100
+        bump = solver._bump
+        rebuilt = []
+
+        def spy(var):
+            before = solver.act_inc
+            bump(var)
+            if solver.act_inc < before:
+                expected = [
+                    v for v in range(1, len(solver.values))
+                    if solver._branchable[v] and not solver.values[v]
+                ]
+                heap = sorted(v for _, v in solver._heap)
+                current = all(
+                    -neg == solver.activity[v] for neg, v in solver._heap
+                )
+                rebuilt.append(heap == expected and current)
+
+        solver._bump = spy
+        return solver.solve(), solver, rebuilt
+
+    def test_rescale_keeps_verdicts_and_heap(self):
+        rescales = 0
+        for num_vars, clauses in self.formulas():
+            reference = make_cnf(num_vars, clauses)
+            expected = brute_force_solve(reference)
+            # As written, and with every variable moved above 200 of a
+            # 253-variable formula: the arrays then end at the highest
+            # variable named, far below num_vars.
+            shifted = [[lit + 200 if lit > 0 else lit - 200 for lit in c]
+                       for c in clauses]
+            for size, formula in ((num_vars, clauses), (253, shifted)):
+                result, solver, rebuilt = self.solve_rescaling(
+                    size, formula
+                )
+                assert result.satisfiable == (expected is not None)
+                assert all(rebuilt)
+                rescales += len(rebuilt)
+                assert solver.num_vars == size
+                assert len(solver.values) - 1 == max(
+                    abs(lit) for clause in formula for lit in clause
+                )
+                if result.satisfiable:
+                    assert evaluate(make_cnf(size, formula), result.model)
+                assert max(solver.activity) <= 1e100
+        assert rescales
 
 
 class TestLuby:

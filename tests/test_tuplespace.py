@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import campus_table, stanford_table
 from repro.openflow.actions import ActionList, Drop, output
 from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import FieldMatch, Match
@@ -209,6 +210,26 @@ class TestTupleSpaceIndex:
             sig = signature_of(a)
             for b in masks:
                 assert signature_of(sig & b) == sig & signature_of(b)
+
+    def test_memoized_signature_on_the_acl_tables(self):
+        for build in (stanford_table, campus_table):
+            for rule in build(seed=7).rules():
+                mask = rule.match.packed()[1]
+                for _ in range(2):  # computed, then served from the memo
+                    assert signature_of(mask) == signature_of.__wrapped__(
+                        mask
+                    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, (1 << HEADER.total_bits) - 1),
+            matches().map(lambda match: match.packed()[1]),
+        )
+    )
+    def test_memoized_signature_of_drawn_masks(self, mask):
+        for _ in range(2):
+            assert signature_of(mask) == signature_of.__wrapped__(mask)
 
     def test_tombstones_compact(self):
         index = TupleSpaceIndex()
