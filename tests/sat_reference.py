@@ -6,7 +6,7 @@ it: the set of variables it sets true, every other variable false.
 variables and reports the first model found (exponential by nature, so
 it is guarded against formulas with more than 24 variables);
 :func:`evaluate` checks a model against a formula; :func:`model_of`
-spells a model out as a total assignment, for whole-model comparisons;
+turns a total assignment into a model, for whole-model comparisons;
 :func:`unqueued_candidates` audits the solver's branching heap; the
 DIMACS functions dump and reload formulas for failure messages and
 fixtures.

@@ -55,6 +55,7 @@ from __future__ import annotations
 import hashlib
 import random
 import weakref
+from typing import NamedTuple
 
 import pytest
 
@@ -67,7 +68,7 @@ from repro.datasets import campus_table, stanford_table
 from repro.openflow.actions import output
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
-from repro.sat.solver import SatSolver
+from repro.sat.solver import SatResult, SatSolver
 
 CATCH = Match.build(dl_vlan=0xF03)
 SEED = 7
@@ -179,31 +180,27 @@ def new_context(table) -> ProbeGenContext:
     )
 
 
+class Solve(NamedTuple):
+    """One ``SatSolver.solve`` call, seen as it returned."""
+
+    result: SatResult
+    #: Variables the solver's stored clauses named.
+    stored_vars: int
+    #: Clauses handed to the solver, and the highest variable a
+    #: clause, a unit or ``new_var`` named.
+    clauses: int
+    top_named: int
+    #: Highest variable the per-variable arrays index.
+    allocated: int
+    #: Variables the trail holds true.
+    trail_true: frozenset[int]
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Per ``SatSolver.solve`` call: its ``SatResult`` and how many
-    variables the solver's stored clauses named at that moment."""
-    seen = []
-    original = SatSolver.solve
-
-    def wrapper(self, *args, **kwargs):
-        result = original(self, *args, **kwargs)
-        named = {abs(lit) for clause in self.clauses for lit in clause}
-        seen.append((result, len(named)))
-        return result
-
-    monkeypatch.setattr(SatSolver, "solve", wrapper)
-    return seen
-
-
-@pytest.fixture
-def sizing(monkeypatch):
-    """Per ``SatSolver.solve`` call: ``(clauses handed to the solver,
-    highest variable a clause, a unit or new_var named, highest
-    variable the per-variable arrays index, the model, the variables
-    the trail holds true)``."""
+    """Every ``SatSolver.solve`` call, as a :class:`Solve`."""
     named: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-    seen = []
+    seen: list[Solve] = []
     add_clause, new_var, solve = (
         SatSolver.add_clause, SatSolver.new_var, SatSolver.solve
     )
@@ -223,11 +220,13 @@ def sizing(monkeypatch):
 
     def solve_spy(self, *args, **kwargs):
         result = solve(self, *args, **kwargs)
-        seen.append((
+        stored = {abs(lit) for clause in self.clauses for lit in clause}
+        seen.append(Solve(
+            result,
+            len(stored),
             self.num_clauses,
             named.get(self, 0),
             len(self.values) - 1,
-            result.model,
             frozenset(lit for lit in self.trail if lit > 0),
         ))
         return result
@@ -238,18 +237,18 @@ def sizing(monkeypatch):
     return seen
 
 
-def test_cold_solver_is_sized_by_its_clauses(sample, sizing):
+def test_cold_solver_is_sized_by_its_clauses(sample, solves):
     name, table, rules = sample
     results = cold_results(table, rules)
-    assert len(sizing) == sum(r.ok for r in results)
-    for num_clauses, top_named, allocated, model, trail_true in sizing:
-        assert allocated <= top_named
-        if not num_clauses:
-            assert allocated == 0
-        assert model <= trail_true
+    assert len(solves) == sum(r.ok for r in results)
+    for seen in solves:
+        assert seen.allocated <= seen.top_named
+        if not seen.clauses:
+            assert seen.allocated == 0
+        assert seen.result.model <= seen.trail_true
     # The fold leaves most cold instances empty: those allocate nothing.
-    empty = sum(not num_clauses for num_clauses, *_ in sizing)
-    assert empty > len(sizing) / 2
+    empty = sum(not seen.clauses for seen in solves)
+    assert empty > len(solves) / 2
 
 
 def test_cold_probes_are_the_pinned_ones(sample, solves):
@@ -264,7 +263,7 @@ def test_cold_probes_are_the_pinned_ones(sample, solves):
     # decisions: the overlap filter leaves a median of one other rule
     # in the instance.
     assert len(solves) == found
-    assert sum(result.decisions for result, _ in solves) <= 10 * len(solves)
+    assert sum(seen.result.decisions for seen in solves) <= 10 * len(solves)
 
 
 def test_context_probes_are_the_pinned_ones(sample, solves):
@@ -278,9 +277,10 @@ def test_context_probes_are_the_pinned_ones(sample, solves):
     assert len(results) == SAMPLE + CHURN
     assert context.stats.probes_generated == len(results)
     assert len(solves) == sum(result.ok for result in results)
-    for result, named in solves:
-        assert result.conflicts or result.decisions <= named
-    conflicts = sum(result.conflicts for result, _ in solves)
+    for seen in solves:
+        result = seen.result
+        assert result.conflicts or result.decisions <= seen.stored_vars
+    conflicts = sum(seen.result.conflicts for seen in solves)
     assert conflicts == context.stats.solver_conflicts
     assert conflicts <= PARENT_CONFLICTS[name]
 

@@ -178,7 +178,7 @@ class TestUnmentionedVariables:
                 if var not in touched:
                     assert var not in result.model
 
-    def test_untouched_variable_is_false_unless_the_trail_holds_it(self):
+    def test_untouched_variable_false_unless_on_trail(self):
         result = solver_for(6, [[1, 2], [3]]).solve()
         # 3 is named by a unit only, 6 by nothing: neither is decided;
         # the unit put 3 on the trail, nothing put 6 there.
@@ -337,10 +337,8 @@ class TestActivityRescale:
         return solver.solve(), solver, rebuilt
 
     def test_rescale_keeps_verdicts_and_heap(self):
-        rescales = 0
         for num_vars, clauses in self.formulas():
-            reference = make_cnf(num_vars, clauses)
-            expected = brute_force_solve(reference)
+            expected = brute_force_solve(make_cnf(num_vars, clauses))
             # As written, and with every variable moved above 200 of a
             # 253-variable formula: the arrays then end at the highest
             # variable named, far below num_vars.
@@ -351,8 +349,7 @@ class TestActivityRescale:
                     size, formula
                 )
                 assert result.satisfiable == (expected is not None)
-                assert all(rebuilt)
-                rescales += len(rebuilt)
+                assert rebuilt and all(rebuilt)
                 assert solver.num_vars == size
                 assert len(solver.values) - 1 == max(
                     abs(lit) for clause in formula for lit in clause
@@ -360,7 +357,6 @@ class TestActivityRescale:
                 if result.satisfiable:
                     assert evaluate(make_cnf(size, formula), result.model)
                 assert max(solver.activity) <= 1e100
-        assert rescales
 
 
 class TestLuby:
