@@ -1,7 +1,5 @@
-"""Tests for a formula written into the solver clause by clause, the way
-an encoder writes one probe's formula: units first or last, clauses
-that units already decide, and one solve at the end.
-"""
+"""Tests for malformed input written into the solver clause by clause:
+a bad clause must leave no trace in either of the solver's stores."""
 
 import pytest
 
@@ -9,33 +7,10 @@ from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver
 
 
-def solve_clauses(num_vars, clauses):
-    solver = SatSolver(CNF(num_vars))
-    for clause in clauses:
-        solver.add_clause(clause)
-    return solver.solve()
-
-
 class TestCoreSolverIncrementalSurface:
-    def test_clause_falsified_by_previous_level0_trail(self):
-        """Regression: a clause all of whose literals earlier units make
-        false must make the formula UNSAT — not be silently ignored
-        because its two watches are falsified before search starts."""
-        assert solve_clauses(2, [[-1], [-2], [1, 2]]).satisfiable is False
-
-    def test_clause_reduced_to_unit_by_level0_trail(self):
-        result = solve_clauses(3, [[-1], [1, 3]])  # reduces to unit [3]
-        assert result.satisfiable is True
-        assert result.assignment[3] is True
-        assert result.decisions == 0
-        assert solve_clauses(3, [[-1], [1, 3], [-3]]).satisfiable is False
-
-    def test_clause_satisfied_by_level0_trail_is_redundant(self):
-        result = solve_clauses(2, [[1], [1, 2], [-2]])
-        assert result.satisfiable is True
-        assert result.assignment == {1: True, 2: False}
-
     def test_literal_zero_reaches_neither_store(self):
+        """A unit ``[0]`` and a longer clause holding 0 are both refused
+        before the unit list or the clause list sees them."""
         solver = SatSolver(CNF(2))
         for malformed in ([0], [1, 0, 2]):
             with pytest.raises(ValueError, match="0 is not a valid literal"):
