@@ -4,7 +4,7 @@ A full Python reproduction of *Monocle* (Peresini, Kuzniar, Kostic,
 CoNEXT 2015): SAT-based per-rule probe generation, steady-state and
 dynamic data-plane monitoring, catching-rule planning via vertex
 coloring, and the complete simulated substrate (OpenFlow 1.0 data
-model, packet crafting, CDCL SAT solver, switch/network simulators)
+model, packet crafting, DPLL SAT solver, switch/network simulators)
 the evaluation needs.
 
 Quickstart::

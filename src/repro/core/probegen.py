@@ -13,7 +13,9 @@ Pipeline (Figure 2):
    (:class:`~repro.core.constraints.ConstraintCompiler`), folded over
    the cube of bits Hit and Collect fix: what the fold decides is
    never encoded, and a probe it proves impossible is never solved,
-3. run the CDCL solver, sized by the variables the clauses name,
+3. run the DPLL solver, sized by the variables the clauses name
+   (the paper's CDCL is not needed: the fold leaves a residue that
+   rarely meets a conflict),
 4. decode the model (the variables it sets true) into header values,
 5. normalize for wire validity (§5.2: spare values, conditional fields),
 6. craft the raw packet and compute expected outcomes.
@@ -127,7 +129,8 @@ class ProbeGenerator:
         valid_in_ports: if given, the probe's in_port is constrained to
             this set (ports that physically exist / have an upstream
             injector).
-        max_conflicts: CDCL conflict budget per probe.
+        max_conflicts: conflict budget per probe (the DPLL solver's
+            search is exponential in the worst case; this bounds it).
 
     Only rules overlapping the probed rule enter the constraints (the
     §5.4 lemma), so candidates come from the table's overlap index.

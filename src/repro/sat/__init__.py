@@ -11,10 +11,12 @@ pure-Python equivalent:
 * :mod:`repro.sat.encode` — formula-level building blocks: conjunction,
   disjunction with Tseitin auxiliary variables, and the asserted
   if-then-else chain in linear size.
-* :mod:`repro.sat.solver` — a CDCL solver with two-watched-literal
-  propagation, first-UIP clause learning, VSIDS-style activity and
-  restarts (the PicoSAT stand-in).  Like the paper's, every probe is
-  one fresh, one-shot solve (§5, §7).
+* :mod:`repro.sat.solver` — a DPLL solver with two-watched-literal
+  propagation, false-first decisions in variable order and
+  chronological backtracking (the PicoSAT stand-in).  The paper's
+  CDCL is not needed: the Hit ∧ Collect cube fold leaves the solver a
+  residue that rarely meets a conflict.  Like the paper's, every probe
+  is one fresh, one-shot solve (§5, §7).
 """
 
 from repro.sat.cnf import CNF, Lit

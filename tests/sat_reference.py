@@ -7,9 +7,9 @@ variables and reports the first model found (exponential by nature, so
 it is guarded against formulas with more than 24 variables);
 :func:`evaluate` checks a model against a formula; :func:`model_of`
 turns a total assignment into a model, for whole-model comparisons;
-:func:`unqueued_candidates` audits the solver's branching heap; the
-DIMACS functions dump and reload formulas for failure messages and
-fixtures.
+:func:`false_first_model` is the model a solve that meets no conflict
+must return; the DIMACS functions dump and reload formulas for failure
+messages and fixtures.
 """
 
 from __future__ import annotations
@@ -64,18 +64,44 @@ def model_of(assignment: dict[int, bool]) -> frozenset[int]:
     return frozenset(var for var, value in assignment.items() if value)
 
 
-def unqueued_candidates(solver) -> set[int]:
-    """Unassigned variables a stored clause of ``solver`` (a
-    :class:`~repro.sat.solver.SatSolver`) names that have no current
-    entry on its branching heap.  Search ends when the heap runs dry,
-    so one variable in this set is one the search never decides."""
-    queued = {
-        var
-        for neg_act, var in solver._heap
-        if -neg_act == solver.activity[var]
-    }
-    named = {abs(lit) for clause in solver.clauses for lit in clause}
-    return {var for var in named - queued if not solver.values[var]}
+def false_first_model(cnf: CNF) -> frozenset[int] | None:
+    """Unit propagation, then each variable a stored clause names, in
+    ascending order, set false and propagated; the model reached, or
+    None if a clause is falsified on the way.
+
+    A stored clause is one of two or more distinct literals that is no
+    tautology (what :class:`~repro.sat.solver.SatSolver` keeps and
+    decides over); a variable nothing assigns is false.  Propagation
+    runs to a fixpoint, so its order does not matter.
+    """
+    clauses = [set(clause) for clause in cnf.clauses()]
+    clauses = [c for c in clauses if not any(-lit in c for lit in c)]
+    named = sorted({abs(lit) for c in clauses if len(c) > 1 for lit in c})
+    value: dict[int, bool] = {}
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for clause in clauses:
+                if any(value.get(abs(lit)) == (lit > 0) for lit in clause):
+                    continue
+                free = [lit for lit in clause if abs(lit) not in value]
+                if not free:
+                    return False
+                if len(free) == 1:
+                    value[abs(free[0])] = free[0] > 0
+                    changed = True
+        return True
+
+    if not propagate():
+        return None
+    for var in named:
+        if var not in value:
+            value[var] = False
+            if not propagate():
+                return None
+    return frozenset(var for var, true in value.items() if true)
 
 
 def to_dimacs(cnf: CNF) -> str:

@@ -560,51 +560,3 @@ class TestEqualPriorityOverlap:
         second = context.probe_for(probed)
         assert context.stats.revalidations == 0
         assert second.ok and not tied.match.matches(second.header)
-
-
-class TestBranchingHeapBound:
-    """Regression: the core solver's lazy branching heap grew by one
-    stale entry per unwound variable per solve (~34,000 entries on 512
-    variables after a 256-probe cycle) while one solver served every
-    probe of a switch.  A satisfiable solve now drains it."""
-
-    def test_heap_bounded_by_the_variable_count(self, monkeypatch):
-        from repro.sat.solver import SatSolver
-
-        sizes = []
-        original = SatSolver.solve
-
-        def recording(self, *args, **kwargs):
-            result = original(self, *args, **kwargs)
-            sizes.append((len(self._heap), self.num_vars))
-            return result
-
-        monkeypatch.setattr(SatSolver, "solve", recording)
-        # A fleet switch's shape: a neighbour's catching rule on top of
-        # every host rule, and an in_port domain.
-        context = ProbeGenContext(generator(valid_in_ports=(1, 2)))
-        context.add_rule(Rule(65535, Match.build(dl_vlan=0xF01), output(9)))
-        probed, shadowed = [], []
-        for i in range(300):
-            match = Match.build(nw_dst=0x60000000 + i)
-            rule = Rule(100, match, output(1 + i % 2))
-            context.add_rule(rule)
-            probed.append(rule)
-            if i < 4:
-                # Same match, lower priority: nothing can hit it.
-                hidden = Rule(40, match, output(3))
-                context.add_rule(hidden)
-                shadowed.append(hidden)
-
-        for rule in probed:
-            assert context.probe_for(rule).ok
-        assert context.stats.probes_generated == 300
-
-        for _ in range(10):
-            context._cache.clear()
-            for rule in shadowed:
-                result = context.probe_for(rule)
-                assert result.reason is UnmonitorableReason.UNSATISFIABLE
-        assert context.probe_for(probed[0]).ok
-        assert len(sizes) >= 300
-        assert all(entries <= num_vars for entries, num_vars in sizes)

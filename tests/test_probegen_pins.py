@@ -42,10 +42,10 @@ recording, a seeded quarter of the context's in tier-1.
 The decision-count tests hold the mechanism itself: a cold ACL probe
 is a handful of branching decisions, and a conflict-free solve never
 makes more decisions than its stored clauses name variables — a later
-change that puts every allocated variable back on the branching heap
+change that puts every allocated variable back among the decisions
 fails here, in tier-1, not in a benchmark.  So does one that sizes the
-solver by the 253-bit header again: a cold solve's per-variable arrays
-reach no higher than a clause, a unit or ``new_var`` named (nowhere,
+solver by the 253-bit header again: a cold solve's per-variable array
+reaches no higher than a clause, a unit or ``new_var`` named (nowhere,
 for the instances the cube fold leaves empty), and its model is read
 off the trail.
 """
@@ -190,7 +190,7 @@ class Solve(NamedTuple):
     #: clause, a unit or ``new_var`` named.
     clauses: int
     top_named: int
-    #: Highest variable the per-variable arrays index.
+    #: Highest variable the per-variable array indexes.
     allocated: int
     #: Variables the trail holds true.
     trail_true: frozenset[int]

@@ -1,18 +1,25 @@
-"""Tests for the CDCL SAT solver against hand-built and random formulas."""
+"""Tests for the DPLL SAT solver against hand-built and random formulas.
+
+The paper runs a CDCL solver (PicoSAT, §7) on formulas encoded whole.
+Here the Hit ∧ Collect cube fold leaves the solver a small residue, so
+DPLL with chronological backtracking serves it; these tests hold its
+verdicts to enumeration, its models to the decision rule the fleet
+results rely on, and its search to the conflict budget.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF
-from repro.sat.solver import SatSolver, _luby, solve
+from repro.sat.solver import SatSolver, solve
 from repro.sim.random import DeterministicRandom
 from sat_reference import (
     brute_force_solve,
     evaluate,
+    false_first_model,
     model_of,
     to_dimacs,
-    unqueued_candidates,
 )
 
 
@@ -141,8 +148,8 @@ def solver_for(num_vars, clauses):
 
 
 class TestUnmentionedVariables:
-    """The heap holds what stored clauses name; everything else costs
-    no decision and is false unless the trail holds it true."""
+    """Decisions go over what stored clauses name; everything else
+    costs no decision and is false unless the trail holds it true."""
 
     @settings(max_examples=300, deadline=None)
     @given(sparse_steps())
@@ -164,14 +171,13 @@ class TestUnmentionedVariables:
             again = solver_for(num_vars, written).solve()
             assert again.satisfiable == result.satisfiable
             assert again.model == result.model
-            # Every unassigned candidate is still queued.
-            assert not unqueued_candidates(solver)
             if not result.satisfiable:
                 continue
             assert result.model <= frozenset(range(1, num_vars + 1))
             assert evaluate(formula, result.model)
-            assert len(solver._heap) <= num_vars
+            # Search ends only with every named variable assigned.
             stored = {abs(lit) for c in solver.clauses for lit in c}
+            assert all(solver.values[var] for var in stored)
             if not result.conflicts:
                 assert result.decisions <= len(stored)
             for var in range(1, num_vars + 1):
@@ -203,14 +209,14 @@ class TestUnmentionedVariables:
         assert result.model == model_of({1: True, 2: True, 3: False})
         assert result.decisions == 0
 
-    def test_lemma_variables_stay_constrained(self):
+    def test_pinned_formulas_match_enumeration(self):
         # Exact-3 clauses near the phase transition over 10 of 12
-        # variables, each pinned further by one literal of a variable
-        # some lemma of the unpinned formula names: a solve that learns
-        # lemmas still matches enumeration, and 11 and 12, which only a
-        # unit or nothing names, keep the unit's value and their phase.
+        # variables, each pinned further by one literal of one of the
+        # ten: solves that backtrack still match enumeration, and 11
+        # and 12, which only a unit or nothing names, keep the unit's
+        # value and stay false.
         rng = DeterministicRandom(5)
-        learned = 0
+        conflicts = 0
         for _ in range(6):
             cnf = CNF(12)
             for _ in range(43):
@@ -218,25 +224,61 @@ class TestUnmentionedVariables:
                 cnf.add_clause(
                     [v if rng.random() < 0.5 else -v for v in variables]
                 )
-            solver = SatSolver(cnf)
-            stored = len(solver.clauses)
-            solver.solve()
-            lemma_vars = {
-                abs(lit) for lemma in solver.clauses[stored:] for lit in lemma
-            }
-            for var in sorted(lemma_vars):
+            for var in range(1, 11):
                 for lit in (var, -var):
                     extended = cnf.copy()
                     extended.add_unit(lit)
                     expected = brute_force_solve(extended) is not None
                     extended.add_unit(11)
                     result = SatSolver(extended).solve()
-                    learned += result.learned_clauses
+                    conflicts += result.conflicts
                     assert result.satisfiable == expected
                     if expected:
                         assert 11 in result.model
                         assert 12 not in result.model
-        assert learned
+        assert conflicts
+
+
+@st.composite
+def small_formulas(draw):
+    """A formula of up to 14 clauses of one to three literals over up
+    to 10 variables: most solve without a conflict, some do not."""
+    num_vars = draw(st.integers(1, 10))
+    literal = st.builds(
+        lambda var, sign: var * sign,
+        st.integers(1, num_vars),
+        st.sampled_from((1, -1)),
+    )
+    clauses = draw(
+        st.lists(st.lists(literal, min_size=1, max_size=3), max_size=14)
+    )
+    return make_cnf(num_vars, clauses)
+
+
+class TestDecisionRule:
+    """The rule that keeps the fleet's probes where they are: a solve
+    that meets no conflict returns the model of unit propagation
+    followed by every named variable, ascending, set false and
+    propagated.  No search heuristic may move it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_formulas())
+    def test_conflict_free_solve_is_the_false_first_model(self, cnf):
+        result = solve(cnf)
+        expected = false_first_model(cnf)
+        # The reference's descent meets a conflict exactly when the
+        # solver's first descent does.
+        conflict_free_sat = result.satisfiable is True and not result.conflicts
+        assert conflict_free_sat == (expected is not None), to_dimacs(cnf)
+        if expected is not None:
+            assert result.model == expected, to_dimacs(cnf)
+
+    def test_a_conflict_free_solve_decides_false_in_order(self):
+        # 1 and 2 decided false force 3 and then 4; 5 is decided false.
+        cnf = make_cnf(5, [[1, 2, 3], [-3, 4], [4, 5]])
+        result = solve(cnf)
+        assert result.conflicts == 0
+        assert result.model == false_first_model(cnf) == {3, 4}
 
 
 class TestClauseByClause:
@@ -289,79 +331,6 @@ class TestBudget:
         cnf = make_cnf(20, pigeonhole(5, 4))
         result = SatSolver(cnf).solve(max_conflicts=3)
         assert result.satisfiable is None
-
-
-class TestActivityRescale:
-    """``_bump``'s rescale past 1e100 walks the per-variable arrays,
-    which reach only as far as the highest variable named."""
-
-    def formulas(self):
-        """(variables, clauses): pigeonhole 4 -> 3 and random 3-SAT near
-        the phase transition, satisfiable and not."""
-        yield 12, pigeonhole(4, 3)
-        rng = DeterministicRandom(11)
-        for _ in range(6):
-            yield 12, [
-                [v if rng.random() < 0.5 else -v
-                 for v in rng.sample(range(1, 13), 3)]
-                for _ in range(55)
-            ]
-
-    def solve_rescaling(self, num_vars, clauses):
-        """Solve with ``act_inc`` just below 1e100, so the second bump
-        rescales; returns the result, the solver and, per rescale,
-        whether the rebuilt heap held exactly the branchable,
-        unassigned variables, each once and current."""
-        solver = solver_for(num_vars, clauses)
-        solver.act_inc = 0.99e100
-        bump = solver._bump
-        rebuilt = []
-
-        def spy(var):
-            before = solver.act_inc
-            bump(var)
-            if solver.act_inc < before:
-                expected = [
-                    v for v in range(1, len(solver.values))
-                    if solver._branchable[v] and not solver.values[v]
-                ]
-                heap = sorted(v for _, v in solver._heap)
-                current = all(
-                    -neg == solver.activity[v] for neg, v in solver._heap
-                )
-                rebuilt.append(heap == expected and current)
-
-        solver._bump = spy
-        return solver.solve(), solver, rebuilt
-
-    def test_rescale_keeps_verdicts_and_heap(self):
-        for num_vars, clauses in self.formulas():
-            expected = brute_force_solve(make_cnf(num_vars, clauses))
-            # As written, and with every variable moved above 200 of a
-            # 253-variable formula: the arrays then end at the highest
-            # variable named, far below num_vars.
-            shifted = [[lit + 200 if lit > 0 else lit - 200 for lit in c]
-                       for c in clauses]
-            for size, formula in ((num_vars, clauses), (253, shifted)):
-                result, solver, rebuilt = self.solve_rescaling(
-                    size, formula
-                )
-                assert result.satisfiable == (expected is not None)
-                assert rebuilt and all(rebuilt)
-                assert solver.num_vars == size
-                assert len(solver.values) - 1 == max(
-                    abs(lit) for clause in formula for lit in clause
-                )
-                if result.satisfiable:
-                    assert evaluate(make_cnf(size, formula), result.model)
-                assert max(solver.activity) <= 1e100
-
-
-class TestLuby:
-    def test_luby_prefix(self):
-        assert [_luby(i) for i in range(1, 16)] == [
-            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
-        ]
 
 
 class TestStats:
