@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
-from repro.core.monitor import Monitor, OutstandingProbe
+from repro.core.monitor import Monitor, OutstandingProbe, backoff_gap
 from repro.core.probegen import ProbeResult
 from repro.obs import Histogram
 from repro.openflow.messages import FlowMod, FlowModCommand, Message, next_xid
@@ -327,23 +327,20 @@ class DynamicMonitor:
 
     # ----- probe-until-confirmed loop ----------------------------------------
 
-    #: Re-injection backoff cap: when a switch's control queue is backed
-    #: up (large batched updates, §8.4), probing every few ms would
-    #: flood the channel; the interval doubles up to this bound.
-    MAX_PROBE_INTERVAL = 0.050
-
     def _probe_until_confirmed(
         self, update: PendingUpdate, result: ProbeResult, confirm_on: str
     ) -> None:
         """Keep probing until the data plane reflects the update.
 
         Positive confirmation (the new state is observable): one
-        long-lived probe re-injected on a timer — starting at
-        ``update_probe_interval`` and backing off 2x up to
-        MAX_PROBE_INTERVAL — until a catch confirms it or the update
+        long-lived probe under the monitor's update
+        :class:`~repro.core.monitor.RetryPolicy` — re-sent every
+        ``update_probe_interval``, then backing off 2x up to
+        ``MAX_PROBE_GAP`` — until a catch confirms it or the update
         deadline passes.  Fresh installs confirm within a few ms of the
-        data plane changing; backlogged ones are polled gently so
-        probes don't flood the already-congested control channel.
+        data plane changing; backlogged ones (large batched updates,
+        §8.4) are polled gently so probes don't flood the
+        already-congested control channel.
 
         Negative confirmation (the new state is a drop: silence is the
         only signal): repeated short timeout rounds — probes returning
@@ -352,8 +349,9 @@ class DynamicMonitor:
         false-positive caveat (§3.3); enable drop-postponing (§4.3) for
         the reliable variant.
         """
-        config = self.monitor.config
-        present_obs, absent_obs = self.monitor.observations(result)
+        monitor = self.monitor
+        policy = monitor.update_policy
+        present_obs, absent_obs = monitor.observations(result)
         target_obs = present_obs if confirm_on == "present" else absent_obs
 
         def confirmed(_probe: OutstandingProbe) -> None:
@@ -365,17 +363,8 @@ class DynamicMonitor:
                     return
                 self._give_up(update)
 
-            self.monitor.launch_probe(
-                result,
-                confirm_on=confirm_on,
-                on_confirm=confirmed,
-                on_alarm=gave_up,
-                retry_interval=config.update_probe_interval,
-                retries=-1,
-                timeout=config.update_deadline,
-                retry_backoff=2.0,
-                max_retry_interval=self.MAX_PROBE_INTERVAL,
-                tolerate_anti=True,
+            monitor.launch_probe(
+                result, policy, confirmed, gave_up, confirm_on=confirm_on
             )
             return
 
@@ -385,24 +374,22 @@ class DynamicMonitor:
         def relaunch(_probe: OutstandingProbe, _kind: str) -> None:
             if update.confirmed or update.gave_up:
                 return
-            if self.sim.now - update.started > config.update_deadline:
+            if self.sim.now - update.started > policy.timeout:
                 self._give_up(update)
                 return
             attempt[0] += 1
-            delay = min(
-                config.update_probe_interval * (2 ** attempt[0]),
-                self.MAX_PROBE_INTERVAL,
-            )
+            delay = backoff_gap(policy.gap, policy.backoff, attempt[0])
             self.sim.schedule(delay, launch)
 
         def launch() -> None:
             if update.confirmed or update.gave_up:
                 return
-            self.monitor.launch_probe(
+            monitor.launch_probe(
                 result,
+                monitor.steady_policy,
+                confirmed,
+                relaunch,
                 confirm_on=confirm_on,
-                on_confirm=confirmed,
-                on_alarm=relaunch,
             )
 
         launch()

@@ -19,6 +19,7 @@ constraint guarantees the two sets cannot coincide.
 
 from __future__ import annotations
 
+import enum
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Mapping
@@ -50,13 +51,23 @@ if TYPE_CHECKING:
 
 _nonce_counter = itertools.count(1)
 
-#: Re-probe gap after a suppressed strike: the first, the factor each
-#: further strike escalates it by, and its cap (the same shape as
-#: probe-retry backoff: prompt when suspicion is fresh, polite when the
-#: switch keeps timing out).
+#: The cap on every backed-off gap: probe retries, suspicion
+#: re-probes and negative update relaunches.
+MAX_PROBE_GAP = 0.050
+
+#: Re-probe gap after a suppressed strike: the first and the factor
+#: each further strike escalates it by (prompt when suspicion is
+#: fresh, polite when the switch keeps timing out).
 SUSPICION_REPROBE_GAP = 0.010
 SUSPICION_REPROBE_ESCALATION = 2.0
-SUSPICION_REPROBE_GAP_CAP = 0.050
+
+
+def backoff_gap(first: float, factor: float, n: int) -> float:
+    """The ``n``-th backed-off gap: ``min(first * factor ** n, cap)``.
+
+    Every factor in use is a power of two, so this is bit-equal to
+    ``n`` repeated capped multiplications."""
+    return min(first * factor**n, MAX_PROBE_GAP)
 
 
 def knob(default: Any, doc: str) -> Any:
@@ -149,7 +160,8 @@ class MonitorAlarm:
     time: float
     rule: Rule
     kind: str  # "missing" (timeout) or "misbehaving" (wrong observation)
-    detail: str = ""
+    #: The nonce of the probe that raised it.
+    nonce: int = 0
 
 
 #: An observation: (egress port on the probed switch, header items
@@ -176,6 +188,62 @@ def outcome_observations(
     return frozenset(observations)
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How a probe is re-sent and when it ends unconfirmed.
+
+    The ``n``-th re-send follows the previous one by ``gap`` while
+    ``n <= grace``, then by ``backoff_gap(gap, backoff, n - grace)``.
+    """
+
+    gap: float
+    #: Re-send budget; -1 re-sends until the timeout fires.
+    retries: int
+    timeout: float
+    backoff: float = 1.0
+    #: Re-sends at ``gap`` before the backoff engages.
+    grace: int = 0
+    #: Observations of the opposite state are a transient
+    #: inconsistency to wait out (§4.1), not an alarm.
+    tolerate_anti: bool = False
+
+    @classmethod
+    def steady(cls, config: MonitorConfig) -> "RetryPolicy":
+        """``max_retries`` evenly spread re-sends inside the timeout."""
+        return cls(
+            gap=config.probe_timeout / (config.max_retries + 1),
+            retries=config.max_retries,
+            timeout=config.probe_timeout,
+        )
+
+    @classmethod
+    def update(cls, config: MonitorConfig) -> "RetryPolicy":
+        """Poll an update until its deadline: one timeout's worth of
+        prompt re-sends, then 2x backoff while the switch's control
+        queue drains."""
+        gap = config.update_probe_interval
+        return cls(
+            gap=gap,
+            retries=-1,
+            timeout=config.update_deadline,
+            backoff=2.0,
+            grace=int(config.probe_timeout / gap),
+            tolerate_anti=True,
+        )
+
+
+class ProbeEnd(enum.Enum):
+    """How a probe left flight; each value names the counter
+    :meth:`Monitor._retire` adds it to."""
+
+    CONFIRMED = "probes_confirmed"
+    TIMED_OUT = "probes_timed_out"
+    #: Retired by a ``misbehaving`` alarm.
+    ALARMED = "probes_alarmed"
+    #: Cancelled because a FlowMod made its table context stale.
+    INVALIDATED = "probes_invalidated"
+
+
 @dataclass
 class OutstandingProbe:
     """Book-keeping for one in-flight probe."""
@@ -186,20 +254,20 @@ class OutstandingProbe:
     #: the probed switch on; every retry re-sends exactly these.
     packet: bytes
     in_port: int
-    present_obs: frozenset[Observation]
-    absent_obs: frozenset[Observation]
+    #: Observations that confirm the probe, and those of the opposite
+    #: state (resolved from ``confirm_on`` at launch).
+    target: frozenset[Observation]
+    anti: frozenset[Observation]
     first_injected: float
+    policy: RetryPolicy
     retries_left: int
+    on_confirm: Callable[["OutstandingProbe"], None]
+    on_alarm: Callable[["OutstandingProbe", str], None]
+    #: "present" (steady state / additions) or "absent" (deletions).
+    confirm_on: str = "present"
     timeout_event: Event | None = None
     #: The pending retry: re-armed by every retry that fires.
     retry_event: Event | None = None
-    on_confirm: Callable[["OutstandingProbe"], None] | None = None
-    on_alarm: Callable[["OutstandingProbe", str], None] | None = None
-    #: "present" (steady state / additions) or "absent" (deletions).
-    confirm_on: str = "present"
-    #: Dynamic-mode probes tolerate observations of the opposite state
-    #: (a transient inconsistency, §4.1) instead of alarming on them.
-    tolerate_anti: bool = False
     done: bool = False
     #: Trace span id tying this probe's lifecycle events together
     #: (0 when observability is disabled).
@@ -276,13 +344,20 @@ class Monitor:
         self.expected: FlowTable = probe_context.table
         self.alarms: list[MonitorAlarm] = []
         self.outstanding: dict[int, OutstandingProbe] = {}
+        self.steady_policy = RetryPolicy.steady(config)
+        self.update_policy = RetryPolicy.update(config)
         self.scheduler = scheduler
         scheduler.rebuild(self.expected)
         self._steady_running = False
-        # Stats.
+        # Stats.  Every launched probe is outstanding or has ended in
+        # exactly one :class:`ProbeEnd` counter; ``probes_sent`` counts
+        # injections, retries included.
+        self.probes_launched = 0
         self.probes_sent = 0
         self.probes_confirmed = 0
         self.probes_timed_out = 0
+        self.probes_alarmed = 0
+        self.probes_invalidated = 0
         self.rules_unmonitorable = 0
         self.stale_probes = 0
         #: Alarm hysteresis: rule key -> consecutive unconfirmed-timeout
@@ -540,9 +615,9 @@ class Monitor:
             return
         self.launch_probe(
             result,
-            confirm_on="present",
-            on_confirm=self._steady_confirm,
-            on_alarm=self._steady_alarm,
+            self.steady_policy,
+            self._steady_confirm,
+            self._steady_alarm,
             span=span,
             steady=True,
         )
@@ -562,7 +637,7 @@ class Monitor:
                 time=self.sim.now,
                 rule=probe.result.rule,
                 kind=kind,
-                detail=f"nonce={probe.nonce}",
+                nonce=probe.nonce,
             )
         )
         if self.obs.enabled:
@@ -618,10 +693,8 @@ class Monitor:
             )
         # Escalating re-probe: resolve the suspicion faster than the
         # steady cycle would come back around.
-        gap = min(
-            SUSPICION_REPROBE_GAP
-            * SUSPICION_REPROBE_ESCALATION ** (strikes - 1),
-            SUSPICION_REPROBE_GAP_CAP,
+        gap = backoff_gap(
+            SUSPICION_REPROBE_GAP, SUSPICION_REPROBE_ESCALATION, strikes - 1
         )
         self.sim.schedule(gap, lambda: self._reprobe_suspect(rule))
         return True
@@ -646,10 +719,7 @@ class Monitor:
             del self.suspicion[key]
             return
         self.launch_probe(
-            result,
-            confirm_on="present",
-            on_confirm=self._steady_confirm,
-            on_alarm=self._steady_alarm,
+            result, self.steady_policy, self._steady_confirm, self._steady_alarm
         )
 
     # ----- probe lifecycle ---------------------------------------------------
@@ -657,32 +727,19 @@ class Monitor:
     def launch_probe(
         self,
         result: ProbeResult,
+        policy: RetryPolicy,
+        on_confirm: Callable[[OutstandingProbe], None],
+        on_alarm: Callable[[OutstandingProbe, str], None],
         confirm_on: str = "present",
-        on_confirm: Callable[[OutstandingProbe], None] | None = None,
-        on_alarm: Callable[[OutstandingProbe, str], None] | None = None,
-        retry_interval: float | None = None,
-        retries: int | None = None,
-        timeout: float | None = None,
-        retry_backoff: float = 1.0,
-        max_retry_interval: float = 0.050,
-        tolerate_anti: bool = False,
         span: int = 0,
         steady: bool = False,
     ) -> OutstandingProbe:
         """Inject a probe and track it to confirmation or timeout.
 
-        The probe is crafted here, once; retries re-send the same bytes.
-
-        Args:
-            retries: re-injection budget; ``-1`` means re-inject until
-                the timeout fires (dynamic-mode probes).
-            timeout: overrides ``config.probe_timeout``.
-            retry_backoff: multiplier applied to the retry interval
-                after every re-injection (capped at
-                ``max_retry_interval``); >1 lets long-pending update
-                probes back off while the switch control queue drains.
-            steady: launched by the steady cycle (counts toward the
-                window depth; dynamic/suspicion probes do not).
+        The probe is crafted here, once; ``policy`` re-sends the same
+        bytes.  ``confirm_on`` is ``"present"`` (the rule is there:
+        steady state, additions) or ``"absent"`` (deletions); ``steady``
+        probes count toward the window depth.
         """
         assert result.ok and result.header is not None
         assert result.outcome_present is not None
@@ -697,25 +754,26 @@ class Monitor:
             nonce=nonce,
             expected_drop=result.outcome_present.is_drop(),
         )
-        present_obs, absent_obs = self.observations(result)
+        target, anti = self.observations(result)
+        if confirm_on == "absent":
+            target, anti = anti, target
         probe = OutstandingProbe(
             nonce=nonce,
             result=result,
             packet=craft_packet(result.header, metadata.encode()),
             in_port=result.header.get(FieldName.IN_PORT, 0),
-            present_obs=present_obs,
-            absent_obs=absent_obs,
+            target=target,
+            anti=anti,
             first_injected=self.sim.now,
-            retries_left=(
-                retries if retries is not None else self.config.max_retries
-            ),
+            policy=policy,
+            retries_left=policy.retries,
             on_confirm=on_confirm,
             on_alarm=on_alarm,
             confirm_on=confirm_on,
-            tolerate_anti=tolerate_anti,
             span=span,
             steady=steady,
         )
+        self.probes_launched += 1
         self.outstanding[nonce] = probe
         key = result.rule.key()
         self._inflight_keys[key] = self._inflight_keys.get(key, 0) + 1
@@ -724,25 +782,9 @@ class Monitor:
             if self.window_depth > self.window_peak:
                 self.window_peak = self.window_depth
         self._inject(probe)
-        retry_gap = (
-            retry_interval
-            if retry_interval is not None
-            else self.config.probe_timeout / (self.config.max_retries + 1)
-        )
-        # Backoff only engages after one timeout's worth of fast
-        # retries: prompt confirmation for healthy switches, polite
-        # polling when the control queue is backlogged.
-        grace = (
-            int(self.config.probe_timeout / retry_gap)
-            if retry_backoff > 1.0
-            else 0
-        )
-        self._schedule_retry(
-            probe, retry_gap, retry_backoff, max_retry_interval, grace
-        )
+        self._schedule_retry(probe, 0)
         probe.timeout_event = self.sim.schedule(
-            timeout if timeout is not None else self.config.probe_timeout,
-            lambda: self._probe_timeout(probe),
+            policy.timeout, lambda: self._probe_timeout(probe)
         )
         return probe
 
@@ -758,26 +800,23 @@ class Monitor:
             )
         self.multiplexer.inject(self.node, probe.packet, probe.in_port)
 
-    def _schedule_retry(
-        self,
-        probe: OutstandingProbe,
-        gap: float,
-        backoff: float = 1.0,
-        max_gap: float = 0.050,
-        grace: int = 0,
-    ) -> None:
+    def _schedule_retry(self, probe: OutstandingProbe, n: int) -> None:
+        """Arm the ``n``-th re-send of ``probe`` (see :class:`RetryPolicy`)."""
+        policy = probe.policy
+        past_grace = n - policy.grace
+        gap = (
+            policy.gap
+            if past_grace <= 0
+            else backoff_gap(policy.gap, policy.backoff, past_grace)
+        )
+
         def retry() -> None:
-            if probe.done:
-                return
-            if probe.retries_left == 0:
+            if probe.done or probe.retries_left == 0:
                 return
             if probe.retries_left > 0:
                 probe.retries_left -= 1
             self._inject(probe)
-            next_gap = gap if grace > 0 else min(gap * backoff, max_gap)
-            self._schedule_retry(
-                probe, next_gap, backoff, max_gap, max(0, grace - 1)
-            )
+            self._schedule_retry(probe, n + 1)
 
         probe.retry_event = self.sim.schedule(gap, retry)
 
@@ -797,18 +836,19 @@ class Monitor:
         if etype == "probe.confirmed" and not negative:
             self.wire_histogram.observe(wire)  # type: ignore[union-attr]
 
-    def _retire(self, probe: OutstandingProbe) -> None:
-        """Take a probe out of flight.
+    def _retire(self, probe: OutstandingProbe, end: ProbeEnd) -> None:
+        """Take a probe out of flight and count how it ended.
 
-        The single bookkeeping point shared by confirmation, timeout,
-        invalidation and misbehaving-alarm retirement: marks the probe
-        done, cancels its timeout and pending retry, drops it from
+        The one place a probe ends, whether confirmed, timed out,
+        alarmed or invalidated: marks it done, adds it to ``end``'s
+        counter, cancels its timeout and pending retry, drops it from
         ``outstanding`` and decrements the per-key in-flight count and
         steady window depth.
         """
         if probe.done:
             return
         probe.done = True
+        setattr(self, end.value, getattr(self, end.value) + 1)
         # Dropping the events too breaks the probe -> event -> closure
         # -> probe cycles, so the probe is freed when they leave the
         # queue instead of waiting for the cyclic collector.
@@ -831,7 +871,7 @@ class Monitor:
 
     def invalidate_probe(self, probe: OutstandingProbe) -> None:
         """Cancel an in-flight probe (its table context became stale)."""
-        self._retire(probe)
+        self._retire(probe, ProbeEnd.INVALIDATED)
 
     def _invalidate_steady_probes(
         self, affected: list[Rule], deleting: bool
@@ -864,25 +904,17 @@ class Monitor:
     def _probe_timeout(self, probe: OutstandingProbe) -> None:
         if probe.done:
             return
-        self._retire(probe)
-        expecting_return = (
-            bool(probe.present_obs)
-            if probe.confirm_on == "present"
-            else bool(probe.absent_obs)
-        )
-        if not expecting_return:
+        if not probe.target:
             # Negative probing (§3.3): silence is (weak) success.
-            self.probes_confirmed += 1
+            self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:
                 self._observe_probe_end(probe, "probe.confirmed", True)
-            if probe.on_confirm is not None:
-                probe.on_confirm(probe)
+            probe.on_confirm(probe)
             return
-        self.probes_timed_out += 1
+        self._retire(probe, ProbeEnd.TIMED_OUT)
         if self.obs.enabled:
             self._observe_probe_end(probe, "probe.timeout", False)
-        if probe.on_alarm is not None:
-            probe.on_alarm(probe, "missing")
+        probe.on_alarm(probe, "missing")
 
     def handle_caught_probe(
         self,
@@ -902,29 +934,17 @@ class Monitor:
             self.stale_probes += 1
             return
         observation: Observation = (egress_port, wire_visible_items(values))
-        target = (
-            probe.present_obs
-            if probe.confirm_on == "present"
-            else probe.absent_obs
-        )
-        anti = (
-            probe.absent_obs
-            if probe.confirm_on == "present"
-            else probe.present_obs
-        )
-        if observation in target:
-            self._retire(probe)
-            self.probes_confirmed += 1
+        tolerate_anti = probe.policy.tolerate_anti
+        if observation in probe.target:
+            self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:
                 self._observe_probe_end(probe, "probe.confirmed", False)
-            if probe.on_confirm is not None:
-                probe.on_confirm(probe)
-        elif observation in anti:
+            probe.on_confirm(probe)
+        elif observation in probe.anti:
             # Positive evidence of the opposite state.
-            if probe.confirm_on == "present" and not probe.tolerate_anti:
-                self._retire(probe)
-                if probe.on_alarm is not None:
-                    probe.on_alarm(probe, "misbehaving")
+            if probe.confirm_on == "present" and not tolerate_anti:
+                self._retire(probe, ProbeEnd.ALARMED)
+                probe.on_alarm(probe, "misbehaving")
             # Otherwise: for deletions ("absent") or tolerant update
             # probes, seeing the old state just means the switch hasn't
             # updated yet; keep waiting.
@@ -934,7 +954,6 @@ class Monitor:
             # nonce are stale and its timeout cannot add a ``missing``
             # alarm.  Tolerant update probes keep polling; their
             # handler gives the update up once.
-            if not probe.tolerate_anti:
-                self._retire(probe)
-            if probe.on_alarm is not None:
-                probe.on_alarm(probe, "misbehaving")
+            if not tolerate_anti:
+                self._retire(probe, ProbeEnd.ALARMED)
+            probe.on_alarm(probe, "misbehaving")

@@ -86,6 +86,15 @@ class SwitchMetrics:
         agg="sum", family="monocle_probes_confirmed_total"
     )
     probes_timed_out: int = _stat(family="monocle_probes_timed_out_total")
+    #: The rest of the probe lifecycle: launches (a probe's retries
+    #: are ``probes_sent``, not launches) and the two ends besides
+    #: confirmed and timed out — retired by a ``misbehaving`` alarm, or
+    #: invalidated by a FlowMod.  Launched = ended + outstanding.
+    probes_launched: int = _stat(family="monocle_probes_launched_total")
+    probes_alarmed: int = _stat(family="monocle_probes_alarmed_total")
+    probes_invalidated: int = _stat(
+        family="monocle_probes_invalidated_total"
+    )
     alarms: int = _stat(
         agg="sum", name="alarms_total", family="monocle_alarms_total"
     )
@@ -410,6 +419,9 @@ def scrape_switch(
         probes_sent=monitor.probes_sent,
         probes_confirmed=monitor.probes_confirmed,
         probes_timed_out=monitor.probes_timed_out,
+        probes_launched=monitor.probes_launched,
+        probes_alarmed=monitor.probes_alarmed,
+        probes_invalidated=monitor.probes_invalidated,
         alarms=len(monitor.alarms),
         packetouts_processed=switch.packetouts_processed,
         packetins_sent=switch.packetins_sent,

@@ -4,8 +4,9 @@ probe retry/backoff edge cases they lean on, and detection through
 lossy control channels."""
 
 import statistics
+from dataclasses import replace
 
-from repro.core.monitor import MonitorConfig
+from repro.core.monitor import MAX_PROBE_GAP, MonitorConfig, RetryPolicy
 from repro.core.multiplexer import MonocleSystem
 from repro.fleet import (
     ChannelDegradation,
@@ -167,6 +168,10 @@ class TestAlarmHysteresis:
                 assert suppressed > clean_suppressed
 
 
+def _ignore(*args):
+    """A probe callback that does nothing."""
+
+
 class TestProbeRetryEdges:
     def _monitor_with_failed_rule(self):
         sim, net, system, rules = star_setup(
@@ -179,35 +184,32 @@ class TestProbeRetryEdges:
     def test_retry_interval_beyond_timeout_sends_once(self):
         sim, monitor, rule = self._monitor_with_failed_rule()
         result = monitor.probe_for_rule(rule)
-        monitor.launch_probe(result, retry_interval=0.4)
+        policy = replace(monitor.steady_policy, gap=0.4)
+        monitor.launch_probe(result, policy, _ignore, _ignore)
         sim.run_for(1.0)
         # The first (and only) retry slot lands after the timeout has
         # already resolved the probe: exactly one injection.
         assert monitor.probes_sent == 1
         assert monitor.probes_timed_out == 1
 
-    def test_backoff_caps_at_max_retry_interval(self):
-        sent = {}
-        for cap in (0.02, 1.0):
-            sim, monitor, rule = self._monitor_with_failed_rule()
-            result = monitor.probe_for_rule(rule)
-            monitor.launch_probe(
-                result,
-                retry_interval=0.01,
-                retries=-1,
-                timeout=1.0,
-                retry_backoff=4.0,
-                max_retry_interval=cap,
-            )
-            sim.run_for(1.5)
-            assert monitor.probes_timed_out == 1
-            sent[cap] = monitor.probes_sent
-        # Post-grace gaps are min(gap * 4, cap): a tight cap keeps the
-        # cadence fast (many injections), a loose one lets the backoff
-        # stretch toward the timeout (few).
-        assert sent[0.02] > sent[1.0]
-        assert sent[0.02] >= 40
-        assert sent[1.0] <= 25
+    def test_backoff_caps_at_max_probe_gap(self):
+        sim, monitor, rule = self._monitor_with_failed_rule()
+        result = monitor.probe_for_rule(rule)
+        sent = []
+        inject = monitor._inject
+        monitor._inject = lambda probe: (sent.append(sim.now), inject(probe))
+        policy = RetryPolicy(gap=0.001, retries=-1, timeout=1.0, backoff=4.0)
+        monitor.launch_probe(result, policy, _ignore, _ignore)
+        sim.run_for(1.5)
+        assert monitor.probes_timed_out == 1
+        # Gaps 0.001, 0.004, 0.016, 0.064 -> capped: the backoff
+        # stretches the cadence, and the cap holds it at MAX_PROBE_GAP
+        # until the timeout.
+        gaps = [round(b - a, 9) for a, b in zip(sent, sent[1:])]
+        assert gaps[:3] == [0.001, 0.004, 0.016]
+        assert all(gap <= MAX_PROBE_GAP for gap in gaps)
+        assert len(gaps) >= 10
+        assert set(gaps[3:]) == {MAX_PROBE_GAP}
 
     def test_confirmation_cancels_pending_retries(self):
         sim, net, system, rules = star_setup(
@@ -215,9 +217,8 @@ class TestProbeRetryEdges:
         )
         monitor = system.monitor("hub")
         result = monitor.probe_for_rule(rules[0])
-        monitor.launch_probe(
-            result, retry_interval=0.05, retries=5, timeout=0.5
-        )
+        policy = RetryPolicy(gap=0.05, retries=5, timeout=0.5)
+        monitor.launch_probe(result, policy, _ignore, _ignore)
         sim.run_for(1.0)
         # Confirmed within milliseconds; the five retry slots all see
         # a done probe and inject nothing.

@@ -103,9 +103,16 @@ class TestObservationMemo:
         result = monitor.probe_for_rule(rules[0])
         assert result.observations == _observations(monitor, result)
         memo = result.observations
-        probe = monitor.launch_probe(result)
+        ignore = lambda *args: None  # noqa: E731
+        present = monitor.launch_probe(
+            result, monitor.steady_policy, ignore, ignore
+        )
+        absent = monitor.launch_probe(
+            result, monitor.steady_policy, ignore, ignore, confirm_on="absent"
+        )
         assert result.observations is memo
-        assert probe.present_obs is memo[0] and probe.absent_obs is memo[1]
+        assert present.target is memo[0] and present.anti is memo[1]
+        assert absent.target is memo[1] and absent.anti is memo[0]
 
     def test_changed_outcome_means_a_new_result_with_fresh_sets(self):
         sim, net, system, rules = star_setup(num_rules=2)
@@ -160,8 +167,8 @@ class TestObservationMemo:
         assert probe.result.observations == _observations(
             monitor, probe.result
         )
-        assert probe.present_obs == probe.result.observations[0]
-        assert probe.present_obs != probe.absent_obs
+        assert probe.target == probe.result.observations[0]
+        assert probe.target != probe.anti
         sim.run_for(0.5)
         assert system.dynamic("hub").updates_confirmed == 1
 
@@ -312,7 +319,7 @@ class TestSteadyState:
         net.switch("hub").corrupt_rule_in_dataplane(target, output(wrong_port))
         sim.run_for(1.0)
         assert len(monitor.alarms) >= 2  # re-detected every cycle
-        nonces = [alarm.detail for alarm in monitor.alarms]
+        nonces = [alarm.nonce for alarm in monitor.alarms]
         assert len(nonces) == len(set(nonces))
         assert {alarm.kind for alarm in monitor.alarms} == {"misbehaving"}
         assert {a.rule.key() for a in monitor.alarms} == {target.key()}

@@ -208,7 +208,8 @@ PER_SWITCH_KEYS = {
     "cycle_rebuilds", "flowmods_processed", "node", "packetins_sent",
     "packetouts_processed", "probe_cache_hits", "probe_policy",
     "probe_rate", "probe_revalidations", "probe_window",
-    "probegen_seconds", "probes_confirmed", "probes_generated",
+    "probegen_seconds", "probes_alarmed", "probes_confirmed",
+    "probes_generated", "probes_invalidated", "probes_launched",
     "probes_sent", "probes_timed_out",
     "rules_installed", "scheduler_promotions", "window_peak",
 }
@@ -219,8 +220,9 @@ EXPOSITION_FAMILIES = {
     "monocle_probe_cache_hits_total", "monocle_probe_revalidations_total",
     "monocle_probe_window", "monocle_probe_wire_seconds",
     "monocle_probegen_solve_seconds", "monocle_probegen_solves_total",
-    "monocle_probes_confirmed_total", "monocle_probes_sent_total",
-    "monocle_probes_timed_out_total",
+    "monocle_probes_alarmed_total", "monocle_probes_confirmed_total",
+    "monocle_probes_invalidated_total", "monocle_probes_launched_total",
+    "monocle_probes_sent_total", "monocle_probes_timed_out_total",
     "monocle_scheduler_wait_seconds",
     "monocle_update_confirmation_seconds",
     "monocle_updates_confirmed_total", "monocle_updates_given_up_total",
@@ -296,7 +298,7 @@ class TestOneSetOfBooks:
                 assert exposed[family + suffix] == total, family
                 if family.endswith("_total"):
                     counter_families.add(family)
-        assert len(counter_families) == 10
+        assert len(counter_families) == 13
         assert metrics.probes_sent > 0 and metrics.updates_confirmed > 0
 
     def test_merged_bundle_folds_every_field(self, observed_run):

@@ -159,6 +159,17 @@ def check_guarantee(spec: ScenarioSpec) -> None:
             for node, rule in victims
         ), injection.description
 
+    # Probe conservation: every launched probe ended exactly one way
+    # or is still in flight.
+    for row in metrics.per_switch:
+        ended = (
+            row.probes_confirmed
+            + row.probes_timed_out
+            + row.probes_alarmed
+            + row.probes_invalidated
+        )
+        assert row.probes_launched == ended + row.outstanding_probes, row
+
     # (e)
     payload = metrics.to_json()
     assert json.loads(json.dumps(payload)) == payload

@@ -229,7 +229,7 @@ class TestShardedScenarios:
             ]
             for workers, text in texts.items()
         }
-        assert len(counters[2]) == 10 * 16  # ten families, 16 switches
+        assert len(counters[2]) == 13 * 16  # 13 families, 16 switches
         assert counters[1] == counters[2]
 
     @pytest.mark.parametrize("workers", [1, 2])
