@@ -150,6 +150,8 @@ class DynamicMonitor:
             )
 
     def _give_up(self, update: PendingUpdate) -> None:
+        if update.confirmed or update.gave_up:
+            return
         update.gave_up = True
         self.updates_given_up += 1
         self._unconfirmed.discard(update.token)
@@ -343,11 +345,13 @@ class DynamicMonitor:
         already-congested control channel.
 
         Negative confirmation (the new state is a drop: silence is the
-        only signal): repeated short timeout rounds — probes returning
-        with the *old* state restart the round (transient tolerance);
-        a fully quiet round confirms.  This inherits negative probing's
-        false-positive caveat (§3.3); enable drop-postponing (§4.3) for
-        the reliable variant.
+        only signal): short rounds under the steady policy, which
+        tolerates nothing — a probe returning with the *old* state
+        ends its round with an alarm, and the next round starts after a
+        backed-off delay; a fully quiet round confirms, and once the
+        deadline has passed the update is given up.  This inherits
+        negative probing's false-positive caveat (§3.3); enable
+        drop-postponing (§4.3) for the reliable variant.
         """
         monitor = self.monitor
         policy = monitor.update_policy
@@ -359,8 +363,6 @@ class DynamicMonitor:
 
         if target_obs:
             def gave_up(_probe: OutstandingProbe, _kind: str) -> None:
-                if update.confirmed or update.gave_up:
-                    return
                 self._give_up(update)
 
             monitor.launch_probe(

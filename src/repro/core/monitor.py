@@ -263,8 +263,6 @@ class OutstandingProbe:
     retries_left: int
     on_confirm: Callable[["OutstandingProbe"], None]
     on_alarm: Callable[["OutstandingProbe", str], None]
-    #: "present" (steady state / additions) or "absent" (deletions).
-    confirm_on: str = "present"
     timeout_event: Event | None = None
     #: The pending retry: re-armed by every retry that fires.
     retry_event: Event | None = None
@@ -719,7 +717,10 @@ class Monitor:
             del self.suspicion[key]
             return
         self.launch_probe(
-            result, self.steady_policy, self._steady_confirm, self._steady_alarm
+            result,
+            self.steady_policy,
+            self._steady_confirm,
+            self._steady_alarm,
         )
 
     # ----- probe lifecycle ---------------------------------------------------
@@ -769,7 +770,6 @@ class Monitor:
             retries_left=policy.retries,
             on_confirm=on_confirm,
             on_alarm=on_alarm,
-            confirm_on=confirm_on,
             span=span,
             steady=steady,
         )
@@ -934,26 +934,17 @@ class Monitor:
             self.stale_probes += 1
             return
         observation: Observation = (egress_port, wire_visible_items(values))
-        tolerate_anti = probe.policy.tolerate_anti
         if observation in probe.target:
             self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:
                 self._observe_probe_end(probe, "probe.confirmed", False)
             probe.on_confirm(probe)
-        elif observation in probe.anti:
-            # Positive evidence of the opposite state.
-            if probe.confirm_on == "present" and not tolerate_anti:
-                self._retire(probe, ProbeEnd.ALARMED)
-                probe.on_alarm(probe, "misbehaving")
-            # Otherwise: for deletions ("absent") or tolerant update
-            # probes, seeing the old state just means the switch hasn't
-            # updated yet; keep waiting.
-        else:
-            # Neither state explains this observation: corruption.  One
+        elif observation not in probe.anti or not probe.policy.tolerate_anti:
+            # The opposite state where no transient is tolerated, or an
+            # observation neither state explains (corruption).  One
             # alarm per probe: retire it, so caught retries of the same
             # nonce are stale and its timeout cannot add a ``missing``
-            # alarm.  Tolerant update probes keep polling; their
-            # handler gives the update up once.
-            if not tolerate_anti:
-                self._retire(probe, ProbeEnd.ALARMED)
+            # alarm.  (A tolerant probe that sees the opposite state
+            # keeps waiting: the switch has not updated yet, §4.1.)
+            self._retire(probe, ProbeEnd.ALARMED)
             probe.on_alarm(probe, "misbehaving")

@@ -79,6 +79,37 @@ class TestAddConfirmation:
         assert len(acks) == 10
         assert system.dynamics["s3"].updates_confirmed == 10
 
+    def test_update_is_confirmed_or_given_up_never_both(self):
+        """The ADD lands on the wrong port and is repaired 50 ms later.
+        The first observation neither state explains gives the update
+        up and ends its probe, so the repair confirms nothing."""
+        sim, net, system, acks = setup()
+        switch = net.switch("s3")
+        mod = add_mod(net, 0x0A000001)
+        wrong = output(net.port_toward["s3"]["s2"])
+        original = switch._apply_to_dataplane
+
+        def apply_corrupted(applied):
+            original(applied)
+            if applied.xid == mod.xid:
+                rule = switch.dataplane.get(mod.priority, mod.match)
+                switch.corrupt_rule_in_dataplane(rule, wrong)
+                sim.schedule(
+                    0.050,
+                    lambda: switch.corrupt_rule_in_dataplane(
+                        rule, mod.actions
+                    ),
+                )
+
+        switch._apply_to_dataplane = apply_corrupted
+        system.send_to_switch("s3", mod)
+        sim.run_for(2.0)
+        dynamic = system.dynamics["s3"]
+        assert dynamic.updates_given_up == 1
+        assert dynamic.updates_confirmed == 0
+        assert acks == []
+        assert system.monitor("s3").probes_alarmed == 1
+
     def test_multiple_nonoverlapping_updates_in_parallel(self):
         sim, net, system, acks = setup()
         for i in range(5):
@@ -150,6 +181,34 @@ class TestDeletion:
         sim.run_for(3.0)
         assert len(acks) == 2
         assert net.switch("s3").dataplane.get(mod.priority, mod.match) is None
+
+    def test_lost_delete_is_given_up_not_acknowledged(self):
+        """The switch never hears of the DELETE, so the rule stays in
+        its data plane: every negative round sees the old state, and
+        the update is given up at its deadline, not acknowledged on a
+        round's silence."""
+        sim, net, system, acks = setup(update_deadline=0.5)
+        mod = add_mod(net, 0x0A000001)
+        system.send_to_switch("s3", mod)
+        sim.run_for(2.0)
+        assert len(acks) == 1
+        delete = FlowMod(
+            command=FlowModCommand.DELETE_STRICT,
+            match=mod.match,
+            priority=mod.priority,
+        )
+        channel = net.channel("s3")
+        original = channel.down_handler
+        channel.down_handler = lambda msg: (
+            None
+            if isinstance(msg, FlowMod) and msg.xid == delete.xid
+            else original(msg)
+        )
+        system.send_to_switch("s3", delete)
+        sim.run_for(3.0)
+        assert len(acks) == 1
+        assert system.dynamics["s3"].updates_given_up == 1
+        assert net.switch("s3").dataplane.get(mod.priority, mod.match)
 
     def test_delete_of_unknown_rule_acked_immediately(self):
         sim, net, system, acks = setup()
