@@ -197,10 +197,6 @@ class DynamicMonitor:
         )
         self._track(update)
         result = self.monitor.probe_for_rule(rule)
-        if not result.ok:
-            # Unmonitorable update: acknowledge optimistically but count it.
-            self._confirm_piece(update, monitorable=False)
-            return
         self._probe_until_confirmed(update, result, confirm_on="present")
 
     def _start_postponed_drop(self, mod: FlowMod) -> None:
@@ -242,9 +238,6 @@ class DynamicMonitor:
         )
         self._track(update)
         result = self.monitor.probe_for_rule(tracked)
-        if not result.ok:
-            self._confirm_piece(update, monitorable=False)
-            return
         self._probe_until_confirmed(update, result, confirm_on="present")
 
     def _start_modify(self, mod: FlowMod) -> None:
@@ -263,9 +256,6 @@ class DynamicMonitor:
             hint_keys=(old_rule.key(),),
         )
         self._track(update)
-        if result is None or not result.ok:
-            self._confirm_piece(update, monitorable=False)
-            return
         self._probe_until_confirmed(update, result, confirm_on="present")
 
     def _modification_probe(
@@ -305,9 +295,7 @@ class DynamicMonitor:
             # Index-pruned: coverage implies overlap, so the candidate
             # pool is the overlap set, not the whole expected table.
             doomed = self.monitor.expected.covered_rules(mod.match)
-        probes: list[ProbeResult] = []
-        for rule in doomed:
-            probes.append(self.monitor.probe_for_rule(rule))
+        probes = [self.monitor.probe_for_rule(rule) for rule in doomed]
         self.monitor.from_controller(mod)
         update = PendingUpdate(
             mod=mod, started=self.sim.now, remaining=max(1, len(doomed))
@@ -316,23 +304,21 @@ class DynamicMonitor:
         if not doomed:
             self._confirm_piece(update, monitorable=False)
             return
-        monitorable = 0
         for result in probes:
-            if result.ok:
-                monitorable += 1
-                self._probe_until_confirmed(
-                    update, result, confirm_on="absent"
-                )
-        unmonitorable = len(doomed) - monitorable
-        for _ in range(unmonitorable):
-            self._confirm_piece(update, monitorable=False)
+            self._probe_until_confirmed(update, result, confirm_on="absent")
 
     # ----- probe-until-confirmed loop ----------------------------------------
 
     def _probe_until_confirmed(
-        self, update: PendingUpdate, result: ProbeResult, confirm_on: str
+        self,
+        update: PendingUpdate,
+        result: ProbeResult | None,
+        confirm_on: str,
     ) -> None:
         """Keep probing until the data plane reflects the update.
+
+        A piece with no usable probe (unmonitorable) is acknowledged
+        optimistically, but counted.
 
         Positive confirmation (the new state is observable): one
         long-lived probe under the monitor's update
@@ -353,6 +339,9 @@ class DynamicMonitor:
         negative probing's false-positive caveat (§3.3); enable
         drop-postponing (§4.3) for the reliable variant.
         """
+        if result is None or not result.ok:
+            self._confirm_piece(update, monitorable=False)
+            return
         monitor = self.monitor
         policy = monitor.update_policy
         present_obs, absent_obs = monitor.observations(result)

@@ -86,15 +86,11 @@ class SwitchMetrics:
         agg="sum", family="monocle_probes_confirmed_total"
     )
     probes_timed_out: int = _stat(family="monocle_probes_timed_out_total")
-    #: The rest of the probe lifecycle: launches (a probe's retries
-    #: are ``probes_sent``, not launches) and the two ends besides
-    #: confirmed and timed out — retired by a ``misbehaving`` alarm, or
-    #: invalidated by a FlowMod.  Launched = ended + outstanding.
+    #: Launches (retries are in ``probes_sent``) and the other two
+    #: ``ProbeEnd``s: launched = ended + outstanding.
     probes_launched: int = _stat(family="monocle_probes_launched_total")
     probes_alarmed: int = _stat(family="monocle_probes_alarmed_total")
-    probes_invalidated: int = _stat(
-        family="monocle_probes_invalidated_total"
-    )
+    probes_invalidated: int = _stat(family="monocle_probes_invalidated_total")
     alarms: int = _stat(
         agg="sum", name="alarms_total", family="monocle_alarms_total"
     )
