@@ -192,8 +192,8 @@ def outcome_observations(
 class RetryPolicy:
     """How a probe is re-sent and when it ends unconfirmed.
 
-    The ``n``-th re-send follows the previous one by ``gap`` while
-    ``n <= grace``, then by ``backoff_gap(gap, backoff, n - grace)``.
+    Re-send ``n`` (counting from 0) waits ``gap`` while
+    ``n <= grace``, then ``backoff_gap(gap, backoff, n - grace)``.
     """
 
     gap: float
