@@ -163,6 +163,7 @@ class DynamicMonitor:
                 xid=update.mod.xid,
                 waited_seconds=self.sim.now - update.started,
             )
+        self._drain_queue()
 
     # ----- update lifecycle ------------------------------------------------
 

@@ -11,11 +11,11 @@ The table also exposes the queries probe generation needs: rules with
 higher/lower priority than a given rule, and rules overlapping a match
 (§5.4's pre-filter).  Overlap queries and lookups are served by a
 **tuple-space index** (:class:`~repro.openflow.tuplespace.
-TupleSpaceIndex`): rules bucketed by mask signature, whole buckets
-pruned by mask compatibility and value bounds, hash hits where the
-query covers a bucket's mask — O(candidates) on sparse tables,
-degrading to the packed scan of the overlapping buckets when
-everything overlaps.
+TupleSpaceIndex`): rules bucketed by mask signature.  An overlap
+query follows a plan cached per query signature: one hash key per
+group of buckets that share the bits both masks constrain, one probe
+per bucket's level, and a value-bound prune or packed scan only for
+buckets that share no such bits — O(candidates) on sparse tables.
 
 The index is maintained through :meth:`FlowTable.install`/
 :meth:`~FlowTable.remove` deltas.

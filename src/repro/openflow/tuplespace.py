@@ -13,28 +13,31 @@ to 8-bit steps, irregular masks dropped to wildcard — so real tables
 collapse into a few dozen buckets instead of one per distinct prefix
 length, keeping the per-query bucket loop small.
 
-Queries prune whole buckets, then hash into the survivors:
+A query is answered from a **plan** cached per query signature (the
+query's mask coarsened once).  Per bucket, ``anchor = bucket_sig &
+query_sig`` names the coarse bits *both* sides constrain, and any
+overlapping row agrees with the query on every anchor bit.  The plan,
+built on the first query with a signature, places each bucket on a
+**level** (``value & anchor -> rows``, built lazily per anchor and
+maintained incrementally afterwards — the staged-lookup trick):
 
-* the query's own mask is coarsened once into a query signature; per
-  bucket, ``anchor = bucket_sig & query_sig`` names the coarse bits
-  *both* sides constrain.  Any overlapping row must agree with the
-  query on the anchor, so one probe of the bucket's **anchor-level
-  hash** (``value & anchor -> rows``, built lazily per anchor and
-  maintained incrementally afterwards — the staged-lookup trick) yields
-  the candidate list even when the query covers only part of the
-  bucket's signature;
-* buckets whose anchor is empty, or that already keep their quota of
-  levels, but that still share mask bits with the query are pruned
-  through aggregate **value bounds** (OR and AND of member values)
-  when no row can agree on the common bits;
-* only then does a bucket fall back to a packed scan of its own rows.
+* the bucket's level for its anchor, built if the bucket keeps fewer
+  than ``_MAX_LEVELS`` levels;
+* else its built level on the widest non-empty subset of the anchor —
+  a row that agrees with the query on the anchor agrees on any subset;
+* else (an empty anchor, or no subset level) the bucket is **scanned**:
+  aggregate **value bounds** (OR and AND of member values) prune it
+  when no row can agree on the bits both masks share, and otherwise
+  its rows are checked one by one.
 
-A level, once built, is kept until its bucket empties: a bucket builds
-levels for the first ``_MAX_LEVELS`` anchors it is queried with (and
-its own signature's, for :meth:`TupleSpaceIndex.lookup`), and answers
-any further anchor by the scan.  Nothing is evicted, so no level is
-ever rebuilt — a query mix cycling through more anchors than the
-quota costs the excess a scan each, not a re-hash of the bucket.
+Buckets on levels of one anchor form a group, so a query computes
+``value & anchor`` once per group and probes each level with it.
+Levels are never evicted and buckets are never dropped (an emptied
+bucket stays, with empty levels), so a plan stays valid until a new
+bucket appears; only then are the plans cleared.  A bucket builds at
+most ``_MAX_LEVELS`` query levels (plus its own signature's, for
+:meth:`TupleSpaceIndex.lookup`), so a query mix cycling through more
+anchors than the quota never re-hashes a bucket.
 
 Rows store their exact ``(value, mask)``, and every path re-verifies
 the pairwise overlap test
@@ -45,10 +48,10 @@ so coarsening affects only performance, never the result set.
 
 Maintenance is incremental: adds append (and join each built hash
 level); removals tombstone the row and unlink its hash records; a
-bucket compacts its row array when tombstones outnumber live rows.
-The value bounds are monotone under removal (the stale OR is a
-superset, the stale AND a subset, of the true bounds) so pruning stays
-sound between compactions; compaction recomputes them.
+bucket compacts its row array when it empties or tombstones outnumber
+live rows.  The value bounds are monotone under removal (the stale OR
+is a superset, the stale AND a subset, of the true bounds) so pruning
+stays sound between compactions; compaction recomputes them.
 
 Keys are arbitrary hashable identifiers — :class:`~repro.openflow.
 table.FlowTable` indexes rule keys, the probe-generation context
@@ -66,6 +69,9 @@ from repro.openflow.fields import HEADER
 #: One indexed entry: (packed value, packed mask, caller's key).
 _Row = tuple[int, int, Hashable]
 
+#: One level: ``value & anchor`` -> the live rows with that key.
+_Level = dict[int, list[_Row]]
+
 #: Compact a bucket when its row array holds more than this many rows
 #: AND tombstones outnumber live rows (small buckets never bother).
 _COMPACT_MIN_ROWS = 16
@@ -74,14 +80,14 @@ _COMPACT_MIN_ROWS = 16
 #: a field's mask into the bucket signature.
 _PREFIX_STEP = 8
 
-#: Query levels a bucket builds; later anchors are scanned (module
-#: doc).  Each level holds one hash record per live row and costs O(1)
-#: per add/remove to maintain, so a bucket holds at most
+#: Query levels a bucket builds; later anchors are probed on a built
+#: level over a subset of their bits, or scanned (module doc).  Each
+#: level holds one hash record per live row and costs O(1) per
+#: add/remove to maintain, so a bucket holds at most
 #: ``_MAX_LEVELS + 1`` records per row (its signature's level besides)
-#: however many query masks a workload invents.  Rule-match query
-#: mixes mostly stay under the quota; past it (the small buckets of
-#: the ACL tables see 20-41 anchors) a scan costs what building the
-#: level would, and leaves nothing to maintain.
+#: however many query masks a workload invents.  The small buckets of
+#: the ACL tables see 20-41 anchors; on the seed-7 tables' cold sample
+#: each anchor past the quota finds a built subset level.
 _MAX_LEVELS = 16
 
 #: (bit shift into the packed header, field width) per header field.
@@ -138,16 +144,16 @@ class _Tuple:
         self.sig = sig
         #: Append-only rows; ``None`` marks a tombstone.
         self.rows: list[_Row | None] = []
-        #: anchor -> (value & anchor -> live rows): the staged hashes.
-        #: Built lazily per anchor on first query, incremental after.
-        self.levels: dict[int, dict[int, list[_Row]]] = {}
+        #: anchor -> level: the staged hashes.  Built lazily per anchor
+        #: on first query, incremental after, never evicted.
+        self.levels: dict[int, _Level] = {}
         self.live = 0
         #: OR / AND of every value added since the last compaction:
         #: sound over-approximations of the live bounds (module doc).
         self.value_or = 0
         self.value_and = -1
 
-    def level(self, anchor: int) -> dict[int, list[_Row]]:
+    def level(self, anchor: int) -> _Level:
         """The hash on ``value & anchor``, building it on first use."""
         level = self.levels.get(anchor)
         if level is None:
@@ -159,22 +165,31 @@ class _Tuple:
         return level
 
 
+#: A query signature's plan: the groups of ``(anchor, levels)`` probed
+#: with one key each, and the buckets scanned.
+_Plan = tuple[tuple[tuple[int, tuple[_Level, ...]], ...], tuple[_Tuple, ...]]
+
+
 class TupleSpaceIndex:
     """Incremental overlap/containment index over (value, mask) entries.
 
     ``add``/``discard`` are O(built levels) ~ O(1) amortized;
-    :meth:`query` visits each bucket once — hash probe where the anchor
-    is non-empty, value-bound prune or packed scan otherwise;
-    :meth:`lookup` is one hash probe per bucket.
+    :meth:`query` follows its signature's plan — one hash key per
+    anchor group, one probe per level, a value-bound prune or packed
+    scan per scanned bucket; :meth:`lookup` is one hash probe per
+    bucket.
     """
 
-    __slots__ = ("_tuples", "_where", "compactions")
+    __slots__ = ("_tuples", "_where", "_plans", "compactions")
 
     def __init__(self) -> None:
-        #: signature -> bucket.
+        #: signature -> bucket; a bucket that empties stays.
         self._tuples: dict[int, _Tuple] = {}
         #: key -> (signature, row index) for O(1) removal.
         self._where: dict[Hashable, tuple[int, int]] = {}
+        #: query signature -> its plan; cleared when a bucket is
+        #: created.
+        self._plans: dict[int, _Plan] = {}
         self.compactions = 0
 
     # ----- maintenance ----------------------------------------------------
@@ -187,6 +202,7 @@ class TupleSpaceIndex:
         bucket = self._tuples.get(sig)
         if bucket is None:
             bucket = self._tuples[sig] = _Tuple(sig)
+            self._plans.clear()
         row: _Row = (value, mask, key)
         self._where[key] = (sig, len(bucket.rows))
         bucket.rows.append(row)
@@ -214,9 +230,7 @@ class TupleSpaceIndex:
             records.remove(row)
             if not records:
                 del level[hash_key]
-        if bucket.live == 0:
-            del self._tuples[sig]
-        elif (
+        if not bucket.live or (
             len(bucket.rows) > _COMPACT_MIN_ROWS
             and len(bucket.rows) > 2 * bucket.live
         ):
@@ -245,26 +259,25 @@ class TupleSpaceIndex:
         Bucket order (and row order within a bucket) is arbitrary;
         callers needing a deterministic order sort the result.
         """
-        out: list[Hashable] = []
         query_sig = signature_of(mask)
-        for sig, bucket in self._tuples.items():
-            anchor = sig & query_sig
-            levels = bucket.levels
-            level = levels.get(anchor) if anchor else None
-            if level is None and anchor and len(levels) < _MAX_LEVELS:
-                level = bucket.level(anchor)
-            if level is not None:
-                # Both sides constrain the anchor bits, so overlapping
-                # rows agree with the query there: one hash probe.
-                hit = level.get(value & anchor)
+        plan = self._plans.get(query_sig)
+        if plan is None:
+            plan = self._plans[query_sig] = self._plan(query_sig)
+        groups, scans = plan
+        out: list[Hashable] = []
+        for anchor, levels in groups:
+            # Overlapping rows agree with the query on the anchor bits.
+            key = value & anchor
+            for level in levels:
+                hit = level.get(key)
                 if hit:
                     out.extend(
                         k
                         for v, m, k in hit
                         if not ((v ^ value) & m & mask)
                     )
-                continue
-            common = sig & mask
+        for bucket in scans:
+            common = bucket.sig & mask
             if common:
                 # Coarse masks disjoint but exact ones not: value
                 # bounds can prove no row agrees on the common bits.
@@ -279,6 +292,29 @@ class TupleSpaceIndex:
                 and not ((row[0] ^ value) & row[1] & mask)
             )
         return out
+
+    def _plan(self, query_sig: int) -> _Plan:
+        """Place every bucket on a level or in the scans (module doc)."""
+        groups: dict[int, list[_Level]] = {}
+        scans: list[_Tuple] = []
+        for sig, bucket in self._tuples.items():
+            anchor = sig & query_sig
+            levels = bucket.levels
+            if anchor and anchor not in levels:
+                if len(levels) < _MAX_LEVELS:
+                    bucket.level(anchor)
+                else:
+                    anchor = max(
+                        (a for a in levels if a and not a & ~anchor),
+                        key=int.bit_count,
+                        default=0,
+                    )
+            if anchor:
+                groups.setdefault(anchor, []).append(levels[anchor])
+            else:
+                scans.append(bucket)
+        planned = tuple((a, tuple(ls)) for a, ls in groups.items())
+        return planned, tuple(scans)
 
     def lookup(self, packed_header: int) -> Iterator[Hashable]:
         """Keys whose entry *matches* a fully-specified packed header.

@@ -145,6 +145,35 @@ class TestOverlapQueueing:
             "s3"
         ).control_table.get(50, Match.wildcard()) is not None
 
+    def test_given_up_update_releases_the_queue(self):
+        """The ADD never reaches the switch and is given up at its
+        deadline; the wildcard queued behind it goes out then."""
+        sim, net, system, acks = setup(update_deadline=0.5)
+        lost = add_mod(net, 0x0A000031)
+        channel = net.channel("s3")
+        original = channel.down_handler
+        channel.down_handler = lambda msg: (
+            None if getattr(msg, "xid", None) == lost.xid else original(msg)
+        )
+        overlapping = FlowMod(
+            command=FlowModCommand.ADD,
+            match=Match.wildcard(),
+            priority=50,
+            actions=output(net.port_toward["s3"]["s2"]),
+        )
+        system.send_to_switch("s3", lost)
+        system.send_to_switch("s3", overlapping)
+        dynamic = system.dynamics["s3"]
+        assert len(dynamic.queue) == 1
+        sim.run_for(3.0)
+        assert dynamic.updates_given_up == 1
+        assert dynamic.queue == []
+        assert dynamic.pending == []
+        assert [ack.flowmod_xid for _, _, ack in acks] == [overlapping.xid]
+        assert net.switch(
+            "s3"
+        ).control_table.get(50, Match.wildcard()) is not None
+
     def test_queue_respects_pairwise_overlaps(self):
         sim, net, system, acks = setup()
         system.send_to_switch("s3", add_mod(net, 0x0A000001, priority=100))

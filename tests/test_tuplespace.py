@@ -10,12 +10,16 @@ defined by a fieldwise scan over ``table.rules()``:
 * :meth:`FlowTable.lookup` must pick the same winner as first-match
   ``Match.matches`` iteration in table order;
 * churn must never trigger a wholesale rebuild of the index
-  (``index_builds`` stays at 1).
+  (``index_builds`` stays at 1);
+* a cached query plan must follow new buckets and refilled ones, and
+  :meth:`TupleSpaceIndex.query` must equal a brute-force overlap scan
+  also past a bucket's level quota (hypothesis property).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -250,7 +254,8 @@ class TestTupleSpaceIndex:
         ).packed()
         index.add("r", value, mask)
         # Query with more distinct query signatures than the bucket
-        # keeps levels for: the rest are answered by a scan.
+        # keeps levels for: the rest are probed on a built level over
+        # a subset of their anchor.
         for dst_len in (8, 16, 24, 32):
             for src_len in (0, 8, 16, 24, 32):
                 kwargs = {"nw_dst": (0x0A000000, dst_len)}
@@ -292,3 +297,129 @@ class TestTupleSpaceIndex:
             level is built.get(anchor)
             for anchor, level in bucket.levels.items()
         )
+
+    def test_plans_follow_new_and_refilled_buckets(self):
+        index = TupleSpaceIndex()
+        a = Match.build(nw_dst=(0x0A000000, 24))
+        query = Match.build(nw_dst=0x0A000001).packed()
+        index.add("a", *a.packed())
+        assert index.query(*query) == ["a"]
+        # A new signature after the plan was cached: its bucket joins.
+        b = Match.build(nw_dst=(0x0A000000, 16), tp_dst=80)
+        index.add("b", *b.packed())
+        assert sorted(index.query(*query)) == ["a", "b"]
+        # Empty a bucket, query, then refill it with a new key.
+        index.discard("a")
+        assert index.query(*query) == ["b"]
+        index.add("c", *a.packed())
+        assert sorted(index.query(*query)) == ["b", "c"]
+
+
+# ----- the index against a brute-force scan, past the level quota -------
+
+#: Exact fields of the one large bucket; its 2**6 - 1 non-empty field
+#: subsets are more anchors than a bucket keeps levels for.
+_WIDE_FIELDS = {
+    "in_port": (1, 2), "dl_vlan": (7, 8), "nw_proto": (6, 17),
+    "nw_tos": (0, 4), "tp_src": (80, 443), "tp_dst": (22, 80),
+}
+
+
+@st.composite
+def wide_matches(draw, every_field: bool = False):
+    """Matches over the wide bucket's fields, some with an nw_dst
+    prefix (other buckets) or an odd tp_src mask (no anchor bits: a
+    query of that mask alone takes the scan path)."""
+    names = sorted(_WIDE_FIELDS)
+    if not every_field:
+        names = draw(st.lists(st.sampled_from(names), unique=True))
+    fields = {
+        name: draw(st.sampled_from(_WIDE_FIELDS[name])) for name in names
+    }
+    extra = draw(st.sampled_from(["none", "prefix", "odd"]))
+    if extra == "prefix":
+        base = draw(st.sampled_from([0x0A000000, 0x0A010000]))
+        fields["nw_dst"] = (base, draw(st.sampled_from([8, 16, 24])))
+    match = Match.build(**fields)
+    if extra == "odd" and "tp_src" not in fields:
+        value = draw(st.sampled_from([0x0005, 0x0101]))
+        match = Match({
+            **match.fields,
+            FieldName.TP_SRC: FieldMatch(value=value, mask=0x0F0F),
+        })
+    return match
+
+
+def _warm_up_past_the_quota(index: TupleSpaceIndex) -> None:
+    """Query every three-field subset of the wide bucket's fields."""
+    for names in itertools.combinations(sorted(_WIDE_FIELDS), 3):
+        index.query(
+            *Match.build(**{n: _WIDE_FIELDS[n][0] for n in names}).packed()
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(wide_matches(every_field=True), min_size=1,
+                     max_size=12),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), st.integers(0, 15), wide_matches()),
+            st.tuples(st.just("discard"), st.integers(0, 15), st.none()),
+            st.tuples(st.just("query"), st.none(), wide_matches()),
+        ),
+        max_size=40,
+    ),
+)
+def test_query_equals_brute_force_past_the_level_cap(entries, ops):
+    index = TupleSpaceIndex()
+    live: dict[int, tuple[int, int]] = {}
+    for key, match in enumerate(entries):
+        live[key] = match.packed()
+        index.add(key, *live[key])
+    _warm_up_past_the_quota(index)
+    assert any(
+        len(bucket.levels) >= _MAX_LEVELS
+        for bucket in index._tuples.values()
+    )
+    for kind, key, match in ops:
+        if kind == "add":
+            live[key] = match.packed()
+            index.add(key, *live[key])
+        elif kind == "discard":
+            assert index.discard(key) == (live.pop(key, None) is not None)
+        else:
+            value, mask = match.packed()
+            assert sorted(index.query(value, mask)) == sorted(
+                k for k, (v, m) in live.items() if not ((v ^ value) & m & mask)
+            )
+
+
+def test_acl_cold_sample_scans_no_anchored_bucket():
+    """The seed-7 ACL tables' cold sample, drawn and ordered as the
+    ``acl_probegen`` benchmark draws it: every bucket that shares
+    coarse mask bits with a query is probed on a level, never scanned
+    (a bucket past its quota finds a built level over a subset)."""
+    tables = {"stanford": stanford_table(seed=7),
+              "campus": campus_table(seed=7)}
+    rng = random.Random(7)
+    samples = {
+        name: rng.sample(
+            [rule for rule in table.rules() if rule.priority > 0], 900
+        )[:750]
+        for name, table in tables.items()
+    }
+    cold = [(name, rule) for name in tables for rule in samples[name]]
+    rng.shuffle(cold)
+    for name, rule in cold:
+        tables[name].overlapping(rule.match)
+        index = tables[name]._ensure_index()
+        query_sig = signature_of(rule.match.packed()[1])
+        _, scans = index._plans[query_sig]
+        assert not [b.sig for b in scans if b.sig & query_sig]
+    # The quota was reached, so the subset rule ran.
+    assert any(
+        len(bucket.levels) >= _MAX_LEVELS
+        for table in tables.values()
+        for bucket in table._ensure_index()._tuples.values()
+    )
