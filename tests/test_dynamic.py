@@ -153,7 +153,9 @@ class TestOverlapQueueing:
         channel = net.channel("s3")
         original = channel.down_handler
         channel.down_handler = lambda msg: (
-            None if getattr(msg, "xid", None) == lost.xid else original(msg)
+            None
+            if isinstance(msg, FlowMod) and msg.xid == lost.xid
+            else original(msg)
         )
         overlapping = FlowMod(
             command=FlowModCommand.ADD,
