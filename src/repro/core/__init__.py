@@ -10,8 +10,7 @@
 * :mod:`repro.core.monitor` — the Monitor proxy: expected flow-table
   tracking, steady-state probing cycles, retries/timeouts, alarms.
 * :mod:`repro.core.schedule` — the probe cycle: a delta-maintained
-  :class:`ProbeScheduler` served round-robin, with recently churned
-  rules promoted ahead of it under ``churn_first``.
+  :class:`ProbeScheduler` served round-robin (§3).
 * :mod:`repro.core.dynamic` — reconfiguration monitoring: probing rule
   additions, modifications and deletions, queueing of overlapping
   unconfirmed updates, and rule-installation acknowledgments (§4).

@@ -77,9 +77,6 @@ class DynamicMonitor:
         drop_postpone_port: int | None,
     ) -> None:
         self.monitor = monitor
-        # Updates are confirmed with transient tolerance here, so the
-        # static-deployment promotion barrier must not engage.
-        monitor.dynamic_guarded = True
         self.sim = monitor.sim
         self.obs = monitor.obs
         #: Update-confirmation latencies, observed only under
@@ -407,15 +404,13 @@ class DynamicMonitor:
         if update.finalize is not None:
             # Drop-postponing: swap the real drop rule in (§4.3).
             self.monitor.from_controller(update.finalize)
-        # Post-confirmation reprobe hints: a just-confirmed update is
-        # still the likeliest region of the table to regress (§4), so
-        # tell the scheduler instead of launching ad-hoc probes —
-        # ``churn_first`` re-visits the rules ahead of the steady
-        # cycle; round-robin ignores the hints by design.
-        # Keys were resolved per update path at start time (deletions
-        # carry none: a removed rule cannot be re-probed).
+        # Post-confirmation reprobe hints: the scheduler measures how
+        # long each touched rule waits for its next steady probe (the
+        # cycle order itself never changes).  Keys were resolved per
+        # update path at start time (deletions carry none: a removed
+        # rule cannot be re-probed).
         for key in update.hint_keys:
-            self.monitor.scheduler.note_update(key)
+            self.monitor.scheduler.touch(key)
         self.monitor.to_controller(
             self.monitor.node,
             UpdateAck(

@@ -30,16 +30,10 @@ from repro.core.probegen import (
     ProbeResult,
     UnmonitorableReason,
 )
-from repro.core.schedule import POLICIES, ProbeScheduler
+from repro.core.schedule import ProbeScheduler
 from repro.obs import Histogram, NullObserver, Observer
 from repro.openflow.fields import FieldName
-from repro.openflow.messages import (
-    BarrierReply,
-    BarrierRequest,
-    FlowMod,
-    Message,
-    next_xid,
-)
+from repro.openflow.messages import FlowMod, Message
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import FlowTable
 from repro.packets.craft import craft_packet, wire_visible_items
@@ -116,11 +110,6 @@ class MonitorConfig:
         "W = 2 sends what W = 1 does); concurrent probes of one switch "
         "share its reserved value and are told apart by their nonce",
     )
-    probe_policy: str = knob(
-        "round_robin",
-        "probe order: round_robin (the paper's cycle) or churn_first "
-        "(recently churned rules jump the queue)",
-    )
 
     #: :meth:`check`'s bounds (a field left ``None`` is unset).
     POSITIVE: ClassVar[tuple[str, ...]] = (
@@ -146,11 +135,6 @@ class MonitorConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}: {value}")
-        if self.probe_policy not in POLICIES:
-            raise ValueError(
-                f"unknown probe policy {self.probe_policy!r}; "
-                f"choose from {sorted(POLICIES)}"
-            )
 
 
 @dataclass
@@ -326,13 +310,6 @@ class Monitor:
         #: rule key -> number of outstanding (not done) probes, the
         #: O(1) busy check behind the scheduler's window drain.
         self._inflight_keys: dict[tuple, int] = {}
-        #: Held promotions (static deployments): barrier xid -> rule
-        #: keys the scheduler is told about at the BarrierReply.
-        self._held_promotions: dict[int, list[tuple]] = {}
-        self.promotions_held = 0
-        #: Set by DynamicMonitor: updates are confirmed with transient
-        #: tolerance there, so no promotion needs holding.
-        self.dynamic_guarded = False
 
         probe_context.validate_result = self._check_observability
         self.probe_context = probe_context
@@ -384,7 +361,7 @@ class Monitor:
         self.probe_context.add_rule(rule)
         self.scheduler.add(rule)
 
-    def observe_flowmod(self, mod: FlowMod) -> list[tuple]:
+    def observe_flowmod(self, mod: FlowMod) -> None:
         """Track a FlowMod the controller sent (steady-state tracking).
 
         Dynamic-mode interception (queueing + acks) is layered on top by
@@ -392,28 +369,16 @@ class Monitor:
         applies the FlowMod to the expected table and stale-marks only
         cached probes whose rule intersects the rules actually touched;
         the same affected-rule delta maintains the probe cycle — no
-        full-table rebuild, ever.
-
-        Returns the rule keys whose scheduler promotion is held (empty
-        unless this is a static deployment that promotes): promoted at
-        once, the rule would be probed inside the switch's application
-        window and alarm on the old state.  The proxy sends a barrier
-        *behind* the FlowMod and touches the keys only when the
-        switch's BarrierReply says the mod was applied — as trustworthy
-        as the switch's barrier semantics: a profile that acks early
-        shrinks the hold, never corrupts it.  Dynamic mode confirms
-        updates with transient tolerance and ``round_robin`` promotes
-        nothing, so neither sends a barrier.
+        full-table rebuild, ever — and touches the surviving rules.
+        A touch reorders nothing: the cycle reaches a churned rule in
+        its turn, steady probes already in flight for it are
+        invalidated, and dynamic mode confirms the update with its own
+        probes (§4).
         """
         affected = self.probe_context.apply_flowmod(mod)
         if self.outstanding:
             self._invalidate_steady_probes(affected, mod.command.is_delete)
-        defer = (
-            self.scheduler.promotes
-            and not self.dynamic_guarded
-            and not mod.command.is_delete
-        )
-        self.scheduler.observe_flowmod(mod, affected, touch=not defer)
+        self.scheduler.observe_flowmod(mod, affected)
         if self.obs.enabled:
             self.obs.emit(
                 "flowmod.observed",
@@ -424,52 +389,14 @@ class Monitor:
                 match=mod.match,
                 affected=len(affected),
             )
-        if not defer:
-            return []
-        return [rule.key() for rule in affected]
 
     # ----- proxy data path ---------------------------------------------------
 
     def from_controller(self, msg: Message) -> None:
         """Controller -> switch passthrough with FlowMod tracking."""
-        held_keys: list[tuple] = []
         if isinstance(msg, FlowMod):
-            held_keys = self.observe_flowmod(msg)
+            self.observe_flowmod(msg)
         self.forward_down(msg)
-        if held_keys:
-            # The barrier rides *behind* the FlowMod on the control
-            # channel, so its reply bounds the mod's application time.
-            self._send_promotion_barrier(held_keys)
-
-    def _send_promotion_barrier(self, keys: list[tuple]) -> None:
-        xid = next_xid()
-        self._held_promotions[xid] = keys
-        self.promotions_held += 1
-        if self.obs.enabled:
-            self.obs.emit(
-                "promotion.held",
-                node=self.node,
-                xid=xid,
-                keys=len(keys),
-            )
-        self.forward_down(BarrierRequest(xid=xid))
-
-    def _promotion_barrier_done(self, xid: int) -> bool:
-        """Consume a BarrierReply for a Monitor-issued barrier."""
-        keys = self._held_promotions.pop(xid, None)
-        if keys is None:
-            return False
-        for key in keys:
-            # touch() ignores keys that left the cycle in the interim.
-            self.scheduler.touch(key)
-        if self.obs.enabled:
-            self.obs.emit(
-                "promotion.released",
-                node=self.node,
-                xid=xid,
-                keys=len(keys),
-            )
-        return True
 
     def from_switch(self, msg: Message) -> None:
         """Switch -> controller passthrough of non-probe traffic.
@@ -478,11 +405,6 @@ class Monitor:
         classifies every PacketIn and routes probes through the
         multiplexer to :meth:`handle_caught_probe`.
         """
-        if isinstance(msg, BarrierReply) and self._held_promotions:
-            # Replies to *our* barriers stop here; the controller's
-            # own barriers (different xids) pass through.
-            if self._promotion_barrier_done(msg.xid):
-                return
         self.to_controller(self.node, msg)
 
     # ----- probe generation ---------------------------------------------------
@@ -544,15 +466,11 @@ class Monitor:
         budget = 1 if window == 1 else window - self.window_depth
         if budget <= 0:
             return
-        promoted_keys: set[tuple] = set()
         rules = self.scheduler.next_rules(
-            self.expected,
-            busy=self._in_flight,
-            limit=budget,
-            promoted_out=promoted_keys,
+            self.expected, busy=self._in_flight, limit=budget
         )
         for rule in rules:
-            self._serve_steady_rule(rule, rule.key() in promoted_keys)
+            self._serve_steady_rule(rule)
         if self.obs.enabled and rules and window > 1:
             self.obs.emit(
                 "window.depth",
@@ -562,7 +480,7 @@ class Monitor:
                 window=window,
             )
 
-    def _serve_steady_rule(self, rule: Rule, promoted: bool) -> None:
+    def _serve_steady_rule(self, rule: Rule) -> None:
         """Generate and launch one steady-cycle probe (trace included)."""
         obs = self.obs
         tracing = obs.enabled
@@ -570,14 +488,6 @@ class Monitor:
         if tracing:
             span = obs.next_span()
             wait = self.scheduler.take_wait(rule.key())
-            if promoted:
-                obs.emit(
-                    "scheduler.promoted",
-                    node=self.node,
-                    span=span,
-                    priority=rule.priority,
-                    match=rule.match,
-                )
             if wait is not None:
                 self.wait_histogram.observe(wait)  # type: ignore[union-attr]
             genstats = self.probe_context.stats
@@ -649,9 +559,8 @@ class Monitor:
                 priority=rule.priority,
                 match=rule.match,
             )
-        # Alarm history feeds the scheduler: a promoting one re-visits
-        # the rule ahead of the cycle.
-        self.scheduler.record_alarm(probe.result.rule.key())
+        # Alarm history feeds the scheduler's wait measurement.
+        self.scheduler.touch(probe.result.rule.key())
 
     # ----- alarm hysteresis ------------------------------------------------
 

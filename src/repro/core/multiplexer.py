@@ -215,10 +215,7 @@ class MonocleSystem:
             to_controller=self._to_controller,
             multiplexer=self.multiplexer,
             probe_context=probe_context,
-            scheduler=ProbeScheduler(
-                policy=self.config.probe_policy,
-                is_infrastructure=is_infrastructure,
-            ),
+            scheduler=ProbeScheduler(is_infrastructure=is_infrastructure),
             obs=self.obs,
         )
         self.monitors[node] = monitor

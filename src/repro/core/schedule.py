@@ -1,4 +1,4 @@
-"""Incremental probe scheduling (the §3 cycle, §4 promotions).
+"""Incremental probe scheduling (the §3 cycle).
 
 Monocle's steady-state monitoring cycles through every monitorable
 rule; detection latency is bounded by how fast that cycle turns.
@@ -10,33 +10,24 @@ rule; detection latency is bounded by how fast that cycle turns.
   :class:`~repro.core.probegen.ProbeGenContext` delta API produces.
   ``stats.cycle_rebuilds`` counts full builds — churn must never
   increment it past 1 (regression-tested).
-* ``round_robin`` — the paper's §3 baseline — walks the keys in table
-  order (priority descending, insertion order within a priority) with a
-  cursor that pre-increments and is *not* adjusted when churn inserts
-  or deletes keys around it: the probe order of a loop that rebuilt the
-  list on every FlowMod, key for key (property-tested).
-* ``churn_first`` adds the paper's §4 insight: a rule a FlowMod just
-  touched is the one most likely to be wrong, so it jumps the queue.
-  Touched keys wait in a FIFO; after :data:`PROMOTION_BURST`
-  consecutive promotions one probe is served from the round-robin
-  cycle, so the full cycle completes at worst ``PROMOTION_BURST + 1``
-  times slower under sustained churn (bounded starvation).  With an
-  empty queue it *is* ``round_robin``.
+* The cycle is served round-robin, the paper's §3 order: the keys in
+  table order (priority descending, insertion order within a priority)
+  with a cursor that pre-increments and is *not* adjusted when churn
+  inserts or deletes keys around it: the probe order of a loop that
+  rebuilt the list on every FlowMod, key for key (property-tested).
+  An update is confirmed by its own probes (§4,
+  :mod:`repro.core.dynamic`), not by reordering the cycle.
 
 The scheduler is deliberately ignorant of tables and solvers: it holds
 rule *keys* and resolves them against the Monitor's expected table at
-probe time.  Nor does it know when a touched rule is safe to probe: a
-Monitor that confirms updates itself (dynamic mode) touches at once; a
-static one holds a FlowMod's touch until the switch answers a barrier
-sent behind it (:meth:`~repro.core.monitor.Monitor.observe_flowmod`),
-which is as good as the switch's barrier semantics — a profile that
-acks early shrinks the hold, never corrupts it.
+probe time.  A *touch* (churn, a confirmed update, an alarm) changes
+no order; under observability it stamps the key so the wait until the
+rule is next served can be measured (:meth:`ProbeScheduler.take_wait`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -44,13 +35,7 @@ from repro.openflow.messages import FlowMod
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable, RuleKey
 
-__all__ = ["POLICIES", "ProbeScheduler", "SchedulerStats"]
-
-#: The two probe orders: ``round_robin`` never queues a touched key,
-#: ``churn_first`` does.
-POLICIES = ("churn_first", "round_robin")
-#: Consecutive promotions before one base-cycle probe is served.
-PROMOTION_BURST = 4
+__all__ = ["ProbeScheduler", "SchedulerStats"]
 
 #: True when the key already has a probe in flight (skip it this tick).
 BusyCheck = Callable[[RuleKey], bool]
@@ -58,7 +43,7 @@ BusyCheck = Callable[[RuleKey], bool]
 
 @dataclass
 class SchedulerStats:
-    """Counters describing the scheduler's maintenance and selection.
+    """Counters describing the scheduler's cycle maintenance.
 
     The one construction-time build is the only full expected-table
     iteration a scheduler ever pays; churn maintenance must keep
@@ -68,13 +53,10 @@ class SchedulerStats:
     cycle_rebuilds: int = 0
     keys_added: int = 0
     keys_removed: int = 0
-    #: Probes served ahead of the base cycle (``churn_first`` only).
-    scheduler_promotions: int = 0
 
 
 class ProbeScheduler:
-    """Delta-maintained probe cycle, served round-robin with an
-    optional promotion queue in front.
+    """Delta-maintained probe cycle, served round-robin.
 
     One scheduler per Monitor.  The cycle key set mirrors the monitor's
     expected table (infrastructure rules excluded) in *table order* —
@@ -94,25 +76,12 @@ class ProbeScheduler:
     Selection (:meth:`next_rule`, drained per tick by
     :meth:`next_rules`) resolves keys against the expected
     table *at probe time*.
-
-    Args:
-        policy: ``"round_robin"`` or ``"churn_first"``
-            (:data:`POLICIES`).
     """
 
     def __init__(
         self,
-        policy: str = "round_robin",
         is_infrastructure: Callable[[Rule], bool] | None = None,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(
-                f"unknown probe policy {policy!r}; "
-                f"choose from {sorted(POLICIES)}"
-            )
-        self.policy = policy
-        #: Does a touch queue its key for promotion?
-        self.promotes = policy == "churn_first"
         self.is_infrastructure = is_infrastructure
         #: Table-order sort keys (-priority, seq), kept sorted; aligned
         #: with ``_keys`` so maintenance bisects instead of scanning.
@@ -124,11 +93,6 @@ class ProbeScheduler:
         #: selection and never adjusted by maintenance, exactly as an
         #: index into a freshly rebuilt list never was.
         self.position = 0
-        #: Touched keys awaiting promotion, in touch order; a key that
-        #: left ``_hot_set`` is dropped lazily when it reaches the front.
-        self._hot: deque[RuleKey] = deque()
-        self._hot_set: set[RuleKey] = set()
-        self._burst = 0
         self.stats = SchedulerStats()
         #: Optional sim clock enabling touch -> serve wait tracking
         #: (observability); ``None`` keeps the disabled path free.
@@ -141,8 +105,8 @@ class ProbeScheduler:
         Once set, every :meth:`touch` stamps the key; the observer pops
         the stamp when the rule is finally served
         (:meth:`take_wait`) — the difference is the *scheduler wait*,
-        how long a churn/update/alarm signal sat in the queue before
-        its probe went out.
+        how long a churn/update/alarm signal waited for the cycle to
+        serve its rule.
         """
         self.clock = clock
 
@@ -193,9 +157,6 @@ class ProbeScheduler:
             self._keys.append(rule.key())
             self._okey[rule.key()] = okey
         self.stats.cycle_rebuilds += 1
-        self._hot.clear()
-        self._hot_set.clear()
-        self._burst = 0
 
     def add(self, rule: Rule) -> None:
         """A rule joined the expected table (no-op on key replace)."""
@@ -220,22 +181,15 @@ class ProbeScheduler:
         del self._keys[index]
         if self._touched_at:
             self._touched_at.pop(key, None)
-        self._hot_set.discard(key)
         self.stats.keys_removed += 1
 
-    def observe_flowmod(
-        self, mod: FlowMod, affected: Iterable[Rule], touch: bool = True
-    ) -> None:
+    def observe_flowmod(self, mod: FlowMod, affected: Iterable[Rule]) -> None:
         """Apply a FlowMod's cycle delta.
 
         ``affected`` is what the probe context's
         :meth:`~repro.core.probegen.ProbeGenContext.apply_flowmod`
         returned: the rules this switch's table actually gained, lost
-        or replaced.  Surviving rules are also *touched* — unless
-        ``touch=False``: a static Monitor holds the touch until the
-        switch confirms it has applied the FlowMod, then delivers it
-        via :meth:`touch` (membership maintenance is never deferred;
-        only the promotion is).
+        or replaced.  Surviving rules are also *touched*.
         """
         deleting = mod.command.is_delete
         for rule in affected:
@@ -243,75 +197,33 @@ class ProbeScheduler:
                 self.discard(rule.key())
             else:
                 self.add(rule)
-                if touch:
-                    self.touch(rule.key())
+                self.touch(rule.key())
 
     # ----- recency signals -------------------------------------------------
 
     def touch(self, key: RuleKey) -> None:
-        """Mark a live cycle key as recently churned/updated/alarmed."""
-        if key not in self._okey:
-            return
-        if self.clock is not None and key not in self._touched_at:
+        """Mark a live cycle key as recently churned/updated/alarmed
+        (stamped for :meth:`take_wait` once a clock is set)."""
+        if (
+            self.clock is not None
+            and key in self._okey
+            and key not in self._touched_at
+        ):
             # First touch wins: the wait measures signal -> probe, and
             # repeated touches before service must not shrink it.
             self._touched_at[key] = self.clock()
-        if self.promotes and key not in self._hot_set:
-            self._hot_set.add(key)
-            self._hot.append(key)
-
-    def note_update(self, key: RuleKey) -> None:
-        """Dynamic-mode reprobe hint: an update near this rule confirmed."""
-        self.touch(key)
-
-    def record_alarm(self, key: RuleKey) -> None:
-        """Alarm history: this rule misbehaved; watch it more closely."""
-        self.touch(key)
 
     # ----- selection -------------------------------------------------------
-
-    def _pop_hot(self, table: FlowTable, busy: BusyCheck) -> "Rule | None":
-        requeue: list[RuleKey] = []
-        found: "Rule | None" = None
-        while self._hot:
-            key = self._hot.popleft()
-            if key not in self._hot_set:
-                continue  # removed from the cycle since it was touched
-            rule = table.get(*key)
-            if rule is None:
-                self._hot_set.discard(key)
-                continue
-            if busy(key):
-                # A probe for this rule is already outstanding (e.g. a
-                # dynamic-mode update probe): keep the promotion hot so
-                # the rule is re-visited the moment it frees up.
-                requeue.append(key)
-                continue
-            self._hot_set.discard(key)
-            found = rule
-            break
-        for key in reversed(requeue):
-            self._hot.appendleft(key)
-        return found
 
     def next_rule(
         self, table: FlowTable, busy: BusyCheck | None = None
     ) -> "Rule | None":
-        """The next rule to probe, or None when nothing is serveable.
-
-        A queued promotion first (at most :data:`PROMOTION_BURST` in a
-        row), else one lap of the cycle from the cursor, skipping dead
-        and in-flight keys.
+        """The next rule to probe, or None when nothing is serveable:
+        one lap of the cycle from the cursor, skipping dead and
+        in-flight keys.
         """
         if busy is None:
             busy = _never_busy
-        if self._hot and self._burst < PROMOTION_BURST:
-            promoted = self._pop_hot(table, busy)
-            if promoted is not None:
-                self._burst += 1
-                self.stats.scheduler_promotions += 1
-                return promoted
-        self._burst = 0
         keys = self._keys
         for _ in range(len(keys)):
             self.position = (self.position + 1) % len(keys)
@@ -326,7 +238,6 @@ class ProbeScheduler:
         table: FlowTable,
         busy: BusyCheck | None = None,
         limit: int = 1,
-        promoted_out: "set[RuleKey] | None" = None,
     ) -> "list[Rule]":
         """Drain up to ``limit`` distinct serveable rules — one tick's
         launch budget.
@@ -335,10 +246,6 @@ class ProbeScheduler:
         every rule already served this drain as busy, so one drain
         never targets the same key twice.  ``limit=1`` is exactly one
         :meth:`next_rule` selection.
-
-        Args:
-            promoted_out: when given, receives the keys whose selection
-                was a promotion (for per-probe trace attribution).
         """
         if busy is None:
             busy = _never_busy
@@ -349,22 +256,16 @@ class ProbeScheduler:
             return key in served_keys or busy(key)
 
         while len(served) < limit:
-            promotions_before = self.stats.scheduler_promotions
             rule = self.next_rule(table, drain_busy)
             if rule is None:
                 break
-            if (
-                promoted_out is not None
-                and self.stats.scheduler_promotions > promotions_before
-            ):
-                promoted_out.add(rule.key())
             served.append(rule)
             served_keys.add(rule.key())
         return served
 
     def __repr__(self) -> str:
         return (
-            f"ProbeScheduler({self.policy}, {len(self._keys)} keys, "
+            f"ProbeScheduler({len(self._keys)} keys, "
             f"rebuilds={self.stats.cycle_rebuilds})"
         )
 

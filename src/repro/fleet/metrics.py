@@ -110,12 +110,12 @@ class SwitchMetrics:
         agg="sum", family="monocle_probe_revalidations_total"
     )
     probegen_seconds: float = _stat(0.0, agg="sum")
-    #: Probe-cycle scheduling: which policy served this switch, how
-    #: many full cycle builds it paid (exactly 1 however much the
-    #: scenario churned — the delta-maintenance invariant) and how many
-    #: probes ``churn_first`` served ahead of the base cycle.
-    probe_policy: str = "round_robin"
+    #: Probe-cycle scheduling: how many full cycle builds this switch
+    #: paid (exactly 1 however much the scenario churned — the
+    #: delta-maintenance invariant).
     cycle_rebuilds: int = _stat(agg="sum")
+    #: Always 0: ``bench/workloads.py`` reads it; the next
+    #: ``benchmark`` PR drops both (see ROADMAP).
     scheduler_promotions: int = _stat(agg="sum")
     #: Alarm hysteresis: ``missing`` alarms swallowed below the strike
     #: threshold.
@@ -426,9 +426,7 @@ def scrape_switch(
         probe_cache_hits=generation.cache_hits,
         probe_revalidations=generation.revalidations,
         probegen_seconds=generation.generation_seconds,
-        probe_policy=monitor.scheduler.policy,
         cycle_rebuilds=scheduling.cycle_rebuilds,
-        scheduler_promotions=scheduling.scheduler_promotions,
         alarms_suppressed=monitor.alarms_suppressed,
         probe_window=monitor.config.probe_window,
         window_peak=monitor.window_peak,

@@ -96,14 +96,11 @@ def format_fleet_report(metrics: FleetMetrics) -> str:
             f"({100.0 * (served - metrics.probes_generated) / served:.0f}% "
             "served without generating)"
         )
-    policies = sorted({m.probe_policy for m in metrics.per_switch})
-    if policies:
+    if metrics.per_switch:
         # Counters only (no wall-clock): determinism checks diff reports.
         lines.append(
-            f"scheduling: policies {'/'.join(policies)}, "
-            f"{metrics.cycle_rebuilds} cycle builds for "
-            f"{len(metrics.per_switch)} switches, "
-            f"{metrics.scheduler_promotions} promotions"
+            f"scheduling: {metrics.cycle_rebuilds} cycle builds for "
+            f"{len(metrics.per_switch)} switches"
         )
     if metrics.workers > 1:
         lines.append(

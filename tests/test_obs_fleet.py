@@ -206,7 +206,7 @@ AGGREGATE_KEYS = {
 PER_SWITCH_KEYS = {
     "alarms", "alarms_suppressed",
     "cycle_rebuilds", "flowmods_processed", "node", "packetins_sent",
-    "packetouts_processed", "probe_cache_hits", "probe_policy",
+    "packetouts_processed", "probe_cache_hits",
     "probe_rate", "probe_revalidations", "probe_window",
     "probegen_seconds", "probes_alarmed", "probes_confirmed",
     "probes_generated", "probes_invalidated", "probes_launched",

@@ -1,6 +1,5 @@
 """Tests for probe pipelining: windowed steady-state monitoring on one
-reserved value per switch (probe identity is the nonce), and the
-barrier a static deployment holds its promotions behind."""
+reserved value per switch (probe identity is the nonce)."""
 
 import statistics
 
@@ -15,12 +14,11 @@ from repro.core.multiplexer import MonocleSystem
 from repro.fleet import FleetDeployment
 from repro.openflow.actions import output
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod, FlowModCommand, next_xid
 from repro.openflow.rule import Rule
 from repro.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
-from repro.switches.profiles import OVS, SwitchProfile
+from repro.switches.profiles import OVS
 from repro.topology.generators import star
 
 
@@ -210,121 +208,3 @@ class TestWindowedMonitor:
         assert not monitor.outstanding
         assert not monitor._inflight_keys
         assert monitor.window_depth == 0
-
-
-# ----- held promotions (static deployments) -----------------------------
-
-#: An honest switch with a long application window: plenty of room for
-#: a promoted probe to race the install.
-SLOW_HONEST = SwitchProfile(
-    name="slow-honest",
-    flowmod_rate=20000.0,
-    packetout_rate=50000.0,
-    packetin_rate=50000.0,
-    packetin_interference=0.0,
-    install_latency=0.050,
-    install_jitter=0.0,
-    premature_ack=False,
-    reorders=False,
-)
-
-
-def grace_setup(probe_policy="churn_first", dynamic=False):
-    """400 rules at 1000 probes/s: the natural cycle takes 0.4 s, so a
-    rule just *behind* the cursor is only probed inside the switch's
-    50 ms application window if a promotion rushes it there."""
-    sim = Simulator()
-    net = Network(sim, star(4), seed=5, profiles=SLOW_HONEST)
-    system = MonocleSystem(
-        net,
-        config=MonitorConfig(probe_rate=1000.0, probe_policy=probe_policy),
-        dynamic=dynamic,
-    )
-    rules = []
-    for i in range(400):
-        leaf = f"leaf{i % 4}"
-        rule = Rule(
-            priority=100,
-            match=Match.build(nw_dst=0x0A000000 + i),
-            actions=output(net.port_toward["hub"][leaf]),
-        )
-        system.preinstall_production_rule("hub", rule)
-        rules.append(rule)
-    monitor = system.monitor("hub")
-    monitor.start_steady_state()
-    sim.run_for(0.02)
-    return sim, net, system, rules, monitor
-
-
-def modify_port(net, rule):
-    ports = sorted(net.port_toward["hub"].values())
-    current = next(iter(rule.forwarding_set()))
-    other = next(p for p in ports if p != current)
-    return FlowMod(
-        xid=next_xid(),
-        command=FlowModCommand.MODIFY_STRICT,
-        match=rule.match,
-        priority=rule.priority,
-        actions=output(other),
-    )
-
-
-class TestPromotionGrace:
-    def test_without_grace_promotion_races_install(self):
-        """The race the hold closes, with no knob to forget: promoted
-        at once, the modified rule would be probed inside the switch's
-        application window and alarm ``misbehaving`` on the old
-        data-plane state.  Nothing is promoted inside that window."""
-        sim, net, system, rules, monitor = grace_setup()
-        system.send_to_switch("hub", modify_port(net, rules[5]))
-        sim.run_for(SLOW_HONEST.install_latency - 0.001)
-        assert monitor.scheduler.stats.scheduler_promotions == 0
-        sim.run_for(0.25)
-        assert monitor.scheduler.stats.scheduler_promotions == 1
-        assert not monitor.alarms
-
-    @pytest.mark.parametrize(
-        "probe_policy, dynamic",
-        [("round_robin", False), ("churn_first", True)],
-    )
-    def test_no_barrier_where_no_promotion_can_race(
-        self, probe_policy, dynamic
-    ):
-        """``round_robin`` promotes nothing and dynamic mode probes an
-        update with transient tolerance: neither holds anything."""
-        sim, net, system, rules, monitor = grace_setup(
-            probe_policy, dynamic
-        )
-        system.send_to_switch("hub", modify_port(net, rules[5]))
-        sim.run_for(0.3)
-        assert monitor.promotions_held == 0
-        assert not monitor.alarms
-
-    def test_grace_holds_promotion_until_barrier(self):
-        sim, net, system, rules, monitor = grace_setup()
-        system.send_to_switch("hub", modify_port(net, rules[5]))
-        assert monitor.promotions_held == 1
-        assert len(monitor._held_promotions) == 1
-        sim.run_for(0.3)
-        # Barrier replied (after the data plane caught up), promotion
-        # released, and the probe saw the *new* state: no alarm.
-        assert not monitor._held_promotions
-        assert not monitor.alarms
-        # The deferred churn touch did land: the scheduler served the
-        # promoted rule.
-        assert monitor.scheduler.stats.scheduler_promotions >= 1
-
-    def test_grace_ignores_deletes(self):
-        sim, net, system, rules, monitor = grace_setup()
-        system.send_to_switch(
-            "hub",
-            FlowMod(
-                xid=next_xid(),
-                command=FlowModCommand.DELETE_STRICT,
-                match=rules[3].match,
-                priority=rules[3].priority,
-            ),
-        )
-        assert monitor.promotions_held == 0
-        sim.run_for(0.2)
-        assert not monitor.alarms

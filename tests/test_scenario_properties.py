@@ -3,13 +3,15 @@
 §3 promises *no false alarm, and every detectable fault alarmed*.  The
 hand-picked scenarios pin that one spec at a time; here hypothesis
 draws the :class:`ScenarioSpec` — topology family and size, rules per
-switch, probe window, probe policy, alarm hysteresis, probe retries,
+switch, probe window, alarm hysteresis, probe retries,
 rule churn on or off, up to two injected faults, observer on or off —
 and :func:`run_scenario` must hold, on every draw:
 
 * (a) no alarm on a rule no injected fault explains;
 * (b) every injected, detectable fault is alarmed, or every rule it
   hit is one the Monitor reports unmonitorable;
+* (c) a probe raises at most one alarm: no nonce names two of them,
+  on one switch or across the fleet;
 * (e) every counter is non-negative and ``to_json()`` round-trips;
 * (f) nothing but :class:`ScenarioError` leaves ``run_scenario``.
 
@@ -107,7 +109,6 @@ def scenario_specs(draw):
         seed=draw(st.integers(0, 2**16)),
         rules_per_switch=draw(st.integers(0, 8)),
         probe_window=draw(st.sampled_from((1, 4))),
-        probe_policy=draw(st.sampled_from(("round_robin", "churn_first"))),
         alarm_confirmations=draw(st.sampled_from((1, 2))),
         max_retries=draw(st.sampled_from((0, 3))),
         workloads=() if churn is None else (RuleChurn(rate=churn, stop=0.6),),
@@ -158,6 +159,15 @@ def check_guarantee(spec: ScenarioSpec) -> None:
             deployment.monitor(node).probe_for_rule(rule).ok
             for node, rule in victims
         ), injection.description
+
+    # (c): nonces come from one process-wide counter, so a repeat in
+    # any two monitors' alarms is one probe alarming twice.
+    nonces = [
+        alarm.nonce
+        for node in deployment.monitored_nodes
+        for alarm in deployment.monitor(node).alarms
+    ]
+    assert len(nonces) == len(set(nonces)), sorted(nonces)
 
     # Probe conservation: every launched probe ended exactly one way
     # or is still in flight.

@@ -5,20 +5,18 @@ key set emits the *same probe sequence* as the historical
 rebuild-per-FlowMod loop (a from-scratch ``_rebuild_cycle`` reference
 reimplemented here), under randomized churn — while the scheduler's
 ``cycle_rebuilds`` counter stays at 1 (mirroring the PR 4
-``index_builds`` no-rebuild contract).  Plus ``churn_first``: promotion
-with bounded starvation.
+``index_builds`` no-rebuild contract).
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.catching import CATCH_PRIORITY
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
-from repro.core.schedule import POLICIES, PROMOTION_BURST, ProbeScheduler
+from repro.core.schedule import ProbeScheduler
 from repro.network import Network
 from repro.openflow.actions import output
 from repro.openflow.match import Match
@@ -103,7 +101,7 @@ class TestRoundRobinEquivalence:
     def test_probe_sequence_identical_under_churn(self, seed):
         rng = random.Random(seed)
         table = FlowTable()
-        scheduler = ProbeScheduler(policy="round_robin")
+        scheduler = ProbeScheduler()
         scheduler.rebuild(table)
         reference = ReferenceCycler(table)
         live: dict = {}
@@ -182,25 +180,23 @@ class TestNextRules:
     """``next_rules`` — the per-tick drain the Monitor calls — is a loop
     over the ``next_rule`` primitive with in-drain distinctness."""
 
-    def _setup(self, policy: str, num_rules: int = 10):
+    def _setup(self, num_rules: int = 10):
         table = FlowTable()
-        scheduler = ProbeScheduler(policy=policy)
+        scheduler = ProbeScheduler()
         rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
         for rule in rules:
             table.install(rule)
             scheduler.add(rule)
         return table, scheduler, rules
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_limit_caps_the_drain(self, policy):
-        table, scheduler, _rules = self._setup(policy)
+    def test_limit_caps_the_drain(self):
+        table, scheduler, _rules = self._setup()
         assert scheduler.next_rules(table, limit=0) == []
         assert len(scheduler.next_rules(table, limit=4)) == 4
         assert len(scheduler.next_rules(table)) == 1  # default limit
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_one_drain_never_repeats_a_key(self, policy):
-        table, scheduler, rules = self._setup(policy, num_rules=3)
+    def test_one_drain_never_repeats_a_key(self):
+        table, scheduler, rules = self._setup(num_rules=3)
         # A limit past the cycle length must not wrap around.
         served = scheduler.next_rules(table, limit=8)
         assert len(served) == 3
@@ -208,9 +204,8 @@ class TestNextRules:
         # Distinctness is per drain: the next drain serves them again.
         assert len(scheduler.next_rules(table, limit=8)) == 3
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_busy_keys_are_skipped(self, policy):
-        table, scheduler, rules = self._setup(policy, num_rules=4)
+    def test_busy_keys_are_skipped(self):
+        table, scheduler, rules = self._setup(num_rules=4)
         busy = {rules[0].key(), rules[2].key()}
         served = scheduler.next_rules(
             table, busy=busy.__contains__, limit=4
@@ -220,35 +215,16 @@ class TestNextRules:
             rules[3].key(),
         }
 
-    def test_promoted_out_receives_only_promotions(self):
-        table, scheduler, rules = self._setup("churn_first")
-        hot = {rules[7].key(), rules[4].key()}
-        for key in hot:
-            scheduler.touch(key)
-        promoted: set = set()
-        served = scheduler.next_rules(
-            table, limit=5, promoted_out=promoted
-        )
-        assert promoted == hot
-        assert hot < {r.key() for r in served}
-        assert scheduler.stats.scheduler_promotions == 2
-
-        table, scheduler, _rules = self._setup("round_robin")
-        promoted = set()
-        scheduler.next_rules(table, limit=5, promoted_out=promoted)
-        assert promoted == set()
-
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_limit_one_is_next_rule_under_churn(self, policy, seed):
+    def test_limit_one_is_next_rule_under_churn(self, seed):
         """``next_rules(limit=1)`` and ``next_rule`` make the same
-        selections and the same promotion accounting, step for step,
-        under randomized FlowMods, touches and busy sets."""
+        selections, step for step, under randomized FlowMods, touches
+        and busy sets."""
         rng = random.Random(seed)
         table = FlowTable()
-        single = ProbeScheduler(policy=policy)
-        drained = ProbeScheduler(policy=policy)
+        single = ProbeScheduler()
+        drained = ProbeScheduler()
         live: dict = {}
         for _ in range(60):
             mod = _random_flowmod(rng, live)
@@ -263,85 +239,20 @@ class TestNextRules:
             for _ in range(rng.randrange(4)):
                 busy = set(rng.sample(keys, min(len(keys), 2)))
                 ours = single.next_rule(table, busy.__contains__)
-                promoted: set = set()
-                before = drained.stats.scheduler_promotions
-                theirs = drained.next_rules(
-                    table, busy.__contains__, 1, promoted
-                )
+                theirs = drained.next_rules(table, busy.__contains__, 1)
                 assert theirs == ([] if ours is None else [ours])
-                assert promoted == (
-                    {ours.key()}
-                    if drained.stats.scheduler_promotions > before
-                    else set()
-                )
             assert single.stats == drained.stats
-
-
-class TestRecentChurnFirst:
-    def _setup(self, num_rules=12):
-        table = FlowTable()
-        scheduler = ProbeScheduler(policy="churn_first")
-        rules = [_rule(100, 0x0A000000 + i) for i in range(num_rules)]
-        for rule in rules:
-            table.install(rule)
-            scheduler.add(rule)
-        return table, scheduler, rules
-
-    def test_touched_rule_jumps_the_queue(self):
-        table, scheduler, rules = self._setup()
-        hot = rules[-1]
-        scheduler.touch(hot.key())
-        assert scheduler.next_rule(table) is hot
-        assert scheduler.stats.scheduler_promotions == 1
-
-    def test_starvation_bounded_full_cycle_completes(self):
-        """Under sustained churn the base cycle still visits every
-        rule within (PROMOTION_BURST + 1) * N ticks."""
-        table, scheduler, rules = self._setup(num_rules=10)
-        served: set = set()
-        rng = random.Random(3)
-        ticks = (PROMOTION_BURST + 1) * (len(rules) + 1)
-        for _ in range(ticks):
-            # Adversarial: re-touch a random rule before every tick.
-            scheduler.touch(rng.choice(rules).key())
-            rule = scheduler.next_rule(table)
-            assert rule is not None
-            served.add(rule.key())
-        assert served == {rule.key() for rule in rules}
-
-    def test_removed_key_is_not_promoted(self):
-        table, scheduler, rules = self._setup(num_rules=3)
-        doomed = rules[1]
-        scheduler.touch(doomed.key())
-        table.remove(doomed)
-        scheduler.discard(doomed.key())
-        for _ in range(4):
-            rule = scheduler.next_rule(table)
-            assert rule is not None and rule.key() != doomed.key()
-
-
-class TestPolicyRegistry:
-    def test_make_policy_names(self):
-        """Each policy name makes a scheduler that answers to it."""
-        assert sorted(POLICIES) == ["churn_first", "round_robin"]
-        for name in POLICIES:
-            assert ProbeScheduler(policy=name).policy == name
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="nope"):
-            ProbeScheduler(policy="nope")
+            assert single.position == drained.position
 
 
 class TestMonitorIntegration:
     """The Monitor serves probes through the scheduler end to end."""
 
-    def _system(self, policy: str):
+    def _system(self):
         sim = Simulator()
         net = Network(sim, star(4), seed=5)
         system = MonocleSystem(
-            net,
-            config=MonitorConfig(probe_rate=500.0, probe_policy=policy),
-            dynamic=False,
+            net, config=MonitorConfig(probe_rate=500.0), dynamic=False
         )
         rules = []
         for i in range(6):
@@ -354,49 +265,26 @@ class TestMonitorIntegration:
             rules.append(rule)
         return sim, net, system, rules
 
-    def test_per_switch_policy_selection(self):
-        sim, net, system, _ = self._system("churn_first")
-        assert (
-            system.monitor("hub").scheduler.policy == "churn_first"
-        )
-
-    def test_churn_first_probes_churned_rule_promptly(self):
-        sim, net, system, rules = self._system("churn_first")
-        monitor = system.monitor("hub")
-        monitor.start_steady_state()
-        sim.run_for(0.1)
-        mod = FlowMod(
-            command=FlowModCommand.MODIFY_STRICT,
-            match=rules[2].match,
-            priority=rules[2].priority,
-            actions=output(net.port_toward["hub"]["leaf3"]),
-        )
-        promotions = monitor.scheduler.stats.scheduler_promotions
-        monitor.from_controller(mod)
-        sim.run_for(0.05)
-        assert monitor.scheduler.stats.scheduler_promotions > promotions
-
     def test_confirmed_update_feeds_reprobe_hint(self):
-        """Dynamic-mode confirmation routes the touched rule's key into
-        the scheduler as an update hint, and the steady cycle serves it
-        as a promotion once the update's own probes free the rule; a
-        confirmed deletion (whose rule can no longer be probed) carries
-        none."""
+        """Dynamic-mode confirmation touches the rule the update
+        installed, so the scheduler's wait measurement restarts there;
+        a confirmed deletion (whose rule can no longer be probed)
+        carries no hint."""
         sim = Simulator()
         net = Network(sim, star(4), seed=9)
         system = MonocleSystem(
-            net,
-            config=MonitorConfig(probe_rate=500.0, probe_policy="churn_first"),
-            dynamic=True,
+            net, config=MonitorConfig(probe_rate=500.0), dynamic=True
         )
         monitor = system.monitor("hub")
+        dynamic = system.dynamic("hub")
         monitor.start_steady_state()
-        stats = monitor.scheduler.stats
-        hints: list = []
-        note_update = monitor.scheduler.note_update
-        monitor.scheduler.note_update = lambda key: (
-            hints.append(key),
-            note_update(key),
+        #: (updates confirmed when touched, key): the FlowMod's own
+        #: touch lands before its confirmation, the hint right after.
+        touches: list = []
+        touch = monitor.scheduler.touch
+        monitor.scheduler.touch = lambda key: (
+            touches.append((dynamic.updates_confirmed, key)),
+            touch(key),
         )
         add = FlowMod(
             command=FlowModCommand.ADD,
@@ -406,10 +294,9 @@ class TestMonitorIntegration:
         )
         system.send_to_switch("hub", add)
         sim.run_for(0.3)
-        dynamic = system.dynamic("hub")
         assert dynamic.updates_confirmed == 1
+        hints = [key for confirmed, key in touches if confirmed == 1]
         assert hints == [(add.priority, add.match)]
-        assert stats.scheduler_promotions == 1
         assert monitor.alarms == []
         delete = FlowMod(
             command=FlowModCommand.DELETE_STRICT,
@@ -420,14 +307,12 @@ class TestMonitorIntegration:
         sim.run_for(0.5)
         assert dynamic.updates_confirmed == 2
         # The deletion confirmed without a hint: nothing left to probe.
-        assert len(hints) == 1
-        assert stats.scheduler_promotions == 1
+        assert [key for confirmed, key in touches if confirmed == 2] == []
 
-    def test_steady_state_still_confirms_under_all_policies(self):
-        for policy in POLICIES:
-            sim, net, system, _ = self._system(policy)
-            monitor = system.monitor("hub")
-            monitor.start_steady_state()
-            sim.run_for(0.5)
-            assert monitor.probes_confirmed > 0, policy
-            assert monitor.alarms == [], policy
+    def test_steady_state_confirms_without_alarms(self):
+        sim, net, system, _ = self._system()
+        monitor = system.monitor("hub")
+        monitor.start_steady_state()
+        sim.run_for(0.5)
+        assert monitor.probes_confirmed > 0
+        assert monitor.alarms == []
