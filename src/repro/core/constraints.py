@@ -20,14 +20,15 @@ top.  Three constraints are compiled for a probed rule:
 
 The compiler (:meth:`ConstraintCompiler.assert_probe`) never encodes
 Hit's and Collect's own matches: their conjunction is one packed
-``(value, mask)`` *cube* of fixed header bits, and every other match,
-rewrite term and domain option is folded against it before anything
-reaches the solver.  A clause keeps only its *residual* literals (the
-bits the cube leaves open); a rule that disagrees with the cube on a
-fixed bit drops out; one with no residual bit matches every probe —
+``(value, mask)`` *cube* of fixed header bits, and every other match
+and rewrite term is folded against it before anything reaches the
+solver.  A clause keeps only its *residual* literals (the bits the
+cube leaves open); a rule that disagrees with the cube on a fixed bit
+drops out; one with no residual bit matches every probe —
 ahead of the probed rule that makes the probe impossible, below it
-that rule ends the chain.  The bits every allowed ``in_port`` shares
-join the cube too; only the bits that tell the allowed ports apart are
+that rule ends the chain.  A probe's ``in_port`` joins the cube the
+same way: the generator compiles one instance per allowed port, each
+with all 16 ``in_port`` bits fixed, so the port domain is never
 encoded.  The fixed bits themselves never enter the solver: decoding
 overlays the cube on the model, the set of variables it sets true.
 Every probe is compiled this way, into a fresh solver: the cold
@@ -76,15 +77,6 @@ def _field_packed(name: FieldName, value: int) -> tuple[int, int]:
     field = HEADER.field(name)
     shift = HEADER.total_bits - field.offset - field.width
     return value << shift, ((1 << field.width) - 1) << shift
-
-
-def _shared_packed(name: FieldName, values: Sequence[int]) -> tuple[int, int]:
-    """Packed ``(value, mask)`` of the bits of field ``name`` on which
-    all of ``values`` (at least one) agree."""
-    value, mask = _field_packed(name, values[0])
-    for other in values[1:]:
-        mask &= ~(_field_packed(name, other)[0] ^ value)
-    return value & mask, mask
 
 
 def fold_distinguish(
@@ -166,26 +158,6 @@ class ConstraintCompiler:
         if (value ^ self.cube_value) & mask & self.cube_mask:
             return None
         return _literals(value, mask & ~self.cube_mask)
-
-    def assert_value_in(self, name: FieldName, values: Sequence[int]) -> bool:
-        """Constrain a field to a small domain (e.g. valid in_ports).
-
-        Encoded as a Tseitin OR of per-value conjunctions, folded
-        against the cube: a value the cube contradicts is no option,
-        and one the cube implies satisfies the constraint outright.
-        Returns False when no value is left (the empty clause then
-        says so).
-        """
-        options = []
-        for value in values:
-            literals = self._residual(*_field_packed(name, value))
-            if literals is None:
-                continue
-            if not literals:
-                return True
-            options.append(clause_and(self.cnf, literals))
-        self.cnf.add_clause(options)
-        return bool(options)
 
     # ----- DiffOutcome ------------------------------------------------------
 
@@ -361,30 +333,32 @@ class ConstraintCompiler:
         avoid_rules: Sequence[Rule],
         lower_rules: Sequence[Rule],
         catch_match: Match,
-        valid_in_ports: Sequence[int] | None = None,
+        in_port: int | None = None,
     ) -> bool:
         """Table 1 for ``probed``, folded over the Hit ∧ Collect cube.
 
         ``avoid_rules`` are the overlapping rules of equal or higher
         priority, ``lower_rules`` the lower ones.  ``probed.match``,
-        ``catch_match`` and the ``in_port`` bits every
-        ``valid_in_ports`` value shares become the cube (:meth:`fix`)
-        and are never encoded; a rule to avoid that the cube
-        contradicts drops out, one it implies makes the probe
-        impossible, and the others become one clause over their
-        residual bits.  Returns False when the fold alone proves that
-        no probe exists: a self-conflicting cube, an avoided rule
-        covering it, a Distinguish chain folded to the constant false,
-        or no ``valid_in_ports`` value left.  The formula then needs no
-        solve.
+        ``catch_match`` and, when given, the probe's ``in_port`` become
+        the cube (:meth:`fix`) and are never encoded; a rule to avoid
+        that the cube contradicts drops out, one it implies makes the
+        probe impossible, and the others become one clause over their
+        residual bits.  ``in_port`` is the one limited-domain field
+        that cannot be fixed after solving (rules commonly match on it
+        exactly), so a caller with a port domain compiles one instance
+        per allowed port.  Returns False when the fold alone proves
+        that no probe exists: a self-conflicting cube (a port the
+        probed or catching match contradicts included), an avoided
+        rule covering it, or a Distinguish chain folded to the constant
+        false.  The formula then needs no solve.
         """
         if not (
             self.fix(*probed.match.packed())
             and self.fix(*catch_match.packed())
-        ):
-            return False
-        if valid_in_ports and not self.fix(
-            *_shared_packed(FieldName.IN_PORT, valid_in_ports)
+            and (
+                in_port is None
+                or self.fix(*_field_packed(FieldName.IN_PORT, in_port))
+            )
         ):
             return False
         for rule in avoid_rules:
@@ -394,15 +368,7 @@ class ConstraintCompiler:
             if not literals:
                 return False
             self.cnf.add_clause([-lit for lit in literals])
-        if not self.assert_distinguish(probed, lower_rules):
-            return False
-        # Wire-level domain restriction for in_port, which unlike the
-        # other limited-domain fields cannot be fixed after solving
-        # (rules commonly match on it exactly): the bits that tell the
-        # allowed ports apart.
-        return valid_in_ports is None or self.assert_value_in(
-            FieldName.IN_PORT, valid_in_ports
-        )
+        return self.assert_distinguish(probed, lower_rules)
 
     # ----- solution decoding ---------------------------------------------
 

@@ -11,8 +11,10 @@ Pipeline (Figure 2):
 1. filter the table to rules overlapping the probed rule (§5.4 lemma),
 2. compile Hit / Distinguish / Collect to CNF
    (:class:`~repro.core.constraints.ConstraintCompiler`), folded over
-   the cube of bits Hit and Collect fix: what the fold decides is
-   never encoded, and a probe it proves impossible is never solved,
+   the cube of bits Hit, Collect and the probe's ``in_port`` fix: what
+   the fold decides is never encoded, and a probe it proves impossible
+   is never solved (one instance per allowed port, ascending, until
+   one admits a probe),
 3. run the DPLL solver, sized by the variables the clauses name
    (the paper's CDCL is not needed: the fold leaves a residue that
    rarely meets a conflict),
@@ -126,11 +128,18 @@ class ProbeGenerator:
             must satisfy (Collect constraint).  The reserved fields it
             pins must not be rewritten by table rules — validated at
             compile time.
-        valid_in_ports: if given, the probe's in_port is constrained to
-            this set (ports that physically exist / have an upstream
-            injector).
-        max_conflicts: conflict budget per probe (the DPLL solver's
-            search is exponential in the worst case; this bounds it).
+        valid_in_ports: if given, the probe's in_port is one of these
+            (ports that physically exist / have an upstream injector).
+            They are tried one at a time in ascending order, each
+            folded into the cube as one instance; the first that
+            admits a probe gives it, so the probe is the one a single
+            instance over the whole domain would have had as its
+            smallest model.  ``cnf_vars`` / ``cnf_clauses`` are those
+            of the last port tried.  At least one port (None: any).
+        max_conflicts: conflict budget per probe, shared by the ports
+            tried (the DPLL solver's search is exponential in the
+            worst case; this bounds it): each solve gets what the
+            earlier ones left, and ``solver_conflicts`` is their sum.
 
     Only rules overlapping the probed rule enter the constraints (the
     §5.4 lemma), so candidates come from the table's overlap index.
@@ -145,9 +154,16 @@ class ProbeGenerator:
     valid_in_ports: tuple[int, ...] | None = None
     max_conflicts: int | None = 100_000
     _reserved_fields: frozenset[FieldName] = field(init=False)
+    _in_ports: tuple[int | None, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self._reserved_fields = frozenset(self.catch_match.fields)
+        if self.valid_in_ports is None:
+            self._in_ports = (None,)
+        elif self.valid_in_ports:
+            self._in_ports = tuple(sorted(set(self.valid_in_ports)))
+        else:
+            raise ValueError("valid_in_ports names no port")
 
     # ----- public API -----------------------------------------------------
 
@@ -169,18 +185,27 @@ class ProbeGenerator:
         self._check_reserved_fields([rule] + candidates)
         avoid, lower = _split_candidates(rule, candidates)
 
-        # The compiler writes straight into the solver about to run;
-        # what the fold decides never reaches it.
-        solver = SatSolver(CNF(HEADER.total_bits))
-        compiler = ConstraintCompiler(sink=solver)
-        if compiler.assert_probe(
-            rule, avoid, lower, self.catch_match, self.valid_in_ports
-        ):
-            sat = solver.solve(max_conflicts=self.max_conflicts)
-        else:
-            sat = _FOLDED_FALSE
+        # One instance per port, its in_port folded into the cube.  The
+        # compiler writes straight into the solver about to run; what
+        # the fold decides never reaches it.
+        sat, spent = _FOLDED_FALSE, 0
+        for port in self._in_ports:
+            solver = SatSolver(CNF(HEADER.total_bits))
+            compiler = ConstraintCompiler(sink=solver)
+            if not compiler.assert_probe(
+                rule, avoid, lower, self.catch_match, port
+            ):
+                continue
+            sat = solver.solve(
+                max_conflicts=None
+                if self.max_conflicts is None
+                else self.max_conflicts - spent
+            )
+            spent += sat.conflicts
+            if sat.satisfiable is not False:
+                break  # a probe, or the budget is spent
         return _conclude(
-            rule, candidates, self.catch_match, sat, compiler,
+            rule, candidates, self.catch_match, sat, spent, compiler,
             solver.num_vars, solver.num_clauses,
         )
 
@@ -234,12 +259,14 @@ def _conclude(
     candidates: list[Rule],
     catch_match: Match,
     sat: SatResult,
+    conflicts: int,
     compiler: ConstraintCompiler,
     cnf_vars: int,
     cnf_clauses: int,
 ) -> ProbeResult:
     """Verdict -> reason, or model -> wire probe -> outcomes
-    (``compiler`` decodes the model).
+    (``compiler`` decodes the model; ``conflicts`` is what every solve
+    of the probe met).
 
     The §5.2 substitution lemma only needs the matches the probe can
     interact with: by the §5.4 non-overlap lemma, a probe that matches
@@ -252,7 +279,7 @@ def _conclude(
         cnf_vars=cnf_vars,
         cnf_clauses=cnf_clauses,
         overlapping_rules=len(candidates),
-        solver_conflicts=sat.conflicts,
+        solver_conflicts=conflicts,
     )
     if sat.satisfiable is None:
         result.reason = UnmonitorableReason.BUDGET_EXCEEDED

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from repro.controller import ConfirmMode
 from repro.datasets.acl import AclProfile, generate_acl_table
 from repro.fleet.deployment import FleetDeployment
 from repro.network.traffic import FlowSpec, TrafficGenerator
@@ -108,7 +109,8 @@ class RuleChurn(Workload):
 
     Updates go through the controller with the deployment's strongest
     confirmation mode, so under ``dynamic=True`` every operation's
-    confirmation latency is recorded in :attr:`records`.
+    confirmation latency is recorded in :attr:`records`.  A static
+    deployment sends them unconfirmed: its records have none.
 
     Args:
         rate: operations per second across the whole fleet.
@@ -229,12 +231,16 @@ class RuleChurn(Workload):
             return
         record = ChurnRecord(node=node, op=op, sent_at=deployment.sim.now)
         self.records.append(record)
+        mode = deployment.confirm_mode
 
         def confirmed() -> None:
             record.confirmed_at = deployment.sim.now
 
+        # Fire and forget confirms nothing: the controller would call
+        # back at send time and record a 0 s latency.
         deployment.controller.send_flowmod(
-            node, mod, confirm=deployment.confirm_mode, on_confirmed=confirmed
+            node, mod, confirm=mode,
+            on_confirmed=None if mode is ConfirmMode.NONE else confirmed,
         )
 
     # ----- stats ------------------------------------------------------

@@ -60,17 +60,23 @@ class TestMatchesEncoding:
         values = decode(compiler, solve(compiler.cnf))
         assert (values[FieldName.NW_DST] >> 24) == 0x0A
 
-    def test_value_in_small_domain(self):
+    def test_in_port_joins_the_cube(self):
+        # All 16 in_port bits are fixed, like any match the cube holds:
+        # nothing is encoded, and decoding reads the port back.
         compiler = ConstraintCompiler()
-        compiler.assert_value_in(FieldName.IN_PORT, [3, 5])
+        probed = Rule(5, Match.build(dl_vlan=5), output(1))
+        assert compiler.assert_probe(probed, [], [], Match(), in_port=3)
+        assert compiler.cnf.num_clauses == 0
         values = decode(compiler, solve(compiler.cnf))
-        assert values[FieldName.IN_PORT] in (3, 5)
+        assert values[FieldName.IN_PORT] == 3
 
-    def test_value_in_conflicts_with_match(self):
+    def test_in_port_the_match_contradicts_folds_false(self):
+        # A port the probed match rules out is decided by the fold:
+        # no probe, and no clause emitted to say so.
         compiler = ConstraintCompiler()
-        assert compiler.fix(*Match.build(in_port=7).packed())
-        assert not compiler.assert_value_in(FieldName.IN_PORT, [3, 5])
-        assert solve(compiler.cnf).satisfiable is False
+        probed = Rule(5, Match.build(in_port=7), output(1))
+        assert not compiler.assert_probe(probed, [], [], Match(), in_port=3)
+        assert compiler.cnf.num_clauses == 0
 
 
 class TestDiffPorts:
@@ -481,8 +487,8 @@ class TestCubeFold:
     held to Table 1 by exhaustive search over the 16 quarter headers
     (as ``test_verdicts_match_exhaustive_search``), once per fold
     case on seeded tables.  The ``ports_*`` cases generate under the
-    in_port domain ``PORTS``, whose shared bits join the cube, and
-    search the quarter headers once per allowed port."""
+    in_port domain ``PORTS``, one port at a time, each joining the
+    cube, and search the quarter headers once per allowed port."""
 
     @pytest.mark.parametrize(
         "case, verdict, solved",
@@ -538,13 +544,14 @@ class TestCubeFold:
                 # above it contradict or are implied by the cube.
                 assert result.cnf_clauses == 0, seed
             if case == "ports_lower_covers_different":
-                # Likewise: what is left is the domain's open bits.
+                # Likewise: the port in the cube implies the covering
+                # rule, so no domain is left to encode.
                 (cover,) = [r for r in table.rules() if r.priority == 7]
                 alone = FlowTable()
                 alone.install(probed)
                 alone.install(cover)
                 bare = cold.generate(alone, probed)
-                assert result.cnf_clauses == bare.cnf_clauses > 0, seed
+                assert result.cnf_clauses == bare.cnf_clauses == 0, seed
             if case == "catch_disjoint":
                 # The rule covering all but the catch bits overlaps
                 # the probed rule, so it is a candidate; the cube
@@ -554,6 +561,65 @@ class TestCubeFold:
                 assert result.overlapping_rules > 0
         if verdict is None:
             assert found == {True, False}
+
+
+class TestInPortChoice:
+    """The generator tries the allowed ports in ascending order and
+    keeps the first that admits a probe.  Held to an exhaustive
+    oracle: the probe's ``in_port`` is the smallest allowed port for
+    which some quarter header passes ``verify_probe``, whatever order
+    ``valid_in_ports`` lists the domain in.  That is also the port a
+    single false-first solve over the whole domain would pick, since
+    ``in_port`` is the first header field."""
+
+    DOMAINS = [PORTS, (7, 4, 6, 5), (6, 4), (5,), (7, 5, 5, 4), (9, 6, 4)]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["ports_higher_covers", "ports_lower_covers_equal",
+         "ports_lower_covers_different"],
+    )
+    def test_probe_enters_on_the_smallest_port_that_admits_one(
+        self, case
+    ):
+        skipped = 0
+        for seed in range(12):
+            table, probed = fold_case_table(case, seed)
+            # Rules on one in_port each, above and below the probed
+            # rule, so the first ports of a domain may admit no probe.
+            rng = random.Random(seed)
+            for _ in range(rng.randint(1, 3)):
+                match = {"dl_type": 0x800, "in_port": rng.choice((4, 5, 9))}
+                if rng.random() < 0.5:
+                    match["nw_src"] = quarter(rng.randrange(4))
+                actions = output(rng.randint(1, 2))
+                table.install(
+                    Rule(rng.choice((6, 9)), Match.build(**match), actions)
+                )
+            for ports in self.DOMAINS:
+                admits = [
+                    port for port in sorted(ports)
+                    if any(
+                        verify_probe(table, probed, header, CATCH)[0]
+                        for header in quarter_headers((port,))
+                    )
+                ]
+                cold = ProbeGenerator(catch_match=CATCH, valid_in_ports=ports)
+                context = ProbeGenContext(cold, table=table.copy())
+                for got in (
+                    cold.generate(table, probed),
+                    context.probe_for(probed),
+                ):
+                    assert got.ok == bool(admits), (seed, ports, got)
+                    if got.ok:
+                        assert got.header[FieldName.IN_PORT] == admits[0]
+                        valid, why = verify_probe(
+                            table, probed, got.header, CATCH
+                        )
+                        assert valid, why
+                # Did the probe have to go past a port admitting none?
+                skipped += bool(admits) and admits[0] != min(ports)
+        assert skipped >= 5
 
 
 class TestDecodeAssignment:

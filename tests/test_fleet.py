@@ -21,6 +21,7 @@ from repro.fleet import (
     run_scenario,
 )
 from repro.fleet.deployment import FleetDeployment
+from repro.fleet.report import format_fleet_report
 from repro.topology.generators import ring
 
 
@@ -323,6 +324,20 @@ class TestRingIntegration:
         assert result.metrics.confirmation_latency is not None
         assert result.metrics.confirmation_latency.count == len(latencies)
         assert all(lat >= 0 for lat in latencies)
+
+    def test_static_churn_records_no_confirmation_latency(self):
+        """A static deployment sends churn fire-and-forget: nothing
+        confirms an update, so none has a latency and the report
+        prints no confirmation line."""
+        churn = RuleChurn(rate=40.0, start=0.05)
+        result = run_scenario(
+            _ring4_spec(dynamic=False, failures=(), workloads=(churn,))
+        )
+        assert churn.records
+        assert churn.confirmation_latencies() == []
+        assert result.metrics.confirmation_latency is None
+        report = format_fleet_report(result.metrics)
+        assert "confirmation latency" not in report
 
     def test_background_traffic_delivered_under_monitoring(self):
         traffic = BackgroundTraffic(flows=2, rate=50.0)

@@ -420,12 +420,12 @@ def test_lossy_channel_still_plans_every_message(calls):
 
 
 def test_regenerated_probe_adds_nothing_and_solves_once(calls, monkeypatch):
-    """The write path's guard.  Every generation is one fresh instance,
-    the switches' contexts' and DynamicMonitor's modification probes
-    alike, and costs exactly one core solve unless the cube fold
-    decides it first.  On disjoint rules a regenerated probe is the
-    instance and the probe its first generation was, whatever the
-    FlowMod stream did in between."""
+    """The write path's guard.  Every generation compiles one fresh
+    instance per ``in_port`` it tries, the switches' contexts' and
+    DynamicMonitor's modification probes alike: one fold per port
+    tried, and one core solve per fold left undecided.  On disjoint
+    rules a regenerated probe is the instance and the probe its first
+    generation was, whatever the FlowMod stream did in between."""
     folded = []
     assert_probe = ConstraintCompiler.assert_probe
 
@@ -438,7 +438,8 @@ def test_regenerated_probe_adds_nothing_and_solves_once(calls, monkeypatch):
     deployment, churn = run_churn()
     assert churn_facts(deployment, churn) == CHURN_PINS
     # One core solve per generation the fold leaves undecided, none
-    # answered from a memo.
+    # answered from a memo.  Every generation here is decided on the
+    # first in_port it tries: one fold each.
     stats = deployment.probegen_stats()
     generations = calls["generate"].count
     assert generations > stats.probes_generated  # modification probes

@@ -16,6 +16,7 @@ from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
+from repro.sat.solver import SatSolver
 
 CATCH = Match.build(dl_vlan=0xF03)
 SRC = 0x0A000001
@@ -230,6 +231,52 @@ class TestInPortHandling:
         table = table_of(probed, default)
         result = generator(valid_in_ports=(3, 7)).generate(table, probed)
         assert not result.ok
+
+
+    def test_ports_share_one_conflict_budget(self, monkeypatch):
+        # The four quarters of the probed /8 forward as it does: no
+        # probe exists on any port, and each port's solve must branch
+        # to find that out.
+        hot = Rule(100, Match.build(nw_dst=(0x0A000000, 8)), output(2))
+        quarters = [
+            Rule(50 - i, Match.build(
+                nw_dst=(0x0A000000 + (i << 22), 10)
+            ), output(2))
+            for i in range(4)
+        ]
+        table = table_of(hot, *quarters)
+        solves = []
+        original = SatSolver.solve
+
+        def recording(self, max_conflicts=None):
+            result = original(self, max_conflicts=max_conflicts)
+            solves.append((max_conflicts, result.conflicts))
+            return result
+
+        monkeypatch.setattr(SatSolver, "solve", recording)
+        ports = (7, 3, 5)
+        result = generator(
+            valid_in_ports=ports, max_conflicts=100
+        ).generate(table, hot)
+        assert result.reason is UnmonitorableReason.UNSATISFIABLE
+        budgets = [budget for budget, _ in solves]
+        spent = [conflicts for _, conflicts in solves]
+        assert len(solves) == len(ports) and min(spent) > 0
+        assert budgets == [100 - sum(spent[:i]) for i in range(len(ports))]
+        assert result.solver_conflicts == sum(spent)
+        # A budget the first port spends leaves the second too little:
+        # the loop stops there, and the third port is never tried.
+        solves.clear()
+        result = generator(
+            valid_in_ports=ports, max_conflicts=spent[0]
+        ).generate(table, hot)
+        assert result.reason is UnmonitorableReason.BUDGET_EXCEEDED
+        assert len(solves) == 2
+        assert result.solver_conflicts == sum(c for _, c in solves)
+
+    def test_empty_port_domain_is_refused(self):
+        with pytest.raises(ValueError, match="no port"):
+            generator(valid_in_ports=())
 
 
 class TestOverlapFilter:
