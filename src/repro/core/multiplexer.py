@@ -54,6 +54,11 @@ class Multiplexer:
         self.monitors: dict[int, tuple[Hashable, Monitor]] = {}
         self.probes_routed = 0
         self.probes_unroutable = 0
+        #: node -> ``network.upstream_options(node)``: switch links are
+        #: final, and hosts join on ports the options leave out.
+        self.upstream = {
+            node: network.upstream_options(node) for node in network.switches
+        }
 
     def register(self, node: Hashable, monitor: Monitor) -> None:
         """Register the Monitor responsible for a switch."""
@@ -68,8 +73,7 @@ class Multiplexer:
         port.  Unroutable requests (no upstream switch there) are
         counted and dropped.
         """
-        options = self.network.upstream_options(probed_node)
-        target = options.get(in_port)
+        target = self.upstream[probed_node].get(in_port)
         if target is None:
             self.probes_unroutable += 1
             return

@@ -189,7 +189,12 @@ class ProbeGenerator:
         # compiler writes straight into the solver about to run; what
         # the fold decides never reaches it.
         sat, spent = _FOLDED_FALSE, 0
+        budget = self.max_conflicts
         for port in self._in_ports:
+            if budget is not None and spent > budget:
+                # An UNSAT proof may spend one conflict past its budget.
+                sat = SatResult(satisfiable=None)
+                break
             solver = SatSolver(CNF(HEADER.total_bits))
             compiler = ConstraintCompiler(sink=solver)
             if not compiler.assert_probe(
@@ -197,9 +202,7 @@ class ProbeGenerator:
             ):
                 continue
             sat = solver.solve(
-                max_conflicts=None
-                if self.max_conflicts is None
-                else self.max_conflicts - spent
+                max_conflicts=None if budget is None else budget - spent
             )
             spent += sat.conflicts
             if sat.satisfiable is not False:

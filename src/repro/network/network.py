@@ -196,11 +196,11 @@ class Network:
         This is what probe injection needs: to make a probe enter
         ``node`` on port ``p``, PacketOut on the neighbor's port.
         """
-        options: dict[int, tuple[Hashable, int]] = {}
-        for port, nbr in self.neighbor_on_port[node].items():
-            if nbr in self.switches:
-                options[port] = (nbr, self.port_toward[nbr][node])
-        return options
+        return {
+            port: (nbr, self.port_toward[nbr][node])
+            for port, nbr in self.neighbor_on_port[node].items()
+            if nbr in self.switches
+        }
 
     def fail_link(self, u: Hashable, v: Hashable) -> None:
         """Fail the link between two switches (both directions).

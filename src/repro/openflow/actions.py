@@ -18,7 +18,7 @@ rewrites, ECMP flag — is what the constraint compiler consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.openflow.fields import HEADER, FieldName
 
@@ -116,10 +116,6 @@ class PortOutcome:
 
     port: int
     rewrites: tuple[tuple[FieldName, int], ...] = ()
-
-    def rewrite_map(self) -> dict[FieldName, int]:
-        """The rewrites as a dict."""
-        return dict(self.rewrites)
 
 
 class ActionList:
@@ -236,22 +232,14 @@ class ActionList:
         """Rewrites in effect for packets emitted on ``port``."""
         for po in self._port_outcomes:
             if po.port == port:
-                return po.rewrite_map()
+                return dict(po.rewrites)
         raise KeyError(f"port {port} not in forwarding set")
-
-    def apply(
-        self, header_values: Mapping[FieldName, int], port: int
-    ) -> dict[FieldName, int]:
-        """Header values as observed on ``port`` after this rule runs."""
-        rewritten = dict(header_values)
-        rewritten.update(self.rewrites_on_port(port))
-        return rewritten
 
     def rewritten_fields(self) -> set[FieldName]:
         """All fields any port's outcome may rewrite."""
         fields: set[FieldName] = set()
         for po in self._port_outcomes:
-            fields.update(po.rewrite_map())
+            fields.update(name for name, _ in po.rewrites)
         return fields
 
     def __eq__(self, other: object) -> bool:

@@ -75,6 +75,9 @@ class FieldMatch:
         return self.mask == 0
 
 
+_WILDCARD = FieldMatch(0, 0)  # frozen: one serves every unconstrained field
+
+
 class Match:
     """A full OpenFlow 1.0 match: per-field constraints over the header.
 
@@ -130,7 +133,7 @@ class Match:
 
     def constraint(self, name: FieldName) -> FieldMatch:
         """The constraint on ``name`` (wildcard if unconstrained)."""
-        return self._fields.get(name, FieldMatch(0, 0))
+        return self._fields.get(name, _WILDCARD)
 
     def is_wildcard(self) -> bool:
         """True when every field is wildcarded."""
@@ -177,7 +180,7 @@ class Match:
     def covers(self, other: "Match") -> bool:
         """Does every packet matching ``other`` also match ``self``?"""
         for name, fm in self._fields.items():
-            other_fm = other._fields.get(name, FieldMatch(0, 0))
+            other_fm = other._fields.get(name, _WILDCARD)
             if not fm.covers(other_fm):
                 return False
         return True

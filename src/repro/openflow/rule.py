@@ -3,7 +3,8 @@
 A :class:`Rule` is (priority, match, actions) plus a cookie for
 identification.  :class:`RuleOutcome` is what an observer stationed on the
 switch's output ports could record for one packet — the basis of the
-paper's ``DiffOutcome`` reasoning.
+paper's ``DiffOutcome`` reasoning: an expectation, never built by the
+simulated data plane.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ class Rule:
         """The identity used by FlowMod modify/delete-strict."""
         return (self.priority, self.match)
 
-    def overlaps(self, other: "Rule") -> bool:
-        """Do the two rules' matches overlap (some packet hits both)?"""
-        return self.match.overlaps(other.match)
-
     def forwarding_set(self) -> frozenset[int]:
         """Ports this rule may emit a packet on."""
         return self.actions.forwarding_set()
@@ -90,7 +87,8 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleOutcome:
-    """The observable result of a switch processing one packet.
+    """The observable result a rule is *expected* to have on one packet,
+    every ECMP alternative listed (switches run ``FlowTable.process``).
 
     Attributes:
         emissions: tuple of ``(port, packed_header_values)`` pairs — for
@@ -113,7 +111,7 @@ class RuleOutcome:
         emissions = []
         for po in rule.actions.port_outcomes:
             observed = dict(header_values)
-            observed.update(po.rewrite_map())
+            observed.update(po.rewrites)
             emissions.append((po.port, tuple(sorted(observed.items()))))
         return cls(emissions=tuple(emissions), ecmp=rule.actions.is_ecmp)
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
-from repro.openflow.rule import Rule, RuleOutcome
+from repro.openflow.rule import Rule
 from repro.openflow.tuplespace import TupleSpaceIndex
 
 #: Rule keys: (priority, match) — the OpenFlow identity of a table entry.
@@ -199,26 +199,32 @@ class FlowTable:
         self,
         header_values: Mapping[FieldName, int],
         ecmp_chooser: Callable[[Rule], int] | None = None,
-    ) -> RuleOutcome:
-        """Process a packet and return its observable outcome.
+    ) -> list[tuple[int, dict[FieldName, int]]]:
+        """The data plane's step: the ``(port, header)`` pairs a packet
+        leaves on, each header a fresh dict with that port's rewrites
+        applied; none for a drop or a miss.
 
         Args:
             header_values: the packet's abstract header.
             ecmp_chooser: for ECMP rules, callback selecting the concrete
-                port; defaults to the lowest port (deterministic).
+                port, once per packet; defaults to the lowest port.
         """
         rule = self.lookup(header_values)
         if rule is None:
-            return RuleOutcome.dropped()
-        outcome = RuleOutcome.from_rule(rule, header_values)
-        if outcome.ecmp:
+            return []
+        outcomes = rule.actions.port_outcomes
+        if rule.actions.is_ecmp:
             if ecmp_chooser is not None:
                 port = ecmp_chooser(rule)
             else:
-                port = min(outcome.ports())
-            chosen = tuple(e for e in outcome.emissions if e[0] == port)
-            return RuleOutcome(emissions=chosen, ecmp=False)
-        return outcome
+                port = min(po.port for po in outcomes)
+            outcomes = tuple(po for po in outcomes if po.port == port)
+        emissions = []
+        for po in outcomes:
+            header = dict(header_values)
+            header.update(po.rewrites)
+            emissions.append((po.port, header))
+        return emissions
 
     def overlapping(self, match: Match) -> list[Rule]:
         """Rules whose match overlaps ``match`` (the §5.4 pre-filter).

@@ -3,9 +3,9 @@
 Separates the *control plane* (a serial message processor with
 per-message costs from the :class:`~repro.switches.profiles.SwitchProfile`)
 from the *data plane* (a flow table that lags behind by the profile's
-install delay).  This split is what lets the reproduction
-exhibit the transient control/data-plane inconsistencies the paper
-monitors for.
+install delay, and hands a packet on as one header dict per output
+port).  This split is what lets the reproduction exhibit the transient
+control/data-plane inconsistencies the paper monitors for.
 
 Fault injection (silently removing or corrupting data-plane rules,
 failing ports) implements the §8.1.1 failure scenarios.
@@ -285,16 +285,14 @@ class SimulatedSwitch:
         """A packet arrives on ``in_port`` (from a peer switch's link)."""
         values, payload = frame
         values[FieldName.IN_PORT] = in_port
-        outcome = self.dataplane.process(
-            values, ecmp_chooser=self._choose_ecmp_port
-        )
-        if outcome.is_drop():
+        emissions = self.dataplane.process(values, self._choose_ecmp_port)
+        if not emissions:
             self.stats.packets_dropped += 1
             return
-        for port, header_items in outcome.emissions:
+        for port, header in emissions:
             try:
                 # in_port is not meaningful on egress: carried as 0.
-                out = (wire_header(dict(header_items)), payload)
+                out = (wire_header(header), payload)
             except CraftError:  # a rewrite left it no wire form
                 self.stats.packets_dropped += 1
                 continue

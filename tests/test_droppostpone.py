@@ -87,5 +87,6 @@ class TestEndToEndSemantics:
         tagged_probe = {
             FieldName.NW_TOS: DROP_TAG_TOS, FieldName.DL_VLAN: 0xF01
         }
-        assert neighbor.process(tagged_production).is_drop()
-        assert neighbor.process(tagged_probe).ports() == {CONTROLLER_PORT}
+        assert neighbor.process(tagged_production) == []
+        caught = neighbor.process(tagged_probe)
+        assert [port for port, _ in caught] == [CONTROLLER_PORT]

@@ -54,6 +54,7 @@ from repro.fleet.failures import (
 from repro.fleet.metrics import collect_fleet_metrics
 from repro.fleet.workloads import RuleChurn, SteadyRules
 from repro.network.conditioning import ChannelConditioner
+from repro.network.network import Network
 from repro.openflow.fields import (
     ETHERTYPE_IPV4,
     IPPROTO_ICMP,
@@ -61,6 +62,7 @@ from repro.openflow.fields import (
     IPPROTO_UDP,
     FieldName,
 )
+from repro.openflow.rule import RuleOutcome
 from repro.packets.payload import ProbeMetadata
 from repro.sat.solver import SatSolver
 from repro.topology.generators import islands, ring, star
@@ -328,6 +330,8 @@ def calls(monkeypatch):
         ),
         "solve": _Calls(monkeypatch, SatSolver, "solve"),
         "generate": _Calls(monkeypatch, ProbeGenerator, "generate"),
+        "from_rule": _Calls(monkeypatch, RuleOutcome, "from_rule"),
+        "upstream_options": _Calls(monkeypatch, Network, "upstream_options"),
     }
 
 
@@ -336,7 +340,9 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     PacketIn craft, the emitting switch's PacketOut parse + Monocle's
     parse.  No hop in between touches bytes, no message asks a
     conditioner anything, and a cached result's observation sets are
-    not recomputed."""
+    not recomputed.  A hop forwards the packet's header dict: no
+    switch builds an expected outcome (``RuleOutcome``) for it, and no
+    launch asks the Network for its node's upstream ports."""
     deployment, _ = _run(
         ring(6), MonitorConfig(), 16, 0.0, [], duration=0.1, dynamic=True
     )
@@ -358,6 +364,8 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     assert 2 * probes - edge <= spent["parse"] <= 2 * probes + edge
     assert spent["is_active"] == spent["plan"] == 0
     assert spent["observations"] == 0
+    assert spent["from_rule"] == 0
+    assert calls["upstream_options"].count <= len(monitors)
 
 
 @pytest.mark.parametrize("proto", [IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP])

@@ -21,7 +21,7 @@ from repro.packets.craft import craft_packet
 from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Simulator
-from repro.topology.generators import star, triangle
+from repro.topology.generators import fat_tree, star, triangle
 
 
 def make_system(**kwargs):
@@ -90,6 +90,39 @@ class TestInjection:
         sim, net, system, _ = make_system()
         system.multiplexer.inject("s3", b"payload", in_port=99)
         assert system.multiplexer.probes_unroutable == 1
+
+    def test_upstream_options_asked_once_stay_exact(self, monkeypatch):
+        """The Multiplexer asks the Network once per node; what it
+        serves equals a from-scratch computation over the wiring, also
+        after hosts join (their ports are never upstream options)."""
+        net = Network(Simulator(), fat_tree(4), seed=1)
+        asked = []
+        original = Network.upstream_options
+
+        def counting(self, node):
+            asked.append(node)
+            return original(self, node)
+
+        monkeypatch.setattr(Network, "upstream_options", counting)
+        multiplexer = Multiplexer(net)
+
+        def from_scratch(node):
+            return {
+                port: (nbr, net.port_toward[nbr][node])
+                for port, nbr in net.neighbor_on_port[node].items()
+                if nbr in net.switches
+            }
+
+        nodes = sorted(net.switches, key=repr)
+        assert sorted(asked, key=repr) == nodes
+        for node in nodes:
+            assert multiplexer.upstream[node] == from_scratch(node)
+        for i, node in enumerate(nodes):
+            net.add_host(f"h{i}", node)
+        for node in nodes:
+            assert multiplexer.upstream[node] == from_scratch(node)
+            assert len(from_scratch(node)) < len(net.neighbor_on_port[node])
+        assert len(asked) == len(nodes)
 
 
 class TestPacketInRouting:

@@ -15,6 +15,9 @@ from repro.openflow.actions import (
     output,
 )
 from repro.openflow.fields import FieldName
+from repro.openflow.match import Match
+from repro.openflow.rule import Rule
+from repro.openflow.table import FlowTable
 
 
 class TestOutcomeKinds:
@@ -79,9 +82,10 @@ class TestRewrites:
         assert actions.rewrites_on_port(1) == {FieldName.NW_TOS: 2}
 
     def test_apply_rewrites_header(self):
-        actions = output(1, nw_tos=7)
+        table = FlowTable([Rule(1, Match.wildcard(), output(1, nw_tos=7))])
         header = {FieldName.NW_TOS: 0, FieldName.NW_SRC: 9}
-        observed = actions.apply(header, 1)
+        ((port, observed),) = table.process(header)
+        assert port == 1
         assert observed[FieldName.NW_TOS] == 7
         assert observed[FieldName.NW_SRC] == 9
 

@@ -1,11 +1,21 @@
 """Tests for flow-table semantics: priority lookup, FlowMod-style
 mutation, overlap queries, and outcome processing."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from action_helpers import multicast
-from repro.openflow.actions import drop, ecmp, output
+from repro.openflow.actions import (
+    CONTROLLER_PORT,
+    ActionList,
+    EcmpGroup,
+    Forward,
+    SetField,
+    drop,
+    ecmp,
+    output,
+)
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
@@ -230,24 +240,27 @@ class TestQueries:
         assert rule in table
 
 
+def ports_of(emissions):
+    return {port for port, _ in emissions}
+
+
 class TestProcess:
     def test_unicast_emission(self):
         table = FlowTable()
         table.install(
             Rule(priority=5, match=Match.build(nw_src=1), actions=output(3))
         )
-        outcome = table.process(header(nw_src=1))
-        assert outcome.ports() == {3}
-        assert not outcome.is_drop()
+        emissions = table.process(header(nw_src=1))
+        assert ports_of(emissions) == {3}
 
     def test_drop_outcome(self):
         table = FlowTable()
         table.install(Rule(priority=5, match=Match.wildcard(), actions=drop()))
-        assert table.process(header(nw_src=1)).is_drop()
+        assert table.process(header(nw_src=1)) == []
 
     def test_miss_drops(self):
         table = FlowTable()
-        assert table.process(header(nw_src=1)).is_drop()
+        assert table.process(header(nw_src=1)) == []
 
     def test_rewrite_applied_to_emission(self):
         table = FlowTable()
@@ -258,10 +271,11 @@ class TestProcess:
                 actions=output(2, nw_tos=0x15),
             )
         )
-        outcome = table.process(header(nw_src=1, nw_tos=0))
-        (port, items), = outcome.emissions
+        packet = header(nw_src=1, nw_tos=0)
+        ((port, emitted),) = table.process(packet)
         assert port == 2
-        assert dict(items)[FieldName.NW_TOS] == 0x15
+        assert emitted[FieldName.NW_TOS] == 0x15
+        assert packet[FieldName.NW_TOS] == 0  # the packet is not touched
 
     def test_multicast_emits_on_all_ports(self):
         table = FlowTable()
@@ -272,23 +286,116 @@ class TestProcess:
                 actions=multicast([1, 2, 3]),
             )
         )
-        assert table.process(header()).ports() == {1, 2, 3}
+        emissions = table.process(header())
+        assert ports_of(emissions) == {1, 2, 3}
+        # Each port's header is its own dict.
+        assert len({id(h) for _, h in emissions}) == 3
 
     def test_ecmp_chooser_selects_single_port(self):
         table = FlowTable()
         table.install(
             Rule(priority=5, match=Match.wildcard(), actions=ecmp([4, 7]))
         )
-        outcome = table.process(header(), ecmp_chooser=lambda rule: 7)
-        assert outcome.ports() == {7}
-        assert not outcome.ecmp
+        emissions = table.process(header(), ecmp_chooser=lambda rule: 7)
+        assert [port for port, _ in emissions] == [7]
 
     def test_ecmp_default_chooser_lowest(self):
         table = FlowTable()
         table.install(
             Rule(priority=5, match=Match.wildcard(), actions=ecmp([4, 7]))
         )
-        assert table.process(header()).ports() == {4}
+        assert ports_of(table.process(header())) == {4}
+
+
+def _expected_emissions(rule, values, ecmp_chooser):
+    """What ``process`` emitted while it went through ``RuleOutcome``:
+    the rule's expected outcome, ECMP filtered to the chosen port."""
+    if rule is None:
+        return []
+    outcome = RuleOutcome.from_rule(rule, values)
+    emissions = outcome.emissions
+    if outcome.ecmp:
+        port = (
+            ecmp_chooser(rule)
+            if ecmp_chooser is not None
+            else min(outcome.ports())
+        )
+        emissions = tuple(e for e in emissions if e[0] == port)
+    return [(port, dict(items)) for port, items in emissions]
+
+
+class TestProcessAgreesWithRuleOutcome:
+    """``process`` emits what the rule's ``RuleOutcome`` plus the ECMP
+    filter says it does: same ports, same order, same rewritten
+    headers, for every outcome kind."""
+
+    PACKET = header(nw_src=1, nw_dst=9, nw_tos=4, dl_vlan=3, in_port=2)
+
+    RULES = {
+        "unicast": output(3, nw_dst=0x0A000001),
+        "multicast": ActionList(
+            (
+                SetField(FieldName.NW_TOS, 1),
+                Forward(1),
+                SetField(FieldName.DL_VLAN, 0x77),
+                Forward(5),
+                Forward(2),
+            )
+        ),
+        "ecmp": ActionList(
+            (
+                SetField(FieldName.NW_TOS, 8),
+                EcmpGroup(
+                    ports=(6, 2, 9),
+                    rewrites=(
+                        (2, (SetField(FieldName.NW_DST, 0x0B000002),)),
+                        (9, (SetField(FieldName.DL_VLAN, 0x99),)),
+                    ),
+                ),
+            )
+        ),
+        "drop": drop(),
+        "controller": output(CONTROLLER_PORT, nw_tos=0x20),
+    }
+
+    def process_both(self, actions, chooser=None):
+        table = FlowTable()
+        if actions is not None:
+            table.install(
+                Rule(priority=5, match=Match.build(nw_src=1), actions=actions)
+            )
+        got = table.process(self.PACKET, chooser)
+        rule = table.lookup(self.PACKET)
+        return got, _expected_emissions(rule, self.PACKET, chooser)
+
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    def test_outcome_kinds(self, kind):
+        got, expected = self.process_both(self.RULES[kind])
+        assert got == expected
+        assert (got == []) == (kind == "drop")
+
+    def test_miss(self):
+        got, expected = self.process_both(None)
+        assert got == expected == []
+
+    @pytest.mark.parametrize("choice", [6, 2, 9])
+    def test_ecmp_chooser_called_once_per_packet(self, choice):
+        asked = []
+
+        def chooser(rule):
+            asked.append(rule)
+            return choice
+
+        rule = Rule(
+            priority=5, match=Match.build(nw_src=1), actions=self.RULES["ecmp"]
+        )
+        table = FlowTable([rule])
+        got = table.process(self.PACKET, chooser)
+        assert asked == [rule]
+        assert [port for port, _ in got] == [choice]
+        assert got == _expected_emissions(
+            rule, self.PACKET, lambda rule: choice
+        )
 
 
 class TestRuleOutcomeDistinguishability:

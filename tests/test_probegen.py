@@ -4,6 +4,7 @@ unmonitorable detection, rule-kind coverage, and the §5.4 filter."""
 import pytest
 
 from action_helpers import multicast
+from repro.core.constraints import ConstraintCompiler
 from repro.core.probegen import (
     ProbeGenContext,
     ProbeGenerator,
@@ -273,6 +274,45 @@ class TestInPortHandling:
         assert result.reason is UnmonitorableReason.BUDGET_EXCEEDED
         assert len(solves) == 2
         assert result.solver_conflicts == sum(c for _, c in solves)
+
+    def test_budget_overrun_by_an_unsat_solve_ends_the_ports(
+        self, monkeypatch
+    ):
+        # A solve meets one conflict past its budget when that conflict
+        # proves UNSAT.  The next port must not be handed what is left
+        # (a negative budget): the generation stops, over budget.
+        hot = Rule(100, Match.build(nw_dst=(0x0A000000, 8)), output(2))
+        quarters = [
+            Rule(
+                50 - i,
+                Match.build(nw_dst=(0x0A000000 + (i << 22), 10)),
+                output(2),
+            )
+            for i in range(4)
+        ]
+        table = table_of(hot, *quarters)
+        folded, solves = [], []
+        assert_probe = ConstraintCompiler.assert_probe
+        solve = SatSolver.solve
+
+        def folding(self, rule, avoid, lower, catch, in_port):
+            folded.append(in_port)
+            return assert_probe(self, rule, avoid, lower, catch, in_port)
+
+        def solving(self, max_conflicts=None):
+            result = solve(self, max_conflicts=max_conflicts)
+            solves.append((max_conflicts, result.conflicts))
+            return result
+
+        monkeypatch.setattr(ConstraintCompiler, "assert_probe", folding)
+        monkeypatch.setattr(SatSolver, "solve", solving)
+        result = generator(
+            valid_in_ports=(3, 1, 2), max_conflicts=1
+        ).generate(table, hot)
+        assert result.reason is UnmonitorableReason.BUDGET_EXCEEDED
+        assert result.solver_conflicts == 2
+        assert folded == [1]
+        assert solves == [(1, 2)]
 
     def test_empty_port_domain_is_refused(self):
         with pytest.raises(ValueError, match="no port"):
