@@ -842,7 +842,9 @@ class Monitor:
         if probe is None or probe.done:
             self.stale_probes += 1
             return
-        observation: Observation = (egress_port, wire_visible_items(values))
+        seen = dict(values)  # wire form: all but in_port is visible
+        del seen[FieldName.IN_PORT]
+        observation: Observation = (egress_port, tuple(sorted(seen.items())))
         if observation in probe.target:
             self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:

@@ -10,7 +10,9 @@ corresponding mask bit is 1, which uniformly covers:
 
 Two matches *overlap* iff some packet satisfies both — equivalently, their
 fixed bits agree wherever both masks care.  This test powers the paper's
-§5.4 optimization (only overlapping rules need to enter the SAT instance).
+§5.4 optimization (only overlapping rules need to enter the SAT instance);
+:class:`~repro.openflow.tuplespace.TupleSpaceIndex` answers it for a
+whole table at once, on the packed forms.
 """
 
 from __future__ import annotations
@@ -58,11 +60,6 @@ class FieldMatch:
     def matches(self, value: int) -> bool:
         """Does a concrete field value satisfy this constraint?"""
         return (value & self.mask) == self.value
-
-    def overlaps(self, other: "FieldMatch") -> bool:
-        """Does some value satisfy both constraints?"""
-        common = self.mask & other.mask
-        return (self.value & common) == (other.value & common)
 
     def covers(self, other: "FieldMatch") -> bool:
         """Does every value matching ``other`` also match ``self``?"""
@@ -166,16 +163,6 @@ class Match:
                 mask |= fm.mask << shift
             self._packed = (value, mask)
         return self._packed
-
-    def overlaps(self, other: "Match") -> bool:
-        """Does some packet match both?  (§5.4 overlap test.)
-
-        Two matches overlap iff their fixed bits agree wherever both
-        masks care — a single bigint expression on the packed forms.
-        """
-        v1, m1 = self.packed()
-        v2, m2 = other.packed()
-        return not ((v1 ^ v2) & m1 & m2)
 
     def covers(self, other: "Match") -> bool:
         """Does every packet matching ``other`` also match ``self``?"""

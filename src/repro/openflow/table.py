@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Mapping
 
+from repro.openflow.actions import PortOutcome
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
@@ -197,12 +198,14 @@ class FlowTable:
 
     def process(
         self,
-        header_values: Mapping[FieldName, int],
+        header_values: dict[FieldName, int],
         ecmp_chooser: Callable[[Rule], int] | None = None,
-    ) -> list[tuple[int, dict[FieldName, int]]]:
-        """The data plane's step: the ``(port, header)`` pairs a packet
-        leaves on, each header a fresh dict with that port's rewrites
-        applied; none for a drop or a miss.
+    ) -> list[tuple[PortOutcome, dict[FieldName, int]]]:
+        """The data plane's step: the ``(port outcome, header)`` pairs a
+        packet leaves by, each header the packet with that outcome's
+        rewrites applied; none for a drop or a miss.  A unicast emission
+        that rewrites nothing carries ``header_values`` itself (a frame
+        belongs to its last receiver); every other gets a fresh dict.
 
         Args:
             header_values: the packet's abstract header.
@@ -219,12 +222,11 @@ class FlowTable:
             else:
                 port = min(po.port for po in outcomes)
             outcomes = tuple(po for po in outcomes if po.port == port)
-        emissions = []
-        for po in outcomes:
-            header = dict(header_values)
-            header.update(po.rewrites)
-            emissions.append((po.port, header))
-        return emissions
+        if len(outcomes) == 1 and not outcomes[0].rewrites:
+            return [(outcomes[0], header_values)]
+        return [
+            (po, {**header_values, **dict(po.rewrites)}) for po in outcomes
+        ]
 
     def overlapping(self, match: Match) -> list[Rule]:
         """Rules whose match overlaps ``match`` (the §5.4 pre-filter).

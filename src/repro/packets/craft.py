@@ -180,9 +180,9 @@ def wire_header(
 ) -> dict[FieldName, int]:
     """The header ``parse_packet(craft_packet(values, p), in_port)``
     returns, without going through bytes: the form a packet takes
-    between two simulated switches.  Each value must be within its
-    field's width; a missing field reads as :func:`craft_packet` reads
-    it (0, and untagged for ``dl_vlan``).
+    between two simulated switches, applied after a rewrite, not on
+    every hop.  Each value must be within its field's width; a missing
+    field reads as :func:`craft_packet` reads it (0, untagged VLAN).
 
     Raises:
         CraftError: when :func:`craft_packet` would (no wire form).

@@ -3,9 +3,10 @@
 Separates the *control plane* (a serial message processor with
 per-message costs from the :class:`~repro.switches.profiles.SwitchProfile`)
 from the *data plane* (a flow table that lags behind by the profile's
-install delay, and hands a packet on as one header dict per output
-port).  This split is what lets the reproduction exhibit the transient
-control/data-plane inconsistencies the paper monitors for.
+install delay, and hands a packet on in wire form, re-normalising a
+header only where a rewrite touched it).  This split is what lets the
+reproduction exhibit the transient control/data-plane inconsistencies
+the paper monitors for.
 
 Fault injection (silently removing or corrupting data-plane rules,
 failing ports) implements the §8.1.1 failure scenarios.
@@ -47,8 +48,10 @@ REORDER_TAIL_EXTRA = 0.25
 
 #: A packet inside the simulated data plane: the header the wire would
 #: carry (:func:`~repro.packets.craft.wire_header`) and the payload.
-#: Bytes exist only where something real reads them: PacketOut in,
-#: PacketIn out, host NICs.  A frame belongs to its last receiver.
+#: Parsing puts a header in that form; a hop keeps it there, and runs
+#: ``wire_header`` only on what a rewrite touched.  Bytes exist only
+#: where something real reads them: PacketOut in, PacketIn out, host
+#: NICs.  A frame belongs to its last receiver, which may change it.
 Frame = tuple[dict[FieldName, int], bytes]
 
 
@@ -193,9 +196,7 @@ class SimulatedSwitch:
             return self.profile.flowmod_cost
         if isinstance(msg, PacketOut):
             return self.profile.packetout_cost
-        if isinstance(msg, BarrierRequest):
-            return self.profile.barrier_cost
-        return self.profile.barrier_cost  # echoes and friends are cheap
+        return self.profile.barrier_cost  # barriers, echoes: cheap
 
     def _finish_current(self) -> None:
         msg = self._queue.pop(0)
@@ -282,28 +283,36 @@ class SimulatedSwitch:
             self.inject(frame, in_port)
 
     def inject(self, frame: Frame, in_port: int) -> None:
-        """A packet arrives on ``in_port`` (from a peer switch's link)."""
+        """A packet arrives on ``in_port`` (from a peer switch's link).
+
+        ``frame`` must be in wire form, and each emission stays in it:
+        one no rewrite touched differs from it only in ``in_port``."""
         values, payload = frame
         values[FieldName.IN_PORT] = in_port
         emissions = self.dataplane.process(values, self._choose_ecmp_port)
         if not emissions:
             self.stats.packets_dropped += 1
             return
-        for port, header in emissions:
-            try:
-                # in_port is not meaningful on egress: carried as 0.
-                out = (wire_header(header), payload)
-            except CraftError:  # a rewrite left it no wire form
-                self.stats.packets_dropped += 1
-                continue
-            if port == CONTROLLER_PORT:
+        for outcome, header in emissions:
+            # in_port is not meaningful on egress: carried as 0.
+            if not outcome.rewrites:
+                header[FieldName.IN_PORT] = 0
+            else:
+                try:
+                    header = wire_header(header)
+                except CraftError:  # a rewrite left it no wire form
+                    self.stats.packets_dropped += 1
+                    continue
+            out = (header, payload)
+            if outcome.port == CONTROLLER_PORT:
                 self.sim.schedule(
                     FABRIC_LATENCY,
                     lambda f=out, p=in_port: self._emit_packetin(f, p),
                 )
             else:
                 self.sim.schedule(
-                    FABRIC_LATENCY, lambda p=port, f=out: self._emit(f, p)
+                    FABRIC_LATENCY,
+                    lambda p=outcome.port, f=out: self._emit(f, p),
                 )
 
     def _choose_ecmp_port(self, rule: Rule) -> int:

@@ -115,7 +115,7 @@ class TestStrategy2:
         )
         # Downstream "b": the catch rule wins (it may overlap a filter,
         # which is why it has the higher priority).
-        assert [port for port, _ in outcome_at("b")] == [CONTROLLER_PORT]
+        assert [po.port for po, _ in outcome_at("b")] == [CONTROLLER_PORT]
         # Other neighbor "c": the filter drops the probe, so the
         # controller sees it exactly once.
         assert outcome_at("c") == []

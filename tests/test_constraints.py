@@ -8,6 +8,7 @@ import random
 import pytest
 
 from action_helpers import multicast
+from overlap_reference import overlaps
 from repro.core.constraints import ConstraintCompiler, fold_distinguish
 from repro.core.probegen import ProbeGenContext, ProbeGenerator, verify_probe
 from repro.openflow.actions import drop, ecmp, output
@@ -557,7 +558,7 @@ class TestCubeFold:
                 # the probed rule, so it is a candidate; the cube
                 # leaves it out, and the lower rules decide.
                 (higher,) = [r for r in table.rules() if r.priority == 9]
-                assert higher.match.overlaps(probed.match)
+                assert overlaps(higher.match, probed.match)
                 assert result.overlapping_rules > 0
         if verdict is None:
             assert found == {True, False}

@@ -89,4 +89,4 @@ class TestEndToEndSemantics:
         }
         assert neighbor.process(tagged_production) == []
         caught = neighbor.process(tagged_probe)
-        assert [port for port, _ in caught] == [CONTROLLER_PORT]
+        assert [po.port for po, _ in caught] == [CONTROLLER_PORT]

@@ -18,8 +18,9 @@ re-recorded, and nothing else in it moved, when retiring a probe began
 to cancel its pending retry too: a confirmed probe's next retry used
 to fire as a no-op (16,076 -> 14,393 and 49,170 -> 43,667 events).
 The call-count tests hold the
-diet itself: a later change that re-introduces a per-hop codec pass or
-a per-message conditioner call fails here, in tier-1, not in a
+diet itself: a later change that re-introduces a per-hop codec pass,
+a per-hop ``wire_header`` on a header no rule rewrote, or a
+per-message conditioner call fails here, in tier-1, not in a
 benchmark.  One pass is held too: crafting and parsing a probe frame is
 a handful of Python-level calls and builds no per-layer header object.
 
@@ -62,9 +63,13 @@ from repro.openflow.fields import (
     IPPROTO_UDP,
     FieldName,
 )
-from repro.openflow.rule import RuleOutcome
+from repro.openflow.actions import output
+from repro.openflow.match import Match
+from repro.openflow.rule import Rule, RuleOutcome
 from repro.packets.payload import ProbeMetadata
 from repro.sat.solver import SatSolver
+from repro.sim.kernel import Simulator
+from repro.switches.switch import SimulatedSwitch
 from repro.topology.generators import islands, ring, star
 
 
@@ -332,6 +337,10 @@ def calls(monkeypatch):
         "generate": _Calls(monkeypatch, ProbeGenerator, "generate"),
         "from_rule": _Calls(monkeypatch, RuleOutcome, "from_rule"),
         "upstream_options": _Calls(monkeypatch, Network, "upstream_options"),
+        "wire_header": _Calls(monkeypatch, repro.packets.craft, "wire_header"),
+        "wire_visible_items": _Calls(
+            monkeypatch, repro.packets.craft, "wire_visible_items"
+        ),
     }
 
 
@@ -341,8 +350,11 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     parse.  No hop in between touches bytes, no message asks a
     conditioner anything, and a cached result's observation sets are
     not recomputed.  A hop forwards the packet's header dict: no
-    switch builds an expected outcome (``RuleOutcome``) for it, and no
-    launch asks the Network for its node's upstream ports."""
+    switch builds an expected outcome (``RuleOutcome``) for it or
+    re-normalises a header no rule rewrote (``SteadyRules`` rewrite
+    nothing), no catch re-derives its observation from the parsed
+    header, and no launch asks the Network for its node's upstream
+    ports."""
     deployment, _ = _run(
         ring(6), MonitorConfig(), 16, 0.0, [], duration=0.1, dynamic=True
     )
@@ -365,7 +377,32 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     assert spent["is_active"] == spent["plan"] == 0
     assert spent["observations"] == 0
     assert spent["from_rule"] == 0
+    assert spent["wire_header"] == spent["wire_visible_items"] == 0
     assert calls["upstream_options"].count <= len(monitors)
+
+
+@pytest.mark.parametrize("rewrites, passes", [({}, 0), ({"nw_tos": 9}, 1)])
+def test_a_hop_renormalises_only_a_rewritten_emission(
+    calls, rewrites, passes
+):
+    """One packet through one switch: the emission a ``SetField``
+    touched pays exactly one ``wire_header``; an untouched one none."""
+    sim = Simulator()
+    switch = SimulatedSwitch(sim, switch_id=1)
+    emitted = []
+    switch.attach_port(2, emitted.append)
+    switch.install_directly(
+        Rule(priority=5, match=Match.wildcard(), actions=output(2, **rewrites))
+    )
+    packet = {
+        FieldName.DL_TYPE: ETHERTYPE_IPV4,
+        FieldName.NW_PROTO: IPPROTO_UDP,
+        FieldName.NW_DST: 7,
+    }
+    switch.inject_raw(repro.packets.craft.craft_packet(packet), in_port=1)
+    sim.run()
+    assert len(emitted) == 1
+    assert calls["wire_header"].count == passes
 
 
 @pytest.mark.parametrize("proto", [IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP])

@@ -84,8 +84,8 @@ class TestRewrites:
     def test_apply_rewrites_header(self):
         table = FlowTable([Rule(1, Match.wildcard(), output(1, nw_tos=7))])
         header = {FieldName.NW_TOS: 0, FieldName.NW_SRC: 9}
-        ((port, observed),) = table.process(header)
-        assert port == 1
+        ((outcome, observed),) = table.process(header)
+        assert outcome.port == 1
         assert observed[FieldName.NW_TOS] == 7
         assert observed[FieldName.NW_SRC] == 9
 

@@ -240,8 +240,13 @@ class TestQueries:
         assert rule in table
 
 
+def as_pairs(emissions):
+    """``process``'s emissions as ``(port, header)`` pairs."""
+    return [(outcome.port, header) for outcome, header in emissions]
+
+
 def ports_of(emissions):
-    return {port for port, _ in emissions}
+    return {port for port, _ in as_pairs(emissions)}
 
 
 class TestProcess:
@@ -272,10 +277,21 @@ class TestProcess:
             )
         )
         packet = header(nw_src=1, nw_tos=0)
-        ((port, emitted),) = table.process(packet)
-        assert port == 2
+        ((outcome, emitted),) = table.process(packet)
+        assert outcome.port == 2
+        assert outcome.rewrites == ((FieldName.NW_TOS, 0x15),)
         assert emitted[FieldName.NW_TOS] == 0x15
         assert packet[FieldName.NW_TOS] == 0  # the packet is not touched
+
+    def test_rewrite_free_unicast_hands_on_the_packet_itself(self):
+        table = FlowTable()
+        table.install(
+            Rule(priority=5, match=Match.build(nw_src=1), actions=output(2))
+        )
+        packet = header(nw_src=1)
+        ((outcome, emitted),) = table.process(packet)
+        assert outcome.rewrites == ()
+        assert emitted is packet  # a frame belongs to its last receiver
 
     def test_multicast_emits_on_all_ports(self):
         table = FlowTable()
@@ -296,8 +312,10 @@ class TestProcess:
         table.install(
             Rule(priority=5, match=Match.wildcard(), actions=ecmp([4, 7]))
         )
-        emissions = table.process(header(), ecmp_chooser=lambda rule: 7)
-        assert [port for port, _ in emissions] == [7]
+        packet = header()
+        emissions = table.process(packet, ecmp_chooser=lambda rule: 7)
+        assert [port for port, _ in as_pairs(emissions)] == [7]
+        assert emissions[0][1] is packet  # one port, no rewrite: no copy
 
     def test_ecmp_default_chooser_lowest(self):
         table = FlowTable()
@@ -364,7 +382,7 @@ class TestProcessAgreesWithRuleOutcome:
             table.install(
                 Rule(priority=5, match=Match.build(nw_src=1), actions=actions)
             )
-        got = table.process(self.PACKET, chooser)
+        got = as_pairs(table.process(self.PACKET, chooser))
         rule = table.lookup(self.PACKET)
         return got, _expected_emissions(rule, self.PACKET, chooser)
 
@@ -390,7 +408,7 @@ class TestProcessAgreesWithRuleOutcome:
             priority=5, match=Match.build(nw_src=1), actions=self.RULES["ecmp"]
         )
         table = FlowTable([rule])
-        got = table.process(self.PACKET, chooser)
+        got = as_pairs(table.process(self.PACKET, chooser))
         assert asked == [rule]
         assert [port for port, _ in got] == [choice]
         assert got == _expected_emissions(

@@ -4,7 +4,7 @@ The index is a pure performance structure — every behaviour here is
 defined by a fieldwise scan over ``table.rules()``:
 
 * :meth:`FlowTable.overlapping` must return the *identical list* (set
-  and order) as a brute-force ``Match.overlaps`` sweep, under
+  and order) as a brute-force ``overlap_reference.overlaps`` sweep, under
   randomized churn with priority ties and wildcard-heavy tables
   (hypothesis property);
 * :meth:`FlowTable.lookup` must pick the same winner as first-match
@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overlap_reference import overlaps
 from repro.datasets import campus_table, stanford_table
 from repro.openflow.actions import ActionList, Drop, output
 from repro.openflow.fields import FieldName, HEADER
@@ -100,7 +101,7 @@ def headers(draw):
 
 
 def _reference_overlapping(table: FlowTable, match: Match) -> list:
-    return [r for r in table.rules() if r.match.overlaps(match)]
+    return [r for r in table.rules() if overlaps(r.match, match)]
 
 
 def _reference_lookup(table: FlowTable, header) -> Rule | None:
@@ -291,7 +292,7 @@ class TestTupleSpaceIndex:
         for query in cycle:
             got = index.query(*query.packed())
             assert sorted(got) == [
-                i for i, match in entries.items() if match.overlaps(query)
+                i for i, match in entries.items() if overlaps(match, query)
             ]
         assert all(
             level is built.get(anchor)

@@ -4,8 +4,9 @@ Between switches a packet travels as ``(wire_header(values), payload)``
 and is never serialized; these tests hold that to the one byte codec
 (``craft_packet`` / ``parse_packet``): the carried header is exactly
 what a craft -> parse round trip returns, real bytes still come out of
-every real boundary, and a header the wire cannot carry is not
-forwarded at all.
+every real boundary, a header the wire cannot carry is not forwarded
+at all, and a hop keeps a frame in that form while re-normalising only
+what a rewrite touched.
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.network.host import Host
 from repro.openflow.actions import (
     CONTROLLER_PORT,
     ActionList,
+    EcmpGroup,
     Forward,
     SetField,
     output,
@@ -31,7 +33,7 @@ from repro.openflow.fields import (
 )
 from repro.openflow.match import Match
 from repro.openflow.messages import PacketIn
-from repro.openflow.rule import Rule
+from repro.openflow.rule import Rule, RuleOutcome
 from repro.packets.craft import (
     CraftError,
     craft_packet,
@@ -365,3 +367,194 @@ class TestRewriteWithoutWireForm:
         assert net.link_between("sw0", "sw1").delivered == 0
         assert packet_ins == []
         assert sw1.stats.packets_dropped == sw1.stats.parse_errors == 0
+
+
+# ----- (c) a hop keeps the wire form, re-normalising only rewrites --------
+
+#: Rewrites the wire keeps, narrows (ICMP ``tp_*``, the priority of an
+#: untagged frame) or cannot carry at all (``dl_type`` 0x1234, an IPv4
+#: ``nw_proto`` 99, ``dl_type`` IPv4 on an ARP packet: no ``nw_proto``).
+rewrites = st.one_of(
+    st.builds(SetField, st.just(FieldName.NW_TOS), _field(FieldName.NW_TOS)),
+    st.builds(SetField, st.just(FieldName.TP_DST), _field(FieldName.TP_DST)),
+    st.builds(
+        SetField,
+        st.just(FieldName.DL_VLAN),
+        st.sampled_from((VLAN_NONE, 0x123)),
+    ),
+    st.builds(
+        SetField,
+        st.just(FieldName.DL_VLAN_PCP),
+        _field(FieldName.DL_VLAN_PCP),
+    ),
+    st.builds(
+        SetField,
+        st.just(FieldName.DL_TYPE),
+        st.sampled_from((ETHERTYPE_IPV4, ETHERTYPE_ARP, 0x1234)),
+    ),
+    st.builds(
+        SetField,
+        st.just(FieldName.NW_PROTO),
+        st.sampled_from((*VALID_IP_PROTOS, 99)),
+    ),
+)
+
+
+@st.composite
+def hop_actions(draw, ports):
+    """A unicast, multicast or ECMP action list over ``ports``, each
+    output drawing its own rewrites (none, often); or no rule at all."""
+    kind = draw(st.sampled_from(("unicast", "multicast", "ecmp", "miss")))
+    if kind == "miss":
+        return None
+    chosen = draw(
+        st.lists(
+            st.sampled_from(ports),
+            min_size=1 if kind == "unicast" else 2,
+            max_size=1 if kind == "unicast" else len(ports),
+            unique=True,
+        )
+    )
+    none_or_some = st.lists(rewrites, max_size=2) | st.just([])
+    if kind == "ecmp":
+        per_port = [(port, tuple(draw(none_or_some))) for port in chosen]
+        group = EcmpGroup(
+            tuple(chosen), tuple((p, sets) for p, sets in per_port if sets)
+        )
+        return ActionList([*draw(none_or_some), group])
+    actions: list = []
+    for port in chosen:
+        actions += [*draw(none_or_some), Forward(port)]
+    return ActionList(actions)
+
+
+class _Recorder:
+    """What one switch took in and sent out, header dicts as they were
+    at that moment, beside the dict objects themselves."""
+
+    def __init__(self, switch):
+        self.ingress = []  # (dict, a copy as it arrived, in_port)
+        self.egress = []  # (port, dict, a copy as it left)
+        self.ecmp_choices = []
+        inject, choose = switch.inject, switch._choose_ecmp_port
+        emit_packetin = switch._emit_packetin
+
+        def recording_inject(frame, in_port):
+            self.ingress.append((frame[0], dict(frame[0]), in_port))
+            inject(frame, in_port)
+
+        def recording_choose(rule):
+            self.ecmp_choices.append(choose(rule))
+            return self.ecmp_choices[-1]
+
+        def recording_packetin(frame, in_port):
+            self.egress.append((CONTROLLER_PORT, frame[0], dict(frame[0])))
+            emit_packetin(frame, in_port)
+
+        switch.inject = recording_inject
+        switch._choose_ecmp_port = recording_choose
+        switch._emit_packetin = recording_packetin
+
+    def port_handler(self, port, then=None):
+        def handler(frame):
+            self.egress.append((port, frame[0], dict(frame[0])))
+            if then is not None:
+                then(frame)
+
+        return handler
+
+
+def _expected_hop(switch, values, in_port, choices):
+    """What the switch emitted before frames kept their wire form: every
+    ``RuleOutcome.from_rule`` emission (ECMP cut to the port the switch
+    chose) through ``wire_header``; how many of them it dropped; and
+    whether the hop is one emission no rewrite touched."""
+    values = {**values, FieldName.IN_PORT: in_port}
+    rule = switch.dataplane.lookup(values)
+    if rule is None:
+        return [], 1, False
+    pairs = list(
+        zip(
+            rule.actions.port_outcomes,
+            RuleOutcome.from_rule(rule, values).emissions,
+        )
+    )
+    if rule.actions.is_ecmp:
+        chosen = choices.pop(0)
+        pairs = [(po, e) for po, e in pairs if po.port == chosen]
+    if not pairs:
+        return [], 1, False
+    sent, dropped = [], 0
+    for _, (port, items) in pairs:
+        try:
+            sent.append((port, wire_header(dict(items))))
+        except CraftError:
+            dropped += 1
+    return sent, dropped, len(pairs) == 1 and not pairs[0][0].rewrites
+
+
+SW0_OUT = (2, 3, 4, CONTROLLER_PORT)  # 2, 3, 4 lead to sw1's 1, 2, 3
+SW1_OUT = (4, 5, 6, CONTROLLER_PORT)  # to sinks
+
+
+class TestEveryHopKeepsTheWireForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        packets=st.lists(
+            st.tuples(craftable_headers, st.binary(max_size=16)),
+            min_size=1,
+            max_size=3,
+        ),
+        first=hop_actions(SW0_OUT),
+        second=hop_actions(SW1_OUT),
+    )
+    def test_a_two_switch_chain_emits_what_wire_header_did(
+        self, packets, first, second
+    ):
+        sim = Simulator()
+        sw0 = SimulatedSwitch(sim, switch_id=1)
+        sw1 = SimulatedSwitch(sim, switch_id=2)
+        for switch, actions in ((sw0, first), (sw1, second)):
+            if actions is not None:
+                switch.install_directly(
+                    Rule(priority=5, match=Match.wildcard(), actions=actions)
+                )
+        seen0, seen1 = _Recorder(sw0), _Recorder(sw1)
+        for port, peer_port in ((2, 1), (3, 2), (4, 3)):
+            sw0.attach_port(
+                port,
+                seen0.port_handler(
+                    port, lambda f, p=peer_port: sw1.inject(f, p)
+                ),
+            )
+        for port in SW1_OUT[:-1]:
+            sw1.attach_port(port, seen1.port_handler(port))
+        for values, payload in packets:
+            sw0.inject_raw(craft_packet(values, payload), in_port=1)
+        sim.run()
+
+        for switch, seen in ((sw0, seen0), (sw1, seen1)):
+            egress = iter(seen.egress)
+            choices = list(seen.ecmp_choices)
+            drops = forwarded = 0
+            for received, arrived, in_port in seen.ingress:
+                sent, dropped, handed_on = _expected_hop(
+                    switch, arrived, in_port, choices
+                )
+                out = [next(egress) for _ in sent]
+                assert [(port, items) for port, _, items in out] == sent
+                assert all(h[FieldName.IN_PORT] == 0 for _, h in sent)
+                # A frame belongs to its last receiver: an untouched
+                # unicast hop hands on the very dict it received, and
+                # every other emission is a dict of its own.
+                headers = [header for _, header, _ in out]
+                if handed_on:
+                    assert headers[0] is received
+                else:
+                    assert all(h is not received for h in headers)
+                    assert len({id(h) for h in headers}) == len(headers)
+                drops += dropped
+                forwarded += sum(p != CONTROLLER_PORT for p, _ in sent)
+            assert next(egress, None) is None
+            assert switch.stats.packets_dropped == drops
+            assert switch.stats.packets_forwarded == forwarded

@@ -6,12 +6,14 @@ tests, use, and the state it stores that nothing reads.
 Three lists, all by name (``tokenize`` ``NAME`` tokens only: a name in
 a comment, a docstring or a string literal is prose, not a reference —
 except an f-string's replacement fields and the ``"module:Class.name"``
-entry points ``bench/trace.py`` patches, which are code):
+entry points ``bench/trace.py`` patches, which are code; and the name a
+``def`` or ``class`` statement binds is a definition, not a reference,
+so a def is judged by its uses however many defs share its name):
 
-* defs and classes whose name occurs once — its own definition —
-  across ``src/``, ``tests/``, ``examples/`` and ``bench/``;
-* defs whose name occurs once outside ``tests/`` but is referenced from
-  ``tests/``: code only its own tests keep alive.  (Not classes: the
+* defs and classes whose name no code references across ``src/``,
+  ``tests/``, ``examples/`` and ``bench/``;
+* defs whose name is referenced from ``tests/`` and from nowhere
+  else: code only its own tests keep alive.  (Not classes: the
   failure kinds and workloads only tests build yet are the scenario
   property harness's inputs-to-be.)
 * attributes ``src/`` stores on ``self`` (``self.NAME = ...`` or an
@@ -45,12 +47,14 @@ QUOTED_NAME = re.compile(r"""["'](\w+)["']""")
 
 
 def names_in(path: Path) -> Iterator[tuple[str, bool]]:
-    """Every name the file mentions, and whether code mentions it (False:
-    it is the whole text of a string literal)."""
+    """Every name the file mentions, and whether code references it
+    (False: it is the name a ``def``/``class`` binds, or the whole text
+    of a string literal)."""
+    previous = ""
     with tokenize.open(path) as source:
         for token in tokenize.generate_tokens(source.readline):
             if token.type == tokenize.NAME:
-                yield token.string, True
+                yield token.string, previous not in ("def", "class")
             elif token.type == tokenize.STRING:
                 text = token.string
                 entry = ENTRY_POINT.fullmatch(text)
@@ -67,6 +71,7 @@ def names_in(path: Path) -> Iterator[tuple[str, bool]]:
                             yield node.id, True
                         elif isinstance(node, ast.Attribute):
                             yield node.attr, True
+            previous = token.string
 
 
 def self_stores(path: Path) -> Iterator[tuple[str, int]]:
@@ -88,8 +93,8 @@ def self_stores(path: Path) -> Iterator[tuple[str, int]]:
                     yield each.attr, each.lineno
 
 
-#: Occurrences per name: in code everywhere searched, in code in
-#: ``tests/`` alone, and quoted whole or in code everywhere searched.
+#: Occurrences per name: references in code everywhere searched, the
+#: same in ``tests/`` alone, and any mention everywhere searched.
 words: Counter[str] = Counter()
 in_tests: Counter[str] = Counter()
 mentions: Counter[str] = Counter()
@@ -119,9 +124,9 @@ for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
             continue
         kind, name = found.groups()
         where = f"{path.relative_to(ROOT)}:{number}: {name}"
-        if words[name] == 1:
+        if words[name] == 0:
             unreferenced.append(where)
-        elif kind == "def" and words[name] - in_tests[name] == 1:
+        elif kind == "def" and words[name] == in_tests[name]:
             tests_only.append(where)
 
 for where in unreferenced:
