@@ -758,15 +758,14 @@ class Monitor:
             return
         probe.done = True
         setattr(self, end.value, getattr(self, end.value) + 1)
-        # Dropping the events too breaks the probe -> event -> closure
-        # -> probe cycles, so the probe is freed when they leave the
-        # queue instead of waiting for the cyclic collector.
+        # A cancelled event drops its closure, which breaks the probe
+        # -> event -> closure -> probe cycle: the probe is freed at
+        # retire, by reference counting, not when its events leave the
+        # queue or the cyclic collector runs.
         if probe.timeout_event is not None:
             probe.timeout_event.cancel()
-            probe.timeout_event = None
         if probe.retry_event is not None:
             probe.retry_event.cancel()
-            probe.retry_event = None
         self.outstanding.pop(probe.nonce, None)
         key = probe.result.rule.key()
         count = self._inflight_keys.get(key, 0)

@@ -2,9 +2,10 @@
 
 Given the expected flow table of a switch, a rule to probe and the
 catching-rule match, :class:`ProbeGenerator` produces a
-:class:`ProbeResult` containing the abstract probe header, the crafted
-raw packet, and the expected observable outcomes with/without the rule —
-or an :class:`UnmonitorableReason` when no probe exists (§3.5).
+:class:`ProbeResult` containing the abstract probe header (its raw
+packet is crafted when read) and the expected observable outcomes
+with/without the rule — or an :class:`UnmonitorableReason` when no
+probe exists (§3.5).
 
 Pipeline (Figure 2):
 
@@ -19,8 +20,9 @@ Pipeline (Figure 2):
    (the paper's CDCL is not needed: the fold leaves a residue that
    rarely meets a conflict),
 4. decode the model (the variables it sets true) into header values,
-5. normalize for wire validity (§5.2: spare values, conditional fields),
-6. craft the raw packet and compute expected outcomes.
+5. normalize for wire validity (§5.2: spare values, conditional fields;
+   a header that survives normalization crafts),
+6. compute the expected outcomes.
 
 :func:`verify_probe` is the independent, simulation-based checker used by
 the test suite: it re-derives Table 1 semantics by actually processing
@@ -82,7 +84,6 @@ class ProbeResult:
         ok: True when a probe was produced.
         reason: set when ``ok`` is False.
         header: normalized abstract header values of the probe.
-        packet: crafted raw packet bytes.
         outcome_present: expected observable outcome when the rule is in
             the data plane.
         outcome_absent: expected outcome when it is missing.
@@ -98,7 +99,6 @@ class ProbeResult:
     ok: bool
     reason: UnmonitorableReason | None = None
     header: dict[FieldName, int] | None = None
-    packet: bytes | None = None
     outcome_present: RuleOutcome | None = None
     outcome_absent: RuleOutcome | None = None
     generation_time: float = 0.0
@@ -109,6 +109,14 @@ class ProbeResult:
     observations: tuple[frozenset, frozenset] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def packet(self) -> bytes | None:
+        """The probe's raw bytes, crafted when read (None without a
+        probe).  Generation crafts nothing: normalization already
+        decided the header crafts, and the monitor crafts its own
+        bytes, with the probe metadata, at launch."""
+        return None if self.header is None else craft_packet(self.header)
 
     def expects_return(self) -> bool:
         """Will the probe come back to Monocle when the rule is healthy?
@@ -267,7 +275,7 @@ def _conclude(
     cnf_vars: int,
     cnf_clauses: int,
 ) -> ProbeResult:
-    """Verdict -> reason, or model -> wire probe -> outcomes
+    """Verdict -> reason, or model -> normalized header -> outcomes
     (``compiler`` decodes the model; ``conflicts`` is what every solve
     of the probe met).
 
@@ -296,7 +304,6 @@ def _conclude(
     )
     try:
         header = normalize_abstract_header(raw_values, relevant)
-        packet = craft_packet(header)
     except CraftError:
         result.reason = UnmonitorableReason.UNCRAFTABLE
         return result
@@ -319,7 +326,6 @@ def _conclude(
         )
     result.ok = True
     result.header = header
-    result.packet = packet
     result.outcome_present, result.outcome_absent = outcomes
     return result
 

@@ -78,6 +78,9 @@ def parse_packet(
         tci, dl_type = VLAN_TAG.unpack_from(raw, offset)
         offset += _VLAN_TAG_LEN
         dl_vlan = tci & 0xFFF
+        if dl_vlan == VLAN_NONE:
+            # Reserved by 802.1Q, and the header model's "untagged".
+            raise ParseError("reserved VLAN id 0xfff")
         dl_vlan_pcp = tci >> 13
     values = {
         _IN_PORT: in_port,

@@ -8,6 +8,17 @@ forward only by :meth:`Simulator.run`) and a binary heap of
 ``seq`` is unique and increasing, so ties in time dispatch in
 scheduling order and comparing two entries never reaches the
 :class:`Event`: every heap sift is a C-level tuple comparison.
+
+A cancelled event releases its action at once, so whatever the
+callback's closure holds is freed at ``cancel()``, not when the entry
+reaches the top of the heap.  The entry itself is dropped when ``run``
+pops it, or in bulk: once cancelled entries are more than half of
+``max(len(heap), _SWEEP_FLOOR)``, the heap is rebuilt from its live
+entries.  Each rebuild removes more than half of what it scans, so a
+cancel costs O(1) amortised, and the heap never holds more than
+``max(_SWEEP_FLOOR, 2 * live)`` entries.  Only cancelled entries leave
+and the ``(time, seq)`` keys are unique, so a rebuild changes no
+dispatch.
 """
 
 from __future__ import annotations
@@ -16,24 +27,45 @@ import heapq
 import itertools
 from typing import Callable
 
+#: Cancelled entries are swept only once they are more than half of
+#: the heap and more than half of this floor; fewer wait to be popped.
+_SWEEP_FLOOR = 100
+
+
+def _released() -> None:
+    """The action of every cancelled event."""
+
 
 class Event:
     """A scheduled callback: the handle ``schedule`` and ``at`` return.
 
     Attributes:
-        action: zero-argument callable run when the event is dispatched.
-        cancelled: a cancelled event stays in the heap but is skipped.
+        action: zero-argument callable run when the event is dispatched;
+            a cancelled event drops it for a shared no-op.
+        cancelled: a cancelled event is never dispatched; its heap entry
+            is skipped when popped, or swept with the others in bulk.
     """
 
-    __slots__ = ("action", "cancelled")
+    __slots__ = ("action", "cancelled", "_sim")
 
-    def __init__(self, action: Callable[[], None]) -> None:
+    def __init__(self, action: Callable[[], None], sim: Simulator) -> None:
         self.action = action
         self.cancelled = False
+        #: The simulator whose heap holds the event; None once the event
+        #: is popped or cancelled.
+        self._sim: Simulator | None = sim
 
     def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped."""
+        """Never dispatch the event, and release its action now."""
         self.cancelled = True
+        self.action = _released
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._cancelled += 1
+            cancelled2 = 2 * sim._cancelled
+            if cancelled2 > _SWEEP_FLOOR and cancelled2 > len(sim._heap):
+                sim._sweep()
 
 
 class Simulator:
@@ -53,6 +85,8 @@ class Simulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._dispatched = 0
+        #: Cancelled entries still in the heap.
+        self._cancelled = 0
         self._running = False
         #: Called with the event time before every dispatched event
         #: runs.  Observability (periodic metric snapshots) rides this
@@ -86,7 +120,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
-        event = Event(action)
+        event = Event(action, self)
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
         return event
 
@@ -96,7 +130,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past: now={self._now}, time={time}"
             )
-        event = Event(action)
+        event = Event(action, self)
         heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
@@ -114,10 +148,16 @@ class Simulator:
                 time, _, event = heap[0]
                 if event.cancelled:
                     pop(heap)
+                    self._cancelled -= 1
                     continue
                 if until is not None and time > until:
                     break
                 pop(heap)
+                event._sim = None
+                # A live pop raises the cancelled share, as a cancel does.
+                cancelled2 = 2 * self._cancelled
+                if cancelled2 > _SWEEP_FLOOR and cancelled2 > len(heap):
+                    self._sweep()
                 if self._dispatch_hook is not None:
                     self._dispatch_hook(time)
                 self._now = time
@@ -127,6 +167,13 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
+
+    def _sweep(self) -> None:
+        """Rebuild the heap, in place, from its live entries."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` seconds of simulated time from now."""

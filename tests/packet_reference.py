@@ -105,6 +105,8 @@ def decode_ethernet(frame: bytes) -> tuple[EthernetHeader, bytes]:
         tci = struct.unpack("!H", frame[14:16])[0]
         vlan_pcp = (tci >> 13) & 0x7
         vlan = tci & 0xFFF
+        if vlan == VLAN_NONE:
+            raise ValueError("reserved VLAN id 0xfff")
         ethertype = struct.unpack("!H", frame[16:18])[0]
         offset += VLAN_TAG_LEN
     header = EthernetHeader(

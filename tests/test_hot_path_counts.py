@@ -35,15 +35,18 @@ the same as the first, and exactly one core solve.
 
 from __future__ import annotations
 
+import gc
 import sys
+import weakref
 
 import pytest
 
 import repro.core.monitor
+import repro.sim.kernel
 import repro.packets.craft
 import repro.packets.parse
 from repro.core.constraints import ConstraintCompiler
-from repro.core.monitor import MonitorConfig
+from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenerator
 from repro.fleet.deployment import FleetDeployment
 from repro.fleet.failures import (
@@ -379,6 +382,56 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     assert spent["from_rule"] == 0
     assert spent["wire_header"] == spent["wire_visible_items"] == 0
     assert calls["upstream_options"].count <= len(monitors)
+
+
+def test_a_resolved_probe_leaves_the_event_heap(monkeypatch):
+    """Retiring a probe cancels its retry and timeout events: each
+    drops its closure at once, so with the cyclic collector off a
+    confirmed probe is dead when ``handle_caught_probe`` returns, and
+    cancelled entries never outnumber live ones in a heap past the
+    sweep floor.  Here that floor is never reached: the sweeps keep
+    the heap of six switches under it (with every cancelled entry left
+    in place until popped, it held several hundred)."""
+    freed = []
+    handle = Monitor.handle_caught_probe
+    sweeps = _Calls(monkeypatch, Simulator, "_sweep")
+
+    def watching(self, egress_port, values, metadata):
+        probe = self.outstanding.get(metadata.nonce)
+        ref = None if probe is None else weakref.ref(probe)
+        del probe
+        confirmed = self.probes_confirmed
+        handle(self, egress_port, values, metadata)
+        if self.probes_confirmed > confirmed:
+            freed.append(ref() is None)
+
+    monkeypatch.setattr(Monitor, "handle_caught_probe", watching)
+    deployment, _ = _run(
+        ring(6), MonitorConfig(), 16, 0.0, [], duration=0.1, dynamic=True
+    )
+    sim = deployment.sim
+    assert sim._dispatch_hook is None
+    sizes = []
+
+    def check(_time):
+        heap = sim._heap
+        cancelled = sum(1 for entry in heap if entry[2].cancelled)
+        assert sim._cancelled == cancelled
+        live = len(heap) - cancelled
+        assert len(heap) <= max(repro.sim.kernel._SWEEP_FLOOR, 2 * live)
+        sizes.append(len(heap))
+
+    freed.clear()
+    sim.set_dispatch_hook(check)
+    gc.disable()
+    try:
+        deployment.run(0.4)
+    finally:
+        gc.enable()
+        sim.set_dispatch_hook(None)
+    assert len(freed) > 1000 and all(freed)
+    assert len(sizes) > 5000 and sweeps.count > 10
+    assert max(sizes) <= repro.sim.kernel._SWEEP_FLOOR
 
 
 @pytest.mark.parametrize("rewrites, passes", [({}, 0), ({"nw_tos": 9}, 1)])

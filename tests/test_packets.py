@@ -168,6 +168,18 @@ class TestEthernet:
         assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
         assert payload == b"x"
 
+    def test_reserved_vlan_id_rejected(self):
+        """VID 0xFFF is reserved, and the header model's "untagged": a
+        tag carrying it has no header to parse into (its priority
+        would survive in a header that says no tag)."""
+        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP, dl_vlan=7)))
+        assert frame[12:14] == b"\x81\x00"
+        frame[14:16] = (5 << 13 | 0xFFF).to_bytes(2, "big")
+        with pytest.raises(ParseError, match="reserved VLAN id"):
+            parse_packet(bytes(frame))
+        with pytest.raises(ParseError, match="reserved VLAN id"):
+            reference.parse_packet(bytes(frame))
+
     def test_short_frame_rejected(self):
         with pytest.raises(ParseError, match="too short for Ethernet"):
             parse_packet(b"short")
@@ -677,6 +689,64 @@ class TestNormalization:
         raw = craft_packet(normalized)
         parsed, _ = parse_packet(raw)
         assert parsed[FieldName.DL_TYPE] == normalized[FieldName.DL_TYPE]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.fixed_dictionaries(
+            {
+                **{name: _any_value(name) for name in HEADER.names()},
+                FieldName.DL_TYPE: st.one_of(
+                    st.sampled_from((ETHERTYPE_IPV4, ETHERTYPE_ARP)),
+                    _any_value(FieldName.DL_TYPE),
+                ),
+                FieldName.NW_PROTO: st.one_of(
+                    st.sampled_from((IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP)),
+                    _any_value(FieldName.NW_PROTO),
+                ),
+                FieldName.DL_VLAN: st.one_of(
+                    st.just(VLAN_NONE), _any_value(FieldName.DL_VLAN)
+                ),
+            }
+        ),
+        pinned=st.lists(
+            st.dictionaries(
+                st.sampled_from(
+                    (
+                        "dl_type",
+                        "nw_proto",
+                        "dl_vlan",
+                        "dl_vlan_pcp",
+                        "tp_src",
+                        "tp_dst",
+                    )
+                ),
+                st.sampled_from((0, 1, 6, 17, 0x40, 0x800, 0x806, 0xFFF)),
+                max_size=3,
+            ),
+            max_size=4,
+        ),
+    )
+    def test_every_normalized_header_crafts(self, values, pinned):
+        """Normalization is where a probe becomes uncraftable: what it
+        returns crafts, and every field the frame carries parses back
+        as it was, so a probe's bytes can be crafted whenever they are
+        wanted."""
+        matches = [
+            Match.build(
+                **{
+                    name: value & HEADER.field(FieldName(name)).max_value
+                    for name, value in fields.items()
+                }
+            )
+            for fields in pinned
+        ]
+        try:
+            normalized = normalize_abstract_header(values, matches)
+        except CraftError:
+            return
+        in_port = normalized[FieldName.IN_PORT]
+        parsed, _ = parse_packet(craft_packet(normalized), in_port)
+        assert parsed == {name: normalized[name] for name in parsed}
 
 
 class TestProbeMetadata:

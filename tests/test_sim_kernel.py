@@ -1,8 +1,15 @@
 """Tests for the discrete-event simulation kernel."""
 
-import pytest
+import heapq
+import itertools
+import weakref
+from unittest import mock
 
-from repro.sim import Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import Simulator, kernel
 
 
 class TestClock:
@@ -200,3 +207,217 @@ class TestSimulator:
         sim.schedule(1.0, try_reenter)
         sim.run()
         assert len(errors) == 1
+
+
+class _ReferenceEvent:
+    __slots__ = ("action", "cancelled")
+
+    def __init__(self, action):
+        self.action = action
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ReferenceKernel:
+    """The kernel with nothing but a flag per cancel: every cancelled
+    entry stays in the heap until it is popped."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_dispatched = 0
+        self._heap = []
+        self._seq = itertools.count()
+        self._hook = None
+
+    def set_dispatch_hook(self, hook):
+        self._hook = hook
+
+    def schedule(self, delay, action):
+        return self.at(self.now + delay, action)
+
+    def at(self, time, action):
+        event = _ReferenceEvent(action)
+        heapq.heappush(self._heap, (time, next(self._seq), event))
+        return event
+
+    def run(self, until=None):
+        heap = self._heap
+        while heap:
+            time, _, event = heap[0]
+            if event.cancelled:
+                heapq.heappop(heap)
+                continue
+            if until is not None and time > until:
+                break
+            heapq.heappop(heap)
+            if self._hook is not None:
+                self._hook(time)
+            self.now = time
+            event.action()
+            self.events_dispatched += 1
+        if until is not None and until > self.now:
+            self.now = until
+
+
+_delays = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0])
+_handle = st.integers(min_value=0, max_value=10**6)
+#: What a dispatched event does: cancel a handle (queued, dispatched,
+#: already cancelled or itself), or schedule one more event.
+_plans = st.lists(
+    st.one_of(
+        st.tuples(st.just("cancel"), _handle),
+        st.tuples(st.just("schedule"), _delays),
+    ),
+    max_size=3,
+)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _delays, _plans),
+        st.tuples(st.just("at"), _delays, _plans),
+        st.tuples(st.just("burst"), st.integers(1, 60), _delays),
+        st.tuples(st.just("cancel"), _handle),
+        st.tuples(st.just("cancel_run"), _handle, st.integers(1, 60)),
+        st.tuples(st.just("run"), st.one_of(st.none(), _delays)),
+    ),
+    max_size=40,
+)
+
+
+def _play(kernel, steps, check):
+    """Drive ``kernel`` through ``steps``; return what it observably
+    did: every dispatch with its clock, every hook call, and ``now`` /
+    ``events_dispatched`` after each step."""
+    handles, plans, log, hooked, after = [], [], [], [], []
+    kernel.set_dispatch_hook(hooked.append)
+
+    def add(handle, plan):
+        handles.append(handle)
+        plans.append(plan)
+
+    def action(ident):
+        def run():
+            log.append((ident, kernel.now))
+            for op, arg in plans[ident]:
+                if op == "cancel":
+                    handles[arg % len(handles)].cancel()
+                else:
+                    add(kernel.schedule(arg, action(len(handles))), [])
+                check()
+
+        return run
+
+    for step in steps:
+        op = step[0]
+        if op == "schedule":
+            add(kernel.schedule(step[1], action(len(handles))), step[2])
+        elif op == "at":
+            add(kernel.at(kernel.now + step[1], action(len(handles))), step[2])
+        elif op == "burst":
+            for _ in range(step[1]):
+                add(kernel.schedule(step[2], action(len(handles))), [])
+        elif handles and op == "cancel":
+            handles[step[1] % len(handles)].cancel()
+        elif handles and op == "cancel_run":
+            first = step[1] % len(handles)
+            for handle in handles[first : first + step[2]]:
+                handle.cancel()
+        elif op == "run":
+            kernel.run(None if step[1] is None else kernel.now + step[1])
+        check()
+        after.append((kernel.now, kernel.events_dispatched))
+    return log, hooked, after
+
+
+class TestSweepingMatchesNeverSweeping:
+    """A cancelled event drops its action at once and its entry is
+    swept in bulk; nothing a caller can observe may tell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=_steps, floor=st.sampled_from([0, 1, 4, 16, None]))
+    def test_same_dispatches_and_a_heap_of_mostly_live_entries(
+        self, steps, floor
+    ):
+        floor = kernel._SWEEP_FLOOR if floor is None else floor
+        sim = Simulator()
+
+        def check():
+            heap = sim._heap
+            cancelled = sum(1 for entry in heap if entry[2].cancelled)
+            assert sim._cancelled == cancelled
+            assert len(heap) <= max(floor, 2 * (len(heap) - cancelled))
+
+        with mock.patch.object(kernel, "_SWEEP_FLOOR", floor):
+            real = _play(sim, steps, check)
+        assert real == _play(_ReferenceKernel(), steps, lambda: None)
+
+    def test_cancel_releases_the_action(self):
+        sim = Simulator()
+        owner = _Owner()
+        ref = weakref.ref(owner)
+        event = sim.schedule(1.0, owner.method)
+        del owner
+        assert ref() is not None
+        event.cancel()
+        assert ref() is None
+        sim.run()
+        assert sim.events_dispatched == 0
+
+    def test_counts_only_a_queued_event_once(self):
+        sim = Simulator()
+        running = []
+
+        def cancel_myself():
+            running[0].cancel()
+
+        running.append(sim.schedule(1.0, cancel_myself))
+        queued = sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, lambda: None)
+        queued.cancel()
+        queued.cancel()
+        assert sim._cancelled == 1
+        sim.run(until=1.0)  # pops the cancelled head past ``until`` too
+        assert sim._cancelled == 0 and len(sim._heap) == 1
+        running[0].cancel()
+        queued.cancel()
+        assert sim._cancelled == 0
+        sim.run()
+        assert sim._cancelled == 0 and sim._heap == []
+        assert sim.events_dispatched == 2
+
+    def test_sweep_from_inside_an_action_keeps_the_order(self):
+        sim = Simulator()
+        fired = []
+        doomed = [sim.at(5.0, lambda: fired.append("x")) for _ in range(200)]
+        for tag in range(3):
+            sim.at(3.0 + tag, lambda t=tag: fired.append(t))
+
+        def cancel_all():
+            for event in doomed:
+                event.cancel()
+
+        sim.at(1.0, cancel_all)
+        sim.run()
+        assert fired == [0, 1, 2]
+        assert sim.events_dispatched == 4
+        assert sim._cancelled == 0
+
+    def test_dispatching_live_events_sweeps_what_they_leave(self):
+        """Only live events leave: the cancelled share rises with no
+        cancel, so the pop that tips it over half sweeps too."""
+        sim = Simulator()
+        for _ in range(120):
+            sim.at(1.0, lambda: None)
+        later = sim.at(1.5, lambda: None)
+        for _ in range(120):
+            sim.at(2.0, lambda: None).cancel()
+        assert len(sim._heap) == 241 and sim._cancelled == 120
+        sim.run(until=1.0)  # stops at ``later``, above the cancelled
+        assert sim.events_dispatched == 120
+        assert sim._heap == [(1.5, 120, later)] and sim._cancelled == 0
+
+
+class _Owner:
+    def method(self):
+        pass
