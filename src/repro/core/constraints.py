@@ -30,9 +30,10 @@ that rule ends the chain.  A probe's ``in_port`` joins the cube the
 same way: the generator compiles one instance per allowed port, each
 with all 16 ``in_port`` bits fixed, so the port domain is never
 encoded.  The fixed bits themselves never enter the solver: decoding
-overlays the cube on the model, the set of variables it sets true.
-Every probe is compiled this way, into a fresh solver: the cold
-generator's and the per-switch context's alike.
+overlays the cube on the model, the set of variables it sets true, into
+one packed header that stays packed through normalization and the
+outcome check.  Every probe is compiled this way, into a fresh solver:
+the cold generator's and the per-switch context's alike.
 
 ``DiffOutcome`` is ``DiffPorts | DiffRewrite`` (§3.2–3.4):
 ``DiffPorts`` is decided during compilation (pure set logic on
@@ -74,9 +75,8 @@ def _literals(value: int, mask: int) -> list[Lit]:
 
 def _field_packed(name: FieldName, value: int) -> tuple[int, int]:
     """Packed ``(value, mask)`` of "field ``name`` equals ``value``"."""
-    field = HEADER.field(name)
-    shift = HEADER.total_bits - field.offset - field.width
-    return value << shift, ((1 << field.width) - 1) << shift
+    shift, mask = HEADER.spans[name]
+    return value << shift, mask << shift
 
 
 def fold_distinguish(
@@ -372,14 +372,13 @@ class ConstraintCompiler:
 
     # ----- solution decoding ---------------------------------------------
 
-    def decode_assignment(
-        self, model: frozenset[int]
-    ) -> dict[FieldName, int]:
-        """Abstract header values from a satisfying model (the
-        variables it sets true), the cube's fixed bits overlaid on it.
-        Header variable ``v`` is packed bit ``HEADER_BITS - v``; the
-        Tseitin variables above the header are no part of the probe."""
+    def decode_assignment(self, model: frozenset[int]) -> int:
+        """The probe header a satisfying model (the variables it sets
+        true) describes, packed like
+        :meth:`~repro.openflow.match.Match.packed`: the model's header
+        bits with the cube's fixed bits overlaid, once.  Header
+        variable ``v`` is packed bit ``HEADER_BITS - v``; the Tseitin
+        variables above the header are no part of the probe."""
         top = HEADER.total_bits
         packed = sum(1 << (top - var) for var in model if var <= top)
-        values = HEADER.unpack(packed & ~self.cube_mask | self.cube_value)
-        return {name: values[name] for name in HEADER.names()}
+        return packed & ~self.cube_mask | self.cube_value

@@ -25,6 +25,7 @@ sent to the controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
 from repro.core.monitor import Monitor, OutstandingProbe, backoff_gap
@@ -65,6 +66,46 @@ class PendingUpdate:
     #: Trace span id tying the update's pending/confirmed/gaveup
     #: events together (0 when observability is disabled).
     span: int = 0
+
+
+@dataclass
+class _NegativeRounds:
+    """One negative update's rounds (§3.3), each a probe under the
+    monitor's steady policy.  The probe and the next round's timer hold
+    these bound methods and nothing here holds them, so the rounds form
+    no cycle: a confirmed update is freed by reference counting."""
+
+    dynamic: DynamicMonitor
+    update: PendingUpdate
+    result: ProbeResult
+    confirm_on: str
+    confirmed: Callable[[OutstandingProbe], None]
+    attempt: int = 0
+
+    def launch(self) -> None:
+        if self.update.confirmed or self.update.gave_up:
+            return
+        monitor = self.dynamic.monitor
+        monitor.launch_probe(
+            self.result,
+            monitor.steady_policy,
+            self.confirmed,
+            self.relaunch,
+            confirm_on=self.confirm_on,
+        )
+
+    def relaunch(self, _probe: OutstandingProbe, _kind: str) -> None:
+        update = self.update
+        if update.confirmed or update.gave_up:
+            return
+        dynamic = self.dynamic
+        policy = dynamic.monitor.update_policy
+        if dynamic.sim.now - update.started > policy.timeout:
+            dynamic._give_up(update)
+            return
+        self.attempt += 1
+        delay = backoff_gap(policy.gap, policy.backoff, self.attempt)
+        dynamic.sim.schedule(delay, self.launch)
 
 
 class DynamicMonitor:
@@ -358,30 +399,7 @@ class DynamicMonitor:
             return
 
         # Negative path: short rounds, relaunch on any contrary signal.
-        attempt = [0]
-
-        def relaunch(_probe: OutstandingProbe, _kind: str) -> None:
-            if update.confirmed or update.gave_up:
-                return
-            if self.sim.now - update.started > policy.timeout:
-                self._give_up(update)
-                return
-            attempt[0] += 1
-            delay = backoff_gap(policy.gap, policy.backoff, attempt[0])
-            self.sim.schedule(delay, launch)
-
-        def launch() -> None:
-            if update.confirmed or update.gave_up:
-                return
-            monitor.launch_probe(
-                result,
-                monitor.steady_policy,
-                confirmed,
-                relaunch,
-                confirm_on=confirm_on,
-            )
-
-        launch()
+        _NegativeRounds(self, update, result, confirm_on, confirmed).launch()
 
     def _confirm_piece(self, update: PendingUpdate, monitorable: bool) -> None:
         update.remaining -= 1

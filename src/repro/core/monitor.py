@@ -35,8 +35,8 @@ from repro.obs import Histogram, NullObserver, Observer
 from repro.openflow.fields import FieldName
 from repro.openflow.messages import FlowMod, Message
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable
-from repro.packets.craft import craft_packet, wire_visible_items
+from repro.openflow.table import FlowTable, pack_header
+from repro.packets.craft import craft_packet, wire_visible_bits
 from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Event, Simulator
 
@@ -148,9 +148,14 @@ class MonitorAlarm:
     nonce: int = 0
 
 
-#: An observation: (egress port on the probed switch, header items
-#: without in_port).  What Monocle can attribute to a caught probe.
-Observation = tuple[int, tuple]
+#: An observation: (egress port on the probed switch, the packed header
+#: as the wire shows it, ``in_port`` cleared).  What Monocle can
+#: attribute to a caught probe.
+Observation = tuple[int, int]
+
+#: Every packed-header bit but ``in_port``'s: a caught packet's
+#: ``in_port`` is where the catching switch received it.
+_NOT_IN_PORT = ~pack_header({FieldName.IN_PORT: 0xFFFF})
 
 
 def outcome_observations(
@@ -159,17 +164,17 @@ def outcome_observations(
     """The possible observations of an outcome, restricted to observable
     ports.  ECMP outcomes contribute each alternative.
 
-    Emission headers are projected onto their wire-visible fields: the
-    abstract outcome model carries all header fields, but a caught
-    probe only shows the fields its packet format encodes (an ARP probe
-    has no ``nw_proto``), and the comparison must be apples-to-apples.
+    Emission headers are projected onto their wire-visible bits
+    (:func:`~repro.packets.craft.wire_visible_bits`): the abstract
+    outcome model carries all header fields, but a caught probe only
+    shows the fields its packet format encodes (an ARP probe has no
+    ``nw_proto``), and the comparison must be apples-to-apples.
     """
-    observations = []
-    for port, header_items in outcome.emissions:
-        if observable_ports is not None and port not in observable_ports:
-            continue
-        observations.append((port, wire_visible_items(dict(header_items))))
-    return frozenset(observations)
+    return frozenset(
+        (port, wire_visible_bits(header))
+        for port, header in outcome.emissions
+        if observable_ports is None or port in observable_ports
+    )
 
 
 @dataclass(frozen=True)
@@ -841,9 +846,8 @@ class Monitor:
         if probe is None or probe.done:
             self.stale_probes += 1
             return
-        seen = dict(values)  # wire form: all but in_port is visible
-        del seen[FieldName.IN_PORT]
-        observation: Observation = (egress_port, tuple(sorted(seen.items())))
+        # Wire form: all but in_port is visible, as parsed.
+        observation = (egress_port, pack_header(values) & _NOT_IN_PORT)
         if observation in probe.target:
             self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:

@@ -19,10 +19,12 @@ Pipeline (Figure 2):
 3. run the DPLL solver, sized by the variables the clauses name
    (the paper's CDCL is not needed: the fold leaves a residue that
    rarely meets a conflict),
-4. decode the model (the variables it sets true) into header values,
-5. normalize for wire validity (§5.2: spare values, conditional fields;
-   a header that survives normalization crafts),
-6. compute the expected outcomes.
+4. decode the model (the variables it sets true) into the packed
+   header (:meth:`~repro.openflow.match.Match.packed`'s bit layout),
+5. normalize it for wire validity (§5.2: spare values, conditional
+   fields; a header that survives normalization crafts),
+6. re-check Table 1 and compute the expected outcomes on the packed
+   header; the header dict is built once, for :attr:`ProbeResult.header`.
 
 :func:`verify_probe` is the independent, simulation-based checker used by
 the test suite: it re-derives Table 1 semantics by actually processing
@@ -42,7 +44,7 @@ from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 from repro.openflow.tuplespace import TupleSpaceIndex
 from repro.packets.craft import (
     CraftError,
@@ -298,12 +300,13 @@ def _conclude(
     if not sat.satisfiable:
         result.reason = UnmonitorableReason.UNSATISFIABLE
         return result
-    raw_values = compiler.decode_assignment(sat.model)
     relevant = (
         [rule.match] + [r.match for r in candidates] + [catch_match]
     )
     try:
-        header = normalize_abstract_header(raw_values, relevant)
+        header = normalize_abstract_header(
+            compiler.decode_assignment(sat.model), relevant
+        )
     except CraftError:
         result.reason = UnmonitorableReason.UNCRAFTABLE
         return result
@@ -316,7 +319,8 @@ def _conclude(
         raise AssertionError(
             f"probe for {rule!r} is processed by another rule"
         )
-    if not catch_match.matches(header):
+    value, mask = catch_match.packed()
+    if (header ^ value) & mask:
         raise AssertionError(
             f"probe for {rule!r} misses the catching rule"
         )
@@ -325,32 +329,35 @@ def _conclude(
             f"probe for {rule!r} cannot tell the rule's absence"
         )
     result.ok = True
-    result.header = header
+    result.header = HEADER.unpack(header)
     result.outcome_present, result.outcome_absent = outcomes
     return result
 
 
 def _hit_outcomes(
-    rule: Rule, candidates: list[Rule], header: dict[FieldName, int]
+    rule: Rule, candidates: list[Rule], header: int
 ) -> tuple[RuleOutcome, RuleOutcome] | None:
-    """Expected with/without outcomes of ``header``, or None when
-    ``rule`` does not take it (Hit fails).
+    """Expected with/without outcomes of the packed ``header``, or None
+    when ``rule`` does not take it (Hit fails).
 
     Only the overlap candidates are scanned.  Sound by the §5.4 lemma:
     the probe cannot match any rule outside the candidate set, so the
-    highest-priority match is decided within it.  A candidate tied
-    with ``rule`` sorts ahead of it, so a header both match fails Hit.
+    highest-priority match is decided within it.  The candidates are in
+    table order, so the first one that matches decides: ahead of
+    ``rule`` when its priority is not lower (a tie fails Hit too), else
+    the rule that takes the probe once ``rule`` is gone.
     """
-    ordered = sorted(candidates + [rule], key=lambda r: -r.priority)
-    matching = (r for r in ordered if r.match.matches(header))
-    if next(matching, None) is not rule:
+    value, mask = rule.match.packed()
+    if (header ^ value) & mask:
         return None
-    below = next(matching, None)
-    absent = (
-        RuleOutcome.dropped()
-        if below is None
-        else RuleOutcome.from_rule(below, header)
-    )
+    absent = RuleOutcome.dropped()
+    for other in candidates:
+        value, mask = other.match.packed()
+        if not (header ^ value) & mask:
+            if other.priority >= rule.priority:
+                return None
+            absent = RuleOutcome.from_rule(other, header)
+            break
     return RuleOutcome.from_rule(rule, header), absent
 
 
@@ -376,7 +383,7 @@ def full_outcome(
     matched = table.lookup(header)
     if matched is None:
         return RuleOutcome.dropped()
-    return RuleOutcome.from_rule(matched, header)
+    return RuleOutcome.from_rule(matched, pack_header(header))
 
 
 def verify_probe(
@@ -595,7 +602,7 @@ class ProbeGenContext:
         # fields make any probe unsound (§3.2).
         self.generator._check_reserved_fields([rule] + candidates)
         # Hit: the probed rule must still win for this header.
-        outcomes = _hit_outcomes(rule, candidates, cached.header)
+        outcomes = _hit_outcomes(rule, candidates, pack_header(cached.header))
         if outcomes is None:
             return None
         present, absent = outcomes

@@ -17,6 +17,7 @@ the synthetic ACL tables draw from):
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -151,6 +152,12 @@ class RuleChurn(Workload):
         self._live: dict[Hashable, dict[Match, int]] = {
             node: {} for node in deployment.nodes
         }
+        #: Each node's live matches as ``(repr, match)`` in repr order:
+        #: the list a modify or delete draws from, kept sorted by
+        #: bisection, each repr computed once, when its match goes live.
+        self._drawn: dict[Hashable, list[tuple[str, Match]]] = {
+            node: [] for node in deployment.nodes
+        }
         #: Matches freed by deletes, reused by later adds.
         self._free: dict[Hashable, list[Match]] = {
             node: [] for node in deployment.nodes
@@ -188,6 +195,7 @@ class RuleChurn(Workload):
             self._next_dst += 1
         port = self._rng.choice(ports)
         self._live[node][match] = port
+        insort(self._drawn[node], (repr(match), match))  # no two reprs are equal
         return match, FlowMod(
             command=FlowModCommand.ADD,
             match=match,
@@ -196,7 +204,7 @@ class RuleChurn(Workload):
         )
 
     def _build_modify(self, node: Hashable) -> tuple[Match, FlowMod]:
-        match = self._rng.choice(sorted(self._live[node], key=repr))
+        _, match = self._rng.choice(self._drawn[node])
         ports = self._ports[node]
         others = [p for p in ports if p != self._live[node][match]]
         port = self._rng.choice(others) if others else self._live[node][match]
@@ -209,8 +217,10 @@ class RuleChurn(Workload):
         )
 
     def _build_delete(self, node: Hashable) -> tuple[Match, FlowMod]:
-        match = self._rng.choice(sorted(self._live[node], key=repr))
+        drawn = self._drawn[node]
+        key, match = self._rng.choice(drawn)
         del self._live[node][match]
+        del drawn[bisect_left(drawn, (key,))]
         self._free[node].append(match)
         return match, FlowMod(
             command=FlowModCommand.DELETE_STRICT,

@@ -104,6 +104,12 @@ class EcmpGroup(Action):
                 raise ValueError(f"rewrite for port {port} not in group")
 
 
+#: A rewrite-free outcome's keep-mask, and a rewrite-free action list's
+#: rewritten fields: one shared object each, not one per rule.
+_KEEP_ALL = (1 << HEADER.total_bits) - 1
+_NO_FIELDS: frozenset[FieldName] = frozenset()
+
+
 @dataclass(frozen=True)
 class PortOutcome:
     """What a rule does toward one output port.
@@ -112,10 +118,26 @@ class PortOutcome:
         port: the output port.
         rewrites: field -> value rewrites in effect when the packet is
             emitted on this port.
+        keep / set_bits: the rewrites on a packed header (the
+            :meth:`~repro.openflow.match.Match.packed` layout), fixed
+            when the outcome is built: the emitted header is
+            ``header & keep | set_bits``.
     """
 
     port: int
     rewrites: tuple[tuple[FieldName, int], ...] = ()
+    keep: int = field(init=False, repr=False, compare=False)
+    set_bits: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        keep = _KEEP_ALL
+        set_bits = 0
+        for name, value in self.rewrites:
+            shift, mask = HEADER.spans[name]
+            keep &= ~(mask << shift)
+            set_bits |= value << shift
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "set_bits", set_bits)
 
 
 class ActionList:
@@ -128,11 +150,15 @@ class ActionList:
             action if present.
     """
 
-    __slots__ = ("actions", "_port_outcomes", "_is_ecmp")
+    __slots__ = ("actions", "_port_outcomes", "_is_ecmp", "_rewritten")
 
     def __init__(self, actions: Sequence[Action] = ()) -> None:
         self.actions: tuple[Action, ...] = tuple(actions)
         self._port_outcomes, self._is_ecmp = self._normalize(self.actions)
+        rewritten = {
+            name for po in self._port_outcomes for name, _ in po.rewrites
+        }
+        self._rewritten = frozenset(rewritten) if rewritten else _NO_FIELDS
 
     @staticmethod
     def _normalize(
@@ -235,12 +261,9 @@ class ActionList:
                 return dict(po.rewrites)
         raise KeyError(f"port {port} not in forwarding set")
 
-    def rewritten_fields(self) -> set[FieldName]:
+    def rewritten_fields(self) -> frozenset[FieldName]:
         """All fields any port's outcome may rewrite."""
-        fields: set[FieldName] = set()
-        for po in self._port_outcomes:
-            fields.update(name for name, _ in po.rewrites)
-        return fields
+        return self._rewritten
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActionList):

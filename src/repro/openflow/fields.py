@@ -100,6 +100,13 @@ class HeaderLayout:
         if len(self._by_name) != len(fields):
             raise ValueError("duplicate field in header layout")
         self.total_bits = sum(f.width for f in fields)
+        #: Where each field sits in the packed header (:meth:`pack`,
+        #: ``Match.packed``), in layout order: name -> (shift, mask).
+        self.spans: dict[FieldName, tuple[int, int]] = {}
+        shift = self.total_bits
+        for f in fields:
+            shift -= f.width
+            self.spans[f.name] = (shift, f.max_value)
 
     def __iter__(self) -> Iterator[Field]:
         return iter(self._fields)
@@ -132,15 +139,13 @@ class HeaderLayout:
         return header
 
     def unpack(self, header: int) -> dict[FieldName, int]:
-        """Inverse of :meth:`pack`."""
-        values: dict[FieldName, int] = {}
-        remaining = header
-        for field in reversed(self._fields):
-            values[field.name] = remaining & field.max_value
-            remaining >>= field.width
-        if remaining:
+        """Inverse of :meth:`pack`: every field, in layout order."""
+        if header >> self.total_bits:
             raise ValueError(f"header value too wide: {header:#x}")
-        return values
+        return {
+            name: header >> shift & mask
+            for name, (shift, mask) in self.spans.items()
+        }
 
 
 def _build_layout() -> HeaderLayout:

@@ -128,10 +128,6 @@ class Match:
         """Read-only view of the non-wildcard field constraints."""
         return self._fields
 
-    def constraint(self, name: FieldName) -> FieldMatch:
-        """The constraint on ``name`` (wildcard if unconstrained)."""
-        return self._fields.get(name, _WILDCARD)
-
     def is_wildcard(self) -> bool:
         """True when every field is wildcarded."""
         return not self._fields
@@ -155,10 +151,8 @@ class Match:
         if self._packed is None:
             value = 0
             mask = 0
-            total = HEADER.total_bits
             for name, fm in self._fields.items():
-                field = HEADER.field(name)
-                shift = total - field.offset - field.width
+                shift = HEADER.spans[name][0]
                 value |= fm.value << shift
                 mask |= fm.mask << shift
             self._packed = (value, mask)

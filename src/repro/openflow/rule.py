@@ -4,17 +4,17 @@ A :class:`Rule` is (priority, match, actions) plus a cookie for
 identification.  :class:`RuleOutcome` is what an observer stationed on the
 switch's output ports could record for one packet — the basis of the
 paper's ``DiffOutcome`` reasoning: an expectation, never built by the
-simulated data plane.
+simulated data plane.  It holds headers packed in
+:meth:`~repro.openflow.match.Match.packed`'s bit layout, the form
+probe generation works in (``pack_header`` packs a header dict).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping
 
 from repro.openflow.actions import ActionList
-from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 
 _cookie_counter = itertools.count(1)
@@ -91,29 +91,32 @@ class RuleOutcome:
     every ECMP alternative listed (switches run ``FlowTable.process``).
 
     Attributes:
-        emissions: tuple of ``(port, packed_header_values)`` pairs — for
-            each port the packet appeared on, the header it carried there.
-            Empty for drops.
+        emissions: tuple of ``(port, packed header)`` pairs — for each
+            port the packet appeared on, the header it carried there,
+            one int in :meth:`~repro.openflow.match.Match.packed`'s bit
+            layout (``in_port`` still the ingress port's).  Empty for
+            drops.
         ecmp: True when the emitting rule was ECMP, meaning exactly one
             element of ``emissions`` actually occurs (chosen by the
             switch); False means *all* emissions occur (multicast) or
             there is at most one (unicast/drop).
     """
 
-    emissions: tuple[tuple[int, tuple[tuple[FieldName, int], ...]], ...]
+    emissions: tuple[tuple[int, int], ...]
     ecmp: bool = False
 
     @classmethod
-    def from_rule(
-        cls, rule: Rule, header_values: Mapping[FieldName, int]
-    ) -> "RuleOutcome":
-        """Outcome of ``rule`` processing a packet with these headers."""
-        emissions = []
-        for po in rule.actions.port_outcomes:
-            observed = dict(header_values)
-            observed.update(po.rewrites)
-            emissions.append((po.port, tuple(sorted(observed.items()))))
-        return cls(emissions=tuple(emissions), ecmp=rule.actions.is_ecmp)
+    def from_rule(cls, rule: Rule, header: int) -> "RuleOutcome":
+        """Outcome of ``rule`` processing a packet with this packed
+        header: each port's rewrites applied as its
+        :class:`~repro.openflow.actions.PortOutcome` mask."""
+        return cls(
+            emissions=tuple(
+                (po.port, header & po.keep | po.set_bits)
+                for po in rule.actions.port_outcomes
+            ),
+            ecmp=rule.actions.is_ecmp,
+        )
 
     @classmethod
     def dropped(cls) -> "RuleOutcome":

@@ -37,8 +37,7 @@ RuleKey = tuple[int, Match]
 
 #: Where each field sits in the packed header: (name, mask, shift).
 _PACK_TABLE = tuple(
-    (f.name, f.max_value, HEADER.total_bits - f.offset - f.width)
-    for f in HEADER
+    (name, mask, shift) for name, (shift, mask) in HEADER.spans.items()
 )
 
 

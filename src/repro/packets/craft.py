@@ -1,24 +1,34 @@
 """Abstract probe header -> raw packet (paper §5.2).
 
 The SAT stage produces an assignment over abstract header bits; nothing
-forces that assignment to be a *craftable* packet.  Two normalization
-steps from the paper run before serialization:
+forces that assignment to be a *craftable* packet.
+:func:`normalize_abstract_header` makes it one, on the header packed
+as one int (:meth:`~repro.openflow.match.Match.packed`'s bit layout),
+by the paper's two steps:
 
 1. **Limited domains.**  Fields like ``dl_type`` and ``nw_proto`` only
    admit a handful of wire-valid values.  If the SAT solution picked an
    invalid value, it is replaced with a *spare* valid value — one whose
    substitution provably does not change ``Matches(probe, R)`` for any
-   rule ``R`` the caller supplies (the §5.2 substitution lemma).  Rather
-   than assuming rules are exact-or-wildcard on these fields, we check
-   the lemma's conclusion directly against every rule constraint.
+   rule ``R`` the caller supplies (the §5.2 substitution lemma).  The
+   lemma's conclusion is checked against every match that constrains
+   the field, rather than assuming rules are exact-or-wildcard on
+   these fields.
 
-2. **Conditionally-excluded fields.**  Fields whose parent field takes a
-   value that excludes them (e.g. ``tp_src`` when ``nw_proto`` is not
-   TCP/UDP/ICMP) are zeroed; the §5.2 elimination lemma guarantees this
-   cannot change any well-formed rule's match result.
+2. **Conditionally-excluded fields.**  Once ``dl_type`` and ``nw_proto``
+   hold valid values they fix the header's *class*, and a plan fixed
+   per class clears, with one mask, the fields the class excludes
+   (e.g. ``tp_src`` on an ARP packet); the §5.2 elimination lemma
+   guarantees this cannot change any well-formed rule's match result.
+   The plan also names the values the wire narrows (an ICMP packet has
+   one byte of type and one of code), which take a spare value the same
+   way, as does an untagged frame's priority.
 
-After normalization, :func:`craft_packet` assembles real bytes:
-Ethernet (+VLAN) and then IPv4/TCP/UDP/ICMP or ARP.
+The same class decides what a caught packet shows of a header:
+:func:`wire_visible_bits` projects a packed header with its class's
+mask, and :func:`wire_visible_items` is the per-field statement of
+that projection.  After normalization, :func:`craft_packet` assembles
+real bytes: Ethernet (+VLAN) and then IPv4/TCP/UDP/ICMP or ARP.
 """
 
 from __future__ import annotations
@@ -40,59 +50,12 @@ from repro.openflow.fields import (
     Field,
     FieldName,
 )
-from repro.openflow.match import FieldMatch, Match
+from repro.openflow.match import Match
 from repro.packets.checksum import sum16
 
 
 class CraftError(ValueError):
     """Raised when an abstract header cannot become a valid packet."""
-
-
-def _substitution_safe(
-    candidate: int, original: int, constraints: Iterable[FieldMatch]
-) -> bool:
-    """Does swapping original->candidate preserve every field constraint?"""
-    for fm in constraints:
-        if fm.matches(candidate) != fm.matches(original):
-            return False
-    return True
-
-
-def _field_constraints(
-    matches: Iterable[Match], name: FieldName
-) -> list[FieldMatch]:
-    """Collect the non-wildcard constraints on ``name`` across matches."""
-    out = []
-    for match in matches:
-        fm = match.constraint(name)
-        if not fm.is_wildcard():
-            out.append(fm)
-    return out
-
-
-def _fix_limited_domain(
-    name: FieldName,
-    value: int,
-    domain: Sequence[int],
-    matches: list[Match],
-) -> int:
-    """Return a value from ``domain`` for the field, preserving all matches.
-
-    Implements the spare-value substitution of §5.2.  If the current
-    value is already in the domain it is kept; otherwise each domain
-    value is tried in order and the first one that provably preserves
-    every constraint is chosen.
-    """
-    if value in domain:
-        return value
-    constraints = _field_constraints(matches, name)
-    for candidate in domain:
-        if _substitution_safe(candidate, value, constraints):
-            return candidate
-    raise CraftError(
-        f"no valid substitute for {name}={value:#x}; "
-        f"domain {domain} is fully pinned by rules"
-    )
 
 
 def _is_excluded(values: Mapping[FieldName, int], field: Field) -> bool:
@@ -136,6 +99,70 @@ _VISIBLE = {
 _ICMP_TP_MASK = 0xFF
 
 
+def _bits(names: Iterable[FieldName]) -> int:
+    """The packed header's bits of these fields."""
+    spans = HEADER.spans
+    return sum(spans[name][1] << spans[name][0] for name in names)
+
+
+_DL_TYPE_SHIFT = HEADER.spans[FieldName.DL_TYPE][0]
+_DL_VLAN_SHIFT = HEADER.spans[FieldName.DL_VLAN][0]
+_NW_PROTO_SHIFT = HEADER.spans[FieldName.NW_PROTO][0]
+_PCP_BITS = _bits([FieldName.DL_VLAN_PCP])
+_ICMP = (ETHERTYPE_IPV4, IPPROTO_ICMP)
+_ICMP_TP = (FieldName.TP_SRC, FieldName.TP_DST)
+#: The bits an ICMP packet does not carry: the high byte of tp_src and
+#: of tp_dst (type and code are one byte each).
+_ICMP_LOST_BITS = sum(
+    (HEADER.spans[name][1] & ~_ICMP_TP_MASK) << HEADER.spans[name][0]
+    for name in _ICMP_TP
+)
+
+#: What a caught packet shows of a header, per class: its visible
+#: fields' bits, ICMP type/code narrowed (``in_port`` is metadata).
+_VISIBLE_BITS = {
+    key: _bits(names) & ~(_ICMP_LOST_BITS if key == _ICMP else 0)
+    for key, names in _VISIBLE.items()
+}
+
+#: The §5.2 plan of each class a normalized header can take (IPv4 with
+#: a valid ``nw_proto``, or ARP, which has none: -1): the bits it keeps,
+#: excluded fields cleared, and the fields whose values the wire
+#: narrows, each with the domain it narrows them to.
+_PLANS: dict[tuple[int, int], tuple[int, tuple]] = {
+    (dl_type, nw_proto): (
+        _bits([FieldName.IN_PORT, *_VISIBLE[dl_type, nw_proto]]),
+        tuple(
+            (name, range(_ICMP_TP_MASK + 1))
+            for name in _ICMP_TP
+            if (dl_type, nw_proto) == _ICMP
+        ),
+    )
+    for dl_type in VALID_ETHERTYPES
+    for nw_proto in (VALID_IP_PROTOS if dl_type == ETHERTYPE_IPV4 else (-1,))
+}
+
+#: An untagged frame carries no TCI, hence no priority bits.
+_UNTAGGED = ((FieldName.DL_VLAN_PCP, range(1)),)
+
+
+def wire_visible_bits(header: int) -> int:
+    """What a caught packet shows of a packed header: the header
+    masked to the fields its class puts on the wire, ICMP type/code cut
+    to a byte each and an untagged frame's priority cleared.
+    ``in_port`` is cleared too.  Two headers project equal exactly when
+    their :func:`wire_visible_items` are equal."""
+    dl_type = header >> _DL_TYPE_SHIFT & 0xFFFF
+    nw_proto = header >> _NW_PROTO_SHIFT & 0xFF
+    mask = _VISIBLE_BITS[
+        dl_type if dl_type in VALID_ETHERTYPES else -1,
+        nw_proto if nw_proto in VALID_IP_PROTOS else -1,
+    ]
+    if header >> _DL_VLAN_SHIFT & 0xFFF == VLAN_NONE:
+        mask &= ~_PCP_BITS
+    return header & mask
+
+
 def _wire_values(
     values: Mapping[FieldName, int], no_vlan: int
 ) -> dict[FieldName, int]:
@@ -169,8 +196,9 @@ def wire_visible_items(
     appear on the wire, so an observer — Monocle catching its own probe
     — cannot see them; comparing observations must ignore them.  ICMP
     transport fields and an untagged frame's priority are narrowed to
-    what the wire carries.  Missing fields are treated as 0, mirroring
-    :func:`normalize_abstract_header`.
+    what the wire carries.  Missing fields are treated as 0.  The
+    per-field statement of :func:`wire_visible_bits`, which the monitor
+    compares by.
     """
     return tuple(_wire_values(values, no_vlan=0).items())
 
@@ -198,63 +226,89 @@ def wire_header(
     return header
 
 
+def _substitute(
+    header: int,
+    name: FieldName,
+    domain: Sequence[int],
+    matches: Sequence[Match],
+) -> int:
+    """``header`` with field ``name`` holding a value from ``domain``
+    that preserves every match's result (§5.2's spare value): the
+    domain's first value that agrees with the current one on every
+    constraint."""
+    shift, width = HEADER.spans[name]
+    value = header >> shift & width
+    constraints = []
+    for match in matches:
+        bits, mask = match.packed()
+        mask = mask >> shift & width
+        if mask:
+            constraints.append((bits >> shift & width, mask))
+    for candidate in domain:
+        if all(
+            ((candidate ^ bits) & mask == 0) == ((value ^ bits) & mask == 0)
+            for bits, mask in constraints
+        ):
+            return header & ~(width << shift) | candidate << shift
+    raise CraftError(
+        f"no valid substitute for {name}={value:#x}; "
+        f"domain {domain} is fully pinned by rules"
+    )
+
+
 def normalize_abstract_header(
-    values: Mapping[FieldName, int],
+    values: int,
     rule_matches: Iterable[Match] = (),
-) -> dict[FieldName, int]:
+) -> int:
     """Apply the §5.2 normalization steps to a raw SAT solution.
 
     Args:
-        values: abstract header values (missing fields treated as 0).
+        values: the abstract header, packed like
+            :meth:`~repro.openflow.match.Match.packed`.
         rule_matches: every match whose result must be preserved — the
             full flow table plus the catching rule.
 
     Returns:
-        A craftable header: limited-domain fields hold wire-valid values
-        and conditionally-excluded fields are zeroed.
+        A craftable packed header: limited-domain fields hold wire-valid
+        values, conditionally-excluded fields are zeroed, and the values
+        the wire narrows fit it.
 
     Raises:
-        CraftError: when a limited-domain field cannot be fixed.
+        CraftError: when a field cannot take a value its domain allows
+            without changing some match's result.
     """
     matches = list(rule_matches)
-    normalized = {field.name: values.get(field.name, 0) for field in HEADER}
-
-    # Step 1: limited-domain substitution, parents before children so the
-    # exclusion decisions below see final parent values.
-    for field in HEADER:
-        if field.valid_values is None:
-            continue
-        if _is_excluded(normalized, field):
-            continue  # handled by step 2
-        normalized[field.name] = _fix_limited_domain(
-            field.name, normalized[field.name], field.valid_values, matches
+    header = values
+    # Step 1: limited domains.  dl_type first: it decides whether the
+    # header has an nw_proto at all.
+    dl_type = header >> _DL_TYPE_SHIFT & 0xFFFF
+    if dl_type not in VALID_ETHERTYPES:
+        header = _substitute(
+            header, FieldName.DL_TYPE, VALID_ETHERTYPES, matches
         )
-
-    # Step 2: zero conditionally-excluded fields (elimination lemma).
-    for field in HEADER:
-        if field.parent is not None and _is_excluded(normalized, field):
-            normalized[field.name] = 0
-
-    # Step 3: values the wire narrows.  ICMP keeps one byte of
-    # tp_src/tp_dst (type/code) and an untagged frame carries no
-    # priority bits.  A SAT solution using the lost bits would not
-    # survive the craft -> parse roundtrip, so substitute a
-    # representable value that provably preserves every rule's match
-    # result — the same spare-value argument as step 1.
-    narrowed: list[tuple[FieldName, range]] = []
-    if normalized[FieldName.DL_VLAN] == VLAN_NONE:
-        narrowed.append((FieldName.DL_VLAN_PCP, range(1)))
-    if normalized[FieldName.NW_PROTO] == IPPROTO_ICMP and not _is_excluded(
-        normalized, HEADER.field(FieldName.TP_SRC)
-    ):
-        domain = range(_ICMP_TP_MASK + 1)
-        narrowed += [(FieldName.TP_SRC, domain), (FieldName.TP_DST, domain)]
+        dl_type = header >> _DL_TYPE_SHIFT & 0xFFFF
+    nw_proto = -1
+    if dl_type == ETHERTYPE_IPV4:
+        nw_proto = header >> _NW_PROTO_SHIFT & 0xFF
+        if nw_proto not in VALID_IP_PROTOS:
+            header = _substitute(
+                header, FieldName.NW_PROTO, VALID_IP_PROTOS, matches
+            )
+            nw_proto = header >> _NW_PROTO_SHIFT & 0xFF
+    # Step 2: the class's plan zeroes what the class excludes
+    # (elimination lemma).
+    keep, narrowed = _PLANS[dl_type, nw_proto]
+    header &= keep
+    # Step 3: values the wire narrows.  A SAT solution using the lost
+    # bits would not survive the craft -> parse roundtrip, so they take
+    # a representable spare value — the same argument as step 1.
+    if header >> _DL_VLAN_SHIFT & 0xFFF == VLAN_NONE:
+        narrowed = _UNTAGGED + narrowed
     for name, domain in narrowed:
-        normalized[name] = _fix_limited_domain(
-            name, normalized[name], domain, matches
-        )
-
-    return normalized
+        shift, width = HEADER.spans[name]
+        if header >> shift & width not in domain:
+            header = _substitute(header, name, domain, matches)
+    return header
 
 
 # ----- the wire ------------------------------------------------------------

@@ -42,13 +42,13 @@ class TestStrategy1:
             assert rule.forwarding_set() == {CONTROLLER_PORT}
             # Own value is never caught at the switch itself.
             own = plan.value1("a")
-            fm = rule.match.constraint(FieldName.DL_VLAN)
+            fm = rule.match.fields[FieldName.DL_VLAN]
             assert not fm.matches(own)
 
     def test_probe_match_is_own_value(self):
         plan = plan_catching_rules(triangle(), strategy=1)
         match = plan.probe_match("a", "b")
-        fm = match.constraint(plan.field1)
+        fm = match.fields[plan.field1]
         assert fm.matches(plan.value1("a"))
 
     def test_probe_caught_downstream_not_at_probed(self):

@@ -15,7 +15,7 @@ from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 from repro.sat.solver import SatSolver, solve
 
 CATCH = Match.build(dl_vlan=0xF03)
@@ -23,7 +23,7 @@ CATCH = Match.build(dl_vlan=0xF03)
 
 def decode(compiler, result):
     assert result.satisfiable
-    return compiler.decode_assignment(result.model)
+    return HEADER.unpack(compiler.decode_assignment(result.model))
 
 
 class TestMatchesEncoding:
@@ -194,7 +194,7 @@ class TestDiffRewrite:
         result = solve(compiler.cnf)
         if not result.satisfiable:
             return None
-        return compiler.decode_assignment(result.model)
+        return HEADER.unpack(compiler.decode_assignment(result.model))
 
     def test_same_port_rewrite_distinguishable_for_right_probe(self):
         compiler = ConstraintCompiler()
@@ -626,24 +626,25 @@ class TestInPortChoice:
 class TestDecodeAssignment:
     def test_unassigned_bits_default_false(self):
         compiler = ConstraintCompiler()
-        values = compiler.decode_assignment(frozenset())
-        assert all(v == 0 for v in values.values())
+        assert compiler.decode_assignment(frozenset()) == 0
+        assert HEADER.unpack(0) == {name: 0 for name in HEADER.names()}
 
     def test_bit_order_msb_first(self):
         compiler = ConstraintCompiler()
         # Set the MSB of in_port (bit 0 of the header = var 1).
-        values = compiler.decode_assignment(frozenset({1}))
-        assert values[FieldName.IN_PORT] == 1 << 15
+        packed = compiler.decode_assignment(frozenset({1}))
+        assert packed == 1 << (HEADER.total_bits - 1)
+        assert HEADER.unpack(packed)[FieldName.IN_PORT] == 1 << 15
 
     def test_model_above_the_header_is_ignored_and_the_cube_wins(self):
         compiler = ConstraintCompiler()
         top = HEADER.total_bits
         # The last header bit is packed bit 0; Tseitin variables above
         # the header are no part of the probe.
-        values = compiler.decode_assignment(frozenset({top, top + 1, 400}))
-        assert values == HEADER.unpack(1)
+        assert compiler.decode_assignment(frozenset({top, top + 1, 400})) == 1
         # A bit the cube fixes reads the cube's value, not the model's.
         assert compiler.fix(*Match.build(in_port=5).packed())
-        values = compiler.decode_assignment(frozenset({1, top}))
-        assert values[FieldName.IN_PORT] == 5
-        assert values == {**HEADER.unpack(1), FieldName.IN_PORT: 5}
+        packed = compiler.decode_assignment(frozenset({1, top}))
+        assert HEADER.unpack(packed)[FieldName.IN_PORT] == 5
+        expected = {FieldName.IN_PORT: 5, FieldName.TP_DST: 1}
+        assert packed == pack_header(expected)

@@ -2,9 +2,11 @@
 transient tolerance, overlap queueing, deletions, modifications and
 drop-postponing (§4)."""
 
+import gc
+import weakref
 
 from repro.core.droppostpone import DROP_TAG_TOS, TAG_DROP_PRIORITY
-from repro.core.dynamic import UpdateAck
+from repro.core.dynamic import DynamicMonitor, UpdateAck
 from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem
 from repro.network import Network
@@ -212,6 +214,47 @@ class TestDeletion:
         sim.run_for(3.0)
         assert len(acks) == 2
         assert net.switch("s3").dataplane.get(mod.priority, mod.match) is None
+
+    def test_a_confirmed_delete_is_freed_without_the_collector(
+        self, monkeypatch
+    ):
+        """A DELETE whose rule has a drop beneath it is confirmed by a
+        quiet negative round.  The rounds' callbacks form no cycle, so
+        with the cyclic collector off the update is dead as soon as it
+        is confirmed."""
+        tracked = []
+        track = DynamicMonitor._track
+
+        def recording(self, update):
+            tracked.append(weakref.ref(update))
+            track(self, update)
+
+        monkeypatch.setattr(DynamicMonitor, "_track", recording)
+        sim, net, system, acks = setup()
+        mods = [add_mod(net, 0x0A000001 + i) for i in range(3)]
+        for mod in mods:
+            system.send_to_switch("s3", mod)
+        sim.run_for(2.0)
+        assert len(acks) == 3
+        deletes = [
+            FlowMod(
+                command=FlowModCommand.DELETE_STRICT,
+                match=mod.match,
+                priority=mod.priority,
+            )
+            for mod in mods
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for delete in deletes:
+                system.send_to_switch("s3", delete)
+            sim.run_for(3.0)
+            assert len(acks) == 6
+            assert system.dynamics["s3"].updates_confirmed == 6
+            assert [ref() for ref in tracked] == [None] * 6
+        finally:
+            gc.enable()
 
     def test_lost_delete_is_given_up_not_acknowledged(self):
         """The switch never hears of the DELETE, so the rule stays in

@@ -8,10 +8,13 @@ import pytest
 from repro.core.monitor import MonitorConfig, outcome_observations
 from repro.core.multiplexer import MonocleSystem
 from repro.openflow.actions import drop, output
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.rule import Rule, RuleOutcome
+from repro.openflow.table import pack_header
+from repro.packets.craft import craft_packet
+from repro.packets.parse import parse_packet
 from repro.network import Network
 from repro.sim.kernel import Simulator
 from repro.switches.profiles import OVS
@@ -41,48 +44,63 @@ def star_setup(
 
 class TestOutcomeObservations:
     def test_restriction_to_observable_ports(self):
-        outcome = RuleOutcome(emissions=((1, ()), (9, ())))
+        outcome = RuleOutcome(emissions=((1, 0), (9, 0)))
         observations = outcome_observations(outcome, frozenset({1}))
         assert {port for port, _ in observations} == {1}
 
     def test_in_port_stripped(self):
-        outcome = RuleOutcome(
-            emissions=(
-                (
-                    1,
-                    (
-                        (FieldName.IN_PORT, 4),
-                        (FieldName.DL_TYPE, 0x0800),
-                        (FieldName.NW_TOS, 2),
-                    ),
-                ),
-            )
+        header = pack_header(
+            {
+                FieldName.IN_PORT: 4,
+                FieldName.DL_TYPE: 0x0800,
+                FieldName.NW_TOS: 2,
+            }
         )
-        ((port, items),) = outcome_observations(outcome, None)
-        assert FieldName.IN_PORT not in dict(items)
-        assert dict(items)[FieldName.NW_TOS] == 2
+        outcome = RuleOutcome(emissions=((1, header),))
+        ((port, seen),) = outcome_observations(outcome, None)
+        assert HEADER.unpack(seen)[FieldName.IN_PORT] == 0
+        assert HEADER.unpack(seen)[FieldName.NW_TOS] == 2
+        assert seen == pack_header(
+            {FieldName.DL_TYPE: 0x0800, FieldName.NW_TOS: 2}
+        )
 
     def test_wire_invisible_fields_projected_out(self):
         # nw_tos is not representable on the wire without dl_type=0x0800,
         # so an observer can never see it; the observation model must
         # drop it (an ARP probe's caught copy carries no IP fields).
-        outcome = RuleOutcome(
-            emissions=(
-                (
-                    1,
-                    (
-                        (FieldName.DL_TYPE, 0x0806),
-                        (FieldName.NW_DST, 0x0A000001),
-                        (FieldName.NW_TOS, 2),
-                        (FieldName.TP_DST, 80),
-                    ),
-                ),
-            )
+        header = pack_header(
+            {
+                FieldName.DL_TYPE: 0x0806,
+                FieldName.NW_DST: 0x0A000001,
+                FieldName.NW_TOS: 2,
+                FieldName.TP_DST: 80,
+            }
         )
-        ((_port, items),) = outcome_observations(outcome, None)
-        assert FieldName.NW_TOS not in dict(items)
-        assert FieldName.TP_DST not in dict(items)
-        assert dict(items)[FieldName.NW_DST] == 0x0A000001
+        outcome = RuleOutcome(emissions=((1, header),))
+        ((_port, seen),) = outcome_observations(outcome, None)
+        assert HEADER.unpack(seen)[FieldName.NW_TOS] == 0
+        assert HEADER.unpack(seen)[FieldName.TP_DST] == 0
+        assert HEADER.unpack(seen)[FieldName.NW_DST] == 0x0A000001
+        assert seen == pack_header(
+            {FieldName.DL_TYPE: 0x0806, FieldName.NW_DST: 0x0A000001}
+        )
+
+    def test_a_caught_packet_matches_the_expected_observation(self):
+        # The catch packs the parsed header with in_port cleared; that
+        # is the emission's projection, whatever in_port the emission
+        # carried and whatever invisible bits it held.
+        values = {
+            FieldName.IN_PORT: 3,
+            FieldName.DL_TYPE: 0x0800,
+            FieldName.DL_VLAN: 0xFFF,
+            FieldName.DL_VLAN_PCP: 5,
+            FieldName.NW_PROTO: 1,
+            FieldName.TP_SRC: 0x1208,
+        }
+        outcome = RuleOutcome(emissions=((1, pack_header(values)),))
+        parsed, _ = parse_packet(craft_packet(values), in_port=7)
+        caught = pack_header({**parsed, FieldName.IN_PORT: 0})
+        assert outcome_observations(outcome, None) == {(1, caught)}
 
 
 def _observations(monitor, result):

@@ -17,7 +17,7 @@ from repro.openflow.actions import (
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 
 
 class TestOutcomeKinds:
@@ -102,6 +102,31 @@ class TestRewrites:
             FieldName.NW_TOS,
             FieldName.DL_VLAN,
         }
+        # Computed once, with the port outcomes.
+        assert actions.rewritten_fields() is actions.rewritten_fields()
+        assert output(3).rewritten_fields() == frozenset()
+
+    def test_packed_rewrite_is_the_dict_rewrite(self):
+        actions = ActionList(
+            (
+                SetField(FieldName.NW_TOS, 1),
+                Forward(1),
+                SetField(FieldName.DL_VLAN, 9),
+                SetField(FieldName.IN_PORT, 0xFFFF),
+                Forward(2),
+            )
+        )
+        header = {
+            FieldName.IN_PORT: 4,
+            FieldName.DL_VLAN: 0xABC,
+            FieldName.NW_TOS: 0x3F,
+            FieldName.TP_DST: 80,
+        }
+        for po in actions.port_outcomes:
+            rewritten = {**header, **dict(po.rewrites)}
+            assert pack_header(header) & po.keep | po.set_bits == pack_header(
+                rewritten
+            )
 
     def test_setfield_range_checked(self):
         with pytest.raises(ValueError):

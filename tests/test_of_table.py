@@ -49,6 +49,14 @@ class TestPackHeader:
     )
     def test_in_range_values_pack_as_the_layout_packs_them(self, values):
         assert pack_header(values) == HEADER.pack(values)
+        # Unpacking gives every field back, absent ones as 0, in order.
+        unpacked = HEADER.unpack(pack_header(values))
+        assert list(unpacked) == HEADER.names()
+        assert unpacked == {name: values.get(name, 0) for name in unpacked}
+
+    def test_a_header_wider_than_the_layout_does_not_unpack(self):
+        with pytest.raises(ValueError, match="too wide"):
+            HEADER.unpack(1 << HEADER.total_bits)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -330,7 +338,7 @@ def _expected_emissions(rule, values, ecmp_chooser):
     the rule's expected outcome, ECMP filtered to the chosen port."""
     if rule is None:
         return []
-    outcome = RuleOutcome.from_rule(rule, values)
+    outcome = RuleOutcome.from_rule(rule, pack_header(values))
     emissions = outcome.emissions
     if outcome.ecmp:
         port = (
@@ -339,7 +347,14 @@ def _expected_emissions(rule, values, ecmp_chooser):
             else min(outcome.ports())
         )
         emissions = tuple(e for e in emissions if e[0] == port)
-    return [(port, dict(items)) for port, items in emissions]
+    # A packed header has every field; the dict had the packet's own
+    # fields and the ones the port's rewrites set.
+    expected = []
+    for port, packed in emissions:
+        carried = set(values) | set(rule.actions.rewrites_on_port(port))
+        header = HEADER.unpack(packed)
+        expected.append((port, {name: header[name] for name in carried}))
+    return expected
 
 
 class TestProcessAgreesWithRuleOutcome:
@@ -418,42 +433,49 @@ class TestProcessAgreesWithRuleOutcome:
 
 class TestRuleOutcomeDistinguishability:
     def test_different_ports_distinguishable(self):
-        a = RuleOutcome(emissions=((1, ()),))
-        b = RuleOutcome(emissions=((2, ()),))
+        a = RuleOutcome(emissions=((1, 0),))
+        b = RuleOutcome(emissions=((2, 0),))
         assert a.distinguishable_from(b)
 
+    def test_same_port_different_header_distinguishable(self):
+        tos = pack_header({FieldName.NW_TOS: 1})
+        a = RuleOutcome(emissions=((1, 0),))
+        b = RuleOutcome(emissions=((1, tos),))
+        assert a.distinguishable_from(b)
+        assert not b.distinguishable_from(RuleOutcome(emissions=((1, tos),)))
+
     def test_same_emissions_not_distinguishable(self):
-        a = RuleOutcome(emissions=((1, ()),))
-        b = RuleOutcome(emissions=((1, ()),))
+        a = RuleOutcome(emissions=((1, 0),))
+        b = RuleOutcome(emissions=((1, 0),))
         assert not a.distinguishable_from(b)
 
     def test_drop_vs_forward_distinguishable(self):
         assert RuleOutcome.dropped().distinguishable_from(
-            RuleOutcome(emissions=((1, ()),))
+            RuleOutcome(emissions=((1, 0),))
         )
 
     def test_ecmp_vs_ecmp_shared_port_ambiguous(self):
-        a = RuleOutcome(emissions=((1, ()), (2, ())), ecmp=True)
-        b = RuleOutcome(emissions=((2, ()), (3, ())), ecmp=True)
+        a = RuleOutcome(emissions=((1, 0), (2, 0)), ecmp=True)
+        b = RuleOutcome(emissions=((2, 0), (3, 0)), ecmp=True)
         assert not a.distinguishable_from(b)
 
     def test_ecmp_vs_ecmp_disjoint_distinguishable(self):
-        a = RuleOutcome(emissions=((1, ()),), ecmp=True)
-        b = RuleOutcome(emissions=((2, ()),), ecmp=True)
+        a = RuleOutcome(emissions=((1, 0),), ecmp=True)
+        b = RuleOutcome(emissions=((2, 0),), ecmp=True)
         assert a.distinguishable_from(b)
 
     def test_unicast_inside_ecmp_set_ambiguous(self):
-        unicast = RuleOutcome(emissions=((2, ()),))
-        group = RuleOutcome(emissions=((1, ()), (2, ())), ecmp=True)
+        unicast = RuleOutcome(emissions=((2, 0),))
+        group = RuleOutcome(emissions=((1, 0), (2, 0)), ecmp=True)
         assert not unicast.distinguishable_from(group)
         assert not group.distinguishable_from(unicast)
 
     def test_multicast_vs_ecmp_count_exception(self):
         # A 2-port multicast inside the ECMP set: packet count differs.
-        multi = RuleOutcome(emissions=((1, ()), (2, ())))
-        group = RuleOutcome(emissions=((1, ()), (2, ())), ecmp=True)
+        multi = RuleOutcome(emissions=((1, 0), (2, 0)))
+        group = RuleOutcome(emissions=((1, 0), (2, 0)), ecmp=True)
         assert multi.distinguishable_from(group)
 
     def test_drop_vs_ecmp_distinguishable(self):
-        group = RuleOutcome(emissions=((1, ()),), ecmp=True)
+        group = RuleOutcome(emissions=((1, 0),), ecmp=True)
         assert RuleOutcome.dropped().distinguishable_from(group)

@@ -20,6 +20,7 @@ from repro.openflow.fields import (
     FieldName,
 )
 from repro.openflow.match import Match
+from repro.openflow.table import pack_header
 from repro.packets.checksum import sum16
 from repro.packets.craft import (
     CraftError,
@@ -621,10 +622,17 @@ class TestLengthFieldsThatLie:
         assert parse_packet(bytes(frame))[1] == self.META[:4]
 
 
+def normalize(values, matches):
+    """:func:`normalize_abstract_header` on a header dict: packed in,
+    every field unpacked out."""
+    packed = normalize_abstract_header(pack_header(values), matches)
+    return HEADER.unpack(packed)
+
+
 class TestNormalization:
     def test_invalid_dl_type_replaced_with_valid(self):
         values = {FieldName.DL_TYPE: 0x1234}
-        normalized = normalize_abstract_header(values, [])
+        normalized = normalize(values, [])
         assert normalized[FieldName.DL_TYPE] in (ETHERTYPE_IPV4, ETHERTYPE_ARP)
 
     def test_substitution_preserves_matches(self):
@@ -637,7 +645,7 @@ class TestNormalization:
         ]
         values = {FieldName.DL_TYPE: 0x9999, FieldName.NW_SRC: 1}
         before = [m.matches(values) for m in matches]
-        normalized = normalize_abstract_header(values, matches)
+        normalized = normalize(values, matches)
         after = [m.matches(normalized) for m in matches]
         # dl_type was invalid: no rule can exact-match it, so results on
         # rules that matched before must be preserved.
@@ -652,7 +660,7 @@ class TestNormalization:
         ]
         values = {FieldName.DL_TYPE: 0x9999}
         with pytest.raises(CraftError):
-            normalize_abstract_header(values, matches)
+            normalize(values, matches)
 
     def test_conditionally_excluded_fields_zeroed(self):
         values = {
@@ -661,7 +669,7 @@ class TestNormalization:
             FieldName.NW_TOS: 7,
             FieldName.TP_SRC: 80,
         }
-        normalized = normalize_abstract_header(values, [])
+        normalized = normalize(values, [])
         # ARP has no nw_proto/nw_tos/tp_* in our model.
         assert normalized[FieldName.NW_PROTO] == 0
         assert normalized[FieldName.NW_TOS] == 0
@@ -673,10 +681,10 @@ class TestNormalization:
             FieldName.NW_PROTO: IPPROTO_TCP,
             FieldName.TP_SRC: 80,
         }
-        normalized = normalize_abstract_header(values, [])
+        normalized = normalize(values, [])
         assert normalized[FieldName.TP_SRC] == 80  # TCP keeps its ports
         values[FieldName.NW_PROTO] = 99
-        normalized = normalize_abstract_header(
+        normalized = normalize(
             values, [Match.build(nw_proto=IPPROTO_UDP)]
         )
         # proto fixed to a valid value that preserves the (non-)match;
@@ -685,7 +693,7 @@ class TestNormalization:
 
     def test_normalized_header_is_craftable(self):
         values = {FieldName.DL_TYPE: 0xDEAD, FieldName.NW_PROTO: 0xFE}
-        normalized = normalize_abstract_header(values, [])
+        normalized = normalize(values, [])
         raw = craft_packet(normalized)
         parsed, _ = parse_packet(raw)
         assert parsed[FieldName.DL_TYPE] == normalized[FieldName.DL_TYPE]
@@ -741,7 +749,7 @@ class TestNormalization:
             for fields in pinned
         ]
         try:
-            normalized = normalize_abstract_header(values, matches)
+            normalized = normalize(values, matches)
         except CraftError:
             return
         in_port = normalized[FieldName.IN_PORT]
@@ -800,12 +808,12 @@ class TestUntaggedPriorityNarrowing:
     def test_tagged_frame_keeps_its_priority(self):
         header = {**self._untagged(3), FieldName.DL_VLAN: 5}
         assert dict(wire_visible_items(header))[FieldName.DL_VLAN_PCP] == 3
-        normalized = normalize_abstract_header(header, [])
+        normalized = normalize(header, [])
         assert normalized[FieldName.DL_VLAN_PCP] == 3
 
     def test_normalization_substitutes_zero_when_no_match_cares(self):
         elsewhere = Match.build(nw_dst=0x0A000001)
-        normalized = normalize_abstract_header(
+        normalized = normalize(
             self._untagged(3), [elsewhere]
         )
         assert normalized[FieldName.DL_VLAN_PCP] == 0
@@ -814,14 +822,14 @@ class TestUntaggedPriorityNarrowing:
 
     def test_substitution_preserves_matches(self):
         other = Match.build(dl_vlan_pcp=5)
-        normalized = normalize_abstract_header(self._untagged(3), [other])
+        normalized = normalize(self._untagged(3), [other])
         assert normalized[FieldName.DL_VLAN_PCP] == 0
         assert not other.matches(normalized)
 
     def test_pinned_priority_is_uncraftable(self):
         pinned = Match.build(dl_vlan_pcp=3)
         with pytest.raises(CraftError):
-            normalize_abstract_header(self._untagged(3), [pinned])
+            normalize(self._untagged(3), [pinned])
 
 
 class TestIcmpTransportNarrowing:
@@ -838,14 +846,14 @@ class TestIcmpTransportNarrowing:
         }
 
     def test_wide_tp_values_are_substituted(self):
-        normalized = normalize_abstract_header(
+        normalized = normalize(
             self._icmp_header(tp_src=0x1234, tp_dst=0x1F90), []
         )
         assert normalized[FieldName.TP_SRC] <= 0xFF
         assert normalized[FieldName.TP_DST] <= 0xFF
 
     def test_normalized_header_roundtrips(self):
-        normalized = normalize_abstract_header(
+        normalized = normalize(
             self._icmp_header(tp_src=0x1234, tp_dst=0x1F90), []
         )
         packet = craft_packet(normalized)
@@ -854,7 +862,7 @@ class TestIcmpTransportNarrowing:
 
     def test_substitution_preserves_matches(self):
         match = Match.build(tp_dst=0x40)
-        normalized = normalize_abstract_header(
+        normalized = normalize(
             self._icmp_header(tp_dst=0x1F90), [match]
         )
         # 0x1F90 does not match tp_dst=0x40; the substitute must not
@@ -864,7 +872,7 @@ class TestIcmpTransportNarrowing:
     def test_pinned_wide_value_is_uncraftable(self):
         match = Match.build(tp_dst=0x1F90)
         with pytest.raises(CraftError):
-            normalize_abstract_header(
+            normalize(
                 self._icmp_header(tp_dst=0x1F90), [match]
             )
 
@@ -875,5 +883,5 @@ class TestIcmpTransportNarrowing:
     def test_tcp_keeps_full_width(self):
         header = self._icmp_header(tp_dst=0x1F90)
         header[FieldName.NW_PROTO] = 6  # TCP
-        normalized = normalize_abstract_header(header, [])
+        normalized = normalize(header, [])
         assert normalized[FieldName.TP_DST] == 0x1F90

@@ -66,8 +66,10 @@ from repro.core.probegen import (
 )
 from repro.datasets import campus_table, stanford_table
 from repro.openflow.actions import output
+from repro.openflow.fields import HEADER
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
+from repro.openflow.rule import RuleOutcome
 from repro.sat.solver import SatResult, SatSolver
 
 CATCH = Match.build(dl_vlan=0xF03)
@@ -115,13 +117,27 @@ def sample(request):
     return (request.param, *sampled(request.param))
 
 
+def as_recorded(outcome: RuleOutcome | None) -> RuleOutcome | None:
+    """An outcome in the form the pins were recorded in: each emitted
+    header as its sorted ``(field, value)`` items, not a packed int."""
+    if outcome is None:
+        return None
+    return RuleOutcome(
+        emissions=tuple(
+            (port, tuple(sorted(HEADER.unpack(header).items())))
+            for port, header in outcome.emissions
+        ),
+        ecmp=outcome.ecmp,
+    )
+
+
 def what_it_is(r) -> tuple:
     return (
         r.ok,
         r.reason,
         sorted(r.header.items()) if r.header is not None else None,
-        r.outcome_present,
-        r.outcome_absent,
+        as_recorded(r.outcome_present),
+        as_recorded(r.outcome_absent),
     )
 
 

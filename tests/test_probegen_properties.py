@@ -24,7 +24,7 @@ from repro.openflow.actions import drop, ecmp, output
 from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 
 CATCH = Match.build(dl_vlan=0xF03)
 
@@ -132,9 +132,10 @@ def _exhaustive_probe_exists(table, probed):
         without = table.copy()
         without.remove(probed)
         miss = without.lookup(header)
-        present = RuleOutcome.from_rule(probed, header)
+        packed = pack_header(header)
+        present = RuleOutcome.from_rule(probed, packed)
         absent = (
-            RuleOutcome.from_rule(miss, header)
+            RuleOutcome.from_rule(miss, packed)
             if miss is not None
             else RuleOutcome.dropped()
         )

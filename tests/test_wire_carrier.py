@@ -34,6 +34,7 @@ from repro.openflow.fields import (
 from repro.openflow.match import Match
 from repro.openflow.messages import PacketIn
 from repro.openflow.rule import Rule, RuleOutcome
+from repro.openflow.table import pack_header
 from repro.packets.craft import (
     CraftError,
     craft_packet,
@@ -476,7 +477,7 @@ def _expected_hop(switch, values, in_port, choices):
     pairs = list(
         zip(
             rule.actions.port_outcomes,
-            RuleOutcome.from_rule(rule, values).emissions,
+            RuleOutcome.from_rule(rule, pack_header(values)).emissions,
         )
     )
     if rule.actions.is_ecmp:
@@ -485,9 +486,9 @@ def _expected_hop(switch, values, in_port, choices):
     if not pairs:
         return [], 1, False
     sent, dropped = [], 0
-    for _, (port, items) in pairs:
+    for _, (port, header) in pairs:
         try:
-            sent.append((port, wire_header(dict(items))))
+            sent.append((port, wire_header(HEADER.unpack(header))))
         except CraftError:
             dropped += 1
     return sent, dropped, len(pairs) == 1 and not pairs[0][0].rewrites
