@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Hashable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Hashable
 
 from repro.core.probegen import (
     ProbeGenContext,
@@ -32,11 +32,15 @@ from repro.core.probegen import (
 )
 from repro.core.schedule import ProbeScheduler
 from repro.obs import Histogram, NullObserver, Observer
-from repro.openflow.fields import FieldName
 from repro.openflow.messages import FlowMod, Message
 from repro.openflow.rule import Rule, RuleOutcome
-from repro.openflow.table import FlowTable, pack_header
-from repro.packets.craft import craft_packet, wire_visible_bits
+from repro.openflow.table import FlowTable
+from repro.packets.craft import (
+    IN_PORT_SHIFT,
+    NOT_IN_PORT,
+    craft_packet,
+    wire_visible_bits,
+)
 from repro.packets.payload import ProbeMetadata
 from repro.sim.kernel import Event, Simulator
 
@@ -152,10 +156,6 @@ class MonitorAlarm:
 #: as the wire shows it, ``in_port`` cleared).  What Monocle can
 #: attribute to a caught probe.
 Observation = tuple[int, int]
-
-#: Every packed-header bit but ``in_port``'s: a caught packet's
-#: ``in_port`` is where the catching switch received it.
-_NOT_IN_PORT = ~pack_header({FieldName.IN_PORT: 0xFFFF})
 
 
 def outcome_observations(
@@ -656,7 +656,7 @@ class Monitor:
         steady state, additions) or ``"absent"`` (deletions); ``steady``
         probes count toward the window depth.
         """
-        assert result.ok and result.header is not None
+        assert result.ok and result.packed_header is not None
         assert result.outcome_present is not None
         if self.obs.enabled and span == 0:
             # Probes launched outside the steady cycle (dynamic-mode
@@ -672,11 +672,12 @@ class Monitor:
         target, anti = self.observations(result)
         if confirm_on == "absent":
             target, anti = anti, target
+        header = result.packed_header
         probe = OutstandingProbe(
             nonce=nonce,
             result=result,
-            packet=craft_packet(result.header, metadata.encode()),
-            in_port=result.header.get(FieldName.IN_PORT, 0),
+            packet=craft_packet(header, metadata.encode()),
+            in_port=header >> IN_PORT_SHIFT,  # the top field
             target=target,
             anti=anti,
             first_injected=self.sim.now,
@@ -803,13 +804,14 @@ class Monitor:
         for probe in list(self.outstanding.values()):
             if probe.on_alarm != steady_alarm:
                 continue
-            probed, header = probe.result.rule, probe.result.header
+            probed, header = probe.result.rule, probe.result.packed_header
             assert header is not None  # launched probes carry one
             for rule in affected:
+                value, mask = rule.match.packed()
                 if rule.key() == probed.key() or (
                     not deleting
                     and rule.priority > probed.priority
-                    and rule.match.matches(header)
+                    and not (header ^ value) & mask
                 ):
                     self.invalidate_probe(probe)
                     break
@@ -832,22 +834,23 @@ class Monitor:
     def handle_caught_probe(
         self,
         egress_port: int,
-        values: Mapping[FieldName, int],
+        header: int,
         metadata: ProbeMetadata,
     ) -> None:
         """A probe of ours came back (routed here by the multiplexer).
 
         ``egress_port`` is the port the probe left *this* switch on
         (the multiplexer knows which downstream switch caught it) and
-        ``values`` the caught packet's header, parsed once by
-        ``MonocleSystem._from_switch``.
+        ``header`` the caught packet's header, parsed once, packed, by
+        ``MonocleSystem._from_switch``: the observation is the two with
+        the catching switch's ``in_port`` cleared, no field unpacked.
         """
         probe = self.outstanding.get(metadata.nonce)
         if probe is None or probe.done:
             self.stale_probes += 1
             return
         # Wire form: all but in_port is visible, as parsed.
-        observation = (egress_port, pack_header(values) & _NOT_IN_PORT)
+        observation = (egress_port, header & NOT_IN_PORT)
         if observation in probe.target:
             self._retire(probe, ProbeEnd.CONFIRMED)
             if self.obs.enabled:

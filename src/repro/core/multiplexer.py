@@ -10,9 +10,9 @@ to/from the switch".  :class:`Multiplexer` does exactly that routing:
   *upstream* neighbor with the right output port;
 * probe collection: a probe caught by downstream switch Z arrives on
   Z's control channel, where :meth:`MonocleSystem._from_switch` parses
-  it once; the Multiplexer hands the parsed header to the owning
-  Monitor, translating Z's ingress port into the probed switch's
-  egress port.
+  it once; the Multiplexer hands the parsed header, packed as one int,
+  to the owning Monitor, translating Z's ingress port into the probed
+  switch's egress port.
 
 :class:`MonocleSystem` wires everything for a
 :class:`~repro.network.network.Network`: computes the catching plan
@@ -22,7 +22,7 @@ DynamicMonitor) per switch and interposes all control channels.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable
 
 from repro.core.catching import (
     CatchingPlan,
@@ -37,7 +37,6 @@ from repro.core.probegen import ProbeGenContext, ProbeGenerator
 from repro.core.schedule import ProbeScheduler
 from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.openflow.actions import CONTROLLER_PORT
-from repro.openflow.fields import FieldName
 from repro.openflow.messages import Message, PacketIn, PacketOut
 from repro.packets.parse import ParseError, parse_packet
 from repro.packets.payload import ProbeMetadata
@@ -85,10 +84,13 @@ class Multiplexer:
     def route_packet_in(
         self,
         caught_at: Hashable,
-        values: Mapping[FieldName, int],
+        header: int,
         metadata: ProbeMetadata,
     ) -> bool:
         """Deliver a caught probe's parsed header to its owning Monitor.
+
+        ``header`` is the packed header ``parse_packet`` returned, with
+        the catching switch's ingress port as its ``in_port``.
 
         Returns True when the probe was routed; False when no Monitor
         owns it (stale or foreign traffic).
@@ -103,7 +105,7 @@ class Multiplexer:
             self.probes_unroutable += 1
             return False
         self.probes_routed += 1
-        monitor.handle_caught_probe(egress_port, values, metadata)
+        monitor.handle_caught_probe(egress_port, header, metadata)
         return True
 
     def _egress_port(
@@ -278,16 +280,16 @@ class MonocleSystem:
     @staticmethod
     def _probe_metadata(
         msg: PacketIn,
-    ) -> tuple[dict[FieldName, int], ProbeMetadata] | None:
-        """``(header values, metadata)`` when the PacketIn is a probe."""
+    ) -> tuple[int, ProbeMetadata] | None:
+        """``(packed header, metadata)`` when the PacketIn is a probe."""
         try:
-            values, payload = parse_packet(msg.payload, msg.in_port)
+            header, payload = parse_packet(msg.payload, msg.in_port)
         except ParseError:
             return None
         metadata = ProbeMetadata.decode(payload)
         if metadata is None:
             return None
-        return values, metadata
+        return header, metadata
 
     def _to_controller(self, node: Hashable, msg: Message) -> None:
         if self.controller_handler is not None:

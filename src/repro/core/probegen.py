@@ -24,7 +24,9 @@ Pipeline (Figure 2):
 5. normalize it for wire validity (§5.2: spare values, conditional
    fields; a header that survives normalization crafts),
 6. re-check Table 1 and compute the expected outcomes on the packed
-   header; the header dict is built once, for :attr:`ProbeResult.header`.
+   header, which :attr:`ProbeResult.packed_header` keeps for the
+   monitor to craft from; the header dict is built once, for
+   :attr:`ProbeResult.header`.
 
 :func:`verify_probe` is the independent, simulation-based checker used by
 the test suite: it re-derives Table 1 semantics by actually processing
@@ -85,7 +87,13 @@ class ProbeResult:
         rule: the probed rule.
         ok: True when a probe was produced.
         reason: set when ``ok`` is False.
-        header: normalized abstract header values of the probe.
+        header: normalized abstract header values of the probe, every
+            field (the dict-facing form: reports, :func:`verify_probe`).
+        packed_header: the same header packed as one int
+            (:meth:`~repro.openflow.match.Match.packed`'s layout): what
+            the monitor crafts the probe from and reads its ``in_port``
+            from, and what a revalidation re-checks.  A ``replace`` copy
+            carries it.
         outcome_present: expected observable outcome when the rule is in
             the data plane.
         outcome_absent: expected outcome when it is missing.
@@ -101,6 +109,7 @@ class ProbeResult:
     ok: bool
     reason: UnmonitorableReason | None = None
     header: dict[FieldName, int] | None = None
+    packed_header: int | None = None
     outcome_present: RuleOutcome | None = None
     outcome_absent: RuleOutcome | None = None
     generation_time: float = 0.0
@@ -118,7 +127,8 @@ class ProbeResult:
         probe).  Generation crafts nothing: normalization already
         decided the header crafts, and the monitor crafts its own
         bytes, with the probe metadata, at launch."""
-        return None if self.header is None else craft_packet(self.header)
+        header = self.packed_header
+        return None if header is None else craft_packet(header)
 
     def expects_return(self) -> bool:
         """Will the probe come back to Monocle when the rule is healthy?
@@ -330,6 +340,7 @@ def _conclude(
         )
     result.ok = True
     result.header = HEADER.unpack(header)
+    result.packed_header = header
     result.outcome_present, result.outcome_absent = outcomes
     return result
 
@@ -380,10 +391,11 @@ def full_outcome(
     table: FlowTable, header: dict[FieldName, int]
 ) -> RuleOutcome:
     """Outcome of processing ``header``, keeping ECMP alternatives."""
-    matched = table.lookup(header)
+    packed = pack_header(header)
+    matched = table.lookup(packed)
     if matched is None:
         return RuleOutcome.dropped()
-    return RuleOutcome.from_rule(matched, pack_header(header))
+    return RuleOutcome.from_rule(matched, packed)
 
 
 def verify_probe(
@@ -398,7 +410,7 @@ def verify_probe(
     callers; the generator's constraints should make this always pass
     for generated probes.
     """
-    hit = table.lookup(header)
+    hit = table.lookup(pack_header(header))
     if hit is None or hit.key() != rule.key():
         return False, f"probe is processed by {hit!r}, not the probed rule"
 
@@ -595,14 +607,14 @@ class ProbeGenContext:
         costs microseconds where a SAT solve costs milliseconds.
         Returns a refreshed result, or None when the probe truly died.
         """
-        if not cached.ok or cached.header is None:
+        if not cached.ok or cached.packed_header is None:
             return None  # cached failures must be re-derived
         candidates = _candidates(self.table, rule)
         # Same refusal as generation: rules rewriting probe-reserved
         # fields make any probe unsound (§3.2).
         self.generator._check_reserved_fields([rule] + candidates)
         # Hit: the probed rule must still win for this header.
-        outcomes = _hit_outcomes(rule, candidates, pack_header(cached.header))
+        outcomes = _hit_outcomes(rule, candidates, cached.packed_header)
         if outcomes is None:
             return None
         present, absent = outcomes

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, VLAN_NONE, FieldName
+from repro.openflow.table import pack_header
 from repro.packets.craft import craft_packet
 from repro.packets.parse import ParseError, parse_packet
 from repro.sim.kernel import Simulator
@@ -16,6 +17,8 @@ class ReceivedPacket:
     """One packet recorded by a host."""
 
     time: float
+    #: Every header field, unpacked from the parsed header (``{}`` when
+    #: the bytes did not parse).
     values: dict
     payload: bytes
 
@@ -45,16 +48,32 @@ class Host:
         self.transmit(raw)
 
     def send(self, payload: bytes = b"", **header_fields: int) -> None:
-        """Craft and transmit a packet from abstract header fields."""
-        values = {FieldName(k): v for k, v in header_fields.items()}
-        self.send_raw(craft_packet(values, payload))
+        """Craft and transmit a packet from abstract header fields.
+
+        A field not given is 0, but ``dl_vlan`` is ``VLAN_NONE``: a frame
+        is untagged unless it names its VLAN.
+
+        Raises:
+            ValueError: when a value does not fit its field.
+        """
+        values = {FieldName.DL_VLAN: VLAN_NONE}
+        for name, value in header_fields.items():
+            field = HEADER.field(FieldName(name))
+            if not field.contains(value):
+                raise ValueError(
+                    f"{name}={value:#x} exceeds width {field.width}"
+                )
+            values[field.name] = value
+        self.send_raw(craft_packet(pack_header(values), payload))
 
     def receive(self, raw: bytes) -> None:
         """Called by the network when a packet reaches this host."""
         try:
-            values, payload = parse_packet(raw)
+            header, payload = parse_packet(raw)
         except ParseError:
             values, payload = {}, raw
+        else:
+            values = HEADER.unpack(header)
         packet = ReceivedPacket(
             time=self.sim.now, values=values, payload=payload
         )

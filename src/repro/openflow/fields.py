@@ -100,8 +100,8 @@ class HeaderLayout:
         if len(self._by_name) != len(fields):
             raise ValueError("duplicate field in header layout")
         self.total_bits = sum(f.width for f in fields)
-        #: Where each field sits in the packed header (:meth:`pack`,
-        #: ``Match.packed``), in layout order: name -> (shift, mask).
+        #: Where each field sits in the packed header (``Match.packed``,
+        #: ``pack_header``), in layout order: name -> (shift, mask).
         self.spans: dict[FieldName, tuple[int, int]] = {}
         shift = self.total_bits
         for f in fields:
@@ -122,24 +122,10 @@ class HeaderLayout:
         """Field names in layout order."""
         return [f.name for f in self._fields]
 
-    def pack(self, values: dict[FieldName, int]) -> int:
-        """Pack per-field values into a single abstract-header integer.
-
-        The integer's MSB corresponds to abstract bit 0.  Missing fields
-        default to zero.
-        """
-        header = 0
-        for field in self._fields:
-            value = values.get(field.name, 0)
-            if not field.contains(value):
-                raise ValueError(
-                    f"{field.name}={value:#x} exceeds width {field.width}"
-                )
-            header = (header << field.width) | value
-        return header
-
     def unpack(self, header: int) -> dict[FieldName, int]:
-        """Inverse of :meth:`pack`: every field, in layout order."""
+        """A packed header's fields (the inverse of
+        :func:`~repro.openflow.table.pack_header`): every field, in
+        layout order."""
         if header >> self.total_bits:
             raise ValueError(f"header value too wide: {header:#x}")
         return {

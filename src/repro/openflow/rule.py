@@ -6,7 +6,8 @@ switch's output ports could record for one packet — the basis of the
 paper's ``DiffOutcome`` reasoning: an expectation, never built by the
 simulated data plane.  It holds headers packed in
 :meth:`~repro.openflow.match.Match.packed`'s bit layout, the form
-probe generation works in (``pack_header`` packs a header dict).
+probe generation and the simulated data plane work in (``pack_header``
+packs a header dict).
 """
 
 from __future__ import annotations

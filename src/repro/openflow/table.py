@@ -185,33 +185,32 @@ class FlowTable:
             self.index_builds += 1
         return index
 
-    def lookup(self, header_values: Mapping[FieldName, int]) -> Rule | None:
-        """Highest-priority rule matching the header, or None on miss."""
-        index = self._ensure_index()
-        packed = pack_header(header_values)
+    def lookup(self, header: int) -> Rule | None:
+        """Highest-priority rule matching the packed ``header``
+        (:meth:`Match.packed`'s layout), or None on miss: the index is
+        probed with the int as it is."""
         best: tuple[int, int] | None = None
-        for rank in index.lookup(packed):
+        for rank in self._ensure_index().lookup(header):
             if best is None or rank < best:
                 best = rank
         return None if best is None else self._by_rank[best]
 
     def process(
         self,
-        header_values: dict[FieldName, int],
+        header: int,
         ecmp_chooser: Callable[[Rule], int] | None = None,
-    ) -> list[tuple[PortOutcome, dict[FieldName, int]]]:
+    ) -> list[tuple[PortOutcome, int]]:
         """The data plane's step: the ``(port outcome, header)`` pairs a
-        packet leaves by, each header the packet with that outcome's
-        rewrites applied; none for a drop or a miss.  A unicast emission
-        that rewrites nothing carries ``header_values`` itself (a frame
-        belongs to its last receiver); every other gets a fresh dict.
+        packet leaves by, each header the packed ``header`` with that
+        outcome's rewrites applied (``header & keep | set_bits``); none
+        for a drop or a miss.
 
         Args:
-            header_values: the packet's abstract header.
+            header: the packet's packed abstract header.
             ecmp_chooser: for ECMP rules, callback selecting the concrete
                 port, once per packet; defaults to the lowest port.
         """
-        rule = self.lookup(header_values)
+        rule = self.lookup(header)
         if rule is None:
             return []
         outcomes = rule.actions.port_outcomes
@@ -221,11 +220,7 @@ class FlowTable:
             else:
                 port = min(po.port for po in outcomes)
             outcomes = tuple(po for po in outcomes if po.port == port)
-        if len(outcomes) == 1 and not outcomes[0].rewrites:
-            return [(outcomes[0], header_values)]
-        return [
-            (po, {**header_values, **dict(po.rewrites)}) for po in outcomes
-        ]
+        return [(po, header & po.keep | po.set_bits) for po in outcomes]
 
     def overlapping(self, match: Match) -> list[Rule]:
         """Rules whose match overlaps ``match`` (the §5.4 pre-filter).

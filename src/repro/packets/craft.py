@@ -27,8 +27,11 @@ by the paper's two steps:
 The same class decides what a caught packet shows of a header:
 :func:`wire_visible_bits` projects a packed header with its class's
 mask, and :func:`wire_visible_items` is the per-field statement of
-that projection.  After normalization, :func:`craft_packet` assembles
-real bytes: Ethernet (+VLAN) and then IPv4/TCP/UDP/ICMP or ARP.
+that projection; :func:`wire_header` is the projection of a header
+that has a wire form, what a switch applies after a rewrite.  After
+normalization, :func:`craft_packet` reads the packed header field by
+field and assembles real bytes: Ethernet (+VLAN) and then
+IPv4/TCP/UDP/ICMP or ARP.
 """
 
 from __future__ import annotations
@@ -105,9 +108,27 @@ def _bits(names: Iterable[FieldName]) -> int:
     return sum(spans[name][1] << spans[name][0] for name in names)
 
 
-_DL_TYPE_SHIFT = HEADER.spans[FieldName.DL_TYPE][0]
-_DL_VLAN_SHIFT = HEADER.spans[FieldName.DL_VLAN][0]
-_NW_PROTO_SHIFT = HEADER.spans[FieldName.NW_PROTO][0]
+#: Where each field's lowest bit sits in the packed header (a MAC's
+#: high 16 bits sit 32 above its own): the codec reads and writes a
+#: header with these, field by field.
+_SHIFT = {name: shift for name, (shift, _) in HEADER.spans.items()}
+IN_PORT_SHIFT = _SHIFT[FieldName.IN_PORT]
+_DL_SRC_SHIFT = _SHIFT[FieldName.DL_SRC]
+_DL_SRC_HI_SHIFT = _DL_SRC_SHIFT + 32
+_DL_DST_SHIFT = _SHIFT[FieldName.DL_DST]
+_DL_DST_HI_SHIFT = _DL_DST_SHIFT + 32
+_DL_TYPE_SHIFT = _SHIFT[FieldName.DL_TYPE]
+_DL_VLAN_SHIFT = _SHIFT[FieldName.DL_VLAN]
+_DL_VLAN_PCP_SHIFT = _SHIFT[FieldName.DL_VLAN_PCP]
+_NW_SRC_SHIFT = _SHIFT[FieldName.NW_SRC]
+_NW_DST_SHIFT = _SHIFT[FieldName.NW_DST]
+_NW_PROTO_SHIFT = _SHIFT[FieldName.NW_PROTO]
+_NW_TOS_SHIFT = _SHIFT[FieldName.NW_TOS]
+_TP_SRC_SHIFT = _SHIFT[FieldName.TP_SRC]
+_TP_DST_SHIFT = _SHIFT[FieldName.TP_DST]
+#: Every packed-header bit but ``in_port``'s, the injection metadata
+#: no wire carries.
+NOT_IN_PORT = ~_bits([FieldName.IN_PORT])
 _PCP_BITS = _bits([FieldName.DL_VLAN_PCP])
 _ICMP = (ETHERTYPE_IPV4, IPPROTO_ICMP)
 _ICMP_TP = (FieldName.TP_SRC, FieldName.TP_DST)
@@ -163,29 +184,6 @@ def wire_visible_bits(header: int) -> int:
     return header & mask
 
 
-def _wire_values(
-    values: Mapping[FieldName, int], no_vlan: int
-) -> dict[FieldName, int]:
-    """The fields on the wire, name-sorted, with the values it keeps:
-    an ICMP packet has one byte for each of ``tp_src``/``tp_dst``
-    (type/code), an untagged frame no TCI, hence no priority bits."""
-    get = values.get
-    dl_type = get(FieldName.DL_TYPE, 0)
-    nw_proto = get(FieldName.NW_PROTO, 0)
-    visible = _VISIBLE[
-        dl_type if dl_type in VALID_ETHERTYPES else -1,
-        nw_proto if nw_proto in VALID_IP_PROTOS else -1,
-    ]
-    wire = {name: get(name, 0) for name in visible}
-    wire[FieldName.DL_VLAN] = get(FieldName.DL_VLAN, no_vlan)
-    if wire[FieldName.DL_VLAN] == VLAN_NONE:
-        wire[FieldName.DL_VLAN_PCP] = 0
-    if dl_type == ETHERTYPE_IPV4 and nw_proto == IPPROTO_ICMP:
-        wire[FieldName.TP_SRC] &= _ICMP_TP_MASK
-        wire[FieldName.TP_DST] &= _ICMP_TP_MASK
-    return wire
-
-
 def wire_visible_items(
     values: Mapping[FieldName, int]
 ) -> tuple[tuple[FieldName, int], ...]:
@@ -200,30 +198,40 @@ def wire_visible_items(
     per-field statement of :func:`wire_visible_bits`, which the monitor
     compares by.
     """
-    return tuple(_wire_values(values, no_vlan=0).items())
+    get = values.get
+    dl_type = get(FieldName.DL_TYPE, 0)
+    nw_proto = get(FieldName.NW_PROTO, 0)
+    visible = _VISIBLE[
+        dl_type if dl_type in VALID_ETHERTYPES else -1,
+        nw_proto if nw_proto in VALID_IP_PROTOS else -1,
+    ]
+    wire = {name: get(name, 0) for name in visible}
+    if wire[FieldName.DL_VLAN] == VLAN_NONE:
+        wire[FieldName.DL_VLAN_PCP] = 0
+    if dl_type == ETHERTYPE_IPV4 and nw_proto == IPPROTO_ICMP:
+        wire[FieldName.TP_SRC] &= _ICMP_TP_MASK
+        wire[FieldName.TP_DST] &= _ICMP_TP_MASK
+    return tuple(wire.items())
 
 
-def wire_header(
-    values: Mapping[FieldName, int], in_port: int = 0
-) -> dict[FieldName, int]:
-    """The header ``parse_packet(craft_packet(values, p), in_port)``
+def wire_header(header: int) -> int:
+    """The packed header ``parse_packet(craft_packet(header, p), 0)``
     returns, without going through bytes: the form a packet takes
     between two simulated switches, applied after a rewrite, not on
-    every hop.  Each value must be within its field's width; a missing
-    field reads as :func:`craft_packet` reads it (0, untagged VLAN).
+    every hop.  It is :func:`wire_visible_bits` of a header that has a
+    wire form (``in_port`` cleared, ICMP type/code cut to a byte each,
+    an untagged frame's priority cleared).
 
     Raises:
         CraftError: when :func:`craft_packet` would (no wire form).
     """
-    dl_type = values.get(FieldName.DL_TYPE, 0)
-    nw_proto = values.get(FieldName.NW_PROTO, 0)
+    dl_type = header >> _DL_TYPE_SHIFT & 0xFFFF
+    nw_proto = header >> _NW_PROTO_SHIFT & 0xFF
     if dl_type not in VALID_ETHERTYPES or (
         dl_type == ETHERTYPE_IPV4 and nw_proto not in VALID_IP_PROTOS
     ):
         raise CraftError(f"cannot craft {dl_type=:#06x}, {nw_proto=}")
-    header = _wire_values(values, no_vlan=VLAN_NONE)
-    header[FieldName.IN_PORT] = in_port
-    return header
+    return wire_visible_bits(header)
 
 
 def _substitute(
@@ -335,24 +343,15 @@ ICMP = Struct("!BBH4x")
 ARP = Struct("!HHBBHHII6xI")
 
 _LOW32 = 0xFFFFFFFF
-_DL_SRC = FieldName.DL_SRC
-_DL_DST = FieldName.DL_DST
-_DL_TYPE = FieldName.DL_TYPE
-_DL_VLAN = FieldName.DL_VLAN
-_DL_VLAN_PCP = FieldName.DL_VLAN_PCP
-_NW_SRC = FieldName.NW_SRC
-_NW_DST = FieldName.NW_DST
-_NW_PROTO = FieldName.NW_PROTO
-_NW_TOS = FieldName.NW_TOS
-_TP_SRC = FieldName.TP_SRC
-_TP_DST = FieldName.TP_DST
 
+def craft_packet(header: int, payload: bytes = b"") -> bytes:
+    """Serialize a normalized packed header into real packet bytes.
 
-def craft_packet(
-    values: Mapping[FieldName, int],
-    payload: bytes = b"",
-) -> bytes:
-    """Serialize a normalized abstract header into real packet bytes.
+    ``header`` is packed like :meth:`~repro.openflow.match.Match.
+    packed`; each field is read with a shift and its width, so none is
+    wider than its wire field (a payload too long for a 16-bit length
+    raises ``struct.error``).  A ``dl_vlan`` of ``VLAN_NONE`` is an
+    untagged frame.
 
     One pass: each header is packed once, its checksum already in place.
     A checksum complements a sum mod 0xFFFF (:mod:`repro.packets.
@@ -361,26 +360,23 @@ def craft_packet(
     holding a non-zero constant is never the all-zero corner and
     complements to ``-total % 0xFFFF``.
 
-    The ``in_port`` field is injection metadata, not packet content, and
-    is ignored here.  A value wider than its wire field raises
-    ``struct.error``: it is never cut to fit.
+    The ``in_port`` bits are injection metadata, not packet content, and
+    are ignored here.
 
     Raises:
         CraftError: if ``dl_type`` (or ``nw_proto`` for IPv4) holds a
             value this library cannot serialize; run
             :func:`normalize_abstract_header` first.
     """
-    get = values.get
-    dl_type = get(_DL_TYPE, 0)
-    dl_src = get(_DL_SRC, 0)
-    src_hi = dl_src >> 32
-    src_lo = dl_src & _LOW32
-    nw_src = get(_NW_SRC, 0)
-    nw_dst = get(_NW_DST, 0)
+    dl_type = header >> _DL_TYPE_SHIFT & 0xFFFF
+    src_hi = header >> _DL_SRC_HI_SHIFT & 0xFFFF
+    src_lo = header >> _DL_SRC_SHIFT & _LOW32
+    nw_src = header >> _NW_SRC_SHIFT & _LOW32
+    nw_dst = header >> _NW_DST_SHIFT & _LOW32
     if dl_type == ETHERTYPE_IPV4:
-        nw_proto = get(_NW_PROTO, 0)
-        tp_src = get(_TP_SRC, 0)
-        tp_dst = get(_TP_DST, 0)
+        nw_proto = header >> _NW_PROTO_SHIFT & 0xFF
+        tp_src = header >> _TP_SRC_SHIFT & 0xFFFF
+        tp_dst = header >> _TP_DST_SHIFT & 0xFFFF
         # What the IPv4 header and the TCP/UDP pseudo-header both sum.
         pseudo = nw_src + nw_dst + nw_proto
         if nw_proto == IPPROTO_TCP:
@@ -407,7 +403,7 @@ def craft_packet(
         else:
             raise CraftError(f"cannot craft nw_proto={nw_proto}")
         # nw_tos occupies the DSCP bits (upper 6) of the ToS byte.
-        tos = (get(_NW_TOS, 0) & 0x3F) << 2
+        tos = (header >> _NW_TOS_SHIFT & 0x3F) << 2
         length += IPV4.size
         # Version 4, IHL 5 (no options), TTL 64: the high bytes 0x45, 0x40.
         total = 0x4500 + tos + length + 0x4000 + pseudo
@@ -424,14 +420,17 @@ def craft_packet(
     else:
         raise CraftError(f"cannot craft dl_type={dl_type:#06x}")
 
-    dl_dst = get(_DL_DST, 0)
-    dl_vlan = get(_DL_VLAN, VLAN_NONE)
+    dl_vlan = header >> _DL_VLAN_SHIFT & 0xFFF
     tag = b""
     if dl_vlan != VLAN_NONE:
-        tci = (get(_DL_VLAN_PCP, 0) & 0x7) << 13 | dl_vlan & 0xFFF
+        tci = (header >> _DL_VLAN_PCP_SHIFT & 0x7) << 13 | dl_vlan
         tag = VLAN_TAG.pack(tci, dl_type)
         dl_type = ETHERTYPE_VLAN
     link = ETHERNET.pack(
-        dl_dst >> 32, dl_dst & _LOW32, src_hi, src_lo, dl_type
+        header >> _DL_DST_HI_SHIFT & 0xFFFF,
+        header >> _DL_DST_SHIFT & _LOW32,
+        src_hi,
+        src_lo,
+        dl_type,
     )
     return b"".join((link, tag, l3, l4, payload))

@@ -1,8 +1,10 @@
-"""Raw packet bytes -> abstract header (the inverse of crafting).
+"""Raw packet bytes -> packed abstract header (the inverse of crafting).
 
-Monocle uses this when a probe is caught: the PacketIn payload is parsed
-back into abstract header values so the monitor can check which rewrites
-were applied, and the probe metadata is recovered from the payload.
+A switch parses a PacketOut payload, and Monocle a caught probe's
+PacketIn payload, into the header packed as one int
+(:meth:`~repro.openflow.match.Match.packed`'s layout), so the flow
+table and the monitor compare it with no per-field step; the probe
+metadata is recovered from the payload.
 """
 
 from __future__ import annotations
@@ -15,10 +17,31 @@ from repro.openflow.fields import (
     IPPROTO_TCP,
     IPPROTO_UDP,
     VLAN_NONE,
-    FieldName,
 )
 from repro.packets.checksum import sum16
-from repro.packets.craft import ARP, ETHERNET, ICMP, IPV4, TCP, UDP, VLAN_TAG
+from repro.packets.craft import (
+    _DL_DST_HI_SHIFT,
+    _DL_DST_SHIFT,
+    _DL_SRC_HI_SHIFT,
+    _DL_SRC_SHIFT,
+    _DL_TYPE_SHIFT,
+    _DL_VLAN_PCP_SHIFT,
+    _DL_VLAN_SHIFT,
+    _NW_DST_SHIFT,
+    _NW_PROTO_SHIFT,
+    _NW_SRC_SHIFT,
+    _NW_TOS_SHIFT,
+    _TP_SRC_SHIFT,
+    _TP_DST_SHIFT,
+    ARP,
+    ETHERNET,
+    ICMP,
+    IN_PORT_SHIFT,
+    IPV4,
+    TCP,
+    UDP,
+    VLAN_TAG,
+)
 
 # Plain ints: a frame's lengths are compared a dozen times per parse.
 _ETHERNET_LEN = ETHERNET.size
@@ -29,28 +52,21 @@ _TCP_LEN = TCP.size
 _UDP_LEN = UDP.size
 _ICMP_LEN = ICMP.size
 
-_IN_PORT = FieldName.IN_PORT
-_DL_SRC = FieldName.DL_SRC
-_DL_DST = FieldName.DL_DST
-_DL_TYPE = FieldName.DL_TYPE
-_DL_VLAN = FieldName.DL_VLAN
-_DL_VLAN_PCP = FieldName.DL_VLAN_PCP
-_NW_SRC = FieldName.NW_SRC
-_NW_DST = FieldName.NW_DST
-_NW_PROTO = FieldName.NW_PROTO
-_NW_TOS = FieldName.NW_TOS
-_TP_SRC = FieldName.TP_SRC
-_TP_DST = FieldName.TP_DST
+#: An untagged frame's VLAN bits.
+_UNTAGGED = VLAN_NONE << _DL_VLAN_SHIFT
 
 
 class ParseError(ValueError):
     """Raised when packet bytes cannot be parsed."""
 
 
-def parse_packet(
-    raw: bytes, in_port: int = 0
-) -> tuple[dict[FieldName, int], bytes]:
-    """Parse packet bytes into (abstract header values, payload).
+def parse_packet(raw: bytes, in_port: int = 0) -> tuple[int, bytes]:
+    """Parse packet bytes into (packed header, payload).
+
+    The header is built as one int from the values the structs unpack,
+    laid out like :meth:`~repro.openflow.match.Match.packed`: what
+    :func:`~repro.packets.craft.craft_packet` reads, ``in_port`` ORed
+    in, every field the frame's class does not carry 0.
 
     One pass: each header is read in place with ``unpack_from``; the
     only slices made are the IPv4 header being verified and the payload
@@ -60,7 +76,7 @@ def parse_packet(
 
     Args:
         raw: the packet bytes, starting at the Ethernet header.
-        in_port: the port the packet arrived on (copied into the header).
+        in_port: the port the packet arrived on (packed into the header).
 
     Raises:
         ParseError: on malformed or unsupported packets.
@@ -70,8 +86,6 @@ def parse_packet(
         raise ParseError(f"frame too short for Ethernet: {end} bytes")
     dst_hi, dst_lo, src_hi, src_lo, dl_type = ETHERNET.unpack_from(raw)
     offset = _ETHERNET_LEN
-    dl_vlan = VLAN_NONE
-    dl_vlan_pcp = 0
     if dl_type == ETHERTYPE_VLAN:
         if end < offset + _VLAN_TAG_LEN:
             raise ParseError("frame too short for VLAN tag")
@@ -81,15 +95,18 @@ def parse_packet(
         if dl_vlan == VLAN_NONE:
             # Reserved by 802.1Q, and the header model's "untagged".
             raise ParseError("reserved VLAN id 0xfff")
-        dl_vlan_pcp = tci >> 13
-    values = {
-        _IN_PORT: in_port,
-        _DL_SRC: src_hi << 32 | src_lo,
-        _DL_DST: dst_hi << 32 | dst_lo,
-        _DL_TYPE: dl_type,
-        _DL_VLAN: dl_vlan,
-        _DL_VLAN_PCP: dl_vlan_pcp,
-    }
+        tag = dl_vlan << _DL_VLAN_SHIFT | tci >> 13 << _DL_VLAN_PCP_SHIFT
+    else:
+        tag = _UNTAGGED
+    link = (
+        in_port << IN_PORT_SHIFT
+        | src_hi << _DL_SRC_HI_SHIFT
+        | src_lo << _DL_SRC_SHIFT
+        | dst_hi << _DL_DST_HI_SHIFT
+        | dst_lo << _DL_DST_SHIFT
+        | dl_type << _DL_TYPE_SHIFT
+        | tag
+    )
     size = end - offset
 
     if dl_type == ETHERTYPE_ARP:
@@ -104,9 +121,8 @@ def parse_packet(
             )
         if hlen != 6 or plen != 4:
             raise ParseError(f"unsupported ARP address lengths: {hlen}/{plen}")
-        values[_NW_SRC] = nw_src
-        values[_NW_DST] = nw_dst
-        return values, raw[offset + _ARP_LEN :]
+        header = link | nw_src << _NW_SRC_SHIFT | nw_dst << _NW_DST_SHIFT
+        return header, raw[offset + _ARP_LEN :]
     if dl_type != ETHERTYPE_IPV4:
         raise ParseError(f"unsupported ethertype {dl_type:#06x}")
 
@@ -152,10 +168,13 @@ def parse_packet(
         offset += _ICMP_LEN
     else:
         raise ParseError(f"unsupported nw_proto {nw_proto}")
-    values[_NW_SRC] = nw_src
-    values[_NW_DST] = nw_dst
-    values[_NW_PROTO] = nw_proto
-    values[_NW_TOS] = tos >> 2
-    values[_TP_SRC] = tp_src
-    values[_TP_DST] = tp_dst
-    return values, raw[offset:end]
+    header = (
+        link
+        | nw_src << _NW_SRC_SHIFT
+        | nw_dst << _NW_DST_SHIFT
+        | nw_proto << _NW_PROTO_SHIFT
+        | tos >> 2 << _NW_TOS_SHIFT
+        | tp_src << _TP_SRC_SHIFT
+        | tp_dst << _TP_DST_SHIFT
+    )
+    return header, raw[offset:end]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.openflow.actions import CONTROLLER_PORT, ActionList
-from repro.openflow.fields import FieldName
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
@@ -32,7 +31,13 @@ from repro.openflow.messages import (
 )
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable
-from repro.packets.craft import CraftError, craft_packet, wire_header
+from repro.packets.craft import (
+    IN_PORT_SHIFT,
+    NOT_IN_PORT,
+    CraftError,
+    craft_packet,
+    wire_header,
+)
 from repro.packets.parse import ParseError, parse_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
@@ -47,12 +52,13 @@ REORDER_TAIL_PROBABILITY = 0.2
 REORDER_TAIL_EXTRA = 0.25
 
 #: A packet inside the simulated data plane: the header the wire would
-#: carry (:func:`~repro.packets.craft.wire_header`) and the payload.
-#: Parsing puts a header in that form; a hop keeps it there, and runs
-#: ``wire_header`` only on what a rewrite touched.  Bytes exist only
-#: where something real reads them: PacketOut in, PacketIn out, host
-#: NICs.  A frame belongs to its last receiver, which may change it.
-Frame = tuple[dict[FieldName, int], bytes]
+#: carry, packed as one int (:meth:`~repro.openflow.match.Match.packed`'s
+#: layout, ``in_port`` 0), and the payload.  Parsing puts a header in
+#: that form; a hop keeps it there, clearing the ``in_port`` it ORed in,
+#: and runs :func:`~repro.packets.craft.wire_header` only on what a
+#: rewrite touched.  Bytes exist only where something real reads them:
+#: PacketOut in, PacketIn out, host NICs.
+Frame = tuple[int, bytes]
 
 
 def apply_flowmod(table: FlowTable, mod: FlowMod) -> list[Rule]:
@@ -239,7 +245,7 @@ class SimulatedSwitch:
 
     def _complete_packetout(self, msg: PacketOut) -> None:
         self.stats.packetouts_processed += 1
-        frame = self._parse(msg.payload, in_port=0)
+        frame = self._parse(msg.payload)
         if frame is not None:
             self._emit(frame, msg.out_port)
 
@@ -268,17 +274,17 @@ class SimulatedSwitch:
 
     # ----- data plane ------------------------------------------------------
 
-    def _parse(self, raw: bytes, in_port: int) -> Frame | None:
+    def _parse(self, raw: bytes) -> Frame | None:
         """Bytes enter the data plane (PacketOut payload, host NIC)."""
         try:
-            return parse_packet(raw, in_port=in_port)
+            return parse_packet(raw)
         except ParseError:
             self.stats.parse_errors += 1
             return None
 
     def inject_raw(self, raw: bytes, in_port: int) -> None:
         """Packet bytes arrive on ``in_port`` (an edge port's host)."""
-        frame = self._parse(raw, in_port)
+        frame = self._parse(raw)
         if frame is not None:
             self.inject(frame, in_port)
 
@@ -286,17 +292,19 @@ class SimulatedSwitch:
         """A packet arrives on ``in_port`` (from a peer switch's link).
 
         ``frame`` must be in wire form, and each emission stays in it:
-        one no rewrite touched differs from it only in ``in_port``."""
-        values, payload = frame
-        values[FieldName.IN_PORT] = in_port
-        emissions = self.dataplane.process(values, self._choose_ecmp_port)
+        one no rewrite touched differs from it only in ``in_port``,
+        which is looked up with the header and cleared on the way out."""
+        header, payload = frame
+        emissions = self.dataplane.process(
+            header | in_port << IN_PORT_SHIFT, self._choose_ecmp_port
+        )
         if not emissions:
             self.stats.packets_dropped += 1
             return
         for outcome, header in emissions:
             # in_port is not meaningful on egress: carried as 0.
             if not outcome.rewrites:
-                header[FieldName.IN_PORT] = 0
+                header &= NOT_IN_PORT
             else:
                 try:
                     header = wire_header(header)

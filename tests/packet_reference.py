@@ -10,6 +10,11 @@ just made.  It moved here unchanged — ``ethernet``, ``ipv4``,
 keeps brute force for the solver: ``tests/test_packets.py`` holds the
 one-pass codec to it byte for byte and message for message.
 
+:func:`wire_header` is the per-field statement of the header a craft ->
+parse round trip returns, as a dict; the data plane's packed
+``repro.packets.craft.wire_header`` is held to it
+(``tests/test_wire_carrier.py``).
+
 :func:`internet_checksum` is RFC 1071 section 4.1 word by word, shared
 by the layers below and by the checksum tests.
 """
@@ -20,13 +25,18 @@ import struct
 from dataclasses import dataclass
 from typing import Mapping
 
+from normalize_reference import is_excluded
+
 from repro.openflow.fields import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     ETHERTYPE_VLAN,
+    HEADER,
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    VALID_ETHERTYPES,
+    VALID_IP_PROTOS,
     VLAN_NONE,
     FieldName,
 )
@@ -500,3 +510,39 @@ def _parse_ipv4(
     values[FieldName.TP_SRC] = tp_src
     values[FieldName.TP_DST] = tp_dst
     return values, payload
+
+
+# ----- the round trip without bytes -----------------------------------------
+
+
+def wire_header(
+    values: Mapping[FieldName, int], in_port: int = 0
+) -> dict[FieldName, int]:
+    """The header dict ``parse_packet(craft_packet(values, p), in_port)``
+    returns, field by field: every field the header's class carries
+    (parent links followed, ``in_port`` set to ``in_port``), ICMP
+    type/code cut to a byte each, an untagged frame's priority 0.  A
+    missing field reads as :func:`craft_packet` reads it (0, untagged
+    VLAN).
+
+    Raises:
+        CraftError: when :func:`craft_packet` would (no wire form).
+    """
+    dl_type = values.get(FieldName.DL_TYPE, 0)
+    nw_proto = values.get(FieldName.NW_PROTO, 0)
+    if dl_type not in VALID_ETHERTYPES or (
+        dl_type == ETHERTYPE_IPV4 and nw_proto not in VALID_IP_PROTOS
+    ):
+        raise CraftError(f"cannot craft {dl_type=:#06x}, {nw_proto=}")
+    header = {FieldName.IN_PORT: in_port}
+    for field in HEADER:
+        if field.name is FieldName.IN_PORT or is_excluded(values, field):
+            continue
+        header[field.name] = values.get(field.name, 0)
+    header[FieldName.DL_VLAN] = values.get(FieldName.DL_VLAN, VLAN_NONE)
+    if header[FieldName.DL_VLAN] == VLAN_NONE:
+        header[FieldName.DL_VLAN_PCP] = 0
+    if dl_type == ETHERTYPE_IPV4 and nw_proto == IPPROTO_ICMP:
+        header[FieldName.TP_SRC] &= 0xFF
+        header[FieldName.TP_DST] &= 0xFF
+    return header

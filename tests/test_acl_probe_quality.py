@@ -46,11 +46,11 @@ class TestProbeQuality:
 
         for _rule, result in results:
             if result.ok:
-                values, _ = parse_packet(result.packet)
+                header, _ = parse_packet(result.packet)
                 # The reserved VLAN survives crafting.
-                from repro.openflow.fields import FieldName
+                from repro.openflow.fields import HEADER, FieldName
 
-                assert values[FieldName.DL_VLAN] == 0xF03
+                assert HEADER.unpack(header)[FieldName.DL_VLAN] == 0xF03
 
     def test_majority_monitorable(self, results):
         found = sum(1 for _r, result in results if result.ok)

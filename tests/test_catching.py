@@ -95,7 +95,7 @@ class TestStrategy2:
         assert plan.field2 in match.fields
 
     def test_probe_delivered_only_by_downstream(self):
-        from repro.openflow.table import FlowTable
+        from repro.openflow.table import FlowTable, pack_header
 
         plan = plan_catching_rules(triangle(), strategy=2)
         header = {
@@ -107,7 +107,7 @@ class TestStrategy2:
             table = FlowTable()
             for rule in plan.catching_rules(node):
                 table.install(rule)
-            return table.process(header)
+            return table.process(pack_header(header))
 
         # Probed switch "a": no monitoring rule touches the probe.
         assert not any(

@@ -69,7 +69,7 @@ class TestEndToEndSemantics:
         """Figure 3: production traffic dies one hop later; probes
         (matching the catch rule) still reach the controller."""
         from repro.openflow.actions import CONTROLLER_PORT
-        from repro.openflow.table import FlowTable
+        from repro.openflow.table import FlowTable, pack_header
 
         # Neighbor switch: catch rule above the tag-drop rule.
         catch = Rule(
@@ -87,6 +87,6 @@ class TestEndToEndSemantics:
         tagged_probe = {
             FieldName.NW_TOS: DROP_TAG_TOS, FieldName.DL_VLAN: 0xF01
         }
-        assert neighbor.process(tagged_production) == []
-        caught = neighbor.process(tagged_probe)
+        assert neighbor.process(pack_header(tagged_production)) == []
+        caught = neighbor.process(pack_header(tagged_probe))
         assert [po.port for po, _ in caught] == [CONTROLLER_PORT]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.network.host import Host
+from repro.openflow.fields import HEADER, VLAN_NONE, FieldName
+from repro.packets.parse import parse_packet
 from repro.network.traffic import FlowSpec, TrafficGenerator
 from repro.sim.kernel import Simulator
 
@@ -20,6 +22,41 @@ class TestHost:
         assert len(host.received) == 1
         assert host.received[0].payload == b"\x00\x01"
         assert host.received[0].values == {}
+
+    def test_send_without_dl_vlan_is_untagged(self):
+        """A frame names its VLAN or has none: in a packed header a
+        ``dl_vlan`` left at 0 would be a tag for VLAN 0."""
+        host = Host(Simulator(), "h1")
+        sent = []
+        host.transmit = sent.append
+        host.send(b"x", dl_type=0x0800, nw_proto=17, nw_dst=7)
+        (raw,) = sent
+        assert raw[12:14] == b"\x08\x00"  # the ethertype: no 802.1Q tag
+        assert len(raw) == 14 + 20 + 8 + 1
+        header, payload = parse_packet(raw)
+        assert HEADER.unpack(header)[FieldName.DL_VLAN] == VLAN_NONE
+        assert payload == b"x"
+        host.send(b"x", dl_type=0x0800, nw_proto=17, dl_vlan=0)
+        assert sent[1][12:16] == b"\x81\x00\x00\x00"  # VLAN 0, tagged
+
+    def test_send_refuses_a_value_wider_than_its_field(self):
+        host = Host(Simulator(), "h1")
+        host.transmit = lambda raw: None
+        with pytest.raises(ValueError, match="exceeds width 48"):
+            host.send(dl_type=0x0800, nw_proto=17, dl_dst=1 << 48)
+        assert host.sent_count == 0
+
+    def test_receive_unpacks_every_field(self):
+        host = Host(Simulator(), "h1")
+        sent = []
+        host.transmit = sent.append
+        host.send(b"p", dl_type=0x0806, nw_src=1, nw_dst=2)
+        host.receive(sent[0])
+        values = host.received[0].values
+        assert list(values) == HEADER.names()
+        assert values[FieldName.NW_DST] == 2
+        assert values[FieldName.NW_PROTO] == 0  # ARP carries none
+        assert host.received[0].payload == b"p"
 
     def test_on_receive_callback(self):
         sim = Simulator()
@@ -66,7 +103,6 @@ class TestTrafficGeneratorEdge:
 
     def test_sequence_numbers_increase(self):
         from repro.network.traffic import decode_flow_payload
-        from repro.packets.parse import parse_packet
 
         sim, host, sent, generator = self.make()
         generator.start()

@@ -19,10 +19,13 @@ to cancel its pending retry too: a confirmed probe's next retry used
 to fire as a no-op (16,076 -> 14,393 and 49,170 -> 43,667 events).
 The call-count tests hold the
 diet itself: a later change that re-introduces a per-hop codec pass,
-a per-hop ``wire_header`` on a header no rule rewrote, or a
-per-message conditioner call fails here, in tier-1, not in a
-benchmark.  One pass is held too: crafting and parsing a probe frame is
-a handful of Python-level calls and builds no per-layer header object.
+a per-hop ``wire_header`` on a header no rule rewrote, a header packed
+(``pack_header``) or unpacked (``HeaderLayout.unpack``) anywhere
+between a probe's launch and its catch, or a per-message conditioner
+call fails here, in tier-1, not in a benchmark: a frame crosses the
+data plane as one packed int.  One pass is held too: crafting and
+parsing a probe frame is a handful of Python-level calls and builds no
+per-layer header object.
 
 And one small ``churn_fleet``: two islands of 8 switches x 8 disjoint
 rules under a 400 FlowMods/s add/modify/delete stream, every update
@@ -42,9 +45,11 @@ import weakref
 import pytest
 
 import repro.core.monitor
+import repro.openflow.table
 import repro.sim.kernel
 import repro.packets.craft
 import repro.packets.parse
+from frame_helpers import craft
 from repro.core.constraints import ConstraintCompiler
 from repro.core.monitor import Monitor, MonitorConfig
 from repro.core.probegen import ProbeGenerator
@@ -65,6 +70,7 @@ from repro.openflow.fields import (
     IPPROTO_TCP,
     IPPROTO_UDP,
     FieldName,
+    HeaderLayout,
 )
 from repro.openflow.actions import output
 from repro.openflow.match import Match
@@ -344,6 +350,10 @@ def calls(monkeypatch):
         "wire_visible_items": _Calls(
             monkeypatch, repro.packets.craft, "wire_visible_items"
         ),
+        "pack_header": _Calls(
+            monkeypatch, repro.openflow.table, "pack_header"
+        ),
+        "unpack": _Calls(monkeypatch, HeaderLayout, "unpack"),
     }
 
 
@@ -352,12 +362,13 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     PacketIn craft, the emitting switch's PacketOut parse + Monocle's
     parse.  No hop in between touches bytes, no message asks a
     conditioner anything, and a cached result's observation sets are
-    not recomputed.  A hop forwards the packet's header dict: no
-    switch builds an expected outcome (``RuleOutcome``) for it or
+    not recomputed.  A frame's header is one packed int from the
+    PacketOut parse to the PacketIn craft: no switch packs it to look
+    it up, builds an expected outcome (``RuleOutcome``) for it or
     re-normalises a header no rule rewrote (``SteadyRules`` rewrite
-    nothing), no catch re-derives its observation from the parsed
-    header, and no launch asks the Network for its node's upstream
-    ports."""
+    nothing); no catch packs what it parsed or re-derives its
+    observation; no launch unpacks the probe's header or asks the
+    Network for its node's upstream ports."""
     deployment, _ = _run(
         ring(6), MonitorConfig(), 16, 0.0, [], duration=0.1, dynamic=True
     )
@@ -381,6 +392,7 @@ def test_steady_probe_pays_two_codec_passes_and_no_conditioner(calls):
     assert spent["observations"] == 0
     assert spent["from_rule"] == 0
     assert spent["wire_header"] == spent["wire_visible_items"] == 0
+    assert spent["pack_header"] == spent["unpack"] == 0
     assert calls["upstream_options"].count <= len(monitors)
 
 
@@ -439,7 +451,9 @@ def test_a_hop_renormalises_only_a_rewritten_emission(
     calls, rewrites, passes
 ):
     """One packet through one switch: the emission a ``SetField``
-    touched pays exactly one ``wire_header``; an untouched one none."""
+    touched pays exactly one ``wire_header``; an untouched one none.
+    Neither packs or unpacks a header: the frame is the packed int
+    ``parse_packet`` made, rewritten with masks."""
     sim = Simulator()
     switch = SimulatedSwitch(sim, switch_id=1)
     emitted = []
@@ -452,10 +466,18 @@ def test_a_hop_renormalises_only_a_rewritten_emission(
         FieldName.NW_PROTO: IPPROTO_UDP,
         FieldName.NW_DST: 7,
     }
-    switch.inject_raw(repro.packets.craft.craft_packet(packet), in_port=1)
+    raw = craft(packet)
+    before = {name: c.count for name, c in calls.items()}
+    switch.inject_raw(raw, in_port=1)
     sim.run()
+    spent = {name: c.count - before[name] for name, c in calls.items()}
     assert len(emitted) == 1
-    assert calls["wire_header"].count == passes
+    assert spent["wire_header"] == passes
+    assert spent["pack_header"] == spent["unpack"] == 0
+    ((header, _),) = emitted
+    rewritten = {FieldName(k): v for k, v in rewrites.items()}
+    expected = craft({**packet, **rewritten})
+    assert header == repro.packets.parse.parse_packet(expected)[0]
 
 
 @pytest.mark.parametrize("proto", [IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP])
@@ -465,7 +487,7 @@ def test_one_codec_pass_is_a_handful_of_calls_and_no_header_object(proto):
     codec made 19-20 Python-level calls here, four of them frozen
     dataclass ``__init__``s; the one-pass codec makes 4.  Exact for an
     input, so a "small helper per layer" cannot quietly grow back."""
-    header = {
+    values = {
         FieldName.DL_SRC: 0x020000000001,
         FieldName.DL_DST: 0x020000000002,
         FieldName.DL_TYPE: ETHERTYPE_IPV4,
@@ -478,6 +500,7 @@ def test_one_codec_pass_is_a_handful_of_calls_and_no_header_object(proto):
         FieldName.TP_SRC: 8,
         FieldName.TP_DST: 0,
     }
+    header = repro.openflow.table.pack_header(values)
     payload = ProbeMetadata(switch_id=2, rule_cookie=9, nonce=41).encode()
     called = []
 
@@ -490,11 +513,11 @@ def test_one_codec_pass_is_a_handful_of_calls_and_no_header_object(proto):
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
-        values, parsed_payload = parse_packet(craft_packet(header, payload))
+        parsed, parsed_payload = parse_packet(craft_packet(header, payload))
     finally:
         sys.setprofile(previous)
     assert parsed_payload == payload
-    assert all(values[name] == value for name, value in header.items())
+    assert parsed == header
     assert len(called) <= 8, called
     assert "__init__" not in called
 

@@ -13,7 +13,7 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import pack_header
-from repro.packets.craft import craft_packet
+from repro.packets.craft import NOT_IN_PORT, craft_packet
 from repro.packets.parse import parse_packet
 from repro.network import Network
 from repro.sim.kernel import Simulator
@@ -97,9 +97,10 @@ class TestOutcomeObservations:
             FieldName.NW_PROTO: 1,
             FieldName.TP_SRC: 0x1208,
         }
-        outcome = RuleOutcome(emissions=((1, pack_header(values)),))
-        parsed, _ = parse_packet(craft_packet(values), in_port=7)
-        caught = pack_header({**parsed, FieldName.IN_PORT: 0})
+        header = pack_header(values)
+        outcome = RuleOutcome(emissions=((1, header),))
+        parsed, _ = parse_packet(craft_packet(header), in_port=7)
+        caught = parsed & NOT_IN_PORT  # what handle_caught_probe compares
         assert outcome_observations(outcome, None) == {(1, caught)}
 
 

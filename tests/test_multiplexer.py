@@ -2,6 +2,7 @@
 
 import sys
 
+from frame_helpers import craft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.core.monitor import MonitorConfig
 from repro.core.multiplexer import MonocleSystem, Multiplexer
 from repro.network import Network
 from repro.openflow.actions import CONTROLLER_PORT, output
+from repro.openflow.fields import FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import (
     EchoRequest,
@@ -71,16 +73,8 @@ class TestInjection:
         switch3.inject = lambda raw, in_port: seen.append(in_port) or original(
             raw, in_port
         )
-        packet = craft_packet(
-            {
-                __import__(
-                    "repro.openflow.fields", fromlist=["FieldName"]
-                ).FieldName.DL_TYPE: 0x0800,
-                __import__(
-                    "repro.openflow.fields", fromlist=["FieldName"]
-                ).FieldName.NW_PROTO: 17,
-            },
-            b"x",
+        packet = craft(
+            {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17}, b"x"
         )
         system.multiplexer.inject("s3", packet, target_port)
         sim.run_for(0.1)
@@ -135,9 +129,7 @@ class TestPacketInRouting:
             actions=output(CONTROLLER_PORT),
         )
         system.preinstall_production_rule("s1", rule)
-        from repro.openflow.fields import FieldName
-
-        raw = craft_packet(
+        raw = craft(
             {
                 FieldName.DL_TYPE: 0x0800,
                 FieldName.NW_PROTO: 17,
@@ -157,13 +149,11 @@ class TestPacketInRouting:
 
     def test_stale_probe_metadata_not_forwarded(self):
         sim, net, system, upstream = make_system()
-        from repro.openflow.fields import FieldName
-
         # A probe-looking packet whose nonce no monitor knows.
         meta = ProbeMetadata(
             switch_id=net.switch_number("s1"), rule_cookie=1, nonce=999999
         )
-        raw = craft_packet(
+        raw = craft(
             {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17},
             meta.encode(),
         )
@@ -175,10 +165,8 @@ class TestPacketInRouting:
 
     def test_unknown_switch_id_counted_unroutable(self):
         sim, net, system, upstream = make_system()
-        from repro.openflow.fields import FieldName
-
         meta = ProbeMetadata(switch_id=777, rule_cookie=1, nonce=5)
-        raw = craft_packet(
+        raw = craft(
             {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17},
             meta.encode(),
         )
@@ -277,7 +265,7 @@ def _valid_probe(system, rule, switch_id, nonce):
     meta = ProbeMetadata(
         switch_id=switch_id, rule_cookie=rule.cookie, nonce=nonce
     )
-    return craft_packet(dict(result.header), meta.encode())
+    return craft_packet(result.packed_header, meta.encode())
 
 
 #: (kind, a, b, c): how to derive one fuzzed payload from a valid probe.
@@ -396,9 +384,7 @@ class TestOnePassPerProbe:
             actions=output(CONTROLLER_PORT),
         )
         system.preinstall_production_rule("leaf0", to_controller)
-        from repro.openflow.fields import FieldName
-
-        raw = craft_packet(
+        raw = craft(
             {
                 FieldName.DL_TYPE: 0x0800,
                 FieldName.NW_PROTO: 17,
@@ -426,9 +412,9 @@ class TestOnePassPerProbe:
 
         crafts = []
 
-        def counting_craft(values, payload=b""):
+        def counting_craft(header, payload=b""):
             crafts.append(1)
-            return craft_packet(values, payload)
+            return craft_packet(header, payload)
 
         # The module binding, and the source for any call-time import.
         monkeypatch.setattr(craft_module, "craft_packet", counting_craft)

@@ -1,5 +1,6 @@
 """Tests for network wiring: links, channels, hosts, topology maps."""
 
+from frame_helpers import craft
 
 from repro.network import ControlChannel, Link, Network
 from repro.network.traffic import (
@@ -87,8 +88,6 @@ class TestNetwork:
             assert net.neighbor_on_port[u][port_u] == v
 
     def test_packet_crosses_link(self):
-        from repro.packets.craft import craft_packet
-
         sim, net = self.make()
         s1, s2 = net.switch("s1"), net.switch("s2")
         s1.install_directly(
@@ -98,17 +97,13 @@ class TestNetwork:
                 actions=output(net.port_toward["s1"]["s2"]),
             )
         )
-        raw = craft_packet(
-            {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6}, b"x"
-        )
+        raw = craft({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6}, b"x")
         s1.inject_raw(raw, in_port=net.port_toward["s1"]["s3"])
         sim.run_for(0.1)
         # s2 received and (having no rules) dropped it.
         assert s2.stats.packets_dropped == 1
 
     def test_fail_link(self):
-        from repro.packets.craft import craft_packet
-
         sim, net = self.make()
         net.fail_link("s1", "s2")
         s1, s2 = net.switch("s1"), net.switch("s2")
@@ -119,7 +114,7 @@ class TestNetwork:
                 actions=output(net.port_toward["s1"]["s2"]),
             )
         )
-        raw = craft_packet({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6})
+        raw = craft({FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 6})
         s1.inject_raw(raw, in_port=net.port_toward["s1"]["s3"])
         sim.run_for(0.1)
         assert s2.stats.packets_dropped == 0  # nothing arrived

@@ -14,7 +14,7 @@ from repro.openflow.actions import (
     ecmp,
     output,
 )
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule
 from repro.openflow.table import FlowTable, pack_header
@@ -84,8 +84,9 @@ class TestRewrites:
     def test_apply_rewrites_header(self):
         table = FlowTable([Rule(1, Match.wildcard(), output(1, nw_tos=7))])
         header = {FieldName.NW_TOS: 0, FieldName.NW_SRC: 9}
-        ((outcome, observed),) = table.process(header)
+        ((outcome, observed),) = table.process(pack_header(header))
         assert outcome.port == 1
+        observed = HEADER.unpack(observed)
         assert observed[FieldName.NW_TOS] == 7
         assert observed[FieldName.NW_SRC] == 9
 

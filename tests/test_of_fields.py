@@ -9,6 +9,7 @@ from repro.openflow.fields import (
     FieldName,
 )
 from repro.openflow.match import Match
+from repro.openflow.table import pack_header
 
 
 def fixed_bits(match):
@@ -59,7 +60,7 @@ class TestPacking:
             FieldName.NW_SRC: 0x0A000001,
             FieldName.TP_DST: 443,
         }
-        packed = HEADER.pack(values)
+        packed = pack_header(values)
         unpacked = HEADER.unpack(packed)
         for name, value in values.items():
             assert unpacked[name] == value
@@ -68,9 +69,11 @@ class TestPacking:
         unpacked = HEADER.unpack(0)
         assert all(v == 0 for v in unpacked.values())
 
-    def test_pack_rejects_oversized_value(self):
-        with pytest.raises(ValueError):
-            HEADER.pack({FieldName.DL_VLAN: 1 << 12})
+    def test_pack_cuts_oversized_value(self):
+        """``pack_header`` keeps a value's low bits, within its field."""
+        assert pack_header({FieldName.DL_VLAN: 1 << 12 | 5}) == pack_header(
+            {FieldName.DL_VLAN: 5}
+        )
 
     def test_unpack_rejects_too_wide_header(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from overlap_reference import fields_overlap, overlaps
 from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import FieldMatch, Match
+from repro.openflow.table import pack_header
 
 #: The constraint of a field a match leaves out.
 ANY = FieldMatch(0, 0)
@@ -129,7 +130,7 @@ class TestMatch:
 
     def test_matches_packed_roundtrip(self):
         match = Match.build(nw_src=0x0A000001, tp_dst=80)
-        header = HEADER.pack(
+        header = pack_header(
             {FieldName.NW_SRC: 0x0A000001, FieldName.TP_DST: 80}
         )
         assert match.matches(HEADER.unpack(header))

@@ -6,6 +6,8 @@ import struct
 
 import packet_reference as reference
 import pytest
+from frame_helpers import craft, packed, parse
+from hypothesis_budget import examples
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,6 @@ from repro.openflow.table import pack_header
 from repro.packets.checksum import sum16
 from repro.packets.craft import (
     CraftError,
-    craft_packet,
     normalize_abstract_header,
     wire_visible_items,
 )
@@ -64,7 +65,7 @@ corner_payloads = st.one_of(
 
 
 class TestChecksum:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(corner_payloads)
     @example(b"")
     @example(b"\x00")
@@ -114,7 +115,7 @@ def ipv4_header(proto, **fields):
 
 
 def probe_frame(proto, payload, vlan=VLAN_NONE):
-    return craft_packet(
+    return craft(
         ipv4_header(
             proto,
             dl_vlan=vlan,
@@ -148,9 +149,9 @@ class TestEthernet:
         header = ipv4_header(
             IPPROTO_UDP, dl_dst=0x112233445566, dl_src=0xAABBCCDDEEFF
         )
-        frame = craft_packet(header, b"payload")
+        frame = craft(header, b"payload")
         assert frame[12:14] == b"\x08\x00"  # no tag before the ethertype
-        values, payload = parse_packet(frame)
+        values, payload = parse(frame)
         assert values[FieldName.DL_DST] == 0x112233445566
         assert values[FieldName.DL_SRC] == 0xAABBCCDDEEFF
         assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
@@ -161,9 +162,9 @@ class TestEthernet:
         header = ipv4_header(
             IPPROTO_UDP, dl_dst=1, dl_src=2, dl_vlan=0xF03, dl_vlan_pcp=5
         )
-        frame = craft_packet(header, b"x")
+        frame = craft(header, b"x")
         assert frame[12:16] == bytes([0x81, 0x00, 0xAF, 0x03])
-        values, payload = parse_packet(frame)
+        values, payload = parse(frame)
         assert values[FieldName.DL_VLAN] == 0xF03
         assert values[FieldName.DL_VLAN_PCP] == 5
         assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
@@ -173,26 +174,27 @@ class TestEthernet:
         """VID 0xFFF is reserved, and the header model's "untagged": a
         tag carrying it has no header to parse into (its priority
         would survive in a header that says no tag)."""
-        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP, dl_vlan=7)))
+        frame = bytearray(craft(ipv4_header(IPPROTO_UDP, dl_vlan=7)))
         assert frame[12:14] == b"\x81\x00"
         frame[14:16] = (5 << 13 | 0xFFF).to_bytes(2, "big")
         with pytest.raises(ParseError, match="reserved VLAN id"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
         with pytest.raises(ParseError, match="reserved VLAN id"):
             reference.parse_packet(bytes(frame))
 
     def test_short_frame_rejected(self):
         with pytest.raises(ParseError, match="too short for Ethernet"):
-            parse_packet(b"short")
-        tagged = craft_packet(ipv4_header(IPPROTO_UDP, dl_vlan=7))
+            parse(b"short")
+        tagged = craft(ipv4_header(IPPROTO_UDP, dl_vlan=7))
         with pytest.raises(ParseError, match="too short for VLAN tag"):
-            parse_packet(tagged[:17])
+            parse(tagged[:17])
 
     def test_mac_to_str(self):
-        frame = craft_packet(ipv4_header(IPPROTO_UDP, dl_dst=0xAABBCCDDEEFF))
+        frame = craft(ipv4_header(IPPROTO_UDP, dl_dst=0xAABBCCDDEEFF))
         assert frame[:6].hex(":") == "aa:bb:cc:dd:ee:ff"
-        with pytest.raises(struct.error):
-            craft_packet(ipv4_header(IPPROTO_UDP, dl_dst=1 << 48))
+        frame = craft(ipv4_header(IPPROTO_UDP, dl_src=(1 << 48) - 1))
+        assert frame[6:12] == b"\xff" * 6
+        assert parse(frame)[0][FieldName.DL_SRC] == (1 << 48) - 1
 
 
 class TestIpv4:
@@ -200,10 +202,10 @@ class TestIpv4:
         header = ipv4_header(
             IPPROTO_TCP, nw_src=0x0A000001, nw_dst=0x0A000002, nw_tos=0x2A
         )
-        frame = craft_packet(header, b"data")
+        frame = craft(header, b"data")
         assert sum16(frame[14:34]) == 0xFFFF
         assert frame[14:34] == reference.craft_packet(header, b"data")[14:34]
-        values, payload = parse_packet(frame)
+        values, payload = parse(frame)
         assert values[FieldName.NW_SRC] == 0x0A000001
         assert values[FieldName.NW_DST] == 0x0A000002
         assert values[FieldName.NW_PROTO] == IPPROTO_TCP
@@ -212,16 +214,16 @@ class TestIpv4:
 
     def test_corrupted_checksum_rejected(self):
         frame = bytearray(
-            craft_packet(ipv4_header(IPPROTO_TCP, nw_src=1, nw_dst=2))
+            craft(ipv4_header(IPPROTO_TCP, nw_src=1, nw_dst=2))
         )
         frame[14 + 12] ^= 0xFF
         with pytest.raises(ParseError, match="header checksum mismatch"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
 
     def test_options_are_skipped(self):
         """An IHL above 5: the header checksum covers the options and
         the transport header starts after them."""
-        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP), b"opt"))
+        frame = bytearray(craft(ipv4_header(IPPROTO_UDP), b"opt"))
         options = b"\x01" * 8
         frame[14] = 0x47
         frame[16:18] = (int.from_bytes(frame[16:18], "big") + 8).to_bytes(
@@ -229,13 +231,11 @@ class TestIpv4:
         )
         frame[34:34] = options
         with_options = resealed(frame, ihl=28)
-        assert parse_packet(with_options)[1] == b"opt"
-        assert parse_packet(with_options) == reference.parse_packet(
-            with_options
-        )
+        assert parse(with_options)[1] == b"opt"
+        assert parse_packet(with_options) == reference_parse(with_options)
         frame[14] = 0x44
         with pytest.raises(ParseError, match="bad IHL: 16"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
 
     def test_ip_string_conversions(self):
         assert ip_to_str(0x0A000001) == "10.0.0.1"
@@ -248,13 +248,13 @@ class TestIpv4:
 
 class TestTransport:
     def roundtrip(self, proto, tp_src, tp_dst, payload):
-        frame = craft_packet(
+        frame = craft(
             ipv4_header(
                 proto, nw_src=1, nw_dst=2, tp_src=tp_src, tp_dst=tp_dst
             ),
             payload,
         )
-        values, parsed_payload = parse_packet(frame)
+        values, parsed_payload = parse(frame)
         return (
             values[FieldName.TP_SRC],
             values[FieldName.TP_DST],
@@ -286,33 +286,33 @@ class TestTransport:
             (IPPROTO_UDP, "UDP", 8),
             (IPPROTO_ICMP, "ICMP", 8),
         ):
-            frame = craft_packet(ipv4_header(proto))
+            frame = craft(ipv4_header(proto))
             assert len(frame) == 14 + 20 + header_len
             for kept in (0, 3, header_len - 1):
                 short = with_ipv4_total_length(frame, 20 + kept)
                 with pytest.raises(
                     ParseError, match=f"too short for {name}: {kept} bytes"
                 ):
-                    parse_packet(short)
+                    parse(short)
         with pytest.raises(ParseError, match="too short for IPv4: 19 bytes"):
-            parse_packet(frame[: 14 + 19])
+            parse(frame[: 14 + 19])
 
     def test_bad_tcp_data_offset_rejected(self):
-        frame = bytearray(craft_packet(ipv4_header(IPPROTO_TCP), b"abcd"))
+        frame = bytearray(craft(ipv4_header(IPPROTO_TCP), b"abcd"))
         frame[34 + 12] = 0x40  # 16 bytes: inside the fixed header
         with pytest.raises(ParseError, match="bad TCP data offset: 16"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
         frame[34 + 12] = 0x70  # 28 bytes: beyond the 24 present
         with pytest.raises(ParseError, match="bad TCP data offset: 28"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
         frame[34 + 12] = 0x60  # 24 bytes: the payload read as options
-        assert parse_packet(bytes(frame))[1] == b""
+        assert parse(bytes(frame))[1] == b""
 
     def test_unsupported_protocol_rejected(self):
-        frame = bytearray(craft_packet(ipv4_header(IPPROTO_UDP)))
+        frame = bytearray(craft(ipv4_header(IPPROTO_UDP)))
         frame[14 + 9] = 99
         with pytest.raises(ParseError, match="unsupported nw_proto 99"):
-            parse_packet(resealed(frame))
+            parse(resealed(frame))
 
 
 class TestArp:
@@ -324,21 +324,21 @@ class TestArp:
     }
 
     def test_roundtrip(self):
-        frame = craft_packet(self.HEADER, b"tail")
+        frame = craft(self.HEADER, b"tail")
         # A request from the frame's own source, target MAC unknown.
         assert frame[14:22] == bytes([0, 1, 8, 0, 6, 4, 0, 1])
         assert frame[22:28] == frame[6:12]
         assert frame[32:38] == bytes(6)
-        values, payload = parse_packet(frame)
+        values, payload = parse(frame)
         assert values[FieldName.NW_SRC] == 0x0A000001
         assert values[FieldName.NW_DST] == 0x0A000002
-        assert FieldName.NW_PROTO not in values
+        assert values[FieldName.NW_PROTO] == 0  # ARP carries none
         assert payload == b"tail"
 
     def test_malformed_rejected(self):
-        frame = craft_packet(self.HEADER)
+        frame = craft(self.HEADER)
         with pytest.raises(ParseError, match="too short for ARP: 27 bytes"):
-            parse_packet(frame[:-1])
+            parse(frame[:-1])
         for offset, message in (
             (15, "unsupported ARP htype/ptype: 0/0x800"),
             (17, "unsupported ARP htype/ptype: 1/0x801"),
@@ -348,11 +348,11 @@ class TestArp:
             bad = bytearray(frame)
             bad[offset] ^= 1
             with pytest.raises(ParseError, match=message):
-                parse_packet(bytes(bad))
+                parse(bytes(bad))
         bad = bytearray(frame)
         bad[12:14] = b"\x12\x34"
         with pytest.raises(ParseError, match="unsupported ethertype 0x1234"):
-            parse_packet(bytes(bad))
+            parse(bytes(bad))
 
 
 # ----- the one-pass codec against the layered reference --------------------
@@ -383,6 +383,13 @@ any_headers = st.fixed_dictionaries(
 )
 
 
+def reference_parse(raw: bytes, in_port: int = 0) -> tuple[int, bytes]:
+    """The layered reference's parse, its header dict packed: what
+    ``parse_packet`` must return."""
+    values, payload = reference.parse_packet(raw, in_port)
+    return pack_header(values), payload
+
+
 def outcome(codec, *args):
     """What a codec call did: its result, or its own error class and
     message.  Any other exception propagates and fails the test."""
@@ -394,11 +401,12 @@ def outcome(codec, *args):
 
 class TestOnePassAgainstLayeredReference:
     """``craft_packet`` / ``parse_packet`` walk a frame once, from and
-    to integers; the layered codec they replaced is the oracle.  Same
-    bytes, same headers, same errors — and nothing but ``CraftError`` /
+    to a packed header; the layered codec they replaced, on header
+    dicts, is the oracle.  Same bytes, same headers (the reference's
+    packed), same errors — and nothing but ``CraftError`` /
     ``ParseError`` for an uncraftable class or malformed bytes."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         values=any_headers,
         missing=st.sets(st.sampled_from(sorted(HEADER.names())), max_size=3),
@@ -409,7 +417,7 @@ class TestOnePassAgainstLayeredReference:
         self, values, missing, payload, in_port
     ):
         values = {k: v for k, v in values.items() if k not in missing}
-        crafted = outcome(craft_packet, values, payload)
+        crafted = outcome(craft, values, payload)
         assert crafted == outcome(reference.craft_packet, values, payload)
         if crafted[0] != "ok":
             assert crafted[0] == "CraftError"
@@ -417,18 +425,18 @@ class TestOnePassAgainstLayeredReference:
         frame = crafted[1]
         parsed = outcome(parse_packet, frame, in_port)
         assert parsed[0] == "ok" and parsed[1][1] == payload
-        assert parsed == outcome(reference.parse_packet, frame, in_port)
+        assert parsed == outcome(reference_parse, frame, in_port)
         for cut in range(len(frame)):
             prefix = frame[:cut]
             assert outcome(parse_packet, prefix) == outcome(
-                reference.parse_packet, prefix
+                reference_parse, prefix
             ), cut
         flipped = bytearray(frame)
         for bit in range(8 * min(60, len(frame))):
             flipped[bit >> 3] ^= 1 << (bit & 7)
             damaged = bytes(flipped)
             assert outcome(parse_packet, damaged) == outcome(
-                reference.parse_packet, damaged
+                reference_parse, damaged
             ), bit
             flipped[bit >> 3] ^= 1 << (bit & 7)
 
@@ -438,21 +446,21 @@ class TestOnePassAgainstLayeredReference:
     def test_all_zero_and_all_ones_payloads(self, proto, size, fill):
         for tp in (0, 0xFF):
             header = ipv4_header(proto, tp_src=tp, tp_dst=tp)
-            frame = craft_packet(header, fill * size)
+            frame = craft(header, fill * size)
             assert frame == reference.craft_packet(header, fill * size)
-            assert parse_packet(frame)[1] == fill * size
+            assert parse(frame)[1] == fill * size
 
     def test_icmp_true_zero_and_negative_zero(self):
         """Type 0, code 0 over zeros sums to 0: checksum 0xFFFF.  A
         message summing to a non-zero multiple of 0xFFFF: checksum 0."""
         echo_reply = ipv4_header(IPPROTO_ICMP, tp_src=0, tp_dst=0)
         for zeros in (b"", bytes(1), bytes(26)):
-            frame = craft_packet(echo_reply, zeros)
+            frame = craft(echo_reply, zeros)
             assert frame[36:38] == b"\xff\xff"
             assert frame == reference.craft_packet(echo_reply, zeros)
         echo = ipv4_header(IPPROTO_ICMP, tp_src=8, tp_dst=0)
         payload = words_summing_to_a_multiple_of_0xffff([0x0800])[2:]
-        frame = craft_packet(echo, payload)
+        frame = craft(echo, payload)
         assert frame[36:38] == b"\x00\x00"
         assert frame == reference.craft_packet(echo, payload)
 
@@ -463,7 +471,7 @@ class TestOnePassAgainstLayeredReference:
         # Pseudo-header, UDP header and payload word sum to 0xFFFF * k.
         rest = 0x0A000001 + 0x0A000002 + 17 + 2 * (8 + 2) + 53
         payload = (0xFFFF - rest % 0xFFFF).to_bytes(2, "big")
-        frame = craft_packet(header, payload)
+        frame = craft(header, payload)
         assert frame[40:42] == b"\xff\xff"
         assert frame == reference.craft_packet(header, payload)
 
@@ -479,16 +487,23 @@ class TestOnePassAgainstLayeredReference:
         ],
     )
     def test_a_value_wider_than_its_wire_field_raises(self, field, proto):
-        """Never a silently truncated field — in either codec."""
+        """Never a silently truncated field — in either codec.  A packed
+        header has no room for a wider value: packing it is refused, as
+        the reference refuses to craft it; the widest value the field
+        holds crafts and parses back whole."""
         width = HEADER.field(FieldName(field)).width
         for value in (1 << width, -1):
             header = ipv4_header(proto, **{field: value})
-            with pytest.raises(struct.error):
-                craft_packet(header)
+            with pytest.raises(ValueError):
+                packed(header)
             with pytest.raises((ValueError, OverflowError, struct.error)):
                 reference.craft_packet(header)
+        widest = ipv4_header(proto, **{field: (1 << width) - 1})
+        frame = craft(widest)
+        assert frame == reference.craft_packet(widest)
+        assert parse(frame)[0][FieldName(field)] == (1 << width) - 1
         with pytest.raises(struct.error):  # total_length is 16 bits
-            craft_packet(ipv4_header(proto), bytes(0x10000))
+            craft(ipv4_header(proto), bytes(0x10000))
 
 
 class TestCraftParseRoundtrip:
@@ -514,8 +529,8 @@ class TestCraftParseRoundtrip:
         if proto == IPPROTO_ICMP:
             header[FieldName.TP_SRC] = 8
             header[FieldName.TP_DST] = 0
-        raw = craft_packet(header, b"meta")
-        values, payload = parse_packet(raw, in_port=7)
+        raw = craft(header, b"meta")
+        values, payload = parse(raw, in_port=7)
         assert payload == b"meta"
         assert values[FieldName.IN_PORT] == 7
         for name in (
@@ -534,8 +549,8 @@ class TestCraftParseRoundtrip:
     def test_untagged_when_vlan_none(self):
         header = self.full_header(IPPROTO_TCP)
         header[FieldName.DL_VLAN] = VLAN_NONE
-        raw = craft_packet(header)
-        values, _ = parse_packet(raw)
+        raw = craft(header)
+        values, _ = parse(raw)
         assert values[FieldName.DL_VLAN] == VLAN_NONE
 
     def test_arp_roundtrip(self):
@@ -547,24 +562,24 @@ class TestCraftParseRoundtrip:
             FieldName.NW_SRC: 0x0A000001,
             FieldName.NW_DST: 0x0A000002,
         }
-        raw = craft_packet(header, b"p")
-        values, payload = parse_packet(raw)
+        raw = craft(header, b"p")
+        values, payload = parse(raw)
         assert values[FieldName.NW_SRC] == 0x0A000001
         assert values[FieldName.NW_DST] == 0x0A000002
         assert payload == b"p"
 
     def test_uncraftable_ethertype(self):
         with pytest.raises(CraftError):
-            craft_packet({FieldName.DL_TYPE: 0x1234})
+            craft({FieldName.DL_TYPE: 0x1234})
 
     def test_uncraftable_proto(self):
         header = self.full_header(99)
         with pytest.raises(CraftError):
-            craft_packet(header)
+            craft(header)
 
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
-            parse_packet(b"\x00" * 5)
+            parse(b"\x00" * 5)
 
 
 class TestLengthFieldsThatLie:
@@ -581,23 +596,23 @@ class TestLengthFieldsThatLie:
         frame = probe_frame(proto, payload)
         assert len(frame) < 60
         padded = frame.ljust(60, b"\x00")
-        assert parse_packet(padded) == parse_packet(frame)
-        assert parse_packet(padded)[1] == payload
+        assert parse(padded) == parse(frame)
+        assert parse(padded)[1] == payload
 
     @pytest.mark.parametrize("proto", IPV4_PROTOS)
     @pytest.mark.parametrize("cut", [1, 10, len(META)])
     @pytest.mark.parametrize("vlan", [VLAN_NONE, 0x123])
     def test_frame_shorter_than_total_length_rejected(self, proto, cut, vlan):
         frame = probe_frame(proto, self.META, vlan)
-        assert ProbeMetadata.decode(parse_packet(frame)[1]) is not None
+        assert ProbeMetadata.decode(parse(frame)[1]) is not None
         with pytest.raises(ParseError, match="bad IPv4 total length"):
-            parse_packet(frame[:-cut])
+            parse(frame[:-cut])
 
     @pytest.mark.parametrize("proto", IPV4_PROTOS)
     def test_total_length_shorter_than_the_header_rejected(self, proto):
         frame = with_ipv4_total_length(probe_frame(proto, self.META), 19)
         with pytest.raises(ParseError, match="bad IPv4 total length: 19"):
-            parse_packet(frame)
+            parse(frame)
 
     @pytest.mark.parametrize("proto", IPV4_PROTOS)
     def test_total_length_cuts_the_datagram_short(self, proto):
@@ -605,21 +620,21 @@ class TestLengthFieldsThatLie:
         shorter = with_ipv4_total_length(frame, len(frame) - 14 - 5)
         if proto == IPPROTO_UDP:  # its own length now overruns
             with pytest.raises(ParseError, match="bad UDP length"):
-                parse_packet(shorter)
+                parse(shorter)
         else:
-            assert parse_packet(shorter)[1] == self.META[:-5]
+            assert parse(shorter)[1] == self.META[:-5]
 
     def test_udp_length_beyond_its_datagram_rejected(self):
         frame = bytearray(probe_frame(IPPROTO_UDP, self.META))
         claimed = 8 + len(self.META) + 1
         frame[38:40] = claimed.to_bytes(2, "big")
         with pytest.raises(ParseError, match=f"bad UDP length: {claimed}"):
-            parse_packet(bytes(frame))
+            parse(bytes(frame))
 
     def test_udp_length_within_its_datagram_is_honoured(self):
         frame = bytearray(probe_frame(IPPROTO_UDP, self.META))
         frame[38:40] = (8 + 4).to_bytes(2, "big")
-        assert parse_packet(bytes(frame))[1] == self.META[:4]
+        assert parse(bytes(frame))[1] == self.META[:4]
 
 
 def normalize(values, matches):
@@ -694,11 +709,11 @@ class TestNormalization:
     def test_normalized_header_is_craftable(self):
         values = {FieldName.DL_TYPE: 0xDEAD, FieldName.NW_PROTO: 0xFE}
         normalized = normalize(values, [])
-        raw = craft_packet(normalized)
-        parsed, _ = parse_packet(raw)
+        raw = craft(normalized)
+        parsed, _ = parse(raw)
         assert parsed[FieldName.DL_TYPE] == normalized[FieldName.DL_TYPE]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         values=st.fixed_dictionaries(
             {
@@ -753,7 +768,7 @@ class TestNormalization:
         except CraftError:
             return
         in_port = normalized[FieldName.IN_PORT]
-        parsed, _ = parse_packet(craft_packet(normalized), in_port)
+        parsed, _ = parse(craft(normalized), in_port)
         assert parsed == {name: normalized[name] for name in parsed}
 
 
@@ -775,8 +790,8 @@ class TestProbeMetadata:
             FieldName.DL_TYPE: ETHERTYPE_IPV4,
             FieldName.NW_PROTO: IPPROTO_UDP,
         }
-        raw = craft_packet(header, meta.encode())
-        _, payload = parse_packet(raw)
+        raw = craft(header, meta.encode())
+        _, payload = parse(raw)
         assert ProbeMetadata.decode(payload) == meta
 
 
@@ -794,13 +809,13 @@ class TestUntaggedPriorityNarrowing:
         }
 
     def test_wire_drops_the_priority(self):
-        values, _ = parse_packet(craft_packet(self._untagged(3)))
+        values, _ = parse(craft(self._untagged(3)))
         assert values[FieldName.DL_VLAN_PCP] == 0
 
     def test_projection_agrees_with_the_wire(self):
         items = dict(wire_visible_items(self._untagged(3)))
         assert items[FieldName.DL_VLAN_PCP] == 0
-        parsed, _ = parse_packet(craft_packet(self._untagged(3)))
+        parsed, _ = parse(craft(self._untagged(3)))
         assert wire_visible_items(self._untagged(3)) == wire_visible_items(
             parsed
         )
@@ -817,7 +832,7 @@ class TestUntaggedPriorityNarrowing:
             self._untagged(3), [elsewhere]
         )
         assert normalized[FieldName.DL_VLAN_PCP] == 0
-        values, _ = parse_packet(craft_packet(normalized))
+        values, _ = parse(craft(normalized))
         assert wire_visible_items(values) == wire_visible_items(normalized)
 
     def test_substitution_preserves_matches(self):
@@ -856,8 +871,8 @@ class TestIcmpTransportNarrowing:
         normalized = normalize(
             self._icmp_header(tp_src=0x1234, tp_dst=0x1F90), []
         )
-        packet = craft_packet(normalized)
-        values, _payload = parse_packet(packet, in_port=0)
+        packet = craft(normalized)
+        values, _payload = parse(packet, in_port=0)
         assert wire_visible_items(values) == wire_visible_items(normalized)
 
     def test_substitution_preserves_matches(self):

@@ -21,7 +21,7 @@ from repro.core.probegen import (
     verify_probe,
 )
 from repro.openflow.actions import drop, ecmp, output
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import FlowTable, pack_header
@@ -103,9 +103,11 @@ def test_generated_probes_satisfy_table1(table_and_rule):
         # matter (craft/parse round trip on a generated probe).
         from repro.packets.parse import parse_packet
 
-        values, _ = parse_packet(
+        header, _ = parse_packet(
             result.packet, result.header[FieldName.IN_PORT]
         )
+        assert header == result.packed_header
+        values = HEADER.unpack(header)
         for name in (FieldName.NW_SRC, FieldName.NW_DST, FieldName.DL_VLAN):
             assert values[name] == result.header[name]
 
@@ -124,15 +126,15 @@ def _exhaustive_probe_exists(table, probed):
             FieldName.DL_VLAN: vlan,
             FieldName.NW_TOS: tos,
         }
-        hit = table.lookup(header)
+        packed = pack_header(header)
+        hit = table.lookup(packed)
         if hit is None or hit.key() != probed.key():
             continue
         if not CATCH.matches(header):
             continue
         without = table.copy()
         without.remove(probed)
-        miss = without.lookup(header)
-        packed = pack_header(header)
+        miss = without.lookup(packed)
         present = RuleOutcome.from_rule(probed, packed)
         absent = (
             RuleOutcome.from_rule(miss, packed)
@@ -299,6 +301,6 @@ def test_probe_header_is_wire_valid(table_and_rule):
     generator = ProbeGenerator(catch_match=CATCH)
     result = generator.generate(table, probed)
     if result.ok:
-        raw = craft_packet(result.header, b"payload123456789")
+        raw = craft_packet(result.packed_header, b"payload123456789")
         values, payload = parse_packet(raw)
         assert payload == b"payload123456789"

@@ -5,6 +5,7 @@ and 7, §8.3.1)."""
 import hashlib
 
 import pytest
+from frame_helpers import craft
 
 from repro.openflow.actions import CONTROLLER_PORT, output
 from repro.openflow.fields import FieldName
@@ -18,7 +19,6 @@ from repro.openflow.messages import (
     next_xid,
 )
 from repro.openflow.rule import Rule
-from repro.packets.craft import craft_packet
 from repro.sim.kernel import Simulator
 from repro.sim.random import DeterministicRandom
 from repro.switches.profiles import (
@@ -212,7 +212,7 @@ class TestXids:
 
 #: The four switches of Figures 6 and 7.
 MEASURED = (HP_5406ZL, DELL_8132F, DELL_S4810, DELL_S4810_SAME_PRIO)
-PACKET = craft_packet(
+PACKET = craft(
     {
         FieldName.DL_TYPE: 0x0800,
         FieldName.NW_PROTO: 17,

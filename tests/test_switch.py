@@ -4,9 +4,10 @@ semantics, barriers under each profile's flags, rate limits, faults."""
 from dataclasses import replace
 
 import pytest
+from frame_helpers import craft
 
 from repro.openflow.actions import output
-from repro.openflow.fields import FieldName
+from repro.openflow.fields import HEADER, FieldName
 from repro.openflow.match import Match
 from repro.openflow.messages import (
     BarrierReply,
@@ -19,7 +20,7 @@ from repro.openflow.messages import (
     PacketOut,
 )
 from repro.openflow.rule import Rule
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 from repro.packets.craft import craft_packet
 from repro.packets.parse import parse_packet
 from repro.sim.kernel import Simulator
@@ -33,6 +34,11 @@ def make_switch(profile=OVS, **kwargs):
     received = []
     switch.send_to_controller = received.append
     return sim, switch, received
+
+
+def to_dst(nw_dst):
+    """A packed header bound for ``nw_dst``: what a lookup takes."""
+    return pack_header({FieldName.NW_DST: nw_dst})
 
 
 def add_mod(dst, port, priority=10):
@@ -66,7 +72,7 @@ class TestApplyFlowmod:
             actions=output(9),
         )
         apply_flowmod(table, mod)
-        assert table.lookup({FieldName.NW_DST: 1}).forwarding_set() == {9}
+        assert table.lookup(to_dst(1)).forwarding_set() == {9}
         assert len(table) == 1
 
     def test_modify_nonstrict_covers(self):
@@ -92,12 +98,8 @@ class TestApplyFlowmod:
             actions=output(7),
         )
         apply_flowmod(table, mod)
-        assert table.lookup(
-            {FieldName.NW_DST: 0x0A000001}
-        ).forwarding_set() == {7}
-        assert table.lookup(
-            {FieldName.NW_DST: 0x0B000001}
-        ).forwarding_set() == {1}
+        assert table.lookup(to_dst(0x0A000001)).forwarding_set() == {7}
+        assert table.lookup(to_dst(0x0B000001)).forwarding_set() == {1}
 
     def test_modify_without_target_adds(self):
         table = FlowTable()
@@ -162,7 +164,7 @@ class TestControlPlane:
         sim, switch, _ = make_switch()
         emitted = []
         switch.attach_port(3, emitted.append)
-        raw = craft_packet(
+        raw = craft(
             {FieldName.DL_TYPE: 0x0800, FieldName.NW_PROTO: 17}, b"raw-bytes"
         )
         switch.receive_message(PacketOut(payload=raw, out_port=3))
@@ -216,7 +218,7 @@ class TestBarrierBehaviors:
 
 class TestDataPlane:
     def craft(self, dst, vlan=0xFFF):
-        return craft_packet(
+        return craft(
             {
                 FieldName.DL_TYPE: 0x0800,
                 FieldName.NW_PROTO: 17,
@@ -257,11 +259,11 @@ class TestDataPlane:
         )
         switch.inject_raw(self.craft(7), in_port=1)
         sim.run_for(0.1)
-        ((values, payload),) = emitted
-        assert values[FieldName.NW_TOS] == 0x19
+        ((header, payload),) = emitted
+        assert HEADER.unpack(header)[FieldName.NW_TOS] == 0x19
         assert payload == b"payload"
         # The frame on the port is what the bytes would parse back to.
-        assert parse_packet(craft_packet(values, payload)) == emitted[0]
+        assert parse_packet(craft_packet(header, payload)) == emitted[0]
 
     def test_controller_bound_rule_sends_packetin(self):
         from repro.openflow.actions import CONTROLLER_PORT
@@ -329,12 +331,8 @@ class TestFaults:
         rule = Rule(priority=5, match=Match.build(nw_dst=7), actions=output(2))
         switch.install_directly(rule)
         switch.corrupt_rule_in_dataplane(rule, output(9))
-        assert switch.dataplane.lookup(
-            {FieldName.NW_DST: 7}
-        ).forwarding_set() == {9}
-        assert switch.control_table.lookup(
-            {FieldName.NW_DST: 7}
-        ).forwarding_set() == {2}
+        assert switch.dataplane.lookup(to_dst(7)).forwarding_set() == {9}
+        assert switch.control_table.lookup(to_dst(7)).forwarding_set() == {2}
 
     def test_corrupt_missing_rule_raises(self):
         sim, switch, _ = make_switch()

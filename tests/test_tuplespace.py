@@ -31,7 +31,7 @@ from repro.openflow.actions import ActionList, Drop, output
 from repro.openflow.fields import FieldName, HEADER
 from repro.openflow.match import FieldMatch, Match
 from repro.openflow.rule import Rule
-from repro.openflow.table import FlowTable
+from repro.openflow.table import FlowTable, pack_header
 from repro.openflow.tuplespace import (
     _MAX_LEVELS,
     TupleSpaceIndex,
@@ -136,7 +136,7 @@ def test_index_linear_equivalence_under_churn(initial, ops, queries, probes):
             )
         for header in probes:
             expected_rule = _reference_lookup(indexed, header)
-            got = indexed.lookup(header)
+            got = indexed.lookup(pack_header(header))
             assert got is expected_rule
 
     for rule in initial:

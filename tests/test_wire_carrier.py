@@ -1,15 +1,19 @@
 """The frame two simulated switches exchange is the wire, minus bytes.
 
-Between switches a packet travels as ``(wire_header(values), payload)``
-and is never serialized; these tests hold that to the one byte codec
-(``craft_packet`` / ``parse_packet``): the carried header is exactly
-what a craft -> parse round trip returns, real bytes still come out of
-every real boundary, a header the wire cannot carry is not forwarded
-at all, and a hop keeps a frame in that form while re-normalising only
-what a rewrite touched.
+Between switches a packet travels as ``(wire_header(header), payload)``,
+its header packed as one int, and is never serialized; these tests
+hold that to the one byte codec (``craft_packet`` / ``parse_packet``)
+and to the per-field oracle (``packet_reference.wire_header``, on
+dicts): the carried header is exactly what a craft -> parse round trip
+returns, real bytes still come out of every real boundary, a header
+the wire cannot carry is not forwarded at all, and a hop keeps a frame
+in that form while re-normalising only what a rewrite touched.
 """
 
+import packet_reference as reference
 import pytest
+from frame_helpers import craft, packed
+from hypothesis_budget import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +31,7 @@ from repro.openflow.fields import (
     ETHERTYPE_ARP,
     ETHERTYPE_IPV4,
     HEADER,
+    VALID_ETHERTYPES,
     VALID_IP_PROTOS,
     VLAN_NONE,
     FieldName,
@@ -36,6 +41,7 @@ from repro.openflow.messages import PacketIn
 from repro.openflow.rule import Rule, RuleOutcome
 from repro.openflow.table import pack_header
 from repro.packets.craft import (
+    IN_PORT_SHIFT,
     CraftError,
     craft_packet,
     wire_header,
@@ -76,9 +82,62 @@ craftable_headers = st.fixed_dictionaries(
     }
 )
 
+#: Every ``(dl_type, nw_proto)`` class: each valid value and one
+#: invalid value of each (no wire form but ARP's, whose ``nw_proto`` is
+#: not on the wire).
+CLASSES = [
+    (dl_type, nw_proto)
+    for dl_type in (*VALID_ETHERTYPES, 0x1234)
+    for nw_proto in (*VALID_IP_PROTOS, 99)
+]
+
+
+@st.composite
+def class_headers(draw):
+    """A packed header in a drawn class, tagged or untagged, every
+    other field anywhere within its width."""
+    values = draw(st.fixed_dictionaries(_ANY))
+    dl_type, nw_proto = draw(st.sampled_from(CLASSES))
+    values[FieldName.DL_TYPE] = dl_type
+    values[FieldName.NW_PROTO] = nw_proto
+    values[FieldName.DL_VLAN] = draw(
+        st.sampled_from((VLAN_NONE, 0)) | _field(FieldName.DL_VLAN)
+    )
+    return pack_header(values)
+
 
 class TestCarriedHeaderIsTheRoundTrip:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(600), deadline=None)
+    @given(
+        header=class_headers(),
+        payload=st.binary(max_size=48),
+        in_port=_field(FieldName.IN_PORT),
+    )
+    def test_every_class_round_trips_to_its_wire_header(
+        self, header, payload, in_port
+    ):
+        """In every class, tagged and untagged: the packed
+        ``wire_header`` is the dict oracle's, packed (``CraftError`` for
+        ``CraftError``), and a header in that form crafts and parses
+        back as itself, ``in_port`` ORed in."""
+        try:
+            expected = reference.wire_header(HEADER.unpack(header))
+        except CraftError:
+            with pytest.raises(CraftError):
+                wire_header(header)
+            with pytest.raises(CraftError):
+                craft_packet(header, payload)
+            return
+        wired = wire_header(header)
+        assert wired == pack_header(expected)
+        assert parse_packet(craft_packet(wired, payload), in_port) == (
+            wired | in_port << IN_PORT_SHIFT,
+            payload,
+        )
+        # Crafting reads only what the wire carries.
+        assert craft_packet(header, payload) == craft_packet(wired, payload)
+
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         values=craftable_headers,
         payload=st.binary(max_size=48),
@@ -87,12 +146,13 @@ class TestCarriedHeaderIsTheRoundTrip:
     def test_wire_header_equals_craft_then_parse(
         self, values, payload, in_port
     ):
-        assert parse_packet(craft_packet(values, payload), in_port) == (
-            wire_header(values, in_port),
+        header = packed(values)
+        assert parse_packet(craft_packet(header, payload), in_port) == (
+            wire_header(header) | in_port << IN_PORT_SHIFT,
             payload,
         )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         values=craftable_headers,
         missing=st.sets(st.sampled_from(sorted(HEADER.names()))),
@@ -100,70 +160,87 @@ class TestCarriedHeaderIsTheRoundTrip:
     def test_a_missing_field_reads_as_craft_packet_reads_it(
         self, values, missing
     ):
+        """The dict oracle and the dict edge (``frame_helpers.packed``)
+        read a missing field alike: 0, and an untagged VLAN."""
         partial = {k: v for k, v in values.items() if k not in missing}
         try:
-            raw = craft_packet(partial)
+            raw = reference.craft_packet(partial)
         except CraftError:  # no dl_type, or IPv4 and no nw_proto
             with pytest.raises(CraftError):
-                wire_header(partial)
+                reference.wire_header(partial)
+            with pytest.raises(CraftError):
+                wire_header(packed(partial))
         else:
-            assert parse_packet(raw, 3)[0] == wire_header(partial, 3)
+            expected = pack_header(reference.wire_header(partial, 3))
+            assert parse_packet(raw, 3)[0] == expected
+            carried = wire_header(packed(partial)) | 3 << IN_PORT_SHIFT
+            assert carried == expected
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(values=craftable_headers)
     def test_observation_projection_agrees_with_the_round_trip(self, values):
-        parsed, _ = parse_packet(craft_packet(values), in_port=77)
+        parsed = HEADER.unpack(parse_packet(craft(values), in_port=77)[0])
         assert wire_visible_items(values) == wire_visible_items(parsed)
-        del parsed[FieldName.IN_PORT]  # parse's argument, not the wire's
-        assert wire_visible_items(values) == tuple(sorted(parsed.items()))
+        # What the wire carries, as it carries it; every other field 0.
+        expected = {name: 0 for name in HEADER.names()}
+        expected.update(wire_visible_items(values))
+        expected[FieldName.IN_PORT] = 77  # parse's argument, not the wire's
+        assert parsed == expected
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(
         values=craftable_headers,
         dl_type=st.integers(0, 0xFFFF),
         nw_proto=st.integers(0, 0xFF),
     )
     def test_no_wire_form_is_the_same_error(self, values, dl_type, nw_proto):
-        values = {
-            **values,
-            FieldName.DL_TYPE: dl_type,
-            FieldName.NW_PROTO: nw_proto,
-        }
+        header = packed(
+            {
+                **values,
+                FieldName.DL_TYPE: dl_type,
+                FieldName.NW_PROTO: nw_proto,
+            }
+        )
         try:
-            craft_packet(values)
+            craft_packet(header)
         except CraftError:
             with pytest.raises(CraftError):
-                wire_header(values)
+                wire_header(header)
         else:
-            wire_header(values)
+            wire_header(header)
 
     def test_each_narrowing_by_example(self):
         base = {name: 0 for name in HEADER.names()}
         icmp = {
             **base,
+            FieldName.IN_PORT: 9,
             FieldName.DL_TYPE: ETHERTYPE_IPV4,
             FieldName.NW_PROTO: 1,
             FieldName.DL_VLAN: VLAN_NONE,
             FieldName.DL_VLAN_PCP: 5,
             FieldName.TP_SRC: 0x1234,
             FieldName.TP_DST: 0xFF00,
+            FieldName.NW_SRC: 0x0A000001,
         }
-        carried = wire_header(icmp, in_port=9)
+        carried = HEADER.unpack(wire_header(packed(icmp)))
         assert carried[FieldName.TP_SRC] == 0x34
         assert carried[FieldName.TP_DST] == 0x00
         assert carried[FieldName.DL_VLAN_PCP] == 0
-        assert carried[FieldName.IN_PORT] == 9
+        assert carried[FieldName.IN_PORT] == 0
         arp = {**icmp, FieldName.DL_TYPE: ETHERTYPE_ARP, FieldName.DL_VLAN: 7}
-        carried = wire_header(arp)
+        carried = HEADER.unpack(wire_header(packed(arp)))
         assert carried[FieldName.DL_VLAN_PCP] == 5
-        assert FieldName.NW_SRC in carried
+        assert carried[FieldName.NW_SRC] == arp[FieldName.NW_SRC]
         for gone in (
             FieldName.NW_PROTO,
             FieldName.NW_TOS,
             FieldName.TP_SRC,
             FieldName.TP_DST,
         ):
-            assert gone not in carried
+            assert carried[gone] == 0
+        assert set(reference.wire_header(arp)).isdisjoint(
+            (FieldName.NW_PROTO, FieldName.TP_SRC)
+        )
 
 
 # ----- (b) real bytes in, real bytes out, across two switches -------------
@@ -230,24 +307,24 @@ def _sent(nw_dst):
 class TestRealBytesAtEveryRealBoundary:
     def test_host_to_host_bytes_are_the_codecs(self, two_switches):
         sim, net, h1, host_bytes, packet_ins = two_switches
-        h1.send_raw(craft_packet(_sent(DST_TO_HOST), b"ping"))
+        h1.send_raw(craft(_sent(DST_TO_HOST), b"ping"))
         sim.run_for(0.1)
         expected = {
             **_sent(DST_TO_HOST),
             FieldName.NW_TOS: 0x19,
             FieldName.DL_VLAN: 0x123,
         }
-        assert host_bytes == [("h2", craft_packet(expected, b"ping"))]
+        assert host_bytes == [("h2", craft(expected, b"ping"))]
         assert packet_ins == []
 
     def test_host_to_packet_in_bytes_are_the_codecs(self, two_switches):
         sim, net, h1, host_bytes, packet_ins = two_switches
-        h1.send_raw(craft_packet(_sent(DST_TO_CONTROLLER), b"caught"))
+        h1.send_raw(craft(_sent(DST_TO_CONTROLLER), b"caught"))
         sim.run_for(0.1)
         expected = {**_sent(DST_TO_CONTROLLER), FieldName.NW_TOS: 0x19}
         (msg,) = packet_ins
         assert isinstance(msg, PacketIn)
-        assert msg.payload == craft_packet(expected, b"caught")
+        assert msg.payload == craft(expected, b"caught")
         assert msg.in_port == net.port_toward["sw1"]["sw0"]
         assert host_bytes == []
 
@@ -269,7 +346,7 @@ class TestRealBytesAtEveryRealBoundary:
         for — a cut-off probe read as somebody else's packet."""
         sim, net, h1, host_bytes, packet_ins = two_switches
         meta = ProbeMetadata(switch_id=1, rule_cookie=2, nonce=3).encode()
-        frame = craft_packet(_sent(DST_TO_CONTROLLER), meta)
+        frame = craft(_sent(DST_TO_CONTROLLER), meta)
         h1.send_raw(frame[:-10])
         sim.run_for(0.1)
         assert net.switch("sw0").stats.parse_errors == 1
@@ -281,7 +358,7 @@ class TestRealBytesAtEveryRealBoundary:
 
 # ----- a rewrite with no wire form ----------------------------------------
 
-UDP = craft_packet(
+UDP = craft(
     {
         FieldName.DL_TYPE: ETHERTYPE_IPV4,
         FieldName.NW_PROTO: 17,
@@ -335,8 +412,8 @@ class TestRewriteWithoutWireForm:
         )
         switch.inject_raw(UDP, in_port=1)
         sim.run()
-        ((values, payload),) = emitted
-        assert values[FieldName.DL_TYPE] == ETHERTYPE_IPV4
+        ((header, payload),) = emitted
+        assert HEADER.unpack(header)[FieldName.DL_TYPE] == ETHERTYPE_IPV4
         assert payload == b"payload"
         assert switch.stats.packets_dropped == 1
         assert switch.stats.packets_forwarded == 1
@@ -430,18 +507,18 @@ def hop_actions(draw, ports):
 
 
 class _Recorder:
-    """What one switch took in and sent out, header dicts as they were
-    at that moment, beside the dict objects themselves."""
+    """What one switch took in and sent out: packed headers, the
+    ingress ones with the port they arrived on."""
 
     def __init__(self, switch):
-        self.ingress = []  # (dict, a copy as it arrived, in_port)
-        self.egress = []  # (port, dict, a copy as it left)
+        self.ingress = []  # (header, in_port)
+        self.egress = []  # (port, header)
         self.ecmp_choices = []
         inject, choose = switch.inject, switch._choose_ecmp_port
         emit_packetin = switch._emit_packetin
 
         def recording_inject(frame, in_port):
-            self.ingress.append((frame[0], dict(frame[0]), in_port))
+            self.ingress.append((frame[0], in_port))
             inject(frame, in_port)
 
         def recording_choose(rule):
@@ -449,7 +526,7 @@ class _Recorder:
             return self.ecmp_choices[-1]
 
         def recording_packetin(frame, in_port):
-            self.egress.append((CONTROLLER_PORT, frame[0], dict(frame[0])))
+            self.egress.append((CONTROLLER_PORT, frame[0]))
             emit_packetin(frame, in_port)
 
         switch.inject = recording_inject
@@ -458,40 +535,42 @@ class _Recorder:
 
     def port_handler(self, port, then=None):
         def handler(frame):
-            self.egress.append((port, frame[0], dict(frame[0])))
+            self.egress.append((port, frame[0]))
             if then is not None:
                 then(frame)
 
         return handler
 
 
-def _expected_hop(switch, values, in_port, choices):
+def _expected_hop(switch, header, in_port, choices):
     """What the switch emitted before frames kept their wire form: every
     ``RuleOutcome.from_rule`` emission (ECMP cut to the port the switch
-    chose) through ``wire_header``; how many of them it dropped; and
-    whether the hop is one emission no rewrite touched."""
-    values = {**values, FieldName.IN_PORT: in_port}
-    rule = switch.dataplane.lookup(values)
+    chose) through the dict oracle's ``wire_header``, packed; and how
+    many of them it dropped."""
+    header |= in_port << IN_PORT_SHIFT
+    rule = switch.dataplane.lookup(header)
     if rule is None:
-        return [], 1, False
+        return [], 1
     pairs = list(
         zip(
             rule.actions.port_outcomes,
-            RuleOutcome.from_rule(rule, pack_header(values)).emissions,
+            RuleOutcome.from_rule(rule, header).emissions,
         )
     )
     if rule.actions.is_ecmp:
         chosen = choices.pop(0)
         pairs = [(po, e) for po, e in pairs if po.port == chosen]
     if not pairs:
-        return [], 1, False
+        return [], 1
     sent, dropped = [], 0
-    for _, (port, header) in pairs:
+    for _, (port, emitted) in pairs:
         try:
-            sent.append((port, wire_header(HEADER.unpack(header))))
+            wired = reference.wire_header(HEADER.unpack(emitted))
         except CraftError:
             dropped += 1
-    return sent, dropped, len(pairs) == 1 and not pairs[0][0].rewrites
+        else:
+            sent.append((port, pack_header(wired)))
+    return sent, dropped
 
 
 SW0_OUT = (2, 3, 4, CONTROLLER_PORT)  # 2, 3, 4 lead to sw1's 1, 2, 3
@@ -499,7 +578,7 @@ SW1_OUT = (4, 5, 6, CONTROLLER_PORT)  # to sinks
 
 
 class TestEveryHopKeepsTheWireForm:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         packets=st.lists(
             st.tuples(craftable_headers, st.binary(max_size=16)),
@@ -531,29 +610,19 @@ class TestEveryHopKeepsTheWireForm:
         for port in SW1_OUT[:-1]:
             sw1.attach_port(port, seen1.port_handler(port))
         for values, payload in packets:
-            sw0.inject_raw(craft_packet(values, payload), in_port=1)
+            sw0.inject_raw(craft(values, payload), in_port=1)
         sim.run()
 
         for switch, seen in ((sw0, seen0), (sw1, seen1)):
             egress = iter(seen.egress)
             choices = list(seen.ecmp_choices)
             drops = forwarded = 0
-            for received, arrived, in_port in seen.ingress:
-                sent, dropped, handed_on = _expected_hop(
-                    switch, arrived, in_port, choices
-                )
-                out = [next(egress) for _ in sent]
-                assert [(port, items) for port, _, items in out] == sent
-                assert all(h[FieldName.IN_PORT] == 0 for _, h in sent)
-                # A frame belongs to its last receiver: an untouched
-                # unicast hop hands on the very dict it received, and
-                # every other emission is a dict of its own.
-                headers = [header for _, header, _ in out]
-                if handed_on:
-                    assert headers[0] is received
-                else:
-                    assert all(h is not received for h in headers)
-                    assert len({id(h) for h in headers}) == len(headers)
+            for header, in_port in seen.ingress:
+                # A frame arrives in wire form: in_port is the link's.
+                assert header >> IN_PORT_SHIFT == 0
+                sent, dropped = _expected_hop(switch, header, in_port, choices)
+                assert [next(egress) for _ in sent] == sent
+                assert all(h >> IN_PORT_SHIFT == 0 for _, h in sent)
                 drops += dropped
                 forwarded += sum(p != CONTROLLER_PORT for p, _ in sent)
             assert next(egress, None) is None
