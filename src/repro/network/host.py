@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.openflow.fields import HEADER, VLAN_NONE, FieldName
@@ -58,20 +58,21 @@ class Host:
         """
         values = {FieldName.DL_VLAN: VLAN_NONE}
         for name, value in header_fields.items():
-            field = HEADER.field(FieldName(name))
-            if not field.contains(value):
+            spec = HEADER.field(FieldName(name))
+            if not spec.contains(value):
                 raise ValueError(
-                    f"{name}={value:#x} exceeds width {field.width}"
+                    f"{name}={value:#x} exceeds width {spec.width}"
                 )
-            values[field.name] = value
+            values[spec.name] = value
         self.send_raw(craft_packet(pack_header(values), payload))
 
     def receive(self, raw: bytes) -> None:
         """Called by the network when a packet reaches this host."""
+        values: dict[FieldName, int] = {}
         try:
             header, payload = parse_packet(raw)
         except ParseError:
-            values, payload = {}, raw
+            payload = raw
         else:
             values = HEADER.unpack(header)
         packet = ReceivedPacket(

@@ -213,9 +213,7 @@ class TestIpv4:
         assert payload == b"data"
 
     def test_corrupted_checksum_rejected(self):
-        frame = bytearray(
-            craft(ipv4_header(IPPROTO_TCP, nw_src=1, nw_dst=2))
-        )
+        frame = bytearray(craft(ipv4_header(IPPROTO_TCP, nw_src=1, nw_dst=2)))
         frame[14 + 12] ^= 0xFF
         with pytest.raises(ParseError, match="header checksum mismatch"):
             parse(bytes(frame))
