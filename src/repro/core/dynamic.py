@@ -18,14 +18,17 @@ intercepts FlowMods on their way to the switch:
   a tag-and-forward stand-in that is positively confirmable, then swaps
   the real drop in after the acknowledgment.
 
+Every path forwards its FlowMod and hands its probes to one
+``_begin``, which tracks the update and gives each probe a
+:class:`_Piece`: confirmed by a caught probe when the new state is
+observable, by quiet negative rounds (§3.3) when it is a drop.
 Confirmations are surfaced as an :class:`UpdateAck` control message
 sent to the controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from repro.core.droppostpone import finalize_drop_rule, postpone_drop_rule
 from repro.core.monitor import Monitor, OutstandingProbe, backoff_gap
@@ -69,18 +72,40 @@ class PendingUpdate:
 
 
 @dataclass
-class _NegativeRounds:
-    """One negative update's rounds (§3.3), each a probe under the
-    monitor's steady policy.  The probe and the next round's timer hold
-    these bound methods and nothing here holds them, so the rounds form
-    no cycle: a confirmed update is freed by reference counting."""
+class _Piece:
+    """One probed piece of an update: an ADD or MODIFY is one piece, a
+    non-strict DELETE one per rule it removes.
+
+    Positive (``negative`` False: the new state is observable): one
+    long-lived probe under the monitor's update
+    :class:`~repro.core.monitor.RetryPolicy` — re-sent every
+    ``update_probe_interval``, then backing off 2x up to
+    ``MAX_PROBE_GAP`` — until a catch confirms it or the update
+    deadline passes.  Fresh installs confirm within a few ms of the
+    data plane changing; backlogged ones (large batched updates, §8.4)
+    are polled gently so probes don't flood the already-congested
+    control channel.
+
+    Negative (the new state is a drop: silence is the only signal):
+    short rounds under the steady policy, which tolerates nothing — a
+    probe returning with the *old* state ends its round with an alarm,
+    and the next round starts after a backed-off delay; a fully quiet
+    round confirms, and once the deadline has passed the update is
+    given up.  This inherits negative probing's false-positive caveat
+    (§3.3); enable drop-postponing (§4.3) for the reliable variant.
+
+    A piece launches nothing for an update another piece already gave
+    up (or confirmed).  The probe and the next round's timer hold these
+    bound methods and nothing here holds them, so a piece forms no
+    cycle: a confirmed update is freed by reference counting.
+    """
 
     dynamic: DynamicMonitor
     update: PendingUpdate
     result: ProbeResult
     confirm_on: str
-    confirmed: Callable[[OutstandingProbe], None]
-    attempt: int = 0
+    negative: bool
+    rounds: int = 0
 
     def launch(self) -> None:
         if self.update.confirmed or self.update.gave_up:
@@ -88,23 +113,27 @@ class _NegativeRounds:
         monitor = self.dynamic.monitor
         monitor.launch_probe(
             self.result,
-            monitor.steady_policy,
+            monitor.steady_policy if self.negative else monitor.update_policy,
             self.confirmed,
-            self.relaunch,
+            self.alarmed,
             confirm_on=self.confirm_on,
         )
 
-    def relaunch(self, _probe: OutstandingProbe, _kind: str) -> None:
+    def confirmed(self, _probe: OutstandingProbe) -> None:
+        self.dynamic._confirm_piece(self.update, monitorable=True)
+
+    def alarmed(self, _probe: OutstandingProbe, _kind: str) -> None:
         update = self.update
         if update.confirmed or update.gave_up:
             return
         dynamic = self.dynamic
         policy = dynamic.monitor.update_policy
-        if dynamic.sim.now - update.started > policy.timeout:
+        late = dynamic.sim.now - update.started > policy.timeout
+        if late or not self.negative:
             dynamic._give_up(update)
             return
-        self.attempt += 1
-        delay = backoff_gap(policy.gap, policy.backoff, self.attempt)
+        self.rounds += 1
+        delay = backoff_gap(policy.gap, policy.backoff, self.rounds)
         dynamic.sim.schedule(delay, self.launch)
 
 
@@ -127,52 +156,44 @@ class DynamicMonitor:
             self.confirm_histogram = Histogram()
         self.use_drop_postponing = use_drop_postponing
         self.drop_postpone_port = drop_postpone_port
-        self.pending: list[PendingUpdate] = []
-        self.queue: list[FlowMod] = []
+        #: FlowMods held back by an overlapping unconfirmed update, in
+        #: arrival order, each with its key in ``_queued_matches``.
+        self.queue: list[tuple[int, FlowMod]] = []
         self.updates_confirmed = 0
         self.updates_given_up = 0
-        #: Tuple-space indexes over the in-flight update matches, so the
-        #: per-FlowMod "does this overlap anything unconfirmed?" check
-        #: visits O(overlap candidates) instead of scanning the whole
-        #: pending list + queue.  Tokens identify entries; an update's
+        #: Tuple-space indexes over the in-flight update matches (the
+        #: in-flight set itself) and the queued ones, so the per-FlowMod
+        #: "does this overlap anything unconfirmed?" check visits
+        #: O(overlap candidates).  Tokens identify entries; an update's
         #: token is dropped the moment it confirms or gives up.
         self._next_token = 0
         self._unconfirmed = TupleSpaceIndex()
         self._queued_matches = TupleSpaceIndex()
-        self._queue_tokens: list[int] = []
 
     # ----- controller-facing entry point ------------------------------------
 
     def from_controller(self, msg: Message) -> None:
-        """Intercept FlowMods; pass everything else through."""
+        """Intercept FlowMods; pass everything else through.  A FlowMod
+        overlapping an unconfirmed or a queued one joins the queue."""
         if not isinstance(msg, FlowMod):
             self.monitor.from_controller(msg)
             return
-        if self._overlaps_unconfirmed(msg):
-            self._enqueue(msg)
+        value, mask = msg.match.packed()
+        if self._unconfirmed.query(value, mask) or (
+            self._queued_matches.query(value, mask)
+        ):
+            self._next_token += 1
+            self.queue.append((self._next_token, msg))
+            self._queued_matches.add(self._next_token, value, mask)
             return
         self._start_update(msg)
 
-    def _overlaps_unconfirmed(self, mod: FlowMod) -> bool:
-        value, mask = mod.match.packed()
-        return bool(self._unconfirmed.query(value, mask)) or bool(
-            self._queued_matches.query(value, mask)
-        )
-
     # ----- in-flight bookkeeping --------------------------------------------
 
-    def _enqueue(self, mod: FlowMod) -> None:
-        self._next_token += 1
-        token = self._next_token
-        self.queue.append(mod)
-        self._queue_tokens.append(token)
-        self._queued_matches.add(token, *mod.match.packed())
-
     def _track(self, update: PendingUpdate) -> None:
-        """Register a started update in pending + the overlap index."""
+        """Register a started update in the in-flight overlap index."""
         self._next_token += 1
         update.token = self._next_token
-        self.pending.append(update)
         self._unconfirmed.add(update.token, *update.mod.match.packed())
         if self.obs.enabled:
             update.span = self.obs.next_span()
@@ -228,18 +249,13 @@ class DynamicMonitor:
         self.monitor.from_controller(mod)
         rule = self.monitor.expected.get(mod.priority, mod.match)
         assert rule is not None
-        update = PendingUpdate(
-            mod=mod,
-            started=self.sim.now,
-            remaining=1,
-            hint_keys=(rule.key(),),
-        )
-        self._track(update)
         result = self.monitor.probe_for_rule(rule)
-        self._probe_until_confirmed(update, result, confirm_on="present")
+        self._begin(mod, [result], "present", hint_keys=(rule.key(),))
 
     def _start_postponed_drop(self, mod: FlowMod) -> None:
-        """§4.3: install a tag-and-forward stand-in, confirm, then drop."""
+        """§4.3: install a tag-and-forward stand-in, confirm, then drop.
+        The stand-in and the final drop rule share the original rule's
+        (priority, match) key."""
         rule = Rule(
             priority=mod.priority,
             match=mod.match,
@@ -247,37 +263,19 @@ class DynamicMonitor:
             cookie=mod.cookie,
         )
         stand_in = postpone_drop_rule(rule, self.drop_postpone_port)
-        stand_in_mod = FlowMod(
-            xid=mod.xid,
-            command=FlowModCommand.ADD,
-            match=stand_in.match,
-            priority=stand_in.priority,
-            actions=stand_in.actions,
-            cookie=stand_in.cookie,
-        )
-        finalize = FlowMod(
+        finalize = replace(
+            mod,
             xid=next_xid(),
             command=FlowModCommand.MODIFY_STRICT,
-            match=rule.match,
-            priority=rule.priority,
             actions=finalize_drop_rule(stand_in).actions,
-            cookie=rule.cookie,
         )
-        self.monitor.from_controller(stand_in_mod)
-        tracked = self.monitor.expected.get(stand_in.priority, stand_in.match)
+        self.monitor.from_controller(
+            replace(mod, command=FlowModCommand.ADD, actions=stand_in.actions)
+        )
+        tracked = self.monitor.expected.get(rule.priority, rule.match)
         assert tracked is not None
-        update = PendingUpdate(
-            mod=mod,
-            started=self.sim.now,
-            remaining=1,
-            finalize=finalize,
-            # The stand-in and the final drop rule share the original
-            # rule's (priority, match) key.
-            hint_keys=(rule.key(),),
-        )
-        self._track(update)
         result = self.monitor.probe_for_rule(tracked)
-        self._probe_until_confirmed(update, result, confirm_on="present")
+        self._begin(mod, [result], "present", (rule.key(),), finalize)
 
     def _start_modify(self, mod: FlowMod) -> None:
         old_rule = self.monitor.expected.get(mod.priority, mod.match)
@@ -288,14 +286,7 @@ class DynamicMonitor:
         new_rule = old_rule.with_actions(mod.actions)
         result = self._modification_probe(old_rule, new_rule)
         self.monitor.from_controller(mod)
-        update = PendingUpdate(
-            mod=mod,
-            started=self.sim.now,
-            remaining=1,
-            hint_keys=(old_rule.key(),),
-        )
-        self._track(update)
-        self._probe_until_confirmed(update, result, confirm_on="present")
+        self._begin(mod, [result], "present", hint_keys=(old_rule.key(),))
 
     def _modification_probe(
         self, old_rule: Rule, new_rule: Rule
@@ -334,72 +325,40 @@ class DynamicMonitor:
             # Index-pruned: coverage implies overlap, so the candidate
             # pool is the overlap set, not the whole expected table.
             doomed = self.monitor.expected.covered_rules(mod.match)
-        probes = [self.monitor.probe_for_rule(rule) for rule in doomed]
+        results = [self.monitor.probe_for_rule(rule) for rule in doomed]
         self.monitor.from_controller(mod)
+        self._begin(mod, results, "absent")
+
+    def _begin(
+        self,
+        mod: FlowMod,
+        results: list[ProbeResult | None],
+        confirm_on: str,
+        hint_keys: tuple = (),
+        finalize: FlowMod | None = None,
+    ) -> None:
+        """Start confirming ``mod``, already forwarded to the switch:
+        one piece per probe in ``results`` (see :class:`_Piece`).
+
+        A piece with no usable probe (unmonitorable), and a DELETE that
+        matched no rule, is acknowledged optimistically, but counted.
+        """
+        pieces = results or [None]  # a DELETE that matched no rule
         update = PendingUpdate(
-            mod=mod, started=self.sim.now, remaining=max(1, len(doomed))
+            mod=mod,
+            started=self.sim.now,
+            remaining=len(pieces),
+            finalize=finalize,
+            hint_keys=hint_keys,
         )
         self._track(update)
-        if not doomed:
-            self._confirm_piece(update, monitorable=False)
-            return
-        for result in probes:
-            self._probe_until_confirmed(update, result, confirm_on="absent")
-
-    # ----- probe-until-confirmed loop ----------------------------------------
-
-    def _probe_until_confirmed(
-        self,
-        update: PendingUpdate,
-        result: ProbeResult | None,
-        confirm_on: str,
-    ) -> None:
-        """Keep probing until the data plane reflects the update.
-
-        A piece with no usable probe (unmonitorable) is acknowledged
-        optimistically, but counted.
-
-        Positive confirmation (the new state is observable): one
-        long-lived probe under the monitor's update
-        :class:`~repro.core.monitor.RetryPolicy` — re-sent every
-        ``update_probe_interval``, then backing off 2x up to
-        ``MAX_PROBE_GAP`` — until a catch confirms it or the update
-        deadline passes.  Fresh installs confirm within a few ms of the
-        data plane changing; backlogged ones (large batched updates,
-        §8.4) are polled gently so probes don't flood the
-        already-congested control channel.
-
-        Negative confirmation (the new state is a drop: silence is the
-        only signal): short rounds under the steady policy, which
-        tolerates nothing — a probe returning with the *old* state
-        ends its round with an alarm, and the next round starts after a
-        backed-off delay; a fully quiet round confirms, and once the
-        deadline has passed the update is given up.  This inherits
-        negative probing's false-positive caveat (§3.3); enable
-        drop-postponing (§4.3) for the reliable variant.
-        """
-        if result is None or not result.ok:
-            self._confirm_piece(update, monitorable=False)
-            return
-        monitor = self.monitor
-        policy = monitor.update_policy
-        present_obs, absent_obs = monitor.observations(result)
-        target_obs = present_obs if confirm_on == "present" else absent_obs
-
-        def confirmed(_probe: OutstandingProbe) -> None:
-            self._confirm_piece(update, monitorable=True)
-
-        if target_obs:
-            def gave_up(_probe: OutstandingProbe, _kind: str) -> None:
-                self._give_up(update)
-
-            monitor.launch_probe(
-                result, policy, confirmed, gave_up, confirm_on=confirm_on
-            )
-            return
-
-        # Negative path: short rounds, relaunch on any contrary signal.
-        _NegativeRounds(self, update, result, confirm_on, confirmed).launch()
+        for result in pieces:
+            if result is None or not result.ok:
+                self._confirm_piece(update, monitorable=False)
+                continue
+            present, absent = self.monitor.observations(result)
+            target = present if confirm_on == "present" else absent
+            _Piece(self, update, result, confirm_on, not target).launch()
 
     def _confirm_piece(self, update: PendingUpdate, monitorable: bool) -> None:
         update.remaining -= 1
@@ -422,11 +381,9 @@ class DynamicMonitor:
         if update.finalize is not None:
             # Drop-postponing: swap the real drop rule in (§4.3).
             self.monitor.from_controller(update.finalize)
-        # Post-confirmation reprobe hints: the scheduler measures how
-        # long each touched rule waits for its next steady probe (the
-        # cycle order itself never changes).  Keys were resolved per
-        # update path at start time (deletions carry none: a removed
-        # rule cannot be re-probed).
+        # Post-confirmation reprobe hints (``hint_keys``): the scheduler
+        # measures how long each touched rule waits for its next steady
+        # probe (the cycle order itself never changes).
         for key in update.hint_keys:
             self.monitor.scheduler.touch(key)
         self.monitor.to_controller(
@@ -446,28 +403,22 @@ class DynamicMonitor:
         order is preserved: a released mod still blocks later
         overlapping ones, exactly as the old linear scan did).
         """
-        self.pending = [
-            u for u in self.pending if not (u.confirmed or u.gave_up)
-        ]
         if not self.queue:
             return
-        still_queued: list[FlowMod] = []
-        still_tokens: list[int] = []
+        still_queued: list[tuple[int, FlowMod]] = []
         released: list[FlowMod] = []
         ahead = TupleSpaceIndex()
-        for token, mod in zip(self._queue_tokens, self.queue):
+        for token, mod in self.queue:
             value, mask = mod.match.packed()
             blocked = bool(self._unconfirmed.query(value, mask)) or bool(
                 ahead.query(value, mask)
             )
             ahead.add(token, value, mask)
             if blocked:
-                still_queued.append(mod)
-                still_tokens.append(token)
+                still_queued.append((token, mod))
             else:
                 released.append(mod)
                 self._queued_matches.discard(token)
         self.queue = still_queued
-        self._queue_tokens = still_tokens
         for mod in released:
             self._start_update(mod)

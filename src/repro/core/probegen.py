@@ -25,8 +25,8 @@ Pipeline (Figure 2):
    fields; a header that survives normalization crafts),
 6. re-check Table 1 and compute the expected outcomes on the packed
    header, which :attr:`ProbeResult.packed_header` keeps for the
-   monitor to craft from; the header dict is built once, for
-   :attr:`ProbeResult.header`.
+   monitor to craft from; :attr:`ProbeResult.header` unpacks it into a
+   dict only when read.
 
 :func:`verify_probe` is the independent, simulation-based checker used by
 the test suite: it re-derives Table 1 semantics by actually processing
@@ -87,13 +87,11 @@ class ProbeResult:
         rule: the probed rule.
         ok: True when a probe was produced.
         reason: set when ``ok`` is False.
-        header: normalized abstract header values of the probe, every
-            field (the dict-facing form: reports, :func:`verify_probe`).
-        packed_header: the same header packed as one int
-            (:meth:`~repro.openflow.match.Match.packed`'s layout): what
-            the monitor crafts the probe from and reads its ``in_port``
-            from, and what a revalidation re-checks.  A ``replace`` copy
-            carries it.
+        packed_header: the probe's normalized abstract header packed as
+            one int (:meth:`~repro.openflow.match.Match.packed`'s
+            layout): what the monitor crafts the probe from and reads
+            its ``in_port`` from, and what a revalidation re-checks.  A
+            ``replace`` copy carries it.
         outcome_present: expected observable outcome when the rule is in
             the data plane.
         outcome_absent: expected outcome when it is missing.
@@ -108,7 +106,6 @@ class ProbeResult:
     rule: Rule
     ok: bool
     reason: UnmonitorableReason | None = None
-    header: dict[FieldName, int] | None = None
     packed_header: int | None = None
     outcome_present: RuleOutcome | None = None
     outcome_absent: RuleOutcome | None = None
@@ -120,6 +117,13 @@ class ProbeResult:
     observations: tuple[frozenset, frozenset] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    @property
+    def header(self) -> dict[FieldName, int] | None:
+        """Every field of the probe's header, unpacked when read (None
+        without a probe): the dict form reports and verify_probe use."""
+        header = self.packed_header
+        return None if header is None else HEADER.unpack(header)
 
     @property
     def packet(self) -> bytes | None:
@@ -339,7 +343,6 @@ def _conclude(
             f"probe for {rule!r} cannot tell the rule's absence"
         )
     result.ok = True
-    result.header = HEADER.unpack(header)
     result.packed_header = header
     result.outcome_present, result.outcome_absent = outcomes
     return result

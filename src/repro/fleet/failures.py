@@ -105,7 +105,7 @@ class FailureSpec:
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         raise NotImplementedError
 
@@ -114,7 +114,7 @@ class FailureSpec:
         deployment: FleetDeployment,
         node: Hashable,
         index: int | None,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> Rule:
         rules = deployment.production_rules.get(node, [])
         if not rules:
@@ -122,12 +122,7 @@ class FailureSpec:
                 f"no production rules on {node!r} to fail at t={self.at}"
             )
         if index is None:
-            # The spec-indexed stream (threaded down from
-            # schedule_failures / the shard worker) makes random
-            # victims byte-identical at any worker count; the shared
-            # fleet stream remains only as a back-compat fallback for
-            # direct inject() callers.
-            return (rng or deployment.rng).choice(rules)
+            return rng.choice(rules)
         return rules[index % len(rules)]
 
 
@@ -158,7 +153,7 @@ class RuleDrop(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         rule = self._victim(deployment, self.node, self.rule_index, rng)
         if not deployment.switch(self.node).fail_rule_in_dataplane(rule):
@@ -184,7 +179,7 @@ class RuleCorruption(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         rule = self._victim(deployment, self.node, self.rule_index, rng)
         ports = deployment.neighbor_ports(self.node)
@@ -224,7 +219,7 @@ class PrioritySwap(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         switch = deployment.switch(self.node)
         # Only rules still present in the data plane are swappable (an
@@ -246,7 +241,7 @@ class PrioritySwap(FailureSpec):
             raise FailureSpecError(
                 f"no swappable rule pair on {self.node!r} at t={self.at}"
             )
-        a, b = (rng or deployment.rng).choice(pairs)
+        a, b = rng.choice(pairs)
         switch.corrupt_rule_in_dataplane(a, b.actions)
         switch.corrupt_rule_in_dataplane(b, a.actions)
         record.nodes = {self.node}
@@ -269,7 +264,7 @@ class LinkFailure(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         network = deployment.network
         if frozenset((self.u, self.v)) not in network.links:
@@ -307,7 +302,7 @@ class FlowModBlackhole(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         ports = deployment.neighbor_ports(self.node)
         if not ports:
@@ -374,7 +369,7 @@ class ChannelDegradation(FailureSpec):
         self,
         deployment: FleetDeployment,
         record: Injection,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         self.check()
         if self.node not in deployment.network.channels:
@@ -404,7 +399,7 @@ def inject_now(
     spec: FailureSpec,
     record: Injection,
     *,
-    rng: DeterministicRandom | None = None,
+    rng: DeterministicRandom,
 ) -> None:
     """Apply ``spec`` to the deployment at the current sim time.
 

@@ -225,7 +225,7 @@ class TestChaosFailureSpecs:
         deployment = _deployment()
         spec = ChannelDegradation(at=0.0, node="sw0", loss=0.5, duration=0.2)
         record = Injection(kind=spec.kind, time=0.0)
-        inject_now(deployment, spec, record)
+        inject_now(deployment, spec, record, rng=failure_rng(deployment, 0))
         conditioner = deployment.network.conditioner("sw0")
         assert record.error is None
         assert record.chaos
@@ -241,7 +241,7 @@ class TestChaosFailureSpecs:
         deployment = _deployment()
         spec = ChannelDegradation(at=0.0, node="sw1", loss=1.0, duration=0.1)
         record = Injection(kind=spec.kind, time=0.0)
-        inject_now(deployment, spec, record)
+        inject_now(deployment, spec, record, rng=failure_rng(deployment, 0))
         assert record.error is None
         conditioner = deployment.network.conditioner("sw1")
         assert conditioner.loss == 1.0
@@ -255,7 +255,7 @@ class TestChaosFailureSpecs:
         deployment = _deployment()
         spec = ChannelDegradation(at=0.0, node="sw0")
         record = Injection(kind=spec.kind, time=0.0)
-        inject_now(deployment, spec, record)
+        inject_now(deployment, spec, record, rng=failure_rng(deployment, 0))
         assert record.error is not None
 
     @pytest.mark.parametrize(
@@ -265,7 +265,7 @@ class TestChaosFailureSpecs:
         deployment = _deployment()
         spec = ChannelDegradation(at=0.0, node="sw0", **fields)
         record = Injection(kind=spec.kind, time=0.0)
-        inject_now(deployment, spec, record)
+        inject_now(deployment, spec, record, rng=failure_rng(deployment, 0))
         assert record.error is not None
         assert not deployment.network.conditioner("sw0").active
 
@@ -273,7 +273,11 @@ class TestChaosFailureSpecs:
         deployment = _deployment()
         spec = ChannelDegradation(at=0.0, node="nope", loss=0.5)
         with pytest.raises(FailureSpecError):
-            spec.inject(deployment, Injection(kind=spec.kind, time=0.0))
+            spec.inject(
+                deployment,
+                Injection(kind=spec.kind, time=0.0),
+                failure_rng(deployment, 0),
+            )
 
     def test_chaos_injection_never_explains_or_detects(self):
         record = Injection(

@@ -172,7 +172,7 @@ class TestOverlapQueueing:
         sim.run_for(3.0)
         assert dynamic.updates_given_up == 1
         assert dynamic.queue == []
-        assert dynamic.pending == []
+        assert len(dynamic._unconfirmed) == 0  # nothing in flight
         assert [ack.flowmod_xid for _, _, ack in acks] == [overlapping.xid]
         assert net.switch(
             "s3"

@@ -66,7 +66,7 @@ from repro.core.probegen import (
 )
 from repro.datasets import campus_table, stanford_table
 from repro.openflow.actions import output
-from repro.openflow.fields import HEADER
+from repro.openflow.fields import HEADER, HeaderLayout
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.rule import RuleOutcome
@@ -299,6 +299,27 @@ def test_context_probes_are_the_pinned_ones(sample, solves):
     conflicts = sum(seen.result.conflicts for seen in solves)
     assert conflicts == context.stats.solver_conflicts
     assert conflicts <= PARENT_CONFLICTS[name]
+
+
+def test_a_cold_generation_unpacks_no_header(sample, monkeypatch):
+    """A found probe's header stays one packed int: generation unpacks
+    no field of it, and ``ProbeResult.header`` unpacks it on each
+    read."""
+    name, table, rules = sample
+    unpacked = []
+    unpack = HeaderLayout.unpack
+
+    def counting(layout, packed):
+        unpacked.append(packed)
+        return unpack(layout, packed)
+
+    monkeypatch.setattr(HeaderLayout, "unpack", counting)
+    results = cold_results(table, rules)
+    found = [result for result in results if result.ok]
+    assert found
+    assert len(unpacked) == 0
+    assert found[0].header == unpack(HEADER, found[0].packed_header)
+    assert unpacked == [found[0].packed_header]
 
 
 if __name__ == "__main__":  # record PINS: python tests/test_probegen_pins.py

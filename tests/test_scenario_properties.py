@@ -18,7 +18,8 @@ and :func:`run_scenario` must hold, on every draw:
 One process (``workers=1``), seeded rule tables; drawn tables, chaos
 and the computed latency bound are the full harness's (ROADMAP
 direction 1).  ``derandomize=True``: tier-1 runs the same examples
-every time.
+every time, and ``HYPOTHESIS_PROFILE=ci`` five times as many of them
+(``hypothesis_budget.examples``).
 
 A second property holds (d) for what a probe tick stamps: the same
 draw at ``workers=2`` gives the alarm timeline, probe counts and
@@ -44,6 +45,7 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis_budget import examples
 
 from repro.fleet import (
     LinkFailure,
@@ -205,13 +207,17 @@ def check_worker_parity(spec: ScenarioSpec, workers: int) -> FleetMetrics:
     return many
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(
+    max_examples=examples(30), derandomize=True, deadline=None, database=None
+)
 @given(scenario_specs())
 def test_the_guarantee_holds_on_generated_scenarios(spec):
     check_guarantee(spec)
 
 
-@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@settings(
+    max_examples=examples(10), derandomize=True, deadline=None, database=None
+)
 @given(scenario_specs())
 def test_two_workers_reproduce_one_process(spec):
     spec = replace(

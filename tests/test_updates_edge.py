@@ -136,3 +136,69 @@ class TestGiveUp:
         sim.run_for(3.0)
         assert acks == []
         assert system.dynamics["s3"].updates_given_up == 1
+
+    def test_no_piece_probes_an_update_another_piece_gave_up(self):
+        """A non-strict DELETE the switch never applies, over two rules.
+        Under one, a rule the DELETE does not cover shows the removal:
+        a positive piece, whose probe times out at the deadline and
+        gives the whole update up.  The other shows its removal only by
+        silence: a negative piece, whose rounds each end in an alarm on
+        the old state and whose next round is pending when the update
+        is given up.  That round must launch nothing."""
+        sim, net, system, acks = setup(update_deadline=0.47)
+        dynamic = system.dynamics["s3"]
+        monitor = dynamic.monitor
+
+        def add(match, priority, to):
+            system.send_to_switch(
+                "s3",
+                FlowMod(
+                    command=FlowModCommand.ADD,
+                    match=match,
+                    priority=priority,
+                    actions=output(net.port_toward["s3"][to]),
+                ),
+            )
+
+        add(Match.build(nw_dst=0x0A000001), 10, "s2")
+        for dst in (0x0A000001, 0x0A000002):
+            add(Match.build(nw_dst=dst, nw_proto=17), 100, "s1")
+        sim.run_for(2.0)
+        assert len(acks) == 3
+        delete = FlowMod(
+            command=FlowModCommand.DELETE,
+            match=Match.build(nw_dst=(0x0A000000, 24), nw_proto=17),
+            priority=0,
+        )
+        channel = net.channel("s3")
+        original = channel.down_handler
+        channel.down_handler = lambda msg: (
+            None
+            if isinstance(msg, FlowMod) and msg.xid == delete.xid
+            else original(msg)
+        )
+        policies = []
+        launch_probe = monitor.launch_probe
+
+        def recording(result, policy, *args, **kwargs):
+            policies.append(policy)
+            return launch_probe(result, policy, *args, **kwargs)
+
+        monitor.launch_probe = recording
+        launched_at_give_up = []
+        give_up = dynamic._give_up
+
+        def giving_up(update):
+            launched_at_give_up.append(monitor.probes_launched)
+            give_up(update)
+
+        dynamic._give_up = giving_up
+        system.send_to_switch("s3", delete)
+        sim.run_for(3.0)
+        assert dynamic.updates_given_up == 1
+        assert launched_at_give_up  # the positive piece's timeout
+        # One positive probe, and negative rounds up to the deadline.
+        assert policies.count(monitor.update_policy) == 1
+        assert policies.count(monitor.steady_policy) > 5
+        assert monitor.probes_launched == launched_at_give_up[0]
+        assert len(acks) == 3
